@@ -24,9 +24,8 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 from .combinatorics import verify_identity
 from .fidelity import fidelity_L_closed, fidelity_L_numeric, fidelity_single_closed
@@ -77,7 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--output", default=None, help="output file (default: stdout)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1)
 
     p_table = sub.add_parser("table", help="numeric vs closed-form fidelities")
     p_table.add_argument("--d", type=int, required=True)
@@ -137,7 +135,7 @@ def _cmd_table(
             "abs_diff": abs(numeric - float(closed)),
         }
 
-    rows = _parallel_map(row, levels, args.jobs)
+    rows = [row(L) for L in levels]
     payload = {
         "command": "table",
         "config": {
@@ -210,7 +208,7 @@ def _cmd_verify(
             )
         return values
 
-    per_trial = _parallel_map(trial, range(args.trials), args.jobs)
+    per_trial = [trial(t) for t in range(args.trials)]
     names = list(per_trial[0])
     checks = []
     for name in names:
@@ -279,7 +277,7 @@ def _cmd_asym_sweep(
             "fidelity_b": result.fidelity_b,
         }
 
-    rows = _parallel_map(row, pairs, args.jobs)
+    rows = [row(pair) for pair in pairs]
     symmetric = fidelity_single_closed(CloneSpec(args.d, 1, 2))
     payload = {
         "command": "asym-sweep",
@@ -349,7 +347,7 @@ def _cmd_identity_check(
             "printed_summand_evaluable": report.printed_summand_evaluable,
         }
 
-    rows = _parallel_map(row, grid, args.jobs)
+    rows = [row(point) for point in grid]
     all_equal = all(r["equal"] for r in rows)
     payload = {
         "command": "identity-check",
@@ -388,14 +386,6 @@ def _clone_spec(
     except ValueError as exc:
         parser.error(str(exc))
         raise AssertionError("unreachable")
-
-
-def _parallel_map(fn: Callable, items: Iterable, jobs: int) -> list:
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 def _rational_str(q: Fraction) -> str:

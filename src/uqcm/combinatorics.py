@@ -1,8 +1,9 @@
 """Exact combinatorial kernel for symmetric-subspace bookkeeping.
 
 Everything in this module is computed with arbitrary-precision integers
-and exact rationals (``fractions.Fraction``); floating point enters only
-through the square-root helpers used by the numeric layers above.
+and exact rationals (``fractions.Fraction``); the floating-point split
+table that the numeric layers use lives in :mod:`uqcm.symmetric` and is
+tested against the exact coefficients here.
 
 Occupation vectors index the completely symmetric basis: the vector
 ``(m_1, ..., m_d)`` labels the normalized permutation-invariant state of
@@ -53,18 +54,6 @@ class OccupationVector:
 
     def __getitem__(self, j: int) -> int:
         return self.counts[j]
-
-    def add(self, other: "OccupationVector") -> "OccupationVector":
-        self._check_slots(other)
-        return OccupationVector(tuple(a + b for a, b in zip(self.counts, other.counts)))
-
-    def sub(self, other: "OccupationVector") -> "OccupationVector":
-        """Entrywise difference; raises if any entry would go negative."""
-        self._check_slots(other)
-        diff = tuple(a - b for a, b in zip(self.counts, other.counts))
-        if any(c < 0 for c in diff):
-            raise ValueError(f"{other.counts} is not contained in {self.counts}")
-        return OccupationVector(diff)
 
     def contains(self, other: "OccupationVector") -> bool:
         """True when ``other`` fits slotwise inside this vector."""
@@ -145,14 +134,6 @@ def splitting_coefficient_sq(
     for mj, kj in zip(m, k):
         num *= math.comb(mj, kj)
     return Fraction(num, math.comb(total, kept))
-
-
-def splitting_coefficient(
-    m: OccupationVector, k: OccupationVector, total: int, kept: int
-) -> float:
-    """Amplitude of |m-k>|k> in the two-group split of |m> (nonnegative real)."""
-    sq = splitting_coefficient_sq(m, k, total, kept)
-    return math.sqrt(sq.numerator / sq.denominator)
 
 
 def _check_split_args(

@@ -129,14 +129,19 @@ class FullDensity:
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix shape {mat.shape} does not match dim {dim}")
         if self.validate:
-            if np.abs(mat - mat.conj().T).max() > HERMITICITY_TOL:
-                raise ValueError("density matrix is not Hermitian")
-            if abs(np.trace(mat).real - 1.0) > TRACE_TOL:
-                raise ValueError(f"density matrix trace {np.trace(mat)} != 1")
-            if np.linalg.eigvalsh(mat).min() < PSD_TOL:
-                raise ValueError("density matrix is not positive semidefinite")
+            check_density(mat)
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
+
+
+def check_density(mat: np.ndarray) -> None:
+    """Raise ValueError unless ``mat`` is Hermitian, unit-trace and positive semidefinite."""
+    if np.abs(mat - mat.conj().T).max() > HERMITICITY_TOL:
+        raise ValueError("density matrix is not Hermitian")
+    if abs(np.trace(mat).real - 1.0) > TRACE_TOL:
+        raise ValueError(f"density matrix trace {np.trace(mat)} != 1")
+    if np.linalg.eigvalsh(mat).min() < PSD_TOL:
+        raise ValueError("density matrix is not positive semidefinite")
 
 
 def maximally_entangled(d: int) -> FullState:
@@ -224,12 +229,6 @@ def fidelity_pure(rho: FullDensity, psi: FullState) -> float:
     return value.real
 
 
-def trace_distance(a: FullDensity, b: FullDensity) -> float:
-    """Half the sum of singular values of a - b."""
-    _check_same_space(a, b)
-    return 0.5 * float(np.linalg.svd(a.matrix - b.matrix, compute_uv=False).sum())
-
-
 def trace_distance_matrices(a: np.ndarray, b: np.ndarray) -> float:
     """Trace distance between two raw Hermitian matrices of equal shape."""
     if a.shape != b.shape:
@@ -257,34 +256,6 @@ def random_unitary(d: int, seed) -> np.ndarray:
 def random_pure_state(d: int, seed) -> PureState:
     """Haar-random qudit state (first column of a Haar unitary)."""
     return PureState(random_unitary(d, seed)[:, 0])
-
-
-@dataclass(frozen=True)
-class GeneralizedPauli:
-    """Shift-and-phase unitary U_{jl} with <a|U|b> = omega^{lb} delta(a, b+j mod d)."""
-
-    d: int
-    j: int
-    l: int
-
-    def __post_init__(self) -> None:
-        if self.d < 2:
-            raise ValueError(f"qudit dimension must be >= 2, got {self.d}")
-        if not (0 <= self.j < self.d and 0 <= self.l < self.d):
-            raise ValueError(f"indices ({self.j},{self.l}) outside 0..{self.d - 1}")
-
-    def matrix(self) -> np.ndarray:
-        omega = np.exp(2j * np.pi / self.d)
-        mat = np.zeros((self.d, self.d), dtype=np.complex128)
-        for b in range(self.d):
-            mat[(b + self.j) % self.d, b] = omega ** (self.l * b)
-        return mat
-
-    def entangled_state(self) -> FullState:
-        """(U_{jl} x I) applied to the maximally entangled pair."""
-        pair = maximally_entangled(self.d)
-        amps = (np.kron(self.matrix(), np.eye(self.d)) @ pair.amplitudes)
-        return FullState(amps, factors=2, local_dim=self.d)
 
 
 def _check_same_dim(a, b) -> None:

@@ -27,7 +27,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .combinatorics import OccupationVector, binomial, splitting_coefficient, sym_dim
+from .combinatorics import sym_dim
 from .hilbert import (
     FullDensity,
     FullState,
@@ -42,9 +42,11 @@ from .hilbert import (
 from .symmetric import (
     SymBasis,
     SymDensity,
-    SymVector,
     expand_power,
+    log_factorials,
+    occupation_counts,
     projector_full,
+    split_table,
 )
 
 
@@ -106,39 +108,43 @@ class MachineOutput:
 
 
 def werner_output(spec: CloneSpec, phi: PureState) -> SymDensity:
-    """Projector-form cloner, evaluated entrywise in the occupation basis.
+    """Projector-form cloner, evaluated from its occupation-basis entries.
 
     Entry (m, m') carries n_in! * eta^2 times the sum over ancilla-sized
     occupations k <= m, m' of
 
         prod_j x_j^{m_j-k_j} conj(x_j)^{m'_j-k_j}
                * sqrt(m_j! m'_j!) / ((m_j-k_j)! (m'_j-k_j)! k_j!).
+
+    The summand factorises as A[m, k] conj(A[m', k]) with
+
+        A[a+k, k] = prod_j x_j^{a_j} sqrt((a_j+k_j)!) / (a_j! sqrt(k_j!)),
+
+    so the density is the Gram product n_in! * eta^2 * A A^dagger.  The
+    prefactor's square root is folded into A in the log domain, where no
+    factorial overflows.
     """
     _check_phi(spec, phi)
     d, n, m_total = spec.d, spec.n_in, spec.m_out
-    basis_out = SymBasis.build(d, m_total)
-    basis_anc = SymBasis.build(d, m_total - n)
-    x = phi.amplitudes
-    prefactor = float(Fraction(math.factorial(n)) * spec.eta_sq)
-    root_fac = [math.sqrt(math.factorial(t)) for t in range(m_total + 1)]
-    fac = [math.factorial(t) for t in range(m_total + 1)]
-
-    mat = np.zeros((basis_out.dim, basis_out.dim), dtype=np.complex128)
-    for i, m in enumerate(basis_out.vectors):
-        for ip, mp in enumerate(basis_out.vectors):
-            acc = 0.0 + 0.0j
-            for k in basis_anc.vectors:
-                if not (m.contains(k) and mp.contains(k)):
-                    continue
-                term = 1.0 + 0.0j
-                for j in range(d):
-                    mj, mpj, kj = m[j], mp[j], k[j]
-                    term *= x[j] ** (mj - kj) * np.conj(x[j]) ** (mpj - kj)
-                    term *= root_fac[mj] * root_fac[mpj]
-                    term /= fac[mj - kj] * fac[mpj - kj] * fac[kj]
-                acc += term
-            mat[i, ip] = prefactor * acc
-    return SymDensity(basis=basis_out, matrix=mat)
+    idx, _ = split_table(d, m_total, n)
+    a = occupation_counts(d, n)
+    k = occupation_counts(d, m_total - n)
+    log_fac = log_factorials(m_total + d - 1)
+    # log(n_in! * eta^2), eta^2 = (m_out-n_in)! (n_in+d-1)! / (m_out+d-1)!
+    log_prefactor = (
+        log_fac[n] + log_fac[m_total - n] + log_fac[n + d - 1] - log_fac[m_total + d - 1]
+    )
+    log_mag = (
+        0.5 * log_prefactor
+        + 0.5 * log_fac[a[:, None, :] + k[None, :, :]].sum(axis=2)
+        - log_fac[a].sum(axis=1)[:, None]
+        - 0.5 * log_fac[k].sum(axis=1)[None, :]
+    )
+    # Powers stay out of the logarithm: a zero amplitude to the power 0 is exactly 1.
+    powers = np.prod(phi.amplitudes**a, axis=1)
+    gram = np.zeros((spec.dim_out, len(k)), dtype=np.complex128)
+    gram[idx, np.arange(len(k))] = powers[:, None] * np.exp(log_mag)
+    return SymDensity(basis=SymBasis.build(d, m_total), matrix=gram @ gram.conj().T)
 
 
 def werner_output_oracle(spec: CloneSpec, phi: PureState) -> FullDensity:
@@ -157,100 +163,59 @@ def werner_output_oracle(spec: CloneSpec, phi: PureState) -> FullDensity:
 
 
 def fan_output(spec: CloneSpec, phi: PureState) -> MachineOutput:
-    """Amplitude-form cloner: pure joint state with occupation ancilla, then traced."""
+    """Amplitude-form cloner: pure joint state with occupation ancilla, then traced.
+
+    Each input occupation |a> of |phi>^(x n_in) goes to
+    eta * sum_k sqrt(prod_j (a_j+k_j)! / (a_j! k_j!)) |a+k>|k>.
+    """
     _check_phi(spec, phi)
     d, n_total, m_total = spec.d, spec.n_in, spec.m_out
-    basis_out = SymBasis.build(d, m_total)
-    basis_anc = SymBasis.build(d, m_total - n_total)
+    idx, _ = split_table(d, m_total, n_total)
+    a = occupation_counts(d, n_total)
+    k = occupation_counts(d, m_total - n_total)
+    log_fac = log_factorials(m_total)
+    log_multinomial = (
+        log_fac[a[:, None, :] + k[None, :, :]].sum(axis=2)
+        - log_fac[a].sum(axis=1)[:, None]
+        - log_fac[k].sum(axis=1)[None, :]
+    )
     inputs = expand_power(phi, n_total)
-    eta = spec.eta
-
-    joint = np.zeros((basis_out.dim, basis_anc.dim), dtype=np.complex128)
-    for n, c_n in zip(inputs.basis.vectors, inputs.amplitudes):
-        for ki, k in enumerate(basis_anc.vectors):
-            amp = 1.0
-            for nj, kj in zip(n, k):
-                amp *= math.factorial(nj + kj) / (
-                    math.factorial(nj) * math.factorial(kj)
-                )
-            joint[basis_out.index(n.add(k)), ki] += eta * c_n * math.sqrt(amp)
+    joint = np.zeros((spec.dim_out, len(k)), dtype=np.complex128)
+    joint[idx, np.arange(len(k))] = (
+        spec.eta * inputs.amplitudes[:, None] * np.exp(0.5 * log_multinomial)
+    )
 
     norm = np.linalg.norm(joint)
     if abs(norm - 1.0) > 1e-12:
         raise AssertionError(f"amplitude-form joint state has norm {norm}")
-    density = SymDensity(basis=basis_out, matrix=joint @ joint.conj().T)
+    density = SymDensity(basis=SymBasis.build(d, m_total), matrix=joint @ joint.conj().T)
     return MachineOutput(density=density, lam=1.0, machine_tag="fan", joint_sym=joint)
-
-
-@dataclass(frozen=True)
-class PureJointExpansion:
-    """Unnormalized joint expansion of the entangled-pair cloner on one |n>.
-
-    ``coefficients[m, k]`` multiplies |m>|k>; the whole matrix is real.
-    ``normalization`` is its Frobenius norm (equal to 1/eta for every
-    input occupation).  ``oracle_prefactor`` is the global constant
-    relating these coefficients to the literal full-space projection of
-    |n> next to the entangled-pair halves.
-    """
-
-    basis_out: SymBasis
-    basis_anc: SymBasis
-    coefficients: np.ndarray
-    normalization: float
-    oracle_prefactor: float
-
-
-def unified_pure_output(spec: CloneSpec, n: OccupationVector) -> PureJointExpansion:
-    """Entangled-pair cloner acting on a single symmetric input |n>.
-
-    Built from the two-group splitting relation: projecting |n>|k> into
-    the symmetric subspace of all m_out qudits leaves |n+k> with the
-    splitting coefficient of that division, so the joint output is
-    sum_k sqrt(C(m_out, n_in)) * f(n+k, k) |n+k>|k>.
-    """
-    if n.total != spec.n_in or n.d != spec.d:
-        raise ValueError(f"input occupation {n} does not match {spec}")
-    d, n_total, m_total = spec.d, spec.n_in, spec.m_out
-    basis_out = SymBasis.build(d, m_total)
-    basis_anc = SymBasis.build(d, m_total - n_total)
-    root_choose = math.sqrt(binomial(m_total, n_total))
-
-    coeff = np.zeros((basis_out.dim, basis_anc.dim))
-    for ki, k in enumerate(basis_anc.vectors):
-        m = n.add(k)
-        coeff[basis_out.index(m), ki] = root_choose * splitting_coefficient(
-            m, k, m_total, n_total
-        )
-    return PureJointExpansion(
-        basis_out=basis_out,
-        basis_anc=basis_anc,
-        coefficients=coeff,
-        normalization=float(np.linalg.norm(coeff)),
-        oracle_prefactor=d ** (-(m_total - n_total) / 2) / root_choose,
-    )
 
 
 def unified_output(spec: CloneSpec, phi: PureState) -> MachineOutput:
     """Entangled-pair cloner on identical pure inputs, fast path.
 
-    Extends :func:`unified_pure_output` linearly over the expansion of
-    |phi>^(x n_in), records the normalization ``lam`` removed after the
-    projection, and traces the ancilla occupations.
+    Projecting |a>|k> into the symmetric subspace of all m_out qudits
+    leaves sqrt(C(m_out, n_in)) f(a+k, k) |a+k>|k>, with f the splitting
+    coefficient.  The oracle prefactor d^(-(m_out-n_in)/2) / sqrt(C(m_out, n_in))
+    relates this to the literal full-space projection next to the pair
+    halves, so input occupation |a> contributes d^(-(m_out-n_in)/2) f(a+k, k).
+    The sum over the expansion of |phi>^(x n_in) is normalized by ``lam``
+    and the ancilla occupations are traced.
     """
     _check_phi(spec, phi)
-    inputs = expand_power(phi, spec.n_in)
-    basis_out = SymBasis.build(spec.d, spec.m_out)
-    basis_anc = SymBasis.build(spec.d, spec.m_out - spec.n_in)
+    d, n_total, m_total = spec.d, spec.n_in, spec.m_out
+    idx, coeff = split_table(d, m_total, n_total)
+    inputs = expand_power(phi, n_total)
+    pair_factor = d ** (-(m_total - n_total) / 2)
 
-    raw = np.zeros((basis_out.dim, basis_anc.dim), dtype=np.complex128)
-    for n, c_n in zip(inputs.basis.vectors, inputs.amplitudes):
-        expansion = unified_pure_output(spec, n)
-        raw += c_n * expansion.oracle_prefactor * expansion.coefficients
-
-    norm = np.linalg.norm(raw)
-    lam = 1.0 / norm
+    raw = np.zeros((spec.dim_out, coeff.shape[1]), dtype=np.complex128)
+    raw[idx, np.arange(coeff.shape[1])] = (
+        pair_factor * inputs.amplitudes[:, None] * coeff
+    )
+    lam = 1.0 / np.linalg.norm(raw)
     joint = lam * raw
-    density = SymDensity(basis=basis_out, matrix=joint @ joint.conj().T)
+    density = SymDensity(basis=SymBasis.build(d, m_total), matrix=joint @ joint.conj().T)
     return MachineOutput(
         density=density, lam=lam, machine_tag="unified", joint_sym=joint
     )

@@ -17,22 +17,14 @@ from itertools import product
 
 import numpy as np
 
-from .combinatorics import (
-    OccupationVector,
-    enumerate_occupations,
-    splitting_coefficient,
-    sym_dim,
-)
+from .combinatorics import OccupationVector, enumerate_occupations
 from .hilbert import (
     FullDensity,
     FullState,
     PureState,
     check_cap,
+    check_density,
 )
-
-HERMITICITY_TOL = 1e-10
-TRACE_TOL = 1e-10
-PSD_TOL = -1e-10
 
 
 @dataclass(frozen=True)
@@ -66,6 +58,70 @@ def _cached_basis(d: int, total: int) -> SymBasis:
 @lru_cache(maxsize=None)
 def _cached_index(d: int, total: int) -> dict[OccupationVector, int]:
     return {m: i for i, m in enumerate(_cached_basis(d, total).vectors)}
+
+
+@lru_cache(maxsize=None)
+def log_factorials(n: int) -> np.ndarray:
+    """Read-only vector of log(t!) for t = 0..n."""
+    out = np.array([math.lgamma(t + 1) for t in range(n + 1)])
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def occupation_counts(d: int, total: int) -> np.ndarray:
+    """The (d, total) basis as a read-only dim x d integer array, in canonical order."""
+    counts = np.array(
+        [m.counts for m in SymBasis.build(d, total).vectors], dtype=np.intp
+    ).reshape(-1, d)
+    counts.setflags(write=False)
+    return counts
+
+
+@lru_cache(maxsize=None)
+def split_table(d: int, total: int, kept: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where and with what weight |a>|k> sits in the two-group split of |a+k>.
+
+    Rows run over the (d, kept) basis a, columns over the
+    (d, total - kept) basis k.  ``idx[a, k]`` is the (d, total) basis
+    index of a+k, and
+
+        coeff[a, k] = sqrt(prod_j C(a_j+k_j, k_j) / C(total, kept)),
+
+    the splitting coefficient, is formed from log-factorials so that no
+    factorial is ever converted to a float.  Both arrays are read-only.
+    """
+    a = occupation_counts(d, kept)
+    k = occupation_counts(d, total - kept)
+    m = a[:, None, :] + k[None, :, :]
+    log_fac = log_factorials(total)
+    log_sq = (
+        log_fac[m].sum(axis=2)
+        - log_fac[a].sum(axis=1)[:, None]
+        - log_fac[k].sum(axis=1)[None, :]
+        - (log_fac[total] - log_fac[kept] - log_fac[total - kept])
+    )
+    idx = _canonical_index(m, total)
+    coeff = np.exp(0.5 * log_sq)
+    idx.setflags(write=False)
+    coeff.setflags(write=False)
+    return idx, coeff
+
+
+def _canonical_index(counts: np.ndarray, total: int) -> np.ndarray:
+    """Position of each occupation vector (last axis, summing to total) in its basis.
+
+    In lexicographically decreasing order the vectors ahead of m are those
+    that agree with m up to some slot j and hold more in slot j; with
+    s_j = m_{j+1} + ... + m_{d-1} there are C(s_j + d-j-2, d-j-1) of them.
+    """
+    d = counts.shape[-1]
+    suffix = np.cumsum(counts[..., ::-1], axis=-1)[..., ::-1]
+    index = np.zeros(counts.shape[:-1], dtype=np.intp)
+    for j in range(d - 1):
+        choose = np.array([math.comb(s + d - j - 2, d - j - 1) for s in range(total + 1)])
+        index += choose[suffix[..., j + 1]]
+    return index
 
 
 @dataclass(frozen=True)
@@ -102,12 +158,7 @@ class SymDensity:
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix shape {mat.shape} does not match dim {dim}")
         if self.validate:
-            if np.abs(mat - mat.conj().T).max() > HERMITICITY_TOL:
-                raise ValueError("symmetric density is not Hermitian")
-            if abs(np.trace(mat).real - 1.0) > TRACE_TOL:
-                raise ValueError(f"symmetric density trace {np.trace(mat)} != 1")
-            if np.linalg.eigvalsh(mat).min() < PSD_TOL:
-                raise ValueError("symmetric density is not positive semidefinite")
+            check_density(mat)
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
@@ -195,49 +246,12 @@ def expand_power(phi: PureState, copies: int) -> SymVector:
     if copies < 1:
         raise ValueError(f"need at least one copy, got {copies}")
     basis = SymBasis.build(phi.dim, copies)
-    amps = np.empty(basis.dim, dtype=np.complex128)
-    root_cfac = math.sqrt(math.factorial(copies))
-    for i, n in enumerate(basis.vectors):
-        term = root_cfac
-        for xj, nj in zip(phi.amplitudes, n):
-            term = term * xj**nj / math.sqrt(math.factorial(nj))
-        amps[i] = term
+    counts = occupation_counts(phi.dim, copies)
+    log_fac = log_factorials(copies)
+    # Powers stay out of the logarithm: a zero amplitude to the power 0 is exactly 1.
+    powers = np.prod(phi.amplitudes**counts, axis=1)
+    amps = powers * np.exp(0.5 * (log_fac[copies] - log_fac[counts].sum(axis=1)))
     return SymVector(basis=basis, amplitudes=amps, normalized=True)
-
-
-@dataclass(frozen=True)
-class PairProjection:
-    """Symmetric projection of n maximally entangled pairs, Schmidt-diagonal.
-
-    The projected state is proportional to sum_k |k>|k> over all
-    occupations k of n particles: equal Schmidt weight on every |k>|k>.
-    ``full_space_prefactor`` is the constant c in
-
-        (s_n x I^(x n)) |Phi+>^(x n) = c * sum_k |k>|k>,
-
-    namely d^(-n/2); ``norm`` is the length sqrt(dim) of the unnormalized
-    sum itself.
-    """
-
-    basis: SymBasis
-    schmidt_weights: np.ndarray
-    full_space_prefactor: float
-    norm: float
-
-
-def project_entangled_pairs(d: int, n: int) -> PairProjection:
-    """Schmidt form of n entangled pairs after projecting the front halves."""
-    if n < 1:
-        raise ValueError(f"need at least one pair, got {n}")
-    basis = SymBasis.build(d, n)
-    weights = np.ones(basis.dim)
-    weights.setflags(write=False)
-    return PairProjection(
-        basis=basis,
-        schmidt_weights=weights,
-        full_space_prefactor=d ** (-n / 2),
-        norm=math.sqrt(basis.dim),
-    )
 
 
 def reduce_symmetric(rho: SymDensity, kept: int) -> SymDensity:
@@ -256,23 +270,8 @@ def reduce_symmetric(rho: SymDensity, kept: int) -> SymDensity:
         raise ValueError(f"kept count {kept} outside 1..{total}")
     if kept == total:
         return rho
-    basis_l = SymBasis.build(d, kept)
-    basis_k = SymBasis.build(d, total - kept)
-    coeff = np.zeros((basis_l.dim, basis_k.dim))
-    where = np.zeros((basis_l.dim, basis_k.dim), dtype=np.intp)
-    for ai, a in enumerate(basis_l.vectors):
-        for ki, k in enumerate(basis_k.vectors):
-            m = a.add(k)
-            coeff[ai, ki] = splitting_coefficient(m, k, total, kept)
-            where[ai, ki] = rho.basis.index(m)
-    out = np.zeros((basis_l.dim, basis_l.dim), dtype=np.complex128)
-    for ki in range(basis_k.dim):
-        f = coeff[:, ki]
-        idx = where[:, ki]
-        out += (f[:, None] * f[None, :]) * rho.matrix[np.ix_(idx, idx)]
-    return SymDensity(basis=basis_l, matrix=out, validate=rho.validate)
-
-
-def sym_dimension(d: int, total: int) -> int:
-    """Convenience re-export of the symmetric-subspace dimension."""
-    return sym_dim(d, total)
+    idx, coeff = split_table(d, total, kept)
+    out = np.zeros((idx.shape[0], idx.shape[0]), dtype=np.complex128)
+    for f, where in zip(coeff.T, idx.T):
+        out += np.outer(f, f) * rho.matrix[np.ix_(where, where)]
+    return SymDensity(basis=SymBasis.build(d, kept), matrix=out, validate=rho.validate)

@@ -1,9 +1,12 @@
 """Tests for the command-line front end."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -222,12 +225,6 @@ class TestOutputHandling:
         _, second = _run(capsys, argv)
         assert first == second
 
-    def test_jobs_do_not_change_output(self, capsys):
-        base = ["table", "--d", "2", "--n", "1", "--m", "3"]
-        _, serial = _run(capsys, base + ["--jobs", "1"])
-        _, parallel = _run(capsys, base + ["--jobs", "4"])
-        assert serial == parallel
-
     def test_output_file_written(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         status = cli.main(
@@ -255,6 +252,19 @@ class TestOutputHandling:
 
 
 class TestConsoleScript:
+    def test_python_dash_m_runs_without_install(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "uqcm", "table", "--d", "2", "--n", "1", "--m", "3"],
+            capture_output=True,
+            text=True,
+            cwd=Path(__file__).resolve().parents[1],
+            env={**os.environ, "PYTHONPATH": "src"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        assert payload["command"] == "table"
+        assert [row["L"] for row in payload["rows"]] == [1, 2, 3]
+
     def test_entry_point_installed(self):
         exe = shutil.which("uqcm")
         assert exe is not None

@@ -7,7 +7,6 @@ from uqcm.hilbert import (
     ORACLE_CAP,
     FullDensity,
     FullState,
-    GeneralizedPauli,
     OracleCapError,
     PureState,
     check_cap,
@@ -19,7 +18,6 @@ from uqcm.hilbert import (
     random_pure_state,
     random_unitary,
     tensor,
-    trace_distance,
     trace_distance_matrices,
 )
 
@@ -116,14 +114,17 @@ class TestMetrics:
         rho1 = PureState.basis(2, 1).density()
         a = FullDensity(rho0, 1, 2)
         b = FullDensity(rho1, 1, 2)
-        assert trace_distance(a, a) == pytest.approx(0.0, abs=TOL)
-        assert trace_distance(a, b) == pytest.approx(1.0, abs=TOL)
+        assert trace_distance_matrices(a.matrix, a.matrix) == pytest.approx(0.0, abs=TOL)
+        assert trace_distance_matrices(a.matrix, b.matrix) == pytest.approx(1.0, abs=TOL)
 
     def test_matrix_variant_agrees(self):
-        x = random_pure_state(3, 1).density()
-        y = random_pure_state(3, 2).density()
-        full = trace_distance(FullDensity(x, 1, 3), FullDensity(y, 1, 3))
-        assert trace_distance_matrices(x, y) == pytest.approx(full, abs=TOL)
+        # Two pure states sit at trace distance sqrt(1 - |<x|y>|^2).
+        x = random_pure_state(3, 1)
+        y = random_pure_state(3, 2)
+        overlap = abs(np.vdot(x.amplitudes, y.amplitudes)) ** 2
+        expected = np.sqrt(1.0 - overlap)
+        got = trace_distance_matrices(x.density(), y.density())
+        assert got == pytest.approx(expected, abs=TOL)
 
     def test_fidelity_pure_matches_expectation(self):
         psi = random_pure_state(2, 8)
@@ -174,52 +175,3 @@ class TestOracleCap:
 
     def test_cap_value(self):
         assert ORACLE_CAP == 4096
-
-
-class TestGeneralizedPauli:
-    def test_identity_member(self):
-        p = GeneralizedPauli(3, 0, 0)
-        assert np.allclose(p.matrix(), np.eye(3), atol=TOL)
-
-    def test_unitary(self):
-        for d in (2, 3):
-            for j in range(d):
-                for l in range(d):
-                    u = GeneralizedPauli(d, j, l).matrix()
-                    assert np.allclose(u @ u.conj().T, np.eye(d), atol=TOL)
-
-    def test_trace_orthogonality(self):
-        d = 3
-        ops = [
-            GeneralizedPauli(d, j, l).matrix() for j in range(d) for l in range(d)
-        ]
-        for i, a in enumerate(ops):
-            for k, b in enumerate(ops):
-                expected = d if i == k else 0
-                assert np.trace(a.conj().T @ b) == pytest.approx(expected, abs=TOL)
-
-    def test_entangled_basis_completeness(self):
-        # Resolving |phi> on factor 2 against the shifted entangled basis:
-        # the coefficient attached to each basis member is the adjoint
-        # operator applied to |phi>, placed on factor 1.
-        for d in (2, 3, 4):
-            phi = random_pure_state(d, 31 + d)
-            phi1 = FullState(phi.amplitudes, 1, d)
-            lhs = permute_factors(tensor(maximally_entangled(d), phi1), (0, 2, 1))
-            rhs = np.zeros(d**3, dtype=np.complex128)
-            for j in range(d):
-                for l in range(d):
-                    op = GeneralizedPauli(d, j, l)
-                    coeff = FullState(op.matrix().conj().T @ phi.amplitudes, 1, d)
-                    rhs += tensor(coeff, op.entangled_state()).amplitudes
-            assert np.allclose(lhs.amplitudes, rhs / d, atol=TOL)
-
-    def test_entangled_states_orthonormal(self):
-        d = 3
-        states = [
-            GeneralizedPauli(d, j, l).entangled_state().amplitudes
-            for j in range(d)
-            for l in range(d)
-        ]
-        gram = np.array([[np.vdot(a, b) for b in states] for a in states])
-        assert np.allclose(gram, np.eye(d * d), atol=TOL)

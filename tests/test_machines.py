@@ -7,6 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from uqcm.fidelity import fidelity_L_closed, fidelity_L_numeric
 from uqcm.hilbert import (
     FullState,
     PureState,
@@ -14,10 +15,8 @@ from uqcm.hilbert import (
     partial_trace_state,
     random_pure_state,
     random_unitary,
-    trace_distance,
     trace_distance_matrices,
 )
-from uqcm.combinatorics import OccupationVector
 from uqcm.machines import (
     MACHINES,
     AsymmetryWeights,
@@ -28,7 +27,6 @@ from uqcm.machines import (
     run_machine,
     unified_output,
     unified_output_oracle,
-    unified_pure_output,
     weighted_clone,
     werner_output,
     werner_output_oracle,
@@ -36,6 +34,7 @@ from uqcm.machines import (
 from uqcm.symmetric import (
     expand_power,
     projector_full,
+    split_table,
     sym_to_full_density,
     sym_unitary,
 )
@@ -83,6 +82,20 @@ class TestThreeMachineEquivalence:
             for a, b in combinations(outs, 2):
                 assert trace_distance_matrices(a, b) < TOL
 
+    def test_basis_state_input(self):
+        # Zero amplitudes meet zero exponents here; no entry may turn into NaN.
+        spec = CloneSpec(3, 2, 4)
+        for level in range(3):
+            phi = PureState.basis(3, level)
+            outs = [run_machine(spec, phi, name).matrix for name in MACHINES]
+            assert all(np.isfinite(out).all() for out in outs)
+            for a, b in combinations(outs, 2):
+                assert trace_distance_matrices(a, b) < TOL
+            for L in range(1, spec.m_out + 1):
+                closed = float(fidelity_L_closed(spec, L))
+                numeric = fidelity_L_numeric(run_machine(spec, phi, "fan"), phi, L)
+                assert numeric == pytest.approx(closed, abs=TOL)
+
     def test_identity_when_no_extra_copies(self):
         # N = M: every machine returns the pure input power.
         for d in (2, 3):
@@ -95,13 +108,35 @@ class TestThreeMachineEquivalence:
                 assert trace_distance_matrices(rho.matrix, expected) < TOL
 
 
+class TestLargeCopyNumbers:
+    # Every factorial here is far above the float range; the split table
+    # works with log-factorials throughout.
+    @pytest.mark.parametrize(
+        "machine,d,n,m",
+        [
+            ("werner", 2, 1, 175),
+            ("werner", 2, 1, 400),
+            ("fan", 2, 180, 181),
+            ("unified", 2, 200, 240),
+        ],
+    )
+    def test_matches_closed_form(self, machine, d, n, m):
+        spec = CloneSpec(d, n, m)
+        phi = random_pure_state(d, 71)
+        rho = run_machine(spec, phi, machine)
+        for L in (1, m // 2, m):
+            numeric = fidelity_L_numeric(rho, phi, L)
+            assert abs(numeric - float(fidelity_L_closed(spec, L))) <= TOL
+
+
 class TestOracles:
     @pytest.mark.parametrize("d,n,m", [(2, 1, 2), (2, 1, 3), (2, 2, 4), (3, 1, 2), (3, 2, 3)])
     def test_werner_fast_path_matches_full_space(self, d, n, m):
         spec = CloneSpec(d, n, m)
         phi = random_pure_state(d, 9)
         fast = sym_to_full_density(werner_output(spec, phi))
-        assert trace_distance(fast, werner_output_oracle(spec, phi)) < TOL
+        oracle = werner_output_oracle(spec, phi)
+        assert trace_distance_matrices(fast.matrix, oracle.matrix) < TOL
 
     @pytest.mark.parametrize("d,n,m", [(2, 1, 2), (2, 1, 3), (2, 2, 3), (3, 1, 2)])
     def test_unified_fast_path_matches_full_space(self, d, n, m):
@@ -109,9 +144,8 @@ class TestOracles:
         phi = random_pure_state(d, 10)
         fast = unified_output(spec, phi)
         oracle = unified_output_oracle(spec, phi)
-        assert (
-            trace_distance(sym_to_full_density(fast.density), oracle.density) < TOL
-        )
+        fast_full = sym_to_full_density(fast.density)
+        assert trace_distance_matrices(fast_full.matrix, oracle.density.matrix) < TOL
 
     def test_normalization_bookkeeping_matches(self):
         # The projection shrinks the raw state identically in both routes.
@@ -152,19 +186,13 @@ class TestJointStates:
         assert unified_output(spec, phi).machine_tag == "unified"
 
     def test_pure_expansion_norm_is_inverse_eta(self):
-        # Every symmetric input picks up the same total weight 1/eta.
-        for d, n, m in [(2, 1, 2), (2, 2, 4), (3, 1, 3), (3, 2, 3)]:
-            spec = CloneSpec(d, n, m)
-            for occ in expand_power(random_pure_state(d, 1), n).basis.vectors:
-                expansion = unified_pure_output(spec, occ)
-                assert expansion.normalization == pytest.approx(
-                    1.0 / spec.eta, rel=1e-12
-                )
-
-    def test_pure_expansion_rejects_wrong_input(self):
-        spec = CloneSpec(2, 1, 2)
-        with pytest.raises(ValueError):
-            unified_pure_output(spec, OccupationVector((1, 1)))
+        # Every symmetric input |a> picks up the same total weight 1/eta:
+        # C(M, N) * sum_k coeff[a, k]^2 = 1/eta^2 on every row of the split table.
+        for d, n, m in [(2, 1, 2), (2, 2, 4), (3, 1, 3), (3, 2, 3), (4, 3, 7)]:
+            _, coeff = split_table(d, m, n)
+            rows = math.comb(m, n) * (coeff**2).sum(axis=1)
+            inverse_eta_sq = 1 / CloneSpec(d, n, m).eta_sq
+            assert np.allclose(rows, float(inverse_eta_sq), rtol=1e-12, atol=0)
 
 
 class TestExplicitPair:
@@ -291,7 +319,7 @@ class TestWeightedClone:
             phi = random_pure_state(d, 61)
             res = weighted_clone(spec, phi, AsymmetryWeights.equal(n, m))
             oracle = unified_output_oracle(spec, phi)
-            assert trace_distance(res.output, oracle.density) < TOL
+            assert trace_distance_matrices(res.output.matrix, oracle.density.matrix) < TOL
 
     def test_single_subset_clones_perfectly_inside(self):
         spec = CloneSpec(2, 1, 3)

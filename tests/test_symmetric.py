@@ -21,7 +21,6 @@ from uqcm.symmetric import (
     embed_isometry,
     expand_power,
     full_to_sym_density,
-    project_entangled_pairs,
     projector_full,
     reduce_symmetric,
     sym_to_full_density,
@@ -197,20 +196,9 @@ class TestEntangledPairProjection:
             block = joint.amplitudes.reshape(d**n, d**n)
             projected = projector_full(d, n) @ block
 
-            info = project_entangled_pairs(d, n)
             iso = embed_isometry(d, n)
-            expected = info.full_space_prefactor * (iso @ iso.T)
+            expected = d ** (-n / 2) * (iso @ iso.T)
             assert np.allclose(projected, expected, atol=TOL)
-
-    def test_schmidt_data(self):
-        info = project_entangled_pairs(2, 2)
-        assert np.array_equal(info.schmidt_weights, np.ones(3))
-        assert info.full_space_prefactor == pytest.approx(0.5, abs=TOL)
-        assert info.norm == pytest.approx(np.sqrt(3), abs=TOL)
-
-    def test_too_few_pairs_raises(self):
-        with pytest.raises(ValueError):
-            project_entangled_pairs(2, 0)
 
 
 class TestValidation:
