@@ -11,7 +11,8 @@ Four subcommands, each emitting JSON (validating against the shipped
 * ``identity-check`` — exact rational check of the summation identity
                        behind the single-copy fidelity.
 
-Exit codes: 0 pass, 1 verification failure, 2 usage error.  Identical
+Exit codes: 0 pass, 1 verification failure, 2 usage error (a problem
+above the fast-path cap counts as one).  Identical
 configurations (including seed) produce byte-identical output.
 """
 
@@ -41,6 +42,7 @@ from .machines import (
     AsymmetryWeights,
     CloneSpec,
     asymmetric_1to2,
+    check_fast_path,
     run_machine,
     unified_output_oracle,
     werner_output_oracle,
@@ -382,7 +384,9 @@ def _clone_spec(
     args: argparse.Namespace, parser: argparse.ArgumentParser
 ) -> CloneSpec:
     try:
-        return CloneSpec(args.d, args.n, args.m)
+        spec = CloneSpec(args.d, args.n, args.m)
+        check_fast_path(spec)
+        return spec
     except ValueError as exc:
         parser.error(str(exc))
         raise AssertionError("unreachable")

@@ -1,8 +1,13 @@
 """Arbitrary-copy cloning fidelities, numeric and in closed form.
 
-The numeric route reduces the machine output to L copies inside the
-occupation basis and overlaps with |phi>^(x L).  The closed-form route
-evaluates the general F_L expression in exact rationals:
+The numeric route scores the overlap of the L-copy reduction with
+|phi>^(x L) straight on the factor J of the machine output rho = J J^dagger:
+
+    F_L = sum_k || sum_a conj(t_a) f(a+k, k) J[a+k, :] ||^2
+
+with t the occupation amplitudes of |phi>^(x L) and f the splitting
+coefficient, so neither rho nor its reduction is ever formed.  The
+closed-form route evaluates the general F_L expression in exact rationals:
 
     F_L = (d+N-1)! (M-N)! (M-L)! / ((d+M-1)! M! N!)
           * sum_{m1} (M-m1+d-2)! (m1!)^2
@@ -25,11 +30,11 @@ import numpy as np
 from .combinatorics import sym_dim
 from .hilbert import PureState, random_pure_state
 from .machines import MACHINES, CloneSpec, run_machine
-from .symmetric import SymDensity, SymVector, expand_power, reduce_symmetric
+from .symmetric import SymDensity, SymVector, expand_power, split_table
 
 
 def fidelity_L_numeric(rho: SymDensity, phi: PureState, L: int) -> float:
-    """Overlap of the L-copy reduction of rho with |phi>^(x L)."""
+    """Overlap of rho's L-copy reduction with |phi>^(x L), read off rho's factor."""
     m_total = rho.basis.total
     if not 1 <= L <= m_total:
         raise ValueError(f"need 1 <= L <= {m_total}, got L={L}")
@@ -37,9 +42,7 @@ def fidelity_L_numeric(rho: SymDensity, phi: PureState, L: int) -> float:
         raise ValueError(
             f"state dimension {phi.dim} does not match basis d={rho.basis.d}"
         )
-    reduced = reduce_symmetric(rho, L)
-    target = expand_power(phi, L)
-    return _sym_fidelity_pure(reduced, target)
+    return _sym_fidelity_pure(rho, expand_power(phi, L))
 
 
 def fidelity_L_closed(spec: CloneSpec, L: int) -> Fraction:
@@ -127,12 +130,17 @@ def fidelity_table(
 
 
 def _sym_fidelity_pure(rho: SymDensity, psi: SymVector) -> float:
-    if rho.basis is not psi.basis and rho.basis != psi.basis:
-        raise ValueError("density and state live on different bases")
-    amps = psi.amplitudes
-    value = complex(amps.conj() @ rho.matrix @ amps)
-    if abs(value.imag) > 1e-12:
-        raise ValueError(f"fidelity has imaginary part {value.imag}")
-    if not -1e-10 <= value.real <= 1.0 + 1e-10:
-        raise ValueError(f"fidelity {value.real} outside [0, 1]")
-    return float(min(max(value.real, 0.0), 1.0))
+    """<psi| rho_L |psi> for psi on the L-copy basis, L = psi's copy count.
+
+    One ancilla-sized row vector per traced occupation k; the largest
+    temporary is the gather J[idx[:, k]], never bigger than J itself.
+    """
+    idx, coeff = split_table(rho.basis.d, rho.basis.total, psi.basis.total)
+    weights = psi.amplitudes.conj()[:, None] * coeff
+    value = 0.0
+    for w, where in zip(weights.T, idx.T):
+        row = w @ rho.factor[where]
+        value += np.vdot(row, row).real
+    if not -1e-10 <= value <= 1.0 + 1e-10:
+        raise ValueError(f"fidelity {value} outside [0, 1]")
+    return float(min(max(value, 0.0), 1.0))

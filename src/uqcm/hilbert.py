@@ -7,7 +7,8 @@ product basis with no symmetry compression.  Factor 0 is the leftmost
 built by :func:`tensor` keeps the left operand's factors in front.
 
 All sizes are capped at :data:`ORACLE_CAP` amplitudes; requests beyond
-that fail fast instead of exhausting memory.
+that fail fast instead of exhausting memory.  The occupation-basis fast
+paths have their own, far larger budget, :data:`FAST_PATH_CAP`.
 """
 
 from __future__ import annotations
@@ -20,6 +21,9 @@ import numpy as np
 #: Largest full-space state (in amplitudes) the oracle will build.
 ORACLE_CAP = 4096
 
+#: Largest occupation-basis factor (in complex entries) a fast path will build.
+FAST_PATH_CAP = 2**25
+
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = -1e-10
@@ -28,6 +32,10 @@ NORM_TOL = 1e-12
 
 class OracleCapError(ValueError):
     """Raised when a full-tensor computation would exceed ORACLE_CAP."""
+
+
+class FastPathCapError(ValueError):
+    """Raised when a fast-path output factor would exceed FAST_PATH_CAP."""
 
 
 def check_cap(local_dim: int, factors: int) -> None:
@@ -142,6 +150,21 @@ def check_density(mat: np.ndarray) -> None:
         raise ValueError(f"density matrix trace {np.trace(mat)} != 1")
     if np.linalg.eigvalsh(mat).min() < PSD_TOL:
         raise ValueError("density matrix is not positive semidefinite")
+
+
+def check_factor(factor: np.ndarray, dim: int) -> None:
+    """Raise ValueError unless ``factor`` is a finite dim x r J with ||J||_F^2 = 1.
+
+    J J^dagger is then a density matrix: Hermitian and positive
+    semidefinite by construction, with trace ||J||_F^2.
+    """
+    if factor.ndim != 2 or factor.shape[0] != dim:
+        raise ValueError(f"factor shape {factor.shape} does not have {dim} rows")
+    if not np.isfinite(factor).all():
+        raise ValueError("factor has non-finite entries")
+    trace = np.vdot(factor, factor).real
+    if abs(trace - 1.0) > TRACE_TOL:
+        raise ValueError(f"factor gives density trace {trace} != 1")
 
 
 def maximally_entangled(d: int) -> FullState:

@@ -5,17 +5,20 @@ implemented as independent code paths so they can be cross-checked:
 
 * ``werner_output``  — projector form: rescaled symmetric projection of
   the input copies padded with maximally mixed blanks; the fast path
-  evaluates the closed-form occupation-basis entries directly.
+  evaluates the closed-form occupation-basis entries as a Gram product.
 * ``fan_output``     — amplitude form: the explicit transformation on
   symmetric basis states, kept as a pure joint state with a
-  symmetric-occupation ancilla, then traced.
+  symmetric-occupation ancilla.
 * ``unified_output`` — entangled-pair form: symmetric projection of the
   inputs together with one half of M-N maximally entangled pairs, the
   other halves acting as the ancilla.
 
-Each machine has a polynomial-size fast path in the occupation basis;
-``*_oracle`` variants rebuild the same object in the full tensor space
-(subject to the oracle cap) for verification.
+Each machine has a polynomial-size fast path in the occupation basis
+whose output density rho = J J^dagger is held as its factor J (the Gram
+factor, or the joint state with the ancilla columns open), subject to
+:data:`~uqcm.hilbert.FAST_PATH_CAP`; ``*_oracle`` variants rebuild the
+same object in the full tensor space (subject to the oracle cap) for
+verification.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ import numpy as np
 
 from .combinatorics import sym_dim
 from .hilbert import (
+    FAST_PATH_CAP,
+    FastPathCapError,
     FullDensity,
     FullState,
     PureState,
@@ -75,6 +80,11 @@ class CloneSpec:
         return sym_dim(self.d, self.m_out)
 
     @property
+    def dim_anc(self) -> int:
+        """Dimension sym_dim(d, m_out - n_in) of the fast paths' symmetric ancilla."""
+        return sym_dim(self.d, self.m_out - self.n_in)
+
+    @property
     def eta_sq(self) -> Fraction:
         """Exact square of the normalization constant of the amplitude form."""
         d, n, m = self.d, self.n_in, self.m_out
@@ -93,9 +103,9 @@ class CloneSpec:
 class MachineOutput:
     """Result of a symmetric cloning machine.
 
-    ``joint_sym``, when present, is the normalized pure joint state as a
-    (dim_out x dim_ancilla) coefficient matrix over occupation bases;
-    tracing its ancilla index reproduces ``density``.  ``lam`` is the
+    ``density.factor`` is the normalized pure joint state as a
+    (dim_out x dim_anc) coefficient matrix over occupation bases; tracing
+    its ancilla index gives ``density.matrix``.  ``lam`` is the
     normalization applied after projection (1.0 for machines whose
     construction is already norm-preserving).
     """
@@ -103,8 +113,6 @@ class MachineOutput:
     density: SymDensity
     lam: float
     machine_tag: str
-    joint_sym: np.ndarray | None = None
-    joint_full: FullState | None = None
 
 
 def werner_output(spec: CloneSpec, phi: PureState) -> SymDensity:
@@ -120,11 +128,13 @@ def werner_output(spec: CloneSpec, phi: PureState) -> SymDensity:
 
         A[a+k, k] = prod_j x_j^{a_j} sqrt((a_j+k_j)!) / (a_j! sqrt(k_j!)),
 
-    so the density is the Gram product n_in! * eta^2 * A A^dagger.  The
-    prefactor's square root is folded into A in the log domain, where no
-    factorial overflows.
+    so the density is the Gram product n_in! * eta^2 * A A^dagger, and
+    sqrt(n_in! * eta^2) A is returned as its factor.  The prefactor's
+    square root is folded into A in the log domain, where no factorial
+    overflows.
     """
     _check_phi(spec, phi)
+    check_fast_path(spec)
     d, n, m_total = spec.d, spec.n_in, spec.m_out
     idx, _ = split_table(d, m_total, n)
     a = occupation_counts(d, n)
@@ -144,7 +154,7 @@ def werner_output(spec: CloneSpec, phi: PureState) -> SymDensity:
     powers = np.prod(phi.amplitudes**a, axis=1)
     gram = np.zeros((spec.dim_out, len(k)), dtype=np.complex128)
     gram[idx, np.arange(len(k))] = powers[:, None] * np.exp(log_mag)
-    return SymDensity(basis=SymBasis.build(d, m_total), matrix=gram @ gram.conj().T)
+    return SymDensity(basis=SymBasis.build(d, m_total), factor=gram)
 
 
 def werner_output_oracle(spec: CloneSpec, phi: PureState) -> FullDensity:
@@ -163,12 +173,15 @@ def werner_output_oracle(spec: CloneSpec, phi: PureState) -> FullDensity:
 
 
 def fan_output(spec: CloneSpec, phi: PureState) -> MachineOutput:
-    """Amplitude-form cloner: pure joint state with occupation ancilla, then traced.
+    """Amplitude-form cloner: pure joint state with an occupation ancilla.
 
     Each input occupation |a> of |phi>^(x n_in) goes to
-    eta * sum_k sqrt(prod_j (a_j+k_j)! / (a_j! k_j!)) |a+k>|k>.
+    eta * sum_k sqrt(prod_j (a_j+k_j)! / (a_j! k_j!)) |a+k>|k>.  The joint
+    state, with rows over |a+k> and columns over the ancilla |k>, is the
+    factor of the output density.
     """
     _check_phi(spec, phi)
+    check_fast_path(spec)
     d, n_total, m_total = spec.d, spec.n_in, spec.m_out
     idx, _ = split_table(d, m_total, n_total)
     a = occupation_counts(d, n_total)
@@ -188,8 +201,8 @@ def fan_output(spec: CloneSpec, phi: PureState) -> MachineOutput:
     norm = np.linalg.norm(joint)
     if abs(norm - 1.0) > 1e-12:
         raise AssertionError(f"amplitude-form joint state has norm {norm}")
-    density = SymDensity(basis=SymBasis.build(d, m_total), matrix=joint @ joint.conj().T)
-    return MachineOutput(density=density, lam=1.0, machine_tag="fan", joint_sym=joint)
+    density = SymDensity(basis=SymBasis.build(d, m_total), factor=joint)
+    return MachineOutput(density=density, lam=1.0, machine_tag="fan")
 
 
 def unified_output(spec: CloneSpec, phi: PureState) -> MachineOutput:
@@ -200,10 +213,12 @@ def unified_output(spec: CloneSpec, phi: PureState) -> MachineOutput:
     coefficient.  The oracle prefactor d^(-(m_out-n_in)/2) / sqrt(C(m_out, n_in))
     relates this to the literal full-space projection next to the pair
     halves, so input occupation |a> contributes d^(-(m_out-n_in)/2) f(a+k, k).
-    The sum over the expansion of |phi>^(x n_in) is normalized by ``lam``
-    and the ancilla occupations are traced.
+    The sum over the expansion of |phi>^(x n_in) is normalized by ``lam``;
+    the joint state, ancilla occupations still open, is the factor of the
+    output density.
     """
     _check_phi(spec, phi)
+    check_fast_path(spec)
     d, n_total, m_total = spec.d, spec.n_in, spec.m_out
     idx, coeff = split_table(d, m_total, n_total)
     inputs = expand_power(phi, n_total)
@@ -215,10 +230,8 @@ def unified_output(spec: CloneSpec, phi: PureState) -> MachineOutput:
     )
     lam = 1.0 / np.linalg.norm(raw)
     joint = lam * raw
-    density = SymDensity(basis=SymBasis.build(d, m_total), matrix=joint @ joint.conj().T)
-    return MachineOutput(
-        density=density, lam=lam, machine_tag="unified", joint_sym=joint
-    )
+    density = SymDensity(basis=SymBasis.build(d, m_total), factor=joint)
+    return MachineOutput(density=density, lam=lam, machine_tag="unified")
 
 
 @dataclass(frozen=True)
@@ -457,6 +470,21 @@ def run_machine(spec: CloneSpec, phi: PureState, which: str) -> SymDensity:
     if which == "unified":
         return unified_output(spec, phi).density
     raise ValueError(f"unknown machine {which!r}; expected one of {MACHINES}")
+
+
+def check_fast_path(spec: CloneSpec) -> None:
+    """Raise FastPathCapError if the dim_out x dim_anc output factor is over budget.
+
+    Runs before any occupation table or factor of the problem is built,
+    so an oversized request fails at once instead of running out of memory.
+    """
+    entries = spec.dim_out * spec.dim_anc
+    if entries > FAST_PATH_CAP:
+        raise FastPathCapError(
+            f"(d, n_in, m_out) = ({spec.d}, {spec.n_in}, {spec.m_out}) needs a "
+            f"{spec.dim_out} x {spec.dim_anc} output factor ({entries} entries), "
+            f"above the fast-path cap of {FAST_PATH_CAP}"
+        )
 
 
 def _pure_power(phi: PureState, copies: int) -> FullState:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
@@ -24,6 +24,7 @@ from .hilbert import (
     PureState,
     check_cap,
     check_density,
+    check_factor,
 )
 
 
@@ -146,21 +147,41 @@ class SymVector:
 
 @dataclass(frozen=True)
 class SymDensity:
-    """Density operator over a symmetric occupation basis."""
+    """Density operator over a symmetric occupation basis, held as a factor.
+
+    ``factor`` is a dim x r matrix J with rho = J J^dagger, e.g. a machine's
+    pure joint state with its r ancilla columns still open.  Construction
+    checks J in O(dim * r): the shape, finite entries and ||J||_F^2 = 1;
+    Hermiticity and positivity hold by construction.  ``matrix`` forms
+    the dense rho only when it is read.  A matrix that comes without a
+    factor enters through :meth:`from_matrix`, which runs the full density
+    check, eigenvalues included.
+    """
 
     basis: SymBasis
-    matrix: np.ndarray
-    validate: bool = True
+    factor: np.ndarray
 
     def __post_init__(self) -> None:
-        mat = np.asarray(self.matrix, dtype=np.complex128)
-        dim = self.basis.dim
-        if mat.shape != (dim, dim):
-            raise ValueError(f"matrix shape {mat.shape} does not match dim {dim}")
-        if self.validate:
-            check_density(mat)
+        factor = np.asarray(self.factor, dtype=np.complex128)
+        check_factor(factor, self.basis.dim)
+        factor.setflags(write=False)
+        object.__setattr__(self, "factor", factor)
+
+    @classmethod
+    def from_matrix(cls, basis: SymBasis, matrix: np.ndarray) -> "SymDensity":
+        mat = np.asarray(matrix, dtype=np.complex128)
+        if mat.shape != (basis.dim, basis.dim):
+            raise ValueError(f"matrix shape {mat.shape} does not match dim {basis.dim}")
+        check_density(mat)
+        # The eigenvalues passed the PSD check; clipping only drops rounding noise.
+        weights, vecs = np.linalg.eigh(mat)
+        return cls(basis=basis, factor=vecs * np.sqrt(np.clip(weights, 0.0, None)))
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        mat = self.factor @ self.factor.conj().T
         mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        return mat
 
 
 def embed(m: OccupationVector) -> FullState:
@@ -215,15 +236,14 @@ def sym_to_full_density(rho: SymDensity) -> FullDensity:
         iso @ rho.matrix @ iso.T,
         factors=rho.basis.total,
         local_dim=rho.basis.d,
-        validate=rho.validate,
     )
 
 
-def full_to_sym_density(rho: FullDensity, validate: bool = True) -> SymDensity:
+def full_to_sym_density(rho: FullDensity) -> SymDensity:
     """Compress a full-space density with symmetric support into the occupation basis."""
     iso = embed_isometry(rho.local_dim, rho.factors)
     basis = SymBasis.build(rho.local_dim, rho.factors)
-    return SymDensity(basis=basis, matrix=iso.T @ rho.matrix @ iso, validate=validate)
+    return SymDensity.from_matrix(basis, iso.T @ rho.matrix @ iso)
 
 
 def sym_unitary(u: np.ndarray, total: int) -> np.ndarray:
@@ -262,8 +282,13 @@ def reduce_symmetric(rho: SymDensity, kept: int) -> SymDensity:
         rho_L[a, b] = sum_k f(a+k, k) f(b+k, k) rho[a+k, b+k]
 
     with f the splitting coefficient for total qudits split as
-    (kept, total - kept).  Agrees with the full-space partial trace over
-    any choice of traced factors.
+    (kept, total - kept).  With rho = J J^dagger this is B B^dagger for
+
+        B[a, (k, c)] = f(a+k, k) J[a+k, c],
+
+    so the reduction is returned as the factor B, gathered in one step
+    and never passing through the dense rho.  Agrees with the full-space
+    partial trace over any choice of traced factors.
     """
     total, d = rho.basis.total, rho.basis.d
     if not 1 <= kept <= total:
@@ -271,7 +296,5 @@ def reduce_symmetric(rho: SymDensity, kept: int) -> SymDensity:
     if kept == total:
         return rho
     idx, coeff = split_table(d, total, kept)
-    out = np.zeros((idx.shape[0], idx.shape[0]), dtype=np.complex128)
-    for f, where in zip(coeff.T, idx.T):
-        out += np.outer(f, f) * rho.matrix[np.ix_(where, where)]
-    return SymDensity(basis=SymBasis.build(d, kept), matrix=out, validate=rho.validate)
+    factor = (coeff[:, :, None] * rho.factor[idx]).reshape(idx.shape[0], -1)
+    return SymDensity(basis=SymBasis.build(d, kept), factor=factor)

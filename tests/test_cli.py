@@ -65,6 +65,12 @@ class TestTable:
             cli.main(["table", "--d", "2", "--n", "1", "--m", "2", "--l", "5"])
         assert exc.value.code == 2
 
+    def test_over_fast_path_cap_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["table", "--d", "12", "--n", "2", "--m", "12"])
+        assert exc.value.code == 2
+        assert "fast-path cap" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_full_mode_passes(self, capsys):
@@ -114,6 +120,12 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "--d", "2", "--n", "1", "--m", "2", "--trials", "0"])
         assert exc.value.code == 2
+
+    def test_over_fast_path_cap_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--d", "12", "--n", "2", "--m", "12", "--trials", "1"])
+        assert exc.value.code == 2
+        assert "fast-path cap" in capsys.readouterr().err
 
 
 class TestAsymSweep:

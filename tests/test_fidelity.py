@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from uqcm.fidelity import (
@@ -12,8 +13,9 @@ from uqcm.fidelity import (
     fidelity_single_closed,
     fidelity_table,
 )
-from uqcm.hilbert import random_pure_state
+from uqcm.hilbert import PureState, random_pure_state
 from uqcm.machines import MACHINES, CloneSpec, run_machine
+from uqcm.symmetric import expand_power, reduce_symmetric
 
 TOL = 1e-10
 GRID = [
@@ -134,6 +136,37 @@ class TestNumericAgreement:
         rho = run_machine(spec, random_pure_state(2, 1), "werner")
         with pytest.raises(ValueError):
             fidelity_L_numeric(rho, random_pure_state(3, 1), 1)
+
+
+class TestFactoredFidelity:
+    @pytest.mark.parametrize(
+        "d,n,m,machine", [(2, 1, 4, "werner"), (3, 2, 5, "fan"), (4, 1, 3, "unified")]
+    )
+    def test_matches_reduced_density_overlap(self, d, n, m, machine):
+        spec = CloneSpec(d, n, m)
+        inputs = [random_pure_state(d, 91)]
+        if d == 3:
+            # Basis states put zero amplitudes into every weight.
+            inputs += [PureState.basis(d, level) for level in range(d)]
+        for phi in inputs:
+            rho = run_machine(spec, phi, machine)
+            for L in range(1, m + 1):
+                target = expand_power(phi, L).amplitudes
+                reduced = reduce_symmetric(rho, L).matrix
+                overlap = (target.conj() @ reduced @ target).real
+                numeric = fidelity_L_numeric(rho, phi, L)
+                assert not np.isnan(numeric)
+                assert numeric == pytest.approx(overlap, abs=1e-12)
+
+    def test_large_output_never_builds_dense_density(self):
+        # D_out = 3003: the dense rho would be 144 MB; the factor is 62 MB.
+        spec = CloneSpec(6, 2, 10)
+        phi = random_pure_state(6, 92)
+        rho = run_machine(spec, phi, "werner")
+        for L in range(1, spec.m_out + 1):
+            numeric = fidelity_L_numeric(rho, phi, L)
+            assert abs(numeric - float(fidelity_L_closed(spec, L))) <= TOL
+        assert "matrix" not in rho.__dict__
 
 
 class TestFidelityTable:

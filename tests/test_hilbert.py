@@ -10,6 +10,7 @@ from uqcm.hilbert import (
     OracleCapError,
     PureState,
     check_cap,
+    check_factor,
     fidelity_pure,
     maximally_entangled,
     partial_trace,
@@ -161,6 +162,30 @@ class TestRandomness:
     def test_state_is_normalized(self):
         psi = random_pure_state(4, 99)
         assert np.linalg.norm(psi.amplitudes) == pytest.approx(1.0, abs=TOL)
+
+
+class TestCheckFactor:
+    def test_unit_norm_factor_passes(self):
+        factor = np.arange(6, dtype=np.complex128).reshape(3, 2)
+        check_factor(factor / np.linalg.norm(factor), 3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_raises(self, bad):
+        factor = np.full((2, 2), 0.5, dtype=np.complex128)
+        factor[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            check_factor(factor, 2)
+
+    def test_wrong_trace_raises(self):
+        with pytest.raises(ValueError, match="trace"):
+            check_factor(np.full((2, 2), 0.6, dtype=np.complex128), 2)
+
+    def test_wrong_shape_raises(self):
+        column = np.array([0.6, 0.8], dtype=np.complex128)
+        with pytest.raises(ValueError, match="shape"):
+            check_factor(column.reshape(2, 1), 3)
+        with pytest.raises(ValueError, match="shape"):
+            check_factor(column, 2)
 
 
 class TestOracleCap:

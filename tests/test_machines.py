@@ -1,6 +1,7 @@
 """Tests for the cloning machines: equivalence, oracles, asymmetric variants."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -9,6 +10,8 @@ import pytest
 
 from uqcm.fidelity import fidelity_L_closed, fidelity_L_numeric
 from uqcm.hilbert import (
+    PSD_TOL,
+    FastPathCapError,
     FullState,
     PureState,
     fidelity_pure,
@@ -22,6 +25,7 @@ from uqcm.machines import (
     AsymmetryWeights,
     CloneSpec,
     asymmetric_1to2,
+    check_fast_path,
     explicit_1to2,
     fan_output,
     run_machine,
@@ -108,6 +112,40 @@ class TestThreeMachineEquivalence:
                 assert trace_distance_matrices(rho.matrix, expected) < TOL
 
 
+class TestMaterializedDensity:
+    # Factored outputs skip the eigenvalue check on construction; the
+    # dense matrix they produce on demand must still pass every check.
+    @pytest.mark.parametrize("d,n,m", GRID)
+    def test_matrix_is_a_density(self, d, n, m):
+        spec = CloneSpec(d, n, m)
+        phi = random_pure_state(d, 17)
+        for name in MACHINES:
+            mat = run_machine(spec, phi, name).matrix
+            assert mat.shape == (spec.dim_out, spec.dim_out)
+            assert np.abs(mat - mat.conj().T).max() <= TOL
+            assert abs(np.trace(mat) - 1.0) <= TOL
+            assert np.linalg.eigvalsh(mat).min() >= PSD_TOL
+
+
+class TestFastPathCap:
+    def test_frontier_point_fits(self):
+        check_fast_path(CloneSpec(8, 2, 8))  # 6435 x 1716 entries
+
+    def test_over_budget_fails_before_allocating(self):
+        # D_out x D_anc = 1352078 x 352716: about 7.6 TB as a dense factor.
+        spec = CloneSpec(12, 2, 12)
+        phi = random_pure_state(12, 3)
+        tracemalloc.start()
+        try:
+            for name in MACHINES:
+                with pytest.raises(FastPathCapError, match="fast-path cap"):
+                    run_machine(spec, phi, name)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+
 class TestLargeCopyNumbers:
     # Every factorial here is far above the float range; the split table
     # works with log-factorials throughout.
@@ -164,20 +202,24 @@ class TestOracles:
         assert trace_distance_matrices(proj @ rho.matrix @ proj, rho.matrix) < TOL
 
 
+def _check_joint_factor(spec, phi, out):
+    joint = out.density.factor
+    assert joint.shape == (spec.dim_out, spec.dim_anc)
+    assert np.linalg.norm(joint) == pytest.approx(1.0, abs=TOL)
+    traced = joint @ joint.conj().T
+    assert np.allclose(traced, werner_output(spec, phi).matrix, atol=TOL)
+
+
 class TestJointStates:
     def test_fan_joint_traces_to_density(self):
         spec = CloneSpec(2, 1, 3)
         phi = random_pure_state(2, 21)
-        out = fan_output(spec, phi)
-        traced = out.joint_sym @ out.joint_sym.conj().T
-        assert np.allclose(traced, out.density.matrix, atol=TOL)
+        _check_joint_factor(spec, phi, fan_output(spec, phi))
 
     def test_unified_joint_traces_to_density(self):
         spec = CloneSpec(3, 1, 2)
         phi = random_pure_state(3, 22)
-        out = unified_output(spec, phi)
-        traced = out.joint_sym @ out.joint_sym.conj().T
-        assert np.allclose(traced, out.density.matrix, atol=TOL)
+        _check_joint_factor(spec, phi, unified_output(spec, phi))
 
     def test_machine_tags(self):
         spec = CloneSpec(2, 1, 2)

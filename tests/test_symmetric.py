@@ -40,8 +40,7 @@ def _random_sym_density(d, total, seed, rank=3):
     vecs, _ = np.linalg.qr(vecs)
     weights = rng.random(rank)
     weights /= weights.sum()
-    mat = (vecs * weights) @ vecs.conj().T
-    return SymDensity(basis=basis, matrix=mat)
+    return SymDensity(basis=basis, factor=vecs * np.sqrt(weights))
 
 
 class TestSymBasis:
@@ -210,10 +209,29 @@ class TestValidation:
     def test_sym_density_trace_checked(self):
         basis = SymBasis.build(2, 1)
         with pytest.raises(ValueError):
-            SymDensity(basis=basis, matrix=np.eye(2))
+            SymDensity.from_matrix(basis, np.eye(2))
 
     def test_sym_density_hermiticity_checked(self):
         basis = SymBasis.build(2, 1)
         bad = np.array([[0.5, 1.0], [0.0, 0.5]], dtype=np.complex128)
         with pytest.raises(ValueError):
-            SymDensity(basis=basis, matrix=bad)
+            SymDensity.from_matrix(basis, bad)
+
+    def test_sym_density_positivity_checked(self):
+        # Hermitian with unit trace, but one eigenvalue is negative.
+        basis = SymBasis.build(2, 1)
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            SymDensity.from_matrix(basis, np.diag([1.5, -0.5]))
+
+    def test_sym_density_factor_checked(self):
+        basis = SymBasis.build(2, 1)
+        with pytest.raises(ValueError):
+            SymDensity(basis=basis, factor=np.ones((2, 1)))
+        with pytest.raises(ValueError):
+            SymDensity(basis=basis, factor=np.ones((3, 1)) / np.sqrt(3))
+
+    def test_matrix_built_only_when_read(self):
+        rho = _random_sym_density(2, 3, 99)
+        assert "matrix" not in rho.__dict__
+        assert rho.matrix is rho.matrix
+        assert not rho.matrix.flags.writeable
