@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -54,15 +55,8 @@ OUTPUT_DIR_ENV = "UQCM_OUTPUT_DIR"
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handler = {
-        "table": _cmd_table,
-        "verify": _cmd_verify,
-        "asym-sweep": _cmd_asym_sweep,
-        "identity-check": _cmd_identity_check,
-    }[args.command]
-    status, text = handler(args, parser)
+    args = _build_parser().parse_args(argv)
+    status, text = args.run(args)
     _write_output(text, args.output)
     return status
 
@@ -74,10 +68,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, handler) -> None:
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--output", default=None, help="output file (default: stdout)")
         p.add_argument("--seed", type=int, default=0)
+        # Usage errors print the subcommand's own usage line.
+        p.set_defaults(run=functools.partial(handler, parser=p))
 
     p_table = sub.add_parser("table", help="numeric vs closed-form fidelities")
     p_table.add_argument("--d", type=int, required=True)
@@ -85,21 +81,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--m", type=int, required=True, help="output copies")
     p_table.add_argument("--machine", choices=MACHINES, default="werner")
     p_table.add_argument("--l", type=int, default=None, help="restrict to one L")
-    common(p_table)
+    common(p_table, _cmd_table)
 
     p_verify = sub.add_parser("verify", help="cross-check the machine constructions")
     p_verify.add_argument("--d", type=int, required=True)
     p_verify.add_argument("--n", type=int, required=True)
     p_verify.add_argument("--m", type=int, required=True)
     p_verify.add_argument("--trials", type=int, default=20)
-    common(p_verify)
+    common(p_verify, _cmd_verify)
 
     p_sweep = sub.add_parser("asym-sweep", help="1 -> 2 asymmetric trade-off curve")
     p_sweep.add_argument("--d", type=int, required=True)
     p_sweep.add_argument("--sweep-points", type=int, default=None)
     p_sweep.add_argument("--alpha", type=float, default=None)
     p_sweep.add_argument("--beta", type=float, default=None)
-    common(p_sweep)
+    common(p_sweep, _cmd_asym_sweep)
 
     p_ident = sub.add_parser("identity-check", help="exact summation-identity check")
     p_ident.add_argument("--d", type=int, default=None)
@@ -108,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ident.add_argument("--d-max", type=int, default=None)
     p_ident.add_argument("--n-max", type=int, default=None)
     p_ident.add_argument("--m-max", type=int, default=None)
-    common(p_ident)
+    common(p_ident, _cmd_identity_check)
 
     return parser
 
@@ -336,27 +332,26 @@ def _cmd_identity_check(
         ]
         config = {"d_max": d_max, "n_max": n_max, "m_max": m_max}
 
-    def row(point: tuple[int, int, int]) -> dict:
-        n, m, d = point
-        report = verify_identity(n, m, d)
-        return {
-            "d": d,
-            "n_in": n,
-            "m_out": m,
+    reports = [verify_identity(n, m, d) for n, m, d in grid]
+    rows = [
+        {
+            "d": report.d,
+            "n_in": report.n_in,
+            "m_out": report.m_out,
             "lhs": _rational_str(report.lhs),
             "rhs": _rational_str(report.rhs),
             "equal": report.equal,
             "printed_summand_evaluable": report.printed_summand_evaluable,
         }
-
-    rows = [row(point) for point in grid]
+        for report in reports
+    ]
     all_equal = all(r["equal"] for r in rows)
     payload = {
         "command": "identity-check",
         "config": config,
         "rows": rows,
         "all_equal": all_equal,
-        "note": verify_identity(grid[0][0], grid[0][1], grid[0][2]).note,
+        "note": reports[0].note,
     }
     status = 0 if all_equal else 1
     if args.format == "csv":

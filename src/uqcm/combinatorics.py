@@ -1,9 +1,11 @@
 """Exact combinatorial kernel for symmetric-subspace bookkeeping.
 
 Everything in this module is computed with arbitrary-precision integers
-and exact rationals (``fractions.Fraction``); the floating-point split
-table that the numeric layers use lives in :mod:`uqcm.symmetric` and is
-tested against the exact coefficients here.
+and exact rationals (``fractions.Fraction``).  :func:`occupation_tuples`
+is the one enumeration of the basis: the exact layer wraps its tuples as
+:class:`OccupationVector`, and :mod:`uqcm.symmetric` stacks them into the
+numeric count table behind every fast path, whose floating-point split
+table is tested against the exact coefficients here.
 
 Occupation vectors index the completely symmetric basis: the vector
 ``(m_1, ..., m_d)`` labels the normalized permutation-invariant state of
@@ -18,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator
 
 
@@ -91,17 +92,26 @@ def sym_dim(d: int, n: int) -> int:
     return math.comb(d + n - 1, n)
 
 
-@lru_cache(maxsize=None)
-def _occupations(d: int, total: int) -> tuple[OccupationVector, ...]:
-    def gen(slots: int, remaining: int) -> Iterator[tuple[int, ...]]:
-        if slots == 1:
-            yield (remaining,)
-            return
-        for first in range(remaining, -1, -1):
-            for rest in gen(slots - 1, remaining - first):
-                yield (first,) + rest
+def occupation_tuples(d: int, total: int) -> Iterator[tuple[int, ...]]:
+    """Plain count tuples of ``total`` particles in ``d`` slots, in canonical order.
 
-    return tuple(OccupationVector(c) for c in gen(d, total))
+    The one enumeration of the basis: :func:`enumerate_occupations` wraps
+    these tuples for the exact layer, and :class:`uqcm.symmetric.SymBasis`
+    stacks them into its numeric table.
+    """
+    _check_d(d)
+    if total < 0:
+        raise ValueError(f"particle number must be >= 0, got {total}")
+    return _gen(d, total)
+
+
+def _gen(slots: int, remaining: int) -> Iterator[tuple[int, ...]]:
+    if slots == 1:
+        yield (remaining,)
+        return
+    for first in range(remaining, -1, -1):
+        for rest in _gen(slots - 1, remaining - first):
+            yield (first,) + rest
 
 
 def enumerate_occupations(d: int, total: int) -> list[OccupationVector]:
@@ -110,10 +120,7 @@ def enumerate_occupations(d: int, total: int) -> list[OccupationVector]:
     Returned in canonical (lexicographically decreasing) order; the list
     has exactly ``sym_dim(d, total)`` entries.
     """
-    _check_d(d)
-    if total < 0:
-        raise ValueError(f"particle number must be >= 0, got {total}")
-    return list(_occupations(d, total))
+    return [OccupationVector(c) for c in occupation_tuples(d, total)]
 
 
 def splitting_coefficient_sq(

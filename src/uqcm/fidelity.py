@@ -6,8 +6,9 @@ The numeric route scores the overlap of the L-copy reduction with
     F_L = sum_k || sum_a conj(t_a) f(a+k, k) J[a+k, :] ||^2
 
 with t the occupation amplitudes of |phi>^(x L) and f the splitting
-coefficient, so neither rho nor its reduction is ever formed.  The
-closed-form route evaluates the general F_L expression in exact rationals:
+coefficient (:func:`uqcm.symmetric.reduced_expectation`), so neither rho
+nor its reduction is ever formed.  The closed-form route evaluates the
+general F_L expression in exact rationals:
 
     F_L = (d+N-1)! (M-N)! (M-L)! / ((d+M-1)! M! N!)
           * sum_{m1} (M-m1+d-2)! (m1!)^2
@@ -25,12 +26,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .combinatorics import sym_dim
-from .hilbert import PureState, random_pure_state
+from .hilbert import TRACE_TOL, PureState, random_pure_state
 from .machines import MACHINES, CloneSpec, run_machine
-from .symmetric import SymDensity, SymVector, expand_power, split_table
+from .symmetric import SymDensity, expand_power, reduced_expectation
 
 
 def fidelity_L_numeric(rho: SymDensity, phi: PureState, L: int) -> float:
@@ -42,7 +41,10 @@ def fidelity_L_numeric(rho: SymDensity, phi: PureState, L: int) -> float:
         raise ValueError(
             f"state dimension {phi.dim} does not match basis d={rho.basis.d}"
         )
-    return _sym_fidelity_pure(rho, expand_power(phi, L))
+    value = reduced_expectation(rho, expand_power(phi, L))
+    if not -TRACE_TOL <= value <= 1.0 + TRACE_TOL:
+        raise ValueError(f"fidelity {value} outside [0, 1]")
+    return float(min(max(value, 0.0), 1.0))
 
 
 def fidelity_L_closed(spec: CloneSpec, L: int) -> Fraction:
@@ -128,19 +130,3 @@ def fidelity_table(
         rows.append((L, numeric, closed, abs(numeric - float(closed))))
     return FidelityReport(spec=spec, machine=machine, rows=tuple(rows))
 
-
-def _sym_fidelity_pure(rho: SymDensity, psi: SymVector) -> float:
-    """<psi| rho_L |psi> for psi on the L-copy basis, L = psi's copy count.
-
-    One ancilla-sized row vector per traced occupation k; the largest
-    temporary is the gather J[idx[:, k]], never bigger than J itself.
-    """
-    idx, coeff = split_table(rho.basis.d, rho.basis.total, psi.basis.total)
-    weights = psi.amplitudes.conj()[:, None] * coeff
-    value = 0.0
-    for w, where in zip(weights.T, idx.T):
-        row = w @ rho.factor[where]
-        value += np.vdot(row, row).real
-    if not -1e-10 <= value <= 1.0 + 1e-10:
-        raise ValueError(f"fidelity {value} outside [0, 1]")
-    return float(min(max(value, 0.0), 1.0))

@@ -129,15 +129,13 @@ class FullDensity:
     matrix: np.ndarray
     factors: int
     local_dim: int
-    validate: bool = True
 
     def __post_init__(self) -> None:
         mat = np.asarray(self.matrix, dtype=np.complex128)
         dim = self.local_dim**self.factors
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix shape {mat.shape} does not match dim {dim}")
-        if self.validate:
-            check_density(mat)
+        check_density(mat)
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
@@ -176,24 +174,15 @@ def maximally_entangled(d: int) -> FullState:
     return FullState(amps, factors=2, local_dim=d)
 
 
-def tensor(a, b):
+def tensor(a: FullState, b: FullState) -> FullState:
     """Kronecker composite; the left operand occupies the leading factors."""
-    if isinstance(a, FullState) and isinstance(b, FullState):
-        _check_same_dim(a, b)
-        check_cap(a.local_dim, a.factors + b.factors)
-        return FullState(
-            np.kron(a.amplitudes, b.amplitudes), a.factors + b.factors, a.local_dim
-        )
-    if isinstance(a, FullDensity) and isinstance(b, FullDensity):
-        _check_same_dim(a, b)
-        check_cap(a.local_dim, a.factors + b.factors)
-        return FullDensity(
-            np.kron(a.matrix, b.matrix),
-            a.factors + b.factors,
-            a.local_dim,
-            validate=False,
-        )
-    raise TypeError("tensor expects two FullState or two FullDensity operands")
+    if not (isinstance(a, FullState) and isinstance(b, FullState)):
+        raise TypeError("tensor expects two FullState operands")
+    _check_same_dim(a, b)
+    check_cap(a.local_dim, a.factors + b.factors)
+    return FullState(
+        np.kron(a.amplitudes, b.amplitudes), a.factors + b.factors, a.local_dim
+    )
 
 
 def permute_factors(state: FullState, perm) -> FullState:
@@ -223,9 +212,7 @@ def partial_trace(rho: FullDensity, keep) -> FullDensity:
     out_labels = keep + [n + i for i in keep]
     reduced = np.einsum(shaped, row_labels + col_labels, out_labels)
     dim = d ** len(keep)
-    return FullDensity(
-        reduced.reshape(dim, dim), len(keep), d, validate=rho.validate
-    )
+    return FullDensity(reduced.reshape(dim, dim), len(keep), d)
 
 
 def partial_trace_state(psi: FullState, keep) -> FullDensity:
@@ -247,7 +234,7 @@ def fidelity_pure(rho: FullDensity, psi: FullState) -> float:
     if rho.factors != psi.factors or rho.local_dim != psi.local_dim:
         raise ValueError("state and density operator live on different spaces")
     value = complex(psi.amplitudes.conj() @ rho.matrix @ psi.amplitudes)
-    if abs(value.imag) > 1e-12:
+    if abs(value.imag) > NORM_TOL:
         raise ValueError(f"fidelity came out non-real: {value}")
     return value.real
 

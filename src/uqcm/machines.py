@@ -33,6 +33,7 @@ import numpy as np
 from .combinatorics import sym_dim
 from .hilbert import (
     FAST_PATH_CAP,
+    NORM_TOL,
     FastPathCapError,
     FullDensity,
     FullState,
@@ -49,8 +50,8 @@ from .symmetric import (
     SymDensity,
     expand_power,
     log_factorials,
-    occupation_counts,
     projector_full,
+    scatter_factor,
     split_table,
 )
 
@@ -136,9 +137,8 @@ def werner_output(spec: CloneSpec, phi: PureState) -> SymDensity:
     _check_phi(spec, phi)
     check_fast_path(spec)
     d, n, m_total = spec.d, spec.n_in, spec.m_out
-    idx, _ = split_table(d, m_total, n)
-    a = occupation_counts(d, n)
-    k = occupation_counts(d, m_total - n)
+    a = SymBasis(d, n).counts
+    k = SymBasis(d, m_total - n).counts
     log_fac = log_factorials(m_total + d - 1)
     # log(n_in! * eta^2), eta^2 = (m_out-n_in)! (n_in+d-1)! / (m_out+d-1)!
     log_prefactor = (
@@ -152,9 +152,8 @@ def werner_output(spec: CloneSpec, phi: PureState) -> SymDensity:
     )
     # Powers stay out of the logarithm: a zero amplitude to the power 0 is exactly 1.
     powers = np.prod(phi.amplitudes**a, axis=1)
-    gram = np.zeros((spec.dim_out, len(k)), dtype=np.complex128)
-    gram[idx, np.arange(len(k))] = powers[:, None] * np.exp(log_mag)
-    return SymDensity(basis=SymBasis.build(d, m_total), factor=gram)
+    gram = scatter_factor(d, m_total, n, powers[:, None] * np.exp(log_mag))
+    return SymDensity(basis=SymBasis(d, m_total), factor=gram)
 
 
 def werner_output_oracle(spec: CloneSpec, phi: PureState) -> FullDensity:
@@ -183,9 +182,8 @@ def fan_output(spec: CloneSpec, phi: PureState) -> MachineOutput:
     _check_phi(spec, phi)
     check_fast_path(spec)
     d, n_total, m_total = spec.d, spec.n_in, spec.m_out
-    idx, _ = split_table(d, m_total, n_total)
-    a = occupation_counts(d, n_total)
-    k = occupation_counts(d, m_total - n_total)
+    a = SymBasis(d, n_total).counts
+    k = SymBasis(d, m_total - n_total).counts
     log_fac = log_factorials(m_total)
     log_multinomial = (
         log_fac[a[:, None, :] + k[None, :, :]].sum(axis=2)
@@ -193,15 +191,14 @@ def fan_output(spec: CloneSpec, phi: PureState) -> MachineOutput:
         - log_fac[k].sum(axis=1)[None, :]
     )
     inputs = expand_power(phi, n_total)
-    joint = np.zeros((spec.dim_out, len(k)), dtype=np.complex128)
-    joint[idx, np.arange(len(k))] = (
-        spec.eta * inputs.amplitudes[:, None] * np.exp(0.5 * log_multinomial)
+    joint = scatter_factor(
+        d, m_total, n_total,
+        spec.eta * inputs.amplitudes[:, None] * np.exp(0.5 * log_multinomial),
     )
-
     norm = np.linalg.norm(joint)
-    if abs(norm - 1.0) > 1e-12:
+    if abs(norm - 1.0) > NORM_TOL:
         raise AssertionError(f"amplitude-form joint state has norm {norm}")
-    density = SymDensity(basis=SymBasis.build(d, m_total), factor=joint)
+    density = SymDensity(basis=SymBasis(d, m_total), factor=joint)
     return MachineOutput(density=density, lam=1.0, machine_tag="fan")
 
 
@@ -220,17 +217,14 @@ def unified_output(spec: CloneSpec, phi: PureState) -> MachineOutput:
     _check_phi(spec, phi)
     check_fast_path(spec)
     d, n_total, m_total = spec.d, spec.n_in, spec.m_out
-    idx, coeff = split_table(d, m_total, n_total)
+    _, coeff = split_table(d, m_total, n_total)
     inputs = expand_power(phi, n_total)
     pair_factor = d ** (-(m_total - n_total) / 2)
-
-    raw = np.zeros((spec.dim_out, coeff.shape[1]), dtype=np.complex128)
-    raw[idx, np.arange(coeff.shape[1])] = (
-        pair_factor * inputs.amplitudes[:, None] * coeff
+    raw = scatter_factor(
+        d, m_total, n_total, pair_factor * inputs.amplitudes[:, None] * coeff
     )
     lam = 1.0 / np.linalg.norm(raw)
-    joint = lam * raw
-    density = SymDensity(basis=SymBasis.build(d, m_total), factor=joint)
+    density = SymDensity(basis=SymBasis(d, m_total), factor=lam * raw)
     return MachineOutput(density=density, lam=lam, machine_tag="unified")
 
 
@@ -297,7 +291,7 @@ def explicit_1to2(d: int, phi: PureState) -> FullState:
             amps[(j * d + l) * d + j] += 0.5 * x_l
     amps *= math.sqrt(2.0 / (d + 1))
     state = FullState(amps, factors=3, local_dim=d)
-    if abs(state.norm() - 1.0) > 1e-12:
+    if abs(state.norm() - 1.0) > NORM_TOL:
         raise AssertionError(f"1->2 output has norm {state.norm()}")
     return state
 

@@ -6,6 +6,13 @@ product strings with ``m_j`` factors in level |j> (slot j counts the
 The polynomial-size occupation representation is used for all production
 paths; :func:`embed` and friends bridge to the exponential full tensor
 space, which serves only as the verification oracle.
+
+Every decision about the numeric occupation basis is made here: the one
+cached count table per (d, total) (:attr:`SymBasis.counts`), the one
+rank formula (:meth:`SymBasis.index`, vectorised in the split table and
+the embedding), the one split table of where |a>|k> sits in |a+k>
+(:func:`split_table`), and the one scatter of a machine's amplitude table
+into its factor (:func:`scatter_factor`).
 """
 
 from __future__ import annotations
@@ -13,12 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
 
 import numpy as np
 
-from .combinatorics import OccupationVector, enumerate_occupations
+from .combinatorics import OccupationVector, occupation_tuples, sym_dim
 from .hilbert import (
+    NORM_TOL,
     FullDensity,
     FullState,
     PureState,
@@ -30,35 +37,36 @@ from .hilbert import (
 
 @dataclass(frozen=True)
 class SymBasis:
-    """Canonically ordered occupation basis of the symmetric subspace."""
+    """Canonically ordered occupation basis of ``total`` qudits of dimension d.
+
+    (d, total) fixes the basis.  ``counts`` is its one cached, read-only
+    dim x d table (row i is the occupation vector at index i), and
+    :meth:`index` ranks a vector by formula, not by lookup.
+    """
 
     d: int
     total: int
-    vectors: tuple[OccupationVector, ...]
-
-    @classmethod
-    def build(cls, d: int, total: int) -> "SymBasis":
-        return _cached_basis(d, total)
 
     @property
     def dim(self) -> int:
-        return len(self.vectors)
+        return sym_dim(self.d, self.total)
+
+    @property
+    def counts(self) -> np.ndarray:
+        return _counts_table(self.d, self.total)
 
     def index(self, m: OccupationVector) -> int:
-        try:
-            return _cached_index(self.d, self.total)[m]
-        except KeyError:
+        counts = np.array(tuple(m), dtype=np.intp)
+        if counts.size != self.d or counts.sum() != self.total or counts.min() < 0:
             raise ValueError(f"{m} is not a basis vector of ({self.d},{self.total})")
+        return int(_canonical_index(counts, self.total))
 
 
 @lru_cache(maxsize=None)
-def _cached_basis(d: int, total: int) -> SymBasis:
-    return SymBasis(d=d, total=total, vectors=tuple(enumerate_occupations(d, total)))
-
-
-@lru_cache(maxsize=None)
-def _cached_index(d: int, total: int) -> dict[OccupationVector, int]:
-    return {m: i for i, m in enumerate(_cached_basis(d, total).vectors)}
+def _counts_table(d: int, total: int) -> np.ndarray:
+    counts = np.array(list(occupation_tuples(d, total)), dtype=np.intp)
+    counts.setflags(write=False)
+    return counts
 
 
 @lru_cache(maxsize=None)
@@ -67,16 +75,6 @@ def log_factorials(n: int) -> np.ndarray:
     out = np.array([math.lgamma(t + 1) for t in range(n + 1)])
     out.setflags(write=False)
     return out
-
-
-@lru_cache(maxsize=None)
-def occupation_counts(d: int, total: int) -> np.ndarray:
-    """The (d, total) basis as a read-only dim x d integer array, in canonical order."""
-    counts = np.array(
-        [m.counts for m in SymBasis.build(d, total).vectors], dtype=np.intp
-    ).reshape(-1, d)
-    counts.setflags(write=False)
-    return counts
 
 
 @lru_cache(maxsize=None)
@@ -92,8 +90,8 @@ def split_table(d: int, total: int, kept: int) -> tuple[np.ndarray, np.ndarray]:
     the splitting coefficient, is formed from log-factorials so that no
     factorial is ever converted to a float.  Both arrays are read-only.
     """
-    a = occupation_counts(d, kept)
-    k = occupation_counts(d, total - kept)
+    a = SymBasis(d, kept).counts
+    k = SymBasis(d, total - kept).counts
     m = a[:, None, :] + k[None, :, :]
     log_fac = log_factorials(total)
     log_sq = (
@@ -131,7 +129,6 @@ class SymVector:
 
     basis: SymBasis
     amplitudes: np.ndarray
-    normalized: bool = True
 
     def __post_init__(self) -> None:
         amps = np.asarray(self.amplitudes, dtype=np.complex128).ravel()
@@ -139,8 +136,8 @@ class SymVector:
             raise ValueError(
                 f"{amps.size} amplitudes for a basis of dimension {self.basis.dim}"
             )
-        if self.normalized and abs(np.linalg.norm(amps) - 1.0) > 1e-12:
-            raise ValueError("amplitudes flagged normalized but norm != 1")
+        if abs(np.linalg.norm(amps) - 1.0) > NORM_TOL:
+            raise ValueError("amplitudes are not normalized")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -188,7 +185,7 @@ def embed(m: OccupationVector) -> FullState:
     """Normalized permutation-invariant full-space state with occupation m."""
     d, total = m.d, m.total
     check_cap(d, total)
-    column = _embed_isometry(d, total)[:, SymBasis.build(d, total).index(m)]
+    column = _embed_isometry(d, total)[:, SymBasis(d, total).index(m)]
     return FullState(column.astype(np.complex128), factors=total, local_dim=d)
 
 
@@ -200,20 +197,13 @@ def embed_isometry(d: int, total: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _embed_isometry(d: int, total: int) -> np.ndarray:
-    basis = _cached_basis(d, total)
-    index = _cached_index(d, total)
-    iso = np.zeros((d**total, basis.dim), dtype=np.float64)
-    if total == 0:
-        iso[0, 0] = 1.0
-        iso.setflags(write=False)
-        return iso
-    # One pass over all product strings; multiplicity of occupation m is
-    # total!/prod(m_j!), so each string contributes 1/sqrt(multiplicity).
-    for row, string in enumerate(product(range(d), repeat=total)):
-        counts = [0] * d
-        for level in string:
-            counts[level] += 1
-        iso[row, index[OccupationVector(tuple(counts))]] = 1.0
+    # Row r is the product string of r's base-d digits; its occupation is
+    # the digit histogram, and all d^total histograms are ranked at once.
+    digits = np.arange(d**total)[:, None] // d ** np.arange(total) % d
+    counts = (digits[:, :, None] == np.arange(d)).sum(axis=1)
+    iso = np.zeros((d**total, sym_dim(d, total)))
+    iso[np.arange(d**total), _canonical_index(counts, total)] = 1.0
+    # Occupation m has total!/prod(m_j!) strings, each weighted 1/sqrt of that.
     iso /= np.sqrt(iso.sum(axis=0))
     iso.setflags(write=False)
     return iso
@@ -242,7 +232,7 @@ def sym_to_full_density(rho: SymDensity) -> FullDensity:
 def full_to_sym_density(rho: FullDensity) -> SymDensity:
     """Compress a full-space density with symmetric support into the occupation basis."""
     iso = embed_isometry(rho.local_dim, rho.factors)
-    basis = SymBasis.build(rho.local_dim, rho.factors)
+    basis = SymBasis(rho.local_dim, rho.factors)
     return SymDensity.from_matrix(basis, iso.T @ rho.matrix @ iso)
 
 
@@ -265,13 +255,13 @@ def expand_power(phi: PureState, copies: int) -> SymVector:
     """
     if copies < 1:
         raise ValueError(f"need at least one copy, got {copies}")
-    basis = SymBasis.build(phi.dim, copies)
-    counts = occupation_counts(phi.dim, copies)
+    basis = SymBasis(phi.dim, copies)
+    counts = basis.counts
     log_fac = log_factorials(copies)
     # Powers stay out of the logarithm: a zero amplitude to the power 0 is exactly 1.
     powers = np.prod(phi.amplitudes**counts, axis=1)
     amps = powers * np.exp(0.5 * (log_fac[copies] - log_fac[counts].sum(axis=1)))
-    return SymVector(basis=basis, amplitudes=amps, normalized=True)
+    return SymVector(basis=basis, amplitudes=amps)
 
 
 def reduce_symmetric(rho: SymDensity, kept: int) -> SymDensity:
@@ -297,4 +287,38 @@ def reduce_symmetric(rho: SymDensity, kept: int) -> SymDensity:
         return rho
     idx, coeff = split_table(d, total, kept)
     factor = (coeff[:, :, None] * rho.factor[idx]).reshape(idx.shape[0], -1)
-    return SymDensity(basis=SymBasis.build(d, kept), factor=factor)
+    return SymDensity(basis=SymBasis(d, kept), factor=factor)
+
+
+def scatter_factor(d: int, total: int, kept: int, amplitudes: np.ndarray) -> np.ndarray:
+    """The factor J of a joint state whose amplitude on |a+k>|k> is amplitudes[a, k].
+
+    ``amplitudes`` is a machine's table V, rows over the (d, kept) basis a
+    and columns over the (d, total - kept) ancilla basis k.  J is
+    sym_dim(d, total) x sym_dim(d, total - kept) with J[a+k, k] = V[a, k]
+    and zeros elsewhere.
+    """
+    idx, _ = split_table(d, total, kept)
+    factor = np.zeros((sym_dim(d, total), idx.shape[1]), dtype=np.complex128)
+    factor[idx, np.arange(idx.shape[1])] = amplitudes
+    return factor
+
+
+def reduced_expectation(rho: SymDensity, psi: SymVector) -> float:
+    """<psi| rho_L |psi>, with rho_L the reduction of rho to psi's L copies.
+
+    Read straight off the factor J of rho = J J^dagger as
+
+        sum_k || sum_a conj(psi_a) f(a+k, k) J[a+k, :] ||^2,
+
+    one ancilla-sized row per traced occupation k, so neither rho nor
+    rho_L is formed; the largest temporary is the gather J[idx[:, k]],
+    never bigger than J itself.
+    """
+    idx, coeff = split_table(rho.basis.d, rho.basis.total, psi.basis.total)
+    weights = psi.amplitudes.conj()[:, None] * coeff
+    value = 0.0
+    for w, where in zip(weights.T, idx.T):
+        row = w @ rho.factor[where]
+        value += np.vdot(row, row).real
+    return value

@@ -69,7 +69,9 @@ class TestTable:
         with pytest.raises(SystemExit) as exc:
             cli.main(["table", "--d", "12", "--n", "2", "--m", "12"])
         assert exc.value.code == 2
-        assert "fast-path cap" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "fast-path cap" in err
+        assert err.startswith("usage: uqcm table ")
 
 
 class TestVerify:
@@ -120,6 +122,9 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "--d", "2", "--n", "1", "--m", "2", "--trials", "0"])
         assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: uqcm verify ")
+        assert "--trials must be positive" in err
 
     def test_over_fast_path_cap_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -8,6 +8,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from uqcm import symmetric
+from uqcm.combinatorics import OccupationVector
 from uqcm.fidelity import fidelity_L_closed, fidelity_L_numeric
 from uqcm.hilbert import (
     PSD_TOL,
@@ -400,3 +402,20 @@ class TestRunMachine:
     def test_unknown_machine_raises(self):
         with pytest.raises(ValueError):
             run_machine(CloneSpec(2, 1, 2), random_pure_state(2, 0), "telepathy")
+
+    def test_fast_paths_build_no_occupation_vector(self, monkeypatch):
+        # Cold caches, so the occupation tables are rebuilt inside the run.
+        symmetric._counts_table.cache_clear()
+        symmetric.split_table.cache_clear()
+
+        def refuse(self):
+            raise AssertionError("a fast path built an OccupationVector")
+
+        monkeypatch.setattr(OccupationVector, "__post_init__", refuse)
+        spec = CloneSpec(3, 2, 5)
+        phi = random_pure_state(3, 17)
+        for machine in MACHINES:
+            rho = run_machine(spec, phi, machine)
+            for L in range(1, spec.m_out + 1):
+                closed = float(fidelity_L_closed(spec, L))
+                assert fidelity_L_numeric(rho, phi, L) == pytest.approx(closed, abs=TOL)

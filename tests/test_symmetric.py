@@ -1,7 +1,11 @@
 """Tests for the occupation-number representation of the symmetric subspace."""
 
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uqcm.combinatorics import OccupationVector, enumerate_occupations, sym_dim
 from uqcm.hilbert import (
@@ -17,6 +21,7 @@ from uqcm.symmetric import (
     SymBasis,
     SymDensity,
     SymVector,
+    _canonical_index,
     embed,
     embed_isometry,
     expand_power,
@@ -33,7 +38,7 @@ TOL = 1e-12
 
 def _random_sym_density(d, total, seed, rank=3):
     """Random mixed state supported on the symmetric subspace."""
-    basis = SymBasis.build(d, total)
+    basis = SymBasis(d, total)
     rng = np.random.default_rng(seed)
     rank = min(rank, basis.dim)
     vecs = rng.normal(size=(basis.dim, rank)) + 1j * rng.normal(size=(basis.dim, rank))
@@ -45,23 +50,54 @@ def _random_sym_density(d, total, seed, rank=3):
 
 class TestSymBasis:
     def test_dimension_and_order(self):
-        basis = SymBasis.build(2, 3)
+        basis = SymBasis(2, 3)
         assert basis.dim == sym_dim(2, 3) == 4
-        assert basis.vectors[0].counts == (3, 0)
-        assert basis.vectors[-1].counts == (0, 3)
+        assert basis.counts.shape == (4, 2)
+        assert tuple(basis.counts[0]) == (3, 0)
+        assert tuple(basis.counts[-1]) == (0, 3)
+        assert not basis.counts.flags.writeable
 
     def test_index_roundtrip(self):
-        basis = SymBasis.build(3, 2)
-        for i, m in enumerate(basis.vectors):
-            assert basis.index(m) == i
+        basis = SymBasis(3, 2)
+        for i, row in enumerate(basis.counts):
+            assert basis.index(OccupationVector(tuple(row))) == i
 
     def test_unknown_vector_raises(self):
-        basis = SymBasis.build(2, 2)
+        basis = SymBasis(2, 2)
         with pytest.raises(ValueError):
             basis.index(OccupationVector((1, 0)))
 
+    def test_wrong_slot_count_raises(self):
+        # (1, 1, 0) has the right total for (2, 2) but one slot too many.
+        basis = SymBasis(2, 2)
+        with pytest.raises(ValueError):
+            basis.index(OccupationVector((1, 1, 0)))
+
+    @settings(max_examples=60, derandomize=True)
+    @given(st.integers(2, 5), st.integers(0, 6))
+    def test_counts_table_is_the_enumeration(self, d, total):
+        counts = SymBasis(d, total).counts
+        assert [tuple(row) for row in counts] == [
+            m.counts for m in enumerate_occupations(d, total)
+        ]
+        assert np.array_equal(
+            _canonical_index(counts, total), np.arange(sym_dim(d, total))
+        )
+
 
 class TestEmbedding:
+    def test_isometry_matches_literal_product_strings(self):
+        # Column m holds 1/sqrt(#strings) on every product string whose
+        # level histogram is m, found here by search over the enumeration.
+        d, total = 3, 3
+        occs = [m.counts for m in enumerate_occupations(d, total)]
+        strings = list(product(range(d), repeat=total))
+        expected = np.zeros((d**total, len(occs)))
+        for row, string in enumerate(strings):
+            expected[row, occs.index(tuple(string.count(j) for j in range(d)))] = 1.0
+        expected /= np.sqrt(expected.sum(axis=0))
+        assert np.array_equal(embed_isometry(d, total), expected)
+
     def test_isometry_property(self):
         for d, total in [(2, 2), (2, 3), (3, 2)]:
             iso = embed_isometry(d, total)
@@ -202,29 +238,29 @@ class TestEntangledPairProjection:
 
 class TestValidation:
     def test_sym_vector_norm_checked(self):
-        basis = SymBasis.build(2, 2)
+        basis = SymBasis(2, 2)
         with pytest.raises(ValueError):
             SymVector(basis=basis, amplitudes=np.array([1.0, 1.0, 1.0]))
 
     def test_sym_density_trace_checked(self):
-        basis = SymBasis.build(2, 1)
+        basis = SymBasis(2, 1)
         with pytest.raises(ValueError):
             SymDensity.from_matrix(basis, np.eye(2))
 
     def test_sym_density_hermiticity_checked(self):
-        basis = SymBasis.build(2, 1)
+        basis = SymBasis(2, 1)
         bad = np.array([[0.5, 1.0], [0.0, 0.5]], dtype=np.complex128)
         with pytest.raises(ValueError):
             SymDensity.from_matrix(basis, bad)
 
     def test_sym_density_positivity_checked(self):
         # Hermitian with unit trace, but one eigenvalue is negative.
-        basis = SymBasis.build(2, 1)
+        basis = SymBasis(2, 1)
         with pytest.raises(ValueError, match="positive semidefinite"):
             SymDensity.from_matrix(basis, np.diag([1.5, -0.5]))
 
     def test_sym_density_factor_checked(self):
-        basis = SymBasis.build(2, 1)
+        basis = SymBasis(2, 1)
         with pytest.raises(ValueError):
             SymDensity(basis=basis, factor=np.ones((2, 1)))
         with pytest.raises(ValueError):
