@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .combinatorics import verify_identity
-from .fidelity import fidelity_L_closed, fidelity_L_numeric, fidelity_single_closed
+from .fidelity import fidelities_numeric, fidelity_L_closed, fidelity_single_closed
 from .hilbert import (
     ORACLE_CAP,
     PureState,
@@ -113,17 +113,20 @@ def _cmd_table(
     args: argparse.Namespace, parser: argparse.ArgumentParser
 ) -> tuple[int, str]:
     spec = _clone_spec(args, parser)
-    levels = list(range(1, spec.m_out + 1))
+    upto = spec.m_out
     if args.l is not None:
         if not 1 <= args.l <= spec.m_out:
             parser.error(f"--l must be in 1..{spec.m_out}, got {args.l}")
-        levels = [args.l]
+        upto = args.l
 
     phi = random_pure_state(spec.d, args.seed)
     rho = run_machine(spec, phi, args.machine)
+    # One sweep stopped at the last level wanted gives every F_L up to it.
+    numerics = fidelities_numeric(rho, phi, upto)
+    levels = range(1, upto + 1) if args.l is None else [args.l]
 
     def row(L: int) -> dict:
-        numeric = fidelity_L_numeric(rho, phi, L)
+        numeric = numerics[L - 1]
         closed = fidelity_L_closed(spec, L)
         return {
             "L": L,

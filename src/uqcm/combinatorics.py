@@ -186,6 +186,10 @@ def verify_identity(n_in: int, m_out: int, d: int) -> IdentityReport:
         sum_{m=0}^{M-N} ((N+m)!)^2 (M-N-m+d-2)!
                         / (M * m! * (N+m-1)! * (M-N-m)! * (d-2)!)
 
+    The m-th summand is (N!/M) (N+m) C(N+m, N) C(M-N-m+d-2, d-2), so the
+    left side is evaluated as (M-N)!(N+d-1)!/((M+d-1)! M) times one
+    integer sum.
+
     Right side:  (N(d+M) + M - N) / ((d+N) M).
 
     Both sides are exact rationals; ``equal`` reports their equality.
@@ -199,12 +203,11 @@ def verify_identity(n_in: int, m_out: int, d: int) -> IdentityReport:
         raise ValueError(f"need 1 <= N <= M, got N={n}, M={m_total}")
 
     f = math.factorial
-    prefactor = Fraction(f(m_total - n) * f(n + d - 1), f(m_total + d - 1) * f(n))
-    acc = Fraction(0)
-    for m in range(m_total - n + 1):
-        num = f(n + m) ** 2 * f(m_total - n - m + d - 2)
-        den = m_total * f(m) * f(n + m - 1) * f(m_total - n - m) * f(d - 2)
-        acc += Fraction(num, den)
+    prefactor = Fraction(f(m_total - n) * f(n + d - 1), f(m_total + d - 1) * m_total)
+    acc = sum(
+        (n + m) * math.comb(n + m, n) * math.comb(m_total - n - m + d - 2, d - 2)
+        for m in range(m_total - n + 1)
+    )
     lhs = prefactor * acc
 
     rhs = Fraction(n * (d + m_total) + m_total - n, (d + n) * m_total)

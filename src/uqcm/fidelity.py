@@ -1,23 +1,33 @@
 """Arbitrary-copy cloning fidelities, numeric and in closed form.
 
-The numeric route scores the overlap of the L-copy reduction with
-|phi>^(x L) straight on the factor J of the machine output rho = J J^dagger:
+The numeric route reads every F_L off the factor J of the machine output
+rho = J J^dagger in one ladder sweep (:func:`uqcm.symmetric.ladder_fidelities`).
+Contracting one output qudit with <phi| maps the factor J_t of t qudits
+to J_{t-1}, d gathers of J_t's rows with weights conj(x_j) sqrt((a_j+1)/t);
+starting from J_M = J,
 
-    F_L = sum_k || sum_a conj(t_a) f(a+k, k) J[a+k, :] ||^2
+    F_L = ||J_{M-L}||_F^2,
 
-with t the occupation amplitudes of |phi>^(x L) and f the splitting
-coefficient (:func:`uqcm.symmetric.reduced_expectation`), so neither rho
-nor its reduction is ever formed.  The closed-form route evaluates the
-general F_L expression in exact rationals:
+so the sweep from t = M down to M - L + 1 yields F_1..F_L together.  It
+costs d * r * sum_t D_t for r columns of J and D_t = sym_dim(d, t), never
+forms rho or a reduction, and holds at most three levels' worth of
+columns (about 3 x J) at once.
+
+The closed-form route evaluates the general F_L expression
 
     F_L = (d+N-1)! (M-N)! (M-L)! / ((d+M-1)! M! N!)
           * sum_{m1} (M-m1+d-2)! (m1!)^2
                      / ((m1-L)! (m1-N)! (d-2)! (M-m1)!)
 
-with m1 running over max(L, N) <= m1 <= M; outside that range a
-negative-argument factorial annihilates the term.  The specializations
-F_1, F_M and the N=1 simplification are implemented separately and
-checked to agree exactly.
+in exact rationals.  Its summand is L! N! C(M-m1+d-2, d-2) C(m1, L)
+C(m1, N), so with K = (d+N-1)! (M-N)! / (d+M-1)! and the L-independent
+integer weights w[m1] = C(M-m1+d-2, d-2) C(m1, N),
+
+    F_L = K * sum_{m1} w[m1] C(m1, L) / C(M, L),
+
+one integer sum and one rational per L.  The specializations F_1, F_M
+and the N=1 simplification are implemented separately and checked to
+agree exactly.
 """
 
 from __future__ import annotations
@@ -29,46 +39,47 @@ from fractions import Fraction
 from .combinatorics import sym_dim
 from .hilbert import TRACE_TOL, PureState, random_pure_state
 from .machines import MACHINES, CloneSpec, run_machine
-from .symmetric import SymDensity, expand_power, reduced_expectation
+from .symmetric import SymDensity, ladder_fidelities
 
 
-def fidelity_L_numeric(rho: SymDensity, phi: PureState, L: int) -> float:
-    """Overlap of rho's L-copy reduction with |phi>^(x L), read off rho's factor."""
+def fidelities_numeric(
+    rho: SymDensity, phi: PureState, upto: int | None = None
+) -> tuple[float, ...]:
+    """F_1..F_upto of rho against |phi>, from one ladder sweep (all L by default)."""
     m_total = rho.basis.total
-    if not 1 <= L <= m_total:
-        raise ValueError(f"need 1 <= L <= {m_total}, got L={L}")
+    if upto is None:
+        upto = m_total
+    if not 1 <= upto <= m_total:
+        raise ValueError(f"need 1 <= L <= {m_total}, got L={upto}")
     if phi.dim != rho.basis.d:
         raise ValueError(
             f"state dimension {phi.dim} does not match basis d={rho.basis.d}"
         )
-    value = reduced_expectation(rho, expand_power(phi, L))
-    if not -TRACE_TOL <= value <= 1.0 + TRACE_TOL:
-        raise ValueError(f"fidelity {value} outside [0, 1]")
-    return float(min(max(value, 0.0), 1.0))
+    values = ladder_fidelities(rho, phi, upto)
+    for value in values:
+        if not -TRACE_TOL <= value <= 1.0 + TRACE_TOL:
+            raise ValueError(f"fidelity {value} outside [0, 1]")
+    return tuple(float(min(max(value, 0.0), 1.0)) for value in values)
+
+
+def fidelity_L_numeric(rho: SymDensity, phi: PureState, L: int) -> float:
+    """Overlap of rho's L-copy reduction with |phi>^(x L): the sweep stopped at L."""
+    return fidelities_numeric(rho, phi, L)[-1]
 
 
 def fidelity_L_closed(spec: CloneSpec, L: int) -> Fraction:
-    """Closed-form F_L as an exact rational."""
+    """Closed-form F_L as an exact rational: K * sum_m1 w[m1] C(m1, L) / C(M, L)."""
     d, n, m_total = spec.d, spec.n_in, spec.m_out
     if not 1 <= L <= m_total:
         raise ValueError(f"need 1 <= L <= {m_total}, got L={L}")
     prefactor = Fraction(
-        math.factorial(d + n - 1)
-        * math.factorial(m_total - n)
-        * math.factorial(m_total - L),
-        math.factorial(d + m_total - 1)
-        * math.factorial(m_total)
-        * math.factorial(n),
+        math.factorial(d + n - 1) * math.factorial(m_total - n),
+        math.factorial(d + m_total - 1) * math.comb(m_total, L),
     )
-    total = Fraction(0)
-    for m1 in range(max(L, n), m_total + 1):
-        total += Fraction(
-            math.factorial(m_total - m1 + d - 2) * math.factorial(m1) ** 2,
-            math.factorial(m1 - L)
-            * math.factorial(m1 - n)
-            * math.factorial(d - 2)
-            * math.factorial(m_total - m1),
-        )
+    total = sum(
+        math.comb(m_total - m1 + d - 2, d - 2) * math.comb(m1, n) * math.comb(m1, L)
+        for m1 in range(max(L, n), m_total + 1)
+    )
     return prefactor * total
 
 
@@ -124,8 +135,7 @@ def fidelity_table(
         phi = random_pure_state(spec.d, seed)
     rho = run_machine(spec, phi, machine)
     rows = []
-    for L in range(1, spec.m_out + 1):
-        numeric = fidelity_L_numeric(rho, phi, L)
+    for L, numeric in enumerate(fidelities_numeric(rho, phi), start=1):
         closed = fidelity_L_closed(spec, L)
         rows.append((L, numeric, closed, abs(numeric - float(closed))))
     return FidelityReport(spec=spec, machine=machine, rows=tuple(rows))

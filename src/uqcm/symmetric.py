@@ -11,8 +11,10 @@ Every decision about the numeric occupation basis is made here: the one
 cached count table per (d, total) (:attr:`SymBasis.counts`), the one
 rank formula (:meth:`SymBasis.index`, vectorised in the split table and
 the embedding), the one split table of where |a>|k> sits in |a+k>
-(:func:`split_table`), and the one scatter of a machine's amplitude table
-into its factor (:func:`scatter_factor`).
+(:func:`split_table`), the one scatter of a machine's amplitude table
+into its factor (:func:`scatter_factor`), and the one sweep that reads
+every F_L off a factor, one contracted qudit per step
+(:func:`ladder_fidelities`).
 """
 
 from __future__ import annotations
@@ -304,6 +306,45 @@ def scatter_factor(d: int, total: int, kept: int, amplitudes: np.ndarray) -> np.
     return factor
 
 
+def ladder_fidelities(rho: SymDensity, phi: PureState, upto: int) -> np.ndarray:
+    """<phi|^(x s) rho_s |phi>^(x s) for s = 1..upto, in one sweep down rho's factor.
+
+    On the symmetric subspace of t qudits, contracting one qudit with
+    <phi| is the annihilation operator |m> -> sum_j conj(x_j)
+    sqrt(m_j / t) |m - e_j>.  Starting from J_M = J, the factor of
+    rho = J J^dagger, each step
+
+        J_{t-1}[a, :] = sum_j conj(x_j) sqrt((a_j+1)/t) J_t[a+e_j, :]
+
+    reads the (t, t-1) split table, whose columns are the single-qudit
+    occupations e_j, and F_s = ||J_{M-s}||_F^2.  The sweep costs
+    d * r * sum_t D_t for r columns of J and D_t = sym_dim(d, t).  It
+    holds at most three levels' worth of columns at once: the previous
+    level, the level being built, and one direction's gather, which is
+    multiplied and added in place.
+    """
+    d, total = rho.basis.d, rho.basis.total
+    weights = phi.amplitudes.conj()
+    level = rho.factor
+    values = np.empty(upto)
+    for s in range(1, upto + 1):
+        t = total - s + 1
+        idx, coeff = split_table(d, t, t - 1)
+        built = None
+        for j in range(d):
+            gathered = level[idx[:, j]]
+            gathered *= (weights[j] * coeff[:, j])[:, None]
+            if built is None:
+                built = gathered
+            else:
+                built += gathered
+            # Released before the next gather is allocated, so only one is alive.
+            del gathered
+        level = built
+        values[s - 1] = np.vdot(level, level).real
+    return values
+
+
 def reduced_expectation(rho: SymDensity, psi: SymVector) -> float:
     """<psi| rho_L |psi>, with rho_L the reduction of rho to psi's L copies.
 
@@ -312,8 +353,10 @@ def reduced_expectation(rho: SymDensity, psi: SymVector) -> float:
         sum_k || sum_a conj(psi_a) f(a+k, k) J[a+k, :] ||^2,
 
     one ancilla-sized row per traced occupation k, so neither rho nor
-    rho_L is formed; the largest temporary is the gather J[idx[:, k]],
-    never bigger than J itself.
+    rho_L is formed.  Nothing in the package calls it: it contracts all
+    L traced qudits in one split instead of one qudit per step, and the
+    tests hold :func:`ladder_fidelities` to it as the independent
+    reference.
     """
     idx, coeff = split_table(rho.basis.d, rho.basis.total, psi.basis.total)
     weights = psi.amplitudes.conj()[:, None] * coeff

@@ -54,6 +54,9 @@ class TestTable:
         payload = json.loads(out)
         jsonschema.validate(payload, _schema())
         assert [row["L"] for row in payload["rows"]] == [2]
+        # The sweep stopped at L gives the same row as the full table.
+        _, full = _run(capsys, ["table", "--d", "2", "--n", "1", "--m", "3"])
+        assert payload["rows"][0] == json.loads(full)["rows"][1]
 
     def test_invalid_dimension_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

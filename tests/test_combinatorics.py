@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uqcm.combinatorics import (
+    RECONSTRUCTED_DENOMINATOR,
     OccupationVector,
     binomial,
     enumerate_occupations,
@@ -157,7 +158,31 @@ class TestSplittingCoefficient:
                 assert coeff[ai, ki] == pytest.approx(exact, rel=1e-12)
 
 
+def _literal_identity_lhs(n, m_total, d):
+    """The identity's left side summed term by term, as reconstructed."""
+    f = math.factorial
+    prefactor = Fraction(f(m_total - n) * f(n + d - 1), f(m_total + d - 1) * f(n))
+    acc = Fraction(0)
+    for m in range(m_total - n + 1):
+        num = f(n + m) ** 2 * f(m_total - n - m + d - 2)
+        den = m_total * f(m) * f(n + m - 1) * f(m_total - n - m) * f(d - 2)
+        acc += Fraction(num, den)
+    return prefactor * acc
+
+
 class TestVerifyIdentity:
+    def test_integer_sum_equals_literal_summand(self):
+        # The reference spells out this denominator factor by factor.
+        assert RECONSTRUCTED_DENOMINATOR == "M * m! * (N+m-1)! * (M-N-m)! * (d-2)!"
+        for d in range(2, 7):
+            for n in range(1, 17):
+                for m in range(n, 25):
+                    report = verify_identity(n, m, d)
+                    literal = _literal_identity_lhs(n, m, d)
+                    assert report.lhs == literal
+                    assert report.rhs == Fraction(n * (d + m) + m - n, (d + n) * m)
+                    assert report.equal == (literal == report.rhs)
+
     def test_single_input_two_outputs(self):
         report = verify_identity(1, 2, 2)
         assert report.lhs == Fraction(5, 6)

@@ -1,11 +1,17 @@
 """Tests for numeric and closed-form arbitrary-copy fidelities."""
 
+import math
+import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from uqcm.fidelity import (
+    fidelities_numeric,
     fidelity_L_closed,
     fidelity_L_closed_N1,
     fidelity_L_numeric,
@@ -13,9 +19,9 @@ from uqcm.fidelity import (
     fidelity_single_closed,
     fidelity_table,
 )
-from uqcm.hilbert import PureState, random_pure_state
+from uqcm.hilbert import PureState, random_pure_state, trace_distance_matrices
 from uqcm.machines import MACHINES, CloneSpec, run_machine
-from uqcm.symmetric import expand_power, reduce_symmetric
+from uqcm.symmetric import expand_power, reduce_symmetric, reduced_expectation
 
 TOL = 1e-10
 GRID = [
@@ -26,7 +32,32 @@ GRID = [
 ]
 
 
+def _literal_fidelity_L(spec, L):
+    """The paper's F_L summed term by term in factorials, as printed."""
+    d, n, m_total = spec.d, spec.n_in, spec.m_out
+    f = math.factorial
+    prefactor = Fraction(
+        f(d + n - 1) * f(m_total - n) * f(m_total - L),
+        f(d + m_total - 1) * f(m_total) * f(n),
+    )
+    total = Fraction(0)
+    for m1 in range(max(L, n), m_total + 1):
+        total += Fraction(
+            f(m_total - m1 + d - 2) * f(m1) ** 2,
+            f(m1 - L) * f(m1 - n) * f(d - 2) * f(m_total - m1),
+        )
+    return prefactor * total
+
+
 class TestClosedForm:
+    def test_integer_sum_equals_literal_factorial_sum(self):
+        for d in range(2, 7):
+            for n in range(1, 9):
+                for m in range(n, 17):
+                    spec = CloneSpec(d, n, m)
+                    for L in range(1, m + 1):
+                        assert fidelity_L_closed(spec, L) == _literal_fidelity_L(spec, L)
+
     def test_spot_values(self):
         assert fidelity_L_closed(CloneSpec(2, 1, 2), 1) == Fraction(5, 6)
         assert fidelity_L_closed(CloneSpec(2, 1, 2), 2) == Fraction(2, 3)
@@ -163,10 +194,84 @@ class TestFactoredFidelity:
         spec = CloneSpec(6, 2, 10)
         phi = random_pure_state(6, 92)
         rho = run_machine(spec, phi, "werner")
-        for L in range(1, spec.m_out + 1):
-            numeric = fidelity_L_numeric(rho, phi, L)
+        for L, numeric in enumerate(fidelities_numeric(rho, phi), start=1):
             assert abs(numeric - float(fidelity_L_closed(spec, L))) <= TOL
         assert "matrix" not in rho.__dict__
+
+
+def _input_state(d, kind, seed):
+    if kind == "basis":
+        return PureState.basis(d, seed % d)
+    amps = random_pure_state(d, seed).amplitudes.copy()
+    if kind == "tiny":
+        amps[seed % d] *= 1e-8 / abs(amps[seed % d])
+    return PureState.normalized(amps)
+
+
+class TestLadderSweep:
+    # Budget on the factor J: D_out * D_anc entries, so every draw stays small.
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.integers(2, 5),
+        st.integers(1, 3),
+        st.integers(0, 5),
+        st.sampled_from(("random", "basis", "tiny")),
+        st.integers(0, 2**16),
+    )
+    def test_machines_ladder_split_table_and_closed_form_agree(
+        self, d, n, extra, kind, seed
+    ):
+        spec = CloneSpec(d, n, n + extra)
+        assume(spec.dim_out * spec.dim_anc <= 4000)
+        phi = _input_state(d, kind, seed)
+        outs = [run_machine(spec, phi, name) for name in MACHINES]
+        for a, b in combinations(outs, 2):
+            assert trace_distance_matrices(a.matrix, b.matrix) < TOL
+        for rho in outs:
+            ladder = fidelities_numeric(rho, phi)
+            assert len(ladder) == spec.m_out
+            for L, value in enumerate(ladder, start=1):
+                split = reduced_expectation(rho, expand_power(phi, L))
+                closed = float(fidelity_L_closed(spec, L))
+                assert value == pytest.approx(split, abs=1e-12)
+                assert value == pytest.approx(closed, abs=TOL)
+                assert split == pytest.approx(closed, abs=TOL)
+
+    def test_stopped_sweep_is_a_prefix_of_the_full_one(self):
+        spec = CloneSpec(3, 2, 6)
+        phi = random_pure_state(3, 93)
+        rho = run_machine(spec, phi, "unified")
+        full = fidelities_numeric(rho, phi)
+        for L in range(1, spec.m_out + 1):
+            assert fidelities_numeric(rho, phi, L) == full[:L]
+            assert fidelity_L_numeric(rho, phi, L) == full[L - 1]
+
+    @pytest.mark.parametrize("upto", [0, 4])
+    def test_out_of_range_stop_raises(self, upto):
+        spec = CloneSpec(2, 1, 3)
+        phi = random_pure_state(2, 94)
+        with pytest.raises(ValueError):
+            fidelities_numeric(run_machine(spec, phi, "fan"), phi, upto)
+
+    @pytest.mark.parametrize(
+        "d,n,m,machine", [(2, 1, 300, "werner"), (6, 2, 7, "unified")]
+    )
+    def test_sweep_holds_at_most_three_factors(self, d, n, m, machine):
+        # Previous level, level being built, one gather: about 3 x J at
+        # d=2 (1.3 x J at (6,2,7)).  Broadcast multiplies add numpy's
+        # fixed-size ufunc buffer, whatever the size of J.
+        spec = CloneSpec(d, n, m)
+        phi = random_pure_state(d, 95)
+        rho = run_machine(spec, phi, machine)
+        fidelities_numeric(rho, phi)  # warms the split tables
+        tracemalloc.start()
+        try:
+            fidelities_numeric(rho, phi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        slack = 2 * np.getbufsize() * rho.factor.itemsize
+        assert peak <= 3 * rho.factor.nbytes + slack
 
 
 class TestFidelityTable:

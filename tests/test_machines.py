@@ -10,7 +10,7 @@ import pytest
 
 from uqcm import symmetric
 from uqcm.combinatorics import OccupationVector
-from uqcm.fidelity import fidelity_L_closed, fidelity_L_numeric
+from uqcm.fidelity import fidelities_numeric, fidelity_L_closed, fidelity_L_numeric
 from uqcm.hilbert import (
     PSD_TOL,
     FastPathCapError,
@@ -155,6 +155,7 @@ class TestLargeCopyNumbers:
         "machine,d,n,m",
         [
             ("werner", 2, 1, 175),
+            ("werner", 2, 1, 300),
             ("werner", 2, 1, 400),
             ("fan", 2, 180, 181),
             ("unified", 2, 200, 240),
@@ -164,8 +165,9 @@ class TestLargeCopyNumbers:
         spec = CloneSpec(d, n, m)
         phi = random_pure_state(d, 71)
         rho = run_machine(spec, phi, machine)
-        for L in (1, m // 2, m):
-            numeric = fidelity_L_numeric(rho, phi, L)
+        numerics = fidelities_numeric(rho, phi)
+        assert len(numerics) == m
+        for L, numeric in enumerate(numerics, start=1):
             assert abs(numeric - float(fidelity_L_closed(spec, L))) <= TOL
 
 
