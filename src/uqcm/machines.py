@@ -168,6 +168,8 @@ def werner_output_oracle(spec: CloneSpec, phi: PureState) -> FullDensity:
     block = np.kron(block, np.eye(d ** (m_total - n), dtype=np.complex128))
     proj = projector_full(d, m_total)
     out = (sym_dim(d, n) / sym_dim(d, m_total)) * (proj @ block @ proj)
+    # Validating the density needs three D x D buffers of its own.
+    del block, proj
     return FullDensity(out, factors=m_total, local_dim=d)
 
 

@@ -15,9 +15,9 @@ import numpy as np
 
 from uqcm.combinatorics import verify_identity
 from uqcm.fidelity import (
+    fidelities_numeric,
     fidelity_L_closed,
     fidelity_L_closed_N1,
-    fidelity_L_numeric,
     fidelity_global_closed,
     fidelity_single_closed,
 )
@@ -90,8 +90,7 @@ def test_02_closed_form_fidelity_agreement():
         spec = CloneSpec(d, n, m)
         phi = random_pure_state(d, 17)
         rho = run_machine(spec, phi, "werner")
-        for L in range(1, m + 1):
-            numeric = fidelity_L_numeric(rho, phi, L)
+        for L, numeric in enumerate(fidelities_numeric(rho, phi), start=1):
             worst = max(worst, abs(numeric - float(fidelity_L_closed(spec, L))))
     numeric_ok = worst < DIST_TOL
 

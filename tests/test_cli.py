@@ -121,6 +121,32 @@ class TestVerify:
         assert status == 1
         assert json.loads(out)["pass"] is False
 
+    def test_worst_seed_reproduces_the_check(self, capsys):
+        argv = ["verify", "--d", "2", "--n", "1", "--m", "3"]
+        _, out = _run(capsys, argv + ["--trials", "4", "--seed", "11"])
+        payload = json.loads(out)
+        jsonschema.validate(payload, _schema())
+        checks = payload["checks"]
+        assert any(c["worst_trial"] > 0 for c in checks)
+        for seed in sorted({c["worst_seed"] for c in checks}):
+            _, rerun = _run(capsys, argv + ["--trials", "1", "--seed", str(seed)])
+            again = {c["name"]: c["max_distance"] for c in json.loads(rerun)["checks"]}
+            for check in checks:
+                if check["worst_seed"] == seed:
+                    assert check["worst_seed"] == 11 + check["worst_trial"]
+                    assert again[check["name"]] == check["max_distance"]
+
+    def test_csv_header_stable(self, capsys):
+        status, out = _run(
+            capsys,
+            ["verify", "--d", "2", "--n", "1", "--m", "2", "--trials", "2",
+             "--format", "csv"],
+        )
+        assert status == 0
+        lines = out.splitlines()
+        assert lines[0] == "name,max_distance,worst_trial,worst_seed,threshold,pass"
+        assert len(lines) == 8
+
     def test_bad_trials_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "--d", "2", "--n", "1", "--m", "2", "--trials", "0"])

@@ -132,8 +132,9 @@ class TestNumericAgreement:
         spec = CloneSpec(d, n, m)
         phi = random_pure_state(d, 7)
         rho = run_machine(spec, phi, "werner")
-        for L in range(1, m + 1):
-            numeric = fidelity_L_numeric(rho, phi, L)
+        numerics = fidelities_numeric(rho, phi)
+        assert len(numerics) == m
+        for L, numeric in enumerate(numerics, start=1):
             assert abs(numeric - float(fidelity_L_closed(spec, L))) < TOL
 
     def test_machine_choice_does_not_matter(self):

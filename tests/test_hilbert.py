@@ -1,7 +1,11 @@
 """Tests for the full-tensor-space oracle substrate."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uqcm.hilbert import (
     ORACLE_CAP,
@@ -10,6 +14,7 @@ from uqcm.hilbert import (
     OracleCapError,
     PureState,
     check_cap,
+    check_density,
     check_factor,
     fidelity_pure,
     maximally_entangled,
@@ -23,6 +28,29 @@ from uqcm.hilbert import (
 )
 
 TOL = 1e-12
+
+
+def _svd_trace_distance(a, b):
+    """Reference: half the sum of the singular values of a - b."""
+    return 0.5 * float(np.linalg.svd(a - b, compute_uv=False).sum())
+
+
+def _density_with_spectrum(weights, seed):
+    """U diag(weights) U^dagger for a Haar U, made exactly Hermitian."""
+    u = random_unitary(len(weights), seed)
+    mat = (u * weights) @ u.conj().T
+    return (mat + mat.conj().T) / 2
+
+
+def _rank_deficient_spectrum(dim, lowest):
+    """dim // 2 positive weights, one eigenvalue ``lowest``, the rest 0; trace 1."""
+    rng = np.random.default_rng(dim)
+    weights = np.zeros(dim)
+    positive = max(dim // 2, 1)
+    weights[:positive] = rng.uniform(0.5, 1.0, positive)
+    weights[:positive] *= (1.0 - lowest) / weights[:positive].sum()
+    weights[positive] = lowest
+    return weights
 
 
 def _random_full(d, factors, seed):
@@ -127,6 +155,34 @@ class TestMetrics:
         got = trace_distance_matrices(x.density(), y.density())
         assert got == pytest.approx(expected, abs=TOL)
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.integers(2, 64),
+        st.integers(1, 64),
+        st.integers(1, 64),
+        st.integers(0, 2**16),
+    )
+    def test_matches_singular_value_sum(self, dim, rank_a, rank_b, seed):
+        # Full rank when the drawn rank reaches dim, rank-deficient otherwise.
+        rng = np.random.default_rng(seed)
+
+        def density(rank):
+            rank = min(rank, dim)
+            factor = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+            return factor @ factor.conj().T / np.vdot(factor, factor).real
+
+        a, b = density(rank_a), density(rank_b)
+        expected = _svd_trace_distance(a, b)
+        assert trace_distance_matrices(a, b) == pytest.approx(expected, abs=1e-13)
+
+    @pytest.mark.parametrize("skew", [1e-6, 1e-6j, 0.8e-10 * (1 + 1j)])
+    def test_non_hermitian_difference_raises(self, skew):
+        a = np.eye(3, dtype=np.complex128) / 3
+        b = a.copy()
+        b[0, 2] += skew
+        with pytest.raises(ValueError, match="not Hermitian"):
+            trace_distance_matrices(a, b)
+
     def test_fidelity_pure_matches_expectation(self):
         psi = random_pure_state(2, 8)
         rho = FullDensity(np.eye(2) / 2, 1, 2)
@@ -162,6 +218,75 @@ class TestRandomness:
     def test_state_is_normalized(self):
         psi = random_pure_state(4, 99)
         assert np.linalg.norm(psi.amplitudes) == pytest.approx(1.0, abs=TOL)
+
+
+class TestCheckDensity:
+    # Rounding moves the computed spectrum by about D * eps, far below the
+    # 2e-11 gap between any eigenvalue here and PSD_TOL = -1e-10.
+    @pytest.mark.parametrize("dim", [4, 64, 343])
+    @pytest.mark.parametrize("lowest", [-2e-10, -1.2e-10])
+    def test_eigenvalue_below_tolerance_rejected(self, dim, lowest):
+        mat = _density_with_spectrum(_rank_deficient_spectrum(dim, lowest), dim)
+        with pytest.raises(ValueError, match="density matrix is not positive semidefinite"):
+            check_density(mat)
+
+    @pytest.mark.parametrize("dim", [4, 64, 343])
+    @pytest.mark.parametrize("lowest", [-0.8e-10, -0.5e-10, 0.0])
+    def test_eigenvalue_within_tolerance_accepted(self, dim, lowest):
+        check_density(_density_with_spectrum(_rank_deficient_spectrum(dim, lowest), dim))
+
+    @pytest.mark.parametrize("skew, hermitian", [(0.5e-10 * (1 + 1j), True),
+                                                 (0.8e-10 * (1 + 1j), False)])
+    def test_hermiticity_bounds_the_entry_modulus(self, skew, hermitian):
+        # Real and imaginary parts of the gap are each 0.5e-10 or 0.8e-10,
+        # so only the modulus (0.71e-10 or 1.13e-10) decides.
+        mat = np.eye(3, dtype=np.complex128) / 3
+        mat[0, 2] += skew
+        if hermitian:
+            check_density(mat)
+        else:
+            with pytest.raises(ValueError, match="not Hermitian"):
+                check_density(mat)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        mat = np.eye(2, dtype=np.complex128) / 2
+        mat[1, 1] = bad
+        with pytest.raises(ValueError):
+            check_density(mat)
+
+
+class TestDenseCheckMemory:
+    # Measured at D = 343, relative to mat.nbytes: check_density 2.00x (the
+    # shifted copy and numpy's Cholesky output), trace_distance_matrices
+    # 2.03x (the difference and the two real Hermiticity buffers).  LAPACK's
+    # own work copies are allocated outside tracemalloc's view.  The slack
+    # covers numpy's fixed-size ufunc buffers, whatever the size of mat.
+    @pytest.fixture(scope="class")
+    def pair(self):
+        weights = _rank_deficient_spectrum(343, 0.0)
+        return _density_with_spectrum(weights, 1), _density_with_spectrum(weights, 2)
+
+    @staticmethod
+    def _peak(func, *args):
+        func(*args)  # numpy's first-call set-up is not what is measured
+        tracemalloc.start()
+        try:
+            func(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_check_density_peak(self, pair):
+        mat = pair[0]
+        slack = 2 * np.getbufsize() * mat.itemsize
+        assert self._peak(check_density, mat) <= 2 * mat.nbytes + slack
+
+    def test_trace_distance_peak(self, pair):
+        a, b = pair
+        slack = 2 * np.getbufsize() * a.itemsize
+        assert self._peak(trace_distance_matrices, a, b) <= 2 * a.nbytes + slack
 
 
 class TestCheckFactor:

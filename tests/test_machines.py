@@ -10,7 +10,7 @@ import pytest
 
 from uqcm import symmetric
 from uqcm.combinatorics import OccupationVector
-from uqcm.fidelity import fidelities_numeric, fidelity_L_closed, fidelity_L_numeric
+from uqcm.fidelity import fidelities_numeric, fidelity_L_closed
 from uqcm.hilbert import (
     PSD_TOL,
     FastPathCapError,
@@ -97,9 +97,10 @@ class TestThreeMachineEquivalence:
             assert all(np.isfinite(out).all() for out in outs)
             for a, b in combinations(outs, 2):
                 assert trace_distance_matrices(a, b) < TOL
-            for L in range(1, spec.m_out + 1):
+            numerics = fidelities_numeric(run_machine(spec, phi, "fan"), phi)
+            assert len(numerics) == spec.m_out
+            for L, numeric in enumerate(numerics, start=1):
                 closed = float(fidelity_L_closed(spec, L))
-                numeric = fidelity_L_numeric(run_machine(spec, phi, "fan"), phi, L)
                 assert numeric == pytest.approx(closed, abs=TOL)
 
     def test_identity_when_no_extra_copies(self):
@@ -418,6 +419,8 @@ class TestRunMachine:
         phi = random_pure_state(3, 17)
         for machine in MACHINES:
             rho = run_machine(spec, phi, machine)
-            for L in range(1, spec.m_out + 1):
+            numerics = fidelities_numeric(rho, phi)
+            assert len(numerics) == spec.m_out
+            for L, numeric in enumerate(numerics, start=1):
                 closed = float(fidelity_L_closed(spec, L))
-                assert fidelity_L_numeric(rho, phi, L) == pytest.approx(closed, abs=TOL)
+                assert numeric == pytest.approx(closed, abs=TOL)
