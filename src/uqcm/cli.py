@@ -6,13 +6,15 @@ Four subcommands, each emitting JSON (validating against the shipped
 * ``table``          — numeric vs closed-form F_L for one machine.
 * ``verify``         — cross-checks the three machine constructions;
                        adds full-tensor oracle comparisons when the
-                       problem fits under the oracle cap.
+                       problem fits under the oracle cap, and checks
+                       every F_L against its closed form when it does
+                       not.
 * ``asym-sweep``     — 1 -> 2 asymmetric fidelity trade-off curve.
 * ``identity-check`` — exact rational check of the summation identity
                        behind the single-copy fidelity.
 
 Exit codes: 0 pass, 1 verification failure, 2 usage error (a problem
-above the fast-path cap counts as one).  Identical
+above the fast-path cap, or a negative seed, counts as one).  Identical
 configurations (including seed) produce byte-identical output.
 """
 
@@ -71,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, handler) -> None:
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--output", default=None, help="output file (default: stdout)")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         # Usage errors print the subcommand's own usage line.
         p.set_defaults(run=functools.partial(handler, parser=p))
 
@@ -107,6 +109,17 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_ident, _cmd_identity_check)
 
     return parser
+
+
+def _seed(text: str) -> int:
+    """A nonnegative integer seed; anything else is a usage error of the subcommand."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
 
 
 def _cmd_table(
@@ -159,7 +172,8 @@ def _cmd_table(
 def _cmd_verify(
     args: argparse.Namespace, parser: argparse.ArgumentParser
 ) -> tuple[int, str]:
-    spec = _clone_spec(args, parser)
+    # Every pairwise check reads .matrix, which scatters the whole J.
+    spec = _clone_spec(args, parser, joint=True)
     if args.trials < 1:
         parser.error(f"--trials must be positive, got {args.trials}")
     d, n, m = spec.d, spec.n_in, spec.m_out
@@ -167,8 +181,9 @@ def _cmd_verify(
     if not full_mode:
         sys.stderr.write(
             f"warning: d^(2*m_out-n_in) = {d ** (2 * m - n)} exceeds the oracle "
-            f"cap {ORACLE_CAP}; running fast-path pairwise checks only\n"
+            f"cap {ORACLE_CAP}; running fast-path pairwise and closed-form checks only\n"
         )
+        closed = [float(fidelity_L_closed(spec, L)) for L in range(1, m + 1)]
 
     def trial(t: int) -> dict[str, float]:
         phi = random_pure_state(d, args.seed + t)
@@ -184,7 +199,14 @@ def _cmd_verify(
                 outs["fan"].matrix, outs["unified"].matrix
             ),
         }
-        if full_mode:
+        if not full_mode:
+            # Every F_L of every machine, one sweep each, against the closed form.
+            values["closed-form"] = max(
+                abs(numeric - exact)
+                for name in MACHINES
+                for numeric, exact in zip(fidelities_numeric(outs[name], phi), closed)
+            )
+        else:
             u = random_unitary(d, 10_000 + args.seed + t)
             u_sym = sym_unitary(u, m)
             rotated = PureState(u @ phi.amplitudes)
@@ -267,8 +289,10 @@ def _cmd_asym_sweep(
             parser.error("--alpha and --beta must be given together")
         if args.sweep_points is not None:
             parser.error("--sweep-points conflicts with an explicit --alpha/--beta")
-        if args.alpha < 0 or args.beta < 0 or (args.alpha == 0 and args.beta == 0):
-            parser.error("weights must be nonnegative and not both zero")
+        try:
+            AsymmetryWeights.pair(args.alpha, args.beta)
+        except ValueError as exc:
+            parser.error(f"--alpha/--beta: {exc}")
         pairs = [(args.alpha, args.beta)]
     else:
         points = 51 if args.sweep_points is None else args.sweep_points
@@ -391,11 +415,11 @@ def _sweep_pair(i: int, points: int) -> tuple[float, float]:
 
 
 def _clone_spec(
-    args: argparse.Namespace, parser: argparse.ArgumentParser
+    args: argparse.Namespace, parser: argparse.ArgumentParser, joint: bool = False
 ) -> CloneSpec:
     try:
         spec = CloneSpec(args.d, args.n, args.m)
-        check_fast_path(spec)
+        check_fast_path(spec, joint=joint)
         return spec
     except ValueError as exc:
         parser.error(str(exc))

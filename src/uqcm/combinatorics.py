@@ -102,16 +102,25 @@ def occupation_tuples(d: int, total: int) -> Iterator[tuple[int, ...]]:
     _check_d(d)
     if total < 0:
         raise ValueError(f"particle number must be >= 0, got {total}")
-    return _gen(d, total)
+    return _tuples(d, total)
 
 
-def _gen(slots: int, remaining: int) -> Iterator[tuple[int, ...]]:
-    if slots == 1:
-        yield (remaining,)
-        return
-    for first in range(remaining, -1, -1):
-        for rest in _gen(slots - 1, remaining - first):
-            yield (first,) + rest
+def _tuples(d: int, total: int) -> Iterator[tuple[int, ...]]:
+    # The successor in decreasing order moves one particle out of the last
+    # occupied slot j before the final one into slot j+1, which also
+    # collects everything the final slot held.
+    counts = [total] + [0] * (d - 1)
+    while True:
+        yield tuple(counts)
+        j = d - 2
+        while j >= 0 and counts[j] == 0:
+            j -= 1
+        if j < 0:
+            return
+        moved = counts[-1] + 1
+        counts[j] -= 1
+        counts[-1] = 0
+        counts[j + 1] = moved
 
 
 def enumerate_occupations(d: int, total: int) -> list[OccupationVector]:

@@ -9,9 +9,13 @@ starting from J_M = J,
     F_L = ||J_{M-L}||_F^2,
 
 so the sweep from t = M down to M - L + 1 yields F_1..F_L together.  It
-costs d * r * sum_t D_t for r columns of J and D_t = sym_dim(d, t), never
-forms rho or a reduction, and holds at most three levels' worth of
-columns (about 3 x J) at once.
+costs d * r * sum_t D_t for r columns of J and D_t = sym_dim(d, t), and
+never forms rho, a reduction, or J itself: a machine hands over the
+D_in x r amplitude table V that J is scattered from, the first step
+scatters V straight into level M-1, and the sweep runs over column
+blocks, holding one level-(M-1) block plus half of level M-2 twice.  The
+blocks are as wide as :data:`~uqcm.hilbert.FAST_PATH_CAP` leaves room for
+after the tables the sweep holds (:func:`uqcm.symmetric.sweep_width`).
 
 The closed-form route evaluates the general F_L expression
 

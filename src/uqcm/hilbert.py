@@ -30,7 +30,8 @@ import numpy as np
 #: Largest full-space state (in amplitudes) the oracle will build.
 ORACLE_CAP = 4096
 
-#: Largest occupation-basis factor (in complex entries) a fast path will build.
+#: Budget, in 16-byte complex entries, for what an occupation-basis fast
+#: path allocates (see :func:`uqcm.machines.check_fast_path`).
 FAST_PATH_CAP = 2**25
 
 HERMITICITY_TOL = 1e-10
@@ -44,7 +45,7 @@ class OracleCapError(ValueError):
 
 
 class FastPathCapError(ValueError):
-    """Raised when a fast-path output factor would exceed FAST_PATH_CAP."""
+    """Raised when a fast-path problem would allocate more than FAST_PATH_CAP."""
 
 
 def check_cap(local_dim: int, factors: int) -> None:

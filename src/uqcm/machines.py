@@ -14,11 +14,13 @@ implemented as independent code paths so they can be cross-checked:
   other halves acting as the ancilla.
 
 Each machine has a polynomial-size fast path in the occupation basis
-whose output density rho = J J^dagger is held as its factor J (the Gram
-factor, or the joint state with the ancilla columns open), subject to
-:data:`~uqcm.hilbert.FAST_PATH_CAP`; ``*_oracle`` variants rebuild the
-same object in the full tensor space (subject to the oracle cap) for
-verification.
+whose output density rho = J J^dagger has the factor J (the Gram
+factor, or the joint state with the ancilla columns open).  J is
+nonzero only on |a+k>|k>, so each machine hands over the
+dim_in x dim_anc table of those entries, and J itself is scattered only
+when read; all of it is subject to :data:`~uqcm.hilbert.FAST_PATH_CAP`.
+``*_oracle`` variants rebuild the same object in the full tensor space
+(subject to the oracle cap) for verification.
 """
 
 from __future__ import annotations
@@ -51,8 +53,9 @@ from .symmetric import (
     expand_power,
     log_factorials,
     projector_full,
-    scatter_factor,
     split_table,
+    sweep_budget,
+    sweep_width,
 )
 
 
@@ -104,11 +107,12 @@ class CloneSpec:
 class MachineOutput:
     """Result of a symmetric cloning machine.
 
-    ``density.factor`` is the normalized pure joint state as a
-    (dim_out x dim_anc) coefficient matrix over occupation bases; tracing
-    its ancilla index gives ``density.matrix``.  ``lam`` is the
-    normalization applied after projection (1.0 for machines whose
-    construction is already norm-preserving).
+    ``density.joint`` is the normalized pure joint state as a
+    (dim_out x dim_anc) coefficient matrix over occupation bases, held as
+    the dim_in x dim_anc table ``density.factor`` of its amplitudes on
+    |a+k>|k>; tracing its ancilla index gives ``density.matrix``.
+    ``lam`` is the normalization applied after projection (1.0 for
+    machines whose construction is already norm-preserving).
     """
 
     density: SymDensity
@@ -130,7 +134,8 @@ def werner_output(spec: CloneSpec, phi: PureState) -> SymDensity:
         A[a+k, k] = prod_j x_j^{a_j} sqrt((a_j+k_j)!) / (a_j! sqrt(k_j!)),
 
     so the density is the Gram product n_in! * eta^2 * A A^dagger, and
-    sqrt(n_in! * eta^2) A is returned as its factor.  The prefactor's
+    sqrt(n_in! * eta^2) A is returned as its factor, held as the table of
+    its entries A[a+k, k] (``kept`` = n_in).  The prefactor's
     square root is folded into A in the log domain, where no factorial
     overflows.
     """
@@ -152,8 +157,8 @@ def werner_output(spec: CloneSpec, phi: PureState) -> SymDensity:
     )
     # Powers stay out of the logarithm: a zero amplitude to the power 0 is exactly 1.
     powers = np.prod(phi.amplitudes**a, axis=1)
-    gram = scatter_factor(d, m_total, n, powers[:, None] * np.exp(log_mag))
-    return SymDensity(basis=SymBasis(d, m_total), factor=gram)
+    gram = powers[:, None] * np.exp(log_mag)
+    return SymDensity(basis=SymBasis(d, m_total), factor=gram, kept=n)
 
 
 def werner_output_oracle(spec: CloneSpec, phi: PureState) -> FullDensity:
@@ -179,7 +184,8 @@ def fan_output(spec: CloneSpec, phi: PureState) -> MachineOutput:
     Each input occupation |a> of |phi>^(x n_in) goes to
     eta * sum_k sqrt(prod_j (a_j+k_j)! / (a_j! k_j!)) |a+k>|k>.  The joint
     state, with rows over |a+k> and columns over the ancilla |k>, is the
-    factor of the output density.
+    factor of the output density; it is held as the table of its
+    amplitudes on |a+k>|k> (``kept`` = n_in).
     """
     _check_phi(spec, phi)
     check_fast_path(spec)
@@ -193,14 +199,11 @@ def fan_output(spec: CloneSpec, phi: PureState) -> MachineOutput:
         - log_fac[k].sum(axis=1)[None, :]
     )
     inputs = expand_power(phi, n_total)
-    joint = scatter_factor(
-        d, m_total, n_total,
-        spec.eta * inputs.amplitudes[:, None] * np.exp(0.5 * log_multinomial),
-    )
-    norm = np.linalg.norm(joint)
+    table = spec.eta * inputs.amplitudes[:, None] * np.exp(0.5 * log_multinomial)
+    norm = np.linalg.norm(table)
     if abs(norm - 1.0) > NORM_TOL:
         raise AssertionError(f"amplitude-form joint state has norm {norm}")
-    density = SymDensity(basis=SymBasis(d, m_total), factor=joint)
+    density = SymDensity(basis=SymBasis(d, m_total), factor=table, kept=n_total)
     return MachineOutput(density=density, lam=1.0, machine_tag="fan")
 
 
@@ -214,7 +217,8 @@ def unified_output(spec: CloneSpec, phi: PureState) -> MachineOutput:
     halves, so input occupation |a> contributes d^(-(m_out-n_in)/2) f(a+k, k).
     The sum over the expansion of |phi>^(x n_in) is normalized by ``lam``;
     the joint state, ancilla occupations still open, is the factor of the
-    output density.
+    output density, held as the table of its amplitudes on |a+k>|k>
+    (``kept`` = n_in).
     """
     _check_phi(spec, phi)
     check_fast_path(spec)
@@ -222,11 +226,9 @@ def unified_output(spec: CloneSpec, phi: PureState) -> MachineOutput:
     _, coeff = split_table(d, m_total, n_total)
     inputs = expand_power(phi, n_total)
     pair_factor = d ** (-(m_total - n_total) / 2)
-    raw = scatter_factor(
-        d, m_total, n_total, pair_factor * inputs.amplitudes[:, None] * coeff
-    )
+    raw = pair_factor * inputs.amplitudes[:, None] * coeff
     lam = 1.0 / np.linalg.norm(raw)
-    density = SymDensity(basis=SymBasis(d, m_total), factor=lam * raw)
+    density = SymDensity(basis=SymBasis(d, m_total), factor=lam * raw, kept=n_total)
     return MachineOutput(density=density, lam=lam, machine_tag="unified")
 
 
@@ -300,7 +302,7 @@ def explicit_1to2(d: int, phi: PureState) -> FullState:
 
 @dataclass(frozen=True)
 class AsymmetryWeights:
-    """Nonnegative routing weights, one per n_in-subset of output slots.
+    """Finite nonnegative routing weights, one per n_in-subset of output slots.
 
     For the 1 -> 2 machine the two singleton subsets carry the familiar
     pair (alpha, beta).  Weights may be passed unnormalized; machines
@@ -315,6 +317,8 @@ class AsymmetryWeights:
             key = tuple(sorted(int(s) for s in subset))
             if len(set(key)) != len(key):
                 raise ValueError(f"subset {subset} has repeated slots")
+            if not math.isfinite(w):
+                raise ValueError(f"non-finite weight {w} for subset {subset}")
             if w < 0:
                 raise ValueError(f"negative weight {w} for subset {subset}")
             cleaned[key] = float(w)
@@ -468,19 +472,32 @@ def run_machine(spec: CloneSpec, phi: PureState, which: str) -> SymDensity:
     raise ValueError(f"unknown machine {which!r}; expected one of {MACHINES}")
 
 
-def check_fast_path(spec: CloneSpec) -> None:
-    """Raise FastPathCapError if the dim_out x dim_anc output factor is over budget.
+def check_fast_path(spec: CloneSpec, joint: bool = False) -> int:
+    """Raise FastPathCapError if the problem is over budget; else return its entries.
 
-    Runs before any occupation table or factor of the problem is built,
-    so an oversized request fails at once instead of running out of memory.
+    By default the budget is what a machine and the ladder sweep over its
+    table allocate (:func:`uqcm.symmetric.sweep_budget`): the tables held
+    throughout, plus the larger of their construction and one block of
+    the sweep.  ``joint=True`` is the rule for a caller that scatters the
+    whole dim_out x dim_anc factor J, as ``uqcm verify`` does: J alone
+    must fit.  Runs before any occupation table or factor of the problem
+    is built, so an oversized request fails at once instead of running
+    out of memory.
     """
-    entries = spec.dim_out * spec.dim_anc
+    d, n, m = spec.d, spec.n_in, spec.m_out
+    if joint:
+        entries = spec.dim_out * spec.dim_anc
+        what = f"a {spec.dim_out} x {spec.dim_anc} output factor"
+    else:
+        held, transient, per_column = sweep_budget(d, m, n)
+        entries = held + max(transient, per_column * sweep_width(d, m, n))
+        what = "its occupation tables and one sweep block"
     if entries > FAST_PATH_CAP:
         raise FastPathCapError(
-            f"(d, n_in, m_out) = ({spec.d}, {spec.n_in}, {spec.m_out}) needs a "
-            f"{spec.dim_out} x {spec.dim_anc} output factor ({entries} entries), "
-            f"above the fast-path cap of {FAST_PATH_CAP}"
+            f"(d, n_in, m_out) = ({d}, {n}, {m}) needs {entries} entries for "
+            f"{what}, above the fast-path cap of {FAST_PATH_CAP}"
         )
+    return entries
 
 
 def _pure_power(phi: PureState, copies: int) -> FullState:

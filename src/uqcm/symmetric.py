@@ -15,6 +15,16 @@ the embedding), the one split table of where |a>|k> sits in |a+k>
 into its factor (:func:`scatter_factor`), and the one sweep that reads
 every F_L off a factor, one contracted qudit per step
 (:func:`ladder_fidelities`).
+
+The sweep starts from a machine's D_in x r amplitude table V, never
+from the whole factor J: its first step is d scatters of V's D_in * r
+entries into level M-1, and it runs over blocks of columns, each later
+step overwriting the level it reads.  It costs d * sum_t D_t per column
+for D_t = sym_dim(d, t), and a block holds one level-(M-1) block plus
+half of level M-2 twice.  :func:`sweep_budget` counts everything a
+machine and the sweep allocate, in 16-byte entries, and
+:func:`sweep_width` makes the blocks as wide as FAST_PATH_CAP leaves
+room for.
 """
 
 from __future__ import annotations
@@ -27,6 +37,7 @@ import numpy as np
 
 from .combinatorics import OccupationVector, occupation_tuples, sym_dim
 from .hilbert import (
+    FAST_PATH_CAP,
     NORM_TOL,
     FullDensity,
     FullState,
@@ -148,21 +159,38 @@ class SymVector:
 class SymDensity:
     """Density operator over a symmetric occupation basis, held as a factor.
 
-    ``factor`` is a dim x r matrix J with rho = J J^dagger, e.g. a machine's
-    pure joint state with its r ancilla columns still open.  Construction
-    checks J in O(dim * r): the shape, finite entries and ||J||_F^2 = 1;
-    Hermiticity and positivity hold by construction.  ``matrix`` forms
-    the dense rho only when it is read.  A matrix that comes without a
-    factor enters through :meth:`from_matrix`, which runs the full density
-    check, eigenvalues included.
+    rho = J J^dagger for a dim x r factor J, e.g. a machine's pure joint
+    state with its r ancilla columns still open.  ``factor`` is J itself
+    when ``kept`` is None.  Otherwise it is the sym_dim(d, kept) x r
+    amplitude table V that J is scattered from, J[a+k, k] = V[a, k]
+    (:func:`scatter_factor`), which is how every machine hands over its
+    output: D_in * r entries instead of D_out * r.  Construction checks
+    the factor in O(size): the shape, finite entries and
+    ||J||_F^2 = ||V||_F^2 = 1; Hermiticity and positivity hold by
+    construction.  ``joint`` scatters the whole J and ``matrix`` forms
+    the dense rho, each only when read.  A matrix that comes without a
+    factor enters through :meth:`from_matrix`, which runs the full
+    density check, eigenvalues included.
     """
 
     basis: SymBasis
     factor: np.ndarray
+    kept: int | None = None
 
     def __post_init__(self) -> None:
         factor = np.asarray(self.factor, dtype=np.complex128)
-        check_factor(factor, self.basis.dim)
+        d, total, kept = self.basis.d, self.basis.total, self.kept
+        if kept is None:
+            check_factor(factor, self.basis.dim)
+        else:
+            if not 0 <= kept <= total:
+                raise ValueError(f"kept count {kept} outside 0..{total}")
+            check_factor(factor, sym_dim(d, kept))
+            if factor.shape[1] != sym_dim(d, total - kept):
+                raise ValueError(
+                    f"amplitude table shape {factor.shape} does not split "
+                    f"({d},{total}) as {kept} + {total - kept}"
+                )
         factor.setflags(write=False)
         object.__setattr__(self, "factor", factor)
 
@@ -177,8 +205,17 @@ class SymDensity:
         return cls(basis=basis, factor=vecs * np.sqrt(np.clip(weights, 0.0, None)))
 
     @cached_property
+    def joint(self) -> np.ndarray:
+        """The whole dim x r factor J."""
+        if self.kept is None:
+            return self.factor
+        joint = scatter_factor(self.basis.d, self.basis.total, self.kept, self.factor)
+        joint.setflags(write=False)
+        return joint
+
+    @cached_property
     def matrix(self) -> np.ndarray:
-        mat = self.factor @ self.factor.conj().T
+        mat = self.joint @ self.joint.conj().T
         mat.setflags(write=False)
         return mat
 
@@ -288,7 +325,7 @@ def reduce_symmetric(rho: SymDensity, kept: int) -> SymDensity:
     if kept == total:
         return rho
     idx, coeff = split_table(d, total, kept)
-    factor = (coeff[:, :, None] * rho.factor[idx]).reshape(idx.shape[0], -1)
+    factor = (coeff[:, :, None] * rho.joint[idx]).reshape(idx.shape[0], -1)
     return SymDensity(basis=SymBasis(d, kept), factor=factor)
 
 
@@ -306,6 +343,65 @@ def scatter_factor(d: int, total: int, kept: int, amplitudes: np.ndarray) -> np.
     return factor
 
 
+@lru_cache(maxsize=None)
+def sweep_budget(d: int, total: int, kept: int) -> tuple[int, int, int]:
+    """What sweeping a table scattered on (total, kept) holds, in 16-byte entries.
+
+    Returns (held, transient, per_column) for D_t = sym_dim(d, t),
+    D_in = D_kept and r = D_{total-kept}:
+
+    * held, alive from the machine to the last block: the D_in x r
+      table V and its split table, every ladder table, count table and
+      log-factorial vector, the D_total x d first-step table, and
+      numpy's ufunc buffers;
+    * transient, before the first block: the largest of the D_in x r x d
+      log-factorial and rank arrays that build the split table (and a
+      machine's own amplitudes), the D_{total-1} x d x d arrays that
+      build a ladder table, and the tuples behind a count table;
+    * per_column, for each column of a block: one column of level
+      total-1, plus the larger of the first step's scatter operands and
+      the next level's accumulator and gather.
+
+    The sweep's blocks are as wide as FAST_PATH_CAP leaves room for
+    (:func:`sweep_width`); :func:`uqcm.machines.check_fast_path` counts
+    held + max(transient, per_column * width).
+    """
+    d_in, r = sym_dim(d, kept), sym_dim(d, total - kept)
+    upper = sym_dim(d, total - 1) if total >= 1 else 0
+    lower = sym_dim(d, total - 2) if total >= 2 else 0
+    split = d_in * r  # idx and coeff, 8 bytes each
+    # idx and coeff of each (t, t-1) split table, sym_dim(d+1, T) being
+    # sum_{t<=T} D_t, and one step's coefficients times the weights.
+    ladder = d * (sym_dim(d + 1, total - 1) if total >= 1 else 0) + d * upper
+    counts = d * sym_dim(d + 1, total) // 2
+    down = 3 * d * sym_dim(d, total) // 2
+    # log(t!) vectors cached for every t below total + d, 8 bytes an entry.
+    factorials = (total + d) * (total + d + 1) // 4
+    # Array headers and cache entries of the per-level tables, about 1 kB
+    # a level; the step's index copies, below one column; numpy's ufunc
+    # buffers, and a level too small to halve.
+    overhead = 64 * (total + 1) + upper + 3 * np.getbufsize()
+    held = d_in * r + split + ladder + counts + down + factorials + overhead
+    transient = max(
+        (d + 3) * d_in * r, (d + 2) * d * upper, (d + 4) * sym_dim(d, total)
+    )
+    per_column = upper + 1 + max(4 * d_in, lower + 1)
+    return held, transient, per_column
+
+
+def sweep_width(d: int, total: int, kept: int) -> int:
+    """Columns per block of :func:`ladder_fidelities`.
+
+    As many as FAST_PATH_CAP leaves room for after what the sweep holds
+    throughout, at most all r columns of the table and at least one; a
+    problem with no room for one column is over budget, and
+    :func:`uqcm.machines.check_fast_path` refuses it.
+    """
+    held, _, per_column = sweep_budget(d, total, kept)
+    room = (FAST_PATH_CAP - held) // per_column
+    return max(1, min(sym_dim(d, total - kept), room))
+
+
 def ladder_fidelities(rho: SymDensity, phi: PureState, upto: int) -> np.ndarray:
     """<phi|^(x s) rho_s |phi>^(x s) for s = 1..upto, in one sweep down rho's factor.
 
@@ -317,32 +413,134 @@ def ladder_fidelities(rho: SymDensity, phi: PureState, upto: int) -> np.ndarray:
         J_{t-1}[a, :] = sum_j conj(x_j) sqrt((a_j+1)/t) J_t[a+e_j, :]
 
     reads the (t, t-1) split table, whose columns are the single-qudit
-    occupations e_j, and F_s = ||J_{M-s}||_F^2.  The sweep costs
-    d * r * sum_t D_t for r columns of J and D_t = sym_dim(d, t).  It
-    holds at most three levels' worth of columns at once: the previous
-    level, the level being built, and one direction's gather, which is
-    multiplied and added in place.
+    occupations e_j, and F_s = ||J_{M-s}||_F^2.  When rho holds an
+    amplitude table V instead of J, the first step never forms J: it is d
+    scatters of V's D_in * r entries,
+
+        J_{M-1}[a+k-e_j, k] += conj(x_j) sqrt((a+k)_j / M) V[a, k],
+
+    and, columns being independent, the sweep runs over blocks of
+    :func:`sweep_width` columns and sums F_s over them (a J given whole
+    is swept as one block).  Every later step overwrites the rows of the
+    level it reads, half of them at a time, so a block holds one
+    level-(M-1) block, and half of the next level twice (an accumulator
+    and one direction's gather).  The sweep costs d * sum_t D_t per
+    column, for D_t = sym_dim(d, t).
     """
     d, total = rho.basis.d, rho.basis.total
     weights = phi.amplitudes.conj()
-    level = rho.factor
-    values = np.empty(upto)
-    for s in range(1, upto + 1):
-        t = total - s + 1
-        idx, coeff = split_table(d, t, t - 1)
-        built = None
-        for j in range(d):
-            gathered = level[idx[:, j]]
-            gathered *= (weights[j] * coeff[:, j])[:, None]
-            if built is None:
-                built = gathered
-            else:
-                built += gathered
-            # Released before the next gather is allocated, so only one is alive.
-            del gathered
-        level = built
-        values[s - 1] = np.vdot(level, level).real
+    columns = rho.factor.shape[1]
+    # Every table is built before the first block, so no block is alive
+    # while one is being built.
+    ladder = [split_table(d, t, t - 1) for t in range(total, total - upto, -1)]
+    size = ladder[0][0].shape[0]
+    if rho.kept is None:
+        width = columns
+    else:
+        width = sweep_width(d, total, rho.kept)
+        rows = split_table(d, total, rho.kept)[0]
+        down, down_scale = _down_table(d, total, weights)
+    values = np.zeros(upto)
+    for start in range(0, columns, width):
+        block = rho.factor[:, start : start + width]
+        # Rows in one numpy ufunc buffer: the shortest half _ladder_step writes.
+        least = -(-np.getbufsize() // block.shape[1])
+        if rho.kept is None:
+            idx, coeff = ladder[0]
+            level = _ladder_step(block, None, idx, weights * coeff, least)
+        else:
+            level = np.zeros((size + 1, block.shape[1]), dtype=np.complex128)
+            _first_step(block, rows[:, start : start + width], down, down_scale, level)
+            level = level[:size]
+        values[0] += np.vdot(level, level).real
+        for s in range(1, upto):
+            idx, coeff = ladder[s]
+            level = _ladder_step(level, level, idx, weights * coeff, least)
+            values[s] += np.vdot(level, level).real
+        # Released before the next block is allocated, so only one is alive.
+        del level
     return values
+
+
+def _down_table(
+    d: int, total: int, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Where each |m> of ``total`` qudits goes when one qudit in level j is removed.
+
+    ``down[i, j]`` is the (d, total-1) index of m_i - e_j and
+    ``down_scale[i, j]`` is weights[j] times its (total, total-1) split
+    coefficient sqrt(m_j / total); where m_j = 0 the index is
+    sym_dim(d, total-1), one row past the end, and the scale is 0.
+    """
+    idx, coeff = split_table(d, total, total - 1)
+    down = np.full((sym_dim(d, total), d), idx.shape[0])
+    down_scale = np.zeros((sym_dim(d, total), d), dtype=np.complex128)
+    slots = np.arange(d)
+    down[idx, slots] = np.arange(idx.shape[0])[:, None]
+    down_scale[idx, slots] = weights * coeff
+    return down, down_scale
+
+
+def _first_step(
+    table: np.ndarray,
+    rows: np.ndarray,
+    down: np.ndarray,
+    down_scale: np.ndarray,
+    level: np.ndarray,
+) -> None:
+    """Add J_{M-1} for the columns of ``table`` into the zeroed ``level``, straight from V.
+
+    ``rows[a, k]`` is the level-M row a+k that V[a, k] sits on.  In each
+    direction j the targets a+k-e_j are distinct within a column, so a
+    plain ``+=`` scatter adds every entry; entries with no qudit in
+    level j land in ``level``'s last row, a spare that is never read.
+    """
+    where = np.arange(table.shape[1])
+    for j in range(down.shape[1]):
+        level[down[rows, j], where] += table * down_scale[rows, j]
+
+
+def _ladder_step(
+    source: np.ndarray,
+    target: np.ndarray | None,
+    idx: np.ndarray,
+    scale: np.ndarray,
+    least: int,
+) -> np.ndarray:
+    """The next level, sum_j scale[:, j] source[idx[:, j]], written into target.
+
+    ``target`` may be ``source``: row a of the next level reads rows
+    idx[a, j] >= a of this one (a+e_j is never ranked before a), so the
+    rows are written in increasing order, half of them at a time, and
+    each half is gathered in full before it is written.  A half is at
+    least ``least`` rows, one numpy ufunc buffer, below which halving
+    saves less than numpy's own buffering holds; so a level that fits in
+    one buffer is returned as a new array, as it is when ``target`` is
+    None.
+    """
+    size = idx.shape[0]
+    half = max(-(-size // 2), least)
+    if target is None or half >= size:
+        return _combine(source, idx, scale)
+    for start in range(0, size, half):
+        part = slice(start, min(start + half, size))
+        target[part] = _combine(source, idx[part], scale[part])
+    return target[:size]
+
+
+def _combine(source: np.ndarray, idx: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """sum_j scale[:, j] source[idx[:, j]], with one direction's gather alive at a time."""
+    built = None
+    for j in range(idx.shape[1]):
+        gathered = source[idx[:, j]]
+        gathered *= scale[:, j, None]
+        if built is None:
+            built = gathered
+        else:
+            built += gathered
+        # Released before the next gather is allocated, so only one is alive.
+        del gathered
+    return built
 
 
 def reduced_expectation(rho: SymDensity, psi: SymVector) -> float:
@@ -362,6 +560,6 @@ def reduced_expectation(rho: SymDensity, psi: SymVector) -> float:
     weights = psi.amplitudes.conj()[:, None] * coeff
     value = 0.0
     for w, where in zip(weights.T, idx.T):
-        row = w @ rho.factor[where]
+        row = w @ rho.joint[where]
         value += np.vdot(row, row).real
     return value

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -76,6 +77,13 @@ class TestTable:
         assert "fast-path cap" in err
         assert err.startswith("usage: uqcm table ")
 
+    def test_many_levels_enumerate_without_recursion(self, capsys):
+        status, out = _run(capsys, ["table", "--d", "1200", "--n", "1", "--m", "1"])
+        assert status == 0
+        rows = json.loads(out)["rows"]
+        assert [(r["L"], r["closed_rational"]) for r in rows] == [(1, "1/1")]
+        assert rows[0]["numeric"] == pytest.approx(1.0, abs=1e-12)
+
 
 class TestVerify:
     def test_full_mode_passes(self, capsys):
@@ -106,12 +114,33 @@ class TestVerify:
         assert status == 0
         assert "oracle" in captured.err
         payload = json.loads(captured.out)
+        jsonschema.validate(payload, _schema())
         assert payload["mode"] == "fast-path-only"
         assert {c["name"] for c in payload["checks"]} == {
             "pairwise-werner-fan",
             "pairwise-werner-unified",
             "pairwise-fan-unified",
+            "closed-form",
         }
+
+    def test_closed_form_check_reproduces_from_its_worst_seed(self, capsys):
+        argv = ["verify", "--d", "3", "--n", "2", "--m", "5"]
+        status, out = _run(capsys, argv + ["--trials", "3", "--seed", "8"])
+        assert status == 0
+        check = {c["name"]: c for c in json.loads(out)["checks"]}["closed-form"]
+        assert check["pass"] and check["threshold"] == 1e-10
+        assert check["max_distance"] < 1e-10
+        assert check["worst_seed"] == 8 + check["worst_trial"]
+        seed = str(check["worst_seed"])
+        _, rerun = _run(capsys, argv + ["--trials", "1", "--seed", seed])
+        again = {c["name"]: c for c in json.loads(rerun)["checks"]}["closed-form"]
+        assert again["max_distance"] == check["max_distance"]
+
+    def test_full_mode_runs_no_closed_form_check(self, capsys):
+        _, out = _run(capsys, ["verify", "--d", "2", "--n", "1", "--m", "2", "--trials", "1"])
+        payload = json.loads(out)
+        assert payload["mode"] == "full"
+        assert "closed-form" not in {c["name"] for c in payload["checks"]}
 
     def test_failure_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "DISTANCE_TOL", 1e-30)
@@ -161,6 +190,21 @@ class TestVerify:
         assert exc.value.code == 2
         assert "fast-path cap" in capsys.readouterr().err
 
+    def test_whole_factor_over_cap_exits_2_before_allocating(self, capsys):
+        # `table` reaches (10,2,10); `verify` scatters the whole 92378 x 24310 J.
+        tracemalloc.start()
+        try:
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["verify", "--d", "10", "--n", "2", "--m", "10", "--trials", "1"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: uqcm verify ")
+        assert "92378 x 24310" in err and "fast-path cap" in err
+        assert peak < 1_000_000
+
 
 class TestAsymSweep:
     def test_sweep_shape_and_endpoints(self, capsys):
@@ -208,6 +252,19 @@ class TestAsymSweep:
         with pytest.raises(SystemExit) as exc:
             cli.main(["asym-sweep", "--d", "2", "--alpha", "0.5"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_weight_exits_2(self, capsys, flag, bad):
+        weights = {"--alpha": "1", "--beta": "1", flag: bad}
+        # "--alpha=-inf": a bare "-inf" would parse as an unknown option.
+        argv = ["asym-sweep", "--d", "3"] + [f"{k}={v}" for k, v in weights.items()]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: uqcm asym-sweep ")
+        assert "non-finite" in err
 
     def test_conflicting_flags_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -262,6 +319,41 @@ class TestIdentityCheck:
         with pytest.raises(SystemExit) as exc:
             cli.main(["identity-check", "--d", "2", "--n", "1", "--m", "2", "--d-max", "3"])
         assert exc.value.code == 2
+
+
+class TestSeed:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table", "--d", "2", "--n", "1", "--m", "3"],
+            ["verify", "--d", "2", "--n", "1", "--m", "2", "--trials", "1"],
+            ["asym-sweep", "--d", "2"],
+            ["identity-check"],
+        ],
+    )
+    @pytest.mark.parametrize("seed", ["-1", "-5"])
+    def test_negative_seed_is_a_usage_error(self, capsys, argv, seed):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--seed", seed])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: uqcm {argv[0]} ")
+        assert "argument --seed: must be nonnegative" in err
+
+    def test_non_integer_seed_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["table", "--d", "2", "--n", "1", "--m", "3", "--seed", "x"])
+        assert exc.value.code == 2
+        assert "invalid int value: 'x'" in capsys.readouterr().err
+
+    def test_schema_rejects_negative_seeds(self, capsys):
+        _, out = _run(capsys, ["verify", "--d", "2", "--n", "1", "--m", "2", "--trials", "1"])
+        payload = json.loads(out)
+        jsonschema.validate(payload, _schema())
+        for broken in ({**payload, "config": {**payload["config"], "seed": -1}},
+                       {**payload, "checks": [{**payload["checks"][0], "worst_seed": -1}]}):
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(broken, _schema())
 
 
 class TestOutputHandling:

@@ -12,6 +12,7 @@ from uqcm.combinatorics import (
     OccupationVector,
     binomial,
     enumerate_occupations,
+    occupation_tuples,
     splitting_coefficient_sq,
     sym_dim,
     verify_identity,
@@ -79,6 +80,30 @@ class TestEnumerateOccupations:
     def test_no_duplicates(self):
         occs = enumerate_occupations(3, 5)
         assert len(set(occs)) == len(occs)
+
+
+def _recursive_tuples(slots, remaining):
+    """The recursive generator the iterative enumeration replaced."""
+    if slots == 1:
+        yield (remaining,)
+        return
+    for first in range(remaining, -1, -1):
+        for rest in _recursive_tuples(slots - 1, remaining - first):
+            yield (first,) + rest
+
+
+class TestOccupationTuples:
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_matches_recursive_enumeration(self, d):
+        for total in range(9):
+            assert list(occupation_tuples(d, total)) == list(_recursive_tuples(d, total))
+
+    def test_many_slots_need_no_recursion(self):
+        # One frame per slot would pass the interpreter's recursion limit.
+        tuples = list(occupation_tuples(1200, 1))
+        assert len(tuples) == sym_dim(1200, 1)
+        assert tuples[0][0] == 1 and tuples[-1][-1] == 1
+        assert all(sum(t) == 1 for t in tuples)
 
 
 class TestOccupationVector:

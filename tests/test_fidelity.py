@@ -10,6 +10,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from uqcm import machines, symmetric
+from uqcm.combinatorics import sym_dim
 from uqcm.fidelity import (
     fidelities_numeric,
     fidelity_L_closed,
@@ -20,8 +22,15 @@ from uqcm.fidelity import (
     fidelity_table,
 )
 from uqcm.hilbert import PureState, random_pure_state, trace_distance_matrices
-from uqcm.machines import MACHINES, CloneSpec, run_machine
-from uqcm.symmetric import expand_power, reduce_symmetric, reduced_expectation
+from uqcm.machines import MACHINES, CloneSpec, check_fast_path, run_machine
+from uqcm.symmetric import (
+    expand_power,
+    reduce_symmetric,
+    reduced_expectation,
+    scatter_factor,
+    sweep_budget,
+    sweep_width,
+)
 
 TOL = 1e-10
 GRID = [
@@ -198,6 +207,20 @@ class TestFactoredFidelity:
         for L, numeric in enumerate(fidelities_numeric(rho, phi), start=1):
             assert abs(numeric - float(fidelity_L_closed(spec, L))) <= TOL
         assert "matrix" not in rho.__dict__
+        assert "joint" not in rho.__dict__
+
+    @pytest.mark.parametrize("machine", MACHINES)
+    def test_table_run_never_builds_the_whole_factor(self, machine):
+        # What `uqcm table` does: one machine, then one sweep over its table.
+        spec = CloneSpec(4, 2, 6)
+        phi = random_pure_state(4, 96)
+        rho = run_machine(spec, phi, machine)
+        assert rho.kept == spec.n_in
+        assert rho.factor.shape == (spec.dim_in, spec.dim_anc)
+        for L, numeric in enumerate(fidelities_numeric(rho, phi), start=1):
+            assert abs(numeric - float(fidelity_L_closed(spec, L))) <= TOL
+        assert "joint" not in rho.__dict__
+        assert "matrix" not in rho.__dict__
 
 
 def _input_state(d, kind, seed):
@@ -258,11 +281,27 @@ class TestLadderSweep:
         "d,n,m,machine", [(2, 1, 300, "werner"), (6, 2, 7, "unified")]
     )
     def test_sweep_holds_at_most_three_factors(self, d, n, m, machine):
-        # Previous level, level being built, one gather: about 3 x J at
-        # d=2 (1.3 x J at (6,2,7)).  Broadcast multiplies add numpy's
+        # One level-(M-1) block and half the next level twice: about 2 x J
+        # at d=2 (0.9 x J at (6,2,7)).  Broadcast multiplies add numpy's
         # fixed-size ufunc buffer, whatever the size of J.
         spec = CloneSpec(d, n, m)
         phi = random_pure_state(d, 95)
+        rho = run_machine(spec, phi, machine)
+        joint = scatter_factor(d, m, n, rho.factor)
+        fidelities_numeric(rho, phi)  # warms the split tables
+        tracemalloc.start()
+        try:
+            fidelities_numeric(rho, phi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        slack = 2 * np.getbufsize() * joint.itemsize
+        assert peak <= 3 * joint.nbytes + slack
+
+    @pytest.mark.parametrize("d,n,m,machine", [(6, 2, 7, "unified"), (8, 2, 8, "fan")])
+    def test_sweep_peak_is_a_block_and_below_the_whole_factor(self, d, n, m, machine):
+        spec = CloneSpec(d, n, m)
+        phi = random_pure_state(d, 97)
         rho = run_machine(spec, phi, machine)
         fidelities_numeric(rho, phi)  # warms the split tables
         tracemalloc.start()
@@ -271,8 +310,60 @@ class TestLadderSweep:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        slack = 2 * np.getbufsize() * rho.factor.itemsize
-        assert peak <= 3 * rho.factor.nbytes + slack
+        block = sym_dim(d, m - 1) * sweep_width(d, m, n) * 16
+        slack = 2 * np.getbufsize() * 16
+        assert peak <= 3 * block + slack
+        assert peak < spec.dim_out * spec.dim_anc * 16
+
+    @pytest.mark.parametrize("machine", MACHINES)
+    def test_column_blocks_match_one_block(self, machine, monkeypatch):
+        spec = CloneSpec(4, 2, 6)
+        phi = random_pure_state(4, 98)
+        rho = run_machine(spec, phi, machine)
+        assert sweep_width(4, 6, 2) == spec.dim_anc
+        one_block = fidelities_numeric(rho, phi)
+        held, _, per_column = sweep_budget(4, 6, 2)
+        cap = held + per_column * (spec.dim_anc // 3)
+        monkeypatch.setattr(symmetric, "FAST_PATH_CAP", cap)
+        assert -(-spec.dim_anc // sweep_width(4, 6, 2)) >= 3
+        blocked = fidelities_numeric(rho, phi)
+        assert np.abs(np.subtract(blocked, one_block)).max() <= 1e-14
+
+    @pytest.mark.parametrize(
+        "d,n,m,machine,upto",
+        [
+            (6, 2, 7, "werner", None),
+            (6, 2, 7, "fan", None),
+            (6, 2, 7, "unified", None),
+            (8, 2, 8, "fan", None),
+            (8, 2, 8, "fan", 2),
+        ],
+    )
+    def test_budget_counts_what_machine_and_sweep_allocate(
+        self, d, n, m, machine, upto, monkeypatch
+    ):
+        # A cap with room for a quarter of the columns puts the problem
+        # right at it; every table is then built inside the traced span.
+        # A sweep stopped early ends each block on a large level.
+        spec = CloneSpec(d, n, m)
+        held, transient, per_column = sweep_budget(d, m, n)
+        cap = held + max(transient, per_column * (spec.dim_anc // 4))
+        for module in (symmetric, machines):
+            monkeypatch.setattr(module, "FAST_PATH_CAP", cap)
+        counted = check_fast_path(spec)
+        assert cap - per_column < counted <= cap
+        assert -(-spec.dim_anc // sweep_width(d, m, n)) >= 4
+        phi = random_pure_state(d, 99)
+        for cached in (symmetric._counts_table, symmetric.split_table,
+                       symmetric.log_factorials):
+            cached.cache_clear()
+        tracemalloc.start()
+        try:
+            fidelities_numeric(run_machine(spec, phi, machine), phi, upto)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * counted
 
 
 class TestFidelityTable:

@@ -12,6 +12,7 @@ from uqcm import symmetric
 from uqcm.combinatorics import OccupationVector
 from uqcm.fidelity import fidelities_numeric, fidelity_L_closed
 from uqcm.hilbert import (
+    FAST_PATH_CAP,
     PSD_TOL,
     FastPathCapError,
     FullState,
@@ -40,6 +41,7 @@ from uqcm.machines import (
 from uqcm.symmetric import (
     expand_power,
     projector_full,
+    scatter_factor,
     split_table,
     sym_to_full_density,
     sym_unitary,
@@ -134,8 +136,18 @@ class TestFastPathCap:
     def test_frontier_point_fits(self):
         check_fast_path(CloneSpec(8, 2, 8))  # 6435 x 1716 entries
 
+    def test_table_budget_reaches_past_the_whole_factor_rule(self):
+        # (10,2,10): J would be 92378 x 24310 (36 GB), but only the 55 x 24310
+        # table, the ladder tables and one 48620-row sweep block are built.
+        spec = CloneSpec(10, 2, 10)
+        assert check_fast_path(spec) <= FAST_PATH_CAP
+        with pytest.raises(FastPathCapError, match="92378 x 24310"):
+            check_fast_path(spec, joint=True)
+        assert check_fast_path(CloneSpec(8, 2, 8), joint=True) == 6435 * 1716
+
     def test_over_budget_fails_before_allocating(self):
-        # D_out x D_anc = 1352078 x 352716: about 7.6 TB as a dense factor.
+        # V alone is 78 x 352716, and the arrays that build its split table
+        # are 12 times that: over budget before any sweep block.
         spec = CloneSpec(12, 2, 12)
         phi = random_pure_state(12, 3)
         tracemalloc.start()
@@ -208,7 +220,8 @@ class TestOracles:
 
 
 def _check_joint_factor(spec, phi, out):
-    joint = out.density.factor
+    joint = scatter_factor(spec.d, spec.m_out, spec.n_in, out.density.factor)
+    assert np.array_equal(out.density.joint, joint)
     assert joint.shape == (spec.dim_out, spec.dim_anc)
     assert np.linalg.norm(joint) == pytest.approx(1.0, abs=TOL)
     traced = joint @ joint.conj().T
@@ -345,6 +358,13 @@ class TestAsymmetryWeights:
     def test_negative_weight_raises(self):
         with pytest.raises(ValueError):
             AsymmetryWeights.pair(-0.1, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_raises(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            AsymmetryWeights.pair(bad, 1.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            AsymmetryWeights.pair(1.0, bad)
 
     def test_all_zero_raises(self):
         with pytest.raises(ValueError):

@@ -28,6 +28,8 @@ from uqcm.symmetric import (
     full_to_sym_density,
     projector_full,
     reduce_symmetric,
+    scatter_factor,
+    split_table,
     sym_to_full_density,
     sym_to_full_state,
     sym_unitary,
@@ -271,3 +273,40 @@ class TestValidation:
         assert "matrix" not in rho.__dict__
         assert rho.matrix is rho.matrix
         assert not rho.matrix.flags.writeable
+
+    def test_amplitude_table_scattered_only_when_read(self):
+        # (d, total, kept) = (3, 4, 2): a 6 x 6 table V for a 15 x 6 factor J.
+        rng = np.random.default_rng(98)
+        table = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        table /= np.linalg.norm(table)
+        rho = SymDensity(basis=SymBasis(3, 4), factor=table, kept=2)
+        assert "joint" not in rho.__dict__ and "matrix" not in rho.__dict__
+        joint = scatter_factor(3, 4, 2, table)
+        assert joint.shape == (15, 6)
+        assert np.array_equal(rho.joint, joint)
+        assert rho.joint is rho.joint
+        assert not rho.joint.flags.writeable
+        assert np.allclose(rho.matrix, joint @ joint.conj().T, atol=TOL)
+
+    def test_amplitude_table_checked(self):
+        basis = SymBasis(3, 4)
+        with pytest.raises(ValueError, match="does not split"):
+            SymDensity(basis=basis, factor=np.ones((6, 3)) / np.sqrt(18), kept=2)
+        with pytest.raises(ValueError):
+            SymDensity(basis=basis, factor=np.ones((3, 6)) / np.sqrt(18), kept=2)
+        with pytest.raises(ValueError, match="kept count"):
+            SymDensity(basis=basis, factor=np.ones((1, 1)), kept=5)
+        with pytest.raises(ValueError, match="trace"):
+            SymDensity(basis=basis, factor=np.ones((6, 6)), kept=2)
+
+
+class TestLadderTables:
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_raising_never_moves_a_vector_forward(self, d):
+        # The sweep overwrites a level in place because a + e_j is never
+        # ranked before a: idx[a, j] >= a for every row a and slot j.
+        for total in range(1, 8):
+            idx, _ = split_table(d, total, total - 1)
+            rows = np.arange(idx.shape[0])[:, None]
+            assert (idx >= rows).all()
+            assert (idx[:, 0] == rows[:, 0]).all()
