@@ -14,8 +14,9 @@ Four subcommands, each emitting JSON (validating against the shipped
                        behind the single-copy fidelity.
 
 Exit codes: 0 pass, 1 verification failure, 2 usage error (a problem
-above the fast-path cap, or a negative seed, counts as one).  Identical
-configurations (including seed) produce byte-identical output.
+above the fast-path cap, an ``asym-sweep`` dimension above the oracle
+cap, or a negative seed, counts as one).  Identical configurations
+(including seed) produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -172,7 +173,7 @@ def _cmd_table(
 def _cmd_verify(
     args: argparse.Namespace, parser: argparse.ArgumentParser
 ) -> tuple[int, str]:
-    # Every pairwise check reads .matrix, which scatters the whole J.
+    # Every pairwise check reads each machine's whole J and dense rho.
     spec = _clone_spec(args, parser, joint=True)
     if args.trials < 1:
         parser.error(f"--trials must be positive, got {args.trials}")
@@ -283,6 +284,12 @@ def _cmd_asym_sweep(
 ) -> tuple[int, str]:
     if args.d < 2:
         parser.error(f"--d must be >= 2, got {args.d}")
+    # The 1 -> 2 machine is built in the full space of three qudits.
+    if args.d**3 > ORACLE_CAP:
+        parser.error(
+            f"--d {args.d} needs d^3 = {args.d**3} amplitudes, above the "
+            f"oracle cap of {ORACLE_CAP}"
+        )
     single_point = args.alpha is not None or args.beta is not None
     if single_point:
         if args.alpha is None or args.beta is None:

@@ -37,19 +37,27 @@ agree exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinatorics import sym_dim
-from .hilbert import TRACE_TOL, PureState, random_pure_state
-from .machines import MACHINES, CloneSpec, run_machine
+from .hilbert import TRACE_TOL, PureState
+from .machines import CloneSpec
 from .symmetric import SymDensity, ladder_fidelities
 
 
 def fidelities_numeric(
     rho: SymDensity, phi: PureState, upto: int | None = None
 ) -> tuple[float, ...]:
-    """F_1..F_upto of rho against |phi>, from one ladder sweep (all L by default)."""
+    """F_1..F_upto of rho against |phi>, from one ladder sweep (all L by default).
+
+    rho is a machine's output, which holds its amplitude table; a
+    density holding its whole factor (``kept`` None) is refused.
+    """
+    if rho.kept is None:
+        raise ValueError(
+            "density has no amplitude table to sweep (kept is None); "
+            "pass a machine's output"
+        )
     m_total = rho.basis.total
     if upto is None:
         upto = m_total
@@ -64,11 +72,6 @@ def fidelities_numeric(
         if not -TRACE_TOL <= value <= 1.0 + TRACE_TOL:
             raise ValueError(f"fidelity {value} outside [0, 1]")
     return tuple(float(min(max(value, 0.0), 1.0)) for value in values)
-
-
-def fidelity_L_numeric(rho: SymDensity, phi: PureState, L: int) -> float:
-    """Overlap of rho's L-copy reduction with |phi>^(x L): the sweep stopped at L."""
-    return fidelities_numeric(rho, phi, L)[-1]
 
 
 def fidelity_L_closed(spec: CloneSpec, L: int) -> Fraction:
@@ -108,39 +111,3 @@ def fidelity_L_closed_N1(d: int, M: int, L: int) -> Fraction:
         math.factorial(L) * math.factorial(d) * (L * (d + M) + M - L),
         math.factorial(d + L) * M,
     )
-
-
-@dataclass(frozen=True)
-class FidelityReport:
-    """Per-L comparison of numeric and closed-form fidelities."""
-
-    spec: CloneSpec
-    machine: str
-    rows: tuple[tuple[int, float, Fraction, float], ...]
-
-    def max_abs_diff(self) -> float:
-        return max(row[3] for row in self.rows)
-
-
-def fidelity_table(
-    spec: CloneSpec,
-    phi: PureState | None = None,
-    machine: str = "werner",
-    seed: int = 0,
-) -> FidelityReport:
-    """Run one machine and tabulate F_L for every L in 1..m_out.
-
-    When no input state is given a seeded random one is drawn, which the
-    covariance of the machines makes representative.
-    """
-    if machine not in MACHINES:
-        raise ValueError(f"unknown machine {machine!r}; expected one of {MACHINES}")
-    if phi is None:
-        phi = random_pure_state(spec.d, seed)
-    rho = run_machine(spec, phi, machine)
-    rows = []
-    for L, numeric in enumerate(fidelities_numeric(rho, phi), start=1):
-        closed = fidelity_L_closed(spec, L)
-        rows.append((L, numeric, closed, abs(numeric - float(closed))))
-    return FidelityReport(spec=spec, machine=machine, rows=tuple(rows))
-

@@ -320,8 +320,14 @@ def random_unitary(d: int, seed) -> np.ndarray:
 
 
 def random_pure_state(d: int, seed) -> PureState:
-    """Haar-random qudit state (first column of a Haar unitary)."""
-    return PureState(random_unitary(d, seed)[:, 0])
+    """Haar-random qudit state: a complex Gaussian vector, normalized.
+
+    The Gaussian is invariant under every unitary, so its direction is
+    uniform on the sphere; no d x d unitary is drawn.
+    """
+    rng = as_generator(seed)
+    z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return PureState(z / np.linalg.norm(z))
 
 
 def _check_same_dim(a, b) -> None:

@@ -16,9 +16,10 @@ implemented as independent code paths so they can be cross-checked:
 Each machine has a polynomial-size fast path in the occupation basis
 whose output density rho = J J^dagger has the factor J (the Gram
 factor, or the joint state with the ancilla columns open).  J is
-nonzero only on |a+k>|k>, so each machine hands over the
-dim_in x dim_anc table of those entries, and J itself is scattered only
-when read; all of it is subject to :data:`~uqcm.hilbert.FAST_PATH_CAP`.
+nonzero only on |a+k>|k>, so all three return the same type, a
+:class:`~uqcm.symmetric.SymDensity` holding the dim_in x dim_anc table
+of those entries; J itself is scattered only when read, and all of it
+is subject to :data:`~uqcm.hilbert.FAST_PATH_CAP`.
 ``*_oracle`` variants rebuild the same object in the full tensor space
 (subject to the oracle cap) for verification.
 """
@@ -103,23 +104,6 @@ class CloneSpec:
         return math.sqrt(sq.numerator / sq.denominator)
 
 
-@dataclass(frozen=True)
-class MachineOutput:
-    """Result of a symmetric cloning machine.
-
-    ``density.joint`` is the normalized pure joint state as a
-    (dim_out x dim_anc) coefficient matrix over occupation bases, held as
-    the dim_in x dim_anc table ``density.factor`` of its amplitudes on
-    |a+k>|k>; tracing its ancilla index gives ``density.matrix``.
-    ``lam`` is the normalization applied after projection (1.0 for
-    machines whose construction is already norm-preserving).
-    """
-
-    density: SymDensity
-    lam: float
-    machine_tag: str
-
-
 def werner_output(spec: CloneSpec, phi: PureState) -> SymDensity:
     """Projector-form cloner, evaluated from its occupation-basis entries.
 
@@ -178,7 +162,7 @@ def werner_output_oracle(spec: CloneSpec, phi: PureState) -> FullDensity:
     return FullDensity(out, factors=m_total, local_dim=d)
 
 
-def fan_output(spec: CloneSpec, phi: PureState) -> MachineOutput:
+def fan_output(spec: CloneSpec, phi: PureState) -> SymDensity:
     """Amplitude-form cloner: pure joint state with an occupation ancilla.
 
     Each input occupation |a> of |phi>^(x n_in) goes to
@@ -203,20 +187,21 @@ def fan_output(spec: CloneSpec, phi: PureState) -> MachineOutput:
     norm = np.linalg.norm(table)
     if abs(norm - 1.0) > NORM_TOL:
         raise AssertionError(f"amplitude-form joint state has norm {norm}")
-    density = SymDensity(basis=SymBasis(d, m_total), factor=table, kept=n_total)
-    return MachineOutput(density=density, lam=1.0, machine_tag="fan")
+    return SymDensity(basis=SymBasis(d, m_total), factor=table, kept=n_total)
 
 
-def unified_output(spec: CloneSpec, phi: PureState) -> MachineOutput:
+def unified_output(spec: CloneSpec, phi: PureState) -> SymDensity:
     """Entangled-pair cloner on identical pure inputs, fast path.
 
     Projecting |a>|k> into the symmetric subspace of all m_out qudits
     leaves sqrt(C(m_out, n_in)) f(a+k, k) |a+k>|k>, with f the splitting
-    coefficient.  The oracle prefactor d^(-(m_out-n_in)/2) / sqrt(C(m_out, n_in))
-    relates this to the literal full-space projection next to the pair
-    halves, so input occupation |a> contributes d^(-(m_out-n_in)/2) f(a+k, k).
-    The sum over the expansion of |phi>^(x n_in) is normalized by ``lam``;
-    the joint state, ancilla occupations still open, is the factor of the
+    coefficient, and the literal full-space projection next to the pair
+    halves scales every such term by the same d^(-(m_out-n_in)/2) /
+    sqrt(C(m_out, n_in)).  A uniform scale drops out on normalization,
+    so input occupation |a> contributes f(a+k, k), and the sum over the
+    expansion of |phi>^(x n_in) is normalized by its own norm (with the
+    pair factor in, its square would underflow at large m_out).  The
+    joint state, ancilla occupations still open, is the factor of the
     output density, held as the table of its amplitudes on |a+k>|k>
     (``kept`` = n_in).
     """
@@ -225,11 +210,10 @@ def unified_output(spec: CloneSpec, phi: PureState) -> MachineOutput:
     d, n_total, m_total = spec.d, spec.n_in, spec.m_out
     _, coeff = split_table(d, m_total, n_total)
     inputs = expand_power(phi, n_total)
-    pair_factor = d ** (-(m_total - n_total) / 2)
-    raw = pair_factor * inputs.amplitudes[:, None] * coeff
-    lam = 1.0 / np.linalg.norm(raw)
-    density = SymDensity(basis=SymBasis(d, m_total), factor=lam * raw, kept=n_total)
-    return MachineOutput(density=density, lam=lam, machine_tag="unified")
+    raw = inputs.amplitudes[:, None] * coeff
+    return SymDensity(
+        basis=SymBasis(d, m_total), factor=raw / np.linalg.norm(raw), kept=n_total
+    )
 
 
 @dataclass(frozen=True)
@@ -466,9 +450,9 @@ def run_machine(spec: CloneSpec, phi: PureState, which: str) -> SymDensity:
     if which == "werner":
         return werner_output(spec, phi)
     if which == "fan":
-        return fan_output(spec, phi).density
+        return fan_output(spec, phi)
     if which == "unified":
-        return unified_output(spec, phi).density
+        return unified_output(spec, phi)
     raise ValueError(f"unknown machine {which!r}; expected one of {MACHINES}")
 
 
@@ -478,18 +462,27 @@ def check_fast_path(spec: CloneSpec, joint: bool = False) -> int:
     By default the budget is what a machine and the ladder sweep over its
     table allocate (:func:`uqcm.symmetric.sweep_budget`): the tables held
     throughout, plus the larger of their construction and one block of
-    the sweep.  ``joint=True`` is the rule for a caller that scatters the
-    whole dim_out x dim_anc factor J, as ``uqcm verify`` does: J alone
-    must fit.  Runs before any occupation table or factor of the problem
-    is built, so an oversized request fails at once instead of running
-    out of memory.
+    the sweep.  ``joint=True`` is the rule for ``uqcm verify``, whose
+    trial reads every machine's whole factor J and dense rho: it counts
+    the three dim_out x dim_anc factors and three dim_out x dim_out
+    densities, one pairwise check's three dim_out x dim_out buffers (the
+    difference, its Hermiticity test and LAPACK's copy), and the sweep's
+    tables with one block as wide as the whole table.  Runs before any
+    occupation table or factor of the problem is built, so an oversized
+    request fails at once instead of running out of memory.
     """
     d, n, m = spec.d, spec.n_in, spec.m_out
+    held, transient, per_column = sweep_budget(d, m, n)
     if joint:
-        entries = spec.dim_out * spec.dim_anc
-        what = f"a {spec.dim_out} x {spec.dim_anc} output factor"
+        d_out, r = spec.dim_out, spec.dim_anc
+        entries = (
+            3 * d_out * r + 6 * d_out**2 + held + max(transient, per_column * r)
+        )
+        what = (
+            f"three {d_out} x {r} output factors, their {d_out} x {d_out} "
+            "densities and one sweep"
+        )
     else:
-        held, transient, per_column = sweep_budget(d, m, n)
         entries = held + max(transient, per_column * sweep_width(d, m, n))
         what = "its occupation tables and one sweep block"
     if entries > FAST_PATH_CAP:

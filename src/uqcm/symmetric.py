@@ -170,7 +170,8 @@ class SymDensity:
     construction.  ``joint`` scatters the whole J and ``matrix`` forms
     the dense rho, each only when read.  A matrix that comes without a
     factor enters through :meth:`from_matrix`, which runs the full
-    density check, eigenvalues included.
+    density check, eigenvalues included, and holds J whole; only a
+    density holding a table is swept by :func:`ladder_fidelities`.
     """
 
     basis: SymBasis
@@ -413,49 +414,40 @@ def ladder_fidelities(rho: SymDensity, phi: PureState, upto: int) -> np.ndarray:
         J_{t-1}[a, :] = sum_j conj(x_j) sqrt((a_j+1)/t) J_t[a+e_j, :]
 
     reads the (t, t-1) split table, whose columns are the single-qudit
-    occupations e_j, and F_s = ||J_{M-s}||_F^2.  When rho holds an
-    amplitude table V instead of J, the first step never forms J: it is d
-    scatters of V's D_in * r entries,
+    occupations e_j, and F_s = ||J_{M-s}||_F^2.  rho holds the amplitude
+    table V that J is scattered from, so the first step never forms J:
+    it is d scatters of V's D_in * r entries,
 
         J_{M-1}[a+k-e_j, k] += conj(x_j) sqrt((a+k)_j / M) V[a, k],
 
     and, columns being independent, the sweep runs over blocks of
-    :func:`sweep_width` columns and sums F_s over them (a J given whole
-    is swept as one block).  Every later step overwrites the rows of the
-    level it reads, half of them at a time, so a block holds one
-    level-(M-1) block, and half of the next level twice (an accumulator
-    and one direction's gather).  The sweep costs d * sum_t D_t per
-    column, for D_t = sym_dim(d, t).
+    :func:`sweep_width` columns and sums F_s over them.  Every later step
+    overwrites the rows of the level it reads, half of them at a time,
+    so a block holds one level-(M-1) block, and half of the next level
+    twice (an accumulator and one direction's gather).  The sweep costs
+    d * sum_t D_t per column, for D_t = sym_dim(d, t).
     """
     d, total = rho.basis.d, rho.basis.total
     weights = phi.amplitudes.conj()
     columns = rho.factor.shape[1]
     # Every table is built before the first block, so no block is alive
     # while one is being built.
-    ladder = [split_table(d, t, t - 1) for t in range(total, total - upto, -1)]
-    size = ladder[0][0].shape[0]
-    if rho.kept is None:
-        width = columns
-    else:
-        width = sweep_width(d, total, rho.kept)
-        rows = split_table(d, total, rho.kept)[0]
-        down, down_scale = _down_table(d, total, weights)
+    ladder = [split_table(d, t, t - 1) for t in range(total - 1, total - upto, -1)]
+    size = sym_dim(d, total - 1)
+    width = sweep_width(d, total, rho.kept)
+    rows = split_table(d, total, rho.kept)[0]
+    down, down_scale = _down_table(d, total, weights)
     values = np.zeros(upto)
     for start in range(0, columns, width):
         block = rho.factor[:, start : start + width]
         # Rows in one numpy ufunc buffer: the shortest half _ladder_step writes.
         least = -(-np.getbufsize() // block.shape[1])
-        if rho.kept is None:
-            idx, coeff = ladder[0]
-            level = _ladder_step(block, None, idx, weights * coeff, least)
-        else:
-            level = np.zeros((size + 1, block.shape[1]), dtype=np.complex128)
-            _first_step(block, rows[:, start : start + width], down, down_scale, level)
-            level = level[:size]
+        level = np.zeros((size + 1, block.shape[1]), dtype=np.complex128)
+        _first_step(block, rows[:, start : start + width], down, down_scale, level)
+        level = level[:size]
         values[0] += np.vdot(level, level).real
-        for s in range(1, upto):
-            idx, coeff = ladder[s]
-            level = _ladder_step(level, level, idx, weights * coeff, least)
+        for s, (idx, coeff) in enumerate(ladder, start=1):
+            level = _ladder_step(level, idx, weights * coeff, least)
             values[s] += np.vdot(level, level).real
         # Released before the next block is allocated, so only one is alive.
         del level
@@ -501,31 +493,26 @@ def _first_step(
 
 
 def _ladder_step(
-    source: np.ndarray,
-    target: np.ndarray | None,
-    idx: np.ndarray,
-    scale: np.ndarray,
-    least: int,
+    level: np.ndarray, idx: np.ndarray, scale: np.ndarray, least: int
 ) -> np.ndarray:
-    """The next level, sum_j scale[:, j] source[idx[:, j]], written into target.
+    """The next level, sum_j scale[:, j] level[idx[:, j]], written over ``level``.
 
-    ``target`` may be ``source``: row a of the next level reads rows
-    idx[a, j] >= a of this one (a+e_j is never ranked before a), so the
-    rows are written in increasing order, half of them at a time, and
-    each half is gathered in full before it is written.  A half is at
-    least ``least`` rows, one numpy ufunc buffer, below which halving
-    saves less than numpy's own buffering holds; so a level that fits in
-    one buffer is returned as a new array, as it is when ``target`` is
-    None.
+    Row a of the next level reads rows idx[a, j] >= a of this one (a+e_j
+    is never ranked before a), so the rows are written in increasing
+    order, half of them at a time, and each half is gathered in full
+    before it is written.  A half is at least ``least`` rows, one numpy
+    ufunc buffer, below which halving saves less than numpy's own
+    buffering holds; so a level that fits in one buffer is returned as a
+    new array.
     """
     size = idx.shape[0]
     half = max(-(-size // 2), least)
-    if target is None or half >= size:
-        return _combine(source, idx, scale)
+    if half >= size:
+        return _combine(level, idx, scale)
     for start in range(0, size, half):
         part = slice(start, min(start + half, size))
-        target[part] = _combine(source, idx[part], scale[part])
-    return target[:size]
+        level[part] = _combine(level, idx[part], scale[part])
+    return level[:size]
 
 
 def _combine(source: np.ndarray, idx: np.ndarray, scale: np.ndarray) -> np.ndarray:

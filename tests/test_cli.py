@@ -13,6 +13,7 @@ import jsonschema
 import pytest
 
 import uqcm.cli as cli
+from uqcm import machines, symmetric
 
 
 def _run(capsys, argv):
@@ -76,6 +77,14 @@ class TestTable:
         err = capsys.readouterr().err
         assert "fast-path cap" in err
         assert err.startswith("usage: uqcm table ")
+
+    @pytest.mark.parametrize("m", [1050, 2100])
+    def test_unified_keeps_precision_at_many_copies(self, capsys, m):
+        # The pair factor 2^-(m-1)/2 squared would be subnormal here.
+        status, out = _run(capsys, ["table", "--d", "2", "--n", "1", "--m", str(m),
+                                    "--machine", "unified", "--l", "1"])
+        assert status == 0
+        assert json.loads(out)["rows"][0]["abs_diff"] <= 1e-10
 
     def test_many_levels_enumerate_without_recursion(self, capsys):
         status, out = _run(capsys, ["table", "--d", "1200", "--n", "1", "--m", "1"])
@@ -206,6 +215,54 @@ class TestVerify:
         assert peak < 1_000_000
 
 
+    @pytest.mark.parametrize("d,n,m,dim_out", [(8, 7, 8, 6435), (10, 9, 10, 92378)])
+    def test_dense_densities_over_cap_exit_2_before_allocating(
+        self, capsys, monkeypatch, d, n, m, dim_out
+    ):
+        # The factors are small (6435 x 8, 92378 x 10), but every pairwise
+        # check reads each machine's dim_out x dim_out density.  A rule that
+        # let them through must fail here, not build gigabytes of densities.
+        def refuse(*args):
+            raise AssertionError("verify ran a machine past its cap check")
+
+        monkeypatch.setattr(cli, "run_machine", refuse)
+        argv = ["verify", "--d", str(d), "--n", str(n), "--m", str(m), "--trials", "1"]
+        tracemalloc.start()
+        try:
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{dim_out} x {dim_out}" in err and "fast-path cap" in err
+        assert peak < 1_000_000
+
+    def test_budget_counts_what_a_trial_allocates(self, capsys, monkeypatch):
+        # A cap equal to the count puts (5,2,7) right at it, and one
+        # fast-path-only trial, tables built inside the traced span, stays
+        # within it.  Its three 330 x 330 densities alone are far above the
+        # 330 x 126 factor the rule used to count.
+        spec = machines.CloneSpec(5, 2, 7)
+        counted = machines.check_fast_path(spec, joint=True)
+        for module in (symmetric, machines):
+            monkeypatch.setattr(module, "FAST_PATH_CAP", counted)
+        for cached in (symmetric._counts_table, symmetric.split_table,
+                       symmetric.log_factorials):
+            cached.cache_clear()
+        tracemalloc.start()
+        try:
+            status, out = _run(capsys, ["verify", "--d", "5", "--n", "2", "--m", "7",
+                                        "--trials", "1"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert status == 0
+        assert json.loads(out)["mode"] == "fast-path-only"
+        assert 16 * 3 * spec.dim_out**2 < peak <= 16 * counted
+
+
 class TestAsymSweep:
     def test_sweep_shape_and_endpoints(self, capsys):
         status, out = _run(capsys, ["asym-sweep", "--d", "2", "--sweep-points", "5"])
@@ -265,6 +322,20 @@ class TestAsymSweep:
         err = capsys.readouterr().err
         assert err.startswith("usage: uqcm asym-sweep ")
         assert "non-finite" in err
+
+    def test_dimension_over_oracle_cap_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["asym-sweep", "--d", "17", "--sweep-points", "3"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: uqcm asym-sweep ")
+        assert "oracle cap" in err
+
+    def test_dimension_at_oracle_cap_runs(self, capsys):
+        # 16^3 = 4096 amplitudes, exactly the cap.
+        status, out = _run(capsys, ["asym-sweep", "--d", "16", "--sweep-points", "3"])
+        assert status == 0
+        assert len(json.loads(out)["rows"]) == 3
 
     def test_conflicting_flags_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -16,14 +16,13 @@ from uqcm.fidelity import (
     fidelities_numeric,
     fidelity_L_closed,
     fidelity_L_closed_N1,
-    fidelity_L_numeric,
     fidelity_global_closed,
     fidelity_single_closed,
-    fidelity_table,
 )
 from uqcm.hilbert import PureState, random_pure_state, trace_distance_matrices
 from uqcm.machines import MACHINES, CloneSpec, check_fast_path, run_machine
 from uqcm.symmetric import (
+    SymDensity,
     expand_power,
     reduce_symmetric,
     reduced_expectation,
@@ -150,7 +149,7 @@ class TestNumericAgreement:
         spec = CloneSpec(2, 1, 3)
         phi = random_pure_state(2, 8)
         values = [
-            fidelity_L_numeric(run_machine(spec, phi, name), phi, 2)
+            fidelities_numeric(run_machine(spec, phi, name), phi, 2)[-1]
             for name in MACHINES
         ]
         assert max(values) - min(values) < TOL
@@ -162,7 +161,7 @@ class TestNumericAgreement:
         for seed in range(20):
             phi = random_pure_state(3, seed)
             rho = run_machine(spec, phi, "unified")
-            values.append(fidelity_L_numeric(rho, phi, 1))
+            values.append(fidelities_numeric(rho, phi, 1)[0])
         assert max(values) - min(values) < TOL
 
     def test_invalid_L_raises(self):
@@ -170,13 +169,21 @@ class TestNumericAgreement:
         phi = random_pure_state(2, 1)
         rho = run_machine(spec, phi, "werner")
         with pytest.raises(ValueError):
-            fidelity_L_numeric(rho, phi, 3)
+            fidelities_numeric(rho, phi, 3)
+
+    def test_density_without_amplitude_table_raises(self):
+        spec = CloneSpec(2, 1, 2)
+        phi = random_pure_state(2, 1)
+        rho = run_machine(spec, phi, "werner")
+        whole = SymDensity.from_matrix(rho.basis, rho.matrix)
+        with pytest.raises(ValueError, match="no amplitude table"):
+            fidelities_numeric(whole, phi)
 
     def test_dimension_mismatch_raises(self):
         spec = CloneSpec(2, 1, 2)
         rho = run_machine(spec, random_pure_state(2, 1), "werner")
         with pytest.raises(ValueError):
-            fidelity_L_numeric(rho, random_pure_state(3, 1), 1)
+            fidelities_numeric(rho, random_pure_state(3, 1), 1)
 
 
 class TestFactoredFidelity:
@@ -191,11 +198,10 @@ class TestFactoredFidelity:
             inputs += [PureState.basis(d, level) for level in range(d)]
         for phi in inputs:
             rho = run_machine(spec, phi, machine)
-            for L in range(1, m + 1):
+            for L, numeric in enumerate(fidelities_numeric(rho, phi), start=1):
                 target = expand_power(phi, L).amplitudes
                 reduced = reduce_symmetric(rho, L).matrix
                 overlap = (target.conj() @ reduced @ target).real
-                numeric = fidelity_L_numeric(rho, phi, L)
                 assert not np.isnan(numeric)
                 assert numeric == pytest.approx(overlap, abs=1e-12)
 
@@ -268,7 +274,6 @@ class TestLadderSweep:
         full = fidelities_numeric(rho, phi)
         for L in range(1, spec.m_out + 1):
             assert fidelities_numeric(rho, phi, L) == full[:L]
-            assert fidelity_L_numeric(rho, phi, L) == full[L - 1]
 
     @pytest.mark.parametrize("upto", [0, 4])
     def test_out_of_range_stop_raises(self, upto):
@@ -364,28 +369,3 @@ class TestLadderSweep:
         finally:
             tracemalloc.stop()
         assert peak <= 16 * counted
-
-
-class TestFidelityTable:
-    def test_row_count_and_diffs(self):
-        report = fidelity_table(CloneSpec(2, 1, 3), machine="fan", seed=3)
-        assert len(report.rows) == 3
-        assert report.max_abs_diff() < TOL
-        levels = [row[0] for row in report.rows]
-        assert levels == [1, 2, 3]
-
-    def test_trivial_when_no_extra_copies(self):
-        report = fidelity_table(CloneSpec(2, 2, 2), seed=0)
-        for _, numeric, closed, diff in report.rows:
-            assert closed == 1
-            assert numeric == pytest.approx(1.0, abs=TOL)
-            assert diff < TOL
-
-    def test_explicit_state_accepted(self):
-        phi = random_pure_state(2, 11)
-        report = fidelity_table(CloneSpec(2, 1, 2), phi=phi, machine="unified")
-        assert report.rows[0][2] == Fraction(5, 6)
-
-    def test_unknown_machine_raises(self):
-        with pytest.raises(ValueError):
-            fidelity_table(CloneSpec(2, 1, 2), machine="copier")

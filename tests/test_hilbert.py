@@ -219,6 +219,18 @@ class TestRandomness:
         psi = random_pure_state(4, 99)
         assert np.linalg.norm(psi.amplitudes) == pytest.approx(1.0, abs=TOL)
 
+    def test_large_state_draws_no_unitary(self):
+        # A 3000 x 3000 unitary and its QR would take hundreds of MB.
+        tracemalloc.start()
+        try:
+            psi = random_pure_state(3000, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert np.linalg.norm(psi.amplitudes) == pytest.approx(1.0, abs=TOL)
+        assert np.array_equal(psi.amplitudes, random_pure_state(3000, 5).amplitudes)
+
 
 class TestCheckDensity:
     # Rounding moves the computed spectrum by about D * eps, far below the

@@ -8,7 +8,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from uqcm import symmetric
+from uqcm import machines, symmetric
 from uqcm.combinatorics import OccupationVector
 from uqcm.fidelity import fidelities_numeric, fidelity_L_closed
 from uqcm.hilbert import (
@@ -143,7 +143,14 @@ class TestFastPathCap:
         assert check_fast_path(spec) <= FAST_PATH_CAP
         with pytest.raises(FastPathCapError, match="92378 x 24310"):
             check_fast_path(spec, joint=True)
-        assert check_fast_path(CloneSpec(8, 2, 8), joint=True) == 6435 * 1716
+
+    def test_verify_rule_counts_the_dense_densities(self):
+        # Six 1287 x 1287 matrices fit; six 6435 x 6435 ones (4 GB) do not,
+        # though (8,2,8) fits `table`.
+        assert check_fast_path(CloneSpec(6, 2, 8), joint=True) <= FAST_PATH_CAP
+        check_fast_path(CloneSpec(8, 2, 8))
+        with pytest.raises(FastPathCapError, match="6435 x 6435"):
+            check_fast_path(CloneSpec(8, 2, 8), joint=True)
 
     def test_over_budget_fails_before_allocating(self):
         # V alone is 78 x 352716, and the arrays that build its split table
@@ -199,16 +206,20 @@ class TestOracles:
         phi = random_pure_state(d, 10)
         fast = unified_output(spec, phi)
         oracle = unified_output_oracle(spec, phi)
-        fast_full = sym_to_full_density(fast.density)
+        fast_full = sym_to_full_density(fast)
         assert trace_distance_matrices(fast_full.matrix, oracle.density.matrix) < TOL
 
     def test_normalization_bookkeeping_matches(self):
-        # The projection shrinks the raw state identically in both routes.
-        for d, n, m in [(2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 3)]:
+        # The projection shrinks every input occupation by the same factor:
+        # the oracle's d^(-(M-N)/2) / sqrt(C(M,N)) prefactor times the weight
+        # sqrt(C(M,N)) * 1/eta that test_pure_expansion_norm_is_inverse_eta
+        # pins, so lam = sqrt(d^(M-N) * C(M,N) * eta^2) whatever the input.
+        for d, n, m in [(2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 3), (2, 2, 5)]:
             spec = CloneSpec(d, n, m)
             phi = random_pure_state(d, 12)
-            assert unified_output(spec, phi).lam == pytest.approx(
-                unified_output_oracle(spec, phi).lam, abs=1e-12
+            exact = Fraction(d ** (m - n) * math.comb(m, n)) * spec.eta_sq
+            assert unified_output_oracle(spec, phi).lam == pytest.approx(
+                math.sqrt(exact), rel=1e-12
             )
 
     def test_oracle_output_in_symmetric_subspace(self):
@@ -220,8 +231,8 @@ class TestOracles:
 
 
 def _check_joint_factor(spec, phi, out):
-    joint = scatter_factor(spec.d, spec.m_out, spec.n_in, out.density.factor)
-    assert np.array_equal(out.density.joint, joint)
+    joint = scatter_factor(spec.d, spec.m_out, spec.n_in, out.factor)
+    assert np.array_equal(out.joint, joint)
     assert joint.shape == (spec.dim_out, spec.dim_anc)
     assert np.linalg.norm(joint) == pytest.approx(1.0, abs=TOL)
     traced = joint @ joint.conj().T
@@ -238,12 +249,6 @@ class TestJointStates:
         spec = CloneSpec(3, 1, 2)
         phi = random_pure_state(3, 22)
         _check_joint_factor(spec, phi, unified_output(spec, phi))
-
-    def test_machine_tags(self):
-        spec = CloneSpec(2, 1, 2)
-        phi = random_pure_state(2, 23)
-        assert fan_output(spec, phi).machine_tag == "fan"
-        assert unified_output(spec, phi).machine_tag == "unified"
 
     def test_pure_expansion_norm_is_inverse_eta(self):
         # Every symmetric input |a> picks up the same total weight 1/eta:
@@ -425,6 +430,19 @@ class TestRunMachine:
     def test_unknown_machine_raises(self):
         with pytest.raises(ValueError):
             run_machine(CloneSpec(2, 1, 2), random_pure_state(2, 0), "telepathy")
+
+    def test_machines_are_looked_up_when_run(self, monkeypatch):
+        # A tracer wraps the module attribute; run_machine must reach the wrapper.
+        calls = []
+
+        def spy(spec, phi):
+            calls.append((spec, phi))
+            return fan_output(spec, phi)
+
+        monkeypatch.setattr(machines, "fan_output", spy)
+        spec, phi = CloneSpec(2, 1, 2), random_pure_state(2, 0)
+        run_machine(spec, phi, "fan")
+        assert calls == [(spec, phi)]
 
     def test_fast_paths_build_no_occupation_vector(self, monkeypatch):
         # Cold caches, so the occupation tables are rebuilt inside the run.
