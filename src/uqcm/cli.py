@@ -6,10 +6,12 @@ Four subcommands, each emitting JSON (validating against the shipped
 * ``table``          — numeric vs closed-form F_L for one machine.
 * ``verify``         — cross-checks the three machine constructions;
                        adds full-tensor oracle comparisons when the
-                       problem fits under the oracle cap, and checks
+                       problem fits under the oracle cap and their
+                       dense arrays under the fast-path cap, and checks
                        every F_L against its closed form when it does
                        not.
-* ``asym-sweep``     — 1 -> 2 asymmetric fidelity trade-off curve.
+* ``asym-sweep``     — 1 -> 2 asymmetric fidelity trade-off curve of
+                       ``weighted_clone``, Cerf's optimal cloner.
 * ``identity-check`` — exact rational check of the summation identity
                        behind the single-copy fidelity.
 
@@ -35,6 +37,7 @@ from typing import Sequence
 from .combinatorics import verify_identity
 from .fidelity import fidelities_numeric, fidelity_L_closed, fidelity_single_closed
 from .hilbert import (
+    FAST_PATH_CAP,
     ORACLE_CAP,
     PureState,
     random_pure_state,
@@ -45,10 +48,11 @@ from .machines import (
     MACHINES,
     AsymmetryWeights,
     CloneSpec,
-    asymmetric_1to2,
     check_fast_path,
+    full_mode_entries,
     run_machine,
     unified_output_oracle,
+    weighted_clone,
     werner_output_oracle,
 )
 from .symmetric import projector_full, sym_to_full_density, sym_unitary
@@ -178,11 +182,20 @@ def _cmd_verify(
     if args.trials < 1:
         parser.error(f"--trials must be positive, got {args.trials}")
     d, n, m = spec.d, spec.n_in, spec.m_out
-    full_mode = d ** (2 * m - n) <= ORACLE_CAP
+    reason = None
+    if d ** (2 * m - n) > ORACLE_CAP:
+        reason = (
+            f"d^(2*m_out-n_in) = {d ** (2 * m - n)} exceeds the oracle cap {ORACLE_CAP}"
+        )
+    elif (entries := full_mode_entries(spec)) > FAST_PATH_CAP:
+        reason = (
+            f"the oracle checks' {d**m} x {d**m} arrays bring a trial to {entries} "
+            f"entries, above the fast-path cap {FAST_PATH_CAP}"
+        )
+    full_mode = reason is None
     if not full_mode:
         sys.stderr.write(
-            f"warning: d^(2*m_out-n_in) = {d ** (2 * m - n)} exceeds the oracle "
-            f"cap {ORACLE_CAP}; running fast-path pairwise and closed-form checks only\n"
+            f"warning: {reason}; running fast-path pairwise and closed-form checks only\n"
         )
         closed = [float(fidelity_L_closed(spec, L)) for L in range(1, m + 1)]
 
@@ -307,22 +320,24 @@ def _cmd_asym_sweep(
             parser.error(f"--sweep-points must be >= 2, got {points}")
         pairs = [_sweep_pair(i, points) for i in range(points)]
 
+    spec = CloneSpec(args.d, 1, 2)
     phi = random_pure_state(args.d, args.seed)
 
     def row(pair: tuple[float, float]) -> dict:
         alpha, beta = pair
-        result = asymmetric_1to2(args.d, phi, AsymmetryWeights.pair(alpha, beta))
+        result = weighted_clone(spec, phi, AsymmetryWeights.pair(alpha, beta))
+        fidelity_a, fidelity_b = result.slot_fidelities
         ratio = beta / alpha if alpha > 0 else None
         return {
             "ratio": ratio,
             "alpha": alpha,
             "beta": beta,
-            "fidelity_a": result.fidelity_a,
-            "fidelity_b": result.fidelity_b,
+            "fidelity_a": fidelity_a,
+            "fidelity_b": fidelity_b,
         }
 
     rows = [row(pair) for pair in pairs]
-    symmetric = fidelity_single_closed(CloneSpec(args.d, 1, 2))
+    symmetric = fidelity_single_closed(spec)
     payload = {
         "command": "asym-sweep",
         "config": {

@@ -69,21 +69,6 @@ class OccupationVector:
         return f"OccupationVector({self.counts})"
 
 
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k); zero when k is out of range.
-
-    >>> binomial(5, 2)
-    10
-    >>> binomial(2, 3)
-    0
-    """
-    if n < 0:
-        raise ValueError(f"binomial requires n >= 0, got n={n}")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
 def sym_dim(d: int, n: int) -> int:
     """Dimension C(d+n-1, n) of the symmetric subspace of n qudits."""
     _check_d(d)

@@ -1,4 +1,4 @@
-"""Universal qudit cloning machines and their asymmetric variants.
+"""Universal qudit cloning machines, their oracles and the asymmetric cloner.
 
 Three equivalent constructions of the optimal N -> M universal cloner are
 implemented as independent code paths so they can be cross-checked:
@@ -21,13 +21,21 @@ nonzero only on |a+k>|k>, so all three return the same type, a
 of those entries; J itself is scattered only when read, and all of it
 is subject to :data:`~uqcm.hilbert.FAST_PATH_CAP`.
 ``*_oracle`` variants rebuild the same object in the full tensor space
-(subject to the oracle cap) for verification.
+(subject to the oracle cap) for verification, and ``explicit_1to2`` is
+the closed-form symmetric 1 -> 2 map the entangled-pair machine is
+checked against.
+
+``weighted_clone`` is the one asymmetric machine: the entangled-pair
+arrangement of ``unified_output_oracle``, summed over every permutation
+of the output slots with per-subset weights.  It is literal and full
+space only; at (1, 2) with pair weights it is Cerf's optimal asymmetric
+cloner, which is what ``uqcm asym-sweep`` runs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -236,15 +244,7 @@ def unified_output_oracle(spec: CloneSpec, phi: PureState) -> UnifiedOracleResul
     blanks = m_total - n_total
     check_cap(d, m_total + blanks)
 
-    state = _pure_power(phi, n_total)
-    for _ in range(blanks):
-        state = tensor(state, maximally_entangled(d))
-    # Pairs interleave as (half, ancilla); bring all copy halves forward.
-    perm = list(range(n_total))
-    perm += [n_total + 2 * t for t in range(blanks)]
-    perm += [n_total + 2 * t + 1 for t in range(blanks)]
-    state = permute_factors(state, perm)
-
+    state = _pair_arrangement(phi, n_total, blanks)
     block = state.amplitudes.reshape(d**m_total, d**blanks)
     projected = projector_full(d, m_total) @ block
     norm = float(np.linalg.norm(projected))
@@ -318,85 +318,33 @@ class AsymmetryWeights:
     def equal(cls, n_in: int, m_out: int) -> "AsymmetryWeights":
         return cls({s: 1.0 for s in combinations(range(m_out), n_in)})
 
-    @property
-    def alpha(self) -> float:
-        return self.weights.get((0,), 0.0)
-
-    @property
-    def beta(self) -> float:
-        return self.weights.get((1,), 0.0)
-
-
-@dataclass(frozen=True)
-class AsymmetricPairResult:
-    """1 -> 2 asymmetric cloner output: joint state, both clones, both fidelities."""
-
-    joint: FullState
-    clone_a: FullDensity
-    clone_b: FullDensity
-    fidelity_a: float
-    fidelity_b: float
-    normalization: float
-
-
-def asymmetric_1to2(d: int, phi: PureState, w: AsymmetryWeights) -> AsymmetricPairResult:
-    """Weighted superposition of routing the input into slot 1 or slot 2.
-
-    The state alpha |phi>_1 |pair>_{2a} + beta |phi>_2 |pair>_{1a} is
-    normalized accounting for the 2*alpha*beta/d overlap of the two
-    (non-orthogonal) terms; clones are the single-slot reductions.
-    """
-    if d != phi.dim:
-        raise ValueError(f"state dimension {phi.dim} does not match d={d}")
-    check_cap(d, 3)
-    alpha, beta = w.alpha, w.beta
-    if alpha == 0 and beta == 0:
-        raise ValueError("1->2 weights must include a positive alpha or beta")
-
-    phi_state = FullState(phi.amplitudes, factors=1, local_dim=d)
-    into_first = tensor(phi_state, maximally_entangled(d))
-    into_second = permute_factors(tensor(maximally_entangled(d), phi_state), (0, 2, 1))
-
-    raw = alpha * into_first.amplitudes + beta * into_second.amplitudes
-    norm = float(np.linalg.norm(raw))
-    joint = FullState(raw / norm, factors=3, local_dim=d)
-
-    clone_a = partial_trace_state(joint, {0})
-    clone_b = partial_trace_state(joint, {1})
-    return AsymmetricPairResult(
-        joint=joint,
-        clone_a=clone_a,
-        clone_b=clone_b,
-        fidelity_a=fidelity_pure(clone_a, phi_state),
-        fidelity_b=fidelity_pure(clone_b, phi_state),
-        normalization=norm,
-    )
-
 
 @dataclass(frozen=True)
 class WeightedCloneResult:
-    """Exploratory general-asymmetry output; see :func:`weighted_clone`."""
+    """Asymmetric cloner output; see :func:`weighted_clone`."""
 
     joint: FullState
-    output: FullDensity
     slot_fidelities: tuple[float, ...]
     normalization: float
-    machine_tag: str = field(default="weighted-exploratory")
 
 
 def weighted_clone(
     spec: CloneSpec, phi: PureState, w: AsymmetryWeights
 ) -> WeightedCloneResult:
-    """Exploratory: per-subset-weighted symmetrization of the pair construction.
+    """Asymmetric entangled-pair cloner: a per-subset-weighted symmetrization.
 
-    Every permutation of the output slots is applied to the base
+    Every permutation of the output slots is applied to the pair
     arrangement (inputs in the leading slots, pair halves behind) and
     weighted by w_S, where S is the slot subset that ends up holding the
     inputs; a subset's weight is shared uniformly by its whole
     permutation coset.  Equal weights reproduce the symmetric machine
-    exactly, and (n_in=1, m_out=2) reduces to :func:`asymmetric_1to2`.
-    No optimality is claimed for general weights; runs in full tensor
-    space only.
+    exactly.  At (n_in, m_out) = (1, 2) with ``AsymmetryWeights.pair``
+    the two permutations give alpha |phi>_1 |pair>_{2a} +
+    beta |phi>_2 |pair>_{1a}, normalized by
+    sqrt(alpha^2 + beta^2 + 2 alpha beta / d), which is Cerf's optimal
+    asymmetric 1 -> 2 cloner.  No optimality is claimed for general
+    weights; runs in full tensor space only.  ``slot_fidelities`` are the
+    single-slot fidelities with the input.
     """
     _check_phi(spec, phi)
     d, n_total, m_total = spec.d, spec.n_in, spec.m_out
@@ -410,14 +358,7 @@ def weighted_clone(
             f"{n_total} from {m_total} slots"
         )
 
-    base = _pure_power(phi, n_total)
-    for _ in range(blanks):
-        base = tensor(base, maximally_entangled(d))
-    perm = list(range(n_total))
-    perm += [n_total + 2 * t for t in range(blanks)]
-    perm += [n_total + 2 * t + 1 for t in range(blanks)]
-    base = permute_factors(base, perm)
-
+    base = _pair_arrangement(phi, n_total, blanks)
     raw = np.zeros_like(base.amplitudes)
     anc = [m_total + t for t in range(blanks)]
     for copy_perm in permutations(range(m_total)):
@@ -431,15 +372,12 @@ def weighted_clone(
     if norm == 0:
         raise ValueError("weighted combination vanished")
     joint = FullState(raw / norm, factors=m_total + blanks, local_dim=d)
-    output = partial_trace_state(joint, range(m_total))
     phi_state = FullState(phi.amplitudes, factors=1, local_dim=d)
     fids = tuple(
         fidelity_pure(partial_trace_state(joint, {s}), phi_state)
         for s in range(m_total)
     )
-    return WeightedCloneResult(
-        joint=joint, output=output, slot_fidelities=fids, normalization=norm
-    )
+    return WeightedCloneResult(joint=joint, slot_fidelities=fids, normalization=norm)
 
 
 MACHINES = ("werner", "fan", "unified")
@@ -493,11 +431,39 @@ def check_fast_path(spec: CloneSpec, joint: bool = False) -> int:
     return entries
 
 
-def _pure_power(phi: PureState, copies: int) -> FullState:
+def full_mode_entries(spec: CloneSpec) -> int:
+    """Entries one full-mode ``uqcm verify`` trial holds at its peak.
+
+    The ``joint=True`` rule of :func:`check_fast_path` counts only
+    occupation-basis arrays; the oracle checks add dense D x D arrays,
+    D = d^m_out, of which at most 4.5 are alive at once.  Building the
+    werner oracle holds the padded input block, the real symmetric
+    projector (half a complex array), its complex cast for the product
+    and the two products; the support check holds the oracle, the
+    projector and P rho P, then the difference and the two real buffers
+    of its Hermiticity test.  ``uqcm verify`` runs full mode only when
+    this fits under FAST_PATH_CAP.
+    """
+    return check_fast_path(spec, joint=True) + 9 * spec.d ** (2 * spec.m_out) // 2
+
+
+def _pair_arrangement(phi: PureState, copies: int, blanks: int) -> FullState:
+    """|phi>^(x copies) beside ``blanks`` maximally entangled pairs, halves sorted.
+
+    Factor layout: the copies, then one half of every pair (together the
+    copy slots), then the other halves (the ancilla).
+    """
     amps = np.ones(1, dtype=np.complex128)
     for _ in range(copies):
         amps = np.kron(amps, phi.amplitudes)
-    return FullState(amps, factors=copies, local_dim=phi.dim)
+    state = FullState(amps, factors=copies, local_dim=phi.dim)
+    for _ in range(blanks):
+        state = tensor(state, maximally_entangled(phi.dim))
+    # Pairs interleave as (half, ancilla); bring all copy halves forward.
+    perm = list(range(copies))
+    perm += [copies + 2 * t for t in range(blanks)]
+    perm += [copies + 2 * t + 1 for t in range(blanks)]
+    return permute_factors(state, perm)
 
 
 def _check_phi(spec: CloneSpec, phi: PureState) -> None:

@@ -262,8 +262,85 @@ class TestVerify:
         assert json.loads(out)["mode"] == "fast-path-only"
         assert 16 * 3 * spec.dim_out**2 < peak <= 16 * counted
 
+    def test_dense_oracle_arrays_over_cap_fall_back(self, capsys):
+        # d^(2M-N) = 4096 fits the oracle cap, but the oracle checks would
+        # hold 4.5 dense 4096 x 4096 arrays (1.2 GB), above the fast-path cap.
+        tracemalloc.start()
+        try:
+            status = cli.main(["verify", "--d", "2", "--n", "12", "--m", "12",
+                               "--trials", "1"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert status == 0
+        assert "4096 x 4096" in captured.err and "fast-path cap" in captured.err
+        payload = json.loads(captured.out)
+        jsonschema.validate(payload, _schema())
+        assert payload["mode"] == "fast-path-only"
+        assert payload["pass"] is True
+        assert peak < 1_000_000
+
+    def test_full_mode_budget_counts_the_dense_oracle_arrays(self, capsys, monkeypatch):
+        # A cap equal to the full-mode count at (2,9,9) keeps full mode on, and
+        # one trial, with the uqcm tables built inside the traced span, stays
+        # within it; one entry less and the same trial falls back.
+        spec = machines.CloneSpec(2, 9, 9)
+        counted = machines.full_mode_entries(spec)
+        argv = ["verify", "--d", "2", "--n", "9", "--m", "9", "--trials", "1"]
+        _run(capsys, argv)  # warm-up: lazy imports are not part of a trial
+        for module in (symmetric, machines, cli):
+            monkeypatch.setattr(module, "FAST_PATH_CAP", counted)
+        for cached in (symmetric._counts_table, symmetric.split_table,
+                       symmetric.log_factorials, symmetric._embed_isometry):
+            cached.cache_clear()
+        tracemalloc.start()
+        try:
+            status, out = _run(capsys, argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert status == 0
+        assert json.loads(out)["mode"] == "full"
+        assert 16 * 4 * 512**2 < peak <= 16 * counted
+
+        monkeypatch.setattr(cli, "FAST_PATH_CAP", counted - 1)
+        status, out = _run(capsys, argv)
+        assert status == 0
+        assert json.loads(out)["mode"] == "fast-path-only"
+
+    def test_benchmark_oracle_configs_stay_in_full_mode(self):
+        # Every d^M <= 343 point with n < m that fits the oracle cap.
+        configs = [
+            machines.CloneSpec(d, n, m)
+            for d in range(2, 9)
+            for m in range(2, 10)
+            if d**m <= 343
+            for n in range(1, m)
+            if d ** (2 * m - n) <= cli.ORACLE_CAP
+        ]
+        assert len(configs) == 45
+        assert all(machines.full_mode_entries(s) <= cli.FAST_PATH_CAP for s in configs)
+
 
 class TestAsymSweep:
+    @pytest.mark.parametrize("d", [2, 3, 16])
+    def test_sweep_lies_on_cerf_optimal_curve(self, capsys, d):
+        # Cerf's optimal 1 -> 2 trade-off: with nu^2 = alpha^2 + beta^2 +
+        # 2 alpha beta / d, p = alpha / nu and q = beta / nu,
+        # F_a = 1 - (d-1) q^2 / d and F_b = 1 - (d-1) p^2 / d.
+        _, out = _run(capsys, ["asym-sweep", "--d", str(d)])
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 51
+        worst = 0.0
+        for row in rows:
+            alpha, beta = row["alpha"], row["beta"]
+            nu_sq = alpha**2 + beta**2 + 2 * alpha * beta / d
+            f_a = 1 - (d - 1) * beta**2 / (d * nu_sq)
+            f_b = 1 - (d - 1) * alpha**2 / (d * nu_sq)
+            worst = max(worst, abs(row["fidelity_a"] - f_a), abs(row["fidelity_b"] - f_b))
+        assert worst < 1e-12
+
     def test_sweep_shape_and_endpoints(self, capsys):
         status, out = _run(capsys, ["asym-sweep", "--d", "2", "--sweep-points", "5"])
         assert status == 0

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from uqcm.combinatorics import (
     RECONSTRUCTED_DENOMINATOR,
     OccupationVector,
-    binomial,
     enumerate_occupations,
     occupation_tuples,
     splitting_coefficient_sq,
@@ -18,26 +17,6 @@ from uqcm.combinatorics import (
     verify_identity,
 )
 from uqcm.symmetric import split_table
-
-
-class TestBinomial:
-    def test_small_values(self):
-        assert binomial(4, 2) == 6
-        assert binomial(5, 0) == 1
-        assert binomial(5, 5) == 1
-
-    def test_out_of_range_is_zero(self):
-        assert binomial(3, 5) == 0
-        assert binomial(3, -1) == 0
-
-    def test_negative_n_raises(self):
-        with pytest.raises(ValueError):
-            binomial(-1, 0)
-
-    @settings(max_examples=200, derandomize=True)
-    @given(st.integers(1, 40), st.integers(0, 40))
-    def test_pascal_rule(self, n, k):
-        assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
 
 
 class TestSymDim:

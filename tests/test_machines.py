@@ -1,4 +1,4 @@
-"""Tests for the cloning machines: equivalence, oracles, asymmetric variants."""
+"""Tests for the cloning machines: equivalence, oracles, the asymmetric cloner."""
 
 import math
 import tracemalloc
@@ -27,7 +27,6 @@ from uqcm.machines import (
     MACHINES,
     AsymmetryWeights,
     CloneSpec,
-    asymmetric_1to2,
     check_fast_path,
     explicit_1to2,
     fan_output,
@@ -301,29 +300,34 @@ class TestCovariance:
             assert trace_distance_matrices(direct.matrix, conjugated) < TOL
 
 
+def _pair_clone(d, phi, alpha, beta):
+    return weighted_clone(CloneSpec(d, 1, 2), phi, AsymmetryWeights.pair(alpha, beta))
+
+
 class TestAsymmetricPair:
     def test_limit_all_weight_on_first(self):
         for d in (2, 3, 4):
             phi = random_pure_state(d, 51)
-            res = asymmetric_1to2(d, phi, AsymmetryWeights.pair(1.0, 0.0))
-            assert res.fidelity_a == pytest.approx(1.0, abs=1e-12)
-            assert res.fidelity_b == pytest.approx(1.0 / d, abs=1e-12)
-            assert np.allclose(res.clone_b.matrix, np.eye(d) / d, atol=1e-12)
+            res = _pair_clone(d, phi, 1.0, 0.0)
+            assert res.slot_fidelities[0] == pytest.approx(1.0, abs=1e-12)
+            assert res.slot_fidelities[1] == pytest.approx(1.0 / d, abs=1e-12)
+            clone_b = partial_trace_state(res.joint, {1})
+            assert np.allclose(clone_b.matrix, np.eye(d) / d, atol=1e-12)
 
     def test_equal_weights_reach_symmetric_value(self):
         for d in (2, 3):
             phi = random_pure_state(d, 52)
-            res = asymmetric_1to2(d, phi, AsymmetryWeights.pair(1.0, 1.0))
+            res = _pair_clone(d, phi, 1.0, 1.0)
             expected = (d + 3) / (2 * (d + 1))
-            assert res.fidelity_a == pytest.approx(expected, abs=TOL)
-            assert res.fidelity_b == pytest.approx(expected, abs=TOL)
+            assert res.slot_fidelities[0] == pytest.approx(expected, abs=TOL)
+            assert res.slot_fidelities[1] == pytest.approx(expected, abs=TOL)
 
     def test_normalization_closed_form(self):
         # Cross term of the two routings contributes 2 alpha beta / d.
         d = 3
         phi = random_pure_state(d, 53)
         alpha, beta = 0.8, 0.6
-        res = asymmetric_1to2(d, phi, AsymmetryWeights.pair(alpha, beta))
+        res = _pair_clone(d, phi, alpha, beta)
         expected = math.sqrt(alpha**2 + beta**2 + 2 * alpha * beta / d)
         assert res.normalization == pytest.approx(expected, abs=1e-12)
 
@@ -333,29 +337,22 @@ class TestAsymmetricPair:
             f_a, f_b = [], []
             for i in range(50):
                 theta = (math.pi / 2) * (i / 49)
-                alpha, beta = math.cos(theta), math.sin(theta)
-                res = asymmetric_1to2(d, phi, AsymmetryWeights.pair(alpha, beta))
-                f_a.append(res.fidelity_a)
-                f_b.append(res.fidelity_b)
+                res = _pair_clone(d, phi, math.cos(theta), math.sin(theta))
+                f_a.append(res.slot_fidelities[0])
+                f_b.append(res.slot_fidelities[1])
             assert all(x > y for x, y in zip(f_a, f_a[1:]))
             assert all(x < y for x, y in zip(f_b, f_b[1:]))
 
     def test_fidelities_independent_of_input(self):
         d = 2
-        w = AsymmetryWeights.pair(0.9, 0.3)
         values = [
-            asymmetric_1to2(d, random_pure_state(d, s), w).fidelity_a
+            _pair_clone(d, random_pure_state(d, s), 0.9, 0.3).slot_fidelities[0]
             for s in range(5)
         ]
         assert max(values) - min(values) < TOL
 
 
 class TestAsymmetryWeights:
-    def test_pair_accessors(self):
-        w = AsymmetryWeights.pair(0.25, 0.75)
-        assert w.alpha == 0.25
-        assert w.beta == 0.75
-
     def test_subsets_are_sorted_and_deduplicated(self):
         w = AsymmetryWeights({(2, 0): 1.0})
         assert (0, 2) in w.weights
@@ -390,8 +387,9 @@ class TestWeightedClone:
             spec = CloneSpec(d, n, m)
             phi = random_pure_state(d, 61)
             res = weighted_clone(spec, phi, AsymmetryWeights.equal(n, m))
+            output = partial_trace_state(res.joint, range(m))
             oracle = unified_output_oracle(spec, phi)
-            assert trace_distance_matrices(res.output.matrix, oracle.density.matrix) < TOL
+            assert trace_distance_matrices(output.matrix, oracle.density.matrix) < TOL
 
     def test_single_subset_clones_perfectly_inside(self):
         spec = CloneSpec(2, 1, 3)
@@ -402,28 +400,11 @@ class TestWeightedClone:
         assert res.slot_fidelities[1] == pytest.approx(0.5, abs=1e-12)
         assert res.slot_fidelities[2] == pytest.approx(0.5, abs=1e-12)
 
-    def test_reduces_to_asymmetric_pair_machine(self):
-        d = 2
-        phi = random_pure_state(d, 63)
-        alpha, beta = 0.6, 0.8
-        pair = asymmetric_1to2(d, phi, AsymmetryWeights.pair(alpha, beta))
-        general = weighted_clone(
-            CloneSpec(d, 1, 2), phi, AsymmetryWeights.pair(alpha, beta)
-        )
-        assert general.slot_fidelities[0] == pytest.approx(pair.fidelity_a, abs=TOL)
-        assert general.slot_fidelities[1] == pytest.approx(pair.fidelity_b, abs=TOL)
-
     def test_missing_subset_raises(self):
         spec = CloneSpec(2, 1, 3)
         phi = random_pure_state(2, 64)
         with pytest.raises(ValueError):
             weighted_clone(spec, phi, AsymmetryWeights({(0,): 1.0}))
-
-    def test_tagged_exploratory(self):
-        spec = CloneSpec(2, 1, 2)
-        phi = random_pure_state(2, 65)
-        res = weighted_clone(spec, phi, AsymmetryWeights.equal(1, 2))
-        assert res.machine_tag == "weighted-exploratory"
 
 
 class TestRunMachine:
