@@ -5,11 +5,11 @@ Four subcommands, each emitting JSON (validating against the shipped
 
 * ``table``          — numeric vs closed-form F_L for one machine.
 * ``verify``         — cross-checks the three machine constructions;
-                       adds full-tensor oracle comparisons when the
-                       problem fits under the oracle cap and their
-                       dense arrays under the fast-path cap, and checks
-                       every F_L against its closed form when it does
-                       not.
+                       adds full-tensor oracle comparisons, exact trace
+                       distances between factors, when the problem fits
+                       under the oracle cap and a trial's arrays under
+                       the fast-path cap, and checks every F_L against
+                       its closed form when it does not.
 * ``asym-sweep``     — 1 -> 2 asymmetric fidelity trade-off curve of
                        ``weighted_clone``, Cerf's optimal cloner.
 * ``identity-check`` — exact rational check of the summation identity
@@ -42,6 +42,7 @@ from .hilbert import (
     PureState,
     random_pure_state,
     random_unitary,
+    trace_distance_factors,
     trace_distance_matrices,
 )
 from .machines import (
@@ -55,7 +56,7 @@ from .machines import (
     weighted_clone,
     werner_output_oracle,
 )
-from .symmetric import projector_full, sym_to_full_density, sym_unitary
+from .symmetric import project_symmetric, sym_to_full_density, sym_unitary
 
 DISTANCE_TOL = 1e-10
 OUTPUT_DIR_ENV = "UQCM_OUTPUT_DIR"
@@ -189,7 +190,7 @@ def _cmd_verify(
         )
     elif (entries := full_mode_entries(spec)) > FAST_PATH_CAP:
         reason = (
-            f"the oracle checks' {d**m} x {d**m} arrays bring a trial to {entries} "
+            f"the oracle and covariance checks bring a trial to {entries} "
             f"entries, above the fast-path cap {FAST_PATH_CAP}"
         )
     full_mode = reason is None
@@ -231,20 +232,19 @@ def _cmd_verify(
                 )
                 for name in MACHINES
             )
-            oracle_w = werner_output_oracle(spec, phi)
-            proj = projector_full(d, m)
-            values["symmetric-support"] = trace_distance_matrices(
-                proj @ oracle_w.matrix @ proj, oracle_w.matrix
+            # Each oracle check is the exact trace distance between two
+            # factors of at most d^(2*m_out-n_in) entries; no d^m_out x
+            # d^m_out array is formed.
+            oracle_w = werner_output_oracle(spec, phi).factor
+            values["symmetric-support"] = trace_distance_factors(
+                project_symmetric(oracle_w, d, m), oracle_w
             )
-            # Each dense D x D operand is released once its last check is done.
-            del proj
-            values["werner-vs-oracle"] = trace_distance_matrices(
-                sym_to_full_density(outs["werner"]).matrix, oracle_w.matrix
+            values["werner-vs-oracle"] = trace_distance_factors(
+                sym_to_full_density(outs["werner"]).factor, oracle_w
             )
-            del oracle_w
-            values["unified-vs-oracle"] = trace_distance_matrices(
-                sym_to_full_density(outs["unified"]).matrix,
-                unified_output_oracle(spec, phi).density.matrix,
+            values["unified-vs-oracle"] = trace_distance_factors(
+                sym_to_full_density(outs["unified"]).factor,
+                unified_output_oracle(spec, phi).density.factor,
             )
         return values
 

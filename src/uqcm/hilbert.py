@@ -10,6 +10,14 @@ All sizes are capped at :data:`ORACLE_CAP` amplitudes; requests beyond
 that fail fast instead of exhausting memory.  The occupation-basis fast
 paths have their own, far larger budget, :data:`FAST_PATH_CAP`.
 
+A density operator over the full space is held as a factor, rho = F F^dagger
+for a d^n x r matrix F (:class:`FullDensity`), as the occupation-basis
+densities are: a pure state is its own column, a partial trace is a
+reshape of the factor, and the dense rho is formed only when read.  Two
+factor-held densities are compared by :func:`trace_distance_factors`,
+which is exact and works on an (r_x + r_y)-sized matrix from one QR
+factorisation, never on a d^n x d^n array.
+
 The dense checks use the cheapest LAPACK call that decides them.
 :func:`check_density` decides positive semidefiniteness by a Cholesky
 factorisation of the matrix shifted by ``-PSD_TOL`` on its diagonal,
@@ -24,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -125,29 +134,35 @@ class FullState:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
     def density(self) -> "FullDensity":
-        return FullDensity(
-            np.outer(self.amplitudes, self.amplitudes.conj()),
-            self.factors,
-            self.local_dim,
-        )
+        """|self><self|, held as the one-column factor of the amplitudes."""
+        return FullDensity(self.amplitudes[:, None], self.factors, self.local_dim)
 
 
 @dataclass(frozen=True)
 class FullDensity:
-    """Density operator on ``factors`` qudits, validated on construction."""
+    """Density operator F F^dagger on ``factors`` qudits, held as its factor.
 
-    matrix: np.ndarray
+    ``factor`` is a d^factors x r matrix F.  Construction checks it in
+    O(size) (:func:`check_factor`): the shape, finite entries and
+    ||F||_F^2 = 1; Hermiticity and positivity hold by construction.
+    ``matrix`` forms the dense rho only when read.
+    """
+
+    factor: np.ndarray
     factors: int
     local_dim: int
 
     def __post_init__(self) -> None:
-        mat = np.asarray(self.matrix, dtype=np.complex128)
-        dim = self.local_dim**self.factors
-        if mat.shape != (dim, dim):
-            raise ValueError(f"matrix shape {mat.shape} does not match dim {dim}")
-        check_density(mat)
+        factor = np.asarray(self.factor, dtype=np.complex128)
+        check_factor(factor, self.local_dim**self.factors)
+        factor.setflags(write=False)
+        object.__setattr__(self, "factor", factor)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        mat = self.factor @ self.factor.conj().T
         mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        return mat
 
 
 def check_density(mat: np.ndarray) -> None:
@@ -225,44 +240,68 @@ def permute_factors(state: FullState, perm) -> FullState:
 
 
 def partial_trace(rho: FullDensity, keep) -> FullDensity:
-    """Reduced density operator on the kept factors (ascending original order)."""
-    keep = sorted(set(int(i) for i in keep))
-    if not keep:
-        raise ValueError("keep set must be nonempty")
-    if keep[0] < 0 or keep[-1] >= rho.factors:
-        raise ValueError(f"keep indices {keep} outside 0..{rho.factors - 1}")
-    n, d = rho.factors, rho.local_dim
-    shaped = rho.matrix.reshape((d,) * (2 * n))
-    row_labels = list(range(n))
-    col_labels = [i if i not in keep else n + i for i in range(n)]
-    out_labels = keep + [n + i for i in keep]
-    reduced = np.einsum(shaped, row_labels + col_labels, out_labels)
-    dim = d ** len(keep)
-    return FullDensity(reduced.reshape(dim, dim), len(keep), d)
+    """Reduced density operator on the kept factors (ascending original order).
+
+    Tracing out factors of F F^dagger moves them, with F's r columns,
+    into the columns of the reduced factor: F is reshaped to
+    (kept, traced * r), and no d^n x d^n array is formed.
+    """
+    keep = _keep_list(keep, rho.factors)
+    traced = [i for i in range(rho.factors) if i not in keep]
+    d, columns = rho.local_dim, rho.factor.shape[1]
+    shaped = rho.factor.reshape((d,) * rho.factors + (columns,))
+    moved = shaped.transpose(keep + traced + [rho.factors])
+    return FullDensity(moved.reshape(d ** len(keep), -1), len(keep), d)
 
 
 def partial_trace_state(psi: FullState, keep) -> FullDensity:
-    """Partial trace of |psi><psi| without forming the full outer product."""
-    keep = sorted(set(int(i) for i in keep))
-    if not keep:
-        raise ValueError("keep set must be nonempty")
-    if keep[0] < 0 or keep[-1] >= psi.factors:
-        raise ValueError(f"keep indices {keep} outside 0..{psi.factors - 1}")
+    """Partial trace of |psi><psi|, held as the kept x traced block of amplitudes."""
+    keep = _keep_list(keep, psi.factors)
     traced = [i for i in range(psi.factors) if i not in keep]
     moved = permute_factors(psi, keep + traced)
     d = psi.local_dim
-    block = moved.amplitudes.reshape(d ** len(keep), d ** len(traced))
-    return FullDensity(block @ block.conj().T, len(keep), d)
+    return FullDensity(
+        moved.amplitudes.reshape(d ** len(keep), d ** len(traced)), len(keep), d
+    )
+
+
+def _keep_list(keep, factors: int) -> list[int]:
+    keep = sorted(set(int(i) for i in keep))
+    if not keep:
+        raise ValueError("keep set must be nonempty")
+    if keep[0] < 0 or keep[-1] >= factors:
+        raise ValueError(f"keep indices {keep} outside 0..{factors - 1}")
+    return keep
 
 
 def fidelity_pure(rho: FullDensity, psi: FullState) -> float:
-    """<psi|rho|psi> as a real number."""
+    """<psi|rho|psi> = ||F^dagger psi||^2 for rho = F F^dagger."""
     if rho.factors != psi.factors or rho.local_dim != psi.local_dim:
         raise ValueError("state and density operator live on different spaces")
-    value = complex(psi.amplitudes.conj() @ rho.matrix @ psi.amplitudes)
-    if abs(value.imag) > NORM_TOL:
-        raise ValueError(f"fidelity came out non-real: {value}")
-    return value.real
+    overlaps = psi.amplitudes.conj() @ rho.factor
+    return float(np.vdot(overlaps, overlaps).real)
+
+
+def trace_distance_factors(x: np.ndarray, y: np.ndarray) -> float:
+    """Trace distance 0.5 * ||x x^dagger - y y^dagger||_1 of two factor-held densities.
+
+    Exact, not a bound.  With [x y] = Q R, Q an isometry and R split into
+    the column blocks R_x, R_y, x x^dagger - y y^dagger equals
+    Q (R_x R_x^dagger - R_y R_y^dagger) Q^dagger, and the Schatten norms are
+    unitarily invariant (Watrous, The Theory of Quantum Information,
+    2018, section 1.1), so the trace norm is that of the small Hermitian
+    matrix R_x R_x^dagger - R_y R_y^dagger, the sum of the absolute values
+    of its eigenvalues.  One QR of the D x (r_x + r_y) stack and one
+    eigensolve of a matrix at most (r_x + r_y) x (r_x + r_y): O(D (r_x +
+    r_y)^2), and no D x D array.
+    """
+    if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
+        raise ValueError(f"factor shapes {x.shape} and {y.shape} do not share rows")
+    r = np.linalg.qr(np.hstack([x, y]), mode="r")
+    r_x, r_y = r[:, : x.shape[1]], r[:, x.shape[1] :]
+    small = r_x @ r_x.conj().T - r_y @ r_y.conj().T
+    _check_hermitian(small, "difference of the factors' Gram matrices")
+    return 0.5 * float(np.abs(np.linalg.eigvalsh(small)).sum())
 
 
 def trace_distance_matrices(a: np.ndarray, b: np.ndarray) -> float:

@@ -21,9 +21,12 @@ nonzero only on |a+k>|k>, so all three return the same type, a
 of those entries; J itself is scattered only when read, and all of it
 is subject to :data:`~uqcm.hilbert.FAST_PATH_CAP`.
 ``*_oracle`` variants rebuild the same object in the full tensor space
-(subject to the oracle cap) for verification, and ``explicit_1to2`` is
-the closed-form symmetric 1 -> 2 map the entangled-pair machine is
-checked against.
+(subject to the oracle cap) for verification: the same projector-form
+and entangled-pair constructions, held as factors of at most
+d^(2 m_out - n_in) entries, with the symmetric projector applied through
+the embedding isometry instead of formed as a d^m_out x d^m_out matrix.
+``explicit_1to2`` is the closed-form symmetric 1 -> 2 map the
+entangled-pair machine is checked against.
 
 ``weighted_clone`` is the one asymmetric machine: the entangled-pair
 arrangement of ``unified_output_oracle``, summed over every permutation
@@ -61,7 +64,7 @@ from .symmetric import (
     SymDensity,
     expand_power,
     log_factorials,
-    projector_full,
+    project_symmetric,
     split_table,
     sweep_budget,
     sweep_width,
@@ -154,20 +157,24 @@ def werner_output(spec: CloneSpec, phi: PureState) -> SymDensity:
 
 
 def werner_output_oracle(spec: CloneSpec, phi: PureState) -> FullDensity:
-    """Projector-form cloner built literally in the full tensor space."""
+    """Projector-form cloner built literally in the full tensor space.
+
+    (D_N / D_M) P (rho_in x I) P for the pure input rho_in =
+    (|phi><phi|)^(x n_in), with P the symmetric projector on m_out qudits
+    and D_t = sym_dim(d, t), held as its factor
+    sqrt(D_N / D_M) P (|phi>^(x n_in) x I_(d^(m_out - n_in))), which has
+    d^(2 m_out - n_in) entries.
+    """
     _check_phi(spec, phi)
     d, n, m_total = spec.d, spec.n_in, spec.m_out
-    check_cap(d, m_total)
-    sigma = phi.density()
-    block = np.eye(1, dtype=np.complex128)
+    check_cap(d, 2 * m_total - n)
+    inputs = np.ones(1, dtype=np.complex128)
     for _ in range(n):
-        block = np.kron(block, sigma)
-    block = np.kron(block, np.eye(d ** (m_total - n), dtype=np.complex128))
-    proj = projector_full(d, m_total)
-    out = (sym_dim(d, n) / sym_dim(d, m_total)) * (proj @ block @ proj)
-    # Validating the density needs three D x D buffers of its own.
-    del block, proj
-    return FullDensity(out, factors=m_total, local_dim=d)
+        inputs = np.kron(inputs, phi.amplitudes)
+    padded = np.kron(inputs[:, None], np.eye(d ** (m_total - n)))
+    scale = math.sqrt(sym_dim(d, n) / sym_dim(d, m_total))
+    factor = scale * project_symmetric(padded, d, m_total)
+    return FullDensity(factor, factors=m_total, local_dim=d)
 
 
 def fan_output(spec: CloneSpec, phi: PureState) -> SymDensity:
@@ -246,13 +253,13 @@ def unified_output_oracle(spec: CloneSpec, phi: PureState) -> UnifiedOracleResul
 
     state = _pair_arrangement(phi, n_total, blanks)
     block = state.amplitudes.reshape(d**m_total, d**blanks)
-    projected = projector_full(d, m_total) @ block
-    norm = float(np.linalg.norm(projected))
-    lam = 1.0 / norm
-    joint = FullState(
-        (lam * projected).ravel(), factors=m_total + blanks, local_dim=d
-    )
-    density = partial_trace_state(joint, range(m_total))
+    projected = project_symmetric(block, d, m_total)
+    lam = 1.0 / float(np.linalg.norm(projected))
+    projected *= lam
+    joint = FullState(projected.ravel(), factors=m_total + blanks, local_dim=d)
+    # The copy slots lead, so the joint state's block with the ancilla
+    # still open is the factor of their reduced state.
+    density = FullDensity(projected, factors=m_total, local_dim=d)
     return UnifiedOracleResult(joint=joint, lam=lam, density=density)
 
 
@@ -434,17 +441,25 @@ def check_fast_path(spec: CloneSpec, joint: bool = False) -> int:
 def full_mode_entries(spec: CloneSpec) -> int:
     """Entries one full-mode ``uqcm verify`` trial holds at its peak.
 
-    The ``joint=True`` rule of :func:`check_fast_path` counts only
-    occupation-basis arrays; the oracle checks add dense D x D arrays,
-    D = d^m_out, of which at most 4.5 are alive at once.  Building the
-    werner oracle holds the padded input block, the real symmetric
-    projector (half a complex array), its complex cast for the product
-    and the two products; the support check holds the oracle, the
-    projector and P rho P, then the difference and the two real buffers
-    of its Hermiticity test.  ``uqcm verify`` runs full mode only when
+    The ``joint=True`` rule of :func:`check_fast_path` counts the
+    occupation-basis arrays of the pairwise checks.  Full mode adds the
+    covariance check's dim_out x dim_out arrays (the rotated unitary,
+    the rotated machine's density and the conjugated one, beyond what a
+    pairwise check holds), :func:`~uqcm.symmetric.sym_unitary`'s two
+    d^m_out x dim_out transients and the oracle checks' factors, each at
+    most d^(2 m_out - n_in) entries: the oracle, its projection and their
+    stack, and the arrays the projection passes through.  No d^m_out x
+    d^m_out array is formed.  ``uqcm verify`` runs full mode only when
     this fits under FAST_PATH_CAP.
     """
-    return check_fast_path(spec, joint=True) + 9 * spec.d ** (2 * spec.m_out) // 2
+    d, n, m = spec.d, spec.n_in, spec.m_out
+    d_out = spec.dim_out
+    return (
+        check_fast_path(spec, joint=True)
+        + 3 * d_out**2
+        + 2 * d**m * d_out
+        + 6 * d ** (2 * m - n)
+    )
 
 
 def _pair_arrangement(phi: PureState, copies: int, blanks: int) -> FullState:

@@ -5,7 +5,14 @@ product strings with ``m_j`` factors in level |j> (slot j counts the
 0-based computational level j, so at d=2 the vector (2,0) embeds to |00>).
 The polynomial-size occupation representation is used for all production
 paths; :func:`embed` and friends bridge to the exponential full tensor
-space, which serves only as the verification oracle.
+space, which serves only as the verification oracle.  The bridge forms
+no d^total x d^total matrix: the embedding isometry has one nonzero per
+row, so iso @ y is a row gather and iso^T @ x a sum over each
+occupation's strings.  :func:`project_symmetric` applies P = iso iso^T
+that way, full-space densities cross as factors
+(:func:`sym_to_full_density`, :func:`full_to_sym_density`), and
+:func:`sym_unitary` contracts u into each tensor axis instead of forming
+u^(x total).  :func:`projector_full` is kept as the dense reference.
 
 Every decision about the numeric occupation basis is made here: the one
 cached count table per (d, total) (:attr:`SymBasis.counts`), the one
@@ -237,22 +244,67 @@ def embed_isometry(d: int, total: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _embed_isometry(d: int, total: int) -> np.ndarray:
-    # Row r is the product string of r's base-d digits; its occupation is
-    # the digit histogram, and all d^total histograms are ranked at once.
-    digits = np.arange(d**total)[:, None] // d ** np.arange(total) % d
-    counts = (digits[:, :, None] == np.arange(d)).sum(axis=1)
-    iso = np.zeros((d**total, sym_dim(d, total)))
-    iso[np.arange(d**total), _canonical_index(counts, total)] = 1.0
-    # Occupation m has total!/prod(m_j!) strings, each weighted 1/sqrt of that.
-    iso /= np.sqrt(iso.sum(axis=0))
+    columns, scale, _, _ = _embed_columns(d, total)
+    iso = np.zeros((d**total, scale.size))
+    iso[np.arange(d**total), columns] = scale[columns]
     iso.setflags(write=False)
     return iso
 
 
+@lru_cache(maxsize=None)
+def _embed_columns(
+    d: int, total: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The isometry's one nonzero per row: where it sits, and its value per column.
+
+    Returns (columns, scale, order, starts): row r of the isometry holds
+    scale[columns[r]] in column columns[r]; ``order`` lists the rows
+    column by column, and column c's rows start at ``starts[c]`` of it.
+    Row r is the product string of r's base-d digits, its column the
+    rank of the digit histogram, all d^total ranked at once; occupation m
+    has total!/prod(m_j!) strings, each weighted 1/sqrt of that.
+    """
+    digits = np.arange(d**total)[:, None] // d ** np.arange(total) % d
+    counts = (digits[:, :, None] == np.arange(d)).sum(axis=1)
+    columns = _canonical_index(counts, total)
+    scale = 1.0 / np.sqrt(np.bincount(columns, minlength=sym_dim(d, total)))
+    order = np.argsort(columns, kind="stable")
+    starts = np.searchsorted(columns[order], np.arange(scale.size))
+    for table in (columns, scale, order, starts):
+        table.setflags(write=False)
+    return columns, scale, order, starts
+
+
+def _expand(y: np.ndarray, d: int, total: int) -> np.ndarray:
+    """iso @ y for the embedding isometry, as one row gather."""
+    columns, scale, _, _ = _embed_columns(d, total)
+    return y[columns] * scale[columns, None]
+
+
+def _compress(x: np.ndarray, d: int, total: int) -> np.ndarray:
+    """iso^T @ x for the embedding isometry, as one sum over each column's rows."""
+    _, scale, order, starts = _embed_columns(d, total)
+    return np.add.reduceat(x[order], starts, axis=0) * scale[:, None]
+
+
 def projector_full(d: int, total: int) -> np.ndarray:
-    """Orthogonal projector onto the symmetric subspace, as a d^total matrix."""
+    """Orthogonal projector onto the symmetric subspace, as a d^total matrix.
+
+    The dense reference only; :func:`project_symmetric` applies it.
+    """
     iso = embed_isometry(d, total)
     return iso @ iso.T
+
+
+def project_symmetric(x: np.ndarray, d: int, total: int) -> np.ndarray:
+    """P @ x for the symmetric projector P = iso iso^T on ``total`` qudits.
+
+    Applied as iso @ (iso^T @ x), a sum over each occupation's strings
+    and a gather back, O(d^total) per column of x; P itself, a
+    d^total x d^total matrix, is never formed.
+    """
+    check_cap(d, total)
+    return _expand(_compress(x, d, total), d, total)
 
 
 def sym_to_full_state(v: SymVector) -> FullState:
@@ -261,29 +313,42 @@ def sym_to_full_state(v: SymVector) -> FullState:
 
 
 def sym_to_full_density(rho: SymDensity) -> FullDensity:
-    iso = embed_isometry(rho.basis.d, rho.basis.total)
-    return FullDensity(
-        iso @ rho.matrix @ iso.T,
-        factors=rho.basis.total,
-        local_dim=rho.basis.d,
-    )
+    """The full-space density iso rho iso^T, held as the factor iso @ J."""
+    d, total = rho.basis.d, rho.basis.total
+    check_cap(d, total)
+    return FullDensity(_expand(rho.joint, d, total), factors=total, local_dim=d)
 
 
 def full_to_sym_density(rho: FullDensity) -> SymDensity:
-    """Compress a full-space density with symmetric support into the occupation basis."""
-    iso = embed_isometry(rho.local_dim, rho.factors)
-    basis = SymBasis(rho.local_dim, rho.factors)
-    return SymDensity.from_matrix(basis, iso.T @ rho.matrix @ iso)
+    """Compress a full-space density with symmetric support into the occupation basis.
+
+    The factor iso^T @ F keeps unit trace only if F lies in the
+    symmetric subspace, so the density check also tests the support.
+    """
+    d, total = rho.local_dim, rho.factors
+    check_cap(d, total)
+    return SymDensity(
+        basis=SymBasis(d, total), factor=_compress(rho.factor, d, total)
+    )
 
 
 def sym_unitary(u: np.ndarray, total: int) -> np.ndarray:
-    """Restriction of u^(x total) to the symmetric subspace (a dim x dim unitary)."""
+    """Restriction of u^(x total) to the symmetric subspace (a dim x dim unitary).
+
+    iso^T u^(x total) iso without the Kronecker power: iso, reshaped to
+    (d,) * total + (dim,), has u contracted into each of its ``total``
+    tensor axes in turn, one batched d x d product per axis, and the
+    result is compressed by iso^T.  It costs total * d^(total+1) * dim
+    and holds d^total x dim complex arrays, never a d^total x d^total one.
+    """
     d = u.shape[0]
-    iso = embed_isometry(d, total)
-    power = np.eye(1, dtype=np.complex128)
-    for _ in range(total):
-        power = np.kron(power, u)
-    return iso.T @ power @ iso
+    check_cap(d, total)
+    columns, scale, _, _ = _embed_columns(d, total)
+    rotated = np.zeros((d**total, scale.size), dtype=np.complex128)
+    rotated[np.arange(d**total), columns] = scale[columns]
+    for axis in range(total):
+        rotated = np.matmul(u, rotated.reshape(d**axis, d, -1))
+    return _compress(rotated.reshape(d**total, -1), d, total)
 
 
 def expand_power(phi: PureState, copies: int) -> SymVector:

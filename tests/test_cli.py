@@ -10,10 +10,13 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import uqcm.cli as cli
 from uqcm import machines, symmetric
+from uqcm.hilbert import FullDensity
+from uqcm.symmetric import SymDensity
 
 
 def _run(capsys, argv):
@@ -263,23 +266,24 @@ class TestVerify:
         assert 16 * 3 * spec.dim_out**2 < peak <= 16 * counted
 
     def test_dense_oracle_arrays_over_cap_fall_back(self, capsys):
-        # d^(2M-N) = 4096 fits the oracle cap, but the oracle checks would
-        # hold 4.5 dense 4096 x 4096 arrays (1.2 GB), above the fast-path cap.
+        # d^(2M-N) = 4096 fits the oracle cap.  The oracle checks hold their
+        # densities as factors of at most 4096 entries, so (2,12,12) runs in
+        # full mode, far below one 4096 x 4096 complex array (268 MB).
+        argv = ["verify", "--d", "2", "--n", "12", "--m", "12", "--trials", "1"]
         tracemalloc.start()
         try:
-            status = cli.main(["verify", "--d", "2", "--n", "12", "--m", "12",
-                               "--trials", "1"])
+            status = cli.main(argv)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         captured = capsys.readouterr()
         assert status == 0
-        assert "4096 x 4096" in captured.err and "fast-path cap" in captured.err
+        assert captured.err == ""
         payload = json.loads(captured.out)
         jsonschema.validate(payload, _schema())
-        assert payload["mode"] == "fast-path-only"
+        assert payload["mode"] == "full"
         assert payload["pass"] is True
-        assert peak < 1_000_000
+        assert peak < 16 * 4096**2 // 8
 
     def test_full_mode_budget_counts_the_dense_oracle_arrays(self, capsys, monkeypatch):
         # A cap equal to the full-mode count at (2,9,9) keeps full mode on, and
@@ -292,7 +296,8 @@ class TestVerify:
         for module in (symmetric, machines, cli):
             monkeypatch.setattr(module, "FAST_PATH_CAP", counted)
         for cached in (symmetric._counts_table, symmetric.split_table,
-                       symmetric.log_factorials, symmetric._embed_isometry):
+                       symmetric.log_factorials, symmetric._embed_isometry,
+                       symmetric._embed_columns):
             cached.cache_clear()
         tracemalloc.start()
         try:
@@ -302,14 +307,33 @@ class TestVerify:
             tracemalloc.stop()
         assert status == 0
         assert json.loads(out)["mode"] == "full"
-        assert 16 * 4 * 512**2 < peak <= 16 * counted
+        assert peak <= 16 * counted
 
         monkeypatch.setattr(cli, "FAST_PATH_CAP", counted - 1)
-        status, out = _run(capsys, argv)
+        status = cli.main(argv)
+        captured = capsys.readouterr()
         assert status == 0
-        assert json.loads(out)["mode"] == "fast-path-only"
+        assert json.loads(captured.out)["mode"] == "fast-path-only"
+        assert f"{counted} entries" in captured.err and "fast-path cap" in captured.err
 
-    def test_benchmark_oracle_configs_stay_in_full_mode(self):
+    def test_full_mode_trial_forms_no_full_space_matrix(self, capsys):
+        # One 512 x 512 complex array is 4 MiB; the whole traced trial at
+        # (2,9,9), oracles and all, stays below that.
+        argv = ["verify", "--d", "2", "--n", "9", "--m", "9", "--trials", "1"]
+        _run(capsys, argv)  # warm-up: lazy imports are not part of a trial
+        for cached in (symmetric._embed_isometry, symmetric._embed_columns):
+            cached.cache_clear()
+        tracemalloc.start()
+        try:
+            status, out = _run(capsys, argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert status == 0
+        assert json.loads(out)["mode"] == "full"
+        assert peak < 16 * 512**2
+
+    def test_benchmark_oracle_configs_stay_in_full_mode(self, capsys):
         # Every d^M <= 343 point with n < m that fits the oracle cap.
         configs = [
             machines.CloneSpec(d, n, m)
@@ -321,6 +345,81 @@ class TestVerify:
         ]
         assert len(configs) == 45
         assert all(machines.full_mode_entries(s) <= cli.FAST_PATH_CAP for s in configs)
+        for s in configs:
+            argv = ["verify", "--d", str(s.d), "--n", str(s.n_in), "--m", str(s.m_out),
+                    "--trials", "1"]
+            status, out = _run(capsys, argv)
+            payload = json.loads(out)
+            assert (status, payload["mode"], payload["pass"]) == (0, "full", True), argv
+
+
+class TestOracleChecksHaveTeeth:
+    """Each mutation pushes its full-mode check above DISTANCE_TOL."""
+
+    ARGV = ["verify", "--d", "2", "--n", "1", "--m", "3", "--trials", "1"]
+
+    def _distances(self, capsys):
+        status, out = _run(capsys, self.ARGV)
+        checks = {c["name"]: c["max_distance"] for c in json.loads(out)["checks"]}
+        return status, checks
+
+    def test_unmutated_checks_pass(self, capsys):
+        status, checks = self._distances(capsys)
+        assert status == 0
+        assert max(checks.values()) < cli.DISTANCE_TOL
+
+    def test_perturbed_werner_table(self, capsys, monkeypatch):
+        real = machines.werner_output
+
+        def perturbed(spec, phi):
+            rho = real(spec, phi)
+            table = rho.factor + 1e-8 * np.arange(rho.factor.size).reshape(
+                rho.factor.shape
+            )
+            return SymDensity(rho.basis, table / np.linalg.norm(table), rho.kept)
+
+        monkeypatch.setattr(machines, "werner_output", perturbed)
+        status, checks = self._distances(capsys)
+        assert status == 1
+        assert checks["werner-vs-oracle"] > cli.DISTANCE_TOL
+        assert checks["unified-vs-oracle"] < cli.DISTANCE_TOL
+
+    @pytest.mark.parametrize("which", ["werner", "unified"])
+    def test_oracle_factor_with_a_column_dropped(self, capsys, monkeypatch, which):
+        def dropped(density):
+            factor = density.factor[:, :-1]
+            return FullDensity(
+                factor / np.linalg.norm(factor), density.factors, density.local_dim
+            )
+
+        if which == "werner":
+            real = cli.werner_output_oracle
+            monkeypatch.setattr(
+                cli, "werner_output_oracle", lambda spec, phi: dropped(real(spec, phi))
+            )
+        else:
+            real_unified = cli.unified_output_oracle
+
+            def unified(spec, phi):
+                result = real_unified(spec, phi)
+                return machines.UnifiedOracleResult(
+                    result.joint, result.lam, dropped(result.density)
+                )
+
+            monkeypatch.setattr(cli, "unified_output_oracle", unified)
+        status, checks = self._distances(capsys)
+        assert status == 1
+        assert checks[f"{which}-vs-oracle"] > cli.DISTANCE_TOL
+
+    def test_projection_without_its_compress_step(self, capsys, monkeypatch):
+        # P x = iso @ (iso^T @ x); dropping iso^T gathers rows of x as if
+        # they were occupation amplitudes.
+        monkeypatch.setattr(
+            cli, "project_symmetric", lambda x, d, total: symmetric._expand(x, d, total)
+        )
+        status, checks = self._distances(capsys)
+        assert status == 1
+        assert checks["symmetric-support"] > cli.DISTANCE_TOL
 
 
 class TestAsymSweep:

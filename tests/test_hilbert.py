@@ -24,6 +24,7 @@ from uqcm.hilbert import (
     random_pure_state,
     random_unitary,
     tensor,
+    trace_distance_factors,
     trace_distance_matrices,
 )
 
@@ -136,15 +137,70 @@ class TestPartialTrace:
         rho = partial_trace_state(psi, {0, 1})
         assert np.allclose(rho.matrix, psi.density().matrix, atol=TOL)
 
+    @pytest.mark.parametrize("keep", [{0}, {2}, {0, 2}, {1, 3}, {0, 1, 3}])
+    def test_factor_reshape_matches_dense_contraction(self, keep):
+        # A rank-3 density on four qutrits, traced on its dense matrix as
+        # the reference; the reduced factor moves the traced qudits into
+        # its columns.
+        rng = np.random.default_rng(19)
+        factor = rng.normal(size=(81, 3)) + 1j * rng.normal(size=(81, 3))
+        rho = FullDensity(factor / np.linalg.norm(factor), 4, 3)
+        reduced = partial_trace(rho, keep)
+        assert reduced.factor.shape == (3 ** len(keep), 3 ** (4 - len(keep)) * 3)
+        shaped = rho.matrix.reshape((3,) * 8)
+        rows = list(range(4))
+        cols = [i if i not in keep else 4 + i for i in range(4)]
+        out = sorted(keep) + [4 + i for i in sorted(keep)]
+        dim = 3 ** len(keep)
+        expected = np.einsum(shaped, rows + cols, out).reshape(dim, dim)
+        assert np.allclose(reduced.matrix, expected, atol=TOL)
+
+    def test_state_shortcut_is_the_amplitude_block(self):
+        psi = _random_full(2, 3, 23)
+        rho = partial_trace_state(psi, {0})
+        assert rho.factor.shape == (2, 4)
+        assert np.array_equal(rho.factor.ravel(), psi.amplitudes)
+
+
+class TestFullDensity:
+    def test_matrix_is_cached_read_only_and_formed_from_the_factor(self):
+        rng = np.random.default_rng(29)
+        factor = rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2))
+        rho = FullDensity(factor / np.linalg.norm(factor), 3, 2)
+        assert "matrix" not in vars(rho)
+        assert rho.matrix is rho.matrix
+        assert not rho.matrix.flags.writeable and not rho.factor.flags.writeable
+        assert np.allclose(rho.matrix, rho.factor @ rho.factor.conj().T, atol=TOL)
+
+    def test_pure_state_density_is_its_column(self):
+        psi = _random_full(3, 2, 31)
+        rho = psi.density()
+        assert rho.factor.shape == (9, 1)
+        assert np.allclose(
+            rho.matrix, np.outer(psi.amplitudes, psi.amplitudes.conj()), atol=TOL
+        )
+
+    @pytest.mark.parametrize(
+        "factor, match",
+        [
+            (np.full((4, 1), 0.6), "trace"),
+            (np.full((4, 1), np.nan), "non-finite"),
+            (np.full((2, 2), 0.5), "shape"),
+        ],
+    )
+    def test_bad_factor_rejected(self, factor, match):
+        with pytest.raises(ValueError, match=match):
+            FullDensity(factor, 2, 2)
+
 
 class TestMetrics:
     def test_trace_distance_extremes(self):
-        rho0 = PureState.basis(2, 0).density()
-        rho1 = PureState.basis(2, 1).density()
-        a = FullDensity(rho0, 1, 2)
-        b = FullDensity(rho1, 1, 2)
+        a = FullDensity(PureState.basis(2, 0).amplitudes[:, None], 1, 2)
+        b = FullDensity(PureState.basis(2, 1).amplitudes[:, None], 1, 2)
         assert trace_distance_matrices(a.matrix, a.matrix) == pytest.approx(0.0, abs=TOL)
         assert trace_distance_matrices(a.matrix, b.matrix) == pytest.approx(1.0, abs=TOL)
+        assert trace_distance_factors(a.factor, a.factor) == pytest.approx(0.0, abs=TOL)
+        assert trace_distance_factors(a.factor, b.factor) == pytest.approx(1.0, abs=TOL)
 
     def test_matrix_variant_agrees(self):
         # Two pure states sit at trace distance sqrt(1 - |<x|y>|^2).
@@ -185,10 +241,60 @@ class TestMetrics:
 
     def test_fidelity_pure_matches_expectation(self):
         psi = random_pure_state(2, 8)
-        rho = FullDensity(np.eye(2) / 2, 1, 2)
+        rho = FullDensity(np.eye(2) / np.sqrt(2), 1, 2)
         assert fidelity_pure(rho, FullState(psi.amplitudes, 1, 2)) == pytest.approx(
             0.5, abs=TOL
         )
+
+
+class TestTraceDistanceFactors:
+    @staticmethod
+    def _factor(rng, dim, rank):
+        factor = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+        return factor / np.linalg.norm(factor)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.integers(2, 64),
+        st.integers(1, 80),
+        st.integers(1, 80),
+        st.integers(0, 2**16),
+    )
+    def test_equals_dense_trace_distance(self, dim, rank_x, rank_y, seed):
+        # Ranks up to 80 against dims from 2 put r_x + r_y above D as often
+        # as below it.
+        rng = np.random.default_rng(seed)
+        x, y = self._factor(rng, dim, rank_x), self._factor(rng, dim, rank_y)
+        dense = trace_distance_matrices(x @ x.conj().T, y @ y.conj().T)
+        assert trace_distance_factors(x, y) == pytest.approx(dense, abs=1e-12)
+
+    @pytest.mark.parametrize("dim, rank_x, rank_y", [(343, 1, 1), (343, 1, 7),
+                                                    (27, 20, 20), (8, 1, 40)])
+    def test_equals_dense_at_rank_one_and_wide_stacks(self, dim, rank_x, rank_y):
+        rng = np.random.default_rng(dim + rank_x + rank_y)
+        x, y = self._factor(rng, dim, rank_x), self._factor(rng, dim, rank_y)
+        dense = trace_distance_matrices(x @ x.conj().T, y @ y.conj().T)
+        assert trace_distance_factors(x, y) == pytest.approx(dense, abs=1e-12)
+
+    def test_rank_one_pair_is_the_pure_state_distance(self):
+        x = random_pure_state(5, 3).amplitudes[:, None]
+        y = random_pure_state(5, 4).amplitudes[:, None]
+        overlap = abs(np.vdot(x, y)) ** 2
+        assert trace_distance_factors(x, y) == pytest.approx(
+            np.sqrt(1.0 - overlap), abs=TOL
+        )
+
+    @pytest.mark.parametrize("dim, rank", [(27, 4), (343, 7), (8, 12)])
+    def test_gauge_rotated_equal_pair_reads_zero(self, dim, rank):
+        # F and F W give the same density for any unitary W.
+        rng = np.random.default_rng(dim * rank)
+        x = self._factor(rng, dim, rank)
+        y = x @ random_unitary(rank, dim)
+        assert trace_distance_factors(x, y) < 1e-14
+
+    def test_different_row_counts_raise(self):
+        with pytest.raises(ValueError, match="rows"):
+            trace_distance_factors(np.ones((4, 1)) / 2, np.ones((2, 1)) / np.sqrt(2))
 
 
 class TestMaximallyEntangled:

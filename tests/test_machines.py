@@ -221,6 +221,28 @@ class TestOracles:
                 math.sqrt(exact), rel=1e-12
             )
 
+    @pytest.mark.parametrize("d,n,m", [(2, 1, 2), (2, 1, 3), (2, 2, 4), (3, 1, 3)])
+    def test_werner_oracle_factor_is_the_dense_projector_form(self, d, n, m):
+        # The dense literal form, (D_N / D_M) P (sigma^(x N) x I) P, is
+        # built here only, as the reference for the oracle's factor.
+        spec = CloneSpec(d, n, m)
+        phi = random_pure_state(d, 14)
+        block = np.eye(1, dtype=np.complex128)
+        for _ in range(n):
+            block = np.kron(block, phi.density())
+        block = np.kron(block, np.eye(d ** (m - n)))
+        proj = projector_full(d, m)
+        dense = spec.dim_in / spec.dim_out * (proj @ block @ proj)
+        oracle = werner_output_oracle(spec, phi)
+        assert oracle.factor.shape == (d**m, d ** (m - n))
+        assert np.allclose(oracle.matrix, dense, atol=TOL)
+
+    def test_unified_oracle_density_is_the_joint_block(self):
+        spec = CloneSpec(2, 1, 3)
+        oracle = unified_output_oracle(spec, random_pure_state(2, 15))
+        traced = partial_trace_state(oracle.joint, range(spec.m_out))
+        assert np.array_equal(oracle.density.factor, traced.factor)
+
     def test_oracle_output_in_symmetric_subspace(self):
         spec = CloneSpec(2, 1, 3)
         phi = random_pure_state(2, 13)

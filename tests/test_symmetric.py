@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from uqcm.combinatorics import OccupationVector, enumerate_occupations, sym_dim
 from uqcm.hilbert import (
+    FullDensity,
     PureState,
     maximally_entangled,
     partial_trace,
@@ -26,6 +27,7 @@ from uqcm.symmetric import (
     embed_isometry,
     expand_power,
     full_to_sym_density,
+    project_symmetric,
     projector_full,
     reduce_symmetric,
     scatter_factor,
@@ -136,6 +138,16 @@ class TestEmbedding:
         assert np.allclose(swap @ proj @ swap.T, proj, atol=TOL)
 
 
+    @pytest.mark.parametrize("d,total,columns", [(2, 3, 1), (3, 4, 5), (4, 3, 16)])
+    def test_projection_matches_dense_projector(self, d, total, columns):
+        rng = np.random.default_rng(d * total + columns)
+        x = rng.normal(size=(d**total, columns)) + 1j * rng.normal(
+            size=(d**total, columns)
+        )
+        expected = projector_full(d, total) @ x
+        assert np.allclose(project_symmetric(x, d, total), expected, atol=TOL)
+
+
 class TestExpandPower:
     def test_matches_literal_tensor_power(self):
         for d in (2, 3):
@@ -170,11 +182,50 @@ class TestSymUnitary:
             assert np.allclose(rotated.amplitudes, pushed, atol=TOL)
 
 
+def _kron_power_reference(u, total):
+    """iso^T u^(x total) iso, the power built by Kronecker products.
+
+    u^(x total) = A (x) B with A, B the Kronecker powers of the two halves,
+    applied to each column of iso reshaped to a matrix X as A X B^T, so no
+    d^total x d^total array is needed even at d^total = 4096.
+    """
+    d = u.shape[0]
+    iso = embed_isometry(d, total)
+
+    def power(copies):
+        out = np.eye(1, dtype=np.complex128)
+        for _ in range(copies):
+            out = np.kron(out, u)
+        return out
+
+    a, b = power(total - total // 2), power(total // 2)
+    grid = iso.T.reshape(-1, a.shape[0], b.shape[0])
+    rotated = np.einsum("ij,cjk,lk->cil", a, grid, b, optimize=True)
+    return iso.T @ rotated.reshape(iso.shape[1], -1).T
+
+
+class TestSymUnitaryReference:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("total", [1, 2, 3, 4, 5, 6])
+    def test_matches_kronecker_power(self, d, total):
+        u = random_unitary(d, 10 * d + total)
+        assert np.allclose(
+            sym_unitary(u, total), _kron_power_reference(u, total), rtol=0, atol=1e-13
+        )
+
+
 class TestConversionRoundtrip:
     def test_full_to_sym_inverts_sym_to_full(self):
         rho = _random_sym_density(2, 3, 71)
         back = full_to_sym_density(sym_to_full_density(rho))
         assert np.allclose(back.matrix, rho.matrix, atol=TOL)
+
+    def test_full_to_sym_rejects_support_outside_the_subspace(self):
+        # |01> is not symmetric: iso^T keeps only half of its weight.
+        column = np.zeros((4, 1))
+        column[1] = 1.0
+        with pytest.raises(ValueError, match="trace"):
+            full_to_sym_density(FullDensity(column, 2, 2))
 
     def test_sym_to_full_preserves_trace(self):
         rho = _random_sym_density(3, 2, 72)
