@@ -4,12 +4,13 @@ Four subcommands, each emitting JSON (validating against the shipped
 ``report_schema.json``) or CSV with stable headers:
 
 * ``table``          — numeric vs closed-form F_L for one machine.
-* ``verify``         — cross-checks the three machine constructions;
-                       adds full-tensor oracle comparisons, exact trace
-                       distances between factors, when the problem fits
-                       under the oracle cap and a trial's arrays under
-                       the fast-path cap, and checks every F_L against
-                       its closed form when it does not.
+* ``verify``         — cross-checks the three machine constructions and
+                       their covariance, as exact trace distances between
+                       factors; adds full-tensor oracle comparisons when
+                       the problem fits under the oracle cap and a
+                       trial's arrays under the fast-path cap, and checks
+                       every F_L against its closed form when it does
+                       not.
 * ``asym-sweep``     — 1 -> 2 asymmetric fidelity trade-off curve of
                        ``weighted_clone``, Cerf's optimal cloner.
 * ``identity-check`` — exact rational check of the summation identity
@@ -19,6 +20,10 @@ Exit codes: 0 pass, 1 verification failure, 2 usage error (a problem
 above the fast-path cap, an ``asym-sweep`` dimension above the oracle
 cap, or a negative seed, counts as one).  Identical configurations
 (including seed) produce byte-identical output.
+
+:func:`main` builds its parser once per process, on the first call, and
+reuses it: a caller that runs many commands in one process (a script or
+a test suite calling ``uqcm.cli.main``) pays for it once.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
 from .combinatorics import verify_identity
@@ -43,7 +49,6 @@ from .hilbert import (
     random_pure_state,
     random_unitary,
     trace_distance_factors,
-    trace_distance_matrices,
 )
 from .machines import (
     MACHINES,
@@ -69,7 +74,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     return status
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call of :func:`main`.
+
+    Parsing leaves it unchanged: every call gets a fresh namespace filled
+    from the same defaults, so reusing it carries nothing between calls.
+    """
     parser = argparse.ArgumentParser(
         prog="uqcm",
         description="Universal qudit cloning: fidelity tables and verification reports.",
@@ -178,7 +189,7 @@ def _cmd_table(
 def _cmd_verify(
     args: argparse.Namespace, parser: argparse.ArgumentParser
 ) -> tuple[int, str]:
-    # Every pairwise check reads each machine's whole J and dense rho.
+    # Every pairwise check reads each machine's whole J.
     spec = _clone_spec(args, parser, joint=True)
     if args.trials < 1:
         parser.error(f"--trials must be positive, got {args.trials}")
@@ -203,16 +214,11 @@ def _cmd_verify(
     def trial(t: int) -> dict[str, float]:
         phi = random_pure_state(d, args.seed + t)
         outs = {name: run_machine(spec, phi, name) for name in MACHINES}
+        # Exact trace distances between the D_out x r factors J; no
+        # D_out x D_out density is formed.
         values = {
-            "pairwise-werner-fan": trace_distance_matrices(
-                outs["werner"].matrix, outs["fan"].matrix
-            ),
-            "pairwise-werner-unified": trace_distance_matrices(
-                outs["werner"].matrix, outs["unified"].matrix
-            ),
-            "pairwise-fan-unified": trace_distance_matrices(
-                outs["fan"].matrix, outs["unified"].matrix
-            ),
+            f"pairwise-{a}-{b}": trace_distance_factors(outs[a].joint, outs[b].joint)
+            for a, b in combinations(MACHINES, 2)
         }
         if not full_mode:
             # Every F_L of every machine, one sweep each, against the closed form.
@@ -225,10 +231,11 @@ def _cmd_verify(
             u = random_unitary(d, 10_000 + args.seed + t)
             u_sym = sym_unitary(u, m)
             rotated = PureState(u @ phi.amplitudes)
+            # (U J)(U J)^dagger = U rho U^dagger, so the rotated factor
+            # stands for the conjugated density.
             values["covariance"] = max(
-                trace_distance_matrices(
-                    run_machine(spec, rotated, name).matrix,
-                    u_sym @ outs[name].matrix @ u_sym.conj().T,
+                trace_distance_factors(
+                    run_machine(spec, rotated, name).joint, u_sym @ outs[name].joint
                 )
                 for name in MACHINES
             )

@@ -22,7 +22,8 @@ The dense checks use the cheapest LAPACK call that decides them.
 :func:`check_density` decides positive semidefiniteness by a Cholesky
 factorisation of the matrix shifted by ``-PSD_TOL`` on its diagonal,
 which succeeds exactly when every eigenvalue is above ``PSD_TOL``.
-:func:`trace_distance_matrices` sums the absolute eigenvalues of the
+:func:`trace_distance_matrices`, the dense reference for
+:func:`trace_distance_factors`, sums the absolute eigenvalues of the
 Hermitian difference from the Hermitian eigensolver instead of its
 singular values.  Both are O(D^3) for a D x D matrix, with constants
 well below those of the full eigenvalue or singular value problem.
@@ -307,7 +308,10 @@ def trace_distance_factors(x: np.ndarray, y: np.ndarray) -> float:
 def trace_distance_matrices(a: np.ndarray, b: np.ndarray) -> float:
     """Trace distance 0.5 * ||a - b||_1 between two Hermitian matrices of equal shape.
 
-    The trace norm of a Hermitian matrix is the sum of the absolute values
+    The dense reference: no production path calls it, since every
+    density the package compares is held as a factor and compared by
+    :func:`trace_distance_factors`; the tests hold that to this.  The
+    trace norm of a Hermitian matrix is the sum of the absolute values
     of its eigenvalues (its singular values are exactly those), so the
     Hermitian eigensolver's eigenvalues of ``a - b`` give the distance
     without the singular value decomposition.  ``a - b`` must be Hermitian

@@ -408,24 +408,26 @@ def check_fast_path(spec: CloneSpec, joint: bool = False) -> int:
     table allocate (:func:`uqcm.symmetric.sweep_budget`): the tables held
     throughout, plus the larger of their construction and one block of
     the sweep.  ``joint=True`` is the rule for ``uqcm verify``, whose
-    trial reads every machine's whole factor J and dense rho: it counts
-    the three dim_out x dim_anc factors and three dim_out x dim_out
-    densities, one pairwise check's three dim_out x dim_out buffers (the
-    difference, its Hermiticity test and LAPACK's copy), and the sweep's
-    tables with one block as wide as the whole table.  Runs before any
-    occupation table or factor of the problem is built, so an oversized
-    request fails at once instead of running out of memory.
+    trial compares every machine's whole factor J by
+    :func:`~uqcm.hilbert.trace_distance_factors` and forms no
+    dim_out x dim_out density: it counts the three machines' tables and
+    dim_out x dim_anc factors, the sweep's tables, and the largest of
+    their construction, one sweep block as wide as the whole table, and
+    one pairwise check's QR (the dim_out x 2 dim_anc stack, numpy's and
+    LAPACK's copies of it, and R with its upper triangle, each at most
+    2 dim_anc square).  Runs before any occupation table or factor of
+    the problem is built, so an oversized request fails at once instead
+    of running out of memory.
     """
     d, n, m = spec.d, spec.n_in, spec.m_out
     held, transient, per_column = sweep_budget(d, m, n)
     if joint:
-        d_out, r = spec.dim_out, spec.dim_anc
-        entries = (
-            3 * d_out * r + 6 * d_out**2 + held + max(transient, per_column * r)
-        )
+        d_in, d_out, r = spec.dim_in, spec.dim_out, spec.dim_anc
+        qr = 2 * r * (3 * d_out + 2 * min(d_out, 2 * r))
+        entries = 3 * (d_in + d_out) * r + held + max(transient, per_column * r, qr)
         what = (
-            f"three {d_out} x {r} output factors, their {d_out} x {d_out} "
-            "densities and one sweep"
+            f"three {d_out} x {r} output factors, one QR of two of them "
+            "and one sweep"
         )
     else:
         entries = held + max(transient, per_column * sweep_width(d, m, n))
@@ -442,22 +444,24 @@ def full_mode_entries(spec: CloneSpec) -> int:
     """Entries one full-mode ``uqcm verify`` trial holds at its peak.
 
     The ``joint=True`` rule of :func:`check_fast_path` counts the
-    occupation-basis arrays of the pairwise checks.  Full mode adds the
-    covariance check's dim_out x dim_out arrays (the rotated unitary,
-    the rotated machine's density and the conjugated one, beyond what a
-    pairwise check holds), :func:`~uqcm.symmetric.sym_unitary`'s two
-    d^m_out x dim_out transients and the oracle checks' factors, each at
-    most d^(2 m_out - n_in) entries: the oracle, its projection and their
-    stack, and the arrays the projection passes through.  No d^m_out x
-    d^m_out array is formed.  ``uqcm verify`` runs full mode only when
-    this fits under FAST_PATH_CAP.
+    factors and the QR of the pairwise checks.  Full mode adds the
+    covariance check's arrays: the dim_out x dim_out restriction
+    u_sym of u^(x m_out) from :func:`~uqcm.symmetric.sym_unitary`, with
+    its last product and two d^m_out x dim_out transients, and the
+    rotated machine's table and factor beside u_sym J; its QR is the
+    size of a pairwise one.  The oracle checks add factors of at most
+    d^(2 m_out - n_in) entries each: the oracle, its projection and
+    their stack, and the arrays the projection passes through.  No
+    d^m_out x d^m_out array is formed.  ``uqcm verify`` runs full mode
+    only when this fits under FAST_PATH_CAP.
     """
     d, n, m = spec.d, spec.n_in, spec.m_out
-    d_out = spec.dim_out
+    d_in, d_out, r = spec.dim_in, spec.dim_out, spec.dim_anc
     return (
         check_fast_path(spec, joint=True)
-        + 3 * d_out**2
+        + 2 * d_out**2
         + 2 * d**m * d_out
+        + (d_in + 2 * d_out) * r
         + 6 * d ** (2 * m - n)
     )
 

@@ -1,5 +1,6 @@
 """Tests for the command-line front end."""
 
+import argparse
 import json
 import os
 import shutil
@@ -15,7 +16,13 @@ import pytest
 
 import uqcm.cli as cli
 from uqcm import machines, symmetric
-from uqcm.hilbert import FullDensity
+from uqcm.hilbert import (
+    FullDensity,
+    PureState,
+    random_pure_state,
+    random_unitary,
+    trace_distance_matrices,
+)
 from uqcm.symmetric import SymDensity
 
 
@@ -218,13 +225,11 @@ class TestVerify:
         assert peak < 1_000_000
 
 
-    @pytest.mark.parametrize("d,n,m,dim_out", [(8, 7, 8, 6435), (10, 9, 10, 92378)])
-    def test_dense_densities_over_cap_exit_2_before_allocating(
-        self, capsys, monkeypatch, d, n, m, dim_out
-    ):
-        # The factors are small (6435 x 8, 92378 x 10), but every pairwise
-        # check reads each machine's dim_out x dim_out density.  A rule that
-        # let them through must fail here, not build gigabytes of densities.
+    @pytest.mark.parametrize("d,n,m", [(8, 2, 8), (8, 3, 8)])
+    def test_factors_over_cap_exit_2_before_allocating(self, capsys, monkeypatch, d, n, m):
+        # (8,2,8) fits `table`, but its three 6435 x 1716 factors alone are
+        # over the cap; (8,3,8)'s factors fit, the QR of two of them does
+        # not.  A rule that let them through must fail here, not run.
         def refuse(*args):
             raise AssertionError("verify ran a machine past its cap check")
 
@@ -239,31 +244,65 @@ class TestVerify:
             tracemalloc.stop()
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert f"{dim_out} x {dim_out}" in err and "fast-path cap" in err
+        assert err.startswith("usage: uqcm verify ")
+        spec = machines.CloneSpec(d, n, m)
+        shape = f"three {spec.dim_out} x {spec.dim_anc} output factors"
+        assert shape in err and "fast-path cap" in err
         assert peak < 1_000_000
 
     def test_budget_counts_what_a_trial_allocates(self, capsys, monkeypatch):
-        # A cap equal to the count puts (5,2,7) right at it, and one
+        # A cap equal to the count puts each point right at it, and one
         # fast-path-only trial, tables built inside the traced span, stays
-        # within it.  Its three 330 x 330 densities alone are far above the
-        # 330 x 126 factor the rule used to count.
-        spec = machines.CloneSpec(5, 2, 7)
+        # within it.  (5,2,7) has a wide table (r = 126), (6,6,8) a narrow
+        # one (r = 21) whose whole count is below one 1287 x 1287 density,
+        # so its trace alone shows that no density is formed.
+        def refuse(self):
+            raise AssertionError("verify formed a dense density")
+
+        monkeypatch.setattr(SymDensity, "matrix", property(refuse))
+        for d, n, m in [(5, 2, 7), (6, 6, 8)]:
+            spec = machines.CloneSpec(d, n, m)
+            counted = machines.check_fast_path(spec, joint=True)
+            for module in (symmetric, machines):
+                monkeypatch.setattr(module, "FAST_PATH_CAP", counted)
+            for cached in (symmetric._counts_table, symmetric.split_table,
+                           symmetric.log_factorials):
+                cached.cache_clear()
+            tracemalloc.start()
+            try:
+                status, out = _run(capsys, ["verify", "--d", str(d), "--n", str(n),
+                                            "--m", str(m), "--trials", "1"])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert status == 0
+            assert json.loads(out)["mode"] == "fast-path-only"
+            assert peak <= 16 * counted
+        assert counted < spec.dim_out**2
+
+    @pytest.mark.parametrize("d,n,m", [(8, 7, 8), (10, 9, 10)])
+    def test_narrow_factors_past_the_dense_rule_pass(self, capsys, d, n, m):
+        # One dense density would be 6435^2 or 92378^2 entries, over the cap;
+        # the factors are 6435 x 8 and 92378 x 10.  One trial, tables built
+        # inside the traced span, passes every check within the count.
+        spec = machines.CloneSpec(d, n, m)
         counted = machines.check_fast_path(spec, joint=True)
-        for module in (symmetric, machines):
-            monkeypatch.setattr(module, "FAST_PATH_CAP", counted)
+        assert counted <= cli.FAST_PATH_CAP < spec.dim_out**2
         for cached in (symmetric._counts_table, symmetric.split_table,
                        symmetric.log_factorials):
             cached.cache_clear()
+        argv = ["verify", "--d", str(d), "--n", str(n), "--m", str(m), "--trials", "1"]
         tracemalloc.start()
         try:
-            status, out = _run(capsys, ["verify", "--d", "5", "--n", "2", "--m", "7",
-                                        "--trials", "1"])
+            status, out = _run(capsys, argv)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert status == 0
-        assert json.loads(out)["mode"] == "fast-path-only"
-        assert 16 * 3 * spec.dim_out**2 < peak <= 16 * counted
+        payload = json.loads(out)
+        assert status == 0 and payload["pass"] is True
+        assert payload["mode"] == "fast-path-only"
+        assert all(c["max_distance"] < 1e-10 for c in payload["checks"])
+        assert peak <= 16 * counted
 
     def test_dense_oracle_arrays_over_cap_fall_back(self, capsys):
         # d^(2M-N) = 4096 fits the oracle cap.  The oracle checks hold their
@@ -420,6 +459,184 @@ class TestOracleChecksHaveTeeth:
         status, checks = self._distances(capsys)
         assert status == 1
         assert checks["symmetric-support"] > cli.DISTANCE_TOL
+
+
+class TestFactorChecks:
+    """The pairwise and covariance checks on factors, against the dense reference."""
+
+    GRID = [(2, 1, 2), (2, 2, 2), (2, 1, 3), (3, 1, 2), (2, 3, 3), (3, 2, 3),
+            (4, 2, 2), (3, 3, 3), (3, 2, 5)]
+
+    @staticmethod
+    def _dense_reference(spec, seed, full):
+        # The dense D_out x D_out comparisons the factor checks replace.
+        phi = random_pure_state(spec.d, seed)
+        rho = {name: machines.run_machine(spec, phi, name).matrix
+               for name in machines.MACHINES}
+        values = {
+            f"pairwise-{a}-{b}": trace_distance_matrices(rho[a], rho[b])
+            for a, b in [("werner", "fan"), ("werner", "unified"), ("fan", "unified")]
+        }
+        if full:
+            u = random_unitary(spec.d, 10_000 + seed)
+            u_sym = symmetric.sym_unitary(u, spec.m_out)
+            rotated = PureState(u @ phi.amplitudes)
+            values["covariance"] = max(
+                trace_distance_matrices(
+                    machines.run_machine(spec, rotated, name).matrix,
+                    u_sym @ rho[name] @ u_sym.conj().T,
+                )
+                for name in machines.MACHINES
+            )
+        return values
+
+    @pytest.mark.parametrize("d,n,m", GRID)
+    @pytest.mark.parametrize("seed", [0, 17])
+    def test_report_matches_dense_reference(self, capsys, d, n, m, seed):
+        argv = ["verify", "--d", str(d), "--n", str(n), "--m", str(m),
+                "--trials", "1", "--seed", str(seed)]
+        status, out = _run(capsys, argv)
+        payload = json.loads(out)
+        assert status == 0
+        reported = {c["name"]: c["max_distance"] for c in payload["checks"]}
+        dense = self._dense_reference(
+            machines.CloneSpec(d, n, m), seed, payload["mode"] == "full"
+        )
+        assert set(dense) < set(reported)
+        for name, value in dense.items():
+            assert abs(reported[name] - value) <= 1e-13, name
+
+    def test_every_factor_distance_matches_dense(self, capsys, monkeypatch):
+        # Every distance verify takes, on the factors it passes, and on the
+        # same factors with one side's rows rolled, so that the distance is
+        # far from 0, agrees with the dense trace distance of x x^dagger and
+        # y y^dagger.
+        real = cli.trace_distance_factors
+        calls = []
+
+        def spy(x, y):
+            value = real(x, y)
+            calls.append((x, y, value))
+            return value
+
+        monkeypatch.setattr(cli, "trace_distance_factors", spy)
+        for d, n, m in self.GRID:
+            _run(capsys, ["verify", "--d", str(d), "--n", str(n), "--m", str(m),
+                          "--trials", "1", "--seed", "5"])
+        assert len(calls) >= 9 * (len(self.GRID) - 1)
+        for x, y, value in calls:
+            dense = trace_distance_matrices(x @ x.conj().T, y @ y.conj().T)
+            assert abs(value - dense) <= 1e-13
+            rolled = np.roll(y, 1, axis=0)
+            far = trace_distance_matrices(x @ x.conj().T, rolled @ rolled.conj().T)
+            assert abs(real(x, rolled) - far) <= 1e-13
+
+    @pytest.mark.parametrize("d,n,m,mode", [(2, 1, 3, "full"), (3, 2, 5, "fast-path-only")])
+    def test_no_trial_forms_a_dense_density(self, capsys, monkeypatch, d, n, m, mode):
+        def refuse(self):
+            raise AssertionError("verify formed a dense density")
+
+        for cls in (SymDensity, FullDensity):
+            monkeypatch.setattr(cls, "matrix", property(refuse))
+        status, out = _run(capsys, ["verify", "--d", str(d), "--n", str(n),
+                                    "--m", str(m), "--trials", "2"])
+        assert status == 0
+        assert json.loads(out)["mode"] == mode
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--d", "2", "--n", "1", "--m", "3", "--trials", "1"],
+        ["verify", "--d", "3", "--n", "2", "--m", "5", "--trials", "1"],
+    ])
+    def test_a_perturbed_machine_fails_its_pairwise_checks(self, capsys, monkeypatch, argv):
+        # fan has no oracle check, so only the pairwise checks can see it;
+        # a check that compared a machine with itself would read 0 here.
+        real = machines.fan_output
+
+        def perturbed(spec, phi):
+            rho = real(spec, phi)
+            table = rho.factor + 1e-8 * np.arange(rho.factor.size).reshape(
+                rho.factor.shape
+            )
+            return SymDensity(rho.basis, table / np.linalg.norm(table), rho.kept)
+
+        monkeypatch.setattr(machines, "fan_output", perturbed)
+        status, out = _run(capsys, argv)
+        checks = {c["name"]: c["max_distance"] for c in json.loads(out)["checks"]}
+        assert status == 1
+        assert checks["pairwise-werner-fan"] > cli.DISTANCE_TOL
+        assert checks["pairwise-fan-unified"] > cli.DISTANCE_TOL
+        assert checks["pairwise-werner-unified"] < cli.DISTANCE_TOL
+
+
+class TestParserReuse:
+    """One parser serves every call of a process, and no call leaks into the next."""
+
+    TABLE = ["table", "--d", "2", "--n", "1", "--m", "3"]
+
+    def test_level_restriction_does_not_carry_over(self, capsys):
+        _, restricted = _run(capsys, self.TABLE + ["--l", "2"])
+        assert [row["L"] for row in json.loads(restricted)["rows"]] == [2]
+        _, out = _run(capsys, self.TABLE)
+        payload = json.loads(out)
+        assert payload["config"]["L"] is None
+        assert [row["L"] for row in payload["rows"]] == [1, 2, 3]
+
+    def test_output_file_is_not_reused(self, capsys, tmp_path):
+        target = tmp_path / "first.json"
+        assert cli.main(self.TABLE + ["--output", str(target)]) == 0
+        written = target.read_text()
+        assert capsys.readouterr().out == ""
+        _, out = _run(capsys, self.TABLE + ["--seed", "1"])
+        assert json.loads(out)["config"]["seed"] == 1
+        assert target.read_text() == written
+
+    def test_usage_error_after_a_successful_verify(self, capsys):
+        status, _ = _run(capsys, ["verify", "--d", "2", "--n", "1", "--m", "2",
+                                  "--trials", "1"])
+        assert status == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--d", "2", "--n", "1", "--m", "2", "--trials", "0"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: uqcm verify ")
+
+    def test_parser_is_built_on_the_first_call_only(self, capsys, monkeypatch):
+        built = []
+        real = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            real(self, *args, **kwargs)
+
+        cli._build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        _run(capsys, self.TABLE)
+        first = len(built)
+        assert first == 5  # the parser and its four subcommands
+        _run(capsys, self.TABLE + ["--l", "1"])
+        _run(capsys, ["identity-check", "--d-max", "2"])
+        assert len(built) == first
+
+    def test_import_builds_no_parser(self):
+        code = (
+            "import argparse\n"
+            "built = []\n"
+            "real = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *a, **k):\n"
+            "    built.append(1)\n"
+            "    real(self, *a, **k)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import uqcm.cli\n"
+            "print(len(built), uqcm.cli._build_parser.cache_info().currsize)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            cwd=Path(__file__).resolve().parents[1],
+            env={**os.environ, "PYTHONPATH": "src"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "0"]
 
 
 class TestAsymSweep:

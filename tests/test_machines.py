@@ -143,12 +143,15 @@ class TestFastPathCap:
         with pytest.raises(FastPathCapError, match="92378 x 24310"):
             check_fast_path(spec, joint=True)
 
-    def test_verify_rule_counts_the_dense_densities(self):
-        # Six 1287 x 1287 matrices fit; six 6435 x 6435 ones (4 GB) do not,
-        # though (8,2,8) fits `table`.
-        assert check_fast_path(CloneSpec(6, 2, 8), joint=True) <= FAST_PATH_CAP
+    def test_verify_rule_counts_the_factors(self):
+        # No dense density is counted: (8,7,8) and (10,9,10), whose densities
+        # would be 6435^2 and 92378^2 entries, fit with their narrow factors.
+        # Three 6435 x 1716 factors (530 MB) do not, though (8,2,8) fits
+        # `table`.
+        for spec in (CloneSpec(6, 2, 8), CloneSpec(8, 7, 8), CloneSpec(10, 9, 10)):
+            assert check_fast_path(spec, joint=True) <= FAST_PATH_CAP
         check_fast_path(CloneSpec(8, 2, 8))
-        with pytest.raises(FastPathCapError, match="6435 x 6435"):
+        with pytest.raises(FastPathCapError, match="three 6435 x 1716 output factors"):
             check_fast_path(CloneSpec(8, 2, 8), joint=True)
 
     def test_over_budget_fails_before_allocating(self):
