@@ -4,13 +4,16 @@ Four subcommands, each emitting JSON (validating against the shipped
 ``report_schema.json``) or CSV with stable headers:
 
 * ``table``          — numeric vs closed-form F_L for one machine.
-* ``verify``         — cross-checks the three machine constructions and
-                       their covariance, as exact trace distances between
-                       factors; adds full-tensor oracle comparisons when
-                       the problem fits under the oracle cap and a
-                       trial's arrays under the fast-path cap, and checks
-                       every F_L against its closed form when it does
-                       not.
+* ``verify``         — cross-checks the three machine constructions.
+                       Full mode, when the problem fits under the oracle
+                       cap and a trial's arrays under the fast-path cap:
+                       the pairwise, covariance and full-tensor oracle
+                       checks, all exact trace distances between
+                       factors.  Fast-path-only mode otherwise: the
+                       pairwise checks as certified upper bounds
+                       ``pairwise-bound-*`` (||V_a - V_b||_F on the
+                       machines' amplitude tables, never below the exact
+                       distance), and every F_L against its closed form.
 * ``asym-sweep``     — 1 -> 2 asymmetric fidelity trade-off curve of
                        ``weighted_clone``, Cerf's optimal cloner.
 * ``identity-check`` — exact rational check of the summation identity
@@ -40,6 +43,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
+import numpy as np
+
 from .combinatorics import verify_identity
 from .fidelity import fidelities_numeric, fidelity_L_closed, fidelity_single_closed
 from .hilbert import (
@@ -61,7 +66,12 @@ from .machines import (
     weighted_clone,
     werner_output_oracle,
 )
-from .symmetric import project_symmetric, sym_to_full_density, sym_unitary
+from .symmetric import (
+    project_symmetric,
+    sym_to_full_density,
+    sym_unitary,
+    trace_distance_bound,
+)
 
 DISTANCE_TOL = 1e-10
 OUTPUT_DIR_ENV = "UQCM_OUTPUT_DIR"
@@ -189,8 +199,8 @@ def _cmd_table(
 def _cmd_verify(
     args: argparse.Namespace, parser: argparse.ArgumentParser
 ) -> tuple[int, str]:
-    # Every pairwise check reads each machine's whole J.
-    spec = _clone_spec(args, parser, joint=True)
+    # A trial holds every machine's table while it sweeps one of them.
+    spec = _clone_spec(args, parser, tables=len(MACHINES))
     if args.trials < 1:
         parser.error(f"--trials must be positive, got {args.trials}")
     d, n, m = spec.d, spec.n_in, spec.m_out
@@ -211,48 +221,60 @@ def _cmd_verify(
         )
         closed = [float(fidelity_L_closed(spec, L)) for L in range(1, m + 1)]
 
+    pairs = list(combinations(MACHINES, 2))
+
     def trial(t: int) -> dict[str, float]:
         phi = random_pure_state(d, args.seed + t)
         outs = {name: run_machine(spec, phi, name) for name in MACHINES}
-        # Exact trace distances between the D_out x r factors J; no
-        # D_out x D_out density is formed.
-        values = {
-            f"pairwise-{a}-{b}": trace_distance_factors(outs[a].joint, outs[b].joint)
-            for a, b in combinations(MACHINES, 2)
-        }
         if not full_mode:
+            # Certified bounds on the D_in x r tables: never below the exact
+            # trace distance, and no factor J is scattered.
+            values = {
+                f"pairwise-bound-{a}-{b}": trace_distance_bound(outs[a], outs[b])
+                for a, b in pairs
+            }
             # Every F_L of every machine, one sweep each, against the closed form.
             values["closed-form"] = max(
                 abs(numeric - exact)
                 for name in MACHINES
                 for numeric, exact in zip(fidelities_numeric(outs[name], phi), closed)
             )
-        else:
-            u = random_unitary(d, 10_000 + args.seed + t)
-            u_sym = sym_unitary(u, m)
-            rotated = PureState(u @ phi.amplitudes)
-            # (U J)(U J)^dagger = U rho U^dagger, so the rotated factor
-            # stands for the conjugated density.
-            values["covariance"] = max(
-                trace_distance_factors(
-                    run_machine(spec, rotated, name).joint, u_sym @ outs[name].joint
-                )
-                for name in MACHINES
-            )
-            # Each oracle check is the exact trace distance between two
-            # factors of at most d^(2*m_out-n_in) entries; no d^m_out x
-            # d^m_out array is formed.
-            oracle_w = werner_output_oracle(spec, phi).factor
-            values["symmetric-support"] = trace_distance_factors(
-                project_symmetric(oracle_w, d, m), oracle_w
-            )
-            values["werner-vs-oracle"] = trace_distance_factors(
-                sym_to_full_density(outs["werner"]).factor, oracle_w
-            )
-            values["unified-vs-oracle"] = trace_distance_factors(
-                sym_to_full_density(outs["unified"]).factor,
-                unified_output_oracle(spec, phi).density.factor,
-            )
+            return values
+        u = random_unitary(d, 10_000 + args.seed + t)
+        u_sym = sym_unitary(u, m)
+        rotated = PureState(u @ phi.amplitudes)
+        # Exact trace distances between D_out x r factors, in one stacked
+        # call: slices 0-2 the pairwise checks, slices 3-5 each machine's
+        # rotated factor against u_sym J, a factor of u_sym rho u_sym^dagger.
+        distances = trace_distance_factors(
+            np.stack(
+                [outs[a].joint for a, _ in pairs]
+                + [run_machine(spec, rotated, name).joint for name in MACHINES]
+            ),
+            np.stack(
+                [outs[b].joint for _, b in pairs]
+                + [u_sym @ outs[name].joint for name in MACHINES]
+            ),
+        )
+        values = {
+            f"pairwise-{a}-{b}": float(distance)
+            for (a, b), distance in zip(pairs, distances[: len(pairs)])
+        }
+        values["covariance"] = float(distances[len(pairs) :].max())
+        # Each oracle check is the exact trace distance between two
+        # factors of at most d^(2*m_out-n_in) entries; no d^m_out x
+        # d^m_out array is formed.
+        oracle_w = werner_output_oracle(spec, phi).factor
+        values["symmetric-support"] = trace_distance_factors(
+            project_symmetric(oracle_w, d, m), oracle_w
+        )
+        values["werner-vs-oracle"] = trace_distance_factors(
+            sym_to_full_density(outs["werner"]).factor, oracle_w
+        )
+        values["unified-vs-oracle"] = trace_distance_factors(
+            sym_to_full_density(outs["unified"]).factor,
+            unified_output_oracle(spec, phi).density.factor,
+        )
         return values
 
     per_trial = [trial(t) for t in range(args.trials)]
@@ -444,11 +466,11 @@ def _sweep_pair(i: int, points: int) -> tuple[float, float]:
 
 
 def _clone_spec(
-    args: argparse.Namespace, parser: argparse.ArgumentParser, joint: bool = False
+    args: argparse.Namespace, parser: argparse.ArgumentParser, tables: int = 1
 ) -> CloneSpec:
     try:
         spec = CloneSpec(args.d, args.n, args.m)
-        check_fast_path(spec, joint=joint)
+        check_fast_path(spec, tables=tables)
         return spec
     except ValueError as exc:
         parser.error(str(exc))

@@ -168,10 +168,8 @@ def werner_output_oracle(spec: CloneSpec, phi: PureState) -> FullDensity:
     _check_phi(spec, phi)
     d, n, m_total = spec.d, spec.n_in, spec.m_out
     check_cap(d, 2 * m_total - n)
-    inputs = np.ones(1, dtype=np.complex128)
-    for _ in range(n):
-        inputs = np.kron(inputs, phi.amplitudes)
-    padded = np.kron(inputs[:, None], np.eye(d ** (m_total - n)))
+    blank = d ** (m_total - n)
+    padded = (_power(phi, n)[:, None, None] * np.eye(blank)).reshape(-1, blank)
     scale = math.sqrt(sym_dim(d, n) / sym_dim(d, m_total))
     factor = scale * project_symmetric(padded, d, m_total)
     return FullDensity(factor, factors=m_total, local_dim=d)
@@ -401,38 +399,33 @@ def run_machine(spec: CloneSpec, phi: PureState, which: str) -> SymDensity:
     raise ValueError(f"unknown machine {which!r}; expected one of {MACHINES}")
 
 
-def check_fast_path(spec: CloneSpec, joint: bool = False) -> int:
+def check_fast_path(spec: CloneSpec, tables: int = 1) -> int:
     """Raise FastPathCapError if the problem is over budget; else return its entries.
 
-    By default the budget is what a machine and the ladder sweep over its
-    table allocate (:func:`uqcm.symmetric.sweep_budget`): the tables held
+    The budget is what a machine and the ladder sweep over its table
+    allocate (:func:`uqcm.symmetric.sweep_budget`): the tables held
     throughout, plus the larger of their construction and one block of
-    the sweep.  ``joint=True`` is the rule for ``uqcm verify``, whose
-    trial compares every machine's whole factor J by
-    :func:`~uqcm.hilbert.trace_distance_factors` and forms no
-    dim_out x dim_out density: it counts the three machines' tables and
-    dim_out x dim_anc factors, the sweep's tables, and the largest of
-    their construction, one sweep block as wide as the whole table, and
-    one pairwise check's QR (the dim_out x 2 dim_anc stack, numpy's and
-    LAPACK's copies of it, and R with its upper triangle, each at most
-    2 dim_anc square).  Runs before any occupation table or factor of
-    the problem is built, so an oversized request fails at once instead
-    of running out of memory.
+    the sweep.  ``tables`` is how many machines' dim_in x dim_anc
+    amplitude tables are held while one is swept: 1 for ``uqcm table``,
+    3 for ``uqcm verify``, whose fast-path-only trial holds every
+    machine's table, compares them by
+    :func:`~uqcm.symmetric.trace_distance_bound` and sweeps each in
+    turn, and scatters no factor J.  Runs before any occupation table
+    or factor of the problem is built, so an oversized request fails at
+    once instead of running out of memory.
     """
     d, n, m = spec.d, spec.n_in, spec.m_out
     held, transient, per_column = sweep_budget(d, m, n)
-    if joint:
-        d_in, d_out, r = spec.dim_in, spec.dim_out, spec.dim_anc
-        qr = 2 * r * (3 * d_out + 2 * min(d_out, 2 * r))
-        entries = 3 * (d_in + d_out) * r + held + max(transient, per_column * r, qr)
-        what = (
-            f"three {d_out} x {r} output factors, one QR of two of them "
-            "and one sweep"
-        )
-    else:
-        entries = held + max(transient, per_column * sweep_width(d, m, n))
-        what = "its occupation tables and one sweep block"
+    extra = (tables - 1) * spec.dim_in * spec.dim_anc
+    entries = held + extra + max(transient, per_column * sweep_width(d, m, n))
     if entries > FAST_PATH_CAP:
+        what = "its occupation tables and one sweep block"
+        if tables > 1:
+            what = (
+                f"the amplitude tables of {tables} machines "
+                f"({spec.dim_in} x {spec.dim_anc} each), the occupation "
+                "tables and one sweep block"
+            )
         raise FastPathCapError(
             f"(d, n_in, m_out) = ({d}, {n}, {m}) needs {entries} entries for "
             f"{what}, above the fast-path cap of {FAST_PATH_CAP}"
@@ -443,25 +436,34 @@ def check_fast_path(spec: CloneSpec, joint: bool = False) -> int:
 def full_mode_entries(spec: CloneSpec) -> int:
     """Entries one full-mode ``uqcm verify`` trial holds at its peak.
 
-    The ``joint=True`` rule of :func:`check_fast_path` counts the
-    factors and the QR of the pairwise checks.  Full mode adds the
-    covariance check's arrays: the dim_out x dim_out restriction
-    u_sym of u^(x m_out) from :func:`~uqcm.symmetric.sym_unitary`, with
-    its last product and two d^m_out x dim_out transients, and the
-    rotated machine's table and factor beside u_sym J; its QR is the
-    size of a pairwise one.  The oracle checks add factors of at most
-    d^(2 m_out - n_in) entries each: the oracle, its projection and
-    their stack, and the arrays the projection passes through.  No
+    Starts from the ``uqcm verify`` rule of :func:`check_fast_path`
+    (three tables and their construction).  Full mode compares exact
+    trace distances, so it adds the three machines' dim_out x dim_anc
+    factors J and the covariance check's dim_out x dim_out restriction
+    u_sym of u^(x m_out) (:func:`~uqcm.symmetric.sym_unitary`) with its
+    last product.  Then the larger of two spans that never overlap:
+    ``sym_unitary``'s two d^m_out x dim_out transients, and the one
+    stacked :func:`~uqcm.hilbert.trace_distance_factors` call of the
+    pairwise and covariance checks, which holds the rotated machines'
+    tables and factors, the three u_sym J, its two six-slice stacks and,
+    per slice, the dim_out x 2 dim_anc concatenation, numpy's and
+    LAPACK's copies of it, and R with its upper triangle, each at most
+    2 dim_anc square.  The oracle checks add factors of at most
+    d^(2 m_out - n_in) entries each: the oracle, its projection and their
+    stack, and the arrays the projection passes through.  No
     d^m_out x d^m_out array is formed.  ``uqcm verify`` runs full mode
     only when this fits under FAST_PATH_CAP.
     """
     d, n, m = spec.d, spec.n_in, spec.m_out
     d_in, d_out, r = spec.dim_in, spec.dim_out, spec.dim_anc
+    qr = 2 * r * (3 * d_out + 2 * min(d_out, 2 * r))
+    slices = 2 * len(MACHINES)
+    stacked_call = 3 * (d_in + 2 * d_out) * r + slices * (2 * d_out * r + qr)
     return (
-        check_fast_path(spec, joint=True)
+        check_fast_path(spec, tables=len(MACHINES))
+        + 3 * d_out * r
         + 2 * d_out**2
-        + 2 * d**m * d_out
-        + (d_in + 2 * d_out) * r
+        + max(2 * d**m * d_out, stacked_call)
         + 6 * d ** (2 * m - n)
     )
 
@@ -472,10 +474,7 @@ def _pair_arrangement(phi: PureState, copies: int, blanks: int) -> FullState:
     Factor layout: the copies, then one half of every pair (together the
     copy slots), then the other halves (the ancilla).
     """
-    amps = np.ones(1, dtype=np.complex128)
-    for _ in range(copies):
-        amps = np.kron(amps, phi.amplitudes)
-    state = FullState(amps, factors=copies, local_dim=phi.dim)
+    state = FullState(_power(phi, copies), factors=copies, local_dim=phi.dim)
     for _ in range(blanks):
         state = tensor(state, maximally_entangled(phi.dim))
     # Pairs interleave as (half, ancilla); bring all copy halves forward.
@@ -483,6 +482,14 @@ def _pair_arrangement(phi: PureState, copies: int, blanks: int) -> FullState:
     perm += [copies + 2 * t for t in range(blanks)]
     perm += [copies + 2 * t + 1 for t in range(blanks)]
     return permute_factors(state, perm)
+
+
+def _power(phi: PureState, copies: int) -> np.ndarray:
+    """The d^copies amplitudes of |phi>^(x copies), one outer product per copy."""
+    amps = np.ones(1, dtype=np.complex128)
+    for _ in range(copies):
+        amps = np.multiply.outer(amps, phi.amplitudes).ravel()
+    return amps
 
 
 def _check_phi(spec: CloneSpec, phi: PureState) -> None:

@@ -409,6 +409,31 @@ def scatter_factor(d: int, total: int, kept: int, amplitudes: np.ndarray) -> np.
     return factor
 
 
+def trace_distance_bound(a: SymDensity, b: SymDensity) -> float:
+    """||V_a - V_b||_F, an upper bound on the trace distance of two table-held densities.
+
+    For unit-norm factors, J_a J_a^dagger - J_b J_b^dagger =
+    J_a (J_a - J_b)^dagger + (J_a - J_b) J_b^dagger, so by Hoelder's
+    inequality for Schatten norms (Watrous, The Theory of Quantum
+    Information, 2018, section 1.1) 0.5 * ||J_a J_a^dagger -
+    J_b J_b^dagger||_1 <= ||J_a - J_b||_F.  The scatter
+    J[a+k, k] = V[a, k] (:func:`scatter_factor`) puts each entry of V in
+    its own place of J, so ||J_a - J_b||_F = ||V_a - V_b||_F: one
+    D_in x r subtraction, and no J is formed.
+
+    The bound is never below the exact distance, so a check on it cannot
+    pass falsely.  It is small only when both tables are in the same
+    gauge: a density fixes its factor only up to a unitary on the
+    columns, so a table multiplied by a phase e^(i theta) gives the same
+    density and the bound |e^(i theta) - 1|, and a check on it fails
+    loudly.  (Permuting a table's columns moves its entries to other
+    rows of J, so that changes the density and both distances.)
+    """
+    if a.kept is None or (a.basis, a.kept) != (b.basis, b.kept):
+        raise ValueError("the bound compares two amplitude tables on the same split")
+    return float(np.linalg.norm(a.factor - b.factor))
+
+
 @lru_cache(maxsize=None)
 def sweep_budget(d: int, total: int, kept: int) -> tuple[int, int, int]:
     """What sweeping a table scattered on (total, kept) holds, in 16-byte entries.

@@ -135,12 +135,12 @@ class TestVerify:
         payload = json.loads(captured.out)
         jsonschema.validate(payload, _schema())
         assert payload["mode"] == "fast-path-only"
-        assert {c["name"] for c in payload["checks"]} == {
-            "pairwise-werner-fan",
-            "pairwise-werner-unified",
-            "pairwise-fan-unified",
+        assert [c["name"] for c in payload["checks"]] == [
+            "pairwise-bound-werner-fan",
+            "pairwise-bound-werner-unified",
+            "pairwise-bound-fan-unified",
             "closed-form",
-        }
+        ]
 
     def test_closed_form_check_reproduces_from_its_worst_seed(self, capsys):
         argv = ["verify", "--d", "3", "--n", "2", "--m", "5"]
@@ -209,8 +209,13 @@ class TestVerify:
         assert exc.value.code == 2
         assert "fast-path cap" in capsys.readouterr().err
 
-    def test_whole_factor_over_cap_exits_2_before_allocating(self, capsys):
-        # `table` reaches (10,2,10); `verify` scatters the whole 92378 x 24310 J.
+    def test_tables_over_cap_exit_2_before_allocating(self, capsys, monkeypatch):
+        # `table` reaches (10,2,10), its sweep block filling the cap; `verify`
+        # holds two more 55 x 24310 tables, so it must fail here, not run.
+        def refuse(*args):
+            raise AssertionError("verify ran a machine past its cap check")
+
+        monkeypatch.setattr(cli, "run_machine", refuse)
         tracemalloc.start()
         try:
             with pytest.raises(SystemExit) as exc:
@@ -221,48 +226,58 @@ class TestVerify:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage: uqcm verify ")
-        assert "92378 x 24310" in err and "fast-path cap" in err
+        assert "3 machines (55 x 24310 each)" in err and "fast-path cap" in err
         assert peak < 1_000_000
 
-
     @pytest.mark.parametrize("d,n,m", [(8, 2, 8), (8, 3, 8)])
-    def test_factors_over_cap_exit_2_before_allocating(self, capsys, monkeypatch, d, n, m):
-        # (8,2,8) fits `table`, but its three 6435 x 1716 factors alone are
-        # over the cap; (8,3,8)'s factors fit, the QR of two of them does
-        # not.  A rule that let them through must fail here, not run.
-        def refuse(*args):
-            raise AssertionError("verify ran a machine past its cap check")
+    def test_wide_tables_pass_on_bounds_without_a_factor(self, capsys, monkeypatch, d, n, m):
+        # Three 6435 x 1716 (or x 792) factors J used to put these over the
+        # cap.  A fast-path-only trial reads neither J nor rho, its whole
+        # count is below one J, and one trial, tables built inside the traced
+        # span, passes every check within the count.
+        def refuse(self):
+            raise AssertionError("a fast-path-only trial formed J or rho")
 
-        monkeypatch.setattr(cli, "run_machine", refuse)
+        # warm-up: lazy imports and numpy's first generator are not part of a trial
+        _run(capsys, ["verify", "--d", "3", "--n", "2", "--m", "5", "--trials", "1"])
+        for name in ("joint", "matrix"):
+            monkeypatch.setattr(SymDensity, name, property(refuse))
+        spec = machines.CloneSpec(d, n, m)
+        counted = machines.check_fast_path(spec, tables=3)
+        assert counted <= cli.FAST_PATH_CAP and counted < spec.dim_out * spec.dim_anc
+        for cached in (symmetric._counts_table, symmetric.split_table,
+                       symmetric.log_factorials):
+            cached.cache_clear()
         argv = ["verify", "--d", str(d), "--n", str(n), "--m", str(m), "--trials", "1"]
         tracemalloc.start()
         try:
-            with pytest.raises(SystemExit) as exc:
-                cli.main(argv)
+            status, out = _run(capsys, argv)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("usage: uqcm verify ")
-        spec = machines.CloneSpec(d, n, m)
-        shape = f"three {spec.dim_out} x {spec.dim_anc} output factors"
-        assert shape in err and "fast-path cap" in err
-        assert peak < 1_000_000
+        payload = json.loads(out)
+        assert status == 0 and payload["pass"] is True
+        assert payload["mode"] == "fast-path-only"
+        assert all(c["max_distance"] <= 1e-10 for c in payload["checks"])
+        assert peak <= 16 * counted
 
     def test_budget_counts_what_a_trial_allocates(self, capsys, monkeypatch):
         # A cap equal to the count puts each point right at it, and one
         # fast-path-only trial, tables built inside the traced span, stays
         # within it.  (5,2,7) has a wide table (r = 126), (6,6,8) a narrow
         # one (r = 21) whose whole count is below one 1287 x 1287 density,
-        # so its trace alone shows that no density is formed.
+        # so its trace alone shows that no density is formed.  Each count is
+        # taken at the real cap, before any cap is lowered to it.
         def refuse(self):
             raise AssertionError("verify formed a dense density")
 
+        points = [(5, 2, 7), (6, 6, 8)]
+        counts = [machines.check_fast_path(machines.CloneSpec(*p), tables=3)
+                  for p in points]
+        # warm-up: lazy imports and numpy's first generator are not part of a trial
+        _run(capsys, ["verify", "--d", "3", "--n", "2", "--m", "5", "--trials", "1"])
         monkeypatch.setattr(SymDensity, "matrix", property(refuse))
-        for d, n, m in [(5, 2, 7), (6, 6, 8)]:
-            spec = machines.CloneSpec(d, n, m)
-            counted = machines.check_fast_path(spec, joint=True)
+        for (d, n, m), counted in zip(points, counts):
             for module in (symmetric, machines):
                 monkeypatch.setattr(module, "FAST_PATH_CAP", counted)
             for cached in (symmetric._counts_table, symmetric.split_table,
@@ -278,7 +293,7 @@ class TestVerify:
             assert status == 0
             assert json.loads(out)["mode"] == "fast-path-only"
             assert peak <= 16 * counted
-        assert counted < spec.dim_out**2
+        assert counted < machines.CloneSpec(d, n, m).dim_out ** 2
 
     @pytest.mark.parametrize("d,n,m", [(8, 7, 8), (10, 9, 10)])
     def test_narrow_factors_past_the_dense_rule_pass(self, capsys, d, n, m):
@@ -286,7 +301,7 @@ class TestVerify:
         # the factors are 6435 x 8 and 92378 x 10.  One trial, tables built
         # inside the traced span, passes every check within the count.
         spec = machines.CloneSpec(d, n, m)
-        counted = machines.check_fast_path(spec, joint=True)
+        counted = machines.check_fast_path(spec, tables=3)
         assert counted <= cli.FAST_PATH_CAP < spec.dim_out**2
         for cached in (symmetric._counts_table, symmetric.split_table,
                        symmetric.log_factorials):
@@ -461,23 +476,47 @@ class TestOracleChecksHaveTeeth:
         assert checks["symmetric-support"] > cli.DISTANCE_TOL
 
 
+def _perturbed(real):
+    """A machine whose table is moved by 1e-8 * arange, then renormalized."""
+
+    def machine(spec, phi):
+        rho = real(spec, phi)
+        table = rho.factor + 1e-8 * np.arange(rho.factor.size).reshape(rho.factor.shape)
+        return SymDensity(rho.basis, table / np.linalg.norm(table), rho.kept)
+
+    return machine
+
+
 class TestFactorChecks:
-    """The pairwise and covariance checks on factors, against the dense reference."""
+    """The pairwise and covariance checks, against the dense reference.
+
+    Full mode takes exact trace distances between factors, fast-path-only
+    mode the certified bound ||V_a - V_b||_F on the machines' tables.
+    """
 
     GRID = [(2, 1, 2), (2, 2, 2), (2, 1, 3), (3, 1, 2), (2, 3, 3), (3, 2, 3),
             (4, 2, 2), (3, 3, 3), (3, 2, 5)]
+    ARGV = {
+        "full": ["verify", "--d", "2", "--n", "1", "--m", "3", "--trials", "1"],
+        "fast-path-only": ["verify", "--d", "3", "--n", "2", "--m", "5", "--trials", "1"],
+    }
+    PAIRS = [("werner", "fan"), ("werner", "unified"), ("fan", "unified")]
 
     @staticmethod
-    def _dense_reference(spec, seed, full):
+    def _pair_name(mode, a, b):
+        return f"pairwise-{a}-{b}" if mode == "full" else f"pairwise-bound-{a}-{b}"
+
+    @classmethod
+    def _dense_reference(cls, spec, seed, mode):
         # The dense D_out x D_out comparisons the factor checks replace.
         phi = random_pure_state(spec.d, seed)
         rho = {name: machines.run_machine(spec, phi, name).matrix
                for name in machines.MACHINES}
         values = {
-            f"pairwise-{a}-{b}": trace_distance_matrices(rho[a], rho[b])
-            for a, b in [("werner", "fan"), ("werner", "unified"), ("fan", "unified")]
+            cls._pair_name(mode, a, b): trace_distance_matrices(rho[a], rho[b])
+            for a, b in cls.PAIRS
         }
-        if full:
+        if mode == "full":
             u = random_unitary(spec.d, 10_000 + seed)
             u_sym = symmetric.sym_unitary(u, spec.m_out)
             rotated = PureState(u @ phi.amplitudes)
@@ -490,6 +529,10 @@ class TestFactorChecks:
             )
         return values
 
+    def _checks(self, capsys, argv):
+        status, out = _run(capsys, argv)
+        return status, {c["name"]: c["max_distance"] for c in json.loads(out)["checks"]}
+
     @pytest.mark.parametrize("d,n,m", GRID)
     @pytest.mark.parametrize("seed", [0, 17])
     def test_report_matches_dense_reference(self, capsys, d, n, m, seed):
@@ -499,31 +542,39 @@ class TestFactorChecks:
         payload = json.loads(out)
         assert status == 0
         reported = {c["name"]: c["max_distance"] for c in payload["checks"]}
-        dense = self._dense_reference(
-            machines.CloneSpec(d, n, m), seed, payload["mode"] == "full"
-        )
+        dense = self._dense_reference(machines.CloneSpec(d, n, m), seed, payload["mode"])
         assert set(dense) < set(reported)
         for name, value in dense.items():
-            assert abs(reported[name] - value) <= 1e-13, name
+            if name.startswith("pairwise-bound-"):
+                # A bound: never below the exact distance.
+                assert reported[name] >= value - 1e-13, name
+            else:
+                assert abs(reported[name] - value) <= 1e-13, name
 
     def test_every_factor_distance_matches_dense(self, capsys, monkeypatch):
-        # Every distance verify takes, on the factors it passes, and on the
-        # same factors with one side's rows rolled, so that the distance is
-        # far from 0, agrees with the dense trace distance of x x^dagger and
-        # y y^dagger.
+        # Every distance verify takes, slice by slice of a stacked call, on
+        # the factors it passes, and on the same factors with one side's rows
+        # rolled, so that the distance is far from 0, agrees with the dense
+        # trace distance of x x^dagger and y y^dagger.
         real = cli.trace_distance_factors
-        calls = []
+        calls, stacked = [], []
 
         def spy(x, y):
             value = real(x, y)
-            calls.append((x, y, value))
+            if x.ndim == 2:
+                calls.append((x, y, value))
+            else:
+                stacked.append(x.shape[0])
+                calls.extend(zip(x, y, value))
             return value
 
         monkeypatch.setattr(cli, "trace_distance_factors", spy)
         for d, n, m in self.GRID:
             _run(capsys, ["verify", "--d", str(d), "--n", str(n), "--m", str(m),
                           "--trials", "1", "--seed", "5"])
-        assert len(calls) >= 9 * (len(self.GRID) - 1)
+        # One six-slice call and three oracle calls per full-mode trial.
+        assert stacked == [6] * (len(self.GRID) - 1)
+        assert len(calls) == 9 * (len(self.GRID) - 1)
         for x, y, value in calls:
             dense = trace_distance_matrices(x @ x.conj().T, y @ y.conj().T)
             assert abs(value - dense) <= 1e-13
@@ -533,39 +584,79 @@ class TestFactorChecks:
 
     @pytest.mark.parametrize("d,n,m,mode", [(2, 1, 3, "full"), (3, 2, 5, "fast-path-only")])
     def test_no_trial_forms_a_dense_density(self, capsys, monkeypatch, d, n, m, mode):
+        # Fast-path-only mode compares tables, so it scatters no J either.
         def refuse(self):
             raise AssertionError("verify formed a dense density")
 
         for cls in (SymDensity, FullDensity):
             monkeypatch.setattr(cls, "matrix", property(refuse))
+        if mode == "fast-path-only":
+            monkeypatch.setattr(SymDensity, "joint", property(refuse))
         status, out = _run(capsys, ["verify", "--d", str(d), "--n", str(n),
                                     "--m", str(m), "--trials", "2"])
         assert status == 0
         assert json.loads(out)["mode"] == mode
 
-    @pytest.mark.parametrize("argv", [
-        ["verify", "--d", "2", "--n", "1", "--m", "3", "--trials", "1"],
-        ["verify", "--d", "3", "--n", "2", "--m", "5", "--trials", "1"],
-    ])
+    @pytest.mark.parametrize("argv", list(ARGV.values()))
     def test_a_perturbed_machine_fails_its_pairwise_checks(self, capsys, monkeypatch, argv):
         # fan has no oracle check, so only the pairwise checks can see it;
         # a check that compared a machine with itself would read 0 here.
+        monkeypatch.setattr(machines, "fan_output", _perturbed(machines.fan_output))
+        status, out = _run(capsys, argv)
+        payload = json.loads(out)
+        checks = {c["name"]: c["max_distance"] for c in payload["checks"]}
+        mode = payload["mode"]
+        assert status == 1
+        assert checks[self._pair_name(mode, "werner", "fan")] > cli.DISTANCE_TOL
+        assert checks[self._pair_name(mode, "fan", "unified")] > cli.DISTANCE_TOL
+        assert checks[self._pair_name(mode, "werner", "unified")] < cli.DISTANCE_TOL
+
+    @pytest.mark.parametrize("mode", list(ARGV))
+    @pytest.mark.parametrize("machine", machines.MACHINES)
+    def test_each_perturbed_machine_fails_exactly_its_pairs(
+        self, capsys, monkeypatch, mode, machine
+    ):
+        # Over the three machines, only the right name for each pairwise
+        # value gives every pattern.
+        attr = f"{machine}_output"
+        monkeypatch.setattr(machines, attr, _perturbed(getattr(machines, attr)))
+        _, checks = self._checks(capsys, self.ARGV[mode])
+        for a, b in self.PAIRS:
+            distance = checks[self._pair_name(mode, a, b)]
+            assert (distance > cli.DISTANCE_TOL) == (machine in (a, b)), (a, b)
+
+    def test_a_wrong_rotation_fails_only_covariance(self, capsys, monkeypatch):
+        # u_sym built from conj(u) rotates the output the wrong way; only the
+        # covariance slices can see it.
+        monkeypatch.setattr(
+            cli, "sym_unitary", lambda u, total: symmetric.sym_unitary(u.conj(), total)
+        )
+        status, checks = self._checks(capsys, self.ARGV["full"])
+        assert status == 1
+        assert checks.pop("covariance") > cli.DISTANCE_TOL
+        assert max(checks.values()) < cli.DISTANCE_TOL
+
+    @pytest.mark.parametrize("mode", list(ARGV))
+    def test_a_table_in_another_gauge(self, capsys, monkeypatch, mode):
+        # e^(i theta) V is the same density: the exact distances of full mode
+        # pass, the bounds of fast-path-only mode fail loudly, never falsely.
         real = machines.fan_output
 
-        def perturbed(spec, phi):
+        def rephased(spec, phi):
             rho = real(spec, phi)
-            table = rho.factor + 1e-8 * np.arange(rho.factor.size).reshape(
-                rho.factor.shape
-            )
-            return SymDensity(rho.basis, table / np.linalg.norm(table), rho.kept)
+            return SymDensity(rho.basis, np.exp(0.5j) * rho.factor, rho.kept)
 
-        monkeypatch.setattr(machines, "fan_output", perturbed)
-        status, out = _run(capsys, argv)
-        checks = {c["name"]: c["max_distance"] for c in json.loads(out)["checks"]}
-        assert status == 1
-        assert checks["pairwise-werner-fan"] > cli.DISTANCE_TOL
-        assert checks["pairwise-fan-unified"] > cli.DISTANCE_TOL
-        assert checks["pairwise-werner-unified"] < cli.DISTANCE_TOL
+        monkeypatch.setattr(machines, "fan_output", rephased)
+        status, checks = self._checks(capsys, self.ARGV[mode])
+        if mode == "full":
+            assert status == 0
+            assert max(checks.values()) < cli.DISTANCE_TOL
+        else:
+            assert status == 1
+            assert checks["pairwise-bound-werner-fan"] > 0.1
+            assert checks["pairwise-bound-fan-unified"] > 0.1
+            assert checks["pairwise-bound-werner-unified"] < cli.DISTANCE_TOL
+            assert checks["closed-form"] < cli.DISTANCE_TOL
 
 
 class TestParserReuse:

@@ -18,7 +18,9 @@ from uqcm.hilbert import (
     FullState,
     PureState,
     fidelity_pure,
+    maximally_entangled,
     partial_trace_state,
+    permute_factors,
     random_pure_state,
     random_unitary,
     trace_distance_matrices,
@@ -39,6 +41,7 @@ from uqcm.machines import (
 )
 from uqcm.symmetric import (
     expand_power,
+    project_symmetric,
     projector_full,
     scatter_factor,
     split_table,
@@ -140,19 +143,20 @@ class TestFastPathCap:
         # table, the ladder tables and one 48620-row sweep block are built.
         spec = CloneSpec(10, 2, 10)
         assert check_fast_path(spec) <= FAST_PATH_CAP
-        with pytest.raises(FastPathCapError, match="92378 x 24310"):
-            check_fast_path(spec, joint=True)
 
-    def test_verify_rule_counts_the_factors(self):
-        # No dense density is counted: (8,7,8) and (10,9,10), whose densities
-        # would be 6435^2 and 92378^2 entries, fit with their narrow factors.
-        # Three 6435 x 1716 factors (530 MB) do not, though (8,2,8) fits
-        # `table`.
-        for spec in (CloneSpec(6, 2, 8), CloneSpec(8, 7, 8), CloneSpec(10, 9, 10)):
-            assert check_fast_path(spec, joint=True) <= FAST_PATH_CAP
-        check_fast_path(CloneSpec(8, 2, 8))
-        with pytest.raises(FastPathCapError, match="three 6435 x 1716 output factors"):
-            check_fast_path(CloneSpec(8, 2, 8), joint=True)
+    def test_verify_rule_counts_three_tables(self):
+        # `uqcm verify` holds every machine's D_in x r table while it sweeps
+        # one, and no factor J: the table rule plus two tables.  At (8,2,8)
+        # that is less than one 6435 x 1716 factor.  (10,2,10)'s sweep block
+        # fills the cap, so two more tables do not fit.
+        for spec in (CloneSpec(6, 2, 8), CloneSpec(8, 7, 8), CloneSpec(10, 9, 10),
+                     CloneSpec(8, 2, 8), CloneSpec(8, 3, 8)):
+            counted = check_fast_path(spec, tables=3)
+            assert counted == check_fast_path(spec) + 2 * spec.dim_in * spec.dim_anc
+            assert counted <= FAST_PATH_CAP
+        assert check_fast_path(CloneSpec(8, 2, 8), tables=3) < 6435 * 1716
+        with pytest.raises(FastPathCapError, match=r"3 machines \(55 x 24310 each\)"):
+            check_fast_path(CloneSpec(10, 2, 10), tables=3)
 
     def test_over_budget_fails_before_allocating(self):
         # V alone is 78 x 352716, and the arrays that build its split table
@@ -239,6 +243,29 @@ class TestOracles:
         oracle = werner_output_oracle(spec, phi)
         assert oracle.factor.shape == (d**m, d ** (m - n))
         assert np.allclose(oracle.matrix, dense, atol=TOL)
+
+    @pytest.mark.parametrize("d,n,m", [(2, 1, 2), (2, 1, 3), (2, 2, 5), (3, 1, 2),
+                                       (3, 2, 4), (4, 1, 3)])
+    def test_oracle_factors_equal_the_kron_reference(self, d, n, m):
+        # The oracles build their tensor products as outer products; the
+        # same products through np.kron give the same bits.
+        spec = CloneSpec(d, n, m)
+        phi = random_pure_state(d, 16)
+        inputs = np.ones(1, dtype=np.complex128)
+        for _ in range(n):
+            inputs = np.kron(inputs, phi.amplitudes)
+        padded = np.kron(inputs[:, None], np.eye(d ** (m - n)))
+        werner = math.sqrt(spec.dim_in / spec.dim_out) * project_symmetric(padded, d, m)
+        assert np.array_equal(werner_output_oracle(spec, phi).factor, werner)
+
+        pairs = inputs
+        for _ in range(m - n):
+            pairs = np.kron(pairs, maximally_entangled(d).amplitudes)
+        perm = [*range(n), *range(n, 2 * m - n, 2), *range(n + 1, 2 * m - n, 2)]
+        state = permute_factors(FullState(pairs, 2 * m - n, d), perm)
+        projected = project_symmetric(state.amplitudes.reshape(d**m, -1), d, m)
+        projected *= 1.0 / float(np.linalg.norm(projected))
+        assert np.array_equal(unified_output_oracle(spec, phi).density.factor, projected)
 
     def test_unified_oracle_density_is_the_joint_block(self):
         spec = CloneSpec(2, 1, 3)

@@ -17,6 +17,7 @@ from uqcm.hilbert import (
     random_pure_state,
     random_unitary,
     tensor,
+    trace_distance_factors,
 )
 from uqcm.symmetric import (
     SymBasis,
@@ -35,6 +36,7 @@ from uqcm.symmetric import (
     sym_to_full_density,
     sym_to_full_state,
     sym_unitary,
+    trace_distance_bound,
 )
 
 TOL = 1e-12
@@ -349,6 +351,62 @@ class TestValidation:
             SymDensity(basis=basis, factor=np.ones((1, 1)), kept=5)
         with pytest.raises(ValueError, match="trace"):
             SymDensity(basis=basis, factor=np.ones((6, 6)), kept=2)
+
+
+class TestTraceDistanceBound:
+    """||V_a - V_b||_F bounds the trace distance of the tables' densities from above."""
+
+    @staticmethod
+    def _table_density(rng, d, total, kept):
+        shape = (sym_dim(d, kept), sym_dim(d, total - kept))
+        table = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        return SymDensity(SymBasis(d, total), table / np.linalg.norm(table), kept)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.integers(2, 4),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**16),
+    )
+    def test_never_below_the_exact_distance(self, d, kept, extra, mix, seed):
+        # mix runs from two independent tables to two equal ones.
+        rng = np.random.default_rng(seed)
+        a = self._table_density(rng, d, kept + extra, kept)
+        other = self._table_density(rng, d, kept + extra, kept).factor
+        table = (1 - mix) * other + mix * a.factor
+        b = SymDensity(a.basis, table / np.linalg.norm(table), kept)
+        bound = trace_distance_bound(a, b)
+        assert bound == pytest.approx(np.linalg.norm(a.joint - b.joint), abs=1e-15)
+        assert bound >= trace_distance_factors(a.joint, b.joint) - 1e-15
+
+    def test_equal_tables_give_zero(self):
+        a = self._table_density(np.random.default_rng(4), 3, 2, 1)
+        assert trace_distance_bound(a, SymDensity(a.basis, a.factor.copy(), a.kept)) == 0
+
+    @pytest.mark.parametrize("theta", [0.3, np.pi])
+    def test_a_phase_raises_the_bound_not_the_distance(self, theta):
+        # e^(i theta) V is the same density in another gauge: the exact
+        # distance stays at the rounding floor, the bound does not, so a
+        # check on it fails loudly.
+        a = self._table_density(np.random.default_rng(6), 3, 4, 2)
+        b = SymDensity(a.basis, np.exp(1j * theta) * a.factor, a.kept)
+        assert trace_distance_factors(a.joint, b.joint) < 1e-14
+        assert trace_distance_bound(a, b) == pytest.approx(
+            abs(np.exp(1j * theta) - 1), abs=1e-14
+        )
+
+    def test_tables_on_different_splits_raise(self):
+        rng = np.random.default_rng(7)
+        a = self._table_density(rng, 3, 4, 2)
+        with pytest.raises(ValueError, match="same split"):
+            trace_distance_bound(a, self._table_density(rng, 3, 4, 1))
+        with pytest.raises(ValueError, match="same split"):
+            trace_distance_bound(a, self._table_density(rng, 2, 4, 2))
+        whole = SymDensity(a.basis, a.joint)
+        with pytest.raises(ValueError, match="same split"):
+            trace_distance_bound(whole, whole)
 
 
 class TestLadderTables:
