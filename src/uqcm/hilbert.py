@@ -285,7 +285,7 @@ def fidelity_pure(rho: FullDensity, psi: FullState) -> float:
     return float(np.vdot(overlaps, overlaps).real)
 
 
-def trace_distance_factors(x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
+def trace_distance_factors(x: np.ndarray, y: np.ndarray) -> float:
     """Trace distance 0.5 * ||x x^dagger - y y^dagger||_1 of two factor-held densities.
 
     Exact, not a bound.  With [x y] = Q R, Q an isometry and R split into
@@ -297,26 +297,16 @@ def trace_distance_factors(x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
     of its eigenvalues.  One QR of the D x (r_x + r_y) stack and one
     eigensolve of a matrix at most (r_x + r_y) x (r_x + r_y): O(D (r_x +
     r_y)^2), and no D x D array.
-
-    x and y may be stacks of shape (..., D, r_x) and (..., D, r_y) with
-    the same leading shape: the concatenation, the QR, the Hermiticity
-    check and the eigensolve each run once over the whole stack, and one
-    distance per slice comes back, a float for 2-D operands and an array
-    of the leading shape otherwise.  Each slice's distance is the one its
-    2-D call gives.
     """
-    if min(x.ndim, y.ndim) < 2 or x.shape[:-2] != y.shape[:-2]:
+    if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
         raise ValueError(
-            f"factor stacks {x.shape} and {y.shape} do not share a leading shape"
+            f"factors {x.shape} and {y.shape} are not matrices with the same rows"
         )
-    if x.shape[-2] != y.shape[-2]:
-        raise ValueError(f"factor shapes {x.shape} and {y.shape} do not share rows")
-    r = np.linalg.qr(np.concatenate([x, y], axis=-1), mode="r")
-    r_x, r_y = r[..., : x.shape[-1]], r[..., x.shape[-1] :]
-    small = r_x @ r_x.conj().swapaxes(-1, -2) - r_y @ r_y.conj().swapaxes(-1, -2)
+    r = np.linalg.qr(np.hstack([x, y]), mode="r")
+    r_x, r_y = r[:, : x.shape[1]], r[:, x.shape[1] :]
+    small = r_x @ r_x.conj().T - r_y @ r_y.conj().T
     _check_hermitian(small, "difference of the factors' Gram matrices")
-    distances = 0.5 * np.abs(np.linalg.eigvalsh(small)).sum(axis=-1)
-    return float(distances) if x.ndim == 2 else distances
+    return 0.5 * float(np.abs(np.linalg.eigvalsh(small)).sum())
 
 
 def trace_distance_matrices(a: np.ndarray, b: np.ndarray) -> float:
@@ -347,14 +337,12 @@ def _check_hermitian(mat: np.ndarray, what: str) -> None:
     The entries of mat - mat^dagger are (re - re^T) + i (im + im^T); their
     squared modulus is built in two real buffers, never a complex
     temporary, and compared with HERMITICITY_TOL^2.  A non-finite entry
-    fails the comparison and is rejected too.  ``mat`` may be a stack of
-    square matrices (the transpose swaps the last two axes); every one is
-    checked.
+    fails the comparison and is rejected too.
     """
     re, im = mat.real, mat.imag
-    gap = np.subtract(re, re.swapaxes(-1, -2))
+    gap = np.subtract(re, re.T)
     gap *= gap
-    imag_gap = np.add(im, im.swapaxes(-1, -2))
+    imag_gap = np.add(im, im.T)
     imag_gap *= imag_gap
     gap += imag_gap
     if not gap.max() <= HERMITICITY_TOL**2:

@@ -437,33 +437,29 @@ def full_mode_entries(spec: CloneSpec) -> int:
     """Entries one full-mode ``uqcm verify`` trial holds at its peak.
 
     Starts from the ``uqcm verify`` rule of :func:`check_fast_path`
-    (three tables and their construction).  Full mode compares exact
-    trace distances, so it adds the three machines' dim_out x dim_anc
-    factors J and the covariance check's dim_out x dim_out restriction
-    u_sym of u^(x m_out) (:func:`~uqcm.symmetric.sym_unitary`) with its
-    last product.  Then the larger of two spans that never overlap:
-    ``sym_unitary``'s two d^m_out x dim_out transients, and the one
-    stacked :func:`~uqcm.hilbert.trace_distance_factors` call of the
-    pairwise and covariance checks, which holds the rotated machines'
-    tables and factors, the three u_sym J, its two six-slice stacks and,
-    per slice, the dim_out x 2 dim_anc concatenation, numpy's and
-    LAPACK's copies of it, and R with its upper triangle, each at most
-    2 dim_anc square.  The oracle checks add factors of at most
-    d^(2 m_out - n_in) entries each: the oracle, its projection and their
-    stack, and the arrays the projection passes through.  No
-    d^m_out x d^m_out array is formed.  ``uqcm verify`` runs full mode
-    only when this fits under FAST_PATH_CAP.
+    (three tables and their construction, and the pairwise bounds on
+    them).  The covariance check adds the three machines' dim_out x
+    dim_anc factors J and the dim_out x dim_out restriction u_out of u
+    to the symmetric output space (:func:`~uqcm.symmetric.sym_unitary`)
+    with its last product.  Then the larger of two spans that never
+    overlap: ``sym_unitary``'s two d^m_out x dim_out transients, and the
+    bound itself, which holds the ancilla space's dim_anc x dim_anc
+    u_anc and its adjoint, one rotated machine's table and its J, the two
+    products u_out J u_anc^dagger and their difference.  The
+    oracle checks add factors of at most d^(2 m_out - n_in) entries
+    each: the oracle, its projection and their stack, and the arrays the
+    projection passes through.  No d^m_out x d^m_out array is formed.
+    ``uqcm verify`` runs full mode only when this fits under
+    FAST_PATH_CAP.
     """
     d, n, m = spec.d, spec.n_in, spec.m_out
     d_in, d_out, r = spec.dim_in, spec.dim_out, spec.dim_anc
-    qr = 2 * r * (3 * d_out + 2 * min(d_out, 2 * r))
-    slices = 2 * len(MACHINES)
-    stacked_call = 3 * (d_in + 2 * d_out) * r + slices * (2 * d_out * r + qr)
+    covariance = (d_in + 4 * d_out) * r + 2 * r**2
     return (
         check_fast_path(spec, tables=len(MACHINES))
         + 3 * d_out * r
         + 2 * d_out**2
-        + max(2 * d**m * d_out, stacked_call)
+        + max(2 * d**m * d_out, covariance)
         + 6 * d ** (2 * m - n)
     )
 

@@ -115,9 +115,15 @@ class TestVerify:
         jsonschema.validate(payload, _schema())
         assert payload["mode"] == "full"
         assert payload["pass"] is True
-        names = {check["name"] for check in payload["checks"]}
-        assert "unified-vs-oracle" in names
-        assert "covariance" in names
+        assert [c["name"] for c in payload["checks"]] == [
+            "pairwise-bound-werner-fan",
+            "pairwise-bound-werner-unified",
+            "pairwise-bound-fan-unified",
+            "covariance-bound",
+            "symmetric-support",
+            "werner-vs-oracle",
+            "unified-vs-oracle",
+        ]
 
     def test_trivial_case_distances_zero(self, capsys):
         status, out = _run(
@@ -131,7 +137,8 @@ class TestVerify:
         status = cli.main(["verify", "--d", "3", "--n", "1", "--m", "5", "--trials", "2"])
         captured = capsys.readouterr()
         assert status == 0
-        assert "oracle" in captured.err
+        assert "oracle cap" in captured.err
+        assert "skipping the covariance and oracle checks" in captured.err
         payload = json.loads(captured.out)
         jsonschema.validate(payload, _schema())
         assert payload["mode"] == "fast-path-only"
@@ -340,35 +347,42 @@ class TestVerify:
         assert peak < 16 * 4096**2 // 8
 
     def test_full_mode_budget_counts_the_dense_oracle_arrays(self, capsys, monkeypatch):
-        # A cap equal to the full-mode count at (2,9,9) keeps full mode on, and
-        # one trial, with the uqcm tables built inside the traced span, stays
-        # within it; one entry less and the same trial falls back.
-        spec = machines.CloneSpec(2, 9, 9)
-        counted = machines.full_mode_entries(spec)
-        argv = ["verify", "--d", "2", "--n", "9", "--m", "9", "--trials", "1"]
-        _run(capsys, argv)  # warm-up: lazy imports are not part of a trial
-        for module in (symmetric, machines, cli):
-            monkeypatch.setattr(module, "FAST_PATH_CAP", counted)
-        for cached in (symmetric._counts_table, symmetric.split_table,
-                       symmetric.log_factorials, symmetric._embed_isometry,
-                       symmetric._embed_columns):
-            cached.cache_clear()
-        tracemalloc.start()
-        try:
-            status, out = _run(capsys, argv)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert status == 0
-        assert json.loads(out)["mode"] == "full"
-        assert peak <= 16 * counted
+        # A cap equal to the full-mode count keeps full mode on, and one
+        # trial, with the uqcm tables built inside the traced span, stays
+        # within it; one entry less and the same trial falls back.  (2,9,9)
+        # has one ancilla column, (4,2,4) ten, so u_anc and the covariance
+        # products are counted at a width that shows.  Each count is taken
+        # at the real cap, before any cap is lowered to it.
+        points = [(2, 9, 9), (4, 2, 4)]
+        counts = [machines.full_mode_entries(machines.CloneSpec(*p)) for p in points]
+        argvs = [["verify", "--d", str(d), "--n", str(n), "--m", str(m), "--trials", "1"]
+                 for d, n, m in points]
+        for argv in argvs:
+            _run(capsys, argv)  # warm-up: lazy imports are not part of a trial
+        for argv, counted in zip(argvs, counts):
+            for module in (symmetric, machines, cli):
+                monkeypatch.setattr(module, "FAST_PATH_CAP", counted)
+            for cached in (symmetric._counts_table, symmetric.split_table,
+                           symmetric.log_factorials, symmetric._embed_isometry,
+                           symmetric._embed_columns):
+                cached.cache_clear()
+            tracemalloc.start()
+            try:
+                status, out = _run(capsys, argv)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert status == 0
+            assert json.loads(out)["mode"] == "full"
+            assert peak <= 16 * counted
 
-        monkeypatch.setattr(cli, "FAST_PATH_CAP", counted - 1)
-        status = cli.main(argv)
-        captured = capsys.readouterr()
-        assert status == 0
-        assert json.loads(captured.out)["mode"] == "fast-path-only"
-        assert f"{counted} entries" in captured.err and "fast-path cap" in captured.err
+            monkeypatch.setattr(cli, "FAST_PATH_CAP", counted - 1)
+            status = cli.main(argv)
+            captured = capsys.readouterr()
+            assert status == 0
+            assert json.loads(captured.out)["mode"] == "fast-path-only"
+            assert f"{counted} entries" in captured.err
+            assert "fast-path cap" in captured.err
 
     def test_full_mode_trial_forms_no_full_space_matrix(self, capsys):
         # One 512 x 512 complex array is 4 MiB; the whole traced trial at
@@ -490,8 +504,9 @@ def _perturbed(real):
 class TestFactorChecks:
     """The pairwise and covariance checks, against the dense reference.
 
-    Full mode takes exact trace distances between factors, fast-path-only
-    mode the certified bound ||V_a - V_b||_F on the machines' tables.
+    Both are certified bounds, never below the exact trace distance:
+    ||V_a - V_b||_F on the machines' tables in both modes, and in full
+    mode ||J(u phi) - u_out J(phi) u_anc^dagger||_F for covariance.
     """
 
     GRID = [(2, 1, 2), (2, 2, 2), (2, 1, 3), (3, 1, 2), (2, 3, 3), (3, 2, 3),
@@ -502,25 +517,21 @@ class TestFactorChecks:
     }
     PAIRS = [("werner", "fan"), ("werner", "unified"), ("fan", "unified")]
 
-    @staticmethod
-    def _pair_name(mode, a, b):
-        return f"pairwise-{a}-{b}" if mode == "full" else f"pairwise-bound-{a}-{b}"
-
     @classmethod
     def _dense_reference(cls, spec, seed, mode):
-        # The dense D_out x D_out comparisons the factor checks replace.
+        # The dense D_out x D_out trace distances the bounds stand for.
         phi = random_pure_state(spec.d, seed)
         rho = {name: machines.run_machine(spec, phi, name).matrix
                for name in machines.MACHINES}
         values = {
-            cls._pair_name(mode, a, b): trace_distance_matrices(rho[a], rho[b])
+            f"pairwise-bound-{a}-{b}": trace_distance_matrices(rho[a], rho[b])
             for a, b in cls.PAIRS
         }
         if mode == "full":
             u = random_unitary(spec.d, 10_000 + seed)
             u_sym = symmetric.sym_unitary(u, spec.m_out)
             rotated = PureState(u @ phi.amplitudes)
-            values["covariance"] = max(
+            values["covariance-bound"] = max(
                 trace_distance_matrices(
                     machines.run_machine(spec, rotated, name).matrix,
                     u_sym @ rho[name] @ u_sym.conj().T,
@@ -545,36 +556,28 @@ class TestFactorChecks:
         dense = self._dense_reference(machines.CloneSpec(d, n, m), seed, payload["mode"])
         assert set(dense) < set(reported)
         for name, value in dense.items():
-            if name.startswith("pairwise-bound-"):
-                # A bound: never below the exact distance.
-                assert reported[name] >= value - 1e-13, name
-            else:
-                assert abs(reported[name] - value) <= 1e-13, name
+            # A bound: never below the exact distance.
+            assert reported[name] >= value - 1e-13, name
 
     def test_every_factor_distance_matches_dense(self, capsys, monkeypatch):
-        # Every distance verify takes, slice by slice of a stacked call, on
-        # the factors it passes, and on the same factors with one side's rows
-        # rolled, so that the distance is far from 0, agrees with the dense
-        # trace distance of x x^dagger and y y^dagger.
+        # Every trace distance verify takes, on the factors it passes, and on
+        # the same factors with one side's rows rolled, so that the distance
+        # is far from 0, agrees with the dense trace distance of x x^dagger
+        # and y y^dagger.
         real = cli.trace_distance_factors
-        calls, stacked = [], []
+        calls = []
 
         def spy(x, y):
             value = real(x, y)
-            if x.ndim == 2:
-                calls.append((x, y, value))
-            else:
-                stacked.append(x.shape[0])
-                calls.extend(zip(x, y, value))
+            calls.append((x, y, value))
             return value
 
         monkeypatch.setattr(cli, "trace_distance_factors", spy)
         for d, n, m in self.GRID:
             _run(capsys, ["verify", "--d", str(d), "--n", str(n), "--m", str(m),
                           "--trials", "1", "--seed", "5"])
-        # One six-slice call and three oracle calls per full-mode trial.
-        assert stacked == [6] * (len(self.GRID) - 1)
-        assert len(calls) == 9 * (len(self.GRID) - 1)
+        # The three oracle checks of each full-mode trial.
+        assert len(calls) == 3 * (len(self.GRID) - 1)
         for x, y, value in calls:
             dense = trace_distance_matrices(x @ x.conj().T, y @ y.conj().T)
             assert abs(value - dense) <= 1e-13
@@ -605,11 +608,10 @@ class TestFactorChecks:
         status, out = _run(capsys, argv)
         payload = json.loads(out)
         checks = {c["name"]: c["max_distance"] for c in payload["checks"]}
-        mode = payload["mode"]
         assert status == 1
-        assert checks[self._pair_name(mode, "werner", "fan")] > cli.DISTANCE_TOL
-        assert checks[self._pair_name(mode, "fan", "unified")] > cli.DISTANCE_TOL
-        assert checks[self._pair_name(mode, "werner", "unified")] < cli.DISTANCE_TOL
+        assert checks["pairwise-bound-werner-fan"] > cli.DISTANCE_TOL
+        assert checks["pairwise-bound-fan-unified"] > cli.DISTANCE_TOL
+        assert checks["pairwise-bound-werner-unified"] < cli.DISTANCE_TOL
 
     @pytest.mark.parametrize("mode", list(ARGV))
     @pytest.mark.parametrize("machine", machines.MACHINES)
@@ -622,24 +624,39 @@ class TestFactorChecks:
         monkeypatch.setattr(machines, attr, _perturbed(getattr(machines, attr)))
         _, checks = self._checks(capsys, self.ARGV[mode])
         for a, b in self.PAIRS:
-            distance = checks[self._pair_name(mode, a, b)]
+            distance = checks[f"pairwise-bound-{a}-{b}"]
             assert (distance > cli.DISTANCE_TOL) == (machine in (a, b)), (a, b)
 
     def test_a_wrong_rotation_fails_only_covariance(self, capsys, monkeypatch):
-        # u_sym built from conj(u) rotates the output the wrong way; only the
-        # covariance slices can see it.
+        # u_out and u_anc built from conj(u) rotate the output the wrong way;
+        # only the covariance bound can see it.
         monkeypatch.setattr(
             cli, "sym_unitary", lambda u, total: symmetric.sym_unitary(u.conj(), total)
         )
         status, checks = self._checks(capsys, self.ARGV["full"])
         assert status == 1
-        assert checks.pop("covariance") > cli.DISTANCE_TOL
+        assert checks.pop("covariance-bound") > cli.DISTANCE_TOL
+        assert max(checks.values()) < cli.DISTANCE_TOL
+
+    def test_a_wrong_ancilla_rotation_fails_only_covariance(self, capsys, monkeypatch):
+        # At (2,1,3) u_anc acts on m - n = 2 qudits and u_out on 3, so only
+        # u_anc is built from conj(u) here; the bound must see the ancilla
+        # side too, not only the output side.
+        real = symmetric.sym_unitary
+        monkeypatch.setattr(
+            cli, "sym_unitary",
+            lambda u, total: real(u.conj() if total == 2 else u, total),
+        )
+        status, checks = self._checks(capsys, self.ARGV["full"])
+        assert status == 1
+        assert checks.pop("covariance-bound") > cli.DISTANCE_TOL
         assert max(checks.values()) < cli.DISTANCE_TOL
 
     @pytest.mark.parametrize("mode", list(ARGV))
     def test_a_table_in_another_gauge(self, capsys, monkeypatch, mode):
-        # e^(i theta) V is the same density: the exact distances of full mode
-        # pass, the bounds of fast-path-only mode fail loudly, never falsely.
+        # e^(i theta) V is the same density, but the pairwise bounds of both
+        # modes fail loudly on it, never falsely.  The rotated fan table has
+        # the same phase, so the covariance bound still passes.
         real = machines.fan_output
 
         def rephased(spec, phi):
@@ -648,15 +665,10 @@ class TestFactorChecks:
 
         monkeypatch.setattr(machines, "fan_output", rephased)
         status, checks = self._checks(capsys, self.ARGV[mode])
-        if mode == "full":
-            assert status == 0
-            assert max(checks.values()) < cli.DISTANCE_TOL
-        else:
-            assert status == 1
-            assert checks["pairwise-bound-werner-fan"] > 0.1
-            assert checks["pairwise-bound-fan-unified"] > 0.1
-            assert checks["pairwise-bound-werner-unified"] < cli.DISTANCE_TOL
-            assert checks["closed-form"] < cli.DISTANCE_TOL
+        assert status == 1
+        assert checks.pop("pairwise-bound-werner-fan") > 0.1
+        assert checks.pop("pairwise-bound-fan-unified") > 0.1
+        assert max(checks.values()) < cli.DISTANCE_TOL
 
 
 class TestParserReuse:
