@@ -9,8 +9,6 @@ full-tensor-space constructions.
 
 from .combinatorics import (
     IdentityReport,
-    OccupationVector,
-    enumerate_occupations,
     splitting_coefficient_sq,
     sym_dim,
     verify_identity,
@@ -81,7 +79,6 @@ __all__ = [
     "FullDensity",
     "FullState",
     "IdentityReport",
-    "OccupationVector",
     "OracleCapError",
     "PureState",
     "SymBasis",
@@ -90,7 +87,6 @@ __all__ = [
     "UnifiedOracleResult",
     "WeightedCloneResult",
     "embed_isometry",
-    "enumerate_occupations",
     "expand_power",
     "explicit_1to2",
     "fan_output",

@@ -1,11 +1,12 @@
 """Exact combinatorial kernel for symmetric-subspace bookkeeping.
 
 Everything in this module is computed with arbitrary-precision integers
-and exact rationals (``fractions.Fraction``).  :func:`occupation_tuples`
-is the one enumeration of the basis: the exact layer wraps its tuples as
-:class:`OccupationVector`, and :mod:`uqcm.symmetric` stacks them into the
-numeric count table behind every fast path, whose floating-point split
-table is tested against the exact coefficients here.
+and exact rationals (``fractions.Fraction``).  An occupation vector is a
+plain tuple of counts: :func:`occupation_tuples` is the one enumeration
+of the basis, :func:`check_occupation` the one validation of a vector,
+and :mod:`uqcm.symmetric` stacks the tuples into the numeric count table
+behind every fast path, whose floating-point split table is tested
+against the exact coefficients here.
 
 Occupation vectors index the completely symmetric basis: the vector
 ``(m_1, ..., m_d)`` labels the normalized permutation-invariant state of
@@ -20,53 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
-
-
-@dataclass(frozen=True, order=True)
-class OccupationVector:
-    """Nonnegative integer counts ``(m_1, ..., m_d)`` with their sum as total.
-
-    Instances are immutable, hashable and ordered by plain tuple
-    comparison of ``counts``; sorting a basis in decreasing order yields
-    the canonical enumeration.
-    """
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        counts = tuple(int(c) for c in self.counts)
-        if len(counts) == 0:
-            raise ValueError("occupation vector needs at least one slot")
-        if any(c < 0 for c in counts):
-            raise ValueError(f"negative occupation in {counts}")
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def d(self) -> int:
-        return len(self.counts)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.counts)
-
-    def __getitem__(self, j: int) -> int:
-        return self.counts[j]
-
-    def contains(self, other: "OccupationVector") -> bool:
-        """True when ``other`` fits slotwise inside this vector."""
-        self._check_slots(other)
-        return all(b <= a for a, b in zip(self.counts, other.counts))
-
-    def _check_slots(self, other: "OccupationVector") -> None:
-        if len(self.counts) != len(other.counts):
-            raise ValueError("occupation vectors have different slot counts")
-
-    def __repr__(self) -> str:
-        return f"OccupationVector({self.counts})"
+from typing import Iterator, Sequence
 
 
 def sym_dim(d: int, n: int) -> int:
@@ -80,9 +35,8 @@ def sym_dim(d: int, n: int) -> int:
 def occupation_tuples(d: int, total: int) -> Iterator[tuple[int, ...]]:
     """Plain count tuples of ``total`` particles in ``d`` slots, in canonical order.
 
-    The one enumeration of the basis: :func:`enumerate_occupations` wraps
-    these tuples for the exact layer, and :class:`uqcm.symmetric.SymBasis`
-    stacks them into its numeric table.
+    The one enumeration of the basis, for the exact layer and for the
+    numeric table of :class:`uqcm.symmetric.SymBasis` alike.
     """
     _check_d(d)
     if total < 0:
@@ -108,17 +62,20 @@ def _tuples(d: int, total: int) -> Iterator[tuple[int, ...]]:
         counts[j + 1] = moved
 
 
-def enumerate_occupations(d: int, total: int) -> list[OccupationVector]:
-    """All occupation vectors of ``total`` particles in ``d`` slots.
-
-    Returned in canonical (lexicographically decreasing) order; the list
-    has exactly ``sym_dim(d, total)`` entries.
-    """
-    return [OccupationVector(c) for c in occupation_tuples(d, total)]
+def check_occupation(m: Sequence[int], d: int, total: int) -> tuple[int, ...]:
+    """``m`` as a tuple of ints; ValueError unless it is ``total`` particles in ``d`` slots."""
+    counts = tuple(int(c) for c in m)
+    if len(counts) != d:
+        raise ValueError(f"{counts} has {len(counts)} slots, expected {d}")
+    if any(c < 0 for c in counts):
+        raise ValueError(f"negative occupation in {counts}")
+    if sum(counts) != total:
+        raise ValueError(f"{counts} sums to {sum(counts)}, expected {total}")
+    return counts
 
 
 def splitting_coefficient_sq(
-    m: OccupationVector, k: OccupationVector, total: int, kept: int
+    m: Sequence[int], k: Sequence[int], total: int, kept: int
 ) -> Fraction:
     """Exact square of the coefficient of |m-k>|k> in the split of |m>.
 
@@ -128,26 +85,20 @@ def splitting_coefficient_sq(
 
         prod_j C(m_j, k_j) / C(total, kept).
 
-    The squares over all admissible ``k`` sum to one exactly.
+    The squares over all admissible ``k`` sum to one exactly.  ``m`` and
+    ``k`` are count tuples with the same number of slots, and ``k`` must
+    fit slotwise inside ``m``.
     """
-    _check_split_args(m, k, total, kept)
+    if not 0 <= kept <= total:
+        raise ValueError(f"kept group size {kept} outside 0..{total}")
+    m = check_occupation(m, len(m), total)
+    k = check_occupation(k, len(m), total - kept)
+    if any(kj > mj for mj, kj in zip(m, k)):
+        raise ValueError(f"split {k} exceeds occupation {m}")
     num = 1
     for mj, kj in zip(m, k):
         num *= math.comb(mj, kj)
     return Fraction(num, math.comb(total, kept))
-
-
-def _check_split_args(
-    m: OccupationVector, k: OccupationVector, total: int, kept: int
-) -> None:
-    if not 0 <= kept <= total:
-        raise ValueError(f"kept group size {kept} outside 0..{total}")
-    if m.total != total:
-        raise ValueError(f"m sums to {m.total}, expected {total}")
-    if k.total != total - kept:
-        raise ValueError(f"k sums to {k.total}, expected {total - kept}")
-    if not m.contains(k):
-        raise ValueError(f"split {k.counts} exceeds occupation {m.counts}")
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,9 @@ starting from J_M = J,
 
 so the sweep from t = M down to M - L + 1 yields F_1..F_L together.  It
 costs d * r * sum_t D_t for r columns of J and D_t = sym_dim(d, t), and
-never forms rho, a reduction, or J itself: a machine hands over the
-D_in x r amplitude table V that J is scattered from, the first step
+never forms rho, a reduction, or J itself: a
+:class:`~uqcm.symmetric.SymDensity` holds only the D_in x r amplitude
+table V that J is scattered from, the first step
 scatters V straight into level M-1, and the sweep runs over column
 blocks, holding one level-(M-1) block plus half of level M-2 twice.  The
 blocks are as wide as :data:`~uqcm.hilbert.FAST_PATH_CAP` leaves room for
@@ -48,16 +49,7 @@ from .symmetric import SymDensity, ladder_fidelities
 def fidelities_numeric(
     rho: SymDensity, phi: PureState, upto: int | None = None
 ) -> tuple[float, ...]:
-    """F_1..F_upto of rho against |phi>, from one ladder sweep (all L by default).
-
-    rho is a machine's output, which holds its amplitude table; a
-    density holding its whole factor (``kept`` None) is refused.
-    """
-    if rho.kept is None:
-        raise ValueError(
-            "density has no amplitude table to sweep (kept is None); "
-            "pass a machine's output"
-        )
+    """F_1..F_upto of rho against |phi>, from one ladder sweep (all L by default)."""
     m_total = rho.basis.total
     if upto is None:
         upto = m_total

@@ -18,15 +18,13 @@ factor-held densities are compared by :func:`trace_distance_factors`,
 which is exact and works on an (r_x + r_y)-sized matrix from one QR
 factorisation, never on a d^n x d^n array.
 
-The dense checks use the cheapest LAPACK call that decides them.
-:func:`check_density` decides positive semidefiniteness by a Cholesky
-factorisation of the matrix shifted by ``-PSD_TOL`` on its diagonal,
-which succeeds exactly when every eigenvalue is above ``PSD_TOL``.
-:func:`trace_distance_matrices`, the dense reference for
+Densities enter only as factors, so the one density check is
+:func:`check_factor`, O(size): Hermiticity and positivity hold by
+construction.  :func:`trace_distance_matrices`, the dense reference for
 :func:`trace_distance_factors`, sums the absolute eigenvalues of the
 Hermitian difference from the Hermitian eigensolver instead of its
-singular values.  Both are O(D^3) for a D x D matrix, with constants
-well below those of the full eigenvalue or singular value problem.
+singular values: O(D^3) for a D x D matrix, with a constant well below
+that of the singular value problem.
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ FAST_PATH_CAP = 2**25
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
-PSD_TOL = -1e-10
 NORM_TOL = 1e-12
 
 
@@ -164,32 +161,6 @@ class FullDensity:
         mat = self.factor @ self.factor.conj().T
         mat.setflags(write=False)
         return mat
-
-
-def check_density(mat: np.ndarray) -> None:
-    """Raise ValueError unless ``mat`` is Hermitian, unit-trace and positive semidefinite.
-
-    Positive semidefinite means no eigenvalue below ``PSD_TOL``.  A
-    Hermitian ``mat`` has every eigenvalue above ``PSD_TOL`` exactly when
-    ``mat - PSD_TOL * I`` is positive definite, i.e. has a Cholesky
-    factor, so one factorisation of a shifted copy decides the check.  It
-    can disagree with the smallest computed eigenvalue only within about
-    D * eps of the threshold, where rounding can tip either test.
-    Cholesky costs about D^3 / 6 complex multiply-adds with no iteration,
-    about a quarter of the flops of the eigensolver's reduction to
-    tridiagonal form; its peak is about three D x D complex buffers (the
-    shifted copy and numpy's two).
-    """
-    _check_hermitian(mat, "density matrix")
-    if abs(np.trace(mat).real - 1.0) > TRACE_TOL:
-        raise ValueError(f"density matrix trace {np.trace(mat)} != 1")
-    shifted = np.array(mat, dtype=np.complex128)
-    diagonal = np.arange(shifted.shape[0])
-    shifted[diagonal, diagonal] -= PSD_TOL
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        raise ValueError("density matrix is not positive semidefinite") from None
 
 
 def check_factor(factor: np.ndarray, dim: int) -> None:

@@ -404,27 +404,30 @@ def check_fast_path(spec: CloneSpec, tables: int = 1) -> int:
 
     The budget is what a machine and the ladder sweep over its table
     allocate (:func:`uqcm.symmetric.sweep_budget`): the tables held
-    throughout, plus the larger of their construction and one block of
-    the sweep.  ``tables`` is how many machines' dim_in x dim_anc
-    amplitude tables are held while one is swept: 1 for ``uqcm table``,
-    3 for ``uqcm verify``, whose fast-path-only trial holds every
-    machine's table, compares them by
-    :func:`~uqcm.symmetric.trace_distance_bound` and sweeps each in
-    turn, and scatters no factor J.  Runs before any occupation table
-    or factor of the problem is built, so an oversized request fails at
-    once instead of running out of memory.
+    throughout, plus the larger of two spans that never overlap, the
+    tables' construction and one block of the sweep.  ``tables`` is how
+    many machines' dim_in x dim_anc amplitude tables are alive while the
+    last one is built: 1 for ``uqcm table``, 3 for ``uqcm verify``, whose
+    fast-path-only trial builds every machine's table, compares them by
+    :func:`~uqcm.symmetric.trace_distance_bound` and releases them, then
+    builds and sweeps each machine's table in turn; it scatters no
+    factor J.  The block is as wide as the cap leaves room for
+    (:func:`~uqcm.symmetric.sweep_width`), so it is not narrowed by the
+    extra tables.  Runs before any occupation table or factor of the
+    problem is built, so an oversized request fails at once instead of
+    running out of memory.
     """
     d, n, m = spec.d, spec.n_in, spec.m_out
     held, transient, per_column = sweep_budget(d, m, n)
     extra = (tables - 1) * spec.dim_in * spec.dim_anc
-    entries = held + extra + max(transient, per_column * sweep_width(d, m, n))
+    entries = held + max(extra + transient, per_column * sweep_width(d, m, n))
     if entries > FAST_PATH_CAP:
         what = "its occupation tables and one sweep block"
         if tables > 1:
             what = (
-                f"the amplitude tables of {tables} machines "
-                f"({spec.dim_in} x {spec.dim_anc} each), the occupation "
-                "tables and one sweep block"
+                f"its occupation tables, then either the amplitude tables of "
+                f"{tables} machines ({spec.dim_in} x {spec.dim_anc} each) or "
+                "one sweep block"
             )
         raise FastPathCapError(
             f"(d, n_in, m_out) = ({d}, {n}, {m}) needs {entries} entries for "

@@ -18,10 +18,13 @@ Every decision about the numeric occupation basis is made here: the one
 cached count table per (d, total) (:attr:`SymBasis.counts`), the one
 rank formula (:meth:`SymBasis.index`, vectorised in the split table and
 the embedding), the one split table of where |a>|k> sits in |a+k>
-(:func:`split_table`), the one scatter of a machine's amplitude table
-into its factor (:func:`scatter_factor`), and the one sweep that reads
-every F_L off a factor, one contracted qudit per step
-(:func:`ladder_fidelities`).
+(:func:`split_table`), the one density type, a :class:`SymDensity`
+that holds only an amplitude table, the one scatter of that table into
+its factor (:func:`scatter_factor`), and the one sweep that reads every
+F_L off a factor, one contracted qudit per step
+(:func:`ladder_fidelities`).  The references the tests compare
+against, :func:`reduce_symmetric`, :func:`full_to_sym_density` and
+:func:`reduced_expectation`, return plain factors or numbers.
 
 The sweep starts from a machine's D_in x r amplitude table V, never
 from the whole factor J: its first step is d scatters of V's D_in * r
@@ -42,7 +45,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .combinatorics import OccupationVector, occupation_tuples, sym_dim
+from .combinatorics import check_occupation, occupation_tuples, sym_dim
 from .hilbert import (
     FAST_PATH_CAP,
     NORM_TOL,
@@ -50,7 +53,6 @@ from .hilbert import (
     FullState,
     PureState,
     check_cap,
-    check_density,
     check_factor,
 )
 
@@ -61,7 +63,7 @@ class SymBasis:
 
     (d, total) fixes the basis.  ``counts`` is its one cached, read-only
     dim x d table (row i is the occupation vector at index i), and
-    :meth:`index` ranks a vector by formula, not by lookup.
+    :meth:`index` ranks a count tuple by formula, not by lookup.
     """
 
     d: int
@@ -75,11 +77,9 @@ class SymBasis:
     def counts(self) -> np.ndarray:
         return _counts_table(self.d, self.total)
 
-    def index(self, m: OccupationVector) -> int:
-        counts = np.array(tuple(m), dtype=np.intp)
-        if counts.size != self.d or counts.sum() != self.total or counts.min() < 0:
-            raise ValueError(f"{m} is not a basis vector of ({self.d},{self.total})")
-        return int(_canonical_index(counts, self.total))
+    def index(self, m: tuple[int, ...]) -> int:
+        counts = check_occupation(m, self.d, self.total)
+        return int(_canonical_index(np.array(counts, dtype=np.intp), self.total))
 
 
 @lru_cache(maxsize=None)
@@ -164,59 +164,42 @@ class SymVector:
 
 @dataclass(frozen=True)
 class SymDensity:
-    """Density operator over a symmetric occupation basis, held as a factor.
+    """Density operator over a symmetric occupation basis, held as an amplitude table.
 
-    rho = J J^dagger for a dim x r factor J, e.g. a machine's pure joint
-    state with its r ancilla columns still open.  ``factor`` is J itself
-    when ``kept`` is None.  Otherwise it is the sym_dim(d, kept) x r
+    rho = J J^dagger for the dim x r factor J of a pure joint state with
+    its r ancilla columns still open, such as a machine's output.  J is
+    nonzero only on |a+k>|k>, so ``factor`` is the sym_dim(d, kept) x r
     amplitude table V that J is scattered from, J[a+k, k] = V[a, k]
-    (:func:`scatter_factor`), which is how every machine hands over its
-    output: D_in * r entries instead of D_out * r.  Construction checks
-    the factor in O(size): the shape, finite entries and
-    ||J||_F^2 = ||V||_F^2 = 1; Hermiticity and positivity hold by
-    construction.  ``joint`` scatters the whole J and ``matrix`` forms
-    the dense rho, each only when read.  A matrix that comes without a
-    factor enters through :meth:`from_matrix`, which runs the full
-    density check, eigenvalues included, and holds J whole; only a
-    density holding a table is swept by :func:`ladder_fidelities`.
+    (:func:`scatter_factor`): D_in * r entries instead of D_out * r.
+    Every machine hands over its output this way with ``kept`` = n_in; at
+    ``kept`` = total the table is a single column, any pure state.
+    Construction checks the table in O(size): the shape, finite entries
+    and ||J||_F^2 = ||V||_F^2 = 1; Hermiticity and positivity hold by
+    construction.  ``joint`` scatters the whole J and ``matrix`` forms the
+    dense rho, each only when read.
     """
 
     basis: SymBasis
     factor: np.ndarray
-    kept: int | None = None
+    kept: int
 
     def __post_init__(self) -> None:
         factor = np.asarray(self.factor, dtype=np.complex128)
         d, total, kept = self.basis.d, self.basis.total, self.kept
-        if kept is None:
-            check_factor(factor, self.basis.dim)
-        else:
-            if not 0 <= kept <= total:
-                raise ValueError(f"kept count {kept} outside 0..{total}")
-            check_factor(factor, sym_dim(d, kept))
-            if factor.shape[1] != sym_dim(d, total - kept):
-                raise ValueError(
-                    f"amplitude table shape {factor.shape} does not split "
-                    f"({d},{total}) as {kept} + {total - kept}"
-                )
+        if not 0 <= kept <= total:
+            raise ValueError(f"kept count {kept} outside 0..{total}")
+        check_factor(factor, sym_dim(d, kept))
+        if factor.shape[1] != sym_dim(d, total - kept):
+            raise ValueError(
+                f"amplitude table shape {factor.shape} does not split "
+                f"({d},{total}) as {kept} + {total - kept}"
+            )
         factor.setflags(write=False)
         object.__setattr__(self, "factor", factor)
 
-    @classmethod
-    def from_matrix(cls, basis: SymBasis, matrix: np.ndarray) -> "SymDensity":
-        mat = np.asarray(matrix, dtype=np.complex128)
-        if mat.shape != (basis.dim, basis.dim):
-            raise ValueError(f"matrix shape {mat.shape} does not match dim {basis.dim}")
-        check_density(mat)
-        # The eigenvalues passed the PSD check; clipping only drops rounding noise.
-        weights, vecs = np.linalg.eigh(mat)
-        return cls(basis=basis, factor=vecs * np.sqrt(np.clip(weights, 0.0, None)))
-
     @cached_property
     def joint(self) -> np.ndarray:
-        """The whole dim x r factor J."""
-        if self.kept is None:
-            return self.factor
+        """The whole dim x r factor J, scattered from the table."""
         joint = scatter_factor(self.basis.d, self.basis.total, self.kept, self.factor)
         joint.setflags(write=False)
         return joint
@@ -228,9 +211,9 @@ class SymDensity:
         return mat
 
 
-def embed(m: OccupationVector) -> FullState:
+def embed(m: tuple[int, ...]) -> FullState:
     """Normalized permutation-invariant full-space state with occupation m."""
-    d, total = m.d, m.total
+    d, total = len(m), sum(m)
     check_cap(d, total)
     column = _embed_isometry(d, total)[:, SymBasis(d, total).index(m)]
     return FullState(column.astype(np.complex128), factors=total, local_dim=d)
@@ -319,17 +302,19 @@ def sym_to_full_density(rho: SymDensity) -> FullDensity:
     return FullDensity(_expand(rho.joint, d, total), factors=total, local_dim=d)
 
 
-def full_to_sym_density(rho: FullDensity) -> SymDensity:
+def full_to_sym_density(rho: FullDensity) -> np.ndarray:
     """Compress a full-space density with symmetric support into the occupation basis.
 
-    The factor iso^T @ F keeps unit trace only if F lies in the
-    symmetric subspace, so the density check also tests the support.
+    Returns the occupation-basis factor iso^T @ F.  It keeps unit trace
+    only if F lies in the symmetric subspace, so the factor check also
+    tests the support.  A reference for the tests: nothing in the package
+    calls it.
     """
     d, total = rho.local_dim, rho.factors
     check_cap(d, total)
-    return SymDensity(
-        basis=SymBasis(d, total), factor=_compress(rho.factor, d, total)
-    )
+    factor = _compress(rho.factor, d, total)
+    check_factor(factor, sym_dim(d, total))
+    return factor
 
 
 def sym_unitary(u: np.ndarray, total: int) -> np.ndarray:
@@ -369,7 +354,7 @@ def expand_power(phi: PureState, copies: int) -> SymVector:
     return SymVector(basis=basis, amplitudes=amps)
 
 
-def reduce_symmetric(rho: SymDensity, kept: int) -> SymDensity:
+def reduce_symmetric(rho: SymDensity, kept: int) -> np.ndarray:
     """Partial trace down to ``kept`` qudits, natively in the occupation basis.
 
     Entries follow the two-group splitting of each |m>:
@@ -383,16 +368,16 @@ def reduce_symmetric(rho: SymDensity, kept: int) -> SymDensity:
 
     so the reduction is returned as the factor B, gathered in one step
     and never passing through the dense rho.  Agrees with the full-space
-    partial trace over any choice of traced factors.
+    partial trace over any choice of traced factors.  A reference for the
+    tests: :func:`ladder_fidelities` reads F_L without it.
     """
     total, d = rho.basis.total, rho.basis.d
     if not 1 <= kept <= total:
         raise ValueError(f"kept count {kept} outside 1..{total}")
-    if kept == total:
-        return rho
     idx, coeff = split_table(d, total, kept)
     factor = (coeff[:, :, None] * rho.joint[idx]).reshape(idx.shape[0], -1)
-    return SymDensity(basis=SymBasis(d, kept), factor=factor)
+    check_factor(factor, sym_dim(d, kept))
+    return factor
 
 
 def scatter_factor(d: int, total: int, kept: int, amplitudes: np.ndarray) -> np.ndarray:
@@ -429,7 +414,7 @@ def trace_distance_bound(a: SymDensity, b: SymDensity) -> float:
     loudly.  (Permuting a table's columns moves its entries to other
     rows of J, so that changes the density and both distances.)
     """
-    if a.kept is None or (a.basis, a.kept) != (b.basis, b.kept):
+    if (a.basis, a.kept) != (b.basis, b.kept):
         raise ValueError("the bound compares two amplitude tables on the same split")
     return float(np.linalg.norm(a.factor - b.factor))
 

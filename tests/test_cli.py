@@ -217,8 +217,9 @@ class TestVerify:
         assert "fast-path cap" in capsys.readouterr().err
 
     def test_tables_over_cap_exit_2_before_allocating(self, capsys, monkeypatch):
-        # `table` reaches (10,2,10), its sweep block filling the cap; `verify`
-        # holds two more 55 x 24310 tables, so it must fail here, not run.
+        # `table` reaches (9,2,12); `verify` builds three 45 x 43758 tables
+        # beside the arrays that build them, which do not fit, so it must
+        # fail here, not run.
         def refuse(*args):
             raise AssertionError("verify ran a machine past its cap check")
 
@@ -226,14 +227,14 @@ class TestVerify:
         tracemalloc.start()
         try:
             with pytest.raises(SystemExit) as exc:
-                cli.main(["verify", "--d", "10", "--n", "2", "--m", "10", "--trials", "1"])
+                cli.main(["verify", "--d", "9", "--n", "2", "--m", "12", "--trials", "1"])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage: uqcm verify ")
-        assert "3 machines (55 x 24310 each)" in err and "fast-path cap" in err
+        assert "3 machines (45 x 43758 each)" in err and "fast-path cap" in err
         assert peak < 1_000_000
 
     @pytest.mark.parametrize("d,n,m", [(8, 2, 8), (8, 3, 8)])
@@ -301,6 +302,39 @@ class TestVerify:
             assert json.loads(out)["mode"] == "fast-path-only"
             assert peak <= 16 * counted
         assert counted < machines.CloneSpec(d, n, m).dim_out ** 2
+
+    def test_multi_block_sweeps_pass_within_the_count(self, capsys, monkeypatch):
+        # A cap with room for the three 36 x 792 tables and the arrays that
+        # build them, but for only 147 columns in a sweep block: each machine
+        # is swept in six blocks.  The tables are released before the
+        # sweeps, so the block is not counted beside them; one trial, tables
+        # built inside the traced span, passes within the count.  A trial
+        # that kept the tables through its sweeps would pass the count by 5%.
+        d, n, m = 8, 2, 7
+        spec = machines.CloneSpec(d, n, m)
+        held, transient, per_column = symmetric.sweep_budget(d, m, n)
+        cap = held + transient + 2 * spec.dim_in * spec.dim_anc
+        # warm-up: lazy imports and numpy's first generator are not part of a trial
+        _run(capsys, ["verify", "--d", "3", "--n", "2", "--m", "5", "--trials", "1"])
+        for module in (symmetric, machines):
+            monkeypatch.setattr(module, "FAST_PATH_CAP", cap)
+        assert machines.check_fast_path(spec, tables=3) == cap
+        assert -(-spec.dim_anc // symmetric.sweep_width(d, m, n)) == 6
+        for cached in (symmetric._counts_table, symmetric.split_table,
+                       symmetric.log_factorials):
+            cached.cache_clear()
+        argv = ["verify", "--d", str(d), "--n", str(n), "--m", str(m), "--trials", "1"]
+        tracemalloc.start()
+        try:
+            status, out = _run(capsys, argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        payload = json.loads(out)
+        assert status == 0 and payload["pass"] is True
+        assert payload["mode"] == "fast-path-only"
+        assert all(c["max_distance"] < 1e-10 for c in payload["checks"])
+        assert peak <= 16 * cap
 
     @pytest.mark.parametrize("d,n,m", [(8, 7, 8), (10, 9, 10)])
     def test_narrow_factors_past_the_dense_rule_pass(self, capsys, d, n, m):

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from uqcm.combinatorics import (
     RECONSTRUCTED_DENOMINATOR,
-    OccupationVector,
-    enumerate_occupations,
+    check_occupation,
     occupation_tuples,
     splitting_coefficient_sq,
     sym_dim,
@@ -39,25 +38,24 @@ class TestEnumerateOccupations:
     def test_count_matches_dimension(self):
         for d in (2, 3, 4):
             for total in range(5):
-                assert len(enumerate_occupations(d, total)) == sym_dim(d, total)
+                assert len(list(occupation_tuples(d, total))) == sym_dim(d, total)
 
     def test_canonical_order_endpoints(self):
-        occs = enumerate_occupations(3, 2)
-        assert occs[0].counts == (2, 0, 0)
-        assert occs[-1].counts == (0, 0, 2)
+        occs = list(occupation_tuples(3, 2))
+        assert occs[0] == (2, 0, 0)
+        assert occs[-1] == (0, 0, 2)
 
     def test_lexicographically_decreasing(self):
-        occs = enumerate_occupations(3, 4)
-        counts = [m.counts for m in occs]
-        assert counts == sorted(counts, reverse=True)
+        occs = list(occupation_tuples(3, 4))
+        assert occs == sorted(occs, reverse=True)
 
     def test_all_totals_correct(self):
-        for m in enumerate_occupations(4, 3):
-            assert m.total == 3
-            assert m.d == 4
+        for m in occupation_tuples(4, 3):
+            assert sum(m) == 3
+            assert len(m) == 4
 
     def test_no_duplicates(self):
-        occs = enumerate_occupations(3, 5)
+        occs = list(occupation_tuples(3, 5))
         assert len(set(occs)) == len(occs)
 
 
@@ -85,65 +83,62 @@ class TestOccupationTuples:
         assert all(sum(t) == 1 for t in tuples)
 
 
-class TestOccupationVector:
-    def test_properties(self):
-        m = OccupationVector((2, 1, 0))
-        assert m.d == 3
-        assert m.total == 3
-        assert m[0] == 2
-        assert list(m) == [2, 1, 0]
+def _fits(k, m):
+    """True when k fits slotwise inside m."""
+    return all(b <= a for a, b in zip(m, k))
 
-    def test_add_sub_contains(self):
-        m = OccupationVector((2, 1))
-        k = OccupationVector((1, 0))
-        assert m.contains(k)
-        assert m.contains(m)
-        assert not k.contains(m)
-        assert not OccupationVector((1, 0)).contains(OccupationVector((0, 1)))
 
+class TestCheckOccupation:
     def test_negative_count_raises(self):
-        with pytest.raises(ValueError):
-            OccupationVector((1, -1))
+        with pytest.raises(ValueError, match="negative"):
+            check_occupation((2, -1), 2, 1)
+        with pytest.raises(ValueError, match="negative"):
+            splitting_coefficient_sq((2, -1), (0, 0), 1, 1)
 
     def test_mismatched_slots_raise(self):
-        with pytest.raises(ValueError):
-            OccupationVector((1, 0)).contains(OccupationVector((1, 0, 0)))
+        with pytest.raises(ValueError, match="slots"):
+            check_occupation((1, 0, 0), 2, 1)
+        with pytest.raises(ValueError, match="slots"):
+            splitting_coefficient_sq((1, 0), (1, 0, 0), 1, 0)
+
+    def test_wrong_sum_raises(self):
+        with pytest.raises(ValueError, match="sums to"):
+            check_occupation((1, 1), 2, 3)
 
 
 class TestSplittingCoefficient:
     def test_spot_values(self):
-        m = OccupationVector((1, 1))
-        assert splitting_coefficient_sq(m, OccupationVector((1, 0)), 2, 1) == Fraction(1, 2)
-        assert splitting_coefficient_sq(m, OccupationVector((0, 1)), 2, 1) == Fraction(1, 2)
-        m2 = OccupationVector((2, 0))
-        assert splitting_coefficient_sq(m2, OccupationVector((1, 0)), 2, 1) == 1
+        m = (1, 1)
+        assert splitting_coefficient_sq(m, (1, 0), 2, 1) == Fraction(1, 2)
+        assert splitting_coefficient_sq(m, (0, 1), 2, 1) == Fraction(1, 2)
+        assert splitting_coefficient_sq((2, 0), (1, 0), 2, 1) == 1
 
     def test_squares_sum_to_one(self):
         # Removing total-kept excitations in all ways resolves the state completely.
         for d, total, kept in [(2, 3, 1), (2, 4, 2), (3, 3, 2), (3, 4, 1)]:
-            for m in enumerate_occupations(d, total):
+            for m in occupation_tuples(d, total):
                 acc = Fraction(0)
-                for k in enumerate_occupations(d, total - kept):
-                    if m.contains(k):
+                for k in occupation_tuples(d, total - kept):
+                    if _fits(k, m):
                         acc += splitting_coefficient_sq(m, k, total, kept)
                 assert acc == 1
 
     def test_incompatible_arguments_raise(self):
-        m = OccupationVector((2, 1))
+        m = (2, 1)
         with pytest.raises(ValueError):
-            splitting_coefficient_sq(m, OccupationVector((1, 0)), 3, 1)
-        with pytest.raises(ValueError):
-            splitting_coefficient_sq(m, OccupationVector((0, 3)), 3, 0)
+            splitting_coefficient_sq(m, (1, 0), 3, 1)
+        with pytest.raises(ValueError, match="exceeds"):
+            splitting_coefficient_sq(m, (0, 3), 3, 0)
 
     @settings(max_examples=100, derandomize=True)
     @given(st.integers(2, 4), st.integers(1, 5), st.data())
     def test_normalization_property(self, d, total, data):
         kept = data.draw(st.integers(0, total))
-        occs = enumerate_occupations(d, total)
+        occs = list(occupation_tuples(d, total))
         m = data.draw(st.sampled_from(occs))
         acc = Fraction(0)
-        for k in enumerate_occupations(d, total - kept):
-            if m.contains(k):
+        for k in occupation_tuples(d, total - kept):
+            if _fits(k, m):
                 acc += splitting_coefficient_sq(m, k, total, kept)
         assert acc == 1
 
@@ -153,10 +148,10 @@ class TestSplittingCoefficient:
         kept = data.draw(st.integers(0, total))
         idx, coeff = split_table(d, total, kept)
         # Positions come from the enumeration itself, not from the rank formula.
-        basis = enumerate_occupations(d, total)
-        for ai, a in enumerate(enumerate_occupations(d, kept)):
-            for ki, k in enumerate(enumerate_occupations(d, total - kept)):
-                m = OccupationVector(tuple(x + y for x, y in zip(a, k)))
+        basis = list(occupation_tuples(d, total))
+        for ai, a in enumerate(occupation_tuples(d, kept)):
+            for ki, k in enumerate(occupation_tuples(d, total - kept)):
+                m = tuple(x + y for x, y in zip(a, k))
                 assert idx[ai, ki] == basis.index(m)
                 exact = math.sqrt(splitting_coefficient_sq(m, k, total, kept))
                 assert coeff[ai, ki] == pytest.approx(exact, rel=1e-12)

@@ -22,7 +22,6 @@ from uqcm.fidelity import (
 from uqcm.hilbert import PureState, random_pure_state, trace_distance_matrices
 from uqcm.machines import MACHINES, CloneSpec, check_fast_path, run_machine
 from uqcm.symmetric import (
-    SymDensity,
     expand_power,
     reduce_symmetric,
     reduced_expectation,
@@ -171,14 +170,6 @@ class TestNumericAgreement:
         with pytest.raises(ValueError):
             fidelities_numeric(rho, phi, 3)
 
-    def test_density_without_amplitude_table_raises(self):
-        spec = CloneSpec(2, 1, 2)
-        phi = random_pure_state(2, 1)
-        rho = run_machine(spec, phi, "werner")
-        whole = SymDensity.from_matrix(rho.basis, rho.matrix)
-        with pytest.raises(ValueError, match="no amplitude table"):
-            fidelities_numeric(whole, phi)
-
     def test_dimension_mismatch_raises(self):
         spec = CloneSpec(2, 1, 2)
         rho = run_machine(spec, random_pure_state(2, 1), "werner")
@@ -200,7 +191,8 @@ class TestFactoredFidelity:
             rho = run_machine(spec, phi, machine)
             for L, numeric in enumerate(fidelities_numeric(rho, phi), start=1):
                 target = expand_power(phi, L).amplitudes
-                reduced = reduce_symmetric(rho, L).matrix
+                factor = reduce_symmetric(rho, L)
+                reduced = factor @ factor.conj().T
                 overlap = (target.conj() @ reduced @ target).real
                 assert not np.isnan(numeric)
                 assert numeric == pytest.approx(overlap, abs=1e-12)

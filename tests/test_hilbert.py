@@ -14,7 +14,6 @@ from uqcm.hilbert import (
     OracleCapError,
     PureState,
     check_cap,
-    check_density,
     check_factor,
     fidelity_pure,
     maximally_entangled,
@@ -43,14 +42,13 @@ def _density_with_spectrum(weights, seed):
     return (mat + mat.conj().T) / 2
 
 
-def _rank_deficient_spectrum(dim, lowest):
-    """dim // 2 positive weights, one eigenvalue ``lowest``, the rest 0; trace 1."""
+def _rank_deficient_spectrum(dim):
+    """dim // 2 positive weights, the rest 0; trace 1."""
     rng = np.random.default_rng(dim)
     weights = np.zeros(dim)
     positive = max(dim // 2, 1)
     weights[:positive] = rng.uniform(0.5, 1.0, positive)
-    weights[:positive] *= (1.0 - lowest) / weights[:positive].sum()
-    weights[positive] = lowest
+    weights[:positive] /= weights[:positive].sum()
     return weights
 
 
@@ -246,6 +244,29 @@ class TestMetrics:
         with pytest.raises(ValueError, match="not Hermitian"):
             trace_distance_matrices(a, b)
 
+    @pytest.mark.parametrize("skew, hermitian", [(0.5e-10 * (1 + 1j), True),
+                                                 (0.8e-10 * (1 + 1j), False)])
+    def test_hermiticity_bounds_the_entry_modulus(self, skew, hermitian):
+        # Real and imaginary parts of the gap are each 0.5e-10 or 0.8e-10,
+        # so only the modulus (0.71e-10 or 1.13e-10) decides.
+        a = np.eye(3, dtype=np.complex128) / 3
+        b = a.copy()
+        b[0, 2] += skew
+        if hermitian:
+            assert 0.0 <= trace_distance_matrices(a, b) <= abs(skew)
+        else:
+            with pytest.raises(ValueError, match="not Hermitian"):
+                trace_distance_matrices(a, b)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        a = np.eye(2, dtype=np.complex128) / 2
+        b = a.copy()
+        b[1, 1] = bad
+        with pytest.raises(ValueError, match="not Hermitian"):
+            trace_distance_matrices(a, b)
+
     def test_fidelity_pure_matches_expectation(self):
         psi = random_pure_state(2, 8)
         rho = FullDensity(np.eye(2) / np.sqrt(2), 1, 2)
@@ -299,39 +320,37 @@ class TestTraceDistanceFactors:
         y = x @ random_unitary(rank, dim)
         assert trace_distance_factors(x, y) < 1e-14
 
+    def test_two_dimensional_operands_give_a_float(self):
+        rng = np.random.default_rng(3)
+        x, y = self._factor(rng, 6, 2), self._factor(rng, 6, 3)
+        assert type(trace_distance_factors(x, y)) is float
+
     def test_different_row_counts_raise(self):
         with pytest.raises(ValueError, match="rows"):
             trace_distance_factors(np.ones((4, 1)) / 2, np.ones((2, 1)) / np.sqrt(2))
 
 
 class TestStackedTraceDistance:
-    """trace_distance_factors takes two matrices; a stack of factors is refused."""
+    """Stacks of factors are refused, whether or not their leading shapes
+    agree: only two matrices are compared."""
 
     @staticmethod
     def _stack(rng, lead, dim, rank):
-        factor = rng.normal(size=lead + (dim, rank)) + 1j * rng.normal(
-            size=lead + (dim, rank)
-        )
-        return factor / np.linalg.norm(factor, axis=(-2, -1), keepdims=True)
-
-    def test_two_dimensional_operands_give_a_float(self):
-        rng = np.random.default_rng(3)
-        x, y = self._stack(rng, (), 6, 2), self._stack(rng, (), 6, 3)
-        assert type(trace_distance_factors(x, y)) is float
+        return rng.normal(size=lead + (dim, rank))
 
     @pytest.mark.parametrize("x_lead,y_lead", [((3,), (2,)), ((3,), ()), ((), (3,)),
                                                ((2, 3), (3, 2)), ((6,), (6, 1))])
     def test_leading_shapes_that_differ_raise(self, x_lead, y_lead):
         rng = np.random.default_rng(5)
         x, y = self._stack(rng, x_lead, 5, 2), self._stack(rng, y_lead, 5, 2)
-        with pytest.raises(ValueError, match="not matrices"):
+        with pytest.raises(ValueError, match="not matrices with the same rows"):
             trace_distance_factors(x, y)
 
     @pytest.mark.parametrize("lead", [(1,), (6,), (2, 3)])
     def test_stacks_with_the_same_leading_shape_raise(self, lead):
         rng = np.random.default_rng(7)
         x, y = self._stack(rng, lead, 5, 2), self._stack(rng, lead, 5, 3)
-        with pytest.raises(ValueError, match="not matrices"):
+        with pytest.raises(ValueError, match="not matrices with the same rows"):
             trace_distance_factors(x, y)
 
 
@@ -376,52 +395,14 @@ class TestRandomness:
         assert np.array_equal(psi.amplitudes, random_pure_state(3000, 5).amplitudes)
 
 
-class TestCheckDensity:
-    # Rounding moves the computed spectrum by about D * eps, far below the
-    # 2e-11 gap between any eigenvalue here and PSD_TOL = -1e-10.
-    @pytest.mark.parametrize("dim", [4, 64, 343])
-    @pytest.mark.parametrize("lowest", [-2e-10, -1.2e-10])
-    def test_eigenvalue_below_tolerance_rejected(self, dim, lowest):
-        mat = _density_with_spectrum(_rank_deficient_spectrum(dim, lowest), dim)
-        with pytest.raises(ValueError, match="density matrix is not positive semidefinite"):
-            check_density(mat)
-
-    @pytest.mark.parametrize("dim", [4, 64, 343])
-    @pytest.mark.parametrize("lowest", [-0.8e-10, -0.5e-10, 0.0])
-    def test_eigenvalue_within_tolerance_accepted(self, dim, lowest):
-        check_density(_density_with_spectrum(_rank_deficient_spectrum(dim, lowest), dim))
-
-    @pytest.mark.parametrize("skew, hermitian", [(0.5e-10 * (1 + 1j), True),
-                                                 (0.8e-10 * (1 + 1j), False)])
-    def test_hermiticity_bounds_the_entry_modulus(self, skew, hermitian):
-        # Real and imaginary parts of the gap are each 0.5e-10 or 0.8e-10,
-        # so only the modulus (0.71e-10 or 1.13e-10) decides.
-        mat = np.eye(3, dtype=np.complex128) / 3
-        mat[0, 2] += skew
-        if hermitian:
-            check_density(mat)
-        else:
-            with pytest.raises(ValueError, match="not Hermitian"):
-                check_density(mat)
-
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_entry_rejected(self, bad):
-        mat = np.eye(2, dtype=np.complex128) / 2
-        mat[1, 1] = bad
-        with pytest.raises(ValueError):
-            check_density(mat)
-
-
 class TestDenseCheckMemory:
-    # Measured at D = 343, relative to mat.nbytes: check_density 2.00x (the
-    # shifted copy and numpy's Cholesky output), trace_distance_matrices
+    # Measured at D = 343, relative to a.nbytes: trace_distance_matrices
     # 2.03x (the difference and the two real Hermiticity buffers).  LAPACK's
     # own work copies are allocated outside tracemalloc's view.  The slack
-    # covers numpy's fixed-size ufunc buffers, whatever the size of mat.
+    # covers numpy's fixed-size ufunc buffers, whatever the size of a.
     @pytest.fixture(scope="class")
     def pair(self):
-        weights = _rank_deficient_spectrum(343, 0.0)
+        weights = _rank_deficient_spectrum(343)
         return _density_with_spectrum(weights, 1), _density_with_spectrum(weights, 2)
 
     @staticmethod
@@ -433,11 +414,6 @@ class TestDenseCheckMemory:
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-
-    def test_check_density_peak(self, pair):
-        mat = pair[0]
-        slack = 2 * np.getbufsize() * mat.itemsize
-        assert self._peak(check_density, mat) <= 2 * mat.nbytes + slack
 
     def test_trace_distance_peak(self, pair):
         a, b = pair

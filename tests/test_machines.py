@@ -8,12 +8,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from uqcm import machines, symmetric
-from uqcm.combinatorics import OccupationVector
+import uqcm
+from uqcm import combinatorics, machines, symmetric
 from uqcm.fidelity import fidelities_numeric, fidelity_L_closed
 from uqcm.hilbert import (
     FAST_PATH_CAP,
-    PSD_TOL,
     FastPathCapError,
     FullState,
     PureState,
@@ -45,11 +44,15 @@ from uqcm.symmetric import (
     projector_full,
     scatter_factor,
     split_table,
+    sweep_budget,
+    sweep_width,
     sym_to_full_density,
     sym_unitary,
 )
 
 TOL = 1e-10
+# Lowest eigenvalue a formed density may show: rounding, not negativity.
+PSD_TOL = -1e-10
 GRID = [
     (d, n, m)
     for d in (2, 3)
@@ -145,18 +148,30 @@ class TestFastPathCap:
         assert check_fast_path(spec) <= FAST_PATH_CAP
 
     def test_verify_rule_counts_three_tables(self):
-        # `uqcm verify` holds every machine's D_in x r table while it sweeps
-        # one, and no factor J: the table rule plus two tables.  At (8,2,8)
-        # that is less than one 6435 x 1716 factor.  (10,2,10)'s sweep block
-        # fills the cap, so two more tables do not fit.
+        # A fast-path-only `uqcm verify` trial holds every machine's D_in x r
+        # table while it compares them, and no factor J; it releases them
+        # before it sweeps each machine's table alone.  So the two extra
+        # tables sit beside the tables' construction, not beside a sweep
+        # block.  At (8,2,8) that is less than one 6435 x 1716 factor.
+        # (10,2,10)'s block fills the cap, so its count is the table rule's;
+        # (9,2,12)'s three 45 x 43758 tables and their construction do not fit.
         for spec in (CloneSpec(6, 2, 8), CloneSpec(8, 7, 8), CloneSpec(10, 9, 10),
-                     CloneSpec(8, 2, 8), CloneSpec(8, 3, 8)):
+                     CloneSpec(8, 2, 8), CloneSpec(8, 3, 8), CloneSpec(10, 2, 10)):
+            d, n, m = spec.d, spec.n_in, spec.m_out
+            held, transient, per_column = sweep_budget(d, m, n)
+            extra = 2 * spec.dim_in * spec.dim_anc
             counted = check_fast_path(spec, tables=3)
-            assert counted == check_fast_path(spec) + 2 * spec.dim_in * spec.dim_anc
+            assert counted == held + max(
+                transient + extra, per_column * sweep_width(d, m, n)
+            )
+            assert check_fast_path(spec) <= counted <= check_fast_path(spec) + extra
             assert counted <= FAST_PATH_CAP
         assert check_fast_path(CloneSpec(8, 2, 8), tables=3) < 6435 * 1716
-        with pytest.raises(FastPathCapError, match=r"3 machines \(55 x 24310 each\)"):
-            check_fast_path(CloneSpec(10, 2, 10), tables=3)
+        spec = CloneSpec(10, 2, 10)
+        assert check_fast_path(spec, tables=3) == check_fast_path(spec) == 33_525_307
+        check_fast_path(CloneSpec(9, 2, 12))
+        with pytest.raises(FastPathCapError, match=r"3 machines \(45 x 43758 each\)"):
+            check_fast_path(CloneSpec(9, 2, 12), tables=3)
 
     def test_over_budget_fails_before_allocating(self):
         # V alone is 78 x 352716, and the arrays that build its split table
@@ -478,14 +493,16 @@ class TestRunMachine:
         assert calls == [(spec, phi)]
 
     def test_fast_paths_build_no_occupation_vector(self, monkeypatch):
-        # Cold caches, so the occupation tables are rebuilt inside the run.
+        # Cold caches, so the occupation tables are rebuilt inside the run;
+        # they come from the count tuples alone, never from the exact layer.
         symmetric._counts_table.cache_clear()
         symmetric.split_table.cache_clear()
 
-        def refuse(self):
-            raise AssertionError("a fast path built an OccupationVector")
+        def refuse(*args):
+            raise AssertionError("a fast path called splitting_coefficient_sq")
 
-        monkeypatch.setattr(OccupationVector, "__post_init__", refuse)
+        for module in (uqcm, combinatorics):
+            monkeypatch.setattr(module, "splitting_coefficient_sq", refuse)
         spec = CloneSpec(3, 2, 5)
         phi = random_pure_state(3, 17)
         for machine in MACHINES:

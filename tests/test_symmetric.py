@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uqcm.combinatorics import OccupationVector, enumerate_occupations, sym_dim
+from uqcm.combinatorics import occupation_tuples, sym_dim
 from uqcm.hilbert import (
     FullDensity,
     PureState,
@@ -42,16 +42,22 @@ from uqcm.symmetric import (
 TOL = 1e-12
 
 
-def _random_sym_density(d, total, seed, rank=3):
-    """Random mixed state supported on the symmetric subspace."""
-    basis = SymBasis(d, total)
+def _random_sym_density(d, total, seed, kept=None):
+    """Random amplitude table on the (kept, total - kept) split; kept = total by default.
+
+    At kept = total the table is one column, an arbitrary pure state of the
+    symmetric subspace, so reductions checked on it are checked, by
+    linearity, on every density the subspace supports.
+    """
+    kept = total if kept is None else kept
     rng = np.random.default_rng(seed)
-    rank = min(rank, basis.dim)
-    vecs = rng.normal(size=(basis.dim, rank)) + 1j * rng.normal(size=(basis.dim, rank))
-    vecs, _ = np.linalg.qr(vecs)
-    weights = rng.random(rank)
-    weights /= weights.sum()
-    return SymDensity(basis=basis, factor=vecs * np.sqrt(weights))
+    shape = (sym_dim(d, kept), sym_dim(d, total - kept))
+    table = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return SymDensity(SymBasis(d, total), table / np.linalg.norm(table), kept)
+
+
+def _gram(factor):
+    return factor @ factor.conj().T
 
 
 class TestSymBasis:
@@ -66,26 +72,29 @@ class TestSymBasis:
     def test_index_roundtrip(self):
         basis = SymBasis(3, 2)
         for i, row in enumerate(basis.counts):
-            assert basis.index(OccupationVector(tuple(row))) == i
+            assert basis.index(tuple(row)) == i
 
     def test_unknown_vector_raises(self):
         basis = SymBasis(2, 2)
         with pytest.raises(ValueError):
-            basis.index(OccupationVector((1, 0)))
+            basis.index((1, 0))
 
     def test_wrong_slot_count_raises(self):
         # (1, 1, 0) has the right total for (2, 2) but one slot too many.
         basis = SymBasis(2, 2)
         with pytest.raises(ValueError):
-            basis.index(OccupationVector((1, 1, 0)))
+            basis.index((1, 1, 0))
+
+    def test_negative_count_raises(self):
+        # (3, -1) has the right slot count and total for (2, 2).
+        with pytest.raises(ValueError, match="negative"):
+            SymBasis(2, 2).index((3, -1))
 
     @settings(max_examples=60, derandomize=True)
     @given(st.integers(2, 5), st.integers(0, 6))
     def test_counts_table_is_the_enumeration(self, d, total):
         counts = SymBasis(d, total).counts
-        assert [tuple(row) for row in counts] == [
-            m.counts for m in enumerate_occupations(d, total)
-        ]
+        assert [tuple(row) for row in counts] == list(occupation_tuples(d, total))
         assert np.array_equal(
             _canonical_index(counts, total), np.arange(sym_dim(d, total))
         )
@@ -96,7 +105,7 @@ class TestEmbedding:
         # Column m holds 1/sqrt(#strings) on every product string whose
         # level histogram is m, found here by search over the enumeration.
         d, total = 3, 3
-        occs = [m.counts for m in enumerate_occupations(d, total)]
+        occs = list(occupation_tuples(d, total))
         strings = list(product(range(d), repeat=total))
         expected = np.zeros((d**total, len(occs)))
         for row, string in enumerate(strings):
@@ -113,11 +122,11 @@ class TestEmbedding:
 
     def test_stretched_state_is_product_basis(self):
         # (total, 0, ...) holds every qudit in level 0, so it embeds to index 0.
-        psi = embed(OccupationVector((3, 0)))
+        psi = embed((3, 0))
         assert psi.amplitudes[0] == pytest.approx(1.0, abs=TOL)
 
     def test_balanced_qubit_pair(self):
-        psi = embed(OccupationVector((1, 1)))
+        psi = embed((1, 1))
         expected = np.zeros(4)
         expected[1] = expected[2] = 1 / np.sqrt(2)
         assert np.allclose(psi.amplitudes, expected, atol=TOL)
@@ -218,9 +227,10 @@ class TestSymUnitaryReference:
 
 class TestConversionRoundtrip:
     def test_full_to_sym_inverts_sym_to_full(self):
-        rho = _random_sym_density(2, 3, 71)
-        back = full_to_sym_density(sym_to_full_density(rho))
-        assert np.allclose(back.matrix, rho.matrix, atol=TOL)
+        for kept in range(4):
+            rho = _random_sym_density(2, 3, 71, kept)
+            back = full_to_sym_density(sym_to_full_density(rho))
+            assert np.allclose(_gram(back), rho.matrix, atol=TOL)
 
     def test_full_to_sym_rejects_support_outside_the_subspace(self):
         # |01> is not symmetric: iso^T keeps only half of its weight.
@@ -238,31 +248,34 @@ class TestConversionRoundtrip:
 class TestReduceSymmetric:
     def test_matches_full_partial_trace_leading_factors(self):
         for d, total in [(2, 3), (2, 4), (3, 3)]:
-            rho = _random_sym_density(d, total, 80 + d + total)
-            full = sym_to_full_density(rho)
-            for kept in range(1, total):
-                reduced_full = partial_trace(full, set(range(kept)))
-                expected = full_to_sym_density(reduced_full)
-                got = reduce_symmetric(rho, kept)
-                assert np.allclose(got.matrix, expected.matrix, atol=TOL)
+            for table_kept in range(total + 1):
+                rho = _random_sym_density(d, total, 80 + d + total, table_kept)
+                full = sym_to_full_density(rho)
+                for kept in range(1, total):
+                    reduced_full = partial_trace(full, set(range(kept)))
+                    expected = _gram(full_to_sym_density(reduced_full))
+                    got = _gram(reduce_symmetric(rho, kept))
+                    assert np.allclose(got, expected, atol=TOL)
 
     def test_any_traced_factor_choice_agrees(self):
         d, total = 2, 4
-        rho = _random_sym_density(d, total, 90)
-        full = sym_to_full_density(rho)
-        for keep in ({1, 3}, {0, 2}, {2, 3}, {1}, {0, 1, 3}):
-            expected = full_to_sym_density(partial_trace(full, keep))
-            got = reduce_symmetric(rho, len(keep))
-            assert np.allclose(got.matrix, expected.matrix, atol=TOL)
+        for table_kept in range(total + 1):
+            rho = _random_sym_density(d, total, 90, table_kept)
+            full = sym_to_full_density(rho)
+            for keep in ({1, 3}, {0, 2}, {2, 3}, {1}, {0, 1, 3}):
+                expected = _gram(full_to_sym_density(partial_trace(full, keep)))
+                got = _gram(reduce_symmetric(rho, len(keep)))
+                assert np.allclose(got, expected, atol=TOL)
 
     def test_keep_all_is_identity(self):
-        rho = _random_sym_density(2, 3, 95)
-        assert reduce_symmetric(rho, 3) is rho
+        for table_kept in range(4):
+            rho = _random_sym_density(2, 3, 95, table_kept)
+            assert np.array_equal(reduce_symmetric(rho, 3), rho.joint)
 
     def test_trace_preserved(self):
         rho = _random_sym_density(3, 3, 96)
         reduced = reduce_symmetric(rho, 1)
-        assert np.trace(reduced.matrix).real == pytest.approx(1.0, abs=TOL)
+        assert np.trace(_gram(reduced)).real == pytest.approx(1.0, abs=TOL)
 
     def test_invalid_kept_raises(self):
         rho = _random_sym_density(2, 2, 97)
@@ -298,28 +311,19 @@ class TestValidation:
             SymVector(basis=basis, amplitudes=np.array([1.0, 1.0, 1.0]))
 
     def test_sym_density_trace_checked(self):
-        basis = SymBasis(2, 1)
-        with pytest.raises(ValueError):
-            SymDensity.from_matrix(basis, np.eye(2))
-
-    def test_sym_density_hermiticity_checked(self):
-        basis = SymBasis(2, 1)
-        bad = np.array([[0.5, 1.0], [0.0, 0.5]], dtype=np.complex128)
-        with pytest.raises(ValueError):
-            SymDensity.from_matrix(basis, bad)
-
-    def test_sym_density_positivity_checked(self):
-        # Hermitian with unit trace, but one eigenvalue is negative.
-        basis = SymBasis(2, 1)
-        with pytest.raises(ValueError, match="positive semidefinite"):
-            SymDensity.from_matrix(basis, np.diag([1.5, -0.5]))
+        with pytest.raises(ValueError, match="trace"):
+            SymDensity(basis=SymBasis(2, 1), factor=np.ones((2, 1)), kept=1)
 
     def test_sym_density_factor_checked(self):
         basis = SymBasis(2, 1)
         with pytest.raises(ValueError):
-            SymDensity(basis=basis, factor=np.ones((2, 1)))
+            SymDensity(basis=basis, factor=np.ones((2, 1)), kept=1)
         with pytest.raises(ValueError):
-            SymDensity(basis=basis, factor=np.ones((3, 1)) / np.sqrt(3))
+            SymDensity(basis=basis, factor=np.ones((3, 1)) / np.sqrt(3), kept=1)
+
+    def test_kept_is_required(self):
+        with pytest.raises(TypeError):
+            SymDensity(SymBasis(2, 1), np.ones((2, 1)) / np.sqrt(2))
 
     def test_matrix_built_only_when_read(self):
         rho = _random_sym_density(2, 3, 99)
@@ -404,9 +408,8 @@ class TestTraceDistanceBound:
             trace_distance_bound(a, self._table_density(rng, 3, 4, 1))
         with pytest.raises(ValueError, match="same split"):
             trace_distance_bound(a, self._table_density(rng, 2, 4, 2))
-        whole = SymDensity(a.basis, a.joint)
         with pytest.raises(ValueError, match="same split"):
-            trace_distance_bound(whole, whole)
+            trace_distance_bound(a, self._table_density(rng, 3, 5, 2))
 
 
 class TestLadderTables:
