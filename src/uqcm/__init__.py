@@ -24,7 +24,6 @@ from .hilbert import (
     fidelity_pure,
     maximally_entangled,
     partial_trace,
-    partial_trace_state,
     permute_factors,
     random_pure_state,
     random_unitary,
@@ -33,7 +32,6 @@ from .hilbert import (
 from .symmetric import (
     SymBasis,
     SymDensity,
-    SymVector,
     embed_isometry,
     expand_power,
     full_to_sym_density,
@@ -83,7 +81,6 @@ __all__ = [
     "PureState",
     "SymBasis",
     "SymDensity",
-    "SymVector",
     "UnifiedOracleResult",
     "WeightedCloneResult",
     "embed_isometry",
@@ -99,7 +96,6 @@ __all__ = [
     "full_to_sym_density",
     "maximally_entangled",
     "partial_trace",
-    "partial_trace_state",
     "permute_factors",
     "projector_full",
     "random_pure_state",

@@ -1,7 +1,9 @@
 """Command-line front end: verification reports and fidelity tables.
 
-Four subcommands, each emitting JSON (validating against the shipped
-``report_schema.json``) or CSV with stable headers:
+Four subcommands, each returning its exit status, its JSON payload
+(which validates against the shipped ``report_schema.json``) and its
+rows.  :func:`main` renders the payload as JSON or the rows as CSV,
+headed by the rows' keys:
 
 * ``table``          — numeric vs closed-form F_L for one machine.
 * ``verify``         — cross-checks the three machine constructions.
@@ -82,7 +84,11 @@ OUTPUT_DIR_ENV = "UQCM_OUTPUT_DIR"
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    status, text = args.run(args)
+    status, payload, rows = args.run(args)
+    if args.format == "csv":
+        text = _csv_text(rows)
+    else:
+        text = json.dumps(payload, indent=2) + "\n"
     _write_output(text, args.output)
     return status
 
@@ -154,7 +160,7 @@ def _seed(text: str) -> int:
 
 def _cmd_table(
     args: argparse.Namespace, parser: argparse.ArgumentParser
-) -> tuple[int, str]:
+) -> tuple[int, dict, list[dict]]:
     spec = _clone_spec(args, parser)
     upto = spec.m_out
     if args.l is not None:
@@ -192,16 +198,12 @@ def _cmd_table(
         },
         "rows": rows,
     }
-    if args.format == "csv":
-        return 0, _csv_text(
-            ("L", "numeric", "closed_rational", "closed_float", "abs_diff"), rows
-        )
-    return 0, _json_text(payload)
+    return 0, payload, rows
 
 
 def _cmd_verify(
     args: argparse.Namespace, parser: argparse.ArgumentParser
-) -> tuple[int, str]:
+) -> tuple[int, dict, list[dict]]:
     # A trial holds every machine's table while it compares them.
     spec = _clone_spec(args, parser, tables=len(MACHINES))
     if args.trials < 1:
@@ -310,18 +312,12 @@ def _cmd_verify(
         "checks": checks,
         "pass": all_pass,
     }
-    status = 0 if all_pass else 1
-    if args.format == "csv":
-        return status, _csv_text(
-            ("name", "max_distance", "worst_trial", "worst_seed", "threshold", "pass"),
-            checks,
-        )
-    return status, _json_text(payload)
+    return (0 if all_pass else 1), payload, checks
 
 
 def _cmd_asym_sweep(
     args: argparse.Namespace, parser: argparse.ArgumentParser
-) -> tuple[int, str]:
+) -> tuple[int, dict, list[dict]]:
     if args.d < 2:
         parser.error(f"--d must be >= 2, got {args.d}")
     # The 1 -> 2 machine is built in the full space of three qudits.
@@ -378,19 +374,15 @@ def _cmd_asym_sweep(
             "closed_float": float(symmetric),
         },
     }
-    if args.format == "csv":
-        csv_rows = [
-            {**r, "ratio": "inf" if r["ratio"] is None else r["ratio"]} for r in rows
-        ]
-        return 0, _csv_text(
-            ("ratio", "alpha", "beta", "fidelity_a", "fidelity_b"), csv_rows
-        )
-    return 0, _json_text(payload)
+    # JSON has no infinity: its ratio at alpha = 0 is null, the CSV's inf.
+    return 0, payload, [
+        {**r, "ratio": math.inf if r["ratio"] is None else r["ratio"]} for r in rows
+    ]
 
 
 def _cmd_identity_check(
     args: argparse.Namespace, parser: argparse.ArgumentParser
-) -> tuple[int, str]:
+) -> tuple[int, dict, list[dict]]:
     point_flags = (args.d, args.n, args.m)
     if any(v is not None for v in point_flags):
         if any(v is None for v in point_flags):
@@ -441,13 +433,7 @@ def _cmd_identity_check(
         "all_equal": all_equal,
         "note": reports[0].note,
     }
-    status = 0 if all_equal else 1
-    if args.format == "csv":
-        return status, _csv_text(
-            ("d", "n_in", "m_out", "lhs", "rhs", "equal", "printed_summand_evaluable"),
-            rows,
-        )
-    return status, _json_text(payload)
+    return (0 if all_equal else 1), payload, rows
 
 
 def _sweep_pair(i: int, points: int) -> tuple[float, float]:
@@ -479,16 +465,13 @@ def _rational_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def _csv_text(header: tuple[str, ...], rows: list[dict]) -> str:
+def _csv_text(rows: list[dict]) -> str:
+    """The rows as CSV, headed by the first row's keys."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
+    writer.writerow(rows[0])
     for row in rows:
-        writer.writerow([_csv_cell(row[key]) for key in header])
+        writer.writerow([_csv_cell(value) for value in row.values()])
     return buffer.getvalue()
 
 

@@ -12,7 +12,8 @@ paths have their own, far larger budget, :data:`FAST_PATH_CAP`.
 
 A density operator over the full space is held as a factor, rho = F F^dagger
 for a d^n x r matrix F (:class:`FullDensity`), as the occupation-basis
-densities are: a pure state is its own column, a partial trace is a
+densities are: a pure state is its own column, the one partial trace
+(:func:`partial_trace`, which takes a pure state as that column) is a
 reshape of the factor, and the dense rho is formed only when read.  Two
 factor-held densities are compared by :func:`trace_distance_factors`,
 which is exact and works on an (r_x + r_y)-sized matrix from one QR
@@ -120,17 +121,6 @@ class FullState:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def normalized(self) -> "FullState":
-        n = self.norm()
-        if n == 0:
-            raise ValueError("cannot normalize the zero vector")
-        return FullState(self.amplitudes / n, self.factors, self.local_dim)
-
-    def overlap(self, other: "FullState") -> complex:
-        """<self|other>."""
-        _check_same_space(self, other)
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
     def density(self) -> "FullDensity":
         """|self><self|, held as the one-column factor of the amplitudes."""
         return FullDensity(self.amplitudes[:, None], self.factors, self.local_dim)
@@ -218,34 +208,20 @@ def partial_trace(rho: FullDensity, keep) -> FullDensity:
 
     Tracing out factors of F F^dagger moves them, with F's r columns,
     into the columns of the reduced factor: F is reshaped to
-    (kept, traced * r), and no d^n x d^n array is formed.
+    (kept, traced * r), and no d^n x d^n array is formed.  A pure state
+    enters as ``psi.density()``, whose reduced factor is its kept x
+    traced block of amplitudes.
     """
-    keep = _keep_list(keep, rho.factors)
+    keep = sorted(set(int(i) for i in keep))
+    if not keep:
+        raise ValueError("keep set must be nonempty")
+    if keep[0] < 0 or keep[-1] >= rho.factors:
+        raise ValueError(f"keep indices {keep} outside 0..{rho.factors - 1}")
     traced = [i for i in range(rho.factors) if i not in keep]
     d, columns = rho.local_dim, rho.factor.shape[1]
     shaped = rho.factor.reshape((d,) * rho.factors + (columns,))
     moved = shaped.transpose(keep + traced + [rho.factors])
     return FullDensity(moved.reshape(d ** len(keep), -1), len(keep), d)
-
-
-def partial_trace_state(psi: FullState, keep) -> FullDensity:
-    """Partial trace of |psi><psi|, held as the kept x traced block of amplitudes."""
-    keep = _keep_list(keep, psi.factors)
-    traced = [i for i in range(psi.factors) if i not in keep]
-    moved = permute_factors(psi, keep + traced)
-    d = psi.local_dim
-    return FullDensity(
-        moved.amplitudes.reshape(d ** len(keep), d ** len(traced)), len(keep), d
-    )
-
-
-def _keep_list(keep, factors: int) -> list[int]:
-    keep = sorted(set(int(i) for i in keep))
-    if not keep:
-        raise ValueError("keep set must be nonempty")
-    if keep[0] < 0 or keep[-1] >= factors:
-        raise ValueError(f"keep indices {keep} outside 0..{factors - 1}")
-    return keep
 
 
 def fidelity_pure(rho: FullDensity, psi: FullState) -> float:
@@ -351,8 +327,3 @@ def random_pure_state(d: int, seed) -> PureState:
 def _check_same_dim(a, b) -> None:
     if a.local_dim != b.local_dim:
         raise ValueError(f"local dimensions differ: {a.local_dim} vs {b.local_dim}")
-
-
-def _check_same_space(a, b) -> None:
-    if a.local_dim != b.local_dim or a.factors != b.factors:
-        raise ValueError("operands live on different tensor spaces")

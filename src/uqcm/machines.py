@@ -54,8 +54,8 @@ from .hilbert import (
     PureState,
     check_cap,
     maximally_entangled,
-    partial_trace_state,
     fidelity_pure,
+    partial_trace,
     permute_factors,
     tensor,
 )
@@ -108,11 +108,6 @@ class CloneSpec:
             math.factorial(m - n) * math.factorial(n + d - 1),
             math.factorial(m + d - 1),
         )
-
-    @property
-    def eta(self) -> float:
-        sq = self.eta_sq
-        return math.sqrt(sq.numerator / sq.denominator)
 
 
 def werner_output(spec: CloneSpec, phi: PureState) -> SymDensity:
@@ -182,21 +177,27 @@ def fan_output(spec: CloneSpec, phi: PureState) -> SymDensity:
     eta * sum_k sqrt(prod_j (a_j+k_j)! / (a_j! k_j!)) |a+k>|k>.  The joint
     state, with rows over |a+k> and columns over the ancilla |k>, is the
     factor of the output density; it is held as the table of its
-    amplitudes on |a+k>|k> (``kept`` = n_in).
+    amplitudes on |a+k>|k> (``kept`` = n_in).  eta is folded into the
+    multinomial in the log domain, where neither underflows nor overflows.
     """
     _check_phi(spec, phi)
     check_fast_path(spec)
     d, n_total, m_total = spec.d, spec.n_in, spec.m_out
     a = SymBasis(d, n_total).counts
     k = SymBasis(d, m_total - n_total).counts
-    log_fac = log_factorials(m_total)
-    log_multinomial = (
-        log_fac[a[:, None, :] + k[None, :, :]].sum(axis=2)
+    log_fac = log_factorials(m_total + d - 1)
+    # log(eta^2), eta^2 = (m_out-n_in)! (n_in+d-1)! / (m_out+d-1)!
+    log_eta_sq = (
+        log_fac[m_total - n_total] + log_fac[n_total + d - 1] - log_fac[m_total + d - 1]
+    )
+    log_amplitude = (
+        log_eta_sq
+        + log_fac[a[:, None, :] + k[None, :, :]].sum(axis=2)
         - log_fac[a].sum(axis=1)[:, None]
         - log_fac[k].sum(axis=1)[None, :]
     )
     inputs = expand_power(phi, n_total)
-    table = spec.eta * inputs.amplitudes[:, None] * np.exp(0.5 * log_multinomial)
+    table = inputs[:, None] * np.exp(0.5 * log_amplitude)
     norm = np.linalg.norm(table)
     if abs(norm - 1.0) > NORM_TOL:
         raise AssertionError(f"amplitude-form joint state has norm {norm}")
@@ -223,7 +224,7 @@ def unified_output(spec: CloneSpec, phi: PureState) -> SymDensity:
     d, n_total, m_total = spec.d, spec.n_in, spec.m_out
     _, coeff = split_table(d, m_total, n_total)
     inputs = expand_power(phi, n_total)
-    raw = inputs.amplitudes[:, None] * coeff
+    raw = inputs[:, None] * coeff
     return SymDensity(
         basis=SymBasis(d, m_total), factor=raw / np.linalg.norm(raw), kept=n_total
     )
@@ -379,7 +380,7 @@ def weighted_clone(
     joint = FullState(raw / norm, factors=m_total + blanks, local_dim=d)
     phi_state = FullState(phi.amplitudes, factors=1, local_dim=d)
     fids = tuple(
-        fidelity_pure(partial_trace_state(joint, {s}), phi_state)
+        fidelity_pure(partial_trace(joint.density(), {s}), phi_state)
         for s in range(m_total)
     )
     return WeightedCloneResult(joint=joint, slot_fidelities=fids, normalization=norm)

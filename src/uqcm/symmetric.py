@@ -7,12 +7,14 @@ The polynomial-size occupation representation is used for all production
 paths; :func:`embed` and friends bridge to the exponential full tensor
 space, which serves only as the verification oracle.  The bridge forms
 no d^total x d^total matrix: the embedding isometry has one nonzero per
-row, so iso @ y is a row gather and iso^T @ x a sum over each
-occupation's strings.  :func:`project_symmetric` applies P = iso iso^T
-that way, full-space densities cross as factors
-(:func:`sym_to_full_density`, :func:`full_to_sym_density`), and
-:func:`sym_unitary` contracts u into each tensor axis instead of forming
-u^(x total).  :func:`projector_full` is kept as the dense reference.
+row, cached as those nonzeros alone (:func:`embed_isometry` builds the
+dense matrix from them for the references), so iso @ y is a row gather
+and iso^T @ x a sum over each occupation's strings.
+:func:`project_symmetric` applies P = iso iso^T that way, full-space
+densities cross as factors (:func:`sym_to_full_density`,
+:func:`full_to_sym_density`), and :func:`sym_unitary` contracts u into
+each tensor axis instead of forming u^(x total).  :func:`projector_full`
+is kept as the dense reference.
 
 Every decision about the numeric occupation basis is made here: the one
 cached count table per (d, total) (:attr:`SymBasis.counts`), the one
@@ -22,9 +24,11 @@ the embedding), the one split table of where |a>|k> sits in |a+k>
 that holds only an amplitude table, the one scatter of that table into
 its factor (:func:`scatter_factor`), and the one sweep that reads every
 F_L off a factor, one contracted qudit per step
-(:func:`ladder_fidelities`).  The references the tests compare
-against, :func:`reduce_symmetric`, :func:`full_to_sym_density` and
-:func:`reduced_expectation`, return plain factors or numbers.
+(:func:`ladder_fidelities`).  A vector over a basis, such as
+:func:`expand_power`'s, is a plain read-only array.  The references the
+tests compare against, :func:`reduce_symmetric`,
+:func:`full_to_sym_density` and :func:`reduced_expectation`, return
+plain factors or numbers.
 
 The sweep starts from a machine's D_in x r amplitude table V, never
 from the whole factor J: its first step is d scatters of V's D_in * r
@@ -144,25 +148,6 @@ def _canonical_index(counts: np.ndarray, total: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SymVector:
-    """Complex coefficients over a symmetric basis."""
-
-    basis: SymBasis
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=np.complex128).ravel()
-        if amps.size != self.basis.dim:
-            raise ValueError(
-                f"{amps.size} amplitudes for a basis of dimension {self.basis.dim}"
-            )
-        if abs(np.linalg.norm(amps) - 1.0) > NORM_TOL:
-            raise ValueError("amplitudes are not normalized")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-
-@dataclass(frozen=True)
 class SymDensity:
     """Density operator over a symmetric occupation basis, held as an amplitude table.
 
@@ -214,23 +199,16 @@ class SymDensity:
 def embed(m: tuple[int, ...]) -> FullState:
     """Normalized permutation-invariant full-space state with occupation m."""
     d, total = len(m), sum(m)
-    check_cap(d, total)
-    column = _embed_isometry(d, total)[:, SymBasis(d, total).index(m)]
-    return FullState(column.astype(np.complex128), factors=total, local_dim=d)
+    column = embed_isometry(d, total)[:, SymBasis(d, total).index(m)]
+    return FullState(column, factors=total, local_dim=d)
 
 
 def embed_isometry(d: int, total: int) -> np.ndarray:
     """d^total x sym_dim matrix whose columns are the embedded basis states."""
     check_cap(d, total)
-    return _embed_isometry(d, total)
-
-
-@lru_cache(maxsize=None)
-def _embed_isometry(d: int, total: int) -> np.ndarray:
     columns, scale, _, _ = _embed_columns(d, total)
     iso = np.zeros((d**total, scale.size))
     iso[np.arange(d**total), columns] = scale[columns]
-    iso.setflags(write=False)
     return iso
 
 
@@ -290,9 +268,9 @@ def project_symmetric(x: np.ndarray, d: int, total: int) -> np.ndarray:
     return _expand(_compress(x, d, total), d, total)
 
 
-def sym_to_full_state(v: SymVector) -> FullState:
-    iso = embed_isometry(v.basis.d, v.basis.total)
-    return FullState(iso @ v.amplitudes, factors=v.basis.total, local_dim=v.basis.d)
+def sym_to_full_state(amplitudes: np.ndarray, d: int, total: int) -> FullState:
+    """The full-space state iso @ amplitudes of a vector over the (d, total) basis."""
+    return FullState(embed_isometry(d, total) @ amplitudes, factors=total, local_dim=d)
 
 
 def sym_to_full_density(rho: SymDensity) -> FullDensity:
@@ -336,22 +314,25 @@ def sym_unitary(u: np.ndarray, total: int) -> np.ndarray:
     return _compress(rotated.reshape(d**total, -1), d, total)
 
 
-def expand_power(phi: PureState, copies: int) -> SymVector:
+def expand_power(phi: PureState, copies: int) -> np.ndarray:
     """Occupation-basis coefficients of the tensor power |phi>^(x copies).
 
-    The amplitude on |n> is sqrt(copies!) * prod_j x_j^{n_j} / sqrt(n_j!);
-    the result is normalized because |phi>^(x copies) already lives in the
-    symmetric subspace.
+    A read-only vector over the (d, copies) basis, whose amplitude on |n>
+    is sqrt(copies!) * prod_j x_j^{n_j} / sqrt(n_j!).  It is normalized
+    because |phi>^(x copies) already lives in the symmetric subspace; one
+    that misses unit norm by more than NORM_TOL raises ValueError.
     """
     if copies < 1:
         raise ValueError(f"need at least one copy, got {copies}")
-    basis = SymBasis(phi.dim, copies)
-    counts = basis.counts
+    counts = SymBasis(phi.dim, copies).counts
     log_fac = log_factorials(copies)
     # Powers stay out of the logarithm: a zero amplitude to the power 0 is exactly 1.
     powers = np.prod(phi.amplitudes**counts, axis=1)
     amps = powers * np.exp(0.5 * (log_fac[copies] - log_fac[counts].sum(axis=1)))
-    return SymVector(basis=basis, amplitudes=amps)
+    if abs(np.linalg.norm(amps) - 1.0) > NORM_TOL:
+        raise ValueError("amplitudes are not normalized")
+    amps.setflags(write=False)
+    return amps
 
 
 def reduce_symmetric(rho: SymDensity, kept: int) -> np.ndarray:
@@ -605,8 +586,8 @@ def _combine(source: np.ndarray, idx: np.ndarray, scale: np.ndarray) -> np.ndarr
     return built
 
 
-def reduced_expectation(rho: SymDensity, psi: SymVector) -> float:
-    """<psi| rho_L |psi>, with rho_L the reduction of rho to psi's L copies.
+def reduced_expectation(rho: SymDensity, psi: np.ndarray, copies: int) -> float:
+    """<psi| rho_L |psi>, with rho_L the reduction of rho to L = ``copies`` qudits.
 
     Read straight off the factor J of rho = J J^dagger as
 
@@ -618,8 +599,8 @@ def reduced_expectation(rho: SymDensity, psi: SymVector) -> float:
     tests hold :func:`ladder_fidelities` to it as the independent
     reference.
     """
-    idx, coeff = split_table(rho.basis.d, rho.basis.total, psi.basis.total)
-    weights = psi.amplitudes.conj()[:, None] * coeff
+    idx, coeff = split_table(rho.basis.d, rho.basis.total, copies)
+    weights = psi.conj()[:, None] * coeff
     value = 0.0
     for w, where in zip(weights.T, idx.T):
         row = w @ rho.joint[where]

@@ -26,7 +26,6 @@ from uqcm.hilbert import (
     PureState,
     fidelity_pure,
     partial_trace,
-    partial_trace_state,
     random_pure_state,
     random_unitary,
     trace_distance_matrices,
@@ -231,7 +230,7 @@ def test_06_asymmetric_limits():
     spec = CloneSpec(2, 1, 3)
     phi = random_pure_state(2, 63)
     weighted = weighted_clone(spec, phi, AsymmetryWeights.equal(1, 3))
-    output = partial_trace_state(weighted.joint, range(spec.m_out))
+    output = partial_trace(weighted.joint.density(), range(spec.m_out))
     oracle = unified_output_oracle(spec, phi).density
     dist = trace_distance_matrices(output.matrix, oracle.matrix)
     equal_ok = dist < DIST_TOL

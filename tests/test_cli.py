@@ -1,6 +1,8 @@
 """Tests for the command-line front end."""
 
 import argparse
+import csv
+import io
 import json
 import os
 import shutil
@@ -397,8 +399,7 @@ class TestVerify:
             for module in (symmetric, machines, cli):
                 monkeypatch.setattr(module, "FAST_PATH_CAP", counted)
             for cached in (symmetric._counts_table, symmetric.split_table,
-                           symmetric.log_factorials, symmetric._embed_isometry,
-                           symmetric._embed_columns):
+                           symmetric.log_factorials, symmetric._embed_columns):
                 cached.cache_clear()
             tracemalloc.start()
             try:
@@ -423,8 +424,7 @@ class TestVerify:
         # (2,9,9), oracles and all, stays below that.
         argv = ["verify", "--d", "2", "--n", "9", "--m", "9", "--trials", "1"]
         _run(capsys, argv)  # warm-up: lazy imports are not part of a trial
-        for cached in (symmetric._embed_isometry, symmetric._embed_columns):
-            cached.cache_clear()
+        symmetric._embed_columns.cache_clear()
         tracemalloc.start()
         try:
             status, out = _run(capsys, argv)
@@ -920,6 +920,44 @@ class TestIdentityCheck:
         with pytest.raises(SystemExit) as exc:
             cli.main(["identity-check", "--d", "2", "--n", "1", "--m", "2", "--d-max", "3"])
         assert exc.value.code == 2
+
+
+class TestCsvMatchesJson:
+    """The CSV of a run is its JSON rows (``checks`` for verify), field by field."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table", "--d", "3", "--n", "1", "--m", "3", "--machine", "fan"],
+            ["verify", "--d", "2", "--n", "1", "--m", "3", "--trials", "2"],
+            # Five points reach both endpoints: ratio 0.0 and ratio null.
+            ["asym-sweep", "--d", "2", "--sweep-points", "5"],
+            ["identity-check", "--d-max", "3", "--n-max", "2", "--m-max", "3"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_rows_agree(self, capsys, argv):
+        json_status, json_out = _run(capsys, argv)
+        csv_status, csv_out = _run(capsys, argv + ["--format", "csv"])
+        assert json_status == csv_status
+        payload = json.loads(json_out)
+        rows = payload["checks"] if argv[0] == "verify" else payload["rows"]
+        parsed = list(csv.DictReader(io.StringIO(csv_out)))
+        assert len(parsed) == len(rows)
+        for row, cells in zip(rows, parsed):
+            assert list(cells) == list(row)
+            for key, value in row.items():
+                if value is None:
+                    assert (argv[0], key, cells[key]) == ("asym-sweep", "ratio", "inf")
+                elif isinstance(value, bool):
+                    assert cells[key] == ("true" if value else "false")
+                elif isinstance(value, float):
+                    assert cells[key] == repr(value)
+                else:
+                    assert cells[key] == str(value)
+        if argv[0] == "asym-sweep":
+            ratios = [row["ratio"] for row in rows]
+            assert ratios[0] == 0.0 and ratios[-1] is None
 
 
 class TestSeed:

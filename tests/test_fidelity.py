@@ -190,7 +190,7 @@ class TestFactoredFidelity:
         for phi in inputs:
             rho = run_machine(spec, phi, machine)
             for L, numeric in enumerate(fidelities_numeric(rho, phi), start=1):
-                target = expand_power(phi, L).amplitudes
+                target = expand_power(phi, L)
                 factor = reduce_symmetric(rho, L)
                 reduced = factor @ factor.conj().T
                 overlap = (target.conj() @ reduced @ target).real
@@ -253,7 +253,7 @@ class TestLadderSweep:
             ladder = fidelities_numeric(rho, phi)
             assert len(ladder) == spec.m_out
             for L, value in enumerate(ladder, start=1):
-                split = reduced_expectation(rho, expand_power(phi, L))
+                split = reduced_expectation(rho, expand_power(phi, L), L)
                 closed = float(fidelity_L_closed(spec, L))
                 assert value == pytest.approx(split, abs=1e-12)
                 assert value == pytest.approx(closed, abs=TOL)
