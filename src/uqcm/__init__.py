@@ -18,7 +18,6 @@ from .hilbert import (
     ORACLE_CAP,
     FullDensity,
     FastPathCapError,
-    FullState,
     OracleCapError,
     PureState,
     fidelity_pure,
@@ -27,7 +26,6 @@ from .hilbert import (
     permute_factors,
     random_pure_state,
     random_unitary,
-    tensor,
 )
 from .symmetric import (
     SymBasis,
@@ -75,7 +73,6 @@ __all__ = [
     "CloneSpec",
     "FastPathCapError",
     "FullDensity",
-    "FullState",
     "IdentityReport",
     "OracleCapError",
     "PureState",
@@ -108,7 +105,6 @@ __all__ = [
     "sym_to_full_density",
     "sym_to_full_state",
     "sym_unitary",
-    "tensor",
     "unified_output",
     "unified_output_oracle",
     "verify_identity",

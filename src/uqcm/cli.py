@@ -88,7 +88,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.format == "csv":
         text = _csv_text(rows)
     else:
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     _write_output(text, args.output)
     return status
 
@@ -350,7 +350,7 @@ def _cmd_asym_sweep(
         alpha, beta = pair
         result = weighted_clone(spec, phi, AsymmetryWeights.pair(alpha, beta))
         fidelity_a, fidelity_b = result.slot_fidelities
-        ratio = beta / alpha if alpha > 0 else None
+        ratio = beta / alpha if alpha > 0 else math.inf
         return {
             "ratio": ratio,
             "alpha": alpha,
@@ -360,6 +360,8 @@ def _cmd_asym_sweep(
         }
 
     rows = [row(pair) for pair in pairs]
+    # JSON has no infinity: a ratio that is not finite is null there, inf in the CSV.
+    json_rows = [{**r, "ratio": None} if math.isinf(r["ratio"]) else r for r in rows]
     symmetric = fidelity_single_closed(spec)
     payload = {
         "command": "asym-sweep",
@@ -368,16 +370,13 @@ def _cmd_asym_sweep(
             "sweep_points": len(rows),
             "seed": args.seed,
         },
-        "rows": rows,
+        "rows": json_rows,
         "symmetric_reference": {
             "closed_rational": _rational_str(symmetric),
             "closed_float": float(symmetric),
         },
     }
-    # JSON has no infinity: its ratio at alpha = 0 is null, the CSV's inf.
-    return 0, payload, [
-        {**r, "ratio": math.inf if r["ratio"] is None else r["ratio"]} for r in rows
-    ]
+    return 0, payload, rows
 
 
 def _cmd_identity_check(

@@ -2,9 +2,9 @@
 
 This is the brute-force substrate every fast path is verified against:
 states and density operators live over the full ``d^n``-dimensional
-product basis with no symmetry compression.  Factor 0 is the leftmost
-(most significant) position in the computational index, so a composite
-built by :func:`tensor` keeps the left operand's factors in front.
+product basis with no symmetry compression; a pure state is a plain
+array of its d^n amplitudes.  Factor 0 is the leftmost (most
+significant) position in the computational index, as in ``np.kron``.
 
 All sizes are capped at :data:`ORACLE_CAP` amplitudes; requests beyond
 that fail fast instead of exhausting memory.  The occupation-basis fast
@@ -12,8 +12,8 @@ paths have their own, far larger budget, :data:`FAST_PATH_CAP`.
 
 A density operator over the full space is held as a factor, rho = F F^dagger
 for a d^n x r matrix F (:class:`FullDensity`), as the occupation-basis
-densities are: a pure state is its own column, the one partial trace
-(:func:`partial_trace`, which takes a pure state as that column) is a
+densities are: a pure state psi is the one-column factor
+``psi[:, None]``, the one partial trace (:func:`partial_trace`) is a
 reshape of the factor, and the dense rho is formed only when read.  Two
 factor-held densities are compared by :func:`trace_distance_factors`,
 which is exact and works on an (r_x + r_y)-sized matrix from one QR
@@ -101,32 +101,6 @@ class PureState:
 
 
 @dataclass(frozen=True)
-class FullState:
-    """Pure state of ``factors`` qudits as a dense vector of d^factors amplitudes."""
-
-    amplitudes: np.ndarray
-    factors: int
-    local_dim: int
-
-    def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=np.complex128).ravel()
-        if amps.size != self.local_dim**self.factors:
-            raise ValueError(
-                f"{amps.size} amplitudes do not match "
-                f"{self.local_dim}^{self.factors} factors"
-            )
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def density(self) -> "FullDensity":
-        """|self><self|, held as the one-column factor of the amplitudes."""
-        return FullDensity(self.amplitudes[:, None], self.factors, self.local_dim)
-
-
-@dataclass(frozen=True)
 class FullDensity:
     """Density operator F F^dagger on ``factors`` qudits, held as its factor.
 
@@ -168,39 +142,22 @@ def check_factor(factor: np.ndarray, dim: int) -> None:
         raise ValueError(f"factor gives density trace {trace} != 1")
 
 
-def maximally_entangled(d: int) -> FullState:
-    """The two-qudit state with amplitude 1/sqrt(d) on every |jj>."""
+def maximally_entangled(d: int) -> np.ndarray:
+    """The d^2 amplitudes of the two-qudit state with 1/sqrt(d) on every |jj>."""
     if d < 2:
         raise ValueError(f"qudit dimension must be >= 2, got {d}")
     amps = np.zeros(d * d, dtype=np.complex128)
     amps[np.arange(d) * d + np.arange(d)] = 1.0 / math.sqrt(d)
-    return FullState(amps, factors=2, local_dim=d)
+    return amps
 
 
-def tensor(a: FullState, b: FullState) -> FullState:
-    """Kronecker composite; the left operand occupies the leading factors."""
-    if not (isinstance(a, FullState) and isinstance(b, FullState)):
-        raise TypeError("tensor expects two FullState operands")
-    _check_same_dim(a, b)
-    check_cap(a.local_dim, a.factors + b.factors)
-    return FullState(
-        np.multiply.outer(a.amplitudes, b.amplitudes).ravel(),
-        a.factors + b.factors,
-        a.local_dim,
-    )
-
-
-def permute_factors(state: FullState, perm) -> FullState:
-    """Reorder tensor factors: new factor i is old factor perm[i]."""
+def permute_factors(amplitudes: np.ndarray, d: int, perm) -> np.ndarray:
+    """Reorder a pure state's tensor factors: new factor i is old factor perm[i]."""
     perm = tuple(perm)
-    if sorted(perm) != list(range(state.factors)):
-        raise ValueError(f"{perm} is not a permutation of 0..{state.factors - 1}")
-    shaped = state.amplitudes.reshape((state.local_dim,) * state.factors)
-    return FullState(
-        np.ascontiguousarray(shaped.transpose(perm)).ravel(),
-        state.factors,
-        state.local_dim,
-    )
+    if sorted(perm) != list(range(len(perm))) or amplitudes.size != d ** len(perm):
+        raise ValueError(f"{perm} does not permute {amplitudes.size} amplitudes")
+    shaped = amplitudes.reshape((d,) * len(perm))
+    return np.ascontiguousarray(shaped.transpose(perm)).ravel()
 
 
 def partial_trace(rho: FullDensity, keep) -> FullDensity:
@@ -209,8 +166,8 @@ def partial_trace(rho: FullDensity, keep) -> FullDensity:
     Tracing out factors of F F^dagger moves them, with F's r columns,
     into the columns of the reduced factor: F is reshaped to
     (kept, traced * r), and no d^n x d^n array is formed.  A pure state
-    enters as ``psi.density()``, whose reduced factor is its kept x
-    traced block of amplitudes.
+    psi enters as ``FullDensity(psi[:, None], n, d)``, whose reduced
+    factor is its kept x traced block of amplitudes.
     """
     keep = sorted(set(int(i) for i in keep))
     if not keep:
@@ -224,11 +181,11 @@ def partial_trace(rho: FullDensity, keep) -> FullDensity:
     return FullDensity(moved.reshape(d ** len(keep), -1), len(keep), d)
 
 
-def fidelity_pure(rho: FullDensity, psi: FullState) -> float:
-    """<psi|rho|psi> = ||F^dagger psi||^2 for rho = F F^dagger."""
-    if rho.factors != psi.factors or rho.local_dim != psi.local_dim:
-        raise ValueError("state and density operator live on different spaces")
-    overlaps = psi.amplitudes.conj() @ rho.factor
+def fidelity_pure(rho: FullDensity, psi: np.ndarray) -> float:
+    """<psi|rho|psi> = ||F^dagger psi||^2 for rho = F F^dagger and amplitudes psi."""
+    if psi.shape != rho.factor.shape[:1]:
+        raise ValueError(f"{psi.shape} amplitudes against {rho.factor.shape} factor")
+    overlaps = psi.conj() @ rho.factor
     return float(np.vdot(overlaps, overlaps).real)
 
 
@@ -296,16 +253,9 @@ def _check_hermitian(mat: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} is not Hermitian")
 
 
-def as_generator(seed) -> np.random.Generator:
-    """Accept an int seed or a Generator; global RNG state is never used."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def random_unitary(d: int, seed) -> np.ndarray:
     """Haar-distributed d x d unitary via QR of a complex Gaussian matrix."""
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(2)
     q, r = np.linalg.qr(z)
     # Fixing the phases of R's diagonal makes the distribution exactly Haar.
@@ -319,11 +269,7 @@ def random_pure_state(d: int, seed) -> PureState:
     The Gaussian is invariant under every unitary, so its direction is
     uniform on the sphere; no d x d unitary is drawn.
     """
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return PureState(z / np.linalg.norm(z))
 
-
-def _check_same_dim(a, b) -> None:
-    if a.local_dim != b.local_dim:
-        raise ValueError(f"local dimensions differ: {a.local_dim} vs {b.local_dim}")

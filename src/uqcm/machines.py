@@ -26,7 +26,9 @@ and entangled-pair constructions, held as factors of at most
 d^(2 m_out - n_in) entries, with the symmetric projector applied through
 the embedding isometry instead of formed as a d^m_out x d^m_out matrix.
 ``explicit_1to2`` is the closed-form symmetric 1 -> 2 map the
-entangled-pair machine is checked against.
+entangled-pair machine is checked against.  Full-space pure states
+(the pair arrangement, the 1 -> 2 map, the asymmetric joint state) are
+plain arrays of amplitudes, copy slots leading.
 
 ``weighted_clone`` is the one asymmetric machine: the entangled-pair
 arrangement of ``unified_output_oracle``, summed over every permutation
@@ -50,14 +52,12 @@ from .hilbert import (
     NORM_TOL,
     FastPathCapError,
     FullDensity,
-    FullState,
     PureState,
     check_cap,
     maximally_entangled,
     fidelity_pure,
     partial_trace,
     permute_factors,
-    tensor,
 )
 from .symmetric import (
     SymBasis,
@@ -232,9 +232,8 @@ def unified_output(spec: CloneSpec, phi: PureState) -> SymDensity:
 
 @dataclass(frozen=True)
 class UnifiedOracleResult:
-    """Full-tensor-space evaluation of the entangled-pair cloner."""
+    """Entangled-pair oracle: ``density.factor``, read row-major, is the joint state."""
 
-    joint: FullState
     lam: float
     density: FullDensity
 
@@ -250,20 +249,18 @@ def unified_output_oracle(spec: CloneSpec, phi: PureState) -> UnifiedOracleResul
     blanks = m_total - n_total
     check_cap(d, m_total + blanks)
 
-    state = _pair_arrangement(phi, n_total, blanks)
-    block = state.amplitudes.reshape(d**m_total, d**blanks)
+    block = _pair_arrangement(phi, n_total, blanks).reshape(d**m_total, d**blanks)
     projected = project_symmetric(block, d, m_total)
     lam = 1.0 / float(np.linalg.norm(projected))
     projected *= lam
-    joint = FullState(projected.ravel(), factors=m_total + blanks, local_dim=d)
     # The copy slots lead, so the joint state's block with the ancilla
     # still open is the factor of their reduced state.
     density = FullDensity(projected, factors=m_total, local_dim=d)
-    return UnifiedOracleResult(joint=joint, lam=lam, density=density)
+    return UnifiedOracleResult(lam=lam, density=density)
 
 
-def explicit_1to2(d: int, phi: PureState) -> FullState:
-    """Closed-form 1 -> 2 cloner as a pure state on (copy, copy, ancilla).
+def explicit_1to2(d: int, phi: PureState) -> np.ndarray:
+    """Closed-form 1 -> 2 cloner: the d^3 amplitudes on (copy, copy, ancilla).
 
     On a basis input |l> the output is proportional to
     |ll>|l>_a + (1/2) sum_{j != l} (|lj> + |jl>) |j>_a, extended linearly;
@@ -284,10 +281,10 @@ def explicit_1to2(d: int, phi: PureState) -> FullState:
             amps[(l * d + j) * d + j] += 0.5 * x_l
             amps[(j * d + l) * d + j] += 0.5 * x_l
     amps *= math.sqrt(2.0 / (d + 1))
-    state = FullState(amps, factors=3, local_dim=d)
-    if abs(state.norm() - 1.0) > NORM_TOL:
-        raise AssertionError(f"1->2 output has norm {state.norm()}")
-    return state
+    norm = np.linalg.norm(amps)
+    if abs(norm - 1.0) > NORM_TOL:
+        raise AssertionError(f"1->2 output has norm {norm}")
+    return amps
 
 
 @dataclass(frozen=True)
@@ -329,7 +326,7 @@ class AsymmetryWeights:
 class WeightedCloneResult:
     """Asymmetric cloner output; see :func:`weighted_clone`."""
 
-    joint: FullState
+    joint: np.ndarray
     slot_fidelities: tuple[float, ...]
     normalization: float
 
@@ -350,7 +347,10 @@ def weighted_clone(
     sqrt(alpha^2 + beta^2 + 2 alpha beta / d), which is Cerf's optimal
     asymmetric 1 -> 2 cloner.  No optimality is claimed for general
     weights; runs in full tensor space only.  ``slot_fidelities`` are the
-    single-slot fidelities with the input.
+    single-slot fidelities with the input.  The weights are summed scaled
+    by 2^-e, with e the binary exponent of the largest: that is exact, and
+    extreme weights neither overflow nor vanish.  ``normalization`` is the
+    norm of the unscaled sum, or inf beyond the float range.
     """
     _check_phi(spec, phi)
     d, n_total, m_total = spec.d, spec.n_in, spec.m_out
@@ -364,26 +364,32 @@ def weighted_clone(
             f"{n_total} from {m_total} slots"
         )
 
+    _, exponent = math.frexp(max(w.weights.values()))
+    scaled = {s: math.ldexp(v, -exponent) for s, v in w.weights.items()}
     base = _pair_arrangement(phi, n_total, blanks)
-    raw = np.zeros_like(base.amplitudes)
+    raw = np.zeros_like(base)
     anc = [m_total + t for t in range(blanks)]
     for copy_perm in permutations(range(m_total)):
         subset = tuple(sorted(i for i in range(m_total) if copy_perm[i] < n_total))
-        weight = w.weights[subset]
+        weight = scaled[subset]
         if weight == 0:
             continue
-        raw = raw + weight * permute_factors(base, list(copy_perm) + anc).amplitudes
+        raw = raw + weight * permute_factors(base, d, list(copy_perm) + anc)
 
     norm = float(np.linalg.norm(raw))
     if norm == 0:
         raise ValueError("weighted combination vanished")
-    joint = FullState(raw / norm, factors=m_total + blanks, local_dim=d)
-    phi_state = FullState(phi.amplitudes, factors=1, local_dim=d)
+    joint = raw / norm
+    density = FullDensity(joint[:, None], factors=m_total + blanks, local_dim=d)
     fids = tuple(
-        fidelity_pure(partial_trace(joint.density(), {s}), phi_state)
+        fidelity_pure(partial_trace(density, {s}), phi.amplitudes)
         for s in range(m_total)
     )
-    return WeightedCloneResult(joint=joint, slot_fidelities=fids, normalization=norm)
+    try:
+        normalization = math.ldexp(norm, exponent)
+    except OverflowError:
+        normalization = math.inf
+    return WeightedCloneResult(joint, fids, normalization)
 
 
 MACHINES = ("werner", "fan", "unified")
@@ -468,20 +474,20 @@ def full_mode_entries(spec: CloneSpec) -> int:
     )
 
 
-def _pair_arrangement(phi: PureState, copies: int, blanks: int) -> FullState:
+def _pair_arrangement(phi: PureState, copies: int, blanks: int) -> np.ndarray:
     """|phi>^(x copies) beside ``blanks`` maximally entangled pairs, halves sorted.
 
     Factor layout: the copies, then one half of every pair (together the
     copy slots), then the other halves (the ancilla).
     """
-    state = FullState(_power(phi, copies), factors=copies, local_dim=phi.dim)
+    state, pair = _power(phi, copies), maximally_entangled(phi.dim)
     for _ in range(blanks):
-        state = tensor(state, maximally_entangled(phi.dim))
+        state = np.multiply.outer(state, pair).ravel()
     # Pairs interleave as (half, ancilla); bring all copy halves forward.
     perm = list(range(copies))
     perm += [copies + 2 * t for t in range(blanks)]
     perm += [copies + 2 * t + 1 for t in range(blanks)]
-    return permute_factors(state, perm)
+    return permute_factors(state, phi.dim, perm)
 
 
 def _power(phi: PureState, copies: int) -> np.ndarray:

@@ -54,7 +54,6 @@ from .hilbert import (
     FAST_PATH_CAP,
     NORM_TOL,
     FullDensity,
-    FullState,
     PureState,
     check_cap,
     check_factor,
@@ -196,11 +195,10 @@ class SymDensity:
         return mat
 
 
-def embed(m: tuple[int, ...]) -> FullState:
-    """Normalized permutation-invariant full-space state with occupation m."""
+def embed(m: tuple[int, ...]) -> np.ndarray:
+    """Amplitudes of the normalized permutation-invariant state with occupation m."""
     d, total = len(m), sum(m)
-    column = embed_isometry(d, total)[:, SymBasis(d, total).index(m)]
-    return FullState(column, factors=total, local_dim=d)
+    return embed_isometry(d, total)[:, SymBasis(d, total).index(m)]
 
 
 def embed_isometry(d: int, total: int) -> np.ndarray:
@@ -268,9 +266,9 @@ def project_symmetric(x: np.ndarray, d: int, total: int) -> np.ndarray:
     return _expand(_compress(x, d, total), d, total)
 
 
-def sym_to_full_state(amplitudes: np.ndarray, d: int, total: int) -> FullState:
-    """The full-space state iso @ amplitudes of a vector over the (d, total) basis."""
-    return FullState(embed_isometry(d, total) @ amplitudes, factors=total, local_dim=d)
+def sym_to_full_state(amplitudes: np.ndarray, d: int, total: int) -> np.ndarray:
+    """Full-space amplitudes iso @ amplitudes of a vector over the (d, total) basis."""
+    return embed_isometry(d, total) @ amplitudes
 
 
 def sym_to_full_density(rho: SymDensity) -> FullDensity:

@@ -22,7 +22,7 @@ from uqcm.fidelity import (
     fidelity_single_closed,
 )
 from uqcm.hilbert import (
-    FullState,
+    FullDensity,
     PureState,
     fidelity_pure,
     partial_trace,
@@ -137,7 +137,7 @@ def test_03_spot_values():
         target = np.ones(1, dtype=np.complex128)
         for _ in range(L):
             target = np.kron(target, phi.amplitudes)
-        oracle_value = fidelity_pure(reduced, FullState(target, L, spec.d))
+        oracle_value = fidelity_pure(reduced, target)
         worst = max(worst, abs(oracle_value - float(value)))
     oracle_ok = worst < DIST_TOL
 
@@ -157,8 +157,9 @@ def test_04_explicit_qubit_pair_amplitudes():
     spec = CloneSpec(2, 1, 2)
     worst = 0.0
     for level in (0, 1):
-        joint = unified_output_oracle(spec, PureState.basis(2, level)).joint
-        amps = joint.amplitudes.copy()
+        # The copy slots lead: the reduced factor read row-major is the joint state.
+        oracle = unified_output_oracle(spec, PureState.basis(2, level))
+        amps = oracle.density.factor.ravel()
         anchor = amps[np.argmax(np.abs(amps))]
         amps = amps * (abs(anchor) / anchor)
 
@@ -230,7 +231,8 @@ def test_06_asymmetric_limits():
     spec = CloneSpec(2, 1, 3)
     phi = random_pure_state(2, 63)
     weighted = weighted_clone(spec, phi, AsymmetryWeights.equal(1, 3))
-    output = partial_trace(weighted.joint.density(), range(spec.m_out))
+    joint = FullDensity(weighted.joint[:, None], 2 * spec.m_out - spec.n_in, spec.d)
+    output = partial_trace(joint, range(spec.m_out))
     oracle = unified_output_oracle(spec, phi).density
     dist = trace_distance_matrices(output.matrix, oracle.matrix)
     equal_ok = dist < DIST_TOL

@@ -504,9 +504,7 @@ class TestOracleChecksHaveTeeth:
 
             def unified(spec, phi):
                 result = real_unified(spec, phi)
-                return machines.UnifiedOracleResult(
-                    result.joint, result.lam, dropped(result.density)
-                )
+                return machines.UnifiedOracleResult(result.lam, dropped(result.density))
 
             monkeypatch.setattr(cli, "unified_output_oracle", unified)
         status, checks = self._distances(capsys)
@@ -877,6 +875,51 @@ class TestAsymSweep:
                 ]
             )
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "alpha, beta, reference",
+        [("1e308", "1e308", ("1", "1")), ("1e200", "1e-200", ("1", "0")),
+         ("1e-320", "0", ("1", "0"))],
+    )
+    def test_extreme_weights_give_the_ordinary_fidelities(
+        self, capsys, alpha, beta, reference
+    ):
+        # Finite nonnegative weights at either end of the float range: the
+        # sum neither overflows nor vanishes (and warns of nothing).
+        def fidelities(a, b):
+            status, out = _run(capsys, ["asym-sweep", "--d", "2", "--alpha", a, "--beta", b])
+            assert status == 0
+            row = json.loads(out)["rows"][0]
+            return row["fidelity_a"], row["fidelity_b"]
+
+        got, expected = fidelities(alpha, beta), fidelities(*reference)
+        assert max(abs(g - e) for g, e in zip(got, expected)) < 1e-12
+
+    def test_overflowing_ratio_is_null_in_json_and_inf_in_csv(self, capsys):
+        argv = ["asym-sweep", "--d", "2", "--alpha", "1e-320", "--beta", "1"]
+        _, out = _run(capsys, argv)
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        payload = json.loads(out, parse_constant=refuse)
+        jsonschema.validate(payload, _schema())
+        assert payload["rows"][0]["ratio"] is None
+        _, out = _run(capsys, argv + ["--format", "csv"])
+        assert out.splitlines()[1].startswith("inf,")
+
+    def test_a_non_finite_report_value_fails_loudly(self, capsys, monkeypatch):
+        real = cli.weighted_clone
+
+        def broken(spec, phi, w):
+            result = real(spec, phi, w)
+            nan = float("nan")
+            return machines.WeightedCloneResult(result.joint, (nan, nan), 1.0)
+
+        monkeypatch.setattr(cli, "weighted_clone", broken)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli.main(["asym-sweep", "--d", "2", "--alpha", "1", "--beta", "1"])
+        assert capsys.readouterr().out == ""
 
 
 class TestIdentityCheck:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from uqcm.hilbert import (
     ORACLE_CAP,
     FullDensity,
-    FullState,
     OracleCapError,
     PureState,
     check_cap,
@@ -21,7 +20,6 @@ from uqcm.hilbert import (
     permute_factors,
     random_pure_state,
     random_unitary,
-    tensor,
     trace_distance_factors,
     trace_distance_matrices,
 )
@@ -54,7 +52,12 @@ def _rank_deficient_spectrum(dim):
 def _random_full(d, factors, seed):
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=d**factors) + 1j * rng.normal(size=d**factors)
-    return FullState(amps / np.linalg.norm(amps), factors=factors, local_dim=d)
+    return amps / np.linalg.norm(amps)
+
+
+def _pure(amps, factors, d):
+    """|amps><amps| as the one-column factor of the amplitudes."""
+    return FullDensity(amps[:, None], factors, d)
 
 
 class TestPureState:
@@ -79,51 +82,39 @@ class TestPureState:
 
 
 class TestTensorAndPermute:
-    def test_tensor_leftmost_significant(self):
-        a = FullState(PureState.basis(2, 0).amplitudes, 1, 2)
-        b = FullState(PureState.basis(2, 1).amplitudes, 1, 2)
-        ab = tensor(a, b)
-        # |0>|1> sits at index 0*2 + 1
-        assert ab.amplitudes[1] == 1
-        assert ab.factors == 2
-
-    @pytest.mark.parametrize("d,left,right", [(2, 1, 1), (2, 3, 2), (3, 2, 1), (5, 1, 3)])
-    def test_tensor_equals_kron_reference(self, d, left, right):
-        a, b = _random_full(d, left, d + left), _random_full(d, right, 7 * d + right)
-        assert np.array_equal(
-            tensor(a, b).amplitudes, np.kron(a.amplitudes, b.amplitudes)
-        )
-
     def test_permute_swaps_factors(self):
-        a = FullState(PureState.basis(2, 0).amplitudes, 1, 2)
-        b = FullState(PureState.basis(2, 1).amplitudes, 1, 2)
-        swapped = permute_factors(tensor(a, b), (1, 0))
-        assert swapped.amplitudes[2] == 1  # |1>|0>
+        a = PureState.basis(2, 0).amplitudes
+        b = PureState.basis(2, 1).amplitudes
+        swapped = permute_factors(np.kron(a, b), 2, (1, 0))
+        assert swapped[2] == 1  # |1>|0>
 
     def test_permutation_composition(self):
         psi = _random_full(2, 3, 9)
-        once = permute_factors(permute_factors(psi, (1, 2, 0)), (1, 2, 0))
-        thrice = permute_factors(psi, (2, 0, 1))
-        assert np.allclose(once.amplitudes, thrice.amplitudes, atol=TOL)
+        once = permute_factors(permute_factors(psi, 2, (1, 2, 0)), 2, (1, 2, 0))
+        thrice = permute_factors(psi, 2, (2, 0, 1))
+        assert np.allclose(once, thrice, atol=TOL)
 
     def test_bad_permutation_raises(self):
         psi = _random_full(2, 2, 1)
         with pytest.raises(ValueError):
-            permute_factors(psi, (0, 0))
+            permute_factors(psi, 2, (0, 0))
+
+    def test_permutation_of_another_length_raises(self):
+        psi = _random_full(2, 3, 1)
+        with pytest.raises(ValueError, match="does not permute 8 amplitudes"):
+            permute_factors(psi, 2, (1, 0))
 
 
 class TestPartialTrace:
     def test_product_state_factorizes(self):
         a = random_pure_state(2, 3)
         b = random_pure_state(2, 4)
-        joint = tensor(
-            FullState(a.amplitudes, 1, 2), FullState(b.amplitudes, 1, 2)
-        )
-        left = partial_trace(joint.density(), {0})
+        joint = np.kron(a.amplitudes, b.amplitudes)
+        left = partial_trace(_pure(joint, 2, 2), {0})
         assert np.allclose(left.matrix, a.density(), atol=TOL)
 
     def test_two_step_equals_one_step(self):
-        rho = _random_full(2, 4, 11).density()
+        rho = _pure(_random_full(2, 4, 11), 4, 2)
         direct = partial_trace(rho, {0, 2})
         staged = partial_trace(partial_trace(rho, {0, 2, 3}), {0, 1})
         assert np.allclose(direct.matrix, staged.matrix, atol=TOL)
@@ -131,21 +122,20 @@ class TestPartialTrace:
     def test_state_shortcut_matches_density_route(self):
         # A pure state's one-column factor, traced, against the dense
         # contraction of |psi><psi|.
-        psi = _random_full(3, 3, 13)
-        amps = psi.amplitudes
+        amps = _random_full(3, 3, 13)
         shaped = np.multiply.outer(amps, amps.conj()).reshape((3,) * 6)
         for keep in ({0}, {1}, {2}, {0, 2}, {1, 2}):
             cols = [i if i not in keep else 3 + i for i in range(3)]
             out = sorted(keep) + [3 + i for i in sorted(keep)]
             dim = 3 ** len(keep)
             expected = np.einsum(shaped, [0, 1, 2] + cols, out).reshape(dim, dim)
-            reduced = partial_trace(psi.density(), keep)
+            reduced = partial_trace(_pure(amps, 3, 3), keep)
             assert np.allclose(reduced.matrix, expected, atol=TOL)
 
     def test_keep_all_is_identity(self):
         psi = _random_full(2, 2, 17)
-        rho = partial_trace(psi.density(), {0, 1})
-        assert np.allclose(rho.matrix, psi.density().matrix, atol=TOL)
+        rho = partial_trace(_pure(psi, 2, 2), {0, 1})
+        assert np.allclose(rho.matrix, _pure(psi, 2, 2).matrix, atol=TOL)
 
     @pytest.mark.parametrize("keep", [{0}, {2}, {0, 2}, {1, 3}, {0, 1, 3}])
     def test_factor_reshape_matches_dense_contraction(self, keep):
@@ -167,9 +157,9 @@ class TestPartialTrace:
 
     def test_state_shortcut_is_the_amplitude_block(self):
         psi = _random_full(2, 3, 23)
-        rho = partial_trace(psi.density(), {0})
+        rho = partial_trace(_pure(psi, 3, 2), {0})
         assert rho.factor.shape == (2, 4)
-        assert np.array_equal(rho.factor.ravel(), psi.amplitudes)
+        assert np.array_equal(rho.factor.ravel(), psi)
 
 
 class TestFullDensity:
@@ -184,11 +174,9 @@ class TestFullDensity:
 
     def test_pure_state_density_is_its_column(self):
         psi = _random_full(3, 2, 31)
-        rho = psi.density()
+        rho = _pure(psi, 2, 3)
         assert rho.factor.shape == (9, 1)
-        assert np.allclose(
-            rho.matrix, np.outer(psi.amplitudes, psi.amplitudes.conj()), atol=TOL
-        )
+        assert np.allclose(rho.matrix, np.outer(psi, psi.conj()), atol=TOL)
 
     @pytest.mark.parametrize(
         "factor, match",
@@ -275,9 +263,12 @@ class TestMetrics:
     def test_fidelity_pure_matches_expectation(self):
         psi = random_pure_state(2, 8)
         rho = FullDensity(np.eye(2) / np.sqrt(2), 1, 2)
-        assert fidelity_pure(rho, FullState(psi.amplitudes, 1, 2)) == pytest.approx(
-            0.5, abs=TOL
-        )
+        assert fidelity_pure(rho, psi.amplitudes) == pytest.approx(0.5, abs=TOL)
+
+    def test_fidelity_pure_rejects_a_state_of_another_size(self):
+        rho = FullDensity(np.eye(2) / np.sqrt(2), 1, 2)
+        with pytest.raises(ValueError, match="amplitudes against"):
+            fidelity_pure(rho, random_pure_state(3, 8).amplitudes)
 
 
 class TestTraceDistanceFactors:
@@ -363,8 +354,8 @@ class TestMaximallyEntangled:
     def test_reduction_is_maximally_mixed(self):
         for d in (2, 3, 4):
             pair = maximally_entangled(d)
-            assert pair.norm() == pytest.approx(1.0, abs=TOL)
-            rho = partial_trace(pair.density(), {0})
+            assert np.linalg.norm(pair) == pytest.approx(1.0, abs=TOL)
+            rho = partial_trace(_pure(pair, 2, d), {0})
             assert np.allclose(rho.matrix, np.eye(d) / d, atol=TOL)
 
 

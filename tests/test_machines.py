@@ -13,8 +13,9 @@ from uqcm import combinatorics, machines, symmetric
 from uqcm.fidelity import fidelities_numeric, fidelity_L_closed
 from uqcm.hilbert import (
     FAST_PATH_CAP,
+    ORACLE_CAP,
     FastPathCapError,
-    FullState,
+    FullDensity,
     PureState,
     fidelity_pure,
     maximally_entangled,
@@ -22,6 +23,7 @@ from uqcm.hilbert import (
     permute_factors,
     random_pure_state,
     random_unitary,
+    trace_distance_factors,
     trace_distance_matrices,
 )
 from uqcm.machines import (
@@ -58,6 +60,14 @@ GRID = [
     for d in (2, 3)
     for n in (1, 2)
     for m in range(n, n + 3)
+]
+# Every (d, n, m) with d <= 8 whose oracles fit under the cap: 97 points.
+ORACLE_GRID = [
+    (d, n, m)
+    for d in range(2, 9)
+    for m in range(1, 13)
+    for n in range(1, m + 1)
+    if d ** (2 * m - n) <= ORACLE_CAP
 ]
 
 
@@ -286,18 +296,22 @@ class TestOracles:
 
         pairs = inputs
         for _ in range(m - n):
-            pairs = np.kron(pairs, maximally_entangled(d).amplitudes)
+            pairs = np.kron(pairs, maximally_entangled(d))
         perm = [*range(n), *range(n, 2 * m - n, 2), *range(n + 1, 2 * m - n, 2)]
-        state = permute_factors(FullState(pairs, 2 * m - n, d), perm)
-        projected = project_symmetric(state.amplitudes.reshape(d**m, -1), d, m)
+        state = permute_factors(pairs, d, perm)
+        projected = project_symmetric(state.reshape(d**m, -1), d, m)
         projected *= 1.0 / float(np.linalg.norm(projected))
         assert np.array_equal(unified_output_oracle(spec, phi).density.factor, projected)
 
-    def test_unified_oracle_density_is_the_joint_block(self):
-        spec = CloneSpec(2, 1, 3)
-        oracle = unified_output_oracle(spec, random_pure_state(2, 15))
-        traced = partial_trace(oracle.joint.density(), range(spec.m_out))
-        assert np.array_equal(oracle.density.factor, traced.factor)
+    @pytest.mark.parametrize("d,n,m", ORACLE_GRID)
+    def test_the_two_literal_oracles_give_the_same_state(self, d, n, m):
+        # The paper's claim in its most literal form: the projector-form and
+        # the entangled-pair constructions, both in the full space.
+        spec = CloneSpec(d, n, m)
+        phi = random_pure_state(d, 17)
+        werner = werner_output_oracle(spec, phi).factor
+        unified = unified_output_oracle(spec, phi).density.factor
+        assert trace_distance_factors(werner, unified) < 1e-12
 
     def test_oracle_output_in_symmetric_subspace(self):
         spec = CloneSpec(2, 1, 3)
@@ -344,25 +358,24 @@ class TestExplicitPair:
             phi = random_pure_state(d, 31)
             closed = explicit_1to2(d, phi)
             oracle = unified_output_oracle(CloneSpec(d, 1, 2), phi)
-            overlap = abs(np.vdot(closed.amplitudes, oracle.joint.amplitudes))
+            overlap = abs(np.vdot(closed, oracle.density.factor.ravel()))
             assert overlap == pytest.approx(1.0, abs=1e-12)
 
     def test_basis_input_amplitudes_d2(self):
         out = explicit_1to2(2, PureState.basis(2, 0))
-        amps = out.amplitudes.real
+        amps = out.real
         assert amps[0b000] == pytest.approx(math.sqrt(2 / 3), abs=1e-12)
         assert amps[0b011] == pytest.approx(math.sqrt(1 / 6), abs=1e-12)
         assert amps[0b101] == pytest.approx(math.sqrt(1 / 6), abs=1e-12)
-        assert np.count_nonzero(np.abs(out.amplitudes) > 1e-15) == 3
+        assert np.count_nonzero(np.abs(out) > 1e-15) == 3
 
     def test_clone_fidelity_is_symmetric_optimum(self):
         for d in (2, 3, 4):
             phi = random_pure_state(d, 33)
             out = explicit_1to2(d, phi)
-            rho = partial_trace(out.density(), {0})
-            phi_full = FullState(phi.amplitudes, 1, d)
+            rho = partial_trace(FullDensity(out[:, None], 3, d), {0})
             expected = (d + 3) / (2 * (d + 1))
-            assert fidelity_pure(rho, phi_full) == pytest.approx(expected, abs=TOL)
+            assert fidelity_pure(rho, phi.amplitudes) == pytest.approx(expected, abs=TOL)
 
 
 class TestCovariance:
@@ -389,7 +402,7 @@ class TestAsymmetricPair:
             res = _pair_clone(d, phi, 1.0, 0.0)
             assert res.slot_fidelities[0] == pytest.approx(1.0, abs=1e-12)
             assert res.slot_fidelities[1] == pytest.approx(1.0 / d, abs=1e-12)
-            clone_b = partial_trace(res.joint.density(), {1})
+            clone_b = partial_trace(FullDensity(res.joint[:, None], 3, d), {1})
             assert np.allclose(clone_b.matrix, np.eye(d) / d, atol=1e-12)
 
     def test_equal_weights_reach_symmetric_value(self):
@@ -408,6 +421,22 @@ class TestAsymmetricPair:
         res = _pair_clone(d, phi, alpha, beta)
         expected = math.sqrt(alpha**2 + beta**2 + 2 * alpha * beta / d)
         assert res.normalization == pytest.approx(expected, abs=1e-12)
+
+    def test_weights_scale_by_powers_of_two_exactly(self):
+        # The sum is taken with the largest weight scaled into [1/2, 1), so
+        # weights 2^k times larger give the same bits, from the smallest
+        # normal weights to the float range, where the normalization is inf.
+        d = 3
+        phi = random_pure_state(d, 55)
+        base = _pair_clone(d, phi, 0.8, 0.6)
+        for k in (-1021, -600, 600, 1024):
+            res = _pair_clone(d, phi, math.ldexp(0.8, k), math.ldexp(0.6, k))
+            assert np.array_equal(res.joint, base.joint)
+            assert res.slot_fidelities == base.slot_fidelities
+            if k < 1024:
+                assert res.normalization == math.ldexp(base.normalization, k)
+            else:
+                assert res.normalization == math.inf
 
     def test_tradeoff_is_monotone(self):
         for d in (2, 3):
@@ -465,7 +494,8 @@ class TestWeightedClone:
             spec = CloneSpec(d, n, m)
             phi = random_pure_state(d, 61)
             res = weighted_clone(spec, phi, AsymmetryWeights.equal(n, m))
-            output = partial_trace(res.joint.density(), range(m))
+            joint = FullDensity(res.joint[:, None], 2 * m - n, d)
+            output = partial_trace(joint, range(m))
             oracle = unified_output_oracle(spec, phi)
             assert trace_distance_matrices(output.matrix, oracle.density.matrix) < TOL
 

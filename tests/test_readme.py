@@ -1,5 +1,6 @@
-"""The README's Python code blocks run as written."""
+"""The README's Python code blocks run as written, and its layout names exist."""
 
+import importlib
 import re
 from pathlib import Path
 
@@ -7,6 +8,10 @@ import pytest
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.S | re.M)
+LAYOUT = re.search(r"^## Layout\n(.*?)^## ", README.read_text(), re.S | re.M).group(1)
+LAYOUT_ROWS = re.findall(r"^\| `(uqcm\.\w+)` \| (.*) \|$", LAYOUT, re.M)
+# A Python name, dotted or not; code spans such as `(d, total)` are not names.
+NAME = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
 
 
 def test_readme_has_python_blocks():
@@ -16,3 +21,21 @@ def test_readme_has_python_blocks():
 @pytest.mark.parametrize("index", range(len(BLOCKS)))
 def test_readme_block_runs(index):
     exec(compile(BLOCKS[index], f"README.md block {index}", "exec"), {})
+
+
+def test_layout_has_module_rows():
+    assert len(LAYOUT_ROWS) >= 6
+
+
+@pytest.mark.parametrize("module, contents", LAYOUT_ROWS, ids=[m for m, _ in LAYOUT_ROWS])
+def test_layout_names_resolve(module, contents):
+    # Every backticked Python name in the row is an attribute of its module.
+    names = [span for span in contents.split("`")[1::2] if NAME.fullmatch(span)]
+    missing = []
+    for name in names:
+        target = importlib.import_module(module)
+        for part in name.split("."):
+            target = getattr(target, part, None)
+        if target is None:
+            missing.append(name)
+    assert not missing, f"{module} has no {missing}"

@@ -16,7 +16,6 @@ from uqcm.hilbert import (
     permute_factors,
     random_pure_state,
     random_unitary,
-    tensor,
     trace_distance_factors,
 )
 from uqcm.symmetric import (
@@ -122,13 +121,13 @@ class TestEmbedding:
     def test_stretched_state_is_product_basis(self):
         # (total, 0, ...) holds every qudit in level 0, so it embeds to index 0.
         psi = embed((3, 0))
-        assert psi.amplitudes[0] == pytest.approx(1.0, abs=TOL)
+        assert psi[0] == pytest.approx(1.0, abs=TOL)
 
     def test_balanced_qubit_pair(self):
         psi = embed((1, 1))
         expected = np.zeros(4)
         expected[1] = expected[2] = 1 / np.sqrt(2)
-        assert np.allclose(psi.amplitudes, expected, atol=TOL)
+        assert np.allclose(psi, expected, atol=TOL)
 
     def test_projector_idempotent_hermitian(self):
         proj = projector_full(2, 3)
@@ -167,7 +166,7 @@ class TestExpandPower:
                 literal = np.ones(1, dtype=np.complex128)
                 for _ in range(copies):
                     literal = np.kron(literal, phi.amplitudes)
-                assert np.allclose(full.amplitudes, literal, atol=TOL)
+                assert np.allclose(full, literal, atol=TOL)
 
     def test_normalized(self):
         phi = random_pure_state(3, 41)
@@ -288,13 +287,12 @@ class TestEntangledPairProjection:
         # Projecting the first halves of n pairs into the symmetric
         # subspace leaves a uniform superposition of twin occupations.
         for d, n in [(2, 2), (2, 3), (3, 2)]:
-            state = maximally_entangled(d)
-            joint = state
+            joint = maximally_entangled(d)
             for _ in range(n - 1):
-                joint = tensor(joint, maximally_entangled(d))
+                joint = np.kron(joint, maximally_entangled(d))
             perm = [2 * t for t in range(n)] + [2 * t + 1 for t in range(n)]
-            joint = permute_factors(joint, perm)
-            block = joint.amplitudes.reshape(d**n, d**n)
+            joint = permute_factors(joint, d, perm)
+            block = joint.reshape(d**n, d**n)
             projected = projector_full(d, n) @ block
 
             iso = embed_isometry(d, n)
