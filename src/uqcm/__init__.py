@@ -12,6 +12,7 @@ from .combinatorics import (
     splitting_coefficient_sq,
     sym_dim,
     verify_identity,
+    verify_identity_family,
 )
 from .hilbert import (
     FAST_PATH_CAP,
@@ -56,6 +57,7 @@ from .machines import (
     werner_output_oracle,
 )
 from .fidelity import (
+    fidelities_closed,
     fidelities_numeric,
     fidelity_L_closed,
     fidelity_L_closed_N1,
@@ -84,6 +86,7 @@ __all__ = [
     "expand_power",
     "explicit_1to2",
     "fan_output",
+    "fidelities_closed",
     "fidelities_numeric",
     "fidelity_L_closed",
     "fidelity_L_closed_N1",
@@ -108,6 +111,7 @@ __all__ = [
     "unified_output",
     "unified_output_oracle",
     "verify_identity",
+    "verify_identity_family",
     "weighted_clone",
     "werner_output",
     "werner_output_oracle",

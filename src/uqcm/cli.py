@@ -24,6 +24,15 @@ headed by the rows' keys:
 * ``identity-check`` — exact rational check of the summation identity
                        behind the single-copy fidelity.
 
+The JSON report is the text of ``json.dumps(payload, indent=2,
+allow_nan=False)``, byte for byte, but written by the C encoder: any
+``indent`` selects :mod:`json`'s pure-Python encoder, so :func:`main`
+renders each container of scalars with one C-encoder call whose item
+separator carries the newline and the indent, and a list of such dicts
+(``rows``, ``checks``) with one call and one ``str.replace`` between
+rows.  The bytes cannot change, because with ``ensure_ascii`` no encoded
+string holds a raw newline: every newline is a separator placed there.
+
 Exit codes: 0 pass, 1 verification failure, 2 usage error (a problem
 above the fast-path cap, an ``asym-sweep`` dimension above the oracle
 cap, or a negative seed, counts as one).  Identical configurations
@@ -50,8 +59,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .combinatorics import verify_identity
-from .fidelity import fidelities_numeric, fidelity_L_closed, fidelity_single_closed
+from .combinatorics import verify_identity, verify_identity_family
+from .fidelity import fidelities_closed, fidelities_numeric, fidelity_single_closed
 from .hilbert import (
     FAST_PATH_CAP,
     ORACLE_CAP,
@@ -80,6 +89,9 @@ from .symmetric import (
 
 DISTANCE_TOL = 1e-10
 OUTPUT_DIR_ENV = "UQCM_OUTPUT_DIR"
+# Exact types that json encodes as one token; a member of any other type
+# sends its container down the recursive path of _json_text.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -88,7 +100,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.format == "csv":
         text = _csv_text(rows)
     else:
-        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        text = _json_text(payload) + "\n"
     _write_output(text, args.output)
     return status
 
@@ -172,11 +184,12 @@ def _cmd_table(
     rho = run_machine(spec, phi, args.machine)
     # One sweep stopped at the last level wanted gives every F_L up to it.
     numerics = fidelities_numeric(rho, phi, upto)
+    exact = fidelities_closed(spec, upto)
     levels = range(1, upto + 1) if args.l is None else [args.l]
 
     def row(L: int) -> dict:
         numeric = numerics[L - 1]
-        closed = fidelity_L_closed(spec, L)
+        closed = exact[L - 1]
         return {
             "L": L,
             "numeric": numeric,
@@ -225,7 +238,7 @@ def _cmd_verify(
             f"warning: {reason}; skipping the covariance and oracle checks, "
             "running the closed-form check\n"
         )
-        closed = [float(fidelity_L_closed(spec, L)) for L in range(1, m + 1)]
+        closed = [float(value) for value in fidelities_closed(spec)]
 
     def trial(t: int) -> dict[str, float]:
         phi = random_pure_state(d, args.seed + t)
@@ -392,7 +405,7 @@ def _cmd_identity_check(
             parser.error(
                 f"need d >= 2 and 1 <= n <= m, got d={args.d}, n={args.n}, m={args.m}"
             )
-        grid = [(args.n, args.m, args.d)]
+        reports = [verify_identity(args.n, args.m, args.d)]
         config = {"d": args.d, "n_in": args.n, "m_out": args.m}
     else:
         d_max = 3 if args.d_max is None else args.d_max
@@ -403,15 +416,15 @@ def _cmd_identity_check(
                 f"empty grid: need d_max >= 2, n_max >= 1, m_max >= 1, "
                 f"got d_max={d_max}, n_max={n_max}, m_max={m_max}"
             )
-        grid = [
-            (n, m, d)
+        # One (d, N) family at a time, M = N..m_max within each.
+        reports = [
+            report
             for d in range(2, d_max + 1)
             for n in range(1, min(n_max, m_max) + 1)
-            for m in range(n, m_max + 1)
+            for report in verify_identity_family(n, m_max, d)
         ]
         config = {"d_max": d_max, "n_max": n_max, "m_max": m_max}
 
-    reports = [verify_identity(n, m, d) for n, m, d in grid]
     rows = [
         {
             "d": report.d,
@@ -462,6 +475,44 @@ def _clone_spec(
 
 def _rational_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
+
+
+def _json_text(value, pad: str = "") -> str:
+    """``json.dumps(value, indent=2, allow_nan=False)``, from the C encoder.
+
+    ``pad`` is the indent of the line ``value`` starts on.  Containers of
+    scalars and lists of non-empty dicts of scalars take one encoder call
+    each (see the module docstring); everything else recurses.
+    """
+    if isinstance(value, dict):
+        members, brackets = value.values(), "{}"
+    elif isinstance(value, (list, tuple)):
+        members, brackets = value, "[]"
+    else:
+        return json.dumps(value, allow_nan=False)
+    if not members:
+        return brackets
+    inner = pad + "  "
+    if _SCALARS.issuperset(map(type, members)):
+        body = json.dumps(value, separators=(",\n" + inner, ": "), allow_nan=False)[1:-1]
+    elif brackets == "[]" and all(
+        type(m) is dict and m and _SCALARS.issuperset(map(type, m.values()))
+        for m in members
+    ):
+        row = inner + "  "
+        text = json.dumps(value, separators=(",\n" + row, ": "), allow_nan=False)
+        # Only the boundary of two rows reads "},\n" + row + "{".
+        rows = text[2:-2].replace("},\n" + row + "{", f"\n{inner}}},\n{inner}{{\n{row}")
+        body = f"{{\n{row}{rows}\n{inner}}}"
+    elif brackets == "{}":
+        # json writes an int, float, bool or None key as the string of its JSON text.
+        keys = (k if isinstance(k, str) else _json_text(k) for k in value)
+        body = (",\n" + inner).join(
+            f"{_json_text(k)}: {_json_text(v, inner)}" for k, v in zip(keys, members)
+        )
+    else:
+        body = (",\n" + inner).join(_json_text(v, inner) for v in value)
+    return f"{brackets[0]}\n{inner}{body}\n{pad}{brackets[1]}"
 
 
 def _csv_text(rows: list[dict]) -> str:

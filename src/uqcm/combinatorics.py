@@ -14,6 +14,13 @@ Occupation vectors index the completely symmetric basis: the vector
 (levels are 0-based: slot 0 counts level |0>).  The canonical enumeration
 order is lexicographically decreasing, so ``(M, 0, ..., 0)`` comes first;
 every matrix index downstream relies on this order.
+
+The summation identity behind the single-copy fidelity is checked one
+(d, N) family at a time: :func:`verify_identity_family` reads the integer
+sums S(M) of every M = N..m_max off d-1 prefix summations of one list,
+decides each equality by cross-multiplying integers, and builds a second
+``Fraction`` only for a left side that differs from the right.
+:func:`verify_identity` is the last report of its family.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 
@@ -132,8 +140,9 @@ def verify_identity(n_in: int, m_out: int, d: int) -> IdentityReport:
                         / (M * m! * (N+m-1)! * (M-N-m)! * (d-2)!)
 
     The m-th summand is (N!/M) (N+m) C(N+m, N) C(M-N-m+d-2, d-2), so the
-    left side is evaluated as (M-N)!(N+d-1)!/((M+d-1)! M) times one
-    integer sum.
+    left side is S(M) / (C(M+d-1, M-N) M) with the integer sum
+
+        S(M) = sum_{j=N}^{M} j C(j, N) C(M-j+d-2, d-2).
 
     Right side:  (N(d+M) + M - N) / ((d+N) M).
 
@@ -141,36 +150,60 @@ def verify_identity(n_in: int, m_out: int, d: int) -> IdentityReport:
     ``printed_summand_evaluable`` records whether the literally typeset
     summand (denominator term "Mm") can be evaluated over the full range
     of m; it cannot, because the m = 0 term divides by zero.
+
+    This is the last report of :func:`verify_identity_family`.
     """
-    n, m_total = n_in, m_out
+    return verify_identity_family(n_in, m_out, d)[-1]
+
+
+def verify_identity_family(n_in: int, m_max: int, d: int) -> list[IdentityReport]:
+    """The reports of :func:`verify_identity` for M = N..m_max at fixed (d, N).
+
+    Every S(M) of the family comes from one set of prefix sums
+    (:func:`_identity_sums`).  Equality is decided by cross-multiplying
+    integers; an equal left side *is* the reduced right side, so only an
+    unequal one builds a second ``Fraction``.
+    """
+    n = n_in
     _check_d(d)
-    if not 1 <= n <= m_total:
-        raise ValueError(f"need 1 <= N <= M, got N={n}, M={m_total}")
+    if not 1 <= n <= m_max:
+        raise ValueError(f"need 1 <= N <= M, got N={n}, M={m_max}")
 
-    f = math.factorial
-    prefactor = Fraction(f(m_total - n) * f(n + d - 1), f(m_total + d - 1) * m_total)
-    acc = sum(
-        (n + m) * math.comb(n + m, n) * math.comb(m_total - n - m + d - 2, d - 2)
-        for m in range(m_total - n + 1)
-    )
-    lhs = prefactor * acc
+    reports = []
+    for m_total, acc in zip(range(n, m_max + 1), _identity_sums(n, m_max, d)):
+        lhs_den = math.comb(m_total + d - 1, m_total - n) * m_total
+        rhs_num = n * (d + m_total) + m_total - n
+        rhs_den = (d + n) * m_total
+        rhs = Fraction(rhs_num, rhs_den)
+        equal = acc * rhs_den == rhs_num * lhs_den
+        reports.append(
+            IdentityReport(
+                n_in=n,
+                m_out=m_total,
+                d=d,
+                lhs=rhs if equal else Fraction(acc, lhs_den),
+                rhs=rhs,
+                equal=equal,
+                # The typeset denominator contains a bare factor m, and
+                # every sum starts at m = 0: a division by zero.
+                printed_summand_evaluable=False,
+                note=f"left side evaluated with denominator {RECONSTRUCTED_DENOMINATOR}",
+            )
+        )
+    return reports
 
-    rhs = Fraction(n * (d + m_total) + m_total - n, (d + n) * m_total)
 
-    # The typeset denominator contains a bare factor m, so any m = 0 term
-    # (always present since the sum starts at 0) is a division by zero.
-    printed_ok = all(m_total * m != 0 for m in range(m_total - n + 1))
+def _identity_sums(n: int, m_max: int, d: int) -> list[int]:
+    """S(N), ..., S(m_max) of :func:`verify_identity`, exactly.
 
-    return IdentityReport(
-        n_in=n,
-        m_out=m_total,
-        d=d,
-        lhs=lhs,
-        rhs=rhs,
-        equal=lhs == rhs,
-        printed_summand_evaluable=printed_ok,
-        note=f"left side evaluated with denominator {RECONSTRUCTED_DENOMINATOR}",
-    )
+    S(M) = sum_j a(j) b(M-j) with a(j) = j C(j, N) and b(k) = C(k+d-2, d-2).
+    b has the generating function 1/(1-x)^(d-1), so convolving with it is
+    d-1 prefix summations of a.
+    """
+    sums = [j * math.comb(j, n) for j in range(n, m_max + 1)]
+    for _ in range(d - 1):
+        sums = list(accumulate(sums))
+    return sums
 
 
 def _check_d(d: int) -> None:

@@ -30,9 +30,12 @@ integer weights w[m1] = C(M-m1+d-2, d-2) C(m1, N),
 
     F_L = K * sum_{m1} w[m1] C(m1, L) / C(M, L),
 
-one integer sum and one rational per L.  The specializations F_1, F_M
-and the N=1 simplification are implemented separately and checked to
-agree exactly.
+with 1/K = C(d+M-1, M-N).  :func:`fidelities_closed` builds w once and
+then spends one integer sum and one rational per L;
+:func:`fidelity_L_closed` runs the same code for its one L, so the
+formula has one implementation, and nothing is kept from one call to the
+next.  The specializations F_1, F_M and the N=1 simplification are
+implemented separately and checked to agree exactly.
 """
 
 from __future__ import annotations
@@ -66,20 +69,41 @@ def fidelities_numeric(
     return tuple(float(min(max(value, 0.0), 1.0)) for value in values)
 
 
+def fidelities_closed(spec: CloneSpec, upto: int | None = None) -> tuple[Fraction, ...]:
+    """Closed-form F_1..F_upto as exact rationals (all L by default)."""
+    if upto is None:
+        upto = spec.m_out
+    return _closed_form(spec, range(1, upto + 1), upto)
+
+
 def fidelity_L_closed(spec: CloneSpec, L: int) -> Fraction:
-    """Closed-form F_L as an exact rational: K * sum_m1 w[m1] C(m1, L) / C(M, L)."""
+    """Closed-form F_L as an exact rational: one integer sum, one ``Fraction``."""
+    return _closed_form(spec, (L,), L)[0]
+
+
+def _closed_form(spec: CloneSpec, levels, last: int) -> tuple[Fraction, ...]:
+    """F_L for each L of ``levels``, the highest of which is ``last``.
+
+    The weights w[m1] are built once; each L then costs one integer sum
+    and one ``Fraction``: F_L = sum_m1 w[m1] C(m1, L) / (C(d+M-1, M-N) C(M, L)).
+    """
     d, n, m_total = spec.d, spec.n_in, spec.m_out
-    if not 1 <= L <= m_total:
-        raise ValueError(f"need 1 <= L <= {m_total}, got L={L}")
-    prefactor = Fraction(
-        math.factorial(d + n - 1) * math.factorial(m_total - n),
-        math.factorial(d + m_total - 1) * math.comb(m_total, L),
+    if not 1 <= last <= m_total:
+        raise ValueError(f"need 1 <= L <= {m_total}, got L={last}")
+    # 1/K = (d+M-1)! / ((d+N-1)! (M-N)!).
+    inverse_k = math.comb(d + m_total - 1, m_total - n)
+    weights = [
+        math.comb(m_total - m1 + d - 2, d - 2) * math.comb(m1, n)
+        for m1 in range(n, m_total + 1)
+    ]
+    # C(m1, L) is 0 for m1 < L, so those terms drop out.
+    return tuple(
+        Fraction(
+            sum(w * math.comb(m1, L) for m1, w in enumerate(weights, n)),
+            inverse_k * math.comb(m_total, L),
+        )
+        for L in levels
     )
-    total = sum(
-        math.comb(m_total - m1 + d - 2, d - 2) * math.comb(m1, n) * math.comb(m1, L)
-        for m1 in range(max(L, n), m_total + 1)
-    )
-    return prefactor * total
 
 
 def fidelity_single_closed(spec: CloneSpec) -> Fraction:

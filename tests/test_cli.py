@@ -4,6 +4,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -15,6 +16,8 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import uqcm.cli as cli
 from uqcm import machines, symmetric
@@ -1069,6 +1072,140 @@ class TestOutputHandling:
         )
         assert status == 0
         assert (fresh / "t.json").exists()
+
+
+# Strings that would break a renderer splicing text: raw newlines, the
+# separator between two rows, braces, quotes, backslashes, non-ASCII.
+_AWKWARD = ["\n", "},\n    {", "},\n      {", "{", "}", '"', "\\", "é", "日本", " ", "\x00"]
+_TEXT = st.text(max_size=8) | st.lists(
+    st.sampled_from(_AWKWARD) | st.text(max_size=3), max_size=4
+).map("".join)
+_SCALAR = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**300), max_value=10**300)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | _TEXT
+)
+# json writes int, float, bool and None keys as the strings of their JSON text.
+_KEY = _TEXT | st.integers() | st.booleans() | st.none() | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+_ROWS = st.lists(st.dictionaries(_KEY, _SCALAR, min_size=1, max_size=4), max_size=4)
+_TREE = st.recursive(
+    _SCALAR | _ROWS,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=3).map(tuple)
+        | st.dictionaries(_KEY, children, max_size=4)
+    ),
+    max_leaves=16,
+)
+
+
+class TestJsonRenderer:
+    """``_json_text`` writes exactly the bytes of ``json.dumps(indent=2)``."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_TREE)
+    def test_equals_indented_json_dumps(self, value):
+        assert cli._json_text(value) == json.dumps(value, indent=2, allow_nan=False)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {},
+            [],
+            [[], {}],
+            {"rows": [{"a": "},\n    {", "b": None}, {"a": 2.5, "b": [1, {}]}]},
+            [{"a": 1}, {}, {"a": 2}],
+            [{"a": 1}, 3, {"b": {"c": "\n"}}],
+            {1: [True], None: {"x": []}, 1.5: "日本"},
+            10**200,
+        ],
+    )
+    def test_edge_cases(self, value):
+        assert cli._json_text(value) == json.dumps(value, indent=2, allow_nan=False)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "wrap",
+        [
+            lambda v: v,
+            lambda v: [1, v],
+            lambda v: {"a": v},
+            lambda v: [{"a": 1}, {"a": v}],
+            lambda v: {"a": [1, {"b": [v]}]},
+        ],
+    )
+    def test_non_finite_floats_raise(self, bad, wrap):
+        with pytest.raises(ValueError):
+            json.dumps(wrap(bad), indent=2, allow_nan=False)
+        with pytest.raises(ValueError):
+            cli._json_text(wrap(bad))
+
+
+class TestGoldenOutput:
+    """``main`` prints the handler's payload as ``json.dumps(indent=2)`` would, and its rows as CSV."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table", "--d", "2", "--n", "1", "--m", "4", "--machine", "fan", "--seed", "3"],
+            ["table", "--d", "3", "--n", "2", "--m", "5", "--l", "3"],
+            ["verify", "--d", "2", "--n", "1", "--m", "3", "--trials", "2", "--seed", "1"],
+            # d^(2m-n) = 8192 is above the oracle cap: fast-path-only mode.
+            ["verify", "--d", "2", "--n", "1", "--m", "7", "--trials", "1"],
+            ["asym-sweep", "--d", "2", "--sweep-points", "5"],
+            ["asym-sweep", "--d", "2", "--alpha", "1e-320", "--beta", "1"],
+            ["identity-check"],
+            ["identity-check", "--d", "4", "--n", "3", "--m", "9"],
+        ],
+        ids=lambda argv: "-".join(argv[:2]),
+    )
+    def test_stdout_is_the_payload(self, capsys, argv):
+        args = cli._build_parser().parse_args(argv)
+        status, payload, rows = args.run(args)
+        capsys.readouterr()
+        assert _run(capsys, argv) == (
+            status,
+            json.dumps(payload, indent=2, allow_nan=False) + "\n",
+        )
+        assert _run(capsys, argv + ["--format", "csv"]) == (status, cli._csv_text(rows))
+
+    def test_literal_report(self, capsys):
+        argv = ["identity-check", "--d", "2", "--n", "1", "--m", "2"]
+        assert _run(capsys, argv) == (
+            0,
+            "{\n"
+            '  "command": "identity-check",\n'
+            '  "config": {\n'
+            '    "d": 2,\n'
+            '    "n_in": 1,\n'
+            '    "m_out": 2\n'
+            "  },\n"
+            '  "rows": [\n'
+            "    {\n"
+            '      "d": 2,\n'
+            '      "n_in": 1,\n'
+            '      "m_out": 2,\n'
+            '      "lhs": "5/6",\n'
+            '      "rhs": "5/6",\n'
+            '      "equal": true,\n'
+            '      "printed_summand_evaluable": false\n'
+            "    }\n"
+            "  ],\n"
+            '  "all_equal": true,\n'
+            '  "note": "left side evaluated with denominator '
+            'M * m! * (N+m-1)! * (M-N-m)! * (d-2)!"\n'
+            "}\n",
+        )
+        assert _run(capsys, argv + ["--format", "csv"]) == (
+            0,
+            "d,n_in,m_out,lhs,rhs,equal,printed_summand_evaluable\n"
+            "2,1,2,5/6,5/6,true,false\n",
+        )
 
 
 class TestConsoleScript:

@@ -7,13 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uqcm import combinatorics
 from uqcm.combinatorics import (
     RECONSTRUCTED_DENOMINATOR,
+    IdentityReport,
     check_occupation,
     occupation_tuples,
     splitting_coefficient_sq,
     sym_dim,
     verify_identity,
+    verify_identity_family,
 )
 from uqcm.symmetric import split_table
 
@@ -157,16 +160,86 @@ class TestSplittingCoefficient:
                 assert coeff[ai, ki] == pytest.approx(exact, rel=1e-12)
 
 
-def _literal_identity_lhs(n, m_total, d):
-    """The identity's left side summed term by term, as reconstructed."""
+def _literal_summands(n, m_total, d):
+    """The summands of the identity's left side, as reconstructed, added term by term."""
     f = math.factorial
-    prefactor = Fraction(f(m_total - n) * f(n + d - 1), f(m_total + d - 1) * f(n))
     acc = Fraction(0)
     for m in range(m_total - n + 1):
         num = f(n + m) ** 2 * f(m_total - n - m + d - 2)
         den = m_total * f(m) * f(n + m - 1) * f(m_total - n - m) * f(d - 2)
         acc += Fraction(num, den)
-    return prefactor * acc
+    return acc
+
+
+def _literal_identity_lhs(n, m_total, d):
+    """The identity's left side summed term by term, as reconstructed."""
+    f = math.factorial
+    prefactor = Fraction(f(m_total - n) * f(n + d - 1), f(m_total + d - 1) * f(n))
+    return prefactor * _literal_summands(n, m_total, d)
+
+
+def _fraction_report(n, m_total, d):
+    """The report built with ``Fraction`` arithmetic throughout, one point at a time."""
+    f = math.factorial
+    prefactor = Fraction(f(m_total - n) * f(n + d - 1), f(m_total + d - 1) * m_total)
+    acc = sum(
+        (n + m) * math.comb(n + m, n) * math.comb(m_total - n - m + d - 2, d - 2)
+        for m in range(m_total - n + 1)
+    )
+    lhs = prefactor * acc
+    rhs = Fraction(n * (d + m_total) + m_total - n, (d + n) * m_total)
+    return IdentityReport(
+        n_in=n,
+        m_out=m_total,
+        d=d,
+        lhs=lhs,
+        rhs=rhs,
+        equal=lhs == rhs,
+        printed_summand_evaluable=all(m_total * m != 0 for m in range(m_total - n + 1)),
+        note=f"left side evaluated with denominator {RECONSTRUCTED_DENOMINATOR}",
+    )
+
+
+# Every family with d <= 8 and N <= 16, up to M = 30.
+M_MAX = 30
+
+
+class TestIdentityFamily:
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_prefix_sums_equal_literal_sum(self, d):
+        for n in range(1, 17):
+            sums = combinatorics._identity_sums(n, M_MAX, d)
+            # S(M) is M/N! times the docstring's summands.
+            literal = [
+                _literal_summands(n, m, d) * m / math.factorial(n)
+                for m in range(n, M_MAX + 1)
+            ]
+            assert sums == literal
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_reports_equal_fraction_reports(self, d):
+        for n in range(1, 17):
+            expected = [_fraction_report(n, m, d) for m in range(n, M_MAX + 1)]
+            assert verify_identity_family(n, M_MAX, d) == expected
+            assert [verify_identity(n, m, d) for m in range(n, M_MAX + 1)] == expected
+            assert all(report.equal for report in expected)
+
+    @pytest.mark.parametrize("d, n", [(2, 1), (3, 2), (5, 4), (8, 16)])
+    def test_perturbed_sum_is_reported_unequal(self, monkeypatch, d, n):
+        exact = combinatorics._identity_sums
+        monkeypatch.setattr(
+            combinatorics,
+            "_identity_sums",
+            lambda *args: [value + 1 for value in exact(*args)],
+        )
+        reports = verify_identity_family(n, M_MAX, d)
+        for m, report in zip(range(n, M_MAX + 1), reports):
+            truth = _fraction_report(n, m, d)
+            lhs = truth.lhs + Fraction(1, math.comb(m + d - 1, m - n) * m)
+            assert report.equal is False
+            # Fractions compare by their reduced numerator and denominator.
+            assert report.lhs == lhs and report.lhs != report.rhs
+            assert report.rhs == truth.rhs
 
 
 class TestVerifyIdentity:

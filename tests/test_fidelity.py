@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from uqcm import machines, symmetric
 from uqcm.combinatorics import sym_dim
 from uqcm.fidelity import (
+    fidelities_closed,
     fidelities_numeric,
     fidelity_L_closed,
     fidelity_L_closed_N1,
@@ -94,6 +95,36 @@ class TestClosedForm:
             fidelity_L_closed(CloneSpec(2, 1, 2), 0)
         with pytest.raises(ValueError):
             fidelity_L_closed(CloneSpec(2, 1, 2), 3)
+
+
+class TestFidelitiesClosed:
+    """One weight table per call gives every F_L exactly."""
+
+    @pytest.mark.parametrize("d, n", [(d, n) for d in range(2, 7) for n in range(1, 7)])
+    def test_every_L_equals_literal_sum_and_specializations(self, d, n):
+        for m in range(n, n + 11):
+            spec = CloneSpec(d, n, m)
+            values = fidelities_closed(spec)
+            assert values == tuple(_literal_fidelity_L(spec, L) for L in range(1, m + 1))
+            assert all(type(value) is Fraction for value in values)
+            assert values[0] == fidelity_single_closed(spec)
+            assert values[-1] == fidelity_global_closed(spec)
+            if n == 1:
+                assert values == tuple(
+                    fidelity_L_closed_N1(d, m, L) for L in range(1, m + 1)
+                )
+
+    def test_stopped_list_is_a_prefix_holding_each_single_L(self):
+        spec = CloneSpec(3, 2, 9)
+        full = fidelities_closed(spec)
+        for upto in range(1, 10):
+            assert fidelities_closed(spec, upto) == full[:upto]
+            assert fidelity_L_closed(spec, upto) == full[upto - 1]
+
+    @pytest.mark.parametrize("upto", [0, -1, 4])
+    def test_out_of_range_stop_raises(self, upto):
+        with pytest.raises(ValueError):
+            fidelities_closed(CloneSpec(2, 1, 3), upto)
 
 
 class TestSpecializations:
