@@ -12,9 +12,12 @@ so the sweep from t = M down to M - L + 1 yields F_1..F_L together.  It
 costs d * r * sum_t D_t for r columns of J and D_t = sym_dim(d, t), and
 never forms rho, a reduction, or J itself: a
 :class:`~uqcm.symmetric.SymDensity` holds only the D_in x r amplitude
-table V that J is scattered from, the first step
-scatters V straight into level M-1, and the sweep runs over column
-blocks, holding one level-(M-1) block plus half of level M-2 twice.  The
+table V that J is scattered from.  The sweep multiplies V's rows once by
+unit-modulus phases, which leaves every norm as it is and makes every
+weight the real |x_j| sqrt((a_j+1)/t); its first step scatters the
+rotated V straight into level M-1, and each later step is one gather
+and one batched real product per chunk of rows.  It runs over column
+blocks, holding one level-(M-1) block plus one gathered row chunk.  The
 blocks are as wide as :data:`~uqcm.hilbert.FAST_PATH_CAP` leaves room for
 after the tables the sweep holds (:func:`uqcm.symmetric.sweep_width`).
 

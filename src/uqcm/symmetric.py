@@ -31,11 +31,18 @@ tests compare against, :func:`reduce_symmetric`,
 plain factors or numbers.
 
 The sweep starts from a machine's D_in x r amplitude table V, never
-from the whole factor J: its first step is d scatters of V's D_in * r
-entries into level M-1, and it runs over blocks of columns, each later
-step overwriting the level it reads.  It costs d * sum_t D_t per column
-for D_t = sym_dim(d, t), and a block holds one level-(M-1) block plus
-half of level M-2 twice.  :func:`sweep_budget` counts everything a
+from the whole factor J, and runs over blocks of columns.  It first
+multiplies each block of V by the unit-modulus row phases
+psi_a = prod_j (conj x_j / |x_j|)^{a_j}; that leaves every norm as it
+is and makes every later coefficient the real |x_j| sqrt(m_j / t), so
+the levels are swept as float64 arrays with two real columns for each
+complex one.  Its first step is d flat scatter-adds of the rotated
+block's D_in * w entries into level M-1; each later step is one gather
+of the d parent rows of a chunk of rows and one batched real product,
+written over the level it reads in increasing row order.  It costs
+d * sum_t D_t per column for D_t = sym_dim(d, t), and a block holds one
+level-(M-1) block plus one gathered row chunk, kept within CHUNK_BYTES
+where one row allows it.  :func:`sweep_budget` counts everything a
 machine and the sweep allocate, in 16-byte entries, and
 :func:`sweep_width` makes the blocks as wide as FAST_PATH_CAP leaves
 room for.
@@ -58,6 +65,13 @@ from .hilbert import (
     check_cap,
     check_factor,
 )
+
+
+# Bytes of one gathered row chunk of the sweep at most: a chunk that stays
+# in a core's L2 cache between its gather and its product.  On a 2-vCPU
+# Xeon VM (2 MB of L2 a core) one (10,8) -> (10,7) step over 384 columns
+# took 79 ms with 0.5 MB chunks, 117 ms with 2 MB and 273 ms with 64 MB.
+CHUNK_BYTES = 2**19
 
 
 @dataclass(frozen=True)
@@ -407,15 +421,18 @@ def sweep_budget(d: int, total: int, kept: int) -> tuple[int, int, int]:
 
     * held, alive from the machine to the last block: the D_in x r
       table V and its split table, every ladder table, count table and
-      log-factorial vector, the D_total x d first-step table, and
-      numpy's ufunc buffers;
+      log-factorial vector, the d x D_total first-step tables and the
+      D_in row phases, and numpy's ufunc buffers;
     * transient, before the first block: the largest of the D_in x r x d
       log-factorial and rank arrays that build the split table (and a
       machine's own amplitudes), the D_{total-1} x d x d arrays that
       build a ladder table, and the tuples behind a count table;
     * per_column, for each column of a block: one column of level
-      total-1, plus the larger of the first step's scatter operands and
-      the next level's accumulator and gather.
+      total-1, plus the larger of the first step's transients (the
+      phase-rotated block, one direction's flat target index and
+      product, and the gather inside its ``+=``: 4 D_in) and a later
+      step's gathered row chunk and its product (D_{total-2} + 1; a
+      chunk is at most that many rows over d + 1, or one ufunc buffer).
 
     The sweep's blocks are as wide as FAST_PATH_CAP leaves room for
     (:func:`sweep_width`); :func:`uqcm.machines.check_fast_path` counts
@@ -426,15 +443,17 @@ def sweep_budget(d: int, total: int, kept: int) -> tuple[int, int, int]:
     lower = sym_dim(d, total - 2) if total >= 2 else 0
     split = d_in * r  # idx and coeff, 8 bytes each
     # idx and coeff of each (t, t-1) split table, sym_dim(d+1, T) being
-    # sum_{t<=T} D_t, and one step's coefficients times the weights.
+    # sum_{t<=T} D_t, and one step's real coefficients.
     ladder = d * (sym_dim(d + 1, total - 1) if total >= 1 else 0) + d * upper
     counts = d * sym_dim(d + 1, total) // 2
+    # The first step's index and real scale tables, one entry a slot, and
+    # the D_in <= D_total row phases.
     down = 3 * d * sym_dim(d, total) // 2
     # log(t!) vectors cached for every t below total + d, 8 bytes an entry.
     factorials = (total + d) * (total + d + 1) // 4
     # Array headers and cache entries of the per-level tables, about 1 kB
-    # a level; the step's index copies, below one column; numpy's ufunc
-    # buffers, and a level too small to halve.
+    # a level; the first step's column offsets, below one column; numpy's
+    # ufunc buffers, and a row chunk held at its floor of one buffer.
     overhead = 64 * (total + 1) + upper + 3 * np.getbufsize()
     held = d_in * r + split + ladder + counts + down + factorials + overhead
     transient = max(
@@ -468,62 +487,91 @@ def ladder_fidelities(rho: SymDensity, phi: PureState, upto: int) -> np.ndarray:
         J_{t-1}[a, :] = sum_j conj(x_j) sqrt((a_j+1)/t) J_t[a+e_j, :]
 
     reads the (t, t-1) split table, whose columns are the single-qudit
-    occupations e_j, and F_s = ||J_{M-s}||_F^2.  rho holds the amplitude
-    table V that J is scattered from, so the first step never forms J:
-    it is d scatters of V's D_in * r entries,
+    occupations e_j, and F_s = ||J_{M-s}||_F^2.
 
-        J_{M-1}[a+k-e_j, k] += conj(x_j) sqrt((a+k)_j / M) V[a, k],
+    The sweep runs in real arithmetic.  With u_j = conj(x_j) / |x_j|
+    (u_j = 1 where x_j = 0) and the unit-modulus row phases
+    psi_a = prod_j u_j^{a_j}, the rows K_t[a] = psi_a J_t[a] obey
 
-    and, columns being independent, the sweep runs over blocks of
-    :func:`sweep_width` columns and sums F_s over them.  Every later step
-    overwrites the rows of the level it reads, half of them at a time,
-    so a block holds one level-(M-1) block, and half of the next level
-    twice (an accumulator and one direction's gather).  The sweep costs
-    d * sum_t D_t per column, for D_t = sym_dim(d, t).
+        K_{t-1}[a, :] = sum_j |x_j| sqrt((a_j+1)/t) K_t[a+e_j, :],
+
+    because psi_{a+e_j} = psi_a u_j and conj(u_j) u_j = 1, and
+    ||K_t||_F = ||J_t||_F.  rho holds the amplitude table V that J is
+    scattered from, J[a+k, k] = V[a, k], and psi_{a+k} = psi_a psi_k,
+    where the column phase psi_k drops out of every norm; so each block
+    of V's columns is multiplied once by psi_a, and every later
+    coefficient is real and acts on a level's float64 view, 2w real
+    columns for w complex ones.
+
+    The first step never forms J: it is d flat scatter-adds of the
+    rotated block's D_in * w entries into level M-1,
+
+        K_{M-1}[a+k-e_j, k] += |x_j| sqrt((a+k)_j / M) psi_a V[a, k].
+
+    Columns being independent, the sweep runs over blocks of
+    :func:`sweep_width` columns and sums F_s over them.  Every later
+    step is one gather of the d parent rows of a chunk of the next
+    level's rows and one batched real product, written over the rows of
+    the level it reads in increasing order (:func:`_ladder_step`).  A
+    chunk is at most half of the next level; at most D_{M-2} + 1 rows
+    over d + 1, so that its gather and product fit in the column of
+    level M-2 that :func:`sweep_budget` counts; and at most CHUNK_BYTES
+    of gather.  It is at least the rows whose gather fills one numpy
+    ufunc buffer, so a level that small is done in one piece.  A block
+    holds one level-(M-1) block and one gathered row chunk; the sweep
+    costs d * sum_t D_t per column, for D_t = sym_dim(d, t).
     """
     d, total = rho.basis.d, rho.basis.total
-    weights = phi.amplitudes.conj()
+    magnitudes = np.abs(phi.amplitudes)
     columns = rho.factor.shape[1]
     # Every table is built before the first block, so no block is alive
     # while one is being built.
     ladder = [split_table(d, t, t - 1) for t in range(total - 1, total - upto, -1)]
     size = sym_dim(d, total - 1)
+    # Rows of a chunk whose gather and product fit in one column of level M-2.
+    counted = max(1, ((sym_dim(d, total - 2) if total >= 2 else 0) + 1) // (d + 1))
     width = sweep_width(d, total, rho.kept)
     rows = split_table(d, total, rho.kept)[0]
-    down, down_scale = _down_table(d, total, weights)
+    down, down_scale = _down_table(d, total, magnitudes)
+    # np.angle(0) = 0: a zero amplitude has phase 1.
+    phases = np.exp(-1j * (SymBasis(d, rho.kept).counts @ np.angle(phi.amplitudes)))
     values = np.zeros(upto)
     for start in range(0, columns, width):
-        block = rho.factor[:, start : start + width]
-        # Rows in one numpy ufunc buffer: the shortest half _ladder_step writes.
-        least = -(-np.getbufsize() // block.shape[1])
-        level = np.zeros((size + 1, block.shape[1]), dtype=np.complex128)
-        _first_step(block, rows[:, start : start + width], down, down_scale, level)
-        level = level[:size]
-        values[0] += np.vdot(level, level).real
+        block = slice(start, start + width)
+        level = _first_step(
+            rho.factor[:, block] * phases[:, None], rows[:, block], down, down_scale, size
+        )
+        values[0] += np.vdot(level, level)
+        # Bytes of one row's gather: d parent rows of 2w float64 entries.
+        gathered = d * level.shape[1] * level.itemsize
+        least = -(-np.getbufsize() * level.itemsize // gathered)
+        most = min(counted, CHUNK_BYTES // gathered)
         for s, (idx, coeff) in enumerate(ladder, start=1):
-            level = _ladder_step(level, idx, weights * coeff, least)
-            values[s] += np.vdot(level, level).real
+            chunk = max(least, min(-(-idx.shape[0] // 2), most))
+            level = _ladder_step(level, idx, magnitudes * coeff, chunk)
+            values[s] += np.vdot(level, level)
         # Released before the next block is allocated, so only one is alive.
         del level
     return values
 
 
 def _down_table(
-    d: int, total: int, weights: np.ndarray
+    d: int, total: int, magnitudes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Where each |m> of ``total`` qudits goes when one qudit in level j is removed.
 
-    ``down[i, j]`` is the (d, total-1) index of m_i - e_j and
-    ``down_scale[i, j]`` is weights[j] times its (total, total-1) split
-    coefficient sqrt(m_j / total); where m_j = 0 the index is
-    sym_dim(d, total-1), one row past the end, and the scale is 0.
+    ``down[j, i]`` is the (d, total-1) index of m_i - e_j and
+    ``down_scale[j, i]`` is magnitudes[j] times its (total, total-1)
+    split coefficient sqrt(m_j / total), one contiguous row per
+    direction j; where m_j = 0 the index is sym_dim(d, total-1), one row
+    past the end, and the scale is 0.
     """
     idx, coeff = split_table(d, total, total - 1)
-    down = np.full((sym_dim(d, total), d), idx.shape[0])
-    down_scale = np.zeros((sym_dim(d, total), d), dtype=np.complex128)
+    down = np.full((d, sym_dim(d, total)), idx.shape[0])
+    down_scale = np.zeros((d, sym_dim(d, total)))
     slots = np.arange(d)
-    down[idx, slots] = np.arange(idx.shape[0])[:, None]
-    down_scale[idx, slots] = weights * coeff
+    down[slots, idx] = np.arange(idx.shape[0])[:, None]
+    down_scale[slots, idx] = magnitudes * coeff
     return down, down_scale
 
 
@@ -532,56 +580,42 @@ def _first_step(
     rows: np.ndarray,
     down: np.ndarray,
     down_scale: np.ndarray,
-    level: np.ndarray,
-) -> None:
-    """Add J_{M-1} for the columns of ``table`` into the zeroed ``level``, straight from V.
+    size: int,
+) -> np.ndarray:
+    """Level M-1 for the columns of the rotated ``table``, as a float64 view.
 
-    ``rows[a, k]`` is the level-M row a+k that V[a, k] sits on.  In each
-    direction j the targets a+k-e_j are distinct within a column, so a
-    plain ``+=`` scatter adds every entry; entries with no qudit in
-    level j land in ``level``'s last row, a spare that is never read.
+    ``rows[a, k]`` is the level-M row a+k that table[a, k] sits on.  In
+    each direction j the targets a+k-e_j are distinct within a column,
+    so a plain ``+=`` on the flattened level adds every entry; entries
+    with no qudit in level j land in a spare last row, which is cut off.
     """
-    where = np.arange(table.shape[1])
-    for j in range(down.shape[1]):
-        level[down[rows, j], where] += table * down_scale[rows, j]
+    width = table.shape[1]
+    level = np.zeros((size + 1, width), dtype=np.complex128)
+    flat = level.reshape(-1)
+    where = np.arange(width)
+    for j in range(down.shape[0]):
+        target = down[j][rows] * width
+        target += where
+        flat[target] += table * down_scale[j][rows]
+    return level.view(np.float64)[:size]
 
 
 def _ladder_step(
-    level: np.ndarray, idx: np.ndarray, scale: np.ndarray, least: int
+    level: np.ndarray, idx: np.ndarray, scale: np.ndarray, chunk: int
 ) -> np.ndarray:
     """The next level, sum_j scale[:, j] level[idx[:, j]], written over ``level``.
 
     Row a of the next level reads rows idx[a, j] >= a of this one (a+e_j
-    is never ranked before a), so the rows are written in increasing
-    order, half of them at a time, and each half is gathered in full
-    before it is written.  A half is at least ``least`` rows, one numpy
-    ufunc buffer, below which halving saves less than numpy's own
-    buffering holds; so a level that fits in one buffer is returned as a
-    new array.
+    is never ranked before a), so the rows are written ``chunk`` at a
+    time in increasing order, and each chunk is gathered in full, d
+    parent rows a row, before one batched (1 x d) @ (d x 2w) product
+    writes it.
     """
     size = idx.shape[0]
-    half = max(-(-size // 2), least)
-    if half >= size:
-        return _combine(level, idx, scale)
-    for start in range(0, size, half):
-        part = slice(start, min(start + half, size))
-        level[part] = _combine(level, idx[part], scale[part])
+    for start in range(0, size, chunk):
+        part = slice(start, min(start + chunk, size))
+        np.matmul(scale[part, None, :], level[idx[part]], out=level[part, None, :])
     return level[:size]
-
-
-def _combine(source: np.ndarray, idx: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """sum_j scale[:, j] source[idx[:, j]], with one direction's gather alive at a time."""
-    built = None
-    for j in range(idx.shape[1]):
-        gathered = source[idx[:, j]]
-        gathered *= scale[:, j, None]
-        if built is None:
-            built = gathered
-        else:
-            built += gathered
-        # Released before the next gather is allocated, so only one is alive.
-        del gathered
-    return built
 
 
 def reduced_expectation(rho: SymDensity, psi: np.ndarray, copies: int) -> float:

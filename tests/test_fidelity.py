@@ -23,7 +23,10 @@ from uqcm.fidelity import (
 from uqcm.hilbert import PureState, random_pure_state, trace_distance_matrices
 from uqcm.machines import MACHINES, CloneSpec, check_fast_path, run_machine
 from uqcm.symmetric import (
+    SymBasis,
+    SymDensity,
     expand_power,
+    ladder_fidelities,
     reduce_symmetric,
     reduced_expectation,
     scatter_factor,
@@ -309,9 +312,9 @@ class TestLadderSweep:
         "d,n,m,machine", [(2, 1, 300, "werner"), (6, 2, 7, "unified")]
     )
     def test_sweep_holds_at_most_three_factors(self, d, n, m, machine):
-        # One level-(M-1) block and half the next level twice: about 2 x J
-        # at d=2 (0.9 x J at (6,2,7)).  Broadcast multiplies add numpy's
-        # fixed-size ufunc buffer, whatever the size of J.
+        # One level-(M-1) block and one gathered row chunk: about J at d=2.
+        # Broadcast multiplies add numpy's fixed-size ufunc buffer,
+        # whatever the size of J.
         spec = CloneSpec(d, n, m)
         phi = random_pure_state(d, 95)
         rho = run_machine(spec, phi, machine)
@@ -392,3 +395,101 @@ class TestLadderSweep:
         finally:
             tracemalloc.stop()
         assert peak <= 16 * counted
+
+
+def _random_table(rng, d, total, kept):
+    """A unit-norm complex amplitude table on the split (total, kept) that no machine made."""
+    shape = (sym_dim(d, kept), sym_dim(d, total - kept))
+    table = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return SymDensity(SymBasis(d, total), table / np.linalg.norm(table), kept)
+
+
+def _assert_sweep_is_the_split_reference(rho, phi, values=None):
+    if values is None:
+        values = ladder_fidelities(rho, phi, rho.basis.total)
+    reference = [
+        reduced_expectation(rho, expand_power(phi, L), L)
+        for L in range(1, rho.basis.total + 1)
+    ]
+    assert np.abs(np.subtract(values, reference)).max() <= 1e-12
+
+
+class TestRealSweep:
+    # The sweep multiplies the table's rows by the phases
+    # psi_a = prod_j (conj x_j / |x_j|)^{a_j} and then runs on real
+    # coefficients |x_j| sqrt(m_j / t).  Each case is held to
+    # reduced_expectation, which contracts with conj(psi) in one split.
+
+    @pytest.mark.parametrize("d,total,kept", [(3, 5, 2), (4, 4, 1), (2, 7, 3), (3, 4, 4)])
+    def test_a_table_no_machine_made(self, d, total, kept):
+        rng = np.random.default_rng(100 + 10 * d + total)
+        rho = _random_table(rng, d, total, kept)
+        phi = random_pure_state(d, 101)
+        # The rotated table is far from real, so a sweep that dropped its
+        # imaginary half would be far off.
+        angles = SymBasis(d, kept).counts @ np.angle(phi.amplitudes)
+        rotated = rho.factor * np.exp(-1j * angles)[:, None]
+        assert np.abs(rotated.imag).max() > 0.1
+        _assert_sweep_is_the_split_reference(rho, phi)
+
+    @pytest.mark.parametrize(
+        "amplitudes",
+        [
+            [1, 0, 0],
+            [1 / math.sqrt(2), 0, 1 / math.sqrt(2)],
+            [0.5, 0, 0.5j, -0.5, 0, 0.5 * np.exp(0.7j)],
+        ],
+        ids=["basis", "1-0-1", "d6-two-zeros"],
+    )
+    def test_zero_amplitudes(self, amplitudes):
+        phi = PureState.normalized(np.array(amplitudes, dtype=np.complex128))
+        d = phi.dim
+        spec = CloneSpec(d, 2, 4)
+        for rho in [run_machine(spec, phi, name) for name in MACHINES] + [
+            _random_table(np.random.default_rng(102), d, 4, 2)
+        ]:
+            _assert_sweep_is_the_split_reference(rho, phi)
+        for name in MACHINES:
+            values = fidelities_numeric(run_machine(spec, phi, name), phi)
+            closed = [float(fidelity_L_closed(spec, L)) for L in range(1, 5)]
+            assert np.abs(np.subtract(values, closed)).max() <= TOL
+
+    def test_inputs_that_differ_only_in_level_phases(self):
+        phi = random_pure_state(4, 103)
+        turned = PureState.normalized(
+            phi.amplitudes * np.exp(1j * np.array([0.0, 2.1, -0.9, 3.0]))
+        )
+        rho = _random_table(np.random.default_rng(104), 4, 5, 2)
+        values = [ladder_fidelities(rho, state, 5) for state in (phi, turned)]
+        for state, value in zip((phi, turned), values):
+            _assert_sweep_is_the_split_reference(rho, state, value)
+        # The phases change the overlap with a table no machine made...
+        assert np.abs(values[0] - values[1]).max() > 1e-3
+        # ...but not a machine's fidelities with its own input.
+        spec = CloneSpec(4, 2, 5)
+        for name in MACHINES:
+            own = [fidelities_numeric(run_machine(spec, s, name), s) for s in (phi, turned)]
+            assert np.abs(np.subtract(*own)).max() <= 1e-12
+            _assert_sweep_is_the_split_reference(run_machine(spec, turned, name), turned)
+
+    def test_row_chunks_match_one_piece(self, monkeypatch):
+        spec = CloneSpec(6, 2, 7)
+        phi = random_pure_state(6, 105)
+        rho = run_machine(spec, phi, "unified")
+        step = symmetric._ladder_step
+        pieces = []
+
+        def counting(level, idx, scale, chunk):
+            pieces.append(-(-idx.shape[0] // chunk))
+            return step(level, idx, scale, chunk)
+
+        def one_piece(level, idx, scale, chunk):
+            return step(level, idx, scale, idx.shape[0])
+
+        monkeypatch.setattr(symmetric, "_ladder_step", counting)
+        chunked = ladder_fidelities(rho, phi, spec.m_out)
+        assert max(pieces) >= 3
+        monkeypatch.setattr(symmetric, "_ladder_step", one_piece)
+        whole = ladder_fidelities(rho, phi, spec.m_out)
+        assert np.abs(chunked - whole).max() <= 1e-14
+        _assert_sweep_is_the_split_reference(rho, phi, chunked)
