@@ -14,11 +14,17 @@ never forms rho, a reduction, or J itself: a
 :class:`~uqcm.symmetric.SymDensity` holds only the D_in x r amplitude
 table V that J is scattered from.  The sweep multiplies V's rows once by
 unit-modulus phases, which leaves every norm as it is and makes every
-weight the real |x_j| sqrt((a_j+1)/t); its first step scatters the
-rotated V straight into level M-1, and each later step is one gather
-and one batched real product per chunk of rows.  It runs over column
-blocks, holding one level-(M-1) block plus one gathered row chunk.  The
-blocks are as wide as :data:`~uqcm.hilbert.FAST_PATH_CAP` leaves room for
+weight the real |x_j| sqrt((a_j+1)/t).  A sweep with real weights is
+real-linear, so F_L = F_L(Re) + F_L(Im) over the two parts of the
+rotated V, and a contraction, so F_L(Im) <= ||Im||_F^2.  It sweeps the
+real part, and the imaginary part only when ||Im||_F^2 exceeds
+spacing(min_L F_L(Re)) / 4, below which it could not change a digit;
+for every machine's table, x^a times a real weight, the imaginary part
+is rounding noise far below that bound.  The first step scatters the part
+straight into level M-1, and each later step is one gather and one
+batched real product per chunk of rows.  It runs over column blocks,
+holding one level-(M-1) block plus one gathered row chunk.  The blocks
+are as wide as :data:`~uqcm.hilbert.FAST_PATH_CAP` leaves room for
 after the tables the sweep holds (:func:`uqcm.symmetric.sweep_width`).
 
 The closed-form route evaluates the general F_L expression

@@ -34,23 +34,29 @@ The sweep starts from a machine's D_in x r amplitude table V, never
 from the whole factor J, and runs over blocks of columns.  It first
 multiplies each block of V by the unit-modulus row phases
 psi_a = prod_j (conj x_j / |x_j|)^{a_j}; that leaves every norm as it
-is and makes every later coefficient the real |x_j| sqrt(m_j / t), so
-the levels are swept as float64 arrays with two real columns for each
-complex one.  Its first step is d flat scatter-adds of the rotated
-block's D_in * w entries into level M-1; each later step is one gather
-of the d parent rows of a chunk of rows and one batched real product,
-written over the level it reads in increasing row order.  It costs
-d * sum_t D_t per column for D_t = sym_dim(d, t), and a block holds one
-level-(M-1) block plus one gathered row chunk, kept within CHUNK_BYTES
-where one row allows it.  :func:`sweep_budget` counts everything a
-machine and the sweep allocate, in 16-byte entries, and
-:func:`sweep_width` makes the blocks as wide as FAST_PATH_CAP leaves
-room for.
+is and makes every later coefficient the real |x_j| sqrt(m_j / t).  A
+sweep with real coefficients is real-linear and, being a contraction,
+gives each part of the rotated table at most that part's squared
+norm, so F_s = F_s(Re) + F_s(Im) with F_s(Im) <= ||Im||_F^2.  The real
+part is swept as a float64 table with one column for each column of
+V; the imaginary part, rounding noise for every machine's table, is
+swept the same way only when ||Im||_F^2 exceeds
+spacing(min_s F_s(Re)) / 4, below which it could not change a digit.
+The first step is d flat scatter-adds of the block's D_in * w entries
+into level M-1; each later step is one gather of the d parent rows of
+a chunk of rows and one batched real product, written over the level
+it reads in increasing row order.  It costs d * sum_t D_t per column
+and part for D_t = sym_dim(d, t), and a block holds one level-(M-1)
+block plus one gathered row chunk, kept within CHUNK_BYTES where one
+row allows it.  :func:`sweep_budget` counts everything a machine and
+the sweep allocate, in 16-byte entries, and :func:`sweep_width` makes
+the blocks as wide as FAST_PATH_CAP leaves room for.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -421,20 +427,25 @@ def sweep_budget(d: int, total: int, kept: int) -> tuple[int, int, int]:
 
     * held, alive from the machine to the last block: the D_in x r
       table V and its split table, every ladder table, count table and
-      log-factorial vector, the d x D_total first-step tables and the
-      D_in row phases, and numpy's ufunc buffers;
+      log-factorial vector, one step's real coefficients and the D_in
+      row phases, the d x D_total first-step index and coefficient rows
+      and those rows scaled by |x_j|, and numpy's ufunc buffers;
     * transient, before the first block: the largest of the D_in x r x d
       log-factorial and rank arrays that build the split table (and a
       machine's own amplitudes), the D_{total-1} x d x d arrays that
       build a ladder table, and the tuples behind a count table;
     * per_column, for each column of a block: one column of level
       total-1, plus the larger of the first step's transients (the
-      phase-rotated block, one direction's flat target index and
-      product, and the gather inside its ``+=``: 4 D_in) and a later
-      step's gathered row chunk and its product (D_{total-2} + 1; a
-      chunk is at most that many rows over d + 1, or one ufunc buffer).
+      phase-rotated complex block, its real or imaginary part, one
+      direction's flat target index and product, and the gather inside
+      its ``+=``: 3 D_in, counted as 4 D_in) and a later step's gathered
+      row chunk and its product (D_{total-2} + 1; a chunk is at most
+      that many rows over d + 1, or one ufunc buffer).
 
-    The sweep's blocks are as wide as FAST_PATH_CAP leaves room for
+    per_column counts a level column as 16-byte entries, while the
+    sweep's level holds one float64 part, 8 bytes a row: for the level
+    the count is an upper bound about twice what is held.  The sweep's
+    blocks are as wide as FAST_PATH_CAP leaves room for
     (:func:`sweep_width`); :func:`uqcm.machines.check_fast_path` counts
     held + max(transient, per_column * width).
     """
@@ -443,11 +454,12 @@ def sweep_budget(d: int, total: int, kept: int) -> tuple[int, int, int]:
     lower = sym_dim(d, total - 2) if total >= 2 else 0
     split = d_in * r  # idx and coeff, 8 bytes each
     # idx and coeff of each (t, t-1) split table, sym_dim(d+1, T) being
-    # sum_{t<=T} D_t, and one step's real coefficients.
+    # sum_{t<=T} D_t; one step's real coefficients, 8 bytes over
+    # D_{total-2} x d, and the D_in <= D_{total-1} row phases.
     ladder = d * (sym_dim(d + 1, total - 1) if total >= 1 else 0) + d * upper
     counts = d * sym_dim(d + 1, total) // 2
-    # The first step's index and real scale tables, one entry a slot, and
-    # the D_in <= D_total row phases.
+    # The first step's cached index and coefficient rows, one entry a
+    # slot, and the rows scaled by |x_j|, half an entry a slot.
     down = 3 * d * sym_dim(d, total) // 2
     # log(t!) vectors cached for every t below total + d, 8 bytes an entry.
     factorials = (total + d) * (total + d + 1) // 4
@@ -498,15 +510,41 @@ def ladder_fidelities(rho: SymDensity, phi: PureState, upto: int) -> np.ndarray:
     because psi_{a+e_j} = psi_a u_j and conj(u_j) u_j = 1, and
     ||K_t||_F = ||J_t||_F.  rho holds the amplitude table V that J is
     scattered from, J[a+k, k] = V[a, k], and psi_{a+k} = psi_a psi_k,
-    where the column phase psi_k drops out of every norm; so each block
-    of V's columns is multiplied once by psi_a, and every later
-    coefficient is real and acts on a level's float64 view, 2w real
-    columns for w complex ones.
+    where the column phase psi_k drops out of every norm; so the sweep
+    starts from the rotated table psi_a V[a, k], and every coefficient
+    is real.
 
-    The first step never forms J: it is d flat scatter-adds of the
-    rotated block's D_in * w entries into level M-1,
+    A real-coefficient sweep is real-linear, so F_s = F_s(Re) + F_s(Im)
+    for the real and imaginary parts of the rotated table, each swept on
+    its own as a float64 table (:func:`_sweep`).  It is also a
+    contraction, <phi|^(x s) (x) I having norm at most 1 on the
+    symmetric subspace, so F_s(Im) <= ||Im||_F^2.  The imaginary part is
+    therefore swept only when ||Im||_F^2 > spacing(min_s F_s(Re)) / 4;
+    below that, adding F_s(Im) rounds back to F_s(Re) for every s, and
+    skipping it gives the same bits.  A machine's table is x^a times a
+    real weight, so after the rotation its imaginary part is rounding
+    noise and it takes one part; a table no machine made takes two.
+    """
+    values, imag = _sweep(rho, phi, upto, np.real)
+    if imag <= np.spacing(values.min()) / 4:
+        return values
+    return values + _sweep(rho, phi, upto, np.imag)[0]
 
-        K_{M-1}[a+k-e_j, k] += |x_j| sqrt((a+k)_j / M) psi_a V[a, k].
+
+def _sweep(
+    rho: SymDensity,
+    phi: PureState,
+    upto: int,
+    part: Callable[[np.ndarray], np.ndarray],
+) -> tuple[np.ndarray, float]:
+    """F_1..F_upto of one part of the rotated table, and ||Im||_F^2 of the table.
+
+    ``part`` is np.real or np.imag, taken of each phase-rotated block of
+    V's columns; the level is that part alone, a float64 array with one
+    column for each of V's.  The first step never forms J: it is d flat
+    scatter-adds of the block's D_in * w entries into level M-1,
+
+        K_{M-1}[a+k-e_j, k] += |x_j| sqrt((a+k)_j / M) part(psi_a V[a, k]).
 
     Columns being independent, the sweep runs over blocks of
     :func:`sweep_width` columns and sums F_s over them.  Every later
@@ -532,17 +570,22 @@ def ladder_fidelities(rho: SymDensity, phi: PureState, upto: int) -> np.ndarray:
     counted = max(1, ((sym_dim(d, total - 2) if total >= 2 else 0) + 1) // (d + 1))
     width = sweep_width(d, total, rho.kept)
     rows = split_table(d, total, rho.kept)[0]
-    down, down_scale = _down_table(d, total, magnitudes)
+    down, down_coeff = _down_table(d, total)
+    down_scale = magnitudes[:, None] * down_coeff
     # np.angle(0) = 0: a zero amplitude has phase 1.
     phases = np.exp(-1j * (SymBasis(d, rho.kept).counts @ np.angle(phi.amplitudes)))
     values = np.zeros(upto)
+    imag = 0.0
     for start in range(0, columns, width):
         block = slice(start, start + width)
+        rotated = rho.factor[:, block] * phases[:, None]
+        imag += np.vdot(rotated.imag, rotated.imag)
         level = _first_step(
-            rho.factor[:, block] * phases[:, None], rows[:, block], down, down_scale, size
+            np.ascontiguousarray(part(rotated)), rows[:, block], down, down_scale, size
         )
+        del rotated
         values[0] += np.vdot(level, level)
-        # Bytes of one row's gather: d parent rows of 2w float64 entries.
+        # Bytes of one row's gather: d parent rows of w float64 entries.
         gathered = d * level.shape[1] * level.itemsize
         least = -(-np.getbufsize() * level.itemsize // gathered)
         most = min(counted, CHUNK_BYTES // gathered)
@@ -552,27 +595,29 @@ def ladder_fidelities(rho: SymDensity, phi: PureState, upto: int) -> np.ndarray:
             values[s] += np.vdot(level, level)
         # Released before the next block is allocated, so only one is alive.
         del level
-    return values
+    return values, imag
 
 
-def _down_table(
-    d: int, total: int, magnitudes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=None)
+def _down_table(d: int, total: int) -> tuple[np.ndarray, np.ndarray]:
     """Where each |m> of ``total`` qudits goes when one qudit in level j is removed.
 
     ``down[j, i]`` is the (d, total-1) index of m_i - e_j and
-    ``down_scale[j, i]`` is magnitudes[j] times its (total, total-1)
-    split coefficient sqrt(m_j / total), one contiguous row per
-    direction j; where m_j = 0 the index is sym_dim(d, total-1), one row
-    past the end, and the scale is 0.
+    ``coeff[j, i]`` its (total, total-1) split coefficient
+    sqrt(m_j / total), one contiguous row per direction j; where m_j = 0
+    the index is sym_dim(d, total-1), one row past the end, and the
+    coefficient is 0.  Both are read-only and independent of the input,
+    which scales row j by |x_j|.
     """
     idx, coeff = split_table(d, total, total - 1)
     down = np.full((d, sym_dim(d, total)), idx.shape[0])
-    down_scale = np.zeros((d, sym_dim(d, total)))
+    down_coeff = np.zeros((d, sym_dim(d, total)))
     slots = np.arange(d)
     down[slots, idx] = np.arange(idx.shape[0])[:, None]
-    down_scale[slots, idx] = magnitudes * coeff
-    return down, down_scale
+    down_coeff[slots, idx] = coeff
+    down.setflags(write=False)
+    down_coeff.setflags(write=False)
+    return down, down_coeff
 
 
 def _first_step(
@@ -582,22 +627,26 @@ def _first_step(
     down_scale: np.ndarray,
     size: int,
 ) -> np.ndarray:
-    """Level M-1 for the columns of the rotated ``table``, as a float64 view.
+    """Level M-1, a float64 array, for the columns of one part of a rotated block.
 
+    ``table`` is the real part of the phase-rotated block, or its
+    imaginary part when that could change a digit: F_s = F_s(Re) +
+    F_s(Im) and F_s(Im) <= ||Im||_F^2, so :func:`ladder_fidelities`
+    sweeps it only when ||Im||_F^2 > spacing(min_s F_s(Re)) / 4.
     ``rows[a, k]`` is the level-M row a+k that table[a, k] sits on.  In
     each direction j the targets a+k-e_j are distinct within a column,
     so a plain ``+=`` on the flattened level adds every entry; entries
     with no qudit in level j land in a spare last row, which is cut off.
     """
     width = table.shape[1]
-    level = np.zeros((size + 1, width), dtype=np.complex128)
+    level = np.zeros((size + 1, width))
     flat = level.reshape(-1)
     where = np.arange(width)
     for j in range(down.shape[0]):
         target = down[j][rows] * width
         target += where
         flat[target] += table * down_scale[j][rows]
-    return level.view(np.float64)[:size]
+    return level[:size]
 
 
 def _ladder_step(
@@ -605,11 +654,15 @@ def _ladder_step(
 ) -> np.ndarray:
     """The next level, sum_j scale[:, j] level[idx[:, j]], written over ``level``.
 
-    Row a of the next level reads rows idx[a, j] >= a of this one (a+e_j
-    is never ranked before a), so the rows are written ``chunk`` at a
-    time in increasing order, and each chunk is gathered in full, d
-    parent rows a row, before one batched (1 x d) @ (d x 2w) product
-    writes it.
+    ``level`` is one part of the rotated table swept so far, real or
+    imaginary (the imaginary part only when ||Im||_F^2 exceeds
+    spacing(min_s F_s(Re)) / 4, as F_s = F_s(Re) + F_s(Im) and
+    F_s(Im) <= ||Im||_F^2), one float64 column per column of V, and
+    ``scale`` is real.  Row a of the next level reads rows
+    idx[a, j] >= a of this one (a+e_j is never ranked before a), so the
+    rows are written ``chunk`` at a time in increasing order, and each
+    chunk is gathered in full, d parent rows a row, before one batched
+    (1 x d) @ (d x w) product writes it.
     """
     size = idx.shape[0]
     for start in range(0, size, chunk):

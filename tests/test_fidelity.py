@@ -386,7 +386,7 @@ class TestLadderSweep:
         assert -(-spec.dim_anc // sweep_width(d, m, n)) >= 4
         phi = random_pure_state(d, 99)
         for cached in (symmetric._counts_table, symmetric.split_table,
-                       symmetric.log_factorials):
+                       symmetric.log_factorials, symmetric._down_table):
             cached.cache_clear()
         tracemalloc.start()
         try:
@@ -414,23 +414,52 @@ def _assert_sweep_is_the_split_reference(rho, phi, values=None):
     assert np.abs(np.subtract(values, reference)).max() <= 1e-12
 
 
+def _count_parts(monkeypatch):
+    """Wrap the sweep's first step; the list grows by one per part of each block."""
+    step = symmetric._first_step
+    calls = []
+
+    def counting(table, rows, down, down_scale, size):
+        calls.append(table.shape[1])
+        return step(table, rows, down, down_scale, size)
+
+    monkeypatch.setattr(symmetric, "_first_step", counting)
+    return calls
+
+
+def _blocks(rho):
+    d, total, kept = rho.basis.d, rho.basis.total, rho.kept
+    return -(-rho.factor.shape[1] // sweep_width(d, total, kept))
+
+
+def _row_phases(rho, phi):
+    """psi_a = prod_j (conj x_j / |x_j|)^{a_j} for the rows a of rho's table."""
+    angles = SymBasis(rho.basis.d, rho.kept).counts @ np.angle(phi.amplitudes)
+    return np.exp(-1j * angles)
+
+
 class TestRealSweep:
     # The sweep multiplies the table's rows by the phases
     # psi_a = prod_j (conj x_j / |x_j|)^{a_j} and then runs on real
-    # coefficients |x_j| sqrt(m_j / t).  Each case is held to
-    # reduced_expectation, which contracts with conj(psi) in one split.
+    # coefficients |x_j| sqrt(m_j / t).  It sweeps the real part of the
+    # rotated table, and the imaginary part only when its squared norm
+    # exceeds spacing(min_s F_s(Re)) / 4: the sweep is a contraction, so
+    # F_s(Im) <= ||Im||_F^2 could not change a digit.  Each case is held
+    # to reduced_expectation, which contracts with conj(psi) in one split.
 
     @pytest.mark.parametrize("d,total,kept", [(3, 5, 2), (4, 4, 1), (2, 7, 3), (3, 4, 4)])
-    def test_a_table_no_machine_made(self, d, total, kept):
+    def test_a_table_no_machine_made(self, d, total, kept, monkeypatch):
         rng = np.random.default_rng(100 + 10 * d + total)
         rho = _random_table(rng, d, total, kept)
         phi = random_pure_state(d, 101)
         # The rotated table is far from real, so a sweep that dropped its
-        # imaginary half would be far off.
-        angles = SymBasis(d, kept).counts @ np.angle(phi.amplitudes)
-        rotated = rho.factor * np.exp(-1j * angles)[:, None]
+        # imaginary part would be far off: both parts are swept.
+        rotated = rho.factor * _row_phases(rho, phi)[:, None]
         assert np.abs(rotated.imag).max() > 0.1
-        _assert_sweep_is_the_split_reference(rho, phi)
+        calls = _count_parts(monkeypatch)
+        values = ladder_fidelities(rho, phi, total)
+        assert len(calls) == 2 * _blocks(rho)
+        _assert_sweep_is_the_split_reference(rho, phi, values)
 
     @pytest.mark.parametrize(
         "amplitudes",
@@ -493,3 +522,84 @@ class TestRealSweep:
         whole = ladder_fidelities(rho, phi, spec.m_out)
         assert np.abs(chunked - whole).max() <= 1e-14
         _assert_sweep_is_the_split_reference(rho, phi, chunked)
+
+    @pytest.mark.parametrize("machine", MACHINES)
+    @pytest.mark.parametrize("d,n,m", [(5, 2, 8), (3, 2, 6), (2, 100, 400)])
+    def test_a_machine_table_sweeps_one_part_per_block(
+        self, d, n, m, machine, monkeypatch
+    ):
+        phi = random_pure_state(d, 106)
+        rho = run_machine(CloneSpec(d, n, m), phi, machine)
+        calls = _count_parts(monkeypatch)
+        values = ladder_fidelities(rho, phi, m)
+        assert len(calls) == _blocks(rho)
+        assert sum(calls) == rho.factor.shape[1]
+        for L in sorted({1, 2, m - 1, m}):
+            reference = reduced_expectation(rho, expand_power(phi, L), L)
+            assert values[L - 1] == pytest.approx(reference, abs=1e-12)
+
+    @pytest.mark.parametrize("machine,parts", [("unified", 1), (None, 2)])
+    def test_parts_are_counted_per_block(self, machine, parts, monkeypatch):
+        spec = CloneSpec(4, 2, 6)
+        phi = random_pure_state(4, 107)
+        if machine is None:
+            rho = _random_table(np.random.default_rng(107), 4, 6, 2)
+        else:
+            rho = run_machine(spec, phi, machine)
+        held, _, per_column = sweep_budget(4, 6, 2)
+        monkeypatch.setattr(symmetric, "FAST_PATH_CAP", held + per_column * 10)
+        calls = _count_parts(monkeypatch)
+        values = ladder_fidelities(rho, phi, spec.m_out)
+        assert _blocks(rho) >= 3
+        assert len(calls) == parts * _blocks(rho)
+        assert sum(calls) == parts * spec.dim_anc
+        _assert_sweep_is_the_split_reference(rho, phi, values)
+
+    @pytest.mark.parametrize("machine", MACHINES)
+    def test_table_times_i_sweeps_its_imaginary_part(self, machine, monkeypatch):
+        # The rotated table's real part is rounding noise, far below the
+        # imaginary part's norm, so the imaginary part must be swept.
+        spec = CloneSpec(4, 2, 5)
+        phi = random_pure_state(4, 110)
+        rho = run_machine(spec, phi, machine)
+        turned = SymDensity(rho.basis, 1j * rho.factor, rho.kept)
+        calls = _count_parts(monkeypatch)
+        values = ladder_fidelities(turned, phi, spec.m_out)
+        assert len(calls) == 2 * _blocks(turned)
+        own = ladder_fidelities(rho, phi, spec.m_out)
+        assert np.abs(values - own).max() <= 1e-15
+        _assert_sweep_is_the_split_reference(turned, phi, values)
+
+    @pytest.mark.parametrize("share,parts", [(0.9, 1), (1.1, 2)])
+    def test_imaginary_part_at_the_threshold(self, share, parts, monkeypatch):
+        spec = CloneSpec(4, 2, 6)
+        phi = random_pure_state(4, 111)
+        rho = run_machine(spec, phi, "fan")
+        threshold = np.spacing(ladder_fidelities(rho, phi, spec.m_out).min()) / 4
+        # An imaginary part of squared norm share * threshold, put on the
+        # rotated table: V + conj(psi_a) i c X for a unit-norm real X.
+        noise = np.random.default_rng(112).standard_normal(rho.factor.shape)
+        noise *= math.sqrt(share * threshold) / np.linalg.norm(noise)
+        shift = 1j * noise * _row_phases(rho, phi).conj()[:, None]
+        perturbed = SymDensity(rho.basis, rho.factor + shift, rho.kept)
+        real, imag = symmetric._sweep(perturbed, phi, spec.m_out, np.real)
+        assert (imag > np.spacing(real.min()) / 4) == (share > 1)
+        calls = _count_parts(monkeypatch)
+        values = ladder_fidelities(perturbed, phi, spec.m_out)
+        assert len(calls) == parts * _blocks(perturbed)
+        # Skipped or swept, the imaginary part changes no bit.
+        swept, _ = symmetric._sweep(perturbed, phi, spec.m_out, np.imag)
+        assert (values == real + swept).all()
+        _assert_sweep_is_the_split_reference(perturbed, phi, values)
+
+    @pytest.mark.parametrize("theta", [0.3, 2.0, -1.1])
+    def test_global_phase_leaves_fidelities_unchanged(self, theta):
+        spec = CloneSpec(3, 2, 6)
+        phi = random_pure_state(3, 113)
+        machine = run_machine(spec, phi, "unified")
+        for rho in (machine, _random_table(np.random.default_rng(114), 3, 6, 2)):
+            turned = SymDensity(rho.basis, np.exp(1j * theta) * rho.factor, rho.kept)
+            values = ladder_fidelities(turned, phi, spec.m_out)
+            own = ladder_fidelities(rho, phi, spec.m_out)
+            assert np.abs(values - own).max() <= 1e-15
+            _assert_sweep_is_the_split_reference(turned, phi, values)
