@@ -2,11 +2,12 @@
 
 Everything in this module is computed with arbitrary-precision integers
 and exact rationals (``fractions.Fraction``).  An occupation vector is a
-plain tuple of counts: :func:`occupation_tuples` is the one enumeration
-of the basis, :func:`check_occupation` the one validation of a vector,
-and :mod:`uqcm.symmetric` stacks the tuples into the numeric count table
-behind every fast path, whose floating-point split table is tested
-against the exact coefficients here.
+plain tuple of counts: :func:`occupation_tuples` is the exact layer's
+enumeration of the basis and :func:`check_occupation` the one validation
+of a vector.  :mod:`uqcm.symmetric` builds the numeric count table
+behind every fast path in the same order with numpy, and both it and the
+floating-point split table are tested against the tuples and exact
+coefficients here.
 
 Occupation vectors index the completely symmetric basis: the vector
 ``(m_1, ..., m_d)`` labels the normalized permutation-invariant state of
@@ -43,8 +44,9 @@ def sym_dim(d: int, n: int) -> int:
 def occupation_tuples(d: int, total: int) -> Iterator[tuple[int, ...]]:
     """Plain count tuples of ``total`` particles in ``d`` slots, in canonical order.
 
-    The one enumeration of the basis, for the exact layer and for the
-    numeric table of :class:`uqcm.symmetric.SymBasis` alike.
+    The exact layer's enumeration of the basis, and the reference that
+    the numeric table of :class:`uqcm.symmetric.SymBasis` is tested
+    against.
     """
     _check_d(d)
     if total < 0:

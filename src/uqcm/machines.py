@@ -19,7 +19,13 @@ factor, or the joint state with the ancilla columns open).  J is
 nonzero only on |a+k>|k>, so all three return the same type, a
 :class:`~uqcm.symmetric.SymDensity` holding the dim_in x dim_anc table
 of those entries; J itself is scattered only when read, and all of it
-is subject to :data:`~uqcm.hilbert.FAST_PATH_CAP`.
+is subject to :data:`~uqcm.hilbert.FAST_PATH_CAP`.  Each table is a
+vector over the inputs a, which depends on phi, times a read-only
+dim_in x dim_anc weight table, which depends only on (d, n_in, m_out)
+and is cached per problem: ``_werner_weights``, ``_fan_weights`` and
+the split table's coefficients.  Each is built from its own formula, one
+occupation slot at a time, and werner and fan never read the split
+table.
 ``*_oracle`` variants rebuild the same object in the full tensor space
 (subject to the oracle cap) for verification: the same projector-form
 and entangled-pair constructions, held as factors of at most
@@ -42,6 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 
 import numpy as np
@@ -64,6 +71,7 @@ from .symmetric import (
     SymDensity,
     expand_power,
     log_factorials,
+    pair_log_factorials,
     project_symmetric,
     split_table,
     sweep_budget,
@@ -125,13 +133,29 @@ def werner_output(spec: CloneSpec, phi: PureState) -> SymDensity:
 
     so the density is the Gram product n_in! * eta^2 * A A^dagger, and
     sqrt(n_in! * eta^2) A is returned as its factor, held as the table of
-    its entries A[a+k, k] (``kept`` = n_in).  The prefactor's
-    square root is folded into A in the log domain, where no factorial
-    overflows.
+    its entries A[a+k, k] (``kept`` = n_in).  That table is the vector
+    x^a over the inputs times the input-independent weight table
+    :func:`_werner_weights`, built once per (d, n_in, m_out).
     """
     _check_phi(spec, phi)
     check_fast_path(spec)
     d, n, m_total = spec.d, spec.n_in, spec.m_out
+    # Powers stay out of the logarithm: a zero amplitude to the power 0 is exactly 1.
+    powers = np.prod(phi.amplitudes ** SymBasis(d, n).counts, axis=1)
+    gram = powers[:, None] * _werner_weights(d, n, m_total)
+    return SymDensity(basis=SymBasis(d, m_total), factor=gram, kept=n)
+
+
+@lru_cache(maxsize=None)
+def _werner_weights(d: int, n: int, m_total: int) -> np.ndarray:
+    """sqrt(n_in! eta^2) prod_j sqrt((a_j+k_j)!) / (a_j! sqrt(k_j!)), read-only.
+
+    The D_in x r weights of :func:`werner_output`'s factor, rows over the
+    inputs a and columns over the ancilla k.  The prefactor's square
+    root is folded in the log domain, where no factorial overflows, and
+    the log-multinomial is summed one slot at a time
+    (:func:`~uqcm.symmetric.pair_log_factorials`).
+    """
     a = SymBasis(d, n).counts
     k = SymBasis(d, m_total - n).counts
     log_fac = log_factorials(m_total + d - 1)
@@ -139,16 +163,14 @@ def werner_output(spec: CloneSpec, phi: PureState) -> SymDensity:
     log_prefactor = (
         log_fac[n] + log_fac[m_total - n] + log_fac[n + d - 1] - log_fac[m_total + d - 1]
     )
-    log_mag = (
-        0.5 * log_prefactor
-        + 0.5 * log_fac[a[:, None, :] + k[None, :, :]].sum(axis=2)
-        - log_fac[a].sum(axis=1)[:, None]
-        - 0.5 * log_fac[k].sum(axis=1)[None, :]
-    )
-    # Powers stay out of the logarithm: a zero amplitude to the power 0 is exactly 1.
-    powers = np.prod(phi.amplitudes**a, axis=1)
-    gram = powers[:, None] * np.exp(log_mag)
-    return SymDensity(basis=SymBasis(d, m_total), factor=gram, kept=n)
+    weights = pair_log_factorials(a, k, log_fac)
+    weights *= 0.5
+    weights += 0.5 * log_prefactor
+    weights -= log_fac[a].sum(axis=1)[:, None]
+    weights -= 0.5 * log_fac[k].sum(axis=1)[None, :]
+    np.exp(weights, out=weights)
+    weights.setflags(write=False)
+    return weights
 
 
 def werner_output_oracle(spec: CloneSpec, phi: PureState) -> FullDensity:
@@ -177,12 +199,32 @@ def fan_output(spec: CloneSpec, phi: PureState) -> SymDensity:
     eta * sum_k sqrt(prod_j (a_j+k_j)! / (a_j! k_j!)) |a+k>|k>.  The joint
     state, with rows over |a+k> and columns over the ancilla |k>, is the
     factor of the output density; it is held as the table of its
-    amplitudes on |a+k>|k> (``kept`` = n_in).  eta is folded into the
-    multinomial in the log domain, where neither underflows nor overflows.
+    amplitudes on |a+k>|k> (``kept`` = n_in).  That table is the
+    expansion of |phi>^(x n_in) over the inputs times the
+    input-independent weight table :func:`_fan_weights`, built once per
+    (d, n_in, m_out).
     """
     _check_phi(spec, phi)
     check_fast_path(spec)
     d, n_total, m_total = spec.d, spec.n_in, spec.m_out
+    inputs = expand_power(phi, n_total)
+    table = inputs[:, None] * _fan_weights(d, n_total, m_total)
+    norm = np.linalg.norm(table)
+    if abs(norm - 1.0) > NORM_TOL:
+        raise AssertionError(f"amplitude-form joint state has norm {norm}")
+    return SymDensity(basis=SymBasis(d, m_total), factor=table, kept=n_total)
+
+
+@lru_cache(maxsize=None)
+def _fan_weights(d: int, n_total: int, m_total: int) -> np.ndarray:
+    """eta * sqrt(prod_j (a_j+k_j)! / (a_j! k_j!)), read-only.
+
+    The D_in x r weights of :func:`fan_output`'s joint state, rows over
+    the inputs a and columns over the ancilla k.  eta is folded into the
+    multinomial in the log domain, where neither underflows nor
+    overflows, and the log-multinomial is summed one slot at a time
+    (:func:`~uqcm.symmetric.pair_log_factorials`).
+    """
     a = SymBasis(d, n_total).counts
     k = SymBasis(d, m_total - n_total).counts
     log_fac = log_factorials(m_total + d - 1)
@@ -190,18 +232,14 @@ def fan_output(spec: CloneSpec, phi: PureState) -> SymDensity:
     log_eta_sq = (
         log_fac[m_total - n_total] + log_fac[n_total + d - 1] - log_fac[m_total + d - 1]
     )
-    log_amplitude = (
-        log_eta_sq
-        + log_fac[a[:, None, :] + k[None, :, :]].sum(axis=2)
-        - log_fac[a].sum(axis=1)[:, None]
-        - log_fac[k].sum(axis=1)[None, :]
-    )
-    inputs = expand_power(phi, n_total)
-    table = inputs[:, None] * np.exp(0.5 * log_amplitude)
-    norm = np.linalg.norm(table)
-    if abs(norm - 1.0) > NORM_TOL:
-        raise AssertionError(f"amplitude-form joint state has norm {norm}")
-    return SymDensity(basis=SymBasis(d, m_total), factor=table, kept=n_total)
+    weights = pair_log_factorials(a, k, log_fac)
+    weights += log_eta_sq
+    weights -= log_fac[a].sum(axis=1)[:, None]
+    weights -= log_fac[k].sum(axis=1)[None, :]
+    weights *= 0.5
+    np.exp(weights, out=weights)
+    weights.setflags(write=False)
+    return weights
 
 
 def unified_output(spec: CloneSpec, phi: PureState) -> SymDensity:
@@ -225,9 +263,8 @@ def unified_output(spec: CloneSpec, phi: PureState) -> SymDensity:
     _, coeff = split_table(d, m_total, n_total)
     inputs = expand_power(phi, n_total)
     raw = inputs[:, None] * coeff
-    return SymDensity(
-        basis=SymBasis(d, m_total), factor=raw / np.linalg.norm(raw), kept=n_total
-    )
+    raw /= np.linalg.norm(raw)
+    return SymDensity(basis=SymBasis(d, m_total), factor=raw, kept=n_total)
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,12 @@ each tensor axis instead of forming u^(x total).  :func:`projector_full`
 is kept as the dense reference.
 
 Every decision about the numeric occupation basis is made here: the one
-cached count table per (d, total) (:attr:`SymBasis.counts`), the one
-rank formula (:meth:`SymBasis.index`, vectorised in the split table and
-the embedding), the one split table of where |a>|k> sits in |a+k>
-(:func:`split_table`), the one density type, a :class:`SymDensity`
+cached count table per (d, total) (:attr:`SymBasis.counts`, built by
+np.repeat passes), the one rank formula (:meth:`SymBasis.index`,
+vectorised in the split table and the embedding), the one slot-by-slot
+sum of log-factorials over pairs of occupations
+(:func:`pair_log_factorials`), the one split table of where |a>|k> sits
+in |a+k> (:func:`split_table`), the one density type, a :class:`SymDensity`
 that holds only an amplitude table, the one scatter of that table into
 its factor (:func:`scatter_factor`), and the one sweep that reads every
 F_L off a factor, one contracted qudit per step
@@ -62,7 +64,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .combinatorics import check_occupation, occupation_tuples, sym_dim
+from .combinatorics import check_occupation, sym_dim
 from .hilbert import (
     FAST_PATH_CAP,
     NORM_TOL,
@@ -102,12 +104,29 @@ class SymBasis:
 
     def index(self, m: tuple[int, ...]) -> int:
         counts = check_occupation(m, self.d, self.total)
-        return int(_canonical_index(np.array(counts, dtype=np.intp), self.total))
+        return int(_canonical_index(self.total, np.array(counts, dtype=np.intp)))
 
 
 @lru_cache(maxsize=None)
 def _counts_table(d: int, total: int) -> np.ndarray:
-    counts = np.array(list(occupation_tuples(d, total)), dtype=np.intp)
+    """The (d, total) basis as a read-only dim x d table, one np.repeat pass per slot.
+
+    Rows that agree in slots 0..j-1 form one block, and within it slot j
+    runs from what those slots left down to 0, which is the canonical
+    order.  Each slot's column is its values, one per block of the next
+    slot, repeated over the rows of that block: a block that leaves t
+    for slots j+1..d-1 has sym_dim(d-j-1, t) rows.
+    """
+    counts = np.empty((sym_dim(d, total), d), dtype=np.intp)
+    left = np.array([total])
+    for j in range(d - 1):
+        # Block i splits into left[i] + 1 blocks, which leave 0..left[i].
+        starts = np.cumsum(left + 1) - (left + 1)
+        rest = np.arange(starts[-1] + left[-1] + 1) - np.repeat(starts, left + 1)
+        rows = np.array([math.comb(t + d - j - 2, t) for t in range(total + 1)])[rest]
+        counts[:, j] = np.repeat(np.repeat(left, left + 1) - rest, rows)
+        left = rest
+    counts[:, -1] = left
     counts.setflags(write=False)
     return counts
 
@@ -117,6 +136,19 @@ def log_factorials(n: int) -> np.ndarray:
     """Read-only vector of log(t!) for t = 0..n."""
     out = np.array([math.lgamma(t + 1) for t in range(n + 1)])
     out.setflags(write=False)
+    return out
+
+
+def pair_log_factorials(a: np.ndarray, k: np.ndarray, log_fac: np.ndarray) -> np.ndarray:
+    """sum_j log((a_j + k_j)!) for every row a of ``a`` and row k of ``k``.
+
+    The len(a) x len(k) float64 table is summed one slot at a time, so no
+    len(a) x len(k) x d array is formed; ``log_fac`` is a
+    :func:`log_factorials` vector that reaches every a_j + k_j.
+    """
+    out = np.zeros((a.shape[0], k.shape[0]))
+    for j in range(a.shape[1]):
+        out += log_fac[a[:, j, None] + k[None, :, j]]
     return out
 
 
@@ -131,38 +163,42 @@ def split_table(d: int, total: int, kept: int) -> tuple[np.ndarray, np.ndarray]:
         coeff[a, k] = sqrt(prod_j C(a_j+k_j, k_j) / C(total, kept)),
 
     the splitting coefficient, is formed from log-factorials so that no
-    factorial is ever converted to a float.  Both arrays are read-only.
+    factorial is ever converted to a float.  Both are built one slot at a
+    time (:func:`pair_log_factorials`, :func:`_canonical_index`), so
+    nothing larger than one table is formed, and both are read-only.
     """
     a = SymBasis(d, kept).counts
     k = SymBasis(d, total - kept).counts
-    m = a[:, None, :] + k[None, :, :]
     log_fac = log_factorials(total)
-    log_sq = (
-        log_fac[m].sum(axis=2)
-        - log_fac[a].sum(axis=1)[:, None]
-        - log_fac[k].sum(axis=1)[None, :]
-        - (log_fac[total] - log_fac[kept] - log_fac[total - kept])
-    )
-    idx = _canonical_index(m, total)
-    coeff = np.exp(0.5 * log_sq)
+    coeff = pair_log_factorials(a, k, log_fac)
+    coeff -= log_fac[a].sum(axis=1)[:, None]
+    coeff -= log_fac[k].sum(axis=1)[None, :]
+    coeff -= log_fac[total] - log_fac[kept] - log_fac[total - kept]
+    coeff *= 0.5
+    np.exp(coeff, out=coeff)
+    idx = _canonical_index(total, a[:, None, :], k[None, :, :])
     idx.setflags(write=False)
     coeff.setflags(write=False)
     return idx, coeff
 
 
-def _canonical_index(counts: np.ndarray, total: int) -> np.ndarray:
-    """Position of each occupation vector (last axis, summing to total) in its basis.
+def _canonical_index(total: int, *parts: np.ndarray) -> np.ndarray:
+    """Position in its basis of each occupation vector sum(parts) (last axis, sum total).
 
     In lexicographically decreasing order the vectors ahead of m are those
     that agree with m up to some slot j and hold more in slot j; with
     s_j = m_{j+1} + ... + m_{d-1} there are C(s_j + d-j-2, d-j-1) of them.
+    The parts broadcast against each other, and the suffix sums of their
+    sum are the sums of theirs, so they are added one slot at a time and
+    no broadcast array with the slot axis is formed.
     """
-    d = counts.shape[-1]
-    suffix = np.cumsum(counts[..., ::-1], axis=-1)[..., ::-1]
-    index = np.zeros(counts.shape[:-1], dtype=np.intp)
+    d = parts[0].shape[-1]
+    suffixes = [np.cumsum(p[..., ::-1], axis=-1)[..., ::-1] for p in parts]
+    shape = np.broadcast_shapes(*(p.shape[:-1] for p in parts))
+    index = np.zeros(shape, dtype=np.intp)
     for j in range(d - 1):
         choose = np.array([math.comb(s + d - j - 2, d - j - 1) for s in range(total + 1)])
-        index += choose[suffix[..., j + 1]]
+        index += choose[sum(suffix[..., j + 1] for suffix in suffixes)]
     return index
 
 
@@ -245,7 +281,7 @@ def _embed_columns(
     """
     digits = np.arange(d**total)[:, None] // d ** np.arange(total) % d
     counts = (digits[:, :, None] == np.arange(d)).sum(axis=1)
-    columns = _canonical_index(counts, total)
+    columns = _canonical_index(total, counts)
     scale = 1.0 / np.sqrt(np.bincount(columns, minlength=sym_dim(d, total)))
     order = np.argsort(columns, kind="stable")
     starts = np.searchsorted(columns[order], np.arange(scale.size))
@@ -426,21 +462,27 @@ def sweep_budget(d: int, total: int, kept: int) -> tuple[int, int, int]:
     D_in = D_kept and r = D_{total-kept}:
 
     * held, alive from the machine to the last block: the D_in x r
-      table V and its split table, every ladder table, count table and
-      log-factorial vector, one step's real coefficients and the D_in
-      row phases, the d x D_total first-step index and coefficient rows
-      and those rows scaled by |x_j|, and numpy's ufunc buffers;
-    * transient, before the first block: the largest of the D_in x r x d
-      log-factorial and rank arrays that build the split table (and a
-      machine's own amplitudes), the D_{total-1} x d x d arrays that
-      build a ladder table, and the tuples behind a count table;
+      table V, the input-independent tables cached for the problem (its
+      split table and the werner and fan weight tables), every ladder
+      table, count table and log-factorial vector, one step's real
+      coefficients and the D_in row phases, the d x D_total first-step
+      index and coefficient rows and those rows scaled by |x_j|, one
+      later step's gathered row chunk at its CHUNK_BYTES cap, and
+      numpy's ufunc buffers;
+    * transient, before the first block: the largest of what builds one
+      cached table.  A split or weight table on rows x cols is summed
+      one slot at a time: one slot's index and term beside the sum
+      (rows x cols), and the suffix sums of both bases
+      ((rows + cols) d / 2).  That is D_in x r for the problem's tables
+      and D_{total-1} x d for the largest ladder table.  A count table
+      is built one np.repeat pass per slot, at most 3 D_total;
     * per_column, for each column of a block: one column of level
-      total-1, plus the larger of the first step's transients (the
-      phase-rotated complex block, its real or imaginary part, one
-      direction's flat target index and product, and the gather inside
-      its ``+=``: 3 D_in, counted as 4 D_in) and a later step's gathered
-      row chunk and its product (D_{total-2} + 1; a chunk is at most
-      that many rows over d + 1, or one ufunc buffer).
+      total-1, plus the first step's transients (the phase-rotated
+      complex block, its real or imaginary part, one direction's flat
+      target index and product, and the gather inside its ``+=``:
+      3 D_in, counted as 4 D_in).  A later step's chunk is past
+      CHUNK_BYTES only when one row's gather is, and then it is that
+      one row, d / 2 entries a column: so max(4 D_in, d).
 
     per_column counts a level column as 16-byte entries, while the
     sweep's level holds one float64 part, 8 bytes a row: for the level
@@ -451,8 +493,8 @@ def sweep_budget(d: int, total: int, kept: int) -> tuple[int, int, int]:
     """
     d_in, r = sym_dim(d, kept), sym_dim(d, total - kept)
     upper = sym_dim(d, total - 1) if total >= 1 else 0
-    lower = sym_dim(d, total - 2) if total >= 2 else 0
-    split = d_in * r  # idx and coeff, 8 bytes each
+    # idx and coeff, 8 bytes each, and the werner and fan weights, 8 bytes each.
+    tables = 2 * d_in * r
     # idx and coeff of each (t, t-1) split table, sym_dim(d+1, T) being
     # sum_{t<=T} D_t; one step's real coefficients, 8 bytes over
     # D_{total-2} x d, and the D_in <= D_{total-1} row phases.
@@ -465,13 +507,16 @@ def sweep_budget(d: int, total: int, kept: int) -> tuple[int, int, int]:
     factorials = (total + d) * (total + d + 1) // 4
     # Array headers and cache entries of the per-level tables, about 1 kB
     # a level; the first step's column offsets, below one column; numpy's
-    # ufunc buffers, and a row chunk held at its floor of one buffer.
-    overhead = 64 * (total + 1) + upper + 3 * np.getbufsize()
-    held = d_in * r + split + ladder + counts + down + factorials + overhead
-    transient = max(
-        (d + 3) * d_in * r, (d + 2) * d * upper, (d + 4) * sym_dim(d, total)
-    )
-    per_column = upper + 1 + max(4 * d_in, lower + 1)
+    # ufunc buffers, and a row chunk's gather, at most CHUNK_BYTES and
+    # one buffer more.
+    overhead = 64 * (total + 1) + upper + 3 * np.getbufsize() + CHUNK_BYTES // 16
+    held = d_in * r + tables + ladder + counts + down + factorials + overhead
+
+    def build(rows: int, cols: int) -> int:
+        return rows * cols + (rows + cols) * d // 2
+
+    transient = max(build(d_in, r), build(upper, d), 3 * sym_dim(d, total))
+    per_column = upper + 1 + max(4 * d_in, d)
     return held, transient, per_column
 
 
@@ -551,13 +596,17 @@ def _sweep(
     step is one gather of the d parent rows of a chunk of the next
     level's rows and one batched real product, written over the rows of
     the level it reads in increasing order (:func:`_ladder_step`).  A
-    chunk is at most half of the next level; at most D_{M-2} + 1 rows
-    over d + 1, so that its gather and product fit in the column of
-    level M-2 that :func:`sweep_budget` counts; and at most CHUNK_BYTES
-    of gather.  It is at least the rows whose gather fills one numpy
-    ufunc buffer, so a level that small is done in one piece.  A block
-    holds one level-(M-1) block and one gathered row chunk; the sweep
-    costs d * sum_t D_t per column, for D_t = sym_dim(d, t).
+    chunk is at most half of the next level; at most CHUNK_BYTES of
+    gather, which :func:`sweep_budget` counts as held; and at most
+    D_{M-2} + 1 rows over d + 1, so that its gather is no larger than a
+    level-(M-2) block.  The last bound changes no count, but it keeps
+    small sweeps fast: on a 2-vCPU Xeon VM with glibc's allocator, at
+    (9,2,5), the first step took 1.0-1.2 ms without it instead of
+    0.5-0.6 ms, as each block's level came back as fresh pages.  A chunk
+    is at least the rows whose gather fills one numpy ufunc buffer, so a
+    level that small is done in one piece.  A block holds one
+    level-(M-1) block and one gathered row chunk; the sweep costs
+    d * sum_t D_t per column, for D_t = sym_dim(d, t).
     """
     d, total = rho.basis.d, rho.basis.total
     magnitudes = np.abs(phi.amplitudes)
@@ -566,8 +615,8 @@ def _sweep(
     # while one is being built.
     ladder = [split_table(d, t, t - 1) for t in range(total - 1, total - upto, -1)]
     size = sym_dim(d, total - 1)
-    # Rows of a chunk whose gather and product fit in one column of level M-2.
-    counted = max(1, ((sym_dim(d, total - 2) if total >= 2 else 0) + 1) // (d + 1))
+    # Rows of a chunk whose gather is no larger than a level-(M-2) block.
+    smaller = max(1, ((sym_dim(d, total - 2) if total >= 2 else 0) + 1) // (d + 1))
     width = sweep_width(d, total, rho.kept)
     rows = split_table(d, total, rho.kept)[0]
     down, down_coeff = _down_table(d, total)
@@ -588,7 +637,7 @@ def _sweep(
         # Bytes of one row's gather: d parent rows of w float64 entries.
         gathered = d * level.shape[1] * level.itemsize
         least = -(-np.getbufsize() * level.itemsize // gathered)
-        most = min(counted, CHUNK_BYTES // gathered)
+        most = min(smaller, CHUNK_BYTES // gathered)
         for s, (idx, coeff) in enumerate(ladder, start=1):
             chunk = max(least, min(-(-idx.shape[0] // 2), most))
             level = _ladder_step(level, idx, magnitudes * coeff, chunk)

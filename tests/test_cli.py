@@ -222,7 +222,7 @@ class TestVerify:
         assert "fast-path cap" in capsys.readouterr().err
 
     def test_tables_over_cap_exit_2_before_allocating(self, capsys, monkeypatch):
-        # `table` reaches (9,2,12); `verify` builds three 45 x 43758 tables
+        # `table` reaches (10,3,11); `verify` builds three 220 x 24310 tables
         # beside the arrays that build them, which do not fit, so it must
         # fail here, not run.
         def refuse(*args):
@@ -232,14 +232,14 @@ class TestVerify:
         tracemalloc.start()
         try:
             with pytest.raises(SystemExit) as exc:
-                cli.main(["verify", "--d", "9", "--n", "2", "--m", "12", "--trials", "1"])
+                cli.main(["verify", "--d", "10", "--n", "3", "--m", "11", "--trials", "1"])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage: uqcm verify ")
-        assert "3 machines (45 x 43758 each)" in err and "fast-path cap" in err
+        assert "3 machines (220 x 24310 each)" in err and "fast-path cap" in err
         assert peak < 1_000_000
 
     @pytest.mark.parametrize("d,n,m", [(8, 2, 8), (8, 3, 8)])
@@ -259,7 +259,8 @@ class TestVerify:
         counted = machines.check_fast_path(spec, tables=3)
         assert counted <= cli.FAST_PATH_CAP and counted < spec.dim_out * spec.dim_anc
         for cached in (symmetric._counts_table, symmetric.split_table,
-                       symmetric.log_factorials):
+                       symmetric.log_factorials, symmetric._down_table,
+                       machines._werner_weights, machines._fan_weights):
             cached.cache_clear()
         argv = ["verify", "--d", str(d), "--n", str(n), "--m", str(m), "--trials", "1"]
         tracemalloc.start()
@@ -294,7 +295,8 @@ class TestVerify:
             for module in (symmetric, machines):
                 monkeypatch.setattr(module, "FAST_PATH_CAP", counted)
             for cached in (symmetric._counts_table, symmetric.split_table,
-                           symmetric.log_factorials):
+                           symmetric.log_factorials, symmetric._down_table,
+                           machines._werner_weights, machines._fan_weights):
                 cached.cache_clear()
             tracemalloc.start()
             try:
@@ -310,11 +312,11 @@ class TestVerify:
 
     def test_multi_block_sweeps_pass_within_the_count(self, capsys, monkeypatch):
         # A cap with room for the three 36 x 792 tables and the arrays that
-        # build them, but for only 147 columns in a sweep block: each machine
-        # is swept in six blocks.  The tables are released before the
+        # build them, but for only 47 columns in a sweep block: each machine
+        # is swept in 17 blocks.  The tables are released before the
         # sweeps, so the block is not counted beside them; one trial, tables
         # built inside the traced span, passes within the count.  A trial
-        # that kept the tables through its sweeps would pass the count by 5%.
+        # that kept the tables through its sweeps would pass the count by 16%.
         d, n, m = 8, 2, 7
         spec = machines.CloneSpec(d, n, m)
         held, transient, per_column = symmetric.sweep_budget(d, m, n)
@@ -324,9 +326,10 @@ class TestVerify:
         for module in (symmetric, machines):
             monkeypatch.setattr(module, "FAST_PATH_CAP", cap)
         assert machines.check_fast_path(spec, tables=3) == cap
-        assert -(-spec.dim_anc // symmetric.sweep_width(d, m, n)) == 6
+        assert -(-spec.dim_anc // symmetric.sweep_width(d, m, n)) == 17
         for cached in (symmetric._counts_table, symmetric.split_table,
-                       symmetric.log_factorials):
+                       symmetric.log_factorials, symmetric._down_table,
+                       machines._werner_weights, machines._fan_weights):
             cached.cache_clear()
         argv = ["verify", "--d", str(d), "--n", str(n), "--m", str(m), "--trials", "1"]
         tracemalloc.start()
@@ -350,7 +353,8 @@ class TestVerify:
         counted = machines.check_fast_path(spec, tables=3)
         assert counted <= cli.FAST_PATH_CAP < spec.dim_out**2
         for cached in (symmetric._counts_table, symmetric.split_table,
-                       symmetric.log_factorials):
+                       symmetric.log_factorials, symmetric._down_table,
+                       machines._werner_weights, machines._fan_weights):
             cached.cache_clear()
         argv = ["verify", "--d", str(d), "--n", str(n), "--m", str(m), "--trials", "1"]
         tracemalloc.start()
@@ -402,7 +406,9 @@ class TestVerify:
             for module in (symmetric, machines, cli):
                 monkeypatch.setattr(module, "FAST_PATH_CAP", counted)
             for cached in (symmetric._counts_table, symmetric.split_table,
-                           symmetric.log_factorials, symmetric._embed_columns):
+                           symmetric.log_factorials, symmetric._embed_columns,
+                           symmetric._down_table, machines._werner_weights,
+                           machines._fan_weights):
                 cached.cache_clear()
             tracemalloc.start()
             try:

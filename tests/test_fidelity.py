@@ -386,7 +386,8 @@ class TestLadderSweep:
         assert -(-spec.dim_anc // sweep_width(d, m, n)) >= 4
         phi = random_pure_state(d, 99)
         for cached in (symmetric._counts_table, symmetric.split_table,
-                       symmetric.log_factorials, symmetric._down_table):
+                       symmetric.log_factorials, symmetric._down_table,
+                       machines._werner_weights, machines._fan_weights):
             cached.cache_clear()
         tracemalloc.start()
         try:
@@ -395,6 +396,34 @@ class TestLadderSweep:
         finally:
             tracemalloc.stop()
         assert peak <= 16 * counted
+
+    @pytest.mark.parametrize("machine", MACHINES)
+    def test_budget_counts_the_table_construction(self, machine, monkeypatch):
+        # A cap of held + transient: the slot-by-slot build of a 120 x 792
+        # table, not a sweep block, sets the count, and the blocks are as
+        # narrow as what is left.  Every table is built inside the traced span.
+        d, n, m = 8, 3, 8
+        spec = CloneSpec(d, n, m)
+        held, transient, per_column = sweep_budget(d, m, n)
+        cap = held + transient
+        for module in (symmetric, machines):
+            monkeypatch.setattr(module, "FAST_PATH_CAP", cap)
+        width = sweep_width(d, m, n)
+        assert per_column * width <= transient
+        assert check_fast_path(spec) == cap
+        assert -(-spec.dim_anc // width) >= 4
+        phi = random_pure_state(d, 99)
+        for cached in (symmetric._counts_table, symmetric.split_table,
+                       symmetric.log_factorials, symmetric._down_table,
+                       machines._werner_weights, machines._fan_weights):
+            cached.cache_clear()
+        tracemalloc.start()
+        try:
+            fidelities_numeric(run_machine(spec, phi, machine), phi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * cap
 
 
 def _random_table(rng, d, total, kept):

@@ -7,6 +7,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import uqcm
 from uqcm import combinatorics, machines, symmetric
@@ -40,8 +42,11 @@ from uqcm.machines import (
     werner_output,
     werner_output_oracle,
 )
+from uqcm.combinatorics import splitting_coefficient_sq
 from uqcm.symmetric import (
+    SymBasis,
     expand_power,
+    log_factorials,
     project_symmetric,
     projector_full,
     scatter_factor,
@@ -146,6 +151,95 @@ class TestMaterializedDensity:
             assert np.linalg.eigvalsh(mat).min() >= PSD_TOL
 
 
+def _reference_weights(d, n, m):
+    """werner's, fan's and the split's weight tables from D_in x r x d arrays.
+
+    The log-multinomial summed over a broadcast slot axis, the way the
+    tables were built before they were summed one slot at a time.
+    """
+    a = SymBasis(d, n).counts
+    k = SymBasis(d, m - n).counts
+    log_fac = log_factorials(m + d - 1)
+    multinomial = log_fac[a[:, None, :] + k[None, :, :]].sum(axis=2)
+    log_a = log_fac[a].sum(axis=1)[:, None]
+    log_k = log_fac[k].sum(axis=1)[None, :]
+    log_prefactor = log_fac[n] + log_fac[m - n] + log_fac[n + d - 1] - log_fac[m + d - 1]
+    log_eta_sq = log_fac[m - n] + log_fac[n + d - 1] - log_fac[m + d - 1]
+    log_split = log_fac[m] - log_fac[n] - log_fac[m - n]
+    return {
+        "werner": np.exp(0.5 * log_prefactor + 0.5 * multinomial - log_a - 0.5 * log_k),
+        "fan": np.exp(0.5 * (log_eta_sq + multinomial - log_a - log_k)),
+        "split": np.exp(0.5 * (multinomial - log_a - log_k - log_split)),
+    }
+
+
+def _weight_tables(d, n, m):
+    return {
+        "werner": machines._werner_weights(d, n, m),
+        "fan": machines._fan_weights(d, n, m),
+        "split": split_table(d, m, n)[1],
+    }
+
+
+class TestWeightTables:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.integers(2, 7), st.integers(1, 5), st.integers(0, 5))
+    def test_slot_sums_equal_the_broadcast_formula(self, d, n, extra):
+        m = n + extra
+        reference = _reference_weights(d, n, m)
+        for name, table in _weight_tables(d, n, m).items():
+            assert table.shape == reference[name].shape
+            assert np.all(np.abs(table - reference[name]) <= 1e-14 * reference[name])
+
+    @pytest.mark.parametrize("d,n", [(2, 3), (3, 2), (9, 1)])
+    def test_every_m_has_its_own_table(self, d, n):
+        # Tables of one (d, n_in) at growing m_out, built in turn: each
+        # answers to its own m_out, not to the first one cached.
+        for m in range(n, n + 5):
+            reference = _reference_weights(d, n, m)
+            for name, table in _weight_tables(d, n, m).items():
+                assert table.shape == reference[name].shape
+                assert np.all(np.abs(table - reference[name]) <= 1e-14 * reference[name])
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(2, 5), st.integers(1, 3), st.integers(0, 3))
+    def test_split_table_is_the_rank_and_the_exact_coefficient(self, d, n, extra):
+        m = n + extra
+        idx, coeff = split_table(d, m, n)
+        basis = SymBasis(d, m)
+        for i, a in enumerate(SymBasis(d, n).counts):
+            for j, k in enumerate(SymBasis(d, m - n).counts):
+                whole = tuple(int(x) for x in a + k)
+                assert idx[i, j] == basis.index(whole)
+                # The count table comes from the np.repeat passes, not the rank.
+                assert tuple(basis.counts[idx[i, j]]) == whole
+                exact = float(splitting_coefficient_sq(whole, tuple(k), m, n))
+                assert coeff[i, j] ** 2 == pytest.approx(exact, rel=1e-13)
+
+    def test_tables_are_read_only(self):
+        tables = _weight_tables(4, 2, 5)
+        tables["index"] = split_table(4, 5, 2)[0]
+        for table in tables.values():
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 0
+
+    def test_werner_and_fan_never_read_the_split_table(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("werner or fan read the split table")
+
+        for module in (symmetric, machines):
+            monkeypatch.setattr(module, "split_table", refuse)
+        machines._werner_weights.cache_clear()
+        machines._fan_weights.cache_clear()
+        spec = CloneSpec(3, 2, 5)
+        phi = random_pure_state(3, 41)
+        outs = [werner_output(spec, phi), fan_output(spec, phi)]
+        assert symmetric.trace_distance_bound(*outs) < TOL
+        with pytest.raises(AssertionError, match="split table"):
+            unified_output(spec, phi)
+
+
 class TestFastPathCap:
     def test_frontier_point_fits(self):
         check_fast_path(CloneSpec(8, 2, 8))  # 6435 x 1716 entries
@@ -162,10 +256,12 @@ class TestFastPathCap:
         # before it sweeps each machine's table alone.  So the two extra
         # tables sit beside the tables' construction, not beside a sweep
         # block.  At (8,2,8) that is less than one 6435 x 1716 factor.
-        # (10,2,10)'s block fills the cap, so its count is the table rule's;
-        # (9,2,12)'s three 45 x 43758 tables and their construction do not fit.
+        # (10,2,10)'s block fills the cap, so its count is the table rule's,
+        # and so is (9,2,12)'s, whose tables are built one slot at a time;
+        # (10,3,11)'s three 220 x 24310 tables and their construction do not fit.
         for spec in (CloneSpec(6, 2, 8), CloneSpec(8, 7, 8), CloneSpec(10, 9, 10),
-                     CloneSpec(8, 2, 8), CloneSpec(8, 3, 8), CloneSpec(10, 2, 10)):
+                     CloneSpec(8, 2, 8), CloneSpec(8, 3, 8), CloneSpec(10, 2, 10),
+                     CloneSpec(9, 2, 12)):
             d, n, m = spec.d, spec.n_in, spec.m_out
             held, transient, per_column = sweep_budget(d, m, n)
             extra = 2 * spec.dim_in * spec.dim_anc
@@ -177,14 +273,23 @@ class TestFastPathCap:
             assert counted <= FAST_PATH_CAP
         assert check_fast_path(CloneSpec(8, 2, 8), tables=3) < 6435 * 1716
         spec = CloneSpec(10, 2, 10)
-        assert check_fast_path(spec, tables=3) == check_fast_path(spec) == 33_525_307
-        check_fast_path(CloneSpec(9, 2, 12))
-        with pytest.raises(FastPathCapError, match=r"3 machines \(45 x 43758 each\)"):
-            check_fast_path(CloneSpec(9, 2, 12), tables=3)
+        assert check_fast_path(spec, tables=3) == check_fast_path(spec) == 33_527_719
+        check_fast_path(CloneSpec(10, 3, 11))
+        with pytest.raises(FastPathCapError, match=r"3 machines \(220 x 24310 each\)"):
+            check_fast_path(CloneSpec(10, 3, 11), tables=3)
+
+    def test_table_rule_admits_what_the_slot_loop_builds(self):
+        # (10,3,10)'s 120 x 11440 tables used to be built beside a
+        # 120 x 11440 x 10 array each; slot by slot they fit, with one
+        # sweep block filling the cap.
+        spec = CloneSpec(10, 3, 10)
+        held, transient, _ = sweep_budget(10, 10, 3)
+        assert held + transient < check_fast_path(spec) <= FAST_PATH_CAP
+        assert transient < 2 * spec.dim_in * spec.dim_anc
 
     def test_over_budget_fails_before_allocating(self):
-        # V alone is 78 x 352716, and the arrays that build its split table
-        # are 12 times that: over budget before any sweep block.
+        # V alone is 78 x 352716, and with the tables cached beside it that
+        # is over budget before any sweep block.
         spec = CloneSpec(12, 2, 12)
         phi = random_pure_state(12, 3)
         tracemalloc.start()
@@ -536,8 +641,9 @@ class TestRunMachine:
     def test_fast_paths_build_no_occupation_vector(self, monkeypatch):
         # Cold caches, so the occupation tables are rebuilt inside the run;
         # they come from the count tuples alone, never from the exact layer.
-        symmetric._counts_table.cache_clear()
-        symmetric.split_table.cache_clear()
+        for cached in (symmetric._counts_table, symmetric.split_table,
+                       machines._werner_weights, machines._fan_weights):
+            cached.cache_clear()
 
         def refuse(*args):
             raise AssertionError("a fast path called splitting_coefficient_sq")

@@ -22,6 +22,7 @@ from uqcm.symmetric import (
     SymBasis,
     SymDensity,
     _canonical_index,
+    _counts_table,
     embed,
     embed_isometry,
     expand_power,
@@ -94,8 +95,15 @@ class TestSymBasis:
         counts = SymBasis(d, total).counts
         assert [tuple(row) for row in counts] == list(occupation_tuples(d, total))
         assert np.array_equal(
-            _canonical_index(counts, total), np.arange(sym_dim(d, total))
+            _canonical_index(total, counts), np.arange(sym_dim(d, total))
         )
+
+    @pytest.mark.parametrize("d,total", [(3, 300), (10, 10), (4, 150), (2, 2000), (16, 3)])
+    def test_vectorised_counts_equal_the_enumeration_at_size(self, d, total):
+        # The table is built by np.repeat passes, never from the tuples.
+        _counts_table.cache_clear()
+        expected = np.array(list(occupation_tuples(d, total)), dtype=np.intp)
+        assert np.array_equal(SymBasis(d, total).counts, expected)
 
 
 class TestEmbedding:
