@@ -53,7 +53,7 @@ import math
 from fractions import Fraction
 
 from .combinatorics import sym_dim
-from .hilbert import TRACE_TOL, PureState
+from .hilbert import PureState, checked_fidelities
 from .machines import CloneSpec
 from .symmetric import SymDensity, ladder_fidelities
 
@@ -71,11 +71,7 @@ def fidelities_numeric(
         raise ValueError(
             f"state dimension {phi.dim} does not match basis d={rho.basis.d}"
         )
-    values = ladder_fidelities(rho, phi, upto)
-    for value in values:
-        if not -TRACE_TOL <= value <= 1.0 + TRACE_TOL:
-            raise ValueError(f"fidelity {value} outside [0, 1]")
-    return tuple(float(min(max(value, 0.0), 1.0)) for value in values)
+    return checked_fidelities(ladder_fidelities(rho, phi, upto))
 
 
 def fidelities_closed(spec: CloneSpec, upto: int | None = None) -> tuple[Fraction, ...]:

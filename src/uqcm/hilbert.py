@@ -26,11 +26,18 @@ construction.  :func:`trace_distance_matrices`, the dense reference for
 Hermitian difference from the Hermitian eigensolver instead of its
 singular values: O(D^3) for a D x D matrix, with a constant well below
 that of the singular value problem.
+
+The seeded randomness draws its standard normals from the standard
+library's Mersenne Twister, ``random.Random(seed).random()``, the stream
+Python documents as reproducible across versions, through Box-Muller
+(Box and Muller, Ann. Math. Stat. 29, 610 (1958)); ``numpy.random`` is
+never imported, so no run pays for loading it.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -189,6 +196,20 @@ def fidelity_pure(rho: FullDensity, psi: np.ndarray) -> float:
     return float(np.vdot(overlaps, overlaps).real)
 
 
+def checked_fidelities(values) -> tuple[float, ...]:
+    """The fidelities ``values`` as floats clipped to [0, 1].
+
+    Rounding carries a fidelity a few ulps past 0 or 1; a value within
+    TRACE_TOL of the interval is clipped onto it, and one further out (or
+    not finite) raises ValueError.
+    """
+    values = tuple(values)
+    for value in values:
+        if not -TRACE_TOL <= value <= 1.0 + TRACE_TOL:
+            raise ValueError(f"fidelity {value} outside [0, 1]")
+    return tuple(float(min(max(value, 0.0), 1.0)) for value in values)
+
+
 def trace_distance_factors(x: np.ndarray, y: np.ndarray) -> float:
     """Trace distance 0.5 * ||x x^dagger - y y^dagger||_1 of two factor-held densities.
 
@@ -253,23 +274,48 @@ def _check_hermitian(mat: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} is not Hermitian")
 
 
-def random_unitary(d: int, seed) -> np.ndarray:
-    """Haar-distributed d x d unitary via QR of a complex Gaussian matrix."""
-    rng = np.random.default_rng(seed)
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(2)
-    q, r = np.linalg.qr(z)
-    # Fixing the phases of R's diagonal makes the distribution exactly Haar.
+def _standard_normals(count: int, seed: int) -> np.ndarray:
+    """``count`` standard normals, a function of the non-negative int ``seed`` alone.
+
+    Uniforms u from ``random.Random(seed).random()`` are taken as 1 - u in
+    (0, 1], so the logarithm is finite, and paired by Box-Muller:
+    sqrt(-2 ln u1) (cos 2 pi u2, sin 2 pi u2) are two independent standard
+    normals.  ``Random`` seeds from |seed|, so a negative seed, which would
+    repeat its positive twin, is refused, as is any seed that is not an int.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValueError(f"seed must be a non-negative int, got {seed!r}")
+    pairs = (count + 1) // 2
+    uniforms = 1.0 - np.fromiter(
+        iter(random.Random(seed).random, None), dtype=np.float64, count=2 * pairs
+    )
+    radius = np.sqrt(-2.0 * np.log(uniforms[:pairs]))
+    angle = (2.0 * math.pi) * uniforms[pairs:]
+    return np.concatenate((radius * np.cos(angle), radius * np.sin(angle)))[:count]
+
+
+def random_unitary(d: int, seed: int) -> np.ndarray:
+    """Haar-distributed d x d unitary via QR of a complex Ginibre matrix.
+
+    The phases of R's diagonal are moved into Q, which makes the
+    distribution exactly Haar (Mezzadri, Notices AMS 54, 592 (2007)).  The
+    2 d^2 normals come from :func:`_standard_normals`, the standard
+    library's ``random.Random(seed)`` stream; ``seed`` is a non-negative
+    int.
+    """
+    z = _standard_normals(2 * d * d, seed).view(np.complex128).reshape(d, d)
+    q, r = np.linalg.qr(z / math.sqrt(2))
     diag = np.diagonal(r)
     return q * (diag / np.abs(diag))
 
 
-def random_pure_state(d: int, seed) -> PureState:
+def random_pure_state(d: int, seed: int) -> PureState:
     """Haar-random qudit state: a complex Gaussian vector, normalized.
 
     The Gaussian is invariant under every unitary, so its direction is
-    uniform on the sphere; no d x d unitary is drawn.
+    uniform on the sphere; no d x d unitary is drawn.  The 2 d normals come
+    from :func:`_standard_normals`, the standard library's
+    ``random.Random(seed)`` stream; ``seed`` is a non-negative int.
     """
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    z = _standard_normals(2 * d, seed).view(np.complex128)
     return PureState(z / np.linalg.norm(z))
-

@@ -61,6 +61,7 @@ from .hilbert import (
     FullDensity,
     PureState,
     check_cap,
+    checked_fidelities,
     maximally_entangled,
     fidelity_pure,
     partial_trace,
@@ -384,10 +385,12 @@ def weighted_clone(
     sqrt(alpha^2 + beta^2 + 2 alpha beta / d), which is Cerf's optimal
     asymmetric 1 -> 2 cloner.  No optimality is claimed for general
     weights; runs in full tensor space only.  ``slot_fidelities`` are the
-    single-slot fidelities with the input.  The weights are summed scaled
-    by 2^-e, with e the binary exponent of the largest: that is exact, and
-    extreme weights neither overflow nor vanish.  ``normalization`` is the
-    norm of the unscaled sum, or inf beyond the float range.
+    single-slot fidelities with the input, clipped to [0, 1] by
+    :func:`~uqcm.hilbert.checked_fidelities` as every numeric fidelity
+    is.  The weights are summed scaled by 2^-e, with e the binary
+    exponent of the largest: that is exact, and extreme weights neither
+    overflow nor vanish.  ``normalization`` is the norm of the unscaled
+    sum, or inf beyond the float range.
     """
     _check_phi(spec, phi)
     d, n_total, m_total = spec.d, spec.n_in, spec.m_out
@@ -418,7 +421,7 @@ def weighted_clone(
         raise ValueError("weighted combination vanished")
     joint = raw / norm
     density = FullDensity(joint[:, None], factors=m_total + blanks, local_dim=d)
-    fids = tuple(
+    fids = checked_fidelities(
         fidelity_pure(partial_trace(density, {s}), phi.amplitudes)
         for s in range(m_total)
     )

@@ -917,6 +917,20 @@ class TestAsymSweep:
         _, out = _run(capsys, argv + ["--format", "csv"])
         assert out.splitlines()[1].startswith("inf,")
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_payload_validates_at_every_seed(self, capsys, d):
+        # Rounding puts a raw slot fidelity a few ulps above 1 at about half
+        # of the seeds; the report must still meet the schema's maximum.
+        schema = _schema()
+        for seed in range(50):
+            status, out = _run(capsys, ["asym-sweep", "--d", str(d), "--seed", str(seed)])
+            assert status == 0
+            payload = json.loads(out)
+            jsonschema.validate(payload, schema)
+            for row in payload["rows"]:
+                assert 0.0 <= row["fidelity_a"] <= 1.0
+                assert 0.0 <= row["fidelity_b"] <= 1.0
+
     def test_a_non_finite_report_value_fails_loudly(self, capsys, monkeypatch):
         real = cli.weighted_clone
 
@@ -1036,6 +1050,33 @@ class TestSeed:
             cli.main(["table", "--d", "2", "--n", "1", "--m", "3", "--seed", "x"])
         assert exc.value.code == 2
         assert "invalid int value: 'x'" in capsys.readouterr().err
+
+    def test_no_command_imports_numpy_random(self):
+        # The seeded inputs come from the standard library's generator;
+        # numpy.random would cost every fresh process its import.
+        code = (
+            "import contextlib, io, sys\n"
+            "import uqcm.cli\n"
+            "runs = [\n"
+            "    ['table', '--d', '3', '--n', '1', '--m', '3', '--seed', '4'],\n"
+            "    ['verify', '--d', '2', '--n', '1', '--m', '2', '--trials', '2'],\n"
+            "    ['asym-sweep', '--d', '2', '--sweep-points', '3'],\n"
+            "    ['identity-check', '--d', '2', '--n', '1', '--m', '2'],\n"
+            "]\n"
+            "for argv in runs:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert uqcm.cli.main(argv) == 0, argv\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            cwd=Path(__file__).resolve().parents[1],
+            env={**os.environ, "PYTHONPATH": "src"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]
 
     def test_schema_rejects_negative_seeds(self, capsys):
         _, out = _run(capsys, ["verify", "--d", "2", "--n", "1", "--m", "2", "--trials", "1"])

@@ -1,5 +1,7 @@
 """Tests for the full-tensor-space oracle substrate."""
 
+import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -14,6 +16,7 @@ from uqcm.hilbert import (
     PureState,
     check_cap,
     check_factor,
+    checked_fidelities,
     fidelity_pure,
     maximally_entangled,
     partial_trace,
@@ -22,6 +25,7 @@ from uqcm.hilbert import (
     random_unitary,
     trace_distance_factors,
     trace_distance_matrices,
+    _standard_normals,
 )
 
 TOL = 1e-12
@@ -270,6 +274,15 @@ class TestMetrics:
         with pytest.raises(ValueError, match="amplitudes against"):
             fidelity_pure(rho, random_pure_state(3, 8).amplitudes)
 
+    def test_checked_fidelities_clip_rounding_onto_the_interval(self):
+        values = (1.0 + 4e-16, -3e-17, 0.25, 1.0 + 1e-10, -1e-10)
+        assert checked_fidelities(iter(values)) == (1.0, 0.0, 0.25, 1.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [1.0 + 2e-10, -2e-10, np.nan, np.inf])
+    def test_checked_fidelities_reject_a_value_beyond_the_tolerance(self, bad):
+        with pytest.raises(ValueError, match="outside"):
+            checked_fidelities([0.5, bad])
+
 
 class TestTraceDistanceFactors:
     @staticmethod
@@ -361,9 +374,10 @@ class TestMaximallyEntangled:
 
 class TestRandomness:
     def test_unitary_is_unitary(self):
-        for d in (2, 3, 5):
-            u = random_unitary(d, 123)
-            assert np.allclose(u @ u.conj().T, np.eye(d), atol=TOL)
+        for d in (2, 3, 5, 8, 16):
+            for seed in (0, 123, 2**31 - 1):
+                u = random_unitary(d, seed)
+                assert np.abs(u @ u.conj().T - np.eye(d)).max() < TOL
 
     def test_seeded_determinism(self):
         assert np.array_equal(random_unitary(3, 7), random_unitary(3, 7))
@@ -373,6 +387,49 @@ class TestRandomness:
 
     def test_different_seeds_differ(self):
         assert not np.allclose(random_unitary(3, 1), random_unitary(3, 2))
+        # 5 + 2^32: Random seeds from the whole int, not its low 32 bits.
+        seeds = [*range(50), 5 + 2**32]
+        states = {random_pure_state(4, seed).amplitudes.tobytes() for seed in seeds}
+        assert len(states) == len(seeds)
+
+    def test_normals_are_box_muller_of_the_stdlib_stream(self):
+        # Pins the stream: uniforms u from random.Random(seed).random(),
+        # taken as 1 - u, paired as (radius of the first half, angle of the
+        # second).  An odd count drops the last sine.
+        for seed, count in ((0, 6), (7, 5), (2**40 + 3, 2)):
+            stream = random.Random(seed)
+            pairs = (count + 1) // 2
+            u = [1.0 - stream.random() for _ in range(2 * pairs)]
+            radius = [math.sqrt(-2.0 * math.log(x)) for x in u[:pairs]]
+            angle = [2.0 * math.pi * x for x in u[pairs:]]
+            expected = [r * math.cos(a) for r, a in zip(radius, angle)]
+            expected += [r * math.sin(a) for r, a in zip(radius, angle)]
+            got = _standard_normals(count, seed)
+            assert got.shape == (count,)
+            assert np.allclose(got, expected[:count], rtol=1e-15, atol=1e-15)
+
+    def test_samplers_read_their_normals_from_the_helper(self):
+        z = _standard_normals(6, 11).view(np.complex128)
+        assert np.array_equal(random_pure_state(3, 11).amplitudes, z / np.linalg.norm(z))
+        g = _standard_normals(18, 12).view(np.complex128).reshape(3, 3) / math.sqrt(2)
+        q, r = np.linalg.qr(g)
+        diag = np.diagonal(r)
+        assert np.array_equal(random_unitary(3, 12), q * (diag / np.abs(diag)))
+
+    @pytest.mark.parametrize("seed", [-1, -5, 1.5, 2.0, "3", None, True])
+    def test_seed_must_be_a_non_negative_int(self, seed):
+        for sample in (random_pure_state, random_unitary):
+            with pytest.raises(ValueError, match="non-negative int"):
+                sample(3, seed)
+
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_first_amplitude_has_the_haar_mean(self, d):
+        # |x_0|^2 of a Haar state is Beta(1, d-1): mean 1/d, variance
+        # (d-1) / (d^2 (d+1)).
+        trials = 2000
+        weights = [abs(random_pure_state(d, seed).amplitudes[0]) ** 2 for seed in range(trials)]
+        sigma = math.sqrt((d - 1) / (d * d * (d + 1)) / trials)
+        assert abs(np.mean(weights) - 1 / d) < 5 * sigma
 
     def test_state_is_normalized(self):
         psi = random_pure_state(4, 99)
