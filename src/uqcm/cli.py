@@ -190,12 +190,13 @@ def _cmd_table(
     def row(L: int) -> dict:
         numeric = numerics[L - 1]
         closed = exact[L - 1]
+        closed_float = float(closed)
         return {
             "L": L,
             "numeric": numeric,
             "closed_rational": _rational_str(closed),
-            "closed_float": float(closed),
-            "abs_diff": abs(numeric - float(closed)),
+            "closed_float": closed_float,
+            "abs_diff": abs(numeric - closed_float),
         }
 
     rows = [row(L) for L in levels]
@@ -425,18 +426,21 @@ def _cmd_identity_check(
         ]
         config = {"d_max": d_max, "n_max": n_max, "m_max": m_max}
 
-    rows = [
-        {
-            "d": report.d,
-            "n_in": report.n_in,
-            "m_out": report.m_out,
-            "lhs": _rational_str(report.lhs),
-            "rhs": _rational_str(report.rhs),
-            "equal": report.equal,
-            "printed_summand_evaluable": report.printed_summand_evaluable,
-        }
-        for report in reports
-    ]
+    rows = []
+    for report in reports:
+        rhs = _rational_str(report.rhs)
+        rows.append(
+            {
+                "d": report.d,
+                "n_in": report.n_in,
+                "m_out": report.m_out,
+                # An equal left side is the right side's own Fraction.
+                "lhs": rhs if report.lhs is report.rhs else _rational_str(report.lhs),
+                "rhs": rhs,
+                "equal": report.equal,
+                "printed_summand_evaluable": report.printed_summand_evaluable,
+            }
+        )
     all_equal = all(r["equal"] for r in rows)
     payload = {
         "command": "identity-check",

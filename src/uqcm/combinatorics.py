@@ -27,10 +27,9 @@ decides each equality by cross-multiplying integers, and builds a second
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 
 def sym_dim(d: int, n: int) -> int:
@@ -111,9 +110,12 @@ def splitting_coefficient_sq(
     return Fraction(num, math.comb(total, kept))
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    """Outcome of checking the single-copy summation identity exactly."""
+class IdentityReport(NamedTuple):
+    """Outcome of checking the single-copy summation identity exactly.
+
+    An immutable record: a ``NamedTuple``, so assigning to a field raises
+    ``AttributeError`` and building one costs one tuple.
+    """
 
     n_in: int
     m_out: int
@@ -130,6 +132,9 @@ class IdentityReport:
 #: zero at m = 0; restoring the summand from the general L-copy fidelity at
 #: L = 1 forces the form below.
 RECONSTRUCTED_DENOMINATOR = "M * m! * (N+m-1)! * (M-N-m)! * (d-2)!"
+
+#: The ``note`` of every :class:`IdentityReport`.
+IDENTITY_NOTE = f"left side evaluated with denominator {RECONSTRUCTED_DENOMINATOR}"
 
 
 def verify_identity(n_in: int, m_out: int, d: int) -> IdentityReport:
@@ -163,8 +168,9 @@ def verify_identity_family(n_in: int, m_max: int, d: int) -> list[IdentityReport
 
     Every S(M) of the family comes from one set of prefix sums
     (:func:`_identity_sums`).  Equality is decided by cross-multiplying
-    integers; an equal left side *is* the reduced right side, so only an
-    unequal one builds a second ``Fraction``.
+    integers; an equal left side *is* the reduced right side (``lhs is
+    rhs``), so only an unequal one builds a second ``Fraction``.  Each
+    report is one tuple, and every report shares :data:`IDENTITY_NOTE`.
     """
     n = n_in
     _check_d(d)
@@ -189,7 +195,7 @@ def verify_identity_family(n_in: int, m_max: int, d: int) -> list[IdentityReport
                 # The typeset denominator contains a bare factor m, and
                 # every sum starts at m = 0: a division by zero.
                 printed_summand_evaluable=False,
-                note=f"left side evaluated with denominator {RECONSTRUCTED_DENOMINATOR}",
+                note=IDENTITY_NOTE,
             )
         )
     return reports

@@ -39,12 +39,18 @@ integer weights w[m1] = C(M-m1+d-2, d-2) C(m1, N),
 
     F_L = K * sum_{m1} w[m1] C(m1, L) / C(M, L),
 
-with 1/K = C(d+M-1, M-N).  :func:`fidelities_closed` builds w once and
-then spends one integer sum and one rational per L;
-:func:`fidelity_L_closed` runs the same code for its one L, so the
-formula has one implementation, and nothing is kept from one call to the
-next.  The specializations F_1, F_M and the N=1 simplification are
-implemented separately and checked to agree exactly.
+with 1/K = C(d+M-1, M-N).  The numerators A_L = sum_{m1} w[m1] C(m1, L)
+are the coefficients of x^L in P(1+x), where P(y) = sum_{m1} w[m1] y^m1 =
+y^N Q(y).  Each is at most sum(w) 2^M, so with B = 2^bits above that
+bound P(B+1) holds every A_L as one base-B digit, with no carry
+(Kronecker substitution).  One shift-add Horner pass over w gives
+Q(B+1), one product with the digits C(N, k) gives (B+1)^N Q(B+1), and
+one ``to_bytes`` yields the digits; everything is kept modulo
+B^(last+1), so a list stopped at L = last costs in proportion to last.
+:func:`fidelities_closed` and :func:`fidelity_L_closed` both run this
+code, so the formula has one implementation, and nothing is kept from
+one call to the next.  The specializations F_1, F_M and the N=1
+simplification are implemented separately and checked to agree exactly.
 """
 
 from __future__ import annotations
@@ -82,29 +88,48 @@ def fidelities_closed(spec: CloneSpec, upto: int | None = None) -> tuple[Fractio
 
 
 def fidelity_L_closed(spec: CloneSpec, L: int) -> Fraction:
-    """Closed-form F_L as an exact rational: one integer sum, one ``Fraction``."""
+    """Closed-form F_L as an exact rational, read off digits 0..L only."""
     return _closed_form(spec, (L,), L)[0]
 
 
 def _closed_form(spec: CloneSpec, levels, last: int) -> tuple[Fraction, ...]:
     """F_L for each L of ``levels``, the highest of which is ``last``.
 
-    The weights w[m1] are built once; each L then costs one integer sum
-    and one ``Fraction``: F_L = sum_m1 w[m1] C(m1, L) / (C(d+M-1, M-N) C(M, L)).
+    F_L = A_L / (C(d+M-1, M-N) C(M, L)), and every numerator
+    A_L = sum_m1 w[m1] C(m1, L) is one base-2^bits digit of one big integer,
+    the polynomial sum_m1 w[m1] y^m1 at y = 2^bits + 1, kept modulo
+    2^(bits (last+1)).
     """
     d, n, m_total = spec.d, spec.n_in, spec.m_out
     if not 1 <= last <= m_total:
         raise ValueError(f"need 1 <= L <= {m_total}, got L={last}")
     # 1/K = (d+M-1)! / ((d+N-1)! (M-N)!).
     inverse_k = math.comb(d + m_total - 1, m_total - n)
-    weights = [
-        math.comb(m_total - m1 + d - 2, d - 2) * math.comb(m1, n)
-        for m1 in range(n, m_total + 1)
-    ]
-    # C(m1, L) is 0 for m1 < L, so those terms drop out.
+    # w[m1] = C(M-m1+d-2, d-2) C(m1, N), with C(m1, N) stepped up in m1.
+    weights, choose_n = [], 1
+    for m1 in range(n, m_total + 1):
+        weights.append(math.comb(m_total - m1 + d - 2, d - 2) * choose_n)
+        choose_n = choose_n * (m1 + 1) // (m1 + 1 - n)
+    # C(m1, L) <= 2^M, so every A_L is below sum(w) 2^M: one whole byte count.
+    width = -(-(sum(weights) << m_total).bit_length() // 8)
+    bits = 8 * width
+    mask = (1 << bits * (last + 1)) - 1
+    # Horner for sum_m1 w[m1] y^(m1-N) at y = 2^bits + 1, by shift and add.
+    packed = 0
+    for w in reversed(weights):
+        packed = (packed << bits) + packed + w
+        if packed > mask:
+            packed &= mask
+    # Times (2^bits + 1)^N, whose digits are C(N, k).
+    binomial, digits = 1, []
+    for k in range(min(n, last) + 1):
+        digits.append(binomial.to_bytes(width, "little"))
+        binomial = binomial * (n - k) // (k + 1)
+    packed = packed * int.from_bytes(b"".join(digits), "little") & mask
+    raw = packed.to_bytes(width * (last + 1), "little")
     return tuple(
         Fraction(
-            sum(w * math.comb(m1, L) for m1, w in enumerate(weights, n)),
+            int.from_bytes(raw[L * width : (L + 1) * width], "little"),
             inverse_k * math.comb(m_total, L),
         )
         for L in levels

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import hashlib
 import io
 import json
 import math
@@ -20,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uqcm.cli as cli
-from uqcm import machines, symmetric
+from uqcm import combinatorics, machines, symmetric
 from uqcm.hilbert import (
     FullDensity,
     PureState,
@@ -986,6 +987,31 @@ class TestIdentityCheck:
         with pytest.raises(SystemExit) as exc:
             cli.main(["identity-check", "--d", "2", "--n", "1", "--m", "2", "--d-max", "3"])
         assert exc.value.code == 2
+
+    # SHA-256 of the stdout of the benchmark's identity-check op as the
+    # frozen-dataclass reports printed it; tuple reports must not move a byte.
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [
+            ("json", "b763cc55a312ef7de8c45946f875b739587e834b7437eb1231db5a68e7ff012c"),
+            ("csv", "f59d69e6d61d1bfe85cca8c40a83e14273008ec0cbaa7f606a412058424cc62c"),
+        ],
+    )
+    def test_grid_bytes_are_pinned(self, capsys, fmt, digest):
+        argv = ["identity-check", "--d-max", "6", "--n-max", "16", "--m-max", "24"]
+        status, out = _run(capsys, argv + ["--format", fmt])
+        assert status == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_unequal_row_prints_its_own_lhs(self, capsys, monkeypatch):
+        exact = combinatorics._identity_sums
+        monkeypatch.setattr(
+            combinatorics, "_identity_sums", lambda *args: [v + 1 for v in exact(*args)]
+        )
+        status, out = _run(capsys, ["identity-check", "--d", "2", "--n", "1", "--m", "2"])
+        row = json.loads(out)["rows"][0]
+        # S(2) = 5 becomes 6 over C(3, 1) * 2 = 6.
+        assert (status, row["lhs"], row["rhs"], row["equal"]) == (1, "1/1", "5/6", False)
 
 
 class TestCsvMatchesJson:

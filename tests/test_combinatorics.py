@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from uqcm import combinatorics
 from uqcm.combinatorics import (
+    IDENTITY_NOTE,
     RECONSTRUCTED_DENOMINATOR,
     IdentityReport,
     check_occupation,
@@ -223,6 +224,28 @@ class TestIdentityFamily:
             assert verify_identity_family(n, M_MAX, d) == expected
             assert [verify_identity(n, m, d) for m in range(n, M_MAX + 1)] == expected
             assert all(report.equal for report in expected)
+
+    def test_reports_are_immutable_records(self):
+        reports = verify_identity_family(2, 6, 3)
+        assert all(type(report) is IdentityReport for report in reports)
+        assert IdentityReport._fields == (
+            "n_in",
+            "m_out",
+            "d",
+            "lhs",
+            "rhs",
+            "equal",
+            "printed_summand_evaluable",
+            "note",
+        )
+        assert all(report.note is IDENTITY_NOTE for report in reports)
+        # An equal left side is the right side's own Fraction.
+        assert all(report.lhs is report.rhs for report in reports)
+        with pytest.raises(AttributeError):
+            reports[0].equal = False
+        with pytest.raises(AttributeError):
+            reports[0].lhs = Fraction(0)
+        assert reports[0].equal is True
 
     @pytest.mark.parametrize("d, n", [(2, 1), (3, 2), (5, 4), (8, 16)])
     def test_perturbed_sum_is_reported_unequal(self, monkeypatch, d, n):

@@ -100,6 +100,20 @@ class TestClosedForm:
             fidelity_L_closed(CloneSpec(2, 1, 2), 3)
 
 
+def _per_L_sum(spec, L):
+    """F_L as one integer sum over the weights, one L at a time."""
+    d, n, m_total = spec.d, spec.n_in, spec.m_out
+    inverse_k = math.comb(d + m_total - 1, m_total - n)
+    weights = [
+        math.comb(m_total - m1 + d - 2, d - 2) * math.comb(m1, n)
+        for m1 in range(n, m_total + 1)
+    ]
+    return Fraction(
+        sum(w * math.comb(m1, L) for m1, w in enumerate(weights, n)),
+        inverse_k * math.comb(m_total, L),
+    )
+
+
 class TestFidelitiesClosed:
     """One weight table per call gives every F_L exactly."""
 
@@ -117,12 +131,22 @@ class TestFidelitiesClosed:
                     fidelity_L_closed_N1(d, m, L) for L in range(1, m + 1)
                 )
 
+    @pytest.mark.parametrize(
+        "d, n, m",
+        [(2, 1, 300), (2, 40, 400), (3, 5, 120), (7, 2, 60), (2, 3, 200), (2, 1700, 1701)],
+    )
+    def test_packed_digits_equal_per_L_sums(self, d, n, m):
+        # Large M - N, d and N: every digit of the one big integer is checked.
+        spec = CloneSpec(d, n, m)
+        assert fidelities_closed(spec) == tuple(_per_L_sum(spec, L) for L in range(1, m + 1))
+
     def test_stopped_list_is_a_prefix_holding_each_single_L(self):
-        spec = CloneSpec(3, 2, 9)
-        full = fidelities_closed(spec)
-        for upto in range(1, 10):
-            assert fidelities_closed(spec, upto) == full[:upto]
-            assert fidelity_L_closed(spec, upto) == full[upto - 1]
+        # A stop truncates the one big integer to its low L+1 digits.
+        for spec in (CloneSpec(3, 2, 9), CloneSpec(2, 3, 200)):
+            full = fidelities_closed(spec)
+            for upto in range(1, spec.m_out + 1):
+                assert fidelities_closed(spec, upto) == full[:upto]
+                assert fidelity_L_closed(spec, upto) == full[upto - 1]
 
     @pytest.mark.parametrize("upto", [0, -1, 4])
     def test_out_of_range_stop_raises(self, upto):
