@@ -29,11 +29,11 @@ from .hilbert import (
     random_unitary,
 )
 from .symmetric import (
-    SymBasis,
     SymDensity,
     embed_isometry,
     expand_power,
     full_to_sym_density,
+    occupation_counts,
     projector_full,
     reduce_symmetric,
     split_table,
@@ -78,7 +78,6 @@ __all__ = [
     "IdentityReport",
     "OracleCapError",
     "PureState",
-    "SymBasis",
     "SymDensity",
     "UnifiedOracleResult",
     "WeightedCloneResult",
@@ -95,6 +94,7 @@ __all__ = [
     "fidelity_single_closed",
     "full_to_sym_density",
     "maximally_entangled",
+    "occupation_counts",
     "partial_trace",
     "permute_factors",
     "projector_full",

@@ -332,14 +332,13 @@ def _cmd_verify(
 def _cmd_asym_sweep(
     args: argparse.Namespace, parser: argparse.ArgumentParser
 ) -> tuple[int, dict, list[dict]]:
-    if args.d < 2:
-        parser.error(f"--d must be >= 2, got {args.d}")
     # The 1 -> 2 machine is built in the full space of three qudits.
     if args.d**3 > ORACLE_CAP:
         parser.error(
             f"--d {args.d} needs d^3 = {args.d**3} amplitudes, above the "
             f"oracle cap of {ORACLE_CAP}"
         )
+    spec = _checked(parser, CloneSpec, args.d, 1, 2)
     single_point = args.alpha is not None or args.beta is not None
     if single_point:
         if args.alpha is None or args.beta is None:
@@ -357,7 +356,6 @@ def _cmd_asym_sweep(
             parser.error(f"--sweep-points must be >= 2, got {points}")
         pairs = [_sweep_pair(i, points) for i in range(points)]
 
-    spec = CloneSpec(args.d, 1, 2)
     phi = random_pure_state(args.d, args.seed)
 
     def row(pair: tuple[float, float]) -> dict:
@@ -402,11 +400,7 @@ def _cmd_identity_check(
             parser.error("single-point mode needs all of --d, --n and --m")
         if any(v is not None for v in (args.d_max, args.n_max, args.m_max)):
             parser.error("give either a single point or grid bounds, not both")
-        if args.d < 2 or not 1 <= args.n <= args.m:
-            parser.error(
-                f"need d >= 2 and 1 <= n <= m, got d={args.d}, n={args.n}, m={args.m}"
-            )
-        reports = [verify_identity(args.n, args.m, args.d)]
+        reports = [_checked(parser, verify_identity, args.n, args.m, args.d)]
         config = {"d": args.d, "n_in": args.n, "m_out": args.m}
     else:
         d_max = 3 if args.d_max is None else args.d_max
@@ -468,10 +462,18 @@ def _sweep_pair(i: int, points: int) -> tuple[float, float]:
 def _clone_spec(
     args: argparse.Namespace, parser: argparse.ArgumentParser, tables: int = 1
 ) -> CloneSpec:
+    spec = _checked(parser, CloneSpec, args.d, args.n, args.m)
+    _checked(parser, check_fast_path, spec, tables)
+    return spec
+
+
+def _checked(parser: argparse.ArgumentParser, call, *args):
+    """call(*args), a ValueError from the library becoming a usage error.
+
+    That is the library's message under the usage line, and exit status 2.
+    """
     try:
-        spec = CloneSpec(args.d, args.n, args.m)
-        check_fast_path(spec, tables=tables)
-        return spec
+        return call(*args)
     except ValueError as exc:
         parser.error(str(exc))
         raise AssertionError("unreachable")

@@ -44,7 +44,7 @@ def occupation_tuples(d: int, total: int) -> Iterator[tuple[int, ...]]:
     """Plain count tuples of ``total`` particles in ``d`` slots, in canonical order.
 
     The exact layer's enumeration of the basis, and the reference that
-    the numeric table of :class:`uqcm.symmetric.SymBasis` is tested
+    the numeric table :func:`uqcm.symmetric.occupation_counts` is tested
     against.
     """
     _check_d(d)

@@ -11,17 +11,14 @@ starting from J_M = J,
 so the sweep from t = M down to M - L + 1 yields F_1..F_L together.  It
 costs d * r * sum_t D_t for r columns of J and D_t = sym_dim(d, t), and
 never forms rho, a reduction, or J itself: a
-:class:`~uqcm.symmetric.SymDensity` holds only the D_in x r amplitude
-table V that J is scattered from.  The sweep multiplies V's rows once by
-unit-modulus phases, which leaves every norm as it is and makes every
-weight the real |x_j| sqrt((a_j+1)/t).  A sweep with real weights is
-real-linear, so F_L = F_L(Re) + F_L(Im) over the two parts of the
-rotated V, and a contraction, so F_L(Im) <= ||Im||_F^2.  It sweeps the
-real part, and the imaginary part only when ||Im||_F^2 exceeds
-spacing(min_L F_L(Re)) / 4, below which it could not change a digit;
-for every machine's table, x^a times a real weight, the imaginary part
-is rounding noise far below that bound.  The first step scatters the part
-straight into level M-1, and each later step is one gather and one
+:class:`~uqcm.symmetric.SymDensity` holds, beside (d, M, N), only the
+D_in x r amplitude table V that J is scattered from.  The sweep
+multiplies V's rows once by unit-modulus phases, which leaves every norm
+as it is and makes every weight the real |x_j| sqrt((a_j+1)/t); it then
+sweeps the real part of the rotated V, and the imaginary part only when
+that could change a digit (the argument is in
+:func:`uqcm.symmetric.ladder_fidelities`).  The first step scatters the
+part straight into level M-1, and each later step is one gather and one
 batched real product per chunk of rows.  It runs over column blocks,
 holding one level-(M-1) block plus one gathered row chunk.  The blocks
 are as wide as :data:`~uqcm.hilbert.FAST_PATH_CAP` leaves room for
@@ -68,15 +65,13 @@ def fidelities_numeric(
     rho: SymDensity, phi: PureState, upto: int | None = None
 ) -> tuple[float, ...]:
     """F_1..F_upto of rho against |phi>, from one ladder sweep (all L by default)."""
-    m_total = rho.basis.total
+    m_total = rho.total
     if upto is None:
         upto = m_total
     if not 1 <= upto <= m_total:
         raise ValueError(f"need 1 <= L <= {m_total}, got L={upto}")
-    if phi.dim != rho.basis.d:
-        raise ValueError(
-            f"state dimension {phi.dim} does not match basis d={rho.basis.d}"
-        )
+    if phi.dim != rho.d:
+        raise ValueError(f"state dimension {phi.dim} does not match basis d={rho.d}")
     return checked_fidelities(ladder_fidelities(rho, phi, upto))
 
 

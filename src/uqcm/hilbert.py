@@ -50,7 +50,8 @@ ORACLE_CAP = 4096
 #: path allocates (see :func:`uqcm.machines.check_fast_path`).
 FAST_PATH_CAP = 2**25
 
-HERMITICITY_TOL = 1e-10
+#: Rounding slack on a density: on its trace, its Hermiticity and the
+#: fidelities read off it.
 TRACE_TOL = 1e-10
 NORM_TOL = 1e-12
 
@@ -244,10 +245,10 @@ def trace_distance_matrices(a: np.ndarray, b: np.ndarray) -> float:
     of its eigenvalues (its singular values are exactly those), so the
     Hermitian eigensolver's eigenvalues of ``a - b`` give the distance
     without the singular value decomposition.  ``a - b`` must be Hermitian
-    to ``HERMITICITY_TOL``: ``eigvalsh`` reads only one triangle, so a
-    non-Hermitian difference would give a wrong distance silently.  Cost
-    O(D^3); peak about two D x D complex buffers (the difference and
-    LAPACK's copy).
+    to ``TRACE_TOL`` (:func:`_check_hermitian`): ``eigvalsh`` reads only
+    one triangle, so a non-Hermitian difference would give a wrong
+    distance silently.  Cost O(D^3); peak about two D x D complex
+    buffers (the difference and LAPACK's copy).
     """
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
@@ -257,12 +258,12 @@ def trace_distance_matrices(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _check_hermitian(mat: np.ndarray, what: str) -> None:
-    """Raise ValueError unless max |mat - mat^dagger| <= HERMITICITY_TOL.
+    """Raise ValueError unless max |mat - mat^dagger| <= TRACE_TOL.
 
     The entries of mat - mat^dagger are (re - re^T) + i (im + im^T); their
     squared modulus is built in two real buffers, never a complex
-    temporary, and compared with HERMITICITY_TOL^2.  A non-finite entry
-    fails the comparison and is rejected too.
+    temporary, and compared with TRACE_TOL^2.  A non-finite entry fails
+    the comparison and is rejected too.
     """
     re, im = mat.real, mat.imag
     gap = np.subtract(re, re.T)
@@ -270,7 +271,7 @@ def _check_hermitian(mat: np.ndarray, what: str) -> None:
     imag_gap = np.add(im, im.T)
     imag_gap *= imag_gap
     gap += imag_gap
-    if not gap.max() <= HERMITICITY_TOL**2:
+    if not gap.max() <= TRACE_TOL**2:
         raise ValueError(f"{what} is not Hermitian")
 
 

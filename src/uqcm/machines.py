@@ -68,10 +68,10 @@ from .hilbert import (
     permute_factors,
 )
 from .symmetric import (
-    SymBasis,
     SymDensity,
     expand_power,
     log_factorials,
+    occupation_counts,
     pair_log_factorials,
     project_symmetric,
     split_table,
@@ -142,9 +142,9 @@ def werner_output(spec: CloneSpec, phi: PureState) -> SymDensity:
     check_fast_path(spec)
     d, n, m_total = spec.d, spec.n_in, spec.m_out
     # Powers stay out of the logarithm: a zero amplitude to the power 0 is exactly 1.
-    powers = np.prod(phi.amplitudes ** SymBasis(d, n).counts, axis=1)
+    powers = np.prod(phi.amplitudes ** occupation_counts(d, n), axis=1)
     gram = powers[:, None] * _werner_weights(d, n, m_total)
-    return SymDensity(basis=SymBasis(d, m_total), factor=gram, kept=n)
+    return SymDensity(d=d, total=m_total, factor=gram, kept=n)
 
 
 @lru_cache(maxsize=None)
@@ -157,8 +157,8 @@ def _werner_weights(d: int, n: int, m_total: int) -> np.ndarray:
     the log-multinomial is summed one slot at a time
     (:func:`~uqcm.symmetric.pair_log_factorials`).
     """
-    a = SymBasis(d, n).counts
-    k = SymBasis(d, m_total - n).counts
+    a = occupation_counts(d, n)
+    k = occupation_counts(d, m_total - n)
     log_fac = log_factorials(m_total + d - 1)
     # log(n_in! * eta^2), eta^2 = (m_out-n_in)! (n_in+d-1)! / (m_out+d-1)!
     log_prefactor = (
@@ -213,7 +213,7 @@ def fan_output(spec: CloneSpec, phi: PureState) -> SymDensity:
     norm = np.linalg.norm(table)
     if abs(norm - 1.0) > NORM_TOL:
         raise AssertionError(f"amplitude-form joint state has norm {norm}")
-    return SymDensity(basis=SymBasis(d, m_total), factor=table, kept=n_total)
+    return SymDensity(d=d, total=m_total, factor=table, kept=n_total)
 
 
 @lru_cache(maxsize=None)
@@ -226,8 +226,8 @@ def _fan_weights(d: int, n_total: int, m_total: int) -> np.ndarray:
     overflows, and the log-multinomial is summed one slot at a time
     (:func:`~uqcm.symmetric.pair_log_factorials`).
     """
-    a = SymBasis(d, n_total).counts
-    k = SymBasis(d, m_total - n_total).counts
+    a = occupation_counts(d, n_total)
+    k = occupation_counts(d, m_total - n_total)
     log_fac = log_factorials(m_total + d - 1)
     # log(eta^2), eta^2 = (m_out-n_in)! (n_in+d-1)! / (m_out+d-1)!
     log_eta_sq = (
@@ -265,7 +265,7 @@ def unified_output(spec: CloneSpec, phi: PureState) -> SymDensity:
     inputs = expand_power(phi, n_total)
     raw = inputs[:, None] * coeff
     raw /= np.linalg.norm(raw)
-    return SymDensity(basis=SymBasis(d, m_total), factor=raw, kept=n_total)
+    return SymDensity(d=d, total=m_total, factor=raw, kept=n_total)
 
 
 @dataclass(frozen=True)

@@ -16,43 +16,38 @@ densities cross as factors (:func:`sym_to_full_density`,
 each tensor axis instead of forming u^(x total).  :func:`projector_full`
 is kept as the dense reference.
 
-Every decision about the numeric occupation basis is made here: the one
-cached count table per (d, total) (:attr:`SymBasis.counts`, built by
-np.repeat passes), the one rank formula (:meth:`SymBasis.index`,
-vectorised in the split table and the embedding), the one slot-by-slot
-sum of log-factorials over pairs of occupations
-(:func:`pair_log_factorials`), the one split table of where |a>|k> sits
-in |a+k> (:func:`split_table`), the one density type, a :class:`SymDensity`
-that holds only an amplitude table, the one scatter of that table into
-its factor (:func:`scatter_factor`), and the one sweep that reads every
-F_L off a factor, one contracted qudit per step
-(:func:`ladder_fidelities`).  A vector over a basis, such as
-:func:`expand_power`'s, is a plain read-only array.  The references the
-tests compare against, :func:`reduce_symmetric`,
-:func:`full_to_sym_density` and :func:`reduced_expectation`, return
-plain factors or numbers.
+Every decision about the numeric occupation basis is made here.  A basis
+is the pair of ints (d, total); nothing wraps it.  There is one cached
+count table per (d, total) (:func:`occupation_counts`, built by
+np.repeat passes), one rank formula (``_canonical_index``, vectorised
+in the split table and the embedding), one slot-by-slot sum of
+log-factorials over pairs of occupations (:func:`pair_log_factorials`),
+one split table of where |a>|k> sits in |a+k> (:func:`split_table`), one
+density type, a :class:`SymDensity` that holds (d, total, kept) and an
+amplitude table, one scatter of that table into its factor
+(:func:`scatter_factor`), and one sweep that reads every F_L off a
+factor, one contracted qudit per step (:func:`ladder_fidelities`).  A
+vector over a basis, such as :func:`expand_power`'s, is a plain
+read-only array.  The references the tests compare against,
+:func:`reduce_symmetric`, :func:`full_to_sym_density` and
+:func:`reduced_expectation`, return plain factors or numbers.
 
 The sweep starts from a machine's D_in x r amplitude table V, never
 from the whole factor J, and runs over blocks of columns.  It first
-multiplies each block of V by the unit-modulus row phases
-psi_a = prod_j (conj x_j / |x_j|)^{a_j}; that leaves every norm as it
-is and makes every later coefficient the real |x_j| sqrt(m_j / t).  A
-sweep with real coefficients is real-linear and, being a contraction,
-gives each part of the rotated table at most that part's squared
-norm, so F_s = F_s(Re) + F_s(Im) with F_s(Im) <= ||Im||_F^2.  The real
-part is swept as a float64 table with one column for each column of
-V; the imaginary part, rounding noise for every machine's table, is
-swept the same way only when ||Im||_F^2 exceeds
-spacing(min_s F_s(Re)) / 4, below which it could not change a digit.
-The first step is d flat scatter-adds of the block's D_in * w entries
-into level M-1; each later step is one gather of the d parent rows of
-a chunk of rows and one batched real product, written over the level
-it reads in increasing row order.  It costs d * sum_t D_t per column
-and part for D_t = sym_dim(d, t), and a block holds one level-(M-1)
-block plus one gathered row chunk, kept within CHUNK_BYTES where one
-row allows it.  :func:`sweep_budget` counts everything a machine and
-the sweep allocate, in 16-byte entries, and :func:`sweep_width` makes
-the blocks as wide as FAST_PATH_CAP leaves room for.
+multiplies each block of V by unit-modulus row phases, which leave
+every norm as it is and make every later coefficient real; it sweeps
+the real part of the rotated table, and the imaginary part only when
+that could change a digit (:func:`ladder_fidelities` gives the
+argument).  The first step is d flat scatter-adds of the block's
+D_in * w entries into level M-1; each later step is one gather of the
+d parent rows of a chunk of rows and one batched real product, written
+over the level it reads in increasing row order.  It costs
+d * sum_t D_t per column and part for D_t = sym_dim(d, t), and a block
+holds one level-(M-1) block plus one gathered row chunk, kept within
+CHUNK_BYTES where one row allows it.  :func:`sweep_budget` counts
+everything a machine and the sweep allocate, in 16-byte entries, and
+:func:`sweep_width` makes the blocks as wide as FAST_PATH_CAP leaves
+room for.
 """
 
 from __future__ import annotations
@@ -82,40 +77,18 @@ from .hilbert import (
 CHUNK_BYTES = 2**19
 
 
-@dataclass(frozen=True)
-class SymBasis:
-    """Canonically ordered occupation basis of ``total`` qudits of dimension d.
-
-    (d, total) fixes the basis.  ``counts`` is its one cached, read-only
-    dim x d table (row i is the occupation vector at index i), and
-    :meth:`index` ranks a count tuple by formula, not by lookup.
-    """
-
-    d: int
-    total: int
-
-    @property
-    def dim(self) -> int:
-        return sym_dim(self.d, self.total)
-
-    @property
-    def counts(self) -> np.ndarray:
-        return _counts_table(self.d, self.total)
-
-    def index(self, m: tuple[int, ...]) -> int:
-        counts = check_occupation(m, self.d, self.total)
-        return int(_canonical_index(self.total, np.array(counts, dtype=np.intp)))
-
-
 @lru_cache(maxsize=None)
-def _counts_table(d: int, total: int) -> np.ndarray:
-    """The (d, total) basis as a read-only dim x d table, one np.repeat pass per slot.
+def occupation_counts(d: int, total: int) -> np.ndarray:
+    """The (d, total) basis as a cached, read-only dim x d table.
 
-    Rows that agree in slots 0..j-1 form one block, and within it slot j
-    runs from what those slots left down to 0, which is the canonical
-    order.  Each slot's column is its values, one per block of the next
-    slot, repeated over the rows of that block: a block that leaves t
-    for slots j+1..d-1 has sym_dim(d-j-1, t) rows.
+    Row i is the occupation vector at index i, and ``_canonical_index``
+    ranks a vector by formula, not by lookup.  The table is built one
+    np.repeat pass per slot.  Rows that agree in slots 0..j-1 form one
+    block, and within it slot j runs from what those slots left down to
+    0, which is the canonical order.  Each slot's column is its values,
+    one per block of the next slot, repeated over the rows of that
+    block: a block that leaves t for slots j+1..d-1 has
+    sym_dim(d-j-1, t) rows.
     """
     counts = np.empty((sym_dim(d, total), d), dtype=np.intp)
     left = np.array([total])
@@ -167,8 +140,8 @@ def split_table(d: int, total: int, kept: int) -> tuple[np.ndarray, np.ndarray]:
     time (:func:`pair_log_factorials`, :func:`_canonical_index`), so
     nothing larger than one table is formed, and both are read-only.
     """
-    a = SymBasis(d, kept).counts
-    k = SymBasis(d, total - kept).counts
+    a = occupation_counts(d, kept)
+    k = occupation_counts(d, total - kept)
     log_fac = log_factorials(total)
     coeff = pair_log_factorials(a, k, log_fac)
     coeff -= log_fac[a].sum(axis=1)[:, None]
@@ -204,28 +177,29 @@ def _canonical_index(total: int, *parts: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SymDensity:
-    """Density operator over a symmetric occupation basis, held as an amplitude table.
+    """Density operator over the (d, total) occupation basis, held as an amplitude table.
 
-    rho = J J^dagger for the dim x r factor J of a pure joint state with
-    its r ancilla columns still open, such as a machine's output.  J is
-    nonzero only on |a+k>|k>, so ``factor`` is the sym_dim(d, kept) x r
-    amplitude table V that J is scattered from, J[a+k, k] = V[a, k]
-    (:func:`scatter_factor`): D_in * r entries instead of D_out * r.
-    Every machine hands over its output this way with ``kept`` = n_in; at
-    ``kept`` = total the table is a single column, any pure state.
-    Construction checks the table in O(size): the shape, finite entries
-    and ||J||_F^2 = ||V||_F^2 = 1; Hermiticity and positivity hold by
-    construction.  ``joint`` scatters the whole J and ``matrix`` forms the
-    dense rho, each only when read.
+    rho = J J^dagger for the sym_dim(d, total) x r factor J of a pure
+    joint state with its r ancilla columns still open, such as a
+    machine's output.  J is nonzero only on |a+k>|k>, so ``factor`` is
+    the sym_dim(d, kept) x r amplitude table V that J is scattered from,
+    J[a+k, k] = V[a, k] (:func:`scatter_factor`): D_in * r entries
+    instead of D_out * r.  Every machine hands over its output this way
+    with ``kept`` = n_in; at ``kept`` = total the table is a single
+    column, any pure state.  Construction checks the table in O(size):
+    the shape, finite entries and ||J||_F^2 = ||V||_F^2 = 1; Hermiticity
+    and positivity hold by construction.  ``joint`` scatters the whole J
+    and ``matrix`` forms the dense rho, each only when read.
     """
 
-    basis: SymBasis
+    d: int
+    total: int
     factor: np.ndarray
     kept: int
 
     def __post_init__(self) -> None:
         factor = np.asarray(self.factor, dtype=np.complex128)
-        d, total, kept = self.basis.d, self.basis.total, self.kept
+        d, total, kept = self.d, self.total, self.kept
         if not 0 <= kept <= total:
             raise ValueError(f"kept count {kept} outside 0..{total}")
         check_factor(factor, sym_dim(d, kept))
@@ -240,7 +214,7 @@ class SymDensity:
     @cached_property
     def joint(self) -> np.ndarray:
         """The whole dim x r factor J, scattered from the table."""
-        joint = scatter_factor(self.basis.d, self.basis.total, self.kept, self.factor)
+        joint = scatter_factor(self.d, self.total, self.kept, self.factor)
         joint.setflags(write=False)
         return joint
 
@@ -254,7 +228,8 @@ class SymDensity:
 def embed(m: tuple[int, ...]) -> np.ndarray:
     """Amplitudes of the normalized permutation-invariant state with occupation m."""
     d, total = len(m), sum(m)
-    return embed_isometry(d, total)[:, SymBasis(d, total).index(m)]
+    counts = np.array(check_occupation(m, d, total), dtype=np.intp)
+    return embed_isometry(d, total)[:, _canonical_index(total, counts)]
 
 
 def embed_isometry(d: int, total: int) -> np.ndarray:
@@ -329,7 +304,7 @@ def sym_to_full_state(amplitudes: np.ndarray, d: int, total: int) -> np.ndarray:
 
 def sym_to_full_density(rho: SymDensity) -> FullDensity:
     """The full-space density iso rho iso^T, held as the factor iso @ J."""
-    d, total = rho.basis.d, rho.basis.total
+    d, total = rho.d, rho.total
     check_cap(d, total)
     return FullDensity(_expand(rho.joint, d, total), factors=total, local_dim=d)
 
@@ -378,7 +353,7 @@ def expand_power(phi: PureState, copies: int) -> np.ndarray:
     """
     if copies < 1:
         raise ValueError(f"need at least one copy, got {copies}")
-    counts = SymBasis(phi.dim, copies).counts
+    counts = occupation_counts(phi.dim, copies)
     log_fac = log_factorials(copies)
     # Powers stay out of the logarithm: a zero amplitude to the power 0 is exactly 1.
     powers = np.prod(phi.amplitudes**counts, axis=1)
@@ -406,7 +381,7 @@ def reduce_symmetric(rho: SymDensity, kept: int) -> np.ndarray:
     partial trace over any choice of traced factors.  A reference for the
     tests: :func:`ladder_fidelities` reads F_L without it.
     """
-    total, d = rho.basis.total, rho.basis.d
+    total, d = rho.total, rho.d
     if not 1 <= kept <= total:
         raise ValueError(f"kept count {kept} outside 1..{total}")
     idx, coeff = split_table(d, total, kept)
@@ -449,7 +424,7 @@ def trace_distance_bound(a: SymDensity, b: SymDensity) -> float:
     loudly.  (Permuting a table's columns moves its entries to other
     rows of J, so that changes the density and both distances.)
     """
-    if (a.basis, a.kept) != (b.basis, b.kept):
+    if (a.d, a.total, a.kept) != (b.d, b.total, b.kept):
         raise ValueError("the bound compares two amplitude tables on the same split")
     return float(np.linalg.norm(a.factor - b.factor))
 
@@ -608,7 +583,7 @@ def _sweep(
     level-(M-1) block and one gathered row chunk; the sweep costs
     d * sum_t D_t per column, for D_t = sym_dim(d, t).
     """
-    d, total = rho.basis.d, rho.basis.total
+    d, total = rho.d, rho.total
     magnitudes = np.abs(phi.amplitudes)
     columns = rho.factor.shape[1]
     # Every table is built before the first block, so no block is alive
@@ -622,7 +597,7 @@ def _sweep(
     down, down_coeff = _down_table(d, total)
     down_scale = magnitudes[:, None] * down_coeff
     # np.angle(0) = 0: a zero amplitude has phase 1.
-    phases = np.exp(-1j * (SymBasis(d, rho.kept).counts @ np.angle(phi.amplitudes)))
+    phases = np.exp(-1j * (occupation_counts(d, rho.kept) @ np.angle(phi.amplitudes)))
     values = np.zeros(upto)
     imag = 0.0
     for start in range(0, columns, width):
@@ -678,11 +653,9 @@ def _first_step(
 ) -> np.ndarray:
     """Level M-1, a float64 array, for the columns of one part of a rotated block.
 
-    ``table`` is the real part of the phase-rotated block, or its
-    imaginary part when that could change a digit: F_s = F_s(Re) +
-    F_s(Im) and F_s(Im) <= ||Im||_F^2, so :func:`ladder_fidelities`
-    sweeps it only when ||Im||_F^2 > spacing(min_s F_s(Re)) / 4.
-    ``rows[a, k]`` is the level-M row a+k that table[a, k] sits on.  In
+    ``table`` is the real or the imaginary part of the phase-rotated
+    block (:func:`ladder_fidelities` says when the imaginary part is
+    swept).  ``rows[a, k]`` is the level-M row a+k that table[a, k] sits on.  In
     each direction j the targets a+k-e_j are distinct within a column,
     so a plain ``+=`` on the flattened level adds every entry; entries
     with no qudit in level j land in a spare last row, which is cut off.
@@ -704,10 +677,8 @@ def _ladder_step(
     """The next level, sum_j scale[:, j] level[idx[:, j]], written over ``level``.
 
     ``level`` is one part of the rotated table swept so far, real or
-    imaginary (the imaginary part only when ||Im||_F^2 exceeds
-    spacing(min_s F_s(Re)) / 4, as F_s = F_s(Re) + F_s(Im) and
-    F_s(Im) <= ||Im||_F^2), one float64 column per column of V, and
-    ``scale`` is real.  Row a of the next level reads rows
+    imaginary (see :func:`ladder_fidelities`), one float64 column per
+    column of V, and ``scale`` is real.  Row a of the next level reads rows
     idx[a, j] >= a of this one (a+e_j is never ranked before a), so the
     rows are written ``chunk`` at a time in increasing order, and each
     chunk is gathered in full, d parent rows a row, before one batched
@@ -733,7 +704,7 @@ def reduced_expectation(rho: SymDensity, psi: np.ndarray, copies: int) -> float:
     tests hold :func:`ladder_fidelities` to it as the independent
     reference.
     """
-    idx, coeff = split_table(rho.basis.d, rho.basis.total, copies)
+    idx, coeff = split_table(rho.d, rho.total, copies)
     weights = psi.conj()[:, None] * coeff
     value = 0.0
     for w, where in zip(weights.T, idx.T):

@@ -259,7 +259,7 @@ class TestVerify:
         spec = machines.CloneSpec(d, n, m)
         counted = machines.check_fast_path(spec, tables=3)
         assert counted <= cli.FAST_PATH_CAP and counted < spec.dim_out * spec.dim_anc
-        for cached in (symmetric._counts_table, symmetric.split_table,
+        for cached in (symmetric.occupation_counts, symmetric.split_table,
                        symmetric.log_factorials, symmetric._down_table,
                        machines._werner_weights, machines._fan_weights):
             cached.cache_clear()
@@ -295,7 +295,7 @@ class TestVerify:
         for (d, n, m), counted in zip(points, counts):
             for module in (symmetric, machines):
                 monkeypatch.setattr(module, "FAST_PATH_CAP", counted)
-            for cached in (symmetric._counts_table, symmetric.split_table,
+            for cached in (symmetric.occupation_counts, symmetric.split_table,
                            symmetric.log_factorials, symmetric._down_table,
                            machines._werner_weights, machines._fan_weights):
                 cached.cache_clear()
@@ -328,7 +328,7 @@ class TestVerify:
             monkeypatch.setattr(module, "FAST_PATH_CAP", cap)
         assert machines.check_fast_path(spec, tables=3) == cap
         assert -(-spec.dim_anc // symmetric.sweep_width(d, m, n)) == 17
-        for cached in (symmetric._counts_table, symmetric.split_table,
+        for cached in (symmetric.occupation_counts, symmetric.split_table,
                        symmetric.log_factorials, symmetric._down_table,
                        machines._werner_weights, machines._fan_weights):
             cached.cache_clear()
@@ -353,7 +353,7 @@ class TestVerify:
         spec = machines.CloneSpec(d, n, m)
         counted = machines.check_fast_path(spec, tables=3)
         assert counted <= cli.FAST_PATH_CAP < spec.dim_out**2
-        for cached in (symmetric._counts_table, symmetric.split_table,
+        for cached in (symmetric.occupation_counts, symmetric.split_table,
                        symmetric.log_factorials, symmetric._down_table,
                        machines._werner_weights, machines._fan_weights):
             cached.cache_clear()
@@ -406,7 +406,7 @@ class TestVerify:
         for argv, counted in zip(argvs, counts):
             for module in (symmetric, machines, cli):
                 monkeypatch.setattr(module, "FAST_PATH_CAP", counted)
-            for cached in (symmetric._counts_table, symmetric.split_table,
+            for cached in (symmetric.occupation_counts, symmetric.split_table,
                            symmetric.log_factorials, symmetric._embed_columns,
                            symmetric._down_table, machines._werner_weights,
                            machines._fan_weights):
@@ -488,7 +488,7 @@ class TestOracleChecksHaveTeeth:
             table = rho.factor + 1e-8 * np.arange(rho.factor.size).reshape(
                 rho.factor.shape
             )
-            return SymDensity(rho.basis, table / np.linalg.norm(table), rho.kept)
+            return SymDensity(rho.d, rho.total, table / np.linalg.norm(table), rho.kept)
 
         monkeypatch.setattr(machines, "werner_output", perturbed)
         status, checks = self._distances(capsys)
@@ -538,7 +538,7 @@ def _perturbed(real):
     def machine(spec, phi):
         rho = real(spec, phi)
         table = rho.factor + 1e-8 * np.arange(rho.factor.size).reshape(rho.factor.shape)
-        return SymDensity(rho.basis, table / np.linalg.norm(table), rho.kept)
+        return SymDensity(rho.d, rho.total, table / np.linalg.norm(table), rho.kept)
 
     return machine
 
@@ -703,7 +703,7 @@ class TestFactorChecks:
 
         def rephased(spec, phi):
             rho = real(spec, phi)
-            return SymDensity(rho.basis, np.exp(0.5j) * rho.factor, rho.kept)
+            return SymDensity(rho.d, rho.total, np.exp(0.5j) * rho.factor, rho.kept)
 
         monkeypatch.setattr(machines, "fan_output", rephased)
         status, checks = self._checks(capsys, self.ARGV[mode])
@@ -869,6 +869,15 @@ class TestAsymSweep:
         assert err.startswith("usage: uqcm asym-sweep ")
         assert "oracle cap" in err
 
+    @pytest.mark.parametrize("d", ["1", "-3"])
+    def test_dimension_below_2_exits_2_with_the_library_message(self, capsys, d):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["asym-sweep", "--d", d])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: uqcm asym-sweep ")
+        assert f"qudit dimension must be >= 2, got {d}" in err
+
     def test_dimension_at_oracle_cap_runs(self, capsys):
         # 16^3 = 4096 amplitudes, exactly the cap.
         status, out = _run(capsys, ["asym-sweep", "--d", "16", "--sweep-points", "3"])
@@ -982,6 +991,25 @@ class TestIdentityCheck:
         with pytest.raises(SystemExit) as exc:
             cli.main(["identity-check", "--m-max", "0"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "d, n, m, message",
+        [
+            ("1", "1", "2", "qudit dimension must be >= 2, got 1"),
+            ("-3", "1", "2", "qudit dimension must be >= 2, got -3"),
+            ("2", "0", "2", "need 1 <= N <= M, got N=0, M=2"),
+            ("2", "3", "2", "need 1 <= N <= M, got N=3, M=2"),
+        ],
+    )
+    def test_point_out_of_range_exits_2_with_the_library_message(
+        self, capsys, d, n, m, message
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["identity-check", "--d", d, "--n", n, "--m", m])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: uqcm identity-check ")
+        assert message in err
 
     def test_mixed_point_and_grid_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -42,11 +42,11 @@ from uqcm.machines import (
     werner_output,
     werner_output_oracle,
 )
-from uqcm.combinatorics import splitting_coefficient_sq
+from uqcm.combinatorics import occupation_tuples, splitting_coefficient_sq
 from uqcm.symmetric import (
-    SymBasis,
     expand_power,
     log_factorials,
+    occupation_counts,
     project_symmetric,
     projector_full,
     scatter_factor,
@@ -157,8 +157,8 @@ def _reference_weights(d, n, m):
     The log-multinomial summed over a broadcast slot axis, the way the
     tables were built before they were summed one slot at a time.
     """
-    a = SymBasis(d, n).counts
-    k = SymBasis(d, m - n).counts
+    a = occupation_counts(d, n)
+    k = occupation_counts(d, m - n)
     log_fac = log_factorials(m + d - 1)
     multinomial = log_fac[a[:, None, :] + k[None, :, :]].sum(axis=2)
     log_a = log_fac[a].sum(axis=1)[:, None]
@@ -206,13 +206,13 @@ class TestWeightTables:
     def test_split_table_is_the_rank_and_the_exact_coefficient(self, d, n, extra):
         m = n + extra
         idx, coeff = split_table(d, m, n)
-        basis = SymBasis(d, m)
-        for i, a in enumerate(SymBasis(d, n).counts):
-            for j, k in enumerate(SymBasis(d, m - n).counts):
+        enumeration = list(occupation_tuples(d, m))
+        for i, a in enumerate(occupation_counts(d, n)):
+            for j, k in enumerate(occupation_counts(d, m - n)):
                 whole = tuple(int(x) for x in a + k)
-                assert idx[i, j] == basis.index(whole)
+                assert idx[i, j] == enumeration.index(whole)
                 # The count table comes from the np.repeat passes, not the rank.
-                assert tuple(basis.counts[idx[i, j]]) == whole
+                assert tuple(occupation_counts(d, m)[idx[i, j]]) == whole
                 exact = float(splitting_coefficient_sq(whole, tuple(k), m, n))
                 assert coeff[i, j] ** 2 == pytest.approx(exact, rel=1e-13)
 
@@ -641,7 +641,7 @@ class TestRunMachine:
     def test_fast_paths_build_no_occupation_vector(self, monkeypatch):
         # Cold caches, so the occupation tables are rebuilt inside the run;
         # they come from the count tuples alone, never from the exact layer.
-        for cached in (symmetric._counts_table, symmetric.split_table,
+        for cached in (symmetric.occupation_counts, symmetric.split_table,
                        machines._werner_weights, machines._fan_weights):
             cached.cache_clear()
 

@@ -19,14 +19,13 @@ from uqcm.hilbert import (
     trace_distance_factors,
 )
 from uqcm.symmetric import (
-    SymBasis,
     SymDensity,
     _canonical_index,
-    _counts_table,
     embed,
     embed_isometry,
     expand_power,
     full_to_sym_density,
+    occupation_counts,
     project_symmetric,
     projector_full,
     reduce_symmetric,
@@ -52,7 +51,7 @@ def _random_sym_density(d, total, seed, kept=None):
     rng = np.random.default_rng(seed)
     shape = (sym_dim(d, kept), sym_dim(d, total - kept))
     table = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    return SymDensity(SymBasis(d, total), table / np.linalg.norm(table), kept)
+    return SymDensity(d, total, table / np.linalg.norm(table), kept)
 
 
 def _gram(factor):
@@ -60,39 +59,24 @@ def _gram(factor):
 
 
 class TestSymBasis:
+    """The symmetric basis (d, total): its count table and the rank of a vector."""
+
     def test_dimension_and_order(self):
-        basis = SymBasis(2, 3)
-        assert basis.dim == sym_dim(2, 3) == 4
-        assert basis.counts.shape == (4, 2)
-        assert tuple(basis.counts[0]) == (3, 0)
-        assert tuple(basis.counts[-1]) == (0, 3)
-        assert not basis.counts.flags.writeable
-
-    def test_index_roundtrip(self):
-        basis = SymBasis(3, 2)
-        for i, row in enumerate(basis.counts):
-            assert basis.index(tuple(row)) == i
-
-    def test_unknown_vector_raises(self):
-        basis = SymBasis(2, 2)
-        with pytest.raises(ValueError):
-            basis.index((1, 0))
-
-    def test_wrong_slot_count_raises(self):
-        # (1, 1, 0) has the right total for (2, 2) but one slot too many.
-        basis = SymBasis(2, 2)
-        with pytest.raises(ValueError):
-            basis.index((1, 1, 0))
+        counts = occupation_counts(2, 3)
+        assert counts.shape == (sym_dim(2, 3), 2) == (4, 2)
+        assert tuple(counts[0]) == (3, 0)
+        assert tuple(counts[-1]) == (0, 3)
+        assert not counts.flags.writeable
 
     def test_negative_count_raises(self):
         # (3, -1) has the right slot count and total for (2, 2).
         with pytest.raises(ValueError, match="negative"):
-            SymBasis(2, 2).index((3, -1))
+            embed((3, -1))
 
     @settings(max_examples=60, derandomize=True)
     @given(st.integers(2, 5), st.integers(0, 6))
     def test_counts_table_is_the_enumeration(self, d, total):
-        counts = SymBasis(d, total).counts
+        counts = occupation_counts(d, total)
         assert [tuple(row) for row in counts] == list(occupation_tuples(d, total))
         assert np.array_equal(
             _canonical_index(total, counts), np.arange(sym_dim(d, total))
@@ -101,9 +85,9 @@ class TestSymBasis:
     @pytest.mark.parametrize("d,total", [(3, 300), (10, 10), (4, 150), (2, 2000), (16, 3)])
     def test_vectorised_counts_equal_the_enumeration_at_size(self, d, total):
         # The table is built by np.repeat passes, never from the tuples.
-        _counts_table.cache_clear()
+        occupation_counts.cache_clear()
         expected = np.array(list(occupation_tuples(d, total)), dtype=np.intp)
-        assert np.array_equal(SymBasis(d, total).counts, expected)
+        assert np.array_equal(occupation_counts(d, total), expected)
 
 
 class TestEmbedding:
@@ -196,6 +180,13 @@ class TestSymUnitary:
             rotated = expand_power(PureState(u @ phi.amplitudes), total)
             pushed = sym_unitary(u, total) @ expand_power(phi, total)
             assert np.allclose(rotated, pushed, atol=TOL)
+
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_no_qudits_give_the_complex_identity(self, d):
+        # At total = 0 no product with u runs; the result is still complex.
+        big = sym_unitary(random_unitary(d, 70 + d), 0)
+        assert big.dtype == np.complex128
+        assert np.array_equal(big, np.eye(1))
 
 
 def _kron_power_reference(u, total):
@@ -311,18 +302,17 @@ class TestEntangledPairProjection:
 class TestValidation:
     def test_sym_density_trace_checked(self):
         with pytest.raises(ValueError, match="trace"):
-            SymDensity(basis=SymBasis(2, 1), factor=np.ones((2, 1)), kept=1)
+            SymDensity(d=2, total=1, factor=np.ones((2, 1)), kept=1)
 
     def test_sym_density_factor_checked(self):
-        basis = SymBasis(2, 1)
         with pytest.raises(ValueError):
-            SymDensity(basis=basis, factor=np.ones((2, 1)), kept=1)
+            SymDensity(d=2, total=1, factor=np.ones((2, 1)), kept=1)
         with pytest.raises(ValueError):
-            SymDensity(basis=basis, factor=np.ones((3, 1)) / np.sqrt(3), kept=1)
+            SymDensity(d=2, total=1, factor=np.ones((3, 1)) / np.sqrt(3), kept=1)
 
     def test_kept_is_required(self):
         with pytest.raises(TypeError):
-            SymDensity(SymBasis(2, 1), np.ones((2, 1)) / np.sqrt(2))
+            SymDensity(2, 1, np.ones((2, 1)) / np.sqrt(2))
 
     def test_matrix_built_only_when_read(self):
         rho = _random_sym_density(2, 3, 99)
@@ -335,7 +325,7 @@ class TestValidation:
         rng = np.random.default_rng(98)
         table = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         table /= np.linalg.norm(table)
-        rho = SymDensity(basis=SymBasis(3, 4), factor=table, kept=2)
+        rho = SymDensity(d=3, total=4, factor=table, kept=2)
         assert "joint" not in rho.__dict__ and "matrix" not in rho.__dict__
         joint = scatter_factor(3, 4, 2, table)
         assert joint.shape == (15, 6)
@@ -345,15 +335,14 @@ class TestValidation:
         assert np.allclose(rho.matrix, joint @ joint.conj().T, atol=TOL)
 
     def test_amplitude_table_checked(self):
-        basis = SymBasis(3, 4)
         with pytest.raises(ValueError, match="does not split"):
-            SymDensity(basis=basis, factor=np.ones((6, 3)) / np.sqrt(18), kept=2)
+            SymDensity(d=3, total=4, factor=np.ones((6, 3)) / np.sqrt(18), kept=2)
         with pytest.raises(ValueError):
-            SymDensity(basis=basis, factor=np.ones((3, 6)) / np.sqrt(18), kept=2)
+            SymDensity(d=3, total=4, factor=np.ones((3, 6)) / np.sqrt(18), kept=2)
         with pytest.raises(ValueError, match="kept count"):
-            SymDensity(basis=basis, factor=np.ones((1, 1)), kept=5)
+            SymDensity(d=3, total=4, factor=np.ones((1, 1)), kept=5)
         with pytest.raises(ValueError, match="trace"):
-            SymDensity(basis=basis, factor=np.ones((6, 6)), kept=2)
+            SymDensity(d=3, total=4, factor=np.ones((6, 6)), kept=2)
 
 
 class TestTraceDistanceBound:
@@ -363,7 +352,7 @@ class TestTraceDistanceBound:
     def _table_density(rng, d, total, kept):
         shape = (sym_dim(d, kept), sym_dim(d, total - kept))
         table = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        return SymDensity(SymBasis(d, total), table / np.linalg.norm(table), kept)
+        return SymDensity(d, total, table / np.linalg.norm(table), kept)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -379,14 +368,14 @@ class TestTraceDistanceBound:
         a = self._table_density(rng, d, kept + extra, kept)
         other = self._table_density(rng, d, kept + extra, kept).factor
         table = (1 - mix) * other + mix * a.factor
-        b = SymDensity(a.basis, table / np.linalg.norm(table), kept)
+        b = SymDensity(a.d, a.total, table / np.linalg.norm(table), kept)
         bound = trace_distance_bound(a, b)
         assert bound == pytest.approx(np.linalg.norm(a.joint - b.joint), abs=1e-15)
         assert bound >= trace_distance_factors(a.joint, b.joint) - 1e-15
 
     def test_equal_tables_give_zero(self):
         a = self._table_density(np.random.default_rng(4), 3, 2, 1)
-        assert trace_distance_bound(a, SymDensity(a.basis, a.factor.copy(), a.kept)) == 0
+        assert trace_distance_bound(a, SymDensity(a.d, a.total, a.factor.copy(), a.kept)) == 0
 
     @pytest.mark.parametrize("theta", [0.3, np.pi])
     def test_a_phase_raises_the_bound_not_the_distance(self, theta):
@@ -394,7 +383,7 @@ class TestTraceDistanceBound:
         # distance stays at the rounding floor, the bound does not, so a
         # check on it fails loudly.
         a = self._table_density(np.random.default_rng(6), 3, 4, 2)
-        b = SymDensity(a.basis, np.exp(1j * theta) * a.factor, a.kept)
+        b = SymDensity(a.d, a.total, np.exp(1j * theta) * a.factor, a.kept)
         assert trace_distance_factors(a.joint, b.joint) < 1e-14
         assert trace_distance_bound(a, b) == pytest.approx(
             abs(np.exp(1j * theta) - 1), abs=1e-14
@@ -409,6 +398,18 @@ class TestTraceDistanceBound:
             trace_distance_bound(a, self._table_density(rng, 2, 4, 2))
         with pytest.raises(ValueError, match="same split"):
             trace_distance_bound(a, self._table_density(rng, 3, 5, 2))
+
+    def test_tables_of_one_shape_on_different_splits_raise(self):
+        # (2, 7, 2) and (3, 3, 1) both hold 3 x 6 tables, so only the
+        # comparison of (d, total, kept) stops the subtraction.
+        rng = np.random.default_rng(8)
+        a = self._table_density(rng, 2, 7, 2)
+        b = self._table_density(rng, 3, 3, 1)
+        assert a.factor.shape == b.factor.shape == (3, 6)
+        with pytest.raises(ValueError, match="same split"):
+            trace_distance_bound(a, b)
+        with pytest.raises(ValueError, match="same split"):
+            trace_distance_bound(b, a)
 
 
 class TestLadderTables:
