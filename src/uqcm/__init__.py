@@ -9,7 +9,6 @@ full-tensor-space constructions.
 
 from .combinatorics import (
     IdentityReport,
-    splitting_coefficient_sq,
     sym_dim,
     verify_identity,
     verify_identity_family,
@@ -30,15 +29,10 @@ from .hilbert import (
 )
 from .symmetric import (
     SymDensity,
-    embed_isometry,
     expand_power,
-    full_to_sym_density,
     occupation_counts,
-    projector_full,
-    reduce_symmetric,
     split_table,
     sym_to_full_density,
-    sym_to_full_state,
     sym_unitary,
 )
 from .machines import (
@@ -47,7 +41,6 @@ from .machines import (
     CloneSpec,
     UnifiedOracleResult,
     WeightedCloneResult,
-    explicit_1to2,
     fan_output,
     run_machine,
     unified_output,
@@ -81,9 +74,7 @@ __all__ = [
     "SymDensity",
     "UnifiedOracleResult",
     "WeightedCloneResult",
-    "embed_isometry",
     "expand_power",
-    "explicit_1to2",
     "fan_output",
     "fidelities_closed",
     "fidelities_numeric",
@@ -92,21 +83,16 @@ __all__ = [
     "fidelity_global_closed",
     "fidelity_pure",
     "fidelity_single_closed",
-    "full_to_sym_density",
     "maximally_entangled",
     "occupation_counts",
     "partial_trace",
     "permute_factors",
-    "projector_full",
     "random_pure_state",
     "random_unitary",
-    "reduce_symmetric",
     "run_machine",
     "split_table",
-    "splitting_coefficient_sq",
     "sym_dim",
     "sym_to_full_density",
-    "sym_to_full_state",
     "sym_unitary",
     "unified_output",
     "unified_output_oracle",

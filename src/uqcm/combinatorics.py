@@ -1,13 +1,11 @@
 """Exact combinatorial kernel for symmetric-subspace bookkeeping.
 
 Everything in this module is computed with arbitrary-precision integers
-and exact rationals (``fractions.Fraction``).  An occupation vector is a
-plain tuple of counts: :func:`occupation_tuples` is the exact layer's
-enumeration of the basis and :func:`check_occupation` the one validation
-of a vector.  :mod:`uqcm.symmetric` builds the numeric count table
-behind every fast path in the same order with numpy, and both it and the
-floating-point split table are tested against the tuples and exact
-coefficients here.
+and exact rationals (``fractions.Fraction``).  :mod:`uqcm.symmetric`
+builds the numeric count table behind every fast path with numpy, and
+the tests hold it and the floating-point split table to an exact
+enumeration of count tuples and to exact splitting coefficients
+(``tests/reference.py``).
 
 Occupation vectors index the completely symmetric basis: the vector
 ``(m_1, ..., m_d)`` labels the normalized permutation-invariant state of
@@ -29,7 +27,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple
 
 
 def sym_dim(d: int, n: int) -> int:
@@ -38,76 +36,6 @@ def sym_dim(d: int, n: int) -> int:
     if n < 0:
         raise ValueError(f"particle number must be >= 0, got {n}")
     return math.comb(d + n - 1, n)
-
-
-def occupation_tuples(d: int, total: int) -> Iterator[tuple[int, ...]]:
-    """Plain count tuples of ``total`` particles in ``d`` slots, in canonical order.
-
-    The exact layer's enumeration of the basis, and the reference that
-    the numeric table :func:`uqcm.symmetric.occupation_counts` is tested
-    against.
-    """
-    _check_d(d)
-    if total < 0:
-        raise ValueError(f"particle number must be >= 0, got {total}")
-    return _tuples(d, total)
-
-
-def _tuples(d: int, total: int) -> Iterator[tuple[int, ...]]:
-    # The successor in decreasing order moves one particle out of the last
-    # occupied slot j before the final one into slot j+1, which also
-    # collects everything the final slot held.
-    counts = [total] + [0] * (d - 1)
-    while True:
-        yield tuple(counts)
-        j = d - 2
-        while j >= 0 and counts[j] == 0:
-            j -= 1
-        if j < 0:
-            return
-        moved = counts[-1] + 1
-        counts[j] -= 1
-        counts[-1] = 0
-        counts[j + 1] = moved
-
-
-def check_occupation(m: Sequence[int], d: int, total: int) -> tuple[int, ...]:
-    """``m`` as a tuple of ints; ValueError unless it is ``total`` particles in ``d`` slots."""
-    counts = tuple(int(c) for c in m)
-    if len(counts) != d:
-        raise ValueError(f"{counts} has {len(counts)} slots, expected {d}")
-    if any(c < 0 for c in counts):
-        raise ValueError(f"negative occupation in {counts}")
-    if sum(counts) != total:
-        raise ValueError(f"{counts} sums to {sum(counts)}, expected {total}")
-    return counts
-
-
-def splitting_coefficient_sq(
-    m: Sequence[int], k: Sequence[int], total: int, kept: int
-) -> Fraction:
-    """Exact square of the coefficient of |m-k>|k> in the split of |m>.
-
-    Splitting the symmetric state |m> of ``total`` qudits into a front
-    group of ``kept`` qudits and a back group of ``total - kept`` qudits
-    gives the back-group occupation ``k`` the amplitude whose square is
-
-        prod_j C(m_j, k_j) / C(total, kept).
-
-    The squares over all admissible ``k`` sum to one exactly.  ``m`` and
-    ``k`` are count tuples with the same number of slots, and ``k`` must
-    fit slotwise inside ``m``.
-    """
-    if not 0 <= kept <= total:
-        raise ValueError(f"kept group size {kept} outside 0..{total}")
-    m = check_occupation(m, len(m), total)
-    k = check_occupation(k, len(m), total - kept)
-    if any(kj > mj for mj, kj in zip(m, k)):
-        raise ValueError(f"split {k} exceeds occupation {m}")
-    num = 1
-    for mj, kj in zip(m, k):
-        num *= math.comb(mj, kj)
-    return Fraction(num, math.comb(total, kept))
 
 
 class IdentityReport(NamedTuple):

@@ -14,18 +14,14 @@ A density operator over the full space is held as a factor, rho = F F^dagger
 for a d^n x r matrix F (:class:`FullDensity`), as the occupation-basis
 densities are: a pure state psi is the one-column factor
 ``psi[:, None]``, the one partial trace (:func:`partial_trace`) is a
-reshape of the factor, and the dense rho is formed only when read.  Two
+reshape of the factor, and the dense rho is never formed.  Two
 factor-held densities are compared by :func:`trace_distance_factors`,
 which is exact and works on an (r_x + r_y)-sized matrix from one QR
 factorisation, never on a d^n x d^n array.
 
 Densities enter only as factors, so the one density check is
 :func:`check_factor`, O(size): Hermiticity and positivity hold by
-construction.  :func:`trace_distance_matrices`, the dense reference for
-:func:`trace_distance_factors`, sums the absolute eigenvalues of the
-Hermitian difference from the Hermitian eigensolver instead of its
-singular values: O(D^3) for a D x D matrix, with a constant well below
-that of the singular value problem.
+construction.
 
 The seeded randomness draws its standard normals from the standard
 library's Mersenne Twister, ``random.Random(seed).random()``, the stream
@@ -39,7 +35,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -84,7 +79,7 @@ class PureState:
         amps = np.asarray(self.amplitudes, dtype=np.complex128).ravel()
         if amps.size < 2:
             raise ValueError("qudit dimension must be >= 2")
-        if abs(np.linalg.norm(amps) - 1.0) > NORM_TOL:
+        if not abs(np.linalg.norm(amps) - 1.0) <= NORM_TOL:
             raise ValueError("pure state amplitudes are not normalized")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -96,6 +91,8 @@ class PureState:
         norm = np.linalg.norm(amps)
         if norm == 0:
             raise ValueError("cannot normalize the zero vector")
+        if not np.isfinite(norm):
+            raise ValueError("cannot normalize non-finite amplitudes")
         return cls(amps / norm)
 
     @classmethod
@@ -103,9 +100,6 @@ class PureState:
         amps = np.zeros(d, dtype=np.complex128)
         amps[level] = 1.0
         return cls(amps)
-
-    def density(self) -> np.ndarray:
-        return np.outer(self.amplitudes, self.amplitudes.conj())
 
 
 @dataclass(frozen=True)
@@ -115,7 +109,6 @@ class FullDensity:
     ``factor`` is a d^factors x r matrix F.  Construction checks it in
     O(size) (:func:`check_factor`): the shape, finite entries and
     ||F||_F^2 = 1; Hermiticity and positivity hold by construction.
-    ``matrix`` forms the dense rho only when read.
     """
 
     factor: np.ndarray
@@ -127,12 +120,6 @@ class FullDensity:
         check_factor(factor, self.local_dim**self.factors)
         factor.setflags(write=False)
         object.__setattr__(self, "factor", factor)
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        mat = self.factor @ self.factor.conj().T
-        mat.setflags(write=False)
-        return mat
 
 
 def check_factor(factor: np.ndarray, dim: int) -> None:
@@ -233,28 +220,6 @@ def trace_distance_factors(x: np.ndarray, y: np.ndarray) -> float:
     small = r_x @ r_x.conj().T - r_y @ r_y.conj().T
     _check_hermitian(small, "difference of the factors' Gram matrices")
     return 0.5 * float(np.abs(np.linalg.eigvalsh(small)).sum())
-
-
-def trace_distance_matrices(a: np.ndarray, b: np.ndarray) -> float:
-    """Trace distance 0.5 * ||a - b||_1 between two Hermitian matrices of equal shape.
-
-    The dense reference: no production path calls it, since every
-    density the package compares is held as a factor and compared by
-    :func:`trace_distance_factors`; the tests hold that to this.  The
-    trace norm of a Hermitian matrix is the sum of the absolute values
-    of its eigenvalues (its singular values are exactly those), so the
-    Hermitian eigensolver's eigenvalues of ``a - b`` give the distance
-    without the singular value decomposition.  ``a - b`` must be Hermitian
-    to ``TRACE_TOL`` (:func:`_check_hermitian`): ``eigvalsh`` reads only
-    one triangle, so a non-Hermitian difference would give a wrong
-    distance silently.  Cost O(D^3); peak about two D x D complex
-    buffers (the difference and LAPACK's copy).
-    """
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    diff = a - b
-    _check_hermitian(diff, "difference of the operands")
-    return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
 
 
 def _check_hermitian(mat: np.ndarray, what: str) -> None:

@@ -31,10 +31,8 @@ table.
 and entangled-pair constructions, held as factors of at most
 d^(2 m_out - n_in) entries, with the symmetric projector applied through
 the embedding isometry instead of formed as a d^m_out x d^m_out matrix.
-``explicit_1to2`` is the closed-form symmetric 1 -> 2 map the
-entangled-pair machine is checked against.  Full-space pure states
-(the pair arrangement, the 1 -> 2 map, the asymmetric joint state) are
-plain arrays of amplitudes, copy slots leading.
+Full-space pure states (the pair arrangement, the asymmetric joint
+state) are plain arrays of amplitudes, copy slots leading.
 
 ``weighted_clone`` is the one asymmetric machine: the entangled-pair
 arrangement of ``unified_output_oracle``, summed over every permutation
@@ -211,7 +209,7 @@ def fan_output(spec: CloneSpec, phi: PureState) -> SymDensity:
     inputs = expand_power(phi, n_total)
     table = inputs[:, None] * _fan_weights(d, n_total, m_total)
     norm = np.linalg.norm(table)
-    if abs(norm - 1.0) > NORM_TOL:
+    if not abs(norm - 1.0) <= NORM_TOL:
         raise AssertionError(f"amplitude-form joint state has norm {norm}")
     return SymDensity(d=d, total=m_total, factor=table, kept=n_total)
 
@@ -295,34 +293,6 @@ def unified_output_oracle(spec: CloneSpec, phi: PureState) -> UnifiedOracleResul
     # still open is the factor of their reduced state.
     density = FullDensity(projected, factors=m_total, local_dim=d)
     return UnifiedOracleResult(lam=lam, density=density)
-
-
-def explicit_1to2(d: int, phi: PureState) -> np.ndarray:
-    """Closed-form 1 -> 2 cloner: the d^3 amplitudes on (copy, copy, ancilla).
-
-    On a basis input |l> the output is proportional to
-    |ll>|l>_a + (1/2) sum_{j != l} (|lj> + |jl>) |j>_a, extended linearly;
-    each basis image has squared norm (d+1)/2, so one global factor
-    sqrt(2/(d+1)) normalizes the whole map.
-    """
-    if d != phi.dim:
-        raise ValueError(f"state dimension {phi.dim} does not match d={d}")
-    check_cap(d, 3)
-    amps = np.zeros(d**3, dtype=np.complex128)
-    for l, x_l in enumerate(phi.amplitudes):
-        if x_l == 0:
-            continue
-        amps[(l * d + l) * d + l] += x_l
-        for j in range(d):
-            if j == l:
-                continue
-            amps[(l * d + j) * d + j] += 0.5 * x_l
-            amps[(j * d + l) * d + j] += 0.5 * x_l
-    amps *= math.sqrt(2.0 / (d + 1))
-    norm = np.linalg.norm(amps)
-    if abs(norm - 1.0) > NORM_TOL:
-        raise AssertionError(f"1->2 output has norm {norm}")
-    return amps
 
 
 @dataclass(frozen=True)

@@ -4,17 +4,14 @@ A symmetric basis state |m> = |m_1,...,m_d> is the normalized sum of all
 product strings with ``m_j`` factors in level |j> (slot j counts the
 0-based computational level j, so at d=2 the vector (2,0) embeds to |00>).
 The polynomial-size occupation representation is used for all production
-paths; :func:`embed` and friends bridge to the exponential full tensor
-space, which serves only as the verification oracle.  The bridge forms
-no d^total x d^total matrix: the embedding isometry has one nonzero per
-row, cached as those nonzeros alone (:func:`embed_isometry` builds the
-dense matrix from them for the references), so iso @ y is a row gather
-and iso^T @ x a sum over each occupation's strings.
-:func:`project_symmetric` applies P = iso iso^T that way, full-space
-densities cross as factors (:func:`sym_to_full_density`,
-:func:`full_to_sym_density`), and :func:`sym_unitary` contracts u into
-each tensor axis instead of forming u^(x total).  :func:`projector_full`
-is kept as the dense reference.
+paths; the exponential full tensor space serves only as the verification
+oracle.  The bridge forms no d^total x d^total matrix: the embedding
+isometry has one nonzero per row, cached as those nonzeros alone
+(``_embed_columns``), so iso @ y is a row gather and iso^T @ x a sum
+over each occupation's strings.  :func:`project_symmetric` applies
+P = iso iso^T that way, a density crosses to the full space as a factor
+(:func:`sym_to_full_density`), and :func:`sym_unitary` contracts u into
+each tensor axis instead of forming u^(x total).
 
 Every decision about the numeric occupation basis is made here.  A basis
 is the pair of ints (d, total); nothing wraps it.  There is one cached
@@ -28,9 +25,7 @@ amplitude table, one scatter of that table into its factor
 (:func:`scatter_factor`), and one sweep that reads every F_L off a
 factor, one contracted qudit per step (:func:`ladder_fidelities`).  A
 vector over a basis, such as :func:`expand_power`'s, is a plain
-read-only array.  The references the tests compare against,
-:func:`reduce_symmetric`, :func:`full_to_sym_density` and
-:func:`reduced_expectation`, return plain factors or numbers.
+read-only array.
 
 The sweep starts from a machine's D_in x r amplitude table V, never
 from the whole factor J, and runs over blocks of columns.  It first
@@ -59,7 +54,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .combinatorics import check_occupation, sym_dim
+from .combinatorics import sym_dim
 from .hilbert import (
     FAST_PATH_CAP,
     NORM_TOL,
@@ -189,7 +184,7 @@ class SymDensity:
     column, any pure state.  Construction checks the table in O(size):
     the shape, finite entries and ||J||_F^2 = ||V||_F^2 = 1; Hermiticity
     and positivity hold by construction.  ``joint`` scatters the whole J
-    and ``matrix`` forms the dense rho, each only when read.
+    only when read; nothing forms the dense rho.
     """
 
     d: int
@@ -217,28 +212,6 @@ class SymDensity:
         joint = scatter_factor(self.d, self.total, self.kept, self.factor)
         joint.setflags(write=False)
         return joint
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        mat = self.joint @ self.joint.conj().T
-        mat.setflags(write=False)
-        return mat
-
-
-def embed(m: tuple[int, ...]) -> np.ndarray:
-    """Amplitudes of the normalized permutation-invariant state with occupation m."""
-    d, total = len(m), sum(m)
-    counts = np.array(check_occupation(m, d, total), dtype=np.intp)
-    return embed_isometry(d, total)[:, _canonical_index(total, counts)]
-
-
-def embed_isometry(d: int, total: int) -> np.ndarray:
-    """d^total x sym_dim matrix whose columns are the embedded basis states."""
-    check_cap(d, total)
-    columns, scale, _, _ = _embed_columns(d, total)
-    iso = np.zeros((d**total, scale.size))
-    iso[np.arange(d**total), columns] = scale[columns]
-    return iso
 
 
 @lru_cache(maxsize=None)
@@ -277,15 +250,6 @@ def _compress(x: np.ndarray, d: int, total: int) -> np.ndarray:
     return np.add.reduceat(x[order], starts, axis=0) * scale[:, None]
 
 
-def projector_full(d: int, total: int) -> np.ndarray:
-    """Orthogonal projector onto the symmetric subspace, as a d^total matrix.
-
-    The dense reference only; :func:`project_symmetric` applies it.
-    """
-    iso = embed_isometry(d, total)
-    return iso @ iso.T
-
-
 def project_symmetric(x: np.ndarray, d: int, total: int) -> np.ndarray:
     """P @ x for the symmetric projector P = iso iso^T on ``total`` qudits.
 
@@ -297,31 +261,11 @@ def project_symmetric(x: np.ndarray, d: int, total: int) -> np.ndarray:
     return _expand(_compress(x, d, total), d, total)
 
 
-def sym_to_full_state(amplitudes: np.ndarray, d: int, total: int) -> np.ndarray:
-    """Full-space amplitudes iso @ amplitudes of a vector over the (d, total) basis."""
-    return embed_isometry(d, total) @ amplitudes
-
-
 def sym_to_full_density(rho: SymDensity) -> FullDensity:
     """The full-space density iso rho iso^T, held as the factor iso @ J."""
     d, total = rho.d, rho.total
     check_cap(d, total)
     return FullDensity(_expand(rho.joint, d, total), factors=total, local_dim=d)
-
-
-def full_to_sym_density(rho: FullDensity) -> np.ndarray:
-    """Compress a full-space density with symmetric support into the occupation basis.
-
-    Returns the occupation-basis factor iso^T @ F.  It keeps unit trace
-    only if F lies in the symmetric subspace, so the factor check also
-    tests the support.  A reference for the tests: nothing in the package
-    calls it.
-    """
-    d, total = rho.local_dim, rho.factors
-    check_cap(d, total)
-    factor = _compress(rho.factor, d, total)
-    check_factor(factor, sym_dim(d, total))
-    return factor
 
 
 def sym_unitary(u: np.ndarray, total: int) -> np.ndarray:
@@ -358,36 +302,10 @@ def expand_power(phi: PureState, copies: int) -> np.ndarray:
     # Powers stay out of the logarithm: a zero amplitude to the power 0 is exactly 1.
     powers = np.prod(phi.amplitudes**counts, axis=1)
     amps = powers * np.exp(0.5 * (log_fac[copies] - log_fac[counts].sum(axis=1)))
-    if abs(np.linalg.norm(amps) - 1.0) > NORM_TOL:
+    if not abs(np.linalg.norm(amps) - 1.0) <= NORM_TOL:
         raise ValueError("amplitudes are not normalized")
     amps.setflags(write=False)
     return amps
-
-
-def reduce_symmetric(rho: SymDensity, kept: int) -> np.ndarray:
-    """Partial trace down to ``kept`` qudits, natively in the occupation basis.
-
-    Entries follow the two-group splitting of each |m>:
-
-        rho_L[a, b] = sum_k f(a+k, k) f(b+k, k) rho[a+k, b+k]
-
-    with f the splitting coefficient for total qudits split as
-    (kept, total - kept).  With rho = J J^dagger this is B B^dagger for
-
-        B[a, (k, c)] = f(a+k, k) J[a+k, c],
-
-    so the reduction is returned as the factor B, gathered in one step
-    and never passing through the dense rho.  Agrees with the full-space
-    partial trace over any choice of traced factors.  A reference for the
-    tests: :func:`ladder_fidelities` reads F_L without it.
-    """
-    total, d = rho.total, rho.d
-    if not 1 <= kept <= total:
-        raise ValueError(f"kept count {kept} outside 1..{total}")
-    idx, coeff = split_table(d, total, kept)
-    factor = (coeff[:, :, None] * rho.joint[idx]).reshape(idx.shape[0], -1)
-    check_factor(factor, sym_dim(d, kept))
-    return factor
 
 
 def scatter_factor(d: int, total: int, kept: int, amplitudes: np.ndarray) -> np.ndarray:
@@ -689,25 +607,3 @@ def _ladder_step(
         part = slice(start, min(start + chunk, size))
         np.matmul(scale[part, None, :], level[idx[part]], out=level[part, None, :])
     return level[:size]
-
-
-def reduced_expectation(rho: SymDensity, psi: np.ndarray, copies: int) -> float:
-    """<psi| rho_L |psi>, with rho_L the reduction of rho to L = ``copies`` qudits.
-
-    Read straight off the factor J of rho = J J^dagger as
-
-        sum_k || sum_a conj(psi_a) f(a+k, k) J[a+k, :] ||^2,
-
-    one ancilla-sized row per traced occupation k, so neither rho nor
-    rho_L is formed.  Nothing in the package calls it: it contracts all
-    L traced qudits in one split instead of one qudit per step, and the
-    tests hold :func:`ladder_fidelities` to it as the independent
-    reference.
-    """
-    idx, coeff = split_table(rho.d, rho.total, copies)
-    weights = psi.conj()[:, None] * coeff
-    value = 0.0
-    for w, where in zip(weights.T, idx.T):
-        row = w @ rho.joint[where]
-        value += np.vdot(row, row).real
-    return value

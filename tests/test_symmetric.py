@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uqcm.combinatorics import occupation_tuples, sym_dim
+from uqcm.combinatorics import sym_dim
 from uqcm.hilbert import (
     FullDensity,
     PureState,
@@ -21,20 +21,25 @@ from uqcm.hilbert import (
 from uqcm.symmetric import (
     SymDensity,
     _canonical_index,
-    embed,
-    embed_isometry,
     expand_power,
-    full_to_sym_density,
     occupation_counts,
     project_symmetric,
-    projector_full,
-    reduce_symmetric,
     scatter_factor,
     split_table,
     sym_to_full_density,
-    sym_to_full_state,
     sym_unitary,
     trace_distance_bound,
+)
+
+from reference import (
+    dense_matrix,
+    embed,
+    embed_isometry,
+    full_to_sym_density,
+    occupation_tuples,
+    projector_full,
+    reduce_symmetric,
+    sym_to_full_state,
 )
 
 TOL = 1e-12
@@ -226,7 +231,7 @@ class TestConversionRoundtrip:
         for kept in range(4):
             rho = _random_sym_density(2, 3, 71, kept)
             back = full_to_sym_density(sym_to_full_density(rho))
-            assert np.allclose(_gram(back), rho.matrix, atol=TOL)
+            assert np.allclose(_gram(back), dense_matrix(rho), atol=TOL)
 
     def test_full_to_sym_rejects_support_outside_the_subspace(self):
         # |01> is not symmetric: iso^T keeps only half of its weight.
@@ -238,7 +243,7 @@ class TestConversionRoundtrip:
     def test_sym_to_full_preserves_trace(self):
         rho = _random_sym_density(3, 2, 72)
         full = sym_to_full_density(rho)
-        assert np.trace(full.matrix).real == pytest.approx(1.0, abs=TOL)
+        assert np.trace(dense_matrix(full)).real == pytest.approx(1.0, abs=TOL)
 
 
 class TestReduceSymmetric:
@@ -315,10 +320,11 @@ class TestValidation:
             SymDensity(2, 1, np.ones((2, 1)) / np.sqrt(2))
 
     def test_matrix_built_only_when_read(self):
+        # The density holds no dense matrix; the reference forms one from J.
         rho = _random_sym_density(2, 3, 99)
-        assert "matrix" not in rho.__dict__
-        assert rho.matrix is rho.matrix
-        assert not rho.matrix.flags.writeable
+        assert not hasattr(rho, "matrix")
+        assert np.allclose(dense_matrix(rho), _gram(rho.joint), atol=TOL)
+        assert not rho.factor.flags.writeable
 
     def test_amplitude_table_scattered_only_when_read(self):
         # (d, total, kept) = (3, 4, 2): a 6 x 6 table V for a 15 x 6 factor J.
@@ -326,13 +332,13 @@ class TestValidation:
         table = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         table /= np.linalg.norm(table)
         rho = SymDensity(d=3, total=4, factor=table, kept=2)
-        assert "joint" not in rho.__dict__ and "matrix" not in rho.__dict__
+        assert "joint" not in rho.__dict__ and not hasattr(rho, "matrix")
         joint = scatter_factor(3, 4, 2, table)
         assert joint.shape == (15, 6)
         assert np.array_equal(rho.joint, joint)
         assert rho.joint is rho.joint
         assert not rho.joint.flags.writeable
-        assert np.allclose(rho.matrix, joint @ joint.conj().T, atol=TOL)
+        assert np.allclose(dense_matrix(rho), joint @ joint.conj().T, atol=TOL)
 
     def test_amplitude_table_checked(self):
         with pytest.raises(ValueError, match="does not split"):
