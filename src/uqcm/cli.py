@@ -64,7 +64,9 @@ from .fidelity import fidelities_closed, fidelities_numeric, fidelity_single_clo
 from .hilbert import (
     FAST_PATH_CAP,
     ORACLE_CAP,
+    OracleCapError,
     PureState,
+    check_cap,
     random_pure_state,
     random_unitary,
     trace_distance_factors,
@@ -224,11 +226,11 @@ def _cmd_verify(
         parser.error(f"--trials must be positive, got {args.trials}")
     d, n, m = spec.d, spec.n_in, spec.m_out
     reason = None
-    if d ** (2 * m - n) > ORACLE_CAP:
-        reason = (
-            f"d^(2*m_out-n_in) = {d ** (2 * m - n)} exceeds the oracle cap {ORACLE_CAP}"
-        )
-    elif (entries := full_mode_entries(spec)) > FAST_PATH_CAP:
+    try:
+        check_cap(d, 2 * m - n)  # the oracles' factors
+    except OracleCapError as exc:
+        reason = str(exc)
+    if reason is None and (entries := full_mode_entries(spec)) > FAST_PATH_CAP:
         reason = (
             f"the oracle and covariance checks bring a trial to {entries} "
             f"entries, above the fast-path cap {FAST_PATH_CAP}"
@@ -332,13 +334,9 @@ def _cmd_verify(
 def _cmd_asym_sweep(
     args: argparse.Namespace, parser: argparse.ArgumentParser
 ) -> tuple[int, dict, list[dict]]:
-    # The 1 -> 2 machine is built in the full space of three qudits.
-    if args.d**3 > ORACLE_CAP:
-        parser.error(
-            f"--d {args.d} needs d^3 = {args.d**3} amplitudes, above the "
-            f"oracle cap of {ORACLE_CAP}"
-        )
     spec = _checked(parser, CloneSpec, args.d, 1, 2)
+    # The 1 -> 2 machine is built in the full space of three qudits.
+    _checked(parser, check_cap, args.d, 3)
     single_point = args.alpha is not None or args.beta is not None
     if single_point:
         if args.alpha is None or args.beta is None:

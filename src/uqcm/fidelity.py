@@ -3,8 +3,8 @@
 The numeric route reads every F_L off the factor J of the machine output
 rho = J J^dagger in one ladder sweep (:func:`uqcm.symmetric.ladder_fidelities`).
 Contracting one output qudit with <phi| maps the factor J_t of t qudits
-to J_{t-1}, d gathers of J_t's rows with weights conj(x_j) sqrt((a_j+1)/t);
-starting from J_M = J,
+to J_{t-1}, d gathers of J_t's rows with weights conj(x_j) sqrt((a_j+1)/t),
+every level's rows a prefix of one ladder table; starting from J_M = J,
 
     F_L = ||J_{M-L}||_F^2,
 

@@ -97,6 +97,8 @@ class PureState:
 
     @classmethod
     def basis(cls, d: int, level: int) -> "PureState":
+        if not 0 <= level < d:
+            raise ValueError(f"basis level {level} outside 0..{d - 1}")
         amps = np.zeros(d, dtype=np.complex128)
         amps[level] = 1.0
         return cls(amps)

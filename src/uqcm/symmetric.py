@@ -23,9 +23,9 @@ one split table of where |a>|k> sits in |a+k> (:func:`split_table`), one
 density type, a :class:`SymDensity` that holds (d, total, kept) and an
 amplitude table, one scatter of that table into its factor
 (:func:`scatter_factor`), and one sweep that reads every F_L off a
-factor, one contracted qudit per step (:func:`ladder_fidelities`).  A
-vector over a basis, such as :func:`expand_power`'s, is a plain
-read-only array.
+factor, one contracted qudit per step (:func:`ladder_fidelities`), from
+one ladder table per (d, total) (``_ladder_table``).  A vector over a
+basis, such as :func:`expand_power`'s, is a plain read-only array.
 
 The sweep starts from a machine's D_in x r amplitude table V, never
 from the whole factor J, and runs over blocks of columns.  It first
@@ -36,7 +36,8 @@ that could change a digit (:func:`ladder_fidelities` gives the
 argument).  The first step is d flat scatter-adds of the block's
 D_in * w entries into level M-1; each later step is one gather of the
 d parent rows of a chunk of rows and one batched real product, written
-over the level it reads in increasing row order.  It costs
+over the level it reads in increasing row order.  Every level is a
+prefix of level M-1, so all steps read one ladder table.  It costs
 d * sum_t D_t per column and part for D_t = sym_dim(d, t), and a block
 holds one level-(M-1) block plus one gathered row chunk, kept within
 CHUNK_BYTES where one row allows it.  :func:`sweep_budget` counts
@@ -356,19 +357,19 @@ def sweep_budget(d: int, total: int, kept: int) -> tuple[int, int, int]:
 
     * held, alive from the machine to the last block: the D_in x r
       table V, the input-independent tables cached for the problem (its
-      split table and the werner and fan weight tables), every ladder
-      table, count table and log-factorial vector, one step's real
-      coefficients and the D_in row phases, the d x D_total first-step
-      index and coefficient rows and those rows scaled by |x_j|, one
-      later step's gathered row chunk at its CHUNK_BYTES cap, and
-      numpy's ufunc buffers;
+      split table, the werner and fan weight tables, their count tables
+      and log(t!) vectors), the ladder table, every level's coefficients
+      and the count table of level total-1, one step's real coefficients
+      and the D_in row phases, the d x D_total first-step index and
+      coefficient rows and those rows scaled by |x_j|, one later step's
+      gathered row chunk at its CHUNK_BYTES cap, and numpy's ufunc buffers;
     * transient, before the first block: the largest of what builds one
-      cached table.  A split or weight table on rows x cols is summed
-      one slot at a time: one slot's index and term beside the sum
-      (rows x cols), and the suffix sums of both bases
+      cached table.  A split, weight or ladder table on rows x cols is
+      summed one slot at a time: one slot's index and term beside the
+      sum (rows x cols), and the suffix sums of both bases
       ((rows + cols) d / 2).  That is D_in x r for the problem's tables
-      and D_{total-1} x d for the largest ladder table.  A count table
-      is built one np.repeat pass per slot, at most 3 D_total;
+      and D_{total-1} x d for the ladder table.  A count table is built
+      one np.repeat pass per slot, at most 3 entries a row;
     * per_column, for each column of a block: one column of level
       total-1, plus the first step's transients (the phase-rotated
       complex block, its real or imaginary part, one direction's flat
@@ -386,29 +387,29 @@ def sweep_budget(d: int, total: int, kept: int) -> tuple[int, int, int]:
     """
     d_in, r = sym_dim(d, kept), sym_dim(d, total - kept)
     upper = sym_dim(d, total - 1) if total >= 1 else 0
-    # idx and coeff, 8 bytes each, and the werner and fan weights, 8 bytes each.
-    tables = 2 * d_in * r
-    # idx and coeff of each (t, t-1) split table, sym_dim(d+1, T) being
-    # sum_{t<=T} D_t; one step's real coefficients, 8 bytes over
-    # D_{total-2} x d, and the D_in <= D_{total-1} row phases.
-    ladder = d * (sym_dim(d + 1, total - 1) if total >= 1 else 0) + d * upper
-    counts = d * sym_dim(d + 1, total) // 2
+    # idx and coeff, 8 bytes each, the werner and fan weights, 8 bytes
+    # each, and the count tables of both bases, 8 bytes a slot.
+    tables = 2 * d_in * r + d * (d_in + r) // 2
+    # The count table of level total-1, the ladder table and one step's
+    # real coefficients, 8 bytes over at most D_{total-1} x d each; every
+    # level's coefficients, 8 bytes over D_{t-1} x d for t < total,
+    # sym_dim(d+1, T) being sum_{t<=T} D_t; and the D_in row phases.
+    below = sym_dim(d + 1, total - 2) if total >= 2 else 0
+    ladder = d * (3 * upper + below) // 2 + d_in
     # The first step's cached index and coefficient rows, one entry a
     # slot, and the rows scaled by |x_j|, half an entry a slot.
     down = 3 * d * sym_dim(d, total) // 2
-    # log(t!) vectors cached for every t below total + d, 8 bytes an entry.
-    factorials = (total + d) * (total + d + 1) // 4
-    # Array headers and cache entries of the per-level tables, about 1 kB
-    # a level; the first step's column offsets, below one column; numpy's
-    # ufunc buffers, and a row chunk's gather, at most CHUNK_BYTES and
-    # one buffer more.
+    # Array headers and cache entries of the per-level steps and the
+    # three log(t!) vectors, about 1 kB a level; the first step's
+    # column offsets, below one column; numpy's ufunc buffers, and a row
+    # chunk's gather, at most CHUNK_BYTES and one buffer more.
     overhead = 64 * (total + 1) + upper + 3 * np.getbufsize() + CHUNK_BYTES // 16
-    held = d_in * r + tables + ladder + counts + down + factorials + overhead
+    held = d_in * r + tables + ladder + down + overhead
 
     def build(rows: int, cols: int) -> int:
         return rows * cols + (rows + cols) * d // 2
 
-    transient = max(build(d_in, r), build(upper, d), 3 * sym_dim(d, total))
+    transient = max(build(d_in, r), build(upper, d), 3 * max(upper, d_in, r))
     per_column = upper + 1 + max(4 * d_in, d)
     return held, transient, per_column
 
@@ -436,8 +437,8 @@ def ladder_fidelities(rho: SymDensity, phi: PureState, upto: int) -> np.ndarray:
 
         J_{t-1}[a, :] = sum_j conj(x_j) sqrt((a_j+1)/t) J_t[a+e_j, :]
 
-    reads the (t, t-1) split table, whose columns are the single-qudit
-    occupations e_j, and F_s = ||J_{M-s}||_F^2.
+    reads where a+e_j sits off the first D_{t-1} rows of one ladder
+    table (``_ladder_table``), and F_s = ||J_{M-s}||_F^2.
 
     The sweep runs in real arithmetic.  With u_j = conj(x_j) / |x_j|
     (u_j = 1 where x_j = 0) and the unit-modulus row phases
@@ -487,8 +488,9 @@ def _sweep(
     Columns being independent, the sweep runs over blocks of
     :func:`sweep_width` columns and sums F_s over them.  Every later
     step is one gather of the d parent rows of a chunk of the next
-    level's rows and one batched real product, written over the rows of
-    the level it reads in increasing order (:func:`_ladder_step`).  A
+    level's rows, read off the ladder table (:func:`_ladder_table`), and
+    one batched real product, written over the rows of the level it
+    reads in increasing order (:func:`_ladder_step`).  A
     chunk is at most half of the next level; at most CHUNK_BYTES of
     gather, which :func:`sweep_budget` counts as held; and at most
     D_{M-2} + 1 rows over d + 1, so that its gather is no larger than a
@@ -506,13 +508,13 @@ def _sweep(
     columns = rho.factor.shape[1]
     # Every table is built before the first block, so no block is alive
     # while one is being built.
-    ladder = [split_table(d, t, t - 1) for t in range(total - 1, total - upto, -1)]
-    size = sym_dim(d, total - 1)
+    up, steps, down, down_coeff = _ladder_table(d, total)
+    # Steps t = total-1 down to total-upto+1.
+    ladder = steps[total - upto : total - 1][::-1]
     # Rows of a chunk whose gather is no larger than a level-(M-2) block.
     smaller = max(1, ((sym_dim(d, total - 2) if total >= 2 else 0) + 1) // (d + 1))
     width = sweep_width(d, total, rho.kept)
     rows = split_table(d, total, rho.kept)[0]
-    down, down_coeff = _down_table(d, total)
     down_scale = magnitudes[:, None] * down_coeff
     # np.angle(0) = 0: a zero amplitude has phase 1.
     phases = np.exp(-1j * (occupation_counts(d, rho.kept) @ np.angle(phi.amplitudes)))
@@ -523,7 +525,7 @@ def _sweep(
         rotated = rho.factor[:, block] * phases[:, None]
         imag += np.vdot(rotated.imag, rotated.imag)
         level = _first_step(
-            np.ascontiguousarray(part(rotated)), rows[:, block], down, down_scale, size
+            np.ascontiguousarray(part(rotated)), rows[:, block], down, down_scale, len(up)
         )
         del rotated
         values[0] += np.vdot(level, level)
@@ -541,25 +543,39 @@ def _sweep(
 
 
 @lru_cache(maxsize=None)
-def _down_table(d: int, total: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where each |m> of ``total`` qudits goes when one qudit in level j is removed.
+def _ladder_table(
+    d: int, total: int
+) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...], np.ndarray, np.ndarray]:
+    """Every step's tables for a sweep down from ``total`` qudits, read-only.
 
-    ``down[j, i]`` is the (d, total-1) index of m_i - e_j and
-    ``coeff[j, i]`` its (total, total-1) split coefficient
-    sqrt(m_j / total), one contiguous row per direction j; where m_j = 0
-    the index is sym_dim(d, total-1), one row past the end, and the
-    coefficient is 0.  Both are read-only and independent of the input,
-    which scales row j by |x_j|.
+    In the canonical order m -> m + e_0 maps the (d, t-1) basis onto the
+    first D_{t-1} rows of the (d, t) basis, in order: every level below
+    ``total`` is a prefix of level total-1, slot 0 lowered by the
+    difference.  ``up[i, j]`` is the (d, total) index of row i of level
+    total-1 plus e_j; step t reads ``steps[t-1]``, ``up[:D_{t-1}]`` and
+    sqrt((a_j+1)/t) over the rows a of level t-1.  ``down`` inverts ``up``
+    for the first step, one row per direction j: ``down[j, i]`` is the
+    (d, total-1) index of m_i - e_j, or D_{total-1} where m_j = 0, and
+    ``down_coeff[j, i]`` is sqrt(m_j / total).
     """
-    idx, coeff = split_table(d, total, total - 1)
-    down = np.full((d, sym_dim(d, total)), idx.shape[0])
+    counts = occupation_counts(d, total - 1)
+    up = _canonical_index(total, counts[:, None, :], np.eye(d, dtype=np.intp))
+    # One allocation a level, kept: freed temporaries left glibc's heap
+    # holding 255 MB of peak RSS at (3,300,301) unified, against 152 MB.
+    coeffs = []
+    for t in range(1, total + 1):
+        raised = counts[: sym_dim(d, t - 1)] + 1.0
+        raised[:, 0] -= total - t
+        raised /= t
+        coeffs.append(np.sqrt(raised, out=raised))
+    down = np.full((d, sym_dim(d, total)), counts.shape[0])
     down_coeff = np.zeros((d, sym_dim(d, total)))
     slots = np.arange(d)
-    down[slots, idx] = np.arange(idx.shape[0])[:, None]
-    down_coeff[slots, idx] = coeff
-    down.setflags(write=False)
-    down_coeff.setflags(write=False)
-    return down, down_coeff
+    down[slots, up] = np.arange(counts.shape[0])[:, None]
+    down_coeff[slots, up] = coeffs.pop()
+    for table in (up, down, down_coeff, *coeffs):
+        table.setflags(write=False)
+    return up, tuple((up[: len(c)], c) for c in coeffs), down, down_coeff
 
 
 def _first_step(

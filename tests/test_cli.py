@@ -302,7 +302,7 @@ class TestVerify:
         # is swept in 17 blocks.  The tables are released before the
         # sweeps, so the block is not counted beside them; one trial, tables
         # built inside the traced span, passes within the count.  A trial
-        # that kept the tables through its sweeps would pass the count by 16%.
+        # that kept the tables through its sweeps would pass the count by 18%.
         d, n, m = 8, 2, 7
         spec = machines.CloneSpec(d, n, m)
         held, transient, per_column = symmetric.sweep_budget(d, m, n)
@@ -1283,6 +1283,51 @@ class TestGoldenOutput:
             "d,n_in,m_out,lhs,rhs,equal,printed_summand_evaluable\n"
             "2,1,2,5/6,5/6,true,false\n",
         )
+
+    # SHA-256 of the stdout of the benchmark's `table` ops at seed 0, with
+    # the sweep's coefficients sqrt((a_j+1)/t) read off one ladder table.
+    # A multithreaded BLAS sums the long dot products of the qudit-dense
+    # points in another order, so they run in a child with one thread.
+    TABLE_DIGESTS = [
+        ((2, 1, 40), "werner", "6201f0f4446006e594aa47098054d47703af1a97140dce5cf1edc1dab02d2496"),
+        ((2, 1, 40), "fan", "3dfc2fee7e631781b2803e2ad7929b44d7586b1e63b9d1ca9dc860429549c420"),
+        ((2, 1, 40), "unified", "fd61b5836f43da0353421a94d933bb45651d58918c8ec1153db41241ca2e0034"),
+        ((2, 8, 48), "werner", "4504936741ee79268c83a7beea7be828c707ef5b5e4670b6c83572ae24388ec8"),
+        ((2, 8, 48), "fan", "dc73a2f08ed4c42f0f5cc900e0744457a1402405afb5bb57162fabd499d34975"),
+        ((2, 8, 48), "unified", "900ca51fc82a5886e719556166826cc7e97acae62e50b11b70503f3758b8adc5"),
+        ((3, 2, 12), "fan", "1c51fcabc4f5358cfeb02a6e2ed484abb77cfb91d24c8e7e5d245efac34eb774"),
+        ((3, 2, 12), "unified", "ff106db092bd0a87105e549891cfdc19a388218f95a943fe5ac02e7f44f8c1e1"),
+        ((5, 2, 8), "fan", "1c96811119cbbae2463cb9b4b30f7e3e71da90d1d386a2d666ca5c8f5023089c"),
+        ((6, 2, 7), "unified", "def17fbb7401cc2c7944389d8abb88fead26c923b6244a02b3b59d016b3bacfc"),
+        ((9, 2, 5), "fan", "9e7ec1c75ecf1439fbe6e7101934d8dab38fb0224865da58e3188e9933dacbd4"),
+    ]
+
+    def test_benchmark_table_bytes_are_pinned(self):
+        argvs = [
+            ["table", "--d", str(d), "--n", str(n), "--m", str(m), "--machine", machine,
+             "--seed", "0"]
+            for (d, n, m), machine, _ in self.TABLE_DIGESTS
+        ]
+        code = (
+            "import contextlib, hashlib, io, json, sys\n"
+            "import uqcm.cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        assert uqcm.cli.main(argv) == 0, argv\n"
+            "    print(hashlib.sha256(out.getvalue().encode()).hexdigest())\n"
+        )
+        one_thread = {name: "1" for name in
+                      ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        proc = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(argvs)],
+            capture_output=True,
+            text=True,
+            cwd=Path(__file__).resolve().parents[1],
+            env={**os.environ, **one_thread, "PYTHONPATH": "src"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [digest for _, _, digest in self.TABLE_DIGESTS]
 
 
 class TestConsoleScript:

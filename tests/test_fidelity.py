@@ -449,6 +449,62 @@ class TestLadderSweep:
             tracemalloc.stop()
         assert peak <= 16 * cap
 
+    @pytest.mark.parametrize("d,n,m,machine", [(3, 40, 41, "unified"), (2, 200, 201, "fan")])
+    def test_budget_counts_the_ladder_at_large_m(self, d, n, m, machine):
+        # At M = N+1 the table has d columns, and the ladder table and the
+        # coefficients of every level are what the sweep holds; every table
+        # is built inside the traced span.
+        spec = CloneSpec(d, n, m)
+        counted = check_fast_path(spec)
+        phi = random_pure_state(d, 99)
+        clear_caches()
+        tracemalloc.start()
+        try:
+            values = fidelities_numeric(run_machine(spec, phi, machine), phi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * counted
+        closed = fidelities_closed(spec)
+        assert max(abs(v - float(c)) for v, c in zip(values, closed)) <= TOL
+
+    @pytest.mark.parametrize(
+        "d,n,m,machine", [(3, 2, 7, "unified"), (2, 3, 9, "fan"), (4, 2, 6, "werner")]
+    )
+    def test_sweep_builds_no_table_below_the_top_level(self, d, n, m, machine, monkeypatch):
+        # Every level reads a prefix of the one ladder table of level M-1,
+        # so a sweep builds no split, count or log-factorial table below
+        # that.  It reads the problem's tables: the input basis (d, N), and
+        # the (d, M, N) split table of the first step, built here first for
+        # the machines that do not read it.
+        spec = CloneSpec(d, n, m)
+        phi = random_pure_state(d, 96)
+        clear_caches()
+        rho = run_machine(spec, phi, machine)
+        symmetric.split_table(d, m, n)
+        built = symmetric.occupation_counts.cache_info().currsize
+        calls = []
+        for name in ("split_table", "occupation_counts", "log_factorials"):
+            original = getattr(symmetric, name)
+
+            def spy(*args, _name=name, _original=original):
+                calls.append((_name, args))
+                return _original(*args)
+
+            monkeypatch.setattr(symmetric, name, spy)
+        values = fidelities_numeric(rho, phi)
+        assert calls
+        assert set(calls) <= {
+            ("split_table", (d, m, n)),
+            ("occupation_counts", (d, m - 1)),
+            ("occupation_counts", (d, n)),
+        }
+        # Of those, only the level M-1 count table is new.
+        monkeypatch.undo()
+        assert symmetric.occupation_counts.cache_info().currsize == built + 1
+        closed = fidelities_closed(spec)
+        assert max(abs(v - float(c)) for v, c in zip(values, closed)) <= TOL
+
 
 def _random_table(rng, d, total, kept):
     """A unit-norm complex amplitude table on the split (total, kept) that no machine made."""

@@ -71,6 +71,11 @@ class TestPureState:
         assert psi.amplitudes[1] == 1
         assert psi.dim == 3
 
+    @pytest.mark.parametrize("level", [-1, 3])
+    def test_basis_level_outside_the_qudit_raises(self, level):
+        with pytest.raises(ValueError, match="outside 0..2"):
+            PureState.basis(3, level)
+
     def test_unnormalized_raises(self):
         with pytest.raises(ValueError):
             PureState(np.array([1.0, 1.0]))

@@ -278,7 +278,7 @@ class TestFastPathCap:
             assert counted <= FAST_PATH_CAP
         assert check_fast_path(CloneSpec(8, 2, 8), tables=3) < 6435 * 1716
         spec = CloneSpec(10, 2, 10)
-        assert check_fast_path(spec, tables=3) == check_fast_path(spec) == 33_527_719
+        assert check_fast_path(spec, tables=3) == check_fast_path(spec) == 33_533_690
         check_fast_path(CloneSpec(10, 3, 11))
         with pytest.raises(FastPathCapError, match=r"3 machines \(220 x 24310 each\)"):
             check_fast_path(CloneSpec(10, 3, 11), tables=3)

@@ -21,6 +21,7 @@ from uqcm.hilbert import (
 from uqcm.symmetric import (
     SymDensity,
     _canonical_index,
+    _ladder_table,
     expand_power,
     occupation_counts,
     project_symmetric,
@@ -422,9 +423,34 @@ class TestLadderTables:
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_raising_never_moves_a_vector_forward(self, d):
         # The sweep overwrites a level in place because a + e_j is never
-        # ranked before a: idx[a, j] >= a for every row a and slot j.
-        for total in range(1, 8):
-            idx, _ = split_table(d, total, total - 1)
-            rows = np.arange(idx.shape[0])[:, None]
-            assert (idx >= rows).all()
-            assert (idx[:, 0] == rows[:, 0]).all()
+        # ranked before a: up[a, j] >= a for every row a and slot j, and
+        # every level reads a prefix of these rows.
+        up = _ladder_table(d, 8)[0]
+        rows = np.arange(up.shape[0])[:, None]
+        assert (up >= rows).all()
+        assert (up[:, 0] == rows[:, 0]).all()
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_every_level_is_a_prefix_of_the_top_level(self, d):
+        # Level t-1 is the first D_{t-1} rows of level total-1, slot 0
+        # lowered by total-t: its index rows, counts and coefficients are
+        # those of the (t, t-1) split table, and the first step's table is
+        # the (total, total-1) split inverted.
+        slots = np.arange(d)
+        for total in range(1, 9):
+            up, steps, down, down_coeff = _ladder_table(d, total)
+            assert len(steps) == total - 1
+            top = occupation_counts(d, total - 1)
+            for t in range(1, total + 1):
+                idx, coeff = split_table(d, t, t - 1)
+                rows, ours = steps[t - 1] if t < total else (up, down_coeff[slots, up])
+                assert np.array_equal(rows, idx) and np.array_equal(rows, up[: len(idx)])
+                shifted = top[: len(idx)].copy()
+                shifted[:, 0] -= total - t
+                assert (shifted == occupation_counts(d, t - 1)).all()
+                np.testing.assert_allclose(ours, coeff, rtol=1e-14, atol=0)
+            assert (down[slots, up] == np.arange(up.shape[0])[:, None]).all()
+            missing = np.ones(down.shape, dtype=bool)
+            missing[slots, up] = False
+            assert (down[missing] == up.shape[0]).all()
+            assert (down_coeff[missing] == 0).all()
