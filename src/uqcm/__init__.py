@@ -31,7 +31,7 @@ from .symmetric import (
     SymDensity,
     expand_power,
     occupation_counts,
-    split_table,
+    split_index,
     sym_to_full_density,
     sym_unitary,
 )
@@ -90,7 +90,7 @@ __all__ = [
     "random_pure_state",
     "random_unitary",
     "run_machine",
-    "split_table",
+    "split_index",
     "sym_dim",
     "sym_to_full_density",
     "sym_unitary",

@@ -23,9 +23,9 @@ is subject to :data:`~uqcm.hilbert.FAST_PATH_CAP`.  Each table is a
 vector over the inputs a, which depends on phi, times a read-only
 dim_in x dim_anc weight table, which depends only on (d, n_in, m_out)
 and is cached per problem: ``_werner_weights``, ``_fan_weights`` and
-the split table's coefficients.  Each is built from its own formula, one
-occupation slot at a time, and werner and fan never read the split
-table.
+``_unified_weights``, the splitting coefficients.  Each is built from
+its own formula, one occupation slot at a time, from the same count
+tables and log(t!) vector, and no machine reads another's table.
 ``*_oracle`` variants rebuild the same object in the full tensor space
 (subject to the oracle cap) for verification: the same projector-form
 and entangled-pair constructions, held as factors of at most
@@ -72,7 +72,6 @@ from .symmetric import (
     occupation_counts,
     pair_log_factorials,
     project_symmetric,
-    split_table,
     sweep_budget,
     sweep_width,
 )
@@ -259,11 +258,34 @@ def unified_output(spec: CloneSpec, phi: PureState) -> SymDensity:
     _check_phi(spec, phi)
     check_fast_path(spec)
     d, n_total, m_total = spec.d, spec.n_in, spec.m_out
-    _, coeff = split_table(d, m_total, n_total)
     inputs = expand_power(phi, n_total)
-    raw = inputs[:, None] * coeff
+    raw = inputs[:, None] * _unified_weights(d, n_total, m_total)
     raw /= np.linalg.norm(raw)
     return SymDensity(d=d, total=m_total, factor=raw, kept=n_total)
+
+
+@lru_cache(maxsize=None)
+def _unified_weights(d: int, n_total: int, m_total: int) -> np.ndarray:
+    """f(a+k, k) = sqrt(prod_j C(a_j+k_j, k_j) / C(m_out, n_in)), read-only.
+
+    The D_in x r splitting coefficients of :func:`unified_output`, rows
+    over the inputs a and columns over the ancilla k: the amplitude of
+    |a>|k> in the split of |a+k> into n_in and m_out - n_in qudits.  It
+    is formed from log-factorials, so no factorial is ever converted to
+    a float, and the log-multinomial is summed one slot at a time
+    (:func:`~uqcm.symmetric.pair_log_factorials`).
+    """
+    a = occupation_counts(d, n_total)
+    k = occupation_counts(d, m_total - n_total)
+    log_fac = log_factorials(m_total + d - 1)
+    weights = pair_log_factorials(a, k, log_fac)
+    weights -= log_fac[a].sum(axis=1)[:, None]
+    weights -= log_fac[k].sum(axis=1)[None, :]
+    weights -= log_fac[m_total] - log_fac[n_total] - log_fac[m_total - n_total]
+    weights *= 0.5
+    np.exp(weights, out=weights)
+    weights.setflags(write=False)
+    return weights
 
 
 @dataclass(frozen=True)

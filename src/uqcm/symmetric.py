@@ -17,15 +17,16 @@ Every decision about the numeric occupation basis is made here.  A basis
 is the pair of ints (d, total); nothing wraps it.  There is one cached
 count table per (d, total) (:func:`occupation_counts`, built by
 np.repeat passes), one rank formula (``_canonical_index``, vectorised
-in the split table and the embedding), one slot-by-slot sum of
-log-factorials over pairs of occupations (:func:`pair_log_factorials`),
-one split table of where |a>|k> sits in |a+k> (:func:`split_table`), one
-density type, a :class:`SymDensity` that holds (d, total, kept) and an
-amplitude table, one scatter of that table into its factor
-(:func:`scatter_factor`), and one sweep that reads every F_L off a
-factor, one contracted qudit per step (:func:`ladder_fidelities`), from
-one ladder table per (d, total) (``_ladder_table``).  A vector over a
-basis, such as :func:`expand_power`'s, is a plain read-only array.
+in the split index and the embedding), one slot-by-slot sum of
+log-factorials over pairs of occupations (:func:`pair_log_factorials`,
+which the machines' weight tables are built from), one split index of
+where |a>|k> sits in |a+k> (:func:`split_index`), one density type, a
+:class:`SymDensity` that holds (d, total, kept) and an amplitude table
+and scatters it into its factor when ``joint`` is read, and one sweep
+that reads every F_L off a factor, one contracted qudit per step
+(:func:`ladder_fidelities`), from one ladder table per (d, total)
+(``_ladder_table``).  A vector over a basis, such as
+:func:`expand_power`'s, is a plain read-only array.
 
 The sweep starts from a machine's D_in x r amplitude table V, never
 from the whole factor J, and runs over blocks of columns.  It first
@@ -122,33 +123,21 @@ def pair_log_factorials(a: np.ndarray, k: np.ndarray, log_fac: np.ndarray) -> np
 
 
 @lru_cache(maxsize=None)
-def split_table(d: int, total: int, kept: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where and with what weight |a>|k> sits in the two-group split of |a+k>.
+def split_index(d: int, total: int, kept: int) -> np.ndarray:
+    """Where |a>|k> sits in the two-group split of |a+k>, read-only.
 
     Rows run over the (d, kept) basis a, columns over the
-    (d, total - kept) basis k.  ``idx[a, k]`` is the (d, total) basis
-    index of a+k, and
-
-        coeff[a, k] = sqrt(prod_j C(a_j+k_j, k_j) / C(total, kept)),
-
-    the splitting coefficient, is formed from log-factorials so that no
-    factorial is ever converted to a float.  Both are built one slot at a
-    time (:func:`pair_log_factorials`, :func:`_canonical_index`), so
-    nothing larger than one table is formed, and both are read-only.
+    (d, total - kept) basis k, and ``idx[a, k]`` is the (d, total) basis
+    index of a+k, ranked one slot at a time (:func:`_canonical_index`).
+    Its two readers are :attr:`SymDensity.joint` and the sweep's first
+    step; the weights on those entries are each machine's own
+    (:mod:`uqcm.machines`).
     """
     a = occupation_counts(d, kept)
     k = occupation_counts(d, total - kept)
-    log_fac = log_factorials(total)
-    coeff = pair_log_factorials(a, k, log_fac)
-    coeff -= log_fac[a].sum(axis=1)[:, None]
-    coeff -= log_fac[k].sum(axis=1)[None, :]
-    coeff -= log_fac[total] - log_fac[kept] - log_fac[total - kept]
-    coeff *= 0.5
-    np.exp(coeff, out=coeff)
     idx = _canonical_index(total, a[:, None, :], k[None, :, :])
     idx.setflags(write=False)
-    coeff.setflags(write=False)
-    return idx, coeff
+    return idx
 
 
 def _canonical_index(total: int, *parts: np.ndarray) -> np.ndarray:
@@ -179,8 +168,8 @@ class SymDensity:
     joint state with its r ancilla columns still open, such as a
     machine's output.  J is nonzero only on |a+k>|k>, so ``factor`` is
     the sym_dim(d, kept) x r amplitude table V that J is scattered from,
-    J[a+k, k] = V[a, k] (:func:`scatter_factor`): D_in * r entries
-    instead of D_out * r.  Every machine hands over its output this way
+    J[a+k, k] = V[a, k] at the rows of :func:`split_index`: D_in * r
+    entries instead of D_out * r.  Every machine hands over its output this way
     with ``kept`` = n_in; at ``kept`` = total the table is a single
     column, any pure state.  Construction checks the table in O(size):
     the shape, finite entries and ||J||_F^2 = ||V||_F^2 = 1; Hermiticity
@@ -209,8 +198,10 @@ class SymDensity:
 
     @cached_property
     def joint(self) -> np.ndarray:
-        """The whole dim x r factor J, scattered from the table."""
-        joint = scatter_factor(self.d, self.total, self.kept, self.factor)
+        """The whole sym_dim(d, total) x r factor J: J[a+k, k] = V[a, k], zeros elsewhere."""
+        idx = split_index(self.d, self.total, self.kept)
+        joint = np.zeros((sym_dim(self.d, self.total), idx.shape[1]), dtype=np.complex128)
+        joint[idx, np.arange(idx.shape[1])] = self.factor
         joint.setflags(write=False)
         return joint
 
@@ -309,20 +300,6 @@ def expand_power(phi: PureState, copies: int) -> np.ndarray:
     return amps
 
 
-def scatter_factor(d: int, total: int, kept: int, amplitudes: np.ndarray) -> np.ndarray:
-    """The factor J of a joint state whose amplitude on |a+k>|k> is amplitudes[a, k].
-
-    ``amplitudes`` is a machine's table V, rows over the (d, kept) basis a
-    and columns over the (d, total - kept) ancilla basis k.  J is
-    sym_dim(d, total) x sym_dim(d, total - kept) with J[a+k, k] = V[a, k]
-    and zeros elsewhere.
-    """
-    idx, _ = split_table(d, total, kept)
-    factor = np.zeros((sym_dim(d, total), idx.shape[1]), dtype=np.complex128)
-    factor[idx, np.arange(idx.shape[1])] = amplitudes
-    return factor
-
-
 def trace_distance_bound(a: SymDensity, b: SymDensity) -> float:
     """||V_a - V_b||_F, an upper bound on the trace distance of two table-held densities.
 
@@ -331,8 +308,8 @@ def trace_distance_bound(a: SymDensity, b: SymDensity) -> float:
     inequality for Schatten norms (Watrous, The Theory of Quantum
     Information, 2018, section 1.1) 0.5 * ||J_a J_a^dagger -
     J_b J_b^dagger||_1 <= ||J_a - J_b||_F.  The scatter
-    J[a+k, k] = V[a, k] (:func:`scatter_factor`) puts each entry of V in
-    its own place of J, so ||J_a - J_b||_F = ||V_a - V_b||_F: one
+    J[a+k, k] = V[a, k] (:attr:`SymDensity.joint`) puts each entry of V
+    in its own place of J, so ||J_a - J_b||_F = ||V_a - V_b||_F: one
     D_in x r subtraction, and no J is formed.
 
     The bound is never below the exact distance, so a check on it cannot
@@ -357,14 +334,14 @@ def sweep_budget(d: int, total: int, kept: int) -> tuple[int, int, int]:
 
     * held, alive from the machine to the last block: the D_in x r
       table V, the input-independent tables cached for the problem (its
-      split table, the werner and fan weight tables, their count tables
+      split index, the three machines' weight tables, their count tables
       and log(t!) vectors), the ladder table, every level's coefficients
       and the count table of level total-1, one step's real coefficients
       and the D_in row phases, the d x D_total first-step index and
       coefficient rows and those rows scaled by |x_j|, one later step's
       gathered row chunk at its CHUNK_BYTES cap, and numpy's ufunc buffers;
     * transient, before the first block: the largest of what builds one
-      cached table.  A split, weight or ladder table on rows x cols is
+      cached table.  A split index, weight or ladder table on rows x cols is
       summed one slot at a time: one slot's index and term beside the
       sum (rows x cols), and the suffix sums of both bases
       ((rows + cols) d / 2).  That is D_in x r for the problem's tables
@@ -387,7 +364,7 @@ def sweep_budget(d: int, total: int, kept: int) -> tuple[int, int, int]:
     """
     d_in, r = sym_dim(d, kept), sym_dim(d, total - kept)
     upper = sym_dim(d, total - 1) if total >= 1 else 0
-    # idx and coeff, 8 bytes each, the werner and fan weights, 8 bytes
+    # The split index and the unified, werner and fan weights, 8 bytes
     # each, and the count tables of both bases, 8 bytes a slot.
     tables = 2 * d_in * r + d * (d_in + r) // 2
     # The count table of level total-1, the ladder table and one step's
@@ -400,7 +377,7 @@ def sweep_budget(d: int, total: int, kept: int) -> tuple[int, int, int]:
     # slot, and the rows scaled by |x_j|, half an entry a slot.
     down = 3 * d * sym_dim(d, total) // 2
     # Array headers and cache entries of the per-level steps and the
-    # three log(t!) vectors, about 1 kB a level; the first step's
+    # two log(t!) vectors, about 1 kB a level; the first step's
     # column offsets, below one column; numpy's ufunc buffers, and a row
     # chunk's gather, at most CHUNK_BYTES and one buffer more.
     overhead = 64 * (total + 1) + upper + 3 * np.getbufsize() + CHUNK_BYTES // 16
@@ -514,7 +491,7 @@ def _sweep(
     # Rows of a chunk whose gather is no larger than a level-(M-2) block.
     smaller = max(1, ((sym_dim(d, total - 2) if total >= 2 else 0) + 1) // (d + 1))
     width = sweep_width(d, total, rho.kept)
-    rows = split_table(d, total, rho.kept)[0]
+    rows = split_index(d, total, rho.kept)
     down_scale = magnitudes[:, None] * down_coeff
     # np.angle(0) = 0: a zero amplitude has phase 1.
     phases = np.exp(-1j * (occupation_counts(d, rho.kept) @ np.angle(phi.amplitudes)))

@@ -5,6 +5,9 @@ has an independent, literal counterpart to be compared against:
 
 * the exact layer: the enumeration of occupation tuples, the one check
   of a count tuple and the exact splitting coefficient, as ``Fraction``;
+* the three machines' weight tables from one broadcast log-multinomial,
+  and the scatter of an amplitude table into its factor, one entry at a
+  time;
 * the dense trace distance of two Hermitian matrices;
 * the embedding isometry and what is built from it: the embedded basis
   state, the dense symmetric projector, the full-space image of a
@@ -41,7 +44,9 @@ from uqcm.symmetric import (
     _canonical_index,
     _compress,
     _embed_columns,
-    split_table,
+    log_factorials,
+    occupation_counts,
+    split_index,
 )
 
 
@@ -113,6 +118,45 @@ def splitting_coefficient_sq(
     for mj, kj in zip(m, k):
         num *= math.comb(mj, kj)
     return Fraction(num, math.comb(total, kept))
+
+
+def reference_weights(d: int, n: int, m: int) -> dict[str, np.ndarray]:
+    """werner's, fan's and unified's weight tables from D_in x r x d arrays.
+
+    The log-multinomial summed over a broadcast slot axis, the way the
+    tables were built before :mod:`uqcm.machines` summed them one slot
+    at a time.  "unified" holds the splitting coefficients f(a+k, k) of
+    m qudits split as (n, m - n).
+    """
+    a = occupation_counts(d, n)
+    k = occupation_counts(d, m - n)
+    log_fac = log_factorials(m + d - 1)
+    multinomial = log_fac[a[:, None, :] + k[None, :, :]].sum(axis=2)
+    log_a = log_fac[a].sum(axis=1)[:, None]
+    log_k = log_fac[k].sum(axis=1)[None, :]
+    log_prefactor = log_fac[n] + log_fac[m - n] + log_fac[n + d - 1] - log_fac[m + d - 1]
+    log_eta_sq = log_fac[m - n] + log_fac[n + d - 1] - log_fac[m + d - 1]
+    log_split = log_fac[m] - log_fac[n] - log_fac[m - n]
+    return {
+        "werner": np.exp(0.5 * log_prefactor + 0.5 * multinomial - log_a - 0.5 * log_k),
+        "fan": np.exp(0.5 * (log_eta_sq + multinomial - log_a - log_k)),
+        "unified": np.exp(0.5 * (multinomial - log_a - log_k - log_split)),
+    }
+
+
+def scatter_loop(rho: SymDensity) -> np.ndarray:
+    """The factor J of a table-held density, J[a+k, k] = V[a, k], one entry at a time.
+
+    Every row is found by its position in the enumeration of the
+    (d, total) basis, not by the rank formula or the split index.
+    """
+    d, total, kept = rho.d, rho.total, rho.kept
+    rows = {m: i for i, m in enumerate(occupation_tuples(d, total))}
+    joint = np.zeros((len(rows), rho.factor.shape[1]), dtype=np.complex128)
+    for i, a in enumerate(occupation_tuples(d, kept)):
+        for j, k in enumerate(occupation_tuples(d, total - kept)):
+            joint[rows[tuple(x + y for x, y in zip(a, k))], j] = rho.factor[i, j]
+    return joint
 
 
 def trace_distance_matrices(a: np.ndarray, b: np.ndarray) -> float:
@@ -202,7 +246,8 @@ def reduce_symmetric(rho: SymDensity, kept: int) -> np.ndarray:
     total, d = rho.total, rho.d
     if not 1 <= kept <= total:
         raise ValueError(f"kept count {kept} outside 1..{total}")
-    idx, coeff = split_table(d, total, kept)
+    idx = split_index(d, total, kept)
+    coeff = reference_weights(d, kept, total)["unified"]
     factor = (coeff[:, :, None] * rho.joint[idx]).reshape(idx.shape[0], -1)
     check_factor(factor, sym_dim(d, kept))
     return factor
@@ -221,8 +266,8 @@ def reduced_expectation(rho: SymDensity, psi: np.ndarray, copies: int) -> float:
     tests hold :func:`ladder_fidelities` to it as the independent
     reference.
     """
-    idx, coeff = split_table(rho.d, rho.total, copies)
-    weights = psi.conj()[:, None] * coeff
+    idx = split_index(rho.d, rho.total, copies)
+    weights = psi.conj()[:, None] * reference_weights(rho.d, copies, rho.total)["unified"]
     value = 0.0
     for w, where in zip(weights.T, idx.T):
         row = w @ rho.joint[where]

@@ -49,6 +49,25 @@ class TestTable:
         assert rationals == ["5/6", "2/3"]
         assert all(row["abs_diff"] < 1e-10 for row in payload["rows"])
 
+    @pytest.mark.parametrize("machine", machines.MACHINES)
+    def test_a_cold_run_builds_one_log_factorial_table(self, capsys, monkeypatch, machine):
+        # The machine's weight table is the one D_in x r log-multinomial of
+        # a run; the sweep reads the split index, which has no weights.
+        calls = []
+        original = symmetric.pair_log_factorials
+
+        def spy(*args):
+            calls.append(args[0].shape[0] * args[1].shape[0])
+            return original(*args)
+
+        for module in (symmetric, machines):
+            monkeypatch.setattr(module, "pair_log_factorials", spy)
+        clear_caches()
+        argv = ["table", "--d", "5", "--n", "2", "--m", "8", "--machine", machine]
+        assert _run(capsys, argv)[0] == 0
+        spec = machines.CloneSpec(5, 2, 8)
+        assert calls == [spec.dim_in * spec.dim_anc]
+
     def test_csv_header_stable(self, capsys):
         status, out = _run(
             capsys, ["table", "--d", "2", "--n", "1", "--m", "2", "--format", "csv"]

@@ -16,7 +16,8 @@ from uqcm.combinatorics import (
     verify_identity,
     verify_identity_family,
 )
-from uqcm.symmetric import split_table
+from uqcm.machines import _unified_weights
+from uqcm.symmetric import split_index
 
 from reference import check_occupation, occupation_tuples, splitting_coefficient_sq
 
@@ -153,17 +154,25 @@ class TestSplittingCoefficient:
 
     @settings(max_examples=100, derandomize=True)
     @given(st.integers(2, 4), st.integers(1, 5), st.data())
-    def test_split_table_matches_exact(self, d, total, data):
+    def test_split_index_matches_the_enumeration(self, d, total, data):
         kept = data.draw(st.integers(0, total))
-        idx, coeff = split_table(d, total, kept)
+        idx = split_index(d, total, kept)
         # Positions come from the enumeration itself, not from the rank formula.
         basis = list(occupation_tuples(d, total))
         for ai, a in enumerate(occupation_tuples(d, kept)):
             for ki, k in enumerate(occupation_tuples(d, total - kept)):
+                assert idx[ai, ki] == basis.index(tuple(x + y for x, y in zip(a, k)))
+
+    @settings(max_examples=100, derandomize=True)
+    @given(st.integers(2, 4), st.integers(1, 5), st.data())
+    def test_unified_weights_match_exact(self, d, total, data):
+        kept = data.draw(st.integers(0, total))
+        weights = _unified_weights(d, kept, total)
+        for ai, a in enumerate(occupation_tuples(d, kept)):
+            for ki, k in enumerate(occupation_tuples(d, total - kept)):
                 m = tuple(x + y for x, y in zip(a, k))
-                assert idx[ai, ki] == basis.index(m)
-                exact = math.sqrt(splitting_coefficient_sq(m, k, total, kept))
-                assert coeff[ai, ki] == pytest.approx(exact, rel=1e-12)
+                exact = float(splitting_coefficient_sq(m, k, total, kept))
+                assert weights[ai, ki] ** 2 == pytest.approx(exact, rel=1e-13)
 
 
 def _literal_summands(n, m_total, d):

@@ -27,7 +27,6 @@ from uqcm.symmetric import (
     expand_power,
     ladder_fidelities,
     occupation_counts,
-    scatter_factor,
     sweep_budget,
     sweep_width,
 )
@@ -348,8 +347,8 @@ class TestLadderSweep:
         spec = CloneSpec(d, n, m)
         phi = random_pure_state(d, 95)
         rho = run_machine(spec, phi, machine)
-        joint = scatter_factor(d, m, n, rho.factor)
-        fidelities_numeric(rho, phi)  # warms the split tables
+        joint = rho.joint
+        fidelities_numeric(rho, phi)  # warms the cached tables
         tracemalloc.start()
         try:
             fidelities_numeric(rho, phi)
@@ -364,7 +363,7 @@ class TestLadderSweep:
         spec = CloneSpec(d, n, m)
         phi = random_pure_state(d, 97)
         rho = run_machine(spec, phi, machine)
-        fidelities_numeric(rho, phi)  # warms the split tables
+        fidelities_numeric(rho, phi)  # warms the cached tables
         tracemalloc.start()
         try:
             fidelities_numeric(rho, phi)
@@ -475,16 +474,16 @@ class TestLadderSweep:
         # Every level reads a prefix of the one ladder table of level M-1,
         # so a sweep builds no split, count or log-factorial table below
         # that.  It reads the problem's tables: the input basis (d, N), and
-        # the (d, M, N) split table of the first step, built here first for
-        # the machines that do not read it.
+        # the (d, M, N) split index of the first step, built here first, as
+        # no machine reads it.
         spec = CloneSpec(d, n, m)
         phi = random_pure_state(d, 96)
         clear_caches()
         rho = run_machine(spec, phi, machine)
-        symmetric.split_table(d, m, n)
+        symmetric.split_index(d, m, n)
         built = symmetric.occupation_counts.cache_info().currsize
         calls = []
-        for name in ("split_table", "occupation_counts", "log_factorials"):
+        for name in ("split_index", "occupation_counts", "log_factorials"):
             original = getattr(symmetric, name)
 
             def spy(*args, _name=name, _original=original):
@@ -495,7 +494,7 @@ class TestLadderSweep:
         values = fidelities_numeric(rho, phi)
         assert calls
         assert set(calls) <= {
-            ("split_table", (d, m, n)),
+            ("split_index", (d, m, n)),
             ("occupation_counts", (d, m - 1)),
             ("occupation_counts", (d, n)),
         }

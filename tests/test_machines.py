@@ -42,11 +42,9 @@ from uqcm.machines import (
 )
 from uqcm.symmetric import (
     expand_power,
-    log_factorials,
     occupation_counts,
     project_symmetric,
-    scatter_factor,
-    split_table,
+    split_index,
     sweep_budget,
     sweep_width,
     sym_to_full_density,
@@ -58,6 +56,8 @@ from reference import (
     explicit_1to2,
     occupation_tuples,
     projector_full,
+    reference_weights,
+    scatter_loop,
     splitting_coefficient_sq,
     trace_distance_matrices,
 )
@@ -156,33 +156,11 @@ class TestMaterializedDensity:
             assert np.linalg.eigvalsh(mat).min() >= PSD_TOL
 
 
-def _reference_weights(d, n, m):
-    """werner's, fan's and the split's weight tables from D_in x r x d arrays.
-
-    The log-multinomial summed over a broadcast slot axis, the way the
-    tables were built before they were summed one slot at a time.
-    """
-    a = occupation_counts(d, n)
-    k = occupation_counts(d, m - n)
-    log_fac = log_factorials(m + d - 1)
-    multinomial = log_fac[a[:, None, :] + k[None, :, :]].sum(axis=2)
-    log_a = log_fac[a].sum(axis=1)[:, None]
-    log_k = log_fac[k].sum(axis=1)[None, :]
-    log_prefactor = log_fac[n] + log_fac[m - n] + log_fac[n + d - 1] - log_fac[m + d - 1]
-    log_eta_sq = log_fac[m - n] + log_fac[n + d - 1] - log_fac[m + d - 1]
-    log_split = log_fac[m] - log_fac[n] - log_fac[m - n]
-    return {
-        "werner": np.exp(0.5 * log_prefactor + 0.5 * multinomial - log_a - 0.5 * log_k),
-        "fan": np.exp(0.5 * (log_eta_sq + multinomial - log_a - log_k)),
-        "split": np.exp(0.5 * (multinomial - log_a - log_k - log_split)),
-    }
-
-
 def _weight_tables(d, n, m):
     return {
         "werner": machines._werner_weights(d, n, m),
         "fan": machines._fan_weights(d, n, m),
-        "split": split_table(d, m, n)[1],
+        "unified": machines._unified_weights(d, n, m),
     }
 
 
@@ -191,7 +169,7 @@ class TestWeightTables:
     @given(st.integers(2, 7), st.integers(1, 5), st.integers(0, 5))
     def test_slot_sums_equal_the_broadcast_formula(self, d, n, extra):
         m = n + extra
-        reference = _reference_weights(d, n, m)
+        reference = reference_weights(d, n, m)
         for name, table in _weight_tables(d, n, m).items():
             assert table.shape == reference[name].shape
             assert np.all(np.abs(table - reference[name]) <= 1e-14 * reference[name])
@@ -201,16 +179,16 @@ class TestWeightTables:
         # Tables of one (d, n_in) at growing m_out, built in turn: each
         # answers to its own m_out, not to the first one cached.
         for m in range(n, n + 5):
-            reference = _reference_weights(d, n, m)
+            reference = reference_weights(d, n, m)
             for name, table in _weight_tables(d, n, m).items():
                 assert table.shape == reference[name].shape
                 assert np.all(np.abs(table - reference[name]) <= 1e-14 * reference[name])
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.integers(2, 5), st.integers(1, 3), st.integers(0, 3))
-    def test_split_table_is_the_rank_and_the_exact_coefficient(self, d, n, extra):
+    def test_split_index_is_the_rank(self, d, n, extra):
         m = n + extra
-        idx, coeff = split_table(d, m, n)
+        idx = split_index(d, m, n)
         enumeration = list(occupation_tuples(d, m))
         for i, a in enumerate(occupation_counts(d, n)):
             for j, k in enumerate(occupation_counts(d, m - n)):
@@ -218,30 +196,38 @@ class TestWeightTables:
                 assert idx[i, j] == enumeration.index(whole)
                 # The count table comes from the np.repeat passes, not the rank.
                 assert tuple(occupation_counts(d, m)[idx[i, j]]) == whole
-                exact = float(splitting_coefficient_sq(whole, tuple(k), m, n))
-                assert coeff[i, j] ** 2 == pytest.approx(exact, rel=1e-13)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(2, 5), st.integers(1, 3), st.integers(0, 3))
+    def test_unified_weights_are_the_exact_coefficient(self, d, n, extra):
+        m = n + extra
+        weights = machines._unified_weights(d, n, m)
+        for i, a in enumerate(occupation_tuples(d, n)):
+            for j, k in enumerate(occupation_tuples(d, m - n)):
+                whole = tuple(x + y for x, y in zip(a, k))
+                exact = float(splitting_coefficient_sq(whole, k, m, n))
+                assert weights[i, j] ** 2 == pytest.approx(exact, rel=1e-13)
 
     def test_tables_are_read_only(self):
         tables = _weight_tables(4, 2, 5)
-        tables["index"] = split_table(4, 5, 2)[0]
+        tables["index"] = split_index(4, 5, 2)
         for table in tables.values():
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0, 0] = 0
 
-    def test_werner_and_fan_never_read_the_split_table(self, monkeypatch):
+    def test_werner_and_fan_never_read_the_unified_weights(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("werner or fan read the split table")
+            raise AssertionError("werner or fan read the unified weights")
 
-        for module in (symmetric, machines):
-            monkeypatch.setattr(module, "split_table", refuse)
+        monkeypatch.setattr(machines, "_unified_weights", refuse)
         machines._werner_weights.cache_clear()
         machines._fan_weights.cache_clear()
         spec = CloneSpec(3, 2, 5)
         phi = random_pure_state(3, 41)
         outs = [werner_output(spec, phi), fan_output(spec, phi)]
         assert symmetric.trace_distance_bound(*outs) < TOL
-        with pytest.raises(AssertionError, match="split table"):
+        with pytest.raises(AssertionError, match="unified weights"):
             unified_output(spec, phi)
 
 
@@ -309,8 +295,8 @@ class TestFastPathCap:
 
 
 class TestLargeCopyNumbers:
-    # Every factorial here is far above the float range; the split table
-    # works with log-factorials throughout.
+    # Every factorial here is far above the float range; the weight tables
+    # work with log-factorials throughout.
     @pytest.mark.parametrize(
         "machine,d,n,m",
         [
@@ -434,7 +420,7 @@ class TestOracles:
 
 
 def _check_joint_factor(spec, phi, out):
-    joint = scatter_factor(spec.d, spec.m_out, spec.n_in, out.factor)
+    joint = scatter_loop(out)
     assert np.array_equal(out.joint, joint)
     assert joint.shape == (spec.dim_out, spec.dim_anc)
     assert np.linalg.norm(joint) == pytest.approx(1.0, abs=TOL)
@@ -455,9 +441,9 @@ class TestJointStates:
 
     def test_pure_expansion_norm_is_inverse_eta(self):
         # Every symmetric input |a> picks up the same total weight 1/eta:
-        # C(M, N) * sum_k coeff[a, k]^2 = 1/eta^2 on every row of the split table.
+        # C(M, N) * sum_k f(a+k, k)^2 = 1/eta^2 on every row of the unified weights.
         for d, n, m in [(2, 1, 2), (2, 2, 4), (3, 1, 3), (3, 2, 3), (4, 3, 7)]:
-            _, coeff = split_table(d, m, n)
+            coeff = machines._unified_weights(d, n, m)
             rows = math.comb(m, n) * (coeff**2).sum(axis=1)
             inverse_eta_sq = 1 / CloneSpec(d, n, m).eta_sq
             assert np.allclose(rows, float(inverse_eta_sq), rtol=1e-12, atol=0)
@@ -649,8 +635,9 @@ class TestRunMachine:
     def test_fast_paths_build_no_occupation_vector(self, monkeypatch):
         # Cold caches, so the occupation tables are rebuilt inside the run;
         # they come from the count tuples alone, never from the exact layer.
-        for cached in (symmetric.occupation_counts, symmetric.split_table,
-                       machines._werner_weights, machines._fan_weights):
+        for cached in (symmetric.occupation_counts, symmetric.split_index,
+                       machines._werner_weights, machines._fan_weights,
+                       machines._unified_weights):
             cached.cache_clear()
 
         # The exact coefficient is a test reference, out of the package's reach.

@@ -25,8 +25,7 @@ from uqcm.symmetric import (
     expand_power,
     occupation_counts,
     project_symmetric,
-    scatter_factor,
-    split_table,
+    split_index,
     sym_to_full_density,
     sym_unitary,
     trace_distance_bound,
@@ -40,6 +39,8 @@ from reference import (
     occupation_tuples,
     projector_full,
     reduce_symmetric,
+    reference_weights,
+    scatter_loop,
     sym_to_full_state,
 )
 
@@ -334,7 +335,7 @@ class TestValidation:
         table /= np.linalg.norm(table)
         rho = SymDensity(d=3, total=4, factor=table, kept=2)
         assert "joint" not in rho.__dict__ and not hasattr(rho, "matrix")
-        joint = scatter_factor(3, 4, 2, table)
+        joint = scatter_loop(rho)
         assert joint.shape == (15, 6)
         assert np.array_equal(rho.joint, joint)
         assert rho.joint is rho.joint
@@ -433,16 +434,17 @@ class TestLadderTables:
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_every_level_is_a_prefix_of_the_top_level(self, d):
         # Level t-1 is the first D_{t-1} rows of level total-1, slot 0
-        # lowered by total-t: its index rows, counts and coefficients are
-        # those of the (t, t-1) split table, and the first step's table is
-        # the (total, total-1) split inverted.
+        # lowered by total-t: its index rows are the (t, t-1) split index,
+        # its coefficients the (t, t-1) splitting coefficients, and the
+        # first step's table is the (total, total-1) split inverted.
         slots = np.arange(d)
         for total in range(1, 9):
             up, steps, down, down_coeff = _ladder_table(d, total)
             assert len(steps) == total - 1
             top = occupation_counts(d, total - 1)
             for t in range(1, total + 1):
-                idx, coeff = split_table(d, t, t - 1)
+                idx = split_index(d, t, t - 1)
+                coeff = reference_weights(d, t - 1, t)["unified"]
                 rows, ours = steps[t - 1] if t < total else (up, down_coeff[slots, up])
                 assert np.array_equal(rows, idx) and np.array_equal(rows, up[: len(idx)])
                 shifted = top[: len(idx)].copy()
