@@ -39,7 +39,6 @@ from .machines import (
     MACHINES,
     AsymmetryWeights,
     CloneSpec,
-    UnifiedOracleResult,
     WeightedCloneResult,
     fan_output,
     run_machine,
@@ -72,7 +71,6 @@ __all__ = [
     "OracleCapError",
     "PureState",
     "SymDensity",
-    "UnifiedOracleResult",
     "WeightedCloneResult",
     "expand_power",
     "fan_output",

@@ -289,7 +289,7 @@ def _cmd_verify(
         )
         values["unified-vs-oracle"] = trace_distance_factors(
             sym_to_full_density(outs["unified"]).factor,
-            unified_output_oracle(spec, phi).density.factor,
+            unified_output_oracle(spec, phi).factor,
         )
         return values
 

@@ -139,6 +139,20 @@ def check_factor(factor: np.ndarray, dim: int) -> None:
         raise ValueError(f"factor gives density trace {trace} != 1")
 
 
+def sum_squares(x: np.ndarray) -> float:
+    """sum |x_ij|^2 over a matrix x, added in one order at any BLAS thread count.
+
+    np.vdot and np.linalg.norm go through BLAS, and a threaded BLAS adds
+    the parts of a long vector in another order, so the last digits of
+    what they return change with the thread count; np.einsum sums without
+    BLAS.  A complex x, whose last axis must be contiguous, is read as
+    its float64 pairs.
+    """
+    if np.iscomplexobj(x):
+        x = x.view(np.float64)
+    return float(np.einsum("ij,ij->", x, x))
+
+
 def maximally_entangled(d: int) -> np.ndarray:
     """The d^2 amplitudes of the two-qudit state with 1/sqrt(d) on every |jj>."""
     if d < 2:

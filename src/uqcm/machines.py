@@ -64,6 +64,7 @@ from .hilbert import (
     fidelity_pure,
     partial_trace,
     permute_factors,
+    sum_squares,
 )
 from .symmetric import (
     SymDensity,
@@ -260,7 +261,7 @@ def unified_output(spec: CloneSpec, phi: PureState) -> SymDensity:
     d, n_total, m_total = spec.d, spec.n_in, spec.m_out
     inputs = expand_power(phi, n_total)
     raw = inputs[:, None] * _unified_weights(d, n_total, m_total)
-    raw /= np.linalg.norm(raw)
+    raw /= math.sqrt(sum_squares(raw))
     return SymDensity(d=d, total=m_total, factor=raw, kept=n_total)
 
 
@@ -288,19 +289,12 @@ def _unified_weights(d: int, n_total: int, m_total: int) -> np.ndarray:
     return weights
 
 
-@dataclass(frozen=True)
-class UnifiedOracleResult:
-    """Entangled-pair oracle: ``density.factor``, read row-major, is the joint state."""
-
-    lam: float
-    density: FullDensity
-
-
-def unified_output_oracle(spec: CloneSpec, phi: PureState) -> UnifiedOracleResult:
+def unified_output_oracle(spec: CloneSpec, phi: PureState) -> FullDensity:
     """Entangled-pair cloner built literally: project, normalize, trace.
 
     Factor layout of the joint state: the m_out copy slots first, then
-    the m_out - n_in ancilla halves of the entangled pairs.
+    the m_out - n_in ancilla halves of the entangled pairs; the factor,
+    read row-major, is the joint state.
     """
     _check_phi(spec, phi)
     d, n_total, m_total = spec.d, spec.n_in, spec.m_out
@@ -309,12 +303,10 @@ def unified_output_oracle(spec: CloneSpec, phi: PureState) -> UnifiedOracleResul
 
     block = _pair_arrangement(phi, n_total, blanks).reshape(d**m_total, d**blanks)
     projected = project_symmetric(block, d, m_total)
-    lam = 1.0 / float(np.linalg.norm(projected))
-    projected *= lam
+    projected *= 1.0 / float(np.linalg.norm(projected))
     # The copy slots lead, so the joint state's block with the ancilla
     # still open is the factor of their reduced state.
-    density = FullDensity(projected, factors=m_total, local_dim=d)
-    return UnifiedOracleResult(lam=lam, density=density)
+    return FullDensity(projected, factors=m_total, local_dim=d)
 
 
 @dataclass(frozen=True)

@@ -64,6 +64,7 @@ from .hilbert import (
     PureState,
     check_cap,
     check_factor,
+    sum_squares,
 )
 
 
@@ -322,7 +323,7 @@ def trace_distance_bound(a: SymDensity, b: SymDensity) -> float:
     """
     if (a.d, a.total, a.kept) != (b.d, b.total, b.kept):
         raise ValueError("the bound compares two amplitude tables on the same split")
-    return float(np.linalg.norm(a.factor - b.factor))
+    return math.sqrt(sum_squares(a.factor - b.factor))
 
 
 @lru_cache(maxsize=None)
@@ -500,12 +501,12 @@ def _sweep(
     for start in range(0, columns, width):
         block = slice(start, start + width)
         rotated = rho.factor[:, block] * phases[:, None]
-        imag += np.vdot(rotated.imag, rotated.imag)
+        imag += sum_squares(rotated.imag)
         level = _first_step(
             np.ascontiguousarray(part(rotated)), rows[:, block], down, down_scale, len(up)
         )
         del rotated
-        values[0] += np.vdot(level, level)
+        values[0] += sum_squares(level)
         # Bytes of one row's gather: d parent rows of w float64 entries.
         gathered = d * level.shape[1] * level.itemsize
         least = -(-np.getbufsize() * level.itemsize // gathered)
@@ -513,7 +514,7 @@ def _sweep(
         for s, (idx, coeff) in enumerate(ladder, start=1):
             chunk = max(least, min(-(-idx.shape[0] // 2), most))
             level = _ladder_step(level, idx, magnitudes * coeff, chunk)
-            values[s] += np.vdot(level, level)
+            values[s] += sum_squares(level)
         # Released before the next block is allocated, so only one is alive.
         del level
     return values, imag

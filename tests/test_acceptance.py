@@ -160,7 +160,7 @@ def test_04_explicit_qubit_pair_amplitudes():
     for level in (0, 1):
         # The copy slots lead: the reduced factor read row-major is the joint state.
         oracle = unified_output_oracle(spec, PureState.basis(2, level))
-        amps = oracle.density.factor.ravel()
+        amps = oracle.factor.ravel()
         anchor = amps[np.argmax(np.abs(amps))]
         amps = amps * (abs(anchor) / anchor)
 
@@ -234,7 +234,7 @@ def test_06_asymmetric_limits():
     weighted = weighted_clone(spec, phi, AsymmetryWeights.equal(1, 3))
     joint = FullDensity(weighted.joint[:, None], 2 * spec.m_out - spec.n_in, spec.d)
     output = partial_trace(joint, range(spec.m_out))
-    oracle = unified_output_oracle(spec, phi).density
+    oracle = unified_output_oracle(spec, phi)
     dist = trace_distance_matrices(dense_matrix(output), dense_matrix(oracle))
     equal_ok = dist < DIST_TOL
 

@@ -505,12 +505,9 @@ class TestOracleChecksHaveTeeth:
             )
         else:
             real_unified = cli.unified_output_oracle
-
-            def unified(spec, phi):
-                result = real_unified(spec, phi)
-                return machines.UnifiedOracleResult(result.lam, dropped(result.density))
-
-            monkeypatch.setattr(cli, "unified_output_oracle", unified)
+            monkeypatch.setattr(
+                cli, "unified_output_oracle", lambda spec, phi: dropped(real_unified(spec, phi))
+            )
         status, checks = self._distances(capsys)
         assert status == 1
         assert checks[f"{which}-vs-oracle"] > cli.DISTANCE_TOL
@@ -1303,50 +1300,62 @@ class TestGoldenOutput:
             "2,1,2,5/6,5/6,true,false\n",
         )
 
-    # SHA-256 of the stdout of the benchmark's `table` ops at seed 0, with
-    # the sweep's coefficients sqrt((a_j+1)/t) read off one ladder table.
-    # A multithreaded BLAS sums the long dot products of the qudit-dense
-    # points in another order, so they run in a child with one thread.
-    TABLE_DIGESTS = [
-        ((2, 1, 40), "werner", "6201f0f4446006e594aa47098054d47703af1a97140dce5cf1edc1dab02d2496"),
-        ((2, 1, 40), "fan", "3dfc2fee7e631781b2803e2ad7929b44d7586b1e63b9d1ca9dc860429549c420"),
-        ((2, 1, 40), "unified", "fd61b5836f43da0353421a94d933bb45651d58918c8ec1153db41241ca2e0034"),
-        ((2, 8, 48), "werner", "4504936741ee79268c83a7beea7be828c707ef5b5e4670b6c83572ae24388ec8"),
-        ((2, 8, 48), "fan", "dc73a2f08ed4c42f0f5cc900e0744457a1402405afb5bb57162fabd499d34975"),
-        ((2, 8, 48), "unified", "900ca51fc82a5886e719556166826cc7e97acae62e50b11b70503f3758b8adc5"),
-        ((3, 2, 12), "fan", "1c51fcabc4f5358cfeb02a6e2ed484abb77cfb91d24c8e7e5d245efac34eb774"),
-        ((3, 2, 12), "unified", "ff106db092bd0a87105e549891cfdc19a388218f95a943fe5ac02e7f44f8c1e1"),
-        ((5, 2, 8), "fan", "1c96811119cbbae2463cb9b4b30f7e3e71da90d1d386a2d666ca5c8f5023089c"),
-        ((6, 2, 7), "unified", "def17fbb7401cc2c7944389d8abb88fead26c923b6244a02b3b59d016b3bacfc"),
-        ((9, 2, 5), "fan", "9e7ec1c75ecf1439fbe6e7101934d8dab38fb0224865da58e3188e9933dacbd4"),
+    # SHA-256 of the stdout of the benchmark's `table` ops at seed 0, and
+    # of two ops whose long sums of squares a threaded BLAS would split:
+    # (7,2,8) unified and a fast-path-only `verify` at (8,2,8).  Every sum
+    # of squares is BLAS-free, so the bytes are the same at one thread and
+    # at two.
+    DIGESTS = [
+        (["table", "--d", "2", "--n", "1", "--m", "40", "--machine", "werner"],
+         "5106b121f8a78bd7d0092a287debc8eb71fa19e0c26ca8932711fdb4931a35c6"),
+        (["table", "--d", "2", "--n", "1", "--m", "40", "--machine", "fan"],
+         "4b716ae018979df52c7af3eec272b76b51ad9761097222d2c2c7db652916da51"),
+        (["table", "--d", "2", "--n", "1", "--m", "40", "--machine", "unified"],
+         "a8305795a0964e7b590d5937fa2bb36fb13a52139713de0da7743da2e895a9c0"),
+        (["table", "--d", "2", "--n", "8", "--m", "48", "--machine", "werner"],
+         "5479b126ce113591f16bfd77cd0fff0bd026794f024f61eeed5808d67fa9586a"),
+        (["table", "--d", "2", "--n", "8", "--m", "48", "--machine", "fan"],
+         "708f96e73a692d8f6a18299fbffd0ac78d5b2f04f5d34e130212aab326fccaae"),
+        (["table", "--d", "2", "--n", "8", "--m", "48", "--machine", "unified"],
+         "3a098aa3e8858792b9d3ed63008f82a2e73383f7469c300745f3e1297c49caa9"),
+        (["table", "--d", "3", "--n", "2", "--m", "12", "--machine", "fan"],
+         "f2755271f82f56482b83f614e2828939fbf85b02e0df42f5c796b1f5ead3537e"),
+        (["table", "--d", "3", "--n", "2", "--m", "12", "--machine", "unified"],
+         "7b5ec2975203089e94c85285cade037bd37155e88b8a321ebcf55eef459dcf7f"),
+        (["table", "--d", "5", "--n", "2", "--m", "8", "--machine", "fan"],
+         "eca904f31cc72f276a6ce5080ca3e51915ac70479659f09ddb5c2726c9ff53f0"),
+        (["table", "--d", "6", "--n", "2", "--m", "7", "--machine", "unified"],
+         "88af035f6898a25fa8f4585fe272f8cf3cad17815daf05effd0c1ea1f2dee455"),
+        (["table", "--d", "9", "--n", "2", "--m", "5", "--machine", "fan"],
+         "78e986c2960f37618a401abe11eadf547c433808db4859257794f7d79b5274a0"),
+        (["table", "--d", "7", "--n", "2", "--m", "8", "--machine", "unified"],
+         "313e6f738166ba13f164ad0a275f9a8a4c16dc84c05573ddf9097c2a90be8d57"),
+        (["verify", "--d", "8", "--n", "2", "--m", "8", "--trials", "2"],
+         "6e906b306b0bf31d501a7c65e4d25a2529a7b21a104bd9c4000316119806f1be"),
     ]
 
     def test_benchmark_table_bytes_are_pinned(self):
-        argvs = [
-            ["table", "--d", str(d), "--n", str(n), "--m", str(m), "--machine", machine,
-             "--seed", "0"]
-            for (d, n, m), machine, _ in self.TABLE_DIGESTS
-        ]
         code = (
             "import contextlib, hashlib, io, json, sys\n"
             "import uqcm.cli\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    out = io.StringIO()\n"
             "    with contextlib.redirect_stdout(out):\n"
-            "        assert uqcm.cli.main(argv) == 0, argv\n"
+            "        assert uqcm.cli.main(argv + ['--seed', '0']) == 0, argv\n"
             "    print(hashlib.sha256(out.getvalue().encode()).hexdigest())\n"
         )
-        one_thread = {name: "1" for name in
-                      ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
-        proc = subprocess.run(
-            [sys.executable, "-c", code, json.dumps(argvs)],
-            capture_output=True,
-            text=True,
-            cwd=Path(__file__).resolve().parents[1],
-            env={**os.environ, **one_thread, "PYTHONPATH": "src"},
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == [digest for _, _, digest in self.TABLE_DIGESTS]
+        for threads in ("1", "2"):
+            blas = {name: threads for name in
+                    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+            proc = subprocess.run(
+                [sys.executable, "-c", code, json.dumps([argv for argv, _ in self.DIGESTS])],
+                capture_output=True,
+                text=True,
+                cwd=Path(__file__).resolve().parents[1],
+                env={**os.environ, **blas, "PYTHONPATH": "src"},
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.split() == [digest for _, digest in self.DIGESTS], threads
 
 
 class TestConsoleScript:

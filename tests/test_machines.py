@@ -345,21 +345,22 @@ class TestOracles:
         fast = unified_output(spec, phi)
         oracle = unified_output_oracle(spec, phi)
         fast_full = sym_to_full_density(fast)
-        oracle_mat = dense_matrix(oracle.density)
+        oracle_mat = dense_matrix(oracle)
         assert trace_distance_matrices(dense_matrix(fast_full), oracle_mat) < TOL
 
     def test_normalization_bookkeeping_matches(self):
         # The projection shrinks every input occupation by the same factor:
         # the oracle's d^(-(M-N)/2) / sqrt(C(M,N)) prefactor times the weight
         # sqrt(C(M,N)) * 1/eta that test_pure_expansion_norm_is_inverse_eta
-        # pins, so lam = sqrt(d^(M-N) * C(M,N) * eta^2) whatever the input.
+        # pins, so the oracle's normalization lam = 1/||P block|| is
+        # sqrt(d^(M-N) * C(M,N) * eta^2) whatever the input.
         for d, n, m in [(2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 3), (2, 2, 5)]:
             spec = CloneSpec(d, n, m)
             phi = random_pure_state(d, 12)
+            block = machines._pair_arrangement(phi, n, m - n).reshape(d**m, d ** (m - n))
+            lam = 1.0 / float(np.linalg.norm(project_symmetric(block, d, m)))
             exact = Fraction(d ** (m - n) * math.comb(m, n)) * spec.eta_sq
-            assert unified_output_oracle(spec, phi).lam == pytest.approx(
-                math.sqrt(exact), rel=1e-12
-            )
+            assert lam == pytest.approx(math.sqrt(exact), rel=1e-12)
 
     @pytest.mark.parametrize("d,n,m", [(2, 1, 2), (2, 1, 3), (2, 2, 4), (3, 1, 3)])
     def test_werner_oracle_factor_is_the_dense_projector_form(self, d, n, m):
@@ -398,7 +399,7 @@ class TestOracles:
         state = permute_factors(pairs, d, perm)
         projected = project_symmetric(state.reshape(d**m, -1), d, m)
         projected *= 1.0 / float(np.linalg.norm(projected))
-        assert np.array_equal(unified_output_oracle(spec, phi).density.factor, projected)
+        assert np.array_equal(unified_output_oracle(spec, phi).factor, projected)
 
     @pytest.mark.parametrize("d,n,m", ORACLE_GRID)
     def test_the_two_literal_oracles_give_the_same_state(self, d, n, m):
@@ -407,7 +408,7 @@ class TestOracles:
         spec = CloneSpec(d, n, m)
         phi = random_pure_state(d, 17)
         werner = werner_output_oracle(spec, phi).factor
-        unified = unified_output_oracle(spec, phi).density.factor
+        unified = unified_output_oracle(spec, phi).factor
         assert trace_distance_factors(werner, unified) < 1e-12
 
     def test_oracle_output_in_symmetric_subspace(self):
@@ -456,7 +457,7 @@ class TestExplicitPair:
             phi = random_pure_state(d, 31)
             closed = explicit_1to2(d, phi)
             oracle = unified_output_oracle(CloneSpec(d, 1, 2), phi)
-            overlap = abs(np.vdot(closed, oracle.density.factor.ravel()))
+            overlap = abs(np.vdot(closed, oracle.factor.ravel()))
             assert overlap == pytest.approx(1.0, abs=1e-12)
 
     def test_basis_input_amplitudes_d2(self):
@@ -595,7 +596,7 @@ class TestWeightedClone:
             joint = FullDensity(res.joint[:, None], 2 * m - n, d)
             output = partial_trace(joint, range(m))
             oracle = unified_output_oracle(spec, phi)
-            oracle_mat = dense_matrix(oracle.density)
+            oracle_mat = dense_matrix(oracle)
             assert trace_distance_matrices(dense_matrix(output), oracle_mat) < TOL
 
     def test_single_subset_clones_perfectly_inside(self):
