@@ -3,9 +3,9 @@
 Everything in this module is computed with arbitrary-precision integers
 and exact rationals (``fractions.Fraction``).  :mod:`uqcm.symmetric`
 builds the numeric count table behind every fast path with numpy, and
-the tests hold it and the floating-point split table to an exact
-enumeration of count tuples and to exact splitting coefficients
-(``tests/reference.py``).
+the tests hold it and the split index to an exact enumeration of count
+tuples, and unified's floating-point weights to exact splitting
+coefficients (``tests/reference.py``).
 
 Occupation vectors index the completely symmetric basis: the vector
 ``(m_1, ..., m_d)`` labels the normalized permutation-invariant state of

@@ -142,15 +142,14 @@ def check_factor(factor: np.ndarray, dim: int) -> None:
 def sum_squares(x: np.ndarray) -> float:
     """sum |x_ij|^2 over a matrix x, added in one order at any BLAS thread count.
 
-    np.vdot and np.linalg.norm go through BLAS, and a threaded BLAS adds
-    the parts of a long vector in another order, so the last digits of
-    what they return change with the thread count; np.einsum sums without
-    BLAS.  A complex x, whose last axis must be contiguous, is read as
-    its float64 pairs.
+    A threaded BLAS adds the parts of a long np.vdot or np.linalg.norm in
+    another order, which moves their last digits; np.einsum uses no BLAS.
+    A complex x, whose last axis must be contiguous, is read as its
+    float64 pairs.
     """
-    if np.iscomplexobj(x):
+    if x.dtype.kind == "c":
         x = x.view(np.float64)
-    return float(np.einsum("ij,ij->", x, x))
+    return np.einsum("ij,ij->", x, x)
 
 
 def maximally_entangled(d: int) -> np.ndarray:

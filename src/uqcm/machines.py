@@ -249,12 +249,12 @@ def unified_output(spec: CloneSpec, phi: PureState) -> SymDensity:
     coefficient, and the literal full-space projection next to the pair
     halves scales every such term by the same d^(-(m_out-n_in)/2) /
     sqrt(C(m_out, n_in)).  A uniform scale drops out on normalization,
-    so input occupation |a> contributes f(a+k, k), and the sum over the
-    expansion of |phi>^(x n_in) is normalized by its own norm (with the
-    pair factor in, its square would underflow at large m_out).  The
-    joint state, ancilla occupations still open, is the factor of the
-    output density, held as the table of its amplitudes on |a+k>|k>
-    (``kept`` = n_in).
+    so input occupation |a> contributes f(a+k, k) (:func:`_unified_weights`),
+    and the sum over the expansion of |phi>^(x n_in) is normalized by its
+    own norm (with the pair factor in, its square would underflow at
+    large m_out).  The joint state, ancilla occupations still open, is
+    the factor of the output density, held as the table of its
+    amplitudes on |a+k>|k> (``kept`` = n_in).
     """
     _check_phi(spec, phi)
     check_fast_path(spec)
@@ -269,11 +269,10 @@ def unified_output(spec: CloneSpec, phi: PureState) -> SymDensity:
 def _unified_weights(d: int, n_total: int, m_total: int) -> np.ndarray:
     """f(a+k, k) = sqrt(prod_j C(a_j+k_j, k_j) / C(m_out, n_in)), read-only.
 
-    The D_in x r splitting coefficients of :func:`unified_output`, rows
-    over the inputs a and columns over the ancilla k: the amplitude of
-    |a>|k> in the split of |a+k> into n_in and m_out - n_in qudits.  It
-    is formed from log-factorials, so no factorial is ever converted to
-    a float, and the log-multinomial is summed one slot at a time
+    The D_in x r weights of :func:`unified_output`, rows over the inputs
+    a and columns over the ancilla k: the amplitude of |a>|k> in the
+    split of |a+k> into n_in and m_out - n_in qudits, formed from
+    log-factorials, the log-multinomial summed one slot at a time
     (:func:`~uqcm.symmetric.pair_log_factorials`).
     """
     a = occupation_counts(d, n_total)

@@ -19,14 +19,13 @@ count table per (d, total) (:func:`occupation_counts`, built by
 np.repeat passes), one rank formula (``_canonical_index``, vectorised
 in the split index and the embedding), one slot-by-slot sum of
 log-factorials over pairs of occupations (:func:`pair_log_factorials`,
-which the machines' weight tables are built from), one split index of
-where |a>|k> sits in |a+k> (:func:`split_index`), one density type, a
-:class:`SymDensity` that holds (d, total, kept) and an amplitude table
-and scatters it into its factor when ``joint`` is read, and one sweep
-that reads every F_L off a factor, one contracted qudit per step
-(:func:`ladder_fidelities`), from one ladder table per (d, total)
-(``_ladder_table``).  A vector over a basis, such as
-:func:`expand_power`'s, is a plain read-only array.
+for the machines' weight tables), one split index of where |a>|k> sits
+in |a+k> (:func:`split_index`), one density type, a :class:`SymDensity`
+that holds (d, total, kept) and an amplitude table and scatters it into
+its factor when ``joint`` is read, and one sweep that reads every F_L
+off a factor, one contracted qudit per step (:func:`ladder_fidelities`),
+from one ladder table per (d, total) (``_ladder_table``).  A vector
+over a basis, such as :func:`expand_power`'s, is a plain read-only array.
 
 The sweep starts from a machine's D_in x r amplitude table V, never
 from the whole factor J, and runs over blocks of columns.  It first
@@ -130,9 +129,8 @@ def split_index(d: int, total: int, kept: int) -> np.ndarray:
     Rows run over the (d, kept) basis a, columns over the
     (d, total - kept) basis k, and ``idx[a, k]`` is the (d, total) basis
     index of a+k, ranked one slot at a time (:func:`_canonical_index`).
-    Its two readers are :attr:`SymDensity.joint` and the sweep's first
-    step; the weights on those entries are each machine's own
-    (:mod:`uqcm.machines`).
+    Read by :attr:`SymDensity.joint` and the sweep's first step; the
+    weights are each machine's own (:mod:`uqcm.machines`).
     """
     a = occupation_counts(d, kept)
     k = occupation_counts(d, total - kept)
@@ -170,12 +168,12 @@ class SymDensity:
     machine's output.  J is nonzero only on |a+k>|k>, so ``factor`` is
     the sym_dim(d, kept) x r amplitude table V that J is scattered from,
     J[a+k, k] = V[a, k] at the rows of :func:`split_index`: D_in * r
-    entries instead of D_out * r.  Every machine hands over its output this way
-    with ``kept`` = n_in; at ``kept`` = total the table is a single
-    column, any pure state.  Construction checks the table in O(size):
-    the shape, finite entries and ||J||_F^2 = ||V||_F^2 = 1; Hermiticity
-    and positivity hold by construction.  ``joint`` scatters the whole J
-    only when read; nothing forms the dense rho.
+    entries instead of D_out * r.  Every machine hands over its output
+    this way with ``kept`` = n_in; at ``kept`` = total the table is a
+    single column, any pure state.  Construction checks the table in
+    O(size): the shape, finite entries and ||J||_F^2 = ||V||_F^2 = 1;
+    Hermiticity and positivity hold by construction.  ``joint`` scatters
+    the whole J only when read; nothing forms the dense rho.
     """
 
     d: int
@@ -199,9 +197,9 @@ class SymDensity:
 
     @cached_property
     def joint(self) -> np.ndarray:
-        """The whole sym_dim(d, total) x r factor J: J[a+k, k] = V[a, k], zeros elsewhere."""
+        """The whole D_out x r factor J: J[a+k, k] = V[a, k], zeros elsewhere."""
         idx = split_index(self.d, self.total, self.kept)
-        joint = np.zeros((sym_dim(self.d, self.total), idx.shape[1]), dtype=np.complex128)
+        joint = np.zeros((sym_dim(self.d, self.total), idx.shape[1]), dtype=complex)
         joint[idx, np.arange(idx.shape[1])] = self.factor
         joint.setflags(write=False)
         return joint
@@ -308,10 +306,10 @@ def trace_distance_bound(a: SymDensity, b: SymDensity) -> float:
     J_a (J_a - J_b)^dagger + (J_a - J_b) J_b^dagger, so by Hoelder's
     inequality for Schatten norms (Watrous, The Theory of Quantum
     Information, 2018, section 1.1) 0.5 * ||J_a J_a^dagger -
-    J_b J_b^dagger||_1 <= ||J_a - J_b||_F.  The scatter
-    J[a+k, k] = V[a, k] (:attr:`SymDensity.joint`) puts each entry of V
-    in its own place of J, so ||J_a - J_b||_F = ||V_a - V_b||_F: one
-    D_in x r subtraction, and no J is formed.
+    J_b J_b^dagger||_1 <= ||J_a - J_b||_F.  The scatter J[a+k, k] =
+    V[a, k] (:attr:`SymDensity.joint`) puts each entry of V in its own
+    place of J, so ||J_a - J_b||_F = ||V_a - V_b||_F: one D_in x r
+    subtraction, summed by :func:`~uqcm.hilbert.sum_squares`, and no J is formed.
 
     The bound is never below the exact distance, so a check on it cannot
     pass falsely.  It is small only when both tables are in the same
@@ -342,10 +340,10 @@ def sweep_budget(d: int, total: int, kept: int) -> tuple[int, int, int]:
       coefficient rows and those rows scaled by |x_j|, one later step's
       gathered row chunk at its CHUNK_BYTES cap, and numpy's ufunc buffers;
     * transient, before the first block: the largest of what builds one
-      cached table.  A split index, weight or ladder table on rows x cols is
-      summed one slot at a time: one slot's index and term beside the
-      sum (rows x cols), and the suffix sums of both bases
-      ((rows + cols) d / 2).  That is D_in x r for the problem's tables
+      cached table.  A split index, weight or ladder table on
+      rows x cols is summed one slot at a time: one slot's index and
+      term beside the sum (rows x cols), and the suffix sums of both
+      bases ((rows + cols) d / 2).  That is D_in x r for the problem's tables
       and D_{total-1} x d for the ladder table.  A count table is built
       one np.repeat pass per slot, at most 3 entries a row;
     * per_column, for each column of a block: one column of level

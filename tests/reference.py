@@ -267,7 +267,8 @@ def reduced_expectation(rho: SymDensity, psi: np.ndarray, copies: int) -> float:
     reference.
     """
     idx = split_index(rho.d, rho.total, copies)
-    weights = psi.conj()[:, None] * reference_weights(rho.d, copies, rho.total)["unified"]
+    coeff = reference_weights(rho.d, copies, rho.total)["unified"]
+    weights = psi.conj()[:, None] * coeff
     value = 0.0
     for w, where in zip(weights.T, idx.T):
         row = w @ rho.joint[where]

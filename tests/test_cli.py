@@ -50,7 +50,8 @@ class TestTable:
         assert all(row["abs_diff"] < 1e-10 for row in payload["rows"])
 
     @pytest.mark.parametrize("machine", machines.MACHINES)
-    def test_a_cold_run_builds_one_log_factorial_table(self, capsys, monkeypatch, machine):
+    def test_a_cold_run_builds_one_log_factorial_table(self, capsys, monkeypatch,
+                                                        machine):
         # The machine's weight table is the one D_in x r log-multinomial of
         # a run; the sweep reads the split index, which has no weights.
         calls = []
@@ -506,7 +507,8 @@ class TestOracleChecksHaveTeeth:
         else:
             real_unified = cli.unified_output_oracle
             monkeypatch.setattr(
-                cli, "unified_output_oracle", lambda spec, phi: dropped(real_unified(spec, phi))
+                cli, "unified_output_oracle",
+                lambda spec, phi: dropped(real_unified(spec, phi)),
             )
         status, checks = self._distances(capsys)
         assert status == 1
@@ -1344,11 +1346,12 @@ class TestGoldenOutput:
             "        assert uqcm.cli.main(argv + ['--seed', '0']) == 0, argv\n"
             "    print(hashlib.sha256(out.getvalue().encode()).hexdigest())\n"
         )
+        argvs = json.dumps([argv for argv, _ in self.DIGESTS])
         for threads in ("1", "2"):
             blas = {name: threads for name in
                     ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
             proc = subprocess.run(
-                [sys.executable, "-c", code, json.dumps([argv for argv, _ in self.DIGESTS])],
+                [sys.executable, "-c", code, argvs],
                 capture_output=True,
                 text=True,
                 cwd=Path(__file__).resolve().parents[1],
