@@ -33,9 +33,10 @@ separator carries the newline and the indent, and a list of such dicts
 rows.  The bytes cannot change, because with ``ensure_ascii`` no encoded
 string holds a raw newline: every newline is a separator placed there.
 
-Exit codes: 0 pass, 1 verification failure, 2 usage error (a problem
-above the fast-path cap, an ``asym-sweep`` dimension above the oracle
-cap, or a negative seed, counts as one).  Identical configurations
+Exit codes: 0 pass, 1 verification or numeric failure (a ValueError
+inside a subcommand, one ``uqcm: error:`` line on stderr), 2 usage error
+(a problem above the fast-path cap, an ``asym-sweep`` dimension above
+the oracle cap, or a negative seed, counts as one).  Identical configurations
 (including seed) produce byte-identical output.
 
 :func:`main` builds its parser once per process, on the first call, and
@@ -98,7 +99,13 @@ _SCALARS = frozenset({str, int, float, bool, type(None)})
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    status, payload, rows = args.run(args)
+    try:
+        # An overflow fails a machine's finite or norm check; report only that.
+        with np.errstate(over="ignore", invalid="ignore"):
+            status, payload, rows = args.run(args)
+    except ValueError as exc:
+        print(f"uqcm: error: {exc}", file=sys.stderr)
+        return 1
     if args.format == "csv":
         text = _csv_text(rows)
     else:

@@ -24,8 +24,9 @@ vector over the inputs a, which depends on phi, times a read-only
 dim_in x dim_anc weight table, which depends only on (d, n_in, m_out)
 and is cached per problem: ``_werner_weights``, ``_fan_weights`` and
 ``_unified_weights``, the splitting coefficients.  Each is built from
-its own formula, one occupation slot at a time, from the same count
-tables and log(t!) vector, and no machine reads another's table.
+its own formula from the same log-factorial sums of the input, ancilla
+and output bases, the output's gathered through the split index, and no
+machine reads another's table.
 ``*_oracle`` variants rebuild the same object in the full tensor space
 (subject to the oracle cap) for verification: the same projector-form
 and entangled-pair constructions, held as factors of at most
@@ -69,10 +70,10 @@ from .hilbert import (
 from .symmetric import (
     SymDensity,
     expand_power,
-    log_factorials,
+    log_factorial_sums,
     occupation_counts,
-    pair_log_factorials,
     project_symmetric,
+    split_index,
     sweep_budget,
     sweep_width,
 )
@@ -151,22 +152,18 @@ def _werner_weights(d: int, n: int, m_total: int) -> np.ndarray:
 
     The D_in x r weights of :func:`werner_output`'s factor, rows over the
     inputs a and columns over the ancilla k.  The prefactor's square
-    root is folded in the log domain, where no factorial overflows, and
-    the log-multinomial is summed one slot at a time
-    (:func:`~uqcm.symmetric.pair_log_factorials`).
+    root is folded in the log domain, where no factorial overflows; the
+    log-multinomial is a gather through the split index
+    (:func:`~uqcm.symmetric.log_factorial_sums`).
     """
-    a = occupation_counts(d, n)
-    k = occupation_counts(d, m_total - n)
-    log_fac = log_factorials(m_total + d - 1)
     # log(n_in! * eta^2), eta^2 = (m_out-n_in)! (n_in+d-1)! / (m_out+d-1)!
-    log_prefactor = (
-        log_fac[n] + log_fac[m_total - n] + log_fac[n + d - 1] - log_fac[m_total + d - 1]
-    )
-    weights = pair_log_factorials(a, k, log_fac)
+    log_prefactor = math.lgamma(n + 1) + math.lgamma(m_total - n + 1) + math.lgamma(n + d)
+    log_prefactor -= math.lgamma(m_total + d)
+    weights = log_factorial_sums(d, m_total)[split_index(d, m_total, n)]
     weights *= 0.5
     weights += 0.5 * log_prefactor
-    weights -= log_fac[a].sum(axis=1)[:, None]
-    weights -= 0.5 * log_fac[k].sum(axis=1)[None, :]
+    weights -= log_factorial_sums(d, n)[:, None]
+    weights -= 0.5 * log_factorial_sums(d, m_total - n)[None, :]
     np.exp(weights, out=weights)
     weights.setflags(write=False)
     return weights
@@ -210,7 +207,7 @@ def fan_output(spec: CloneSpec, phi: PureState) -> SymDensity:
     table = inputs[:, None] * _fan_weights(d, n_total, m_total)
     norm = np.linalg.norm(table)
     if not abs(norm - 1.0) <= NORM_TOL:
-        raise AssertionError(f"amplitude-form joint state has norm {norm}")
+        raise ValueError(f"amplitude-form joint state has norm {norm}")
     return SymDensity(d=d, total=m_total, factor=table, kept=n_total)
 
 
@@ -221,20 +218,16 @@ def _fan_weights(d: int, n_total: int, m_total: int) -> np.ndarray:
     The D_in x r weights of :func:`fan_output`'s joint state, rows over
     the inputs a and columns over the ancilla k.  eta is folded into the
     multinomial in the log domain, where neither underflows nor
-    overflows, and the log-multinomial is summed one slot at a time
-    (:func:`~uqcm.symmetric.pair_log_factorials`).
+    overflows; the log-multinomial is a gather through the split index
+    (:func:`~uqcm.symmetric.log_factorial_sums`).
     """
-    a = occupation_counts(d, n_total)
-    k = occupation_counts(d, m_total - n_total)
-    log_fac = log_factorials(m_total + d - 1)
     # log(eta^2), eta^2 = (m_out-n_in)! (n_in+d-1)! / (m_out+d-1)!
-    log_eta_sq = (
-        log_fac[m_total - n_total] + log_fac[n_total + d - 1] - log_fac[m_total + d - 1]
-    )
-    weights = pair_log_factorials(a, k, log_fac)
+    log_eta_sq = math.lgamma(m_total - n_total + 1) + math.lgamma(n_total + d)
+    log_eta_sq -= math.lgamma(m_total + d)
+    weights = log_factorial_sums(d, m_total)[split_index(d, m_total, n_total)]
     weights += log_eta_sq
-    weights -= log_fac[a].sum(axis=1)[:, None]
-    weights -= log_fac[k].sum(axis=1)[None, :]
+    weights -= log_factorial_sums(d, n_total)[:, None]
+    weights -= log_factorial_sums(d, m_total - n_total)[None, :]
     weights *= 0.5
     np.exp(weights, out=weights)
     weights.setflags(write=False)
@@ -272,16 +265,14 @@ def _unified_weights(d: int, n_total: int, m_total: int) -> np.ndarray:
     The D_in x r weights of :func:`unified_output`, rows over the inputs
     a and columns over the ancilla k: the amplitude of |a>|k> in the
     split of |a+k> into n_in and m_out - n_in qudits, formed from
-    log-factorials, the log-multinomial summed one slot at a time
-    (:func:`~uqcm.symmetric.pair_log_factorials`).
+    log-factorials, the log-multinomial gathered through the split index
+    (:func:`~uqcm.symmetric.log_factorial_sums`).
     """
-    a = occupation_counts(d, n_total)
-    k = occupation_counts(d, m_total - n_total)
-    log_fac = log_factorials(m_total + d - 1)
-    weights = pair_log_factorials(a, k, log_fac)
-    weights -= log_fac[a].sum(axis=1)[:, None]
-    weights -= log_fac[k].sum(axis=1)[None, :]
-    weights -= log_fac[m_total] - log_fac[n_total] - log_fac[m_total - n_total]
+    weights = log_factorial_sums(d, m_total)[split_index(d, m_total, n_total)]
+    weights -= log_factorial_sums(d, n_total)[:, None]
+    weights -= log_factorial_sums(d, m_total - n_total)[None, :]
+    log_split = math.lgamma(m_total + 1) - math.lgamma(n_total + 1)
+    weights -= log_split - math.lgamma(m_total - n_total + 1)
     weights *= 0.5
     np.exp(weights, out=weights)
     weights.setflags(write=False)

@@ -16,11 +16,11 @@ each tensor axis instead of forming u^(x total).
 Every decision about the numeric occupation basis is made here.  A basis
 is the pair of ints (d, total); nothing wraps it.  There is one cached
 count table per (d, total) (:func:`occupation_counts`, built by
-np.repeat passes), one rank formula (``_canonical_index``, vectorised
-in the split index and the embedding), one slot-by-slot sum of
-log-factorials over pairs of occupations (:func:`pair_log_factorials`,
-for the machines' weight tables), one split index of where |a>|k> sits
-in |a+k> (:func:`split_index`), one density type, a :class:`SymDensity`
+np.repeat passes) and one of sum_j log(m_j!) (:func:`log_factorial_sums`),
+one rank formula (``_canonical_index``, vectorised in the split index
+and the embedding), one split index of where |a>|k> sits in |a+k>
+(:func:`split_index`, which the machines' weights gather through), one
+density type, a :class:`SymDensity`
 that holds (d, total, kept) and an amplitude table and scatters it into
 its factor when ``joint`` is read, and one sweep that reads every F_L
 off a factor, one contracted qudit per step (:func:`ladder_fidelities`),
@@ -49,7 +49,7 @@ room for.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -78,48 +78,49 @@ CHUNK_BYTES = 2**19
 def occupation_counts(d: int, total: int) -> np.ndarray:
     """The (d, total) basis as a cached, read-only dim x d table.
 
-    Row i is the occupation vector at index i, and ``_canonical_index``
-    ranks a vector by formula, not by lookup.  The table is built one
-    np.repeat pass per slot.  Rows that agree in slots 0..j-1 form one
-    block, and within it slot j runs from what those slots left down to
-    0, which is the canonical order.  Each slot's column is its values,
-    one per block of the next slot, repeated over the rows of that
-    block: a block that leaves t for slots j+1..d-1 has
-    sym_dim(d-j-1, t) rows.
+    Row i is the occupation vector at index i (:func:`_occupation_columns`),
+    and ``_canonical_index`` ranks a vector by formula, not by lookup.
     """
     counts = np.empty((sym_dim(d, total), d), dtype=np.intp)
+    for j, column in enumerate(_occupation_columns(d, total)):
+        counts[:, j] = column
+    counts.setflags(write=False)
+    return counts
+
+
+def _occupation_columns(d: int, total: int) -> Iterator[np.ndarray]:
+    """The (d, total) count table's columns in slot order, one np.repeat pass each.
+
+    Rows that agree in slots 0..j-1 form one block, and within it slot j
+    runs from what those slots left down to 0, which is the canonical
+    order.  Each slot's column is its values, one per block of the next
+    slot, repeated over the rows of that block: a block that leaves t
+    for slots j+1..d-1 has sym_dim(d-j-1, t) rows.
+    """
     left = np.array([total])
     for j in range(d - 1):
         # Block i splits into left[i] + 1 blocks, which leave 0..left[i].
         starts = np.cumsum(left + 1) - (left + 1)
         rest = np.arange(starts[-1] + left[-1] + 1) - np.repeat(starts, left + 1)
         rows = np.array([math.comb(t + d - j - 2, t) for t in range(total + 1)])[rest]
-        counts[:, j] = np.repeat(np.repeat(left, left + 1) - rest, rows)
+        yield np.repeat(np.repeat(left, left + 1) - rest, rows)
         left = rest
-    counts[:, -1] = left
-    counts.setflags(write=False)
-    return counts
+    yield left
 
 
 @lru_cache(maxsize=None)
-def log_factorials(n: int) -> np.ndarray:
-    """Read-only vector of log(t!) for t = 0..n."""
-    out = np.array([math.lgamma(t + 1) for t in range(n + 1)])
-    out.setflags(write=False)
-    return out
+def log_factorial_sums(d: int, total: int) -> np.ndarray:
+    """sum_j log(m_j!) for every row m of :func:`occupation_counts`, read-only.
 
-
-def pair_log_factorials(a: np.ndarray, k: np.ndarray, log_fac: np.ndarray) -> np.ndarray:
-    """sum_j log((a_j + k_j)!) for every row a of ``a`` and row k of ``k``.
-
-    The len(a) x len(k) float64 table is summed one slot at a time, so no
-    len(a) x len(k) x d array is formed; ``log_fac`` is a
-    :func:`log_factorials` vector that reaches every a_j + k_j.
+    Summed slot by slot in slot order as the columns are built, holding no
+    count table; gathered through :func:`split_index` it is sum_j log((a_j+k_j)!).
     """
-    out = np.zeros((a.shape[0], k.shape[0]))
-    for j in range(a.shape[1]):
-        out += log_fac[a[:, j, None] + k[None, :, j]]
-    return out
+    log_fac = np.array([math.lgamma(t + 1) for t in range(total + 1)])
+    sums = np.zeros(sym_dim(d, total))
+    for column in _occupation_columns(d, total):
+        sums += log_fac[column]
+    sums.setflags(write=False)
+    return sums
 
 
 @lru_cache(maxsize=None)
@@ -129,8 +130,8 @@ def split_index(d: int, total: int, kept: int) -> np.ndarray:
     Rows run over the (d, kept) basis a, columns over the
     (d, total - kept) basis k, and ``idx[a, k]`` is the (d, total) basis
     index of a+k, ranked one slot at a time (:func:`_canonical_index`).
-    Read by :attr:`SymDensity.joint` and the sweep's first step; the
-    weights are each machine's own (:mod:`uqcm.machines`).
+    Read by :attr:`SymDensity.joint`, the sweep's first step and each
+    machine's own weight table (:mod:`uqcm.machines`).
     """
     a = occupation_counts(d, kept)
     k = occupation_counts(d, total - kept)
@@ -289,10 +290,9 @@ def expand_power(phi: PureState, copies: int) -> np.ndarray:
     if copies < 1:
         raise ValueError(f"need at least one copy, got {copies}")
     counts = occupation_counts(phi.dim, copies)
-    log_fac = log_factorials(copies)
     # Powers stay out of the logarithm: a zero amplitude to the power 0 is exactly 1.
     powers = np.prod(phi.amplitudes**counts, axis=1)
-    amps = powers * np.exp(0.5 * (log_fac[copies] - log_fac[counts].sum(axis=1)))
+    amps = powers * np.exp(0.5 * (math.lgamma(copies + 1) - log_factorial_sums(phi.dim, copies)))
     if not abs(np.linalg.norm(amps) - 1.0) <= NORM_TOL:
         raise ValueError("amplitudes are not normalized")
     amps.setflags(write=False)
@@ -333,19 +333,20 @@ def sweep_budget(d: int, total: int, kept: int) -> tuple[int, int, int]:
 
     * held, alive from the machine to the last block: the D_in x r
       table V, the input-independent tables cached for the problem (its
-      split index, the three machines' weight tables, their count tables
-      and log(t!) vectors), the ladder table, every level's coefficients
-      and the count table of level total-1, one step's real coefficients
-      and the D_in row phases, the d x D_total first-step index and
-      coefficient rows and those rows scaled by |x_j|, one later step's
-      gathered row chunk at its CHUNK_BYTES cap, and numpy's ufunc buffers;
+      split index, the three machines' weight tables, the count tables
+      and log-factorial sums of both bases and the sums of level total),
+      the ladder table, every level's coefficients and the count table
+      of level total-1, one step's real coefficients and the D_in row
+      phases, the d x D_total first-step index and coefficient rows and
+      those rows scaled by |x_j|, one later step's gathered row chunk at
+      its CHUNK_BYTES cap, and numpy's ufunc buffers;
     * transient, before the first block: the largest of what builds one
-      cached table.  A split index, weight or ladder table on
-      rows x cols is summed one slot at a time: one slot's index and
-      term beside the sum (rows x cols), and the suffix sums of both
-      bases ((rows + cols) d / 2).  That is D_in x r for the problem's tables
-      and D_{total-1} x d for the ladder table.  A count table is built
-      one np.repeat pass per slot, at most 3 entries a row;
+      cached table.  A split index or ladder table on rows x cols is
+      ranked one slot at a time: one slot's index and term beside the
+      sum (rows x cols), and the suffix sums of both bases ((rows +
+      cols) d / 2); D_in x r for the split index (the weights are
+      gathered through it) and D_{total-1} x d for the ladder table.
+      A count table or log-factorial sum takes at most 3 entries a row;
     * per_column, for each column of a block: one column of level
       total-1, plus the first step's transients (the phase-rotated
       complex block, its real or imaginary part, one direction's flat
@@ -363,9 +364,9 @@ def sweep_budget(d: int, total: int, kept: int) -> tuple[int, int, int]:
     """
     d_in, r = sym_dim(d, kept), sym_dim(d, total - kept)
     upper = sym_dim(d, total - 1) if total >= 1 else 0
-    # The split index and the unified, werner and fan weights, 8 bytes
-    # each, and the count tables of both bases, 8 bytes a slot.
-    tables = 2 * d_in * r + d * (d_in + r) // 2
+    # The split index and the three weight tables, 8 bytes each; count
+    # tables, 8 bytes a slot, and log-factorial sums, 8 bytes a row.
+    tables = 2 * d_in * r + ((d + 1) * (d_in + r) + sym_dim(d, total)) // 2
     # The count table of level total-1, the ladder table and one step's
     # real coefficients, 8 bytes over at most D_{total-1} x d each; every
     # level's coefficients, 8 bytes over D_{t-1} x d for t < total,
@@ -375,17 +376,17 @@ def sweep_budget(d: int, total: int, kept: int) -> tuple[int, int, int]:
     # The first step's cached index and coefficient rows, one entry a
     # slot, and the rows scaled by |x_j|, half an entry a slot.
     down = 3 * d * sym_dim(d, total) // 2
-    # Array headers and cache entries of the per-level steps and the
-    # two log(t!) vectors, about 1 kB a level; the first step's
-    # column offsets, below one column; numpy's ufunc buffers, and a row
-    # chunk's gather, at most CHUNK_BYTES and one buffer more.
+    # Array headers and cache entries of the per-level steps, about 1 kB
+    # a level; the first step's column offsets, below one column; numpy's
+    # ufunc buffers, and a row chunk's gather, at most CHUNK_BYTES and one
+    # buffer more.
     overhead = 64 * (total + 1) + upper + 3 * np.getbufsize() + CHUNK_BYTES // 16
     held = d_in * r + tables + ladder + down + overhead
 
     def build(rows: int, cols: int) -> int:
         return rows * cols + (rows + cols) * d // 2
 
-    transient = max(build(d_in, r), build(upper, d), 3 * max(upper, d_in, r))
+    transient = max(build(d_in, r), build(upper, d), 3 * sym_dim(d, total))
     per_column = upper + 1 + max(4 * d_in, d)
     return held, transient, per_column
 

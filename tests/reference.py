@@ -44,7 +44,6 @@ from uqcm.symmetric import (
     _canonical_index,
     _compress,
     _embed_columns,
-    log_factorials,
     occupation_counts,
     split_index,
 )
@@ -123,14 +122,15 @@ def splitting_coefficient_sq(
 def reference_weights(d: int, n: int, m: int) -> dict[str, np.ndarray]:
     """werner's, fan's and unified's weight tables from D_in x r x d arrays.
 
-    The log-multinomial summed over a broadcast slot axis, the way the
-    tables were built before :mod:`uqcm.machines` summed them one slot
-    at a time.  "unified" holds the splitting coefficients f(a+k, k) of
-    m qudits split as (n, m - n).
+    The log-multinomial summed over a broadcast slot axis from its own
+    ``math.lgamma`` table, not gathered from the package's log-factorial
+    sums through the split index as :mod:`uqcm.machines` does.
+    "unified" holds the splitting coefficients f(a+k, k) of m qudits
+    split as (n, m - n).
     """
     a = occupation_counts(d, n)
     k = occupation_counts(d, m - n)
-    log_fac = log_factorials(m + d - 1)
+    log_fac = np.array([math.lgamma(t + 1) for t in range(m + d)])
     multinomial = log_fac[a[:, None, :] + k[None, :, :]].sum(axis=2)
     log_a = log_fac[a].sum(axis=1)[:, None]
     log_k = log_fac[k].sum(axis=1)[None, :]

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -50,24 +51,25 @@ class TestTable:
         assert all(row["abs_diff"] < 1e-10 for row in payload["rows"])
 
     @pytest.mark.parametrize("machine", machines.MACHINES)
-    def test_a_cold_run_builds_one_log_factorial_table(self, capsys, monkeypatch,
-                                                        machine):
-        # The machine's weight table is the one D_in x r log-multinomial of
-        # a run; the sweep reads the split index, which has no weights.
-        calls = []
-        original = symmetric.pair_log_factorials
+    def test_a_cold_run_builds_three_log_factorial_vectors(self, capsys, monkeypatch,
+                                                            machine):
+        # Every machine's weight table gathers its pair term from the level-M
+        # vector through the split index and reads the input and ancilla
+        # terms off the (d, N) and (d, M-N) vectors; nothing else builds one.
+        built = []
+        original = symmetric.log_factorial_sums.__wrapped__
 
-        def spy(*args):
-            calls.append(args[0].shape[0] * args[1].shape[0])
-            return original(*args)
+        @functools.lru_cache(maxsize=None)
+        def spy(d, total):
+            built.append((d, total))
+            return original(d, total)
 
         for module in (symmetric, machines):
-            monkeypatch.setattr(module, "pair_log_factorials", spy)
+            monkeypatch.setattr(module, "log_factorial_sums", spy)
         clear_caches()
         argv = ["table", "--d", "5", "--n", "2", "--m", "8", "--machine", machine]
         assert _run(capsys, argv)[0] == 0
-        spec = machines.CloneSpec(5, 2, 8)
-        assert calls == [spec.dim_in * spec.dim_anc]
+        assert sorted(built) == [(5, 2), (5, 6), (5, 8)]
 
     def test_csv_header_stable(self, capsys):
         status, out = _run(
@@ -117,6 +119,33 @@ class TestTable:
                                     "--machine", "unified", "--l", "1"])
         assert status == 0
         assert json.loads(out)["rows"][0]["abs_diff"] <= 1e-10
+
+    @pytest.mark.parametrize("machine", machines.MACHINES)
+    def test_a_numeric_failure_exits_1_with_one_line(self, machine):
+        # At N = 2100 sqrt(multinomial) overflows (ROADMAP item 8); the
+        # machine's own check raises, and the CLI reports that alone.
+        proc = subprocess.run(
+            [sys.executable, "-m", "uqcm", "table", "--d", "2", "--n", "2100",
+             "--m", "2101", "--machine", machine],
+            capture_output=True,
+            text=True,
+            cwd=Path(__file__).resolve().parents[1],
+            env={**os.environ, "PYTHONPATH": "src"},
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("uqcm: error: ")
+        assert "Traceback" not in proc.stderr
+
+    def test_fan_norm_check_is_a_value_error(self, capsys, monkeypatch):
+        # A joint state off unit norm is a numeric failure, not a usage error.
+        monkeypatch.setattr(machines, "_fan_weights", lambda d, n, m: np.full((2, 3), 0.5))
+        argv = ["table", "--d", "2", "--n", "1", "--m", "3", "--machine", "fan"]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("uqcm: error: amplitude-form joint state has norm ")
+        assert err.count("\n") == 1
 
     def test_many_levels_enumerate_without_recursion(self, capsys):
         status, out = _run(capsys, ["table", "--d", "1200", "--n", "1", "--m", "1"])
@@ -1302,11 +1331,11 @@ class TestGoldenOutput:
             "2,1,2,5/6,5/6,true,false\n",
         )
 
-    # SHA-256 of the stdout of the benchmark's `table` ops at seed 0, and
-    # of two ops whose long sums of squares a threaded BLAS would split:
-    # (7,2,8) unified and a fast-path-only `verify` at (8,2,8).  Every sum
-    # of squares is BLAS-free, so the bytes are the same at one thread and
-    # at two.
+    # SHA-256 of the stdout of the benchmark's `table` ops at seed 0, of
+    # two ops whose long sums of squares a threaded BLAS would split:
+    # (7,2,8) unified and a fast-path-only `verify` at (8,2,8), and of two
+    # full-mode `verify` reports.  Every sum of squares is BLAS-free, so
+    # the bytes are the same at one thread and at two.
     DIGESTS = [
         (["table", "--d", "2", "--n", "1", "--m", "40", "--machine", "werner"],
          "5106b121f8a78bd7d0092a287debc8eb71fa19e0c26ca8932711fdb4931a35c6"),
@@ -1334,6 +1363,10 @@ class TestGoldenOutput:
          "313e6f738166ba13f164ad0a275f9a8a4c16dc84c05573ddf9097c2a90be8d57"),
         (["verify", "--d", "8", "--n", "2", "--m", "8", "--trials", "2"],
          "6e906b306b0bf31d501a7c65e4d25a2529a7b21a104bd9c4000316119806f1be"),
+        (["verify", "--d", "3", "--n", "1", "--m", "3", "--trials", "2"],
+         "70252a34efe1d6573aae59e971b5410fe008f77f320455e7f78687cc7ccb9a00"),
+        (["verify", "--d", "2", "--n", "2", "--m", "5", "--trials", "2"],
+         "81ab9126463f83ac3cb6a7028d31a685051a094ee0a5a18482b50bd485e5c434"),
     ]
 
     def test_benchmark_table_bytes_are_pinned(self):

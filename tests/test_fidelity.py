@@ -474,16 +474,16 @@ class TestLadderSweep:
         # Every level reads a prefix of the one ladder table of level M-1,
         # so a sweep builds no split, count or log-factorial table below
         # that.  It reads the problem's tables: the input basis (d, N), and
-        # the (d, M, N) split index of the first step, built here first, as
-        # no machine reads it.
+        # the (d, M, N) split index of the first step, which the machine
+        # built, as its weights are gathered through it.
         spec = CloneSpec(d, n, m)
         phi = random_pure_state(d, 96)
         clear_caches()
         rho = run_machine(spec, phi, machine)
-        symmetric.split_index(d, m, n)
         built = symmetric.occupation_counts.cache_info().currsize
+        splits = symmetric.split_index.cache_info().currsize
         calls = []
-        for name in ("split_index", "occupation_counts", "log_factorials"):
+        for name in ("split_index", "occupation_counts", "log_factorial_sums"):
             original = getattr(symmetric, name)
 
             def spy(*args, _name=name, _original=original):
@@ -501,6 +501,7 @@ class TestLadderSweep:
         # Of those, only the level M-1 count table is new.
         monkeypatch.undo()
         assert symmetric.occupation_counts.cache_info().currsize == built + 1
+        assert symmetric.split_index.cache_info().currsize == splits
         closed = fidelities_closed(spec)
         assert max(abs(v - float(c)) for v, c in zip(values, closed)) <= TOL
 

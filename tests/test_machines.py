@@ -248,8 +248,9 @@ class TestFastPathCap:
         # tables sit beside the tables' construction, not beside a sweep
         # block.  At (8,2,8) that is less than one 6435 x 1716 factor.
         # (10,2,10)'s block fills the cap, so its count is the table rule's,
-        # and so is (9,2,12)'s, whose tables are built one slot at a time;
-        # (10,3,11)'s three 220 x 24310 tables and their construction do not fit.
+        # and so is (9,2,12)'s, whose split index is ranked one slot at a
+        # time; (10,3,11)'s three 220 x 24310 tables and their construction
+        # do not fit.
         for spec in (CloneSpec(6, 2, 8), CloneSpec(8, 7, 8), CloneSpec(10, 9, 10),
                      CloneSpec(8, 2, 8), CloneSpec(8, 3, 8), CloneSpec(10, 2, 10),
                      CloneSpec(9, 2, 12)):
@@ -264,15 +265,15 @@ class TestFastPathCap:
             assert counted <= FAST_PATH_CAP
         assert check_fast_path(CloneSpec(8, 2, 8), tables=3) < 6435 * 1716
         spec = CloneSpec(10, 2, 10)
-        assert check_fast_path(spec, tables=3) == check_fast_path(spec) == 33_533_690
+        assert check_fast_path(spec, tables=3) == check_fast_path(spec) == 33_543_220
         check_fast_path(CloneSpec(10, 3, 11))
         with pytest.raises(FastPathCapError, match=r"3 machines \(220 x 24310 each\)"):
             check_fast_path(CloneSpec(10, 3, 11), tables=3)
 
     def test_table_rule_admits_what_the_slot_loop_builds(self):
-        # (10,3,10)'s 120 x 11440 tables used to be built beside a
-        # 120 x 11440 x 10 array each; slot by slot they fit, with one
-        # sweep block filling the cap.
+        # (10,3,10)'s 220 x 11440 tables used to be built beside a
+        # 220 x 11440 x 10 array each; ranked slot by slot and gathered,
+        # they fit, with one sweep block filling the cap.
         spec = CloneSpec(10, 3, 10)
         held, transient, _ = sweep_budget(10, 10, 3)
         assert held + transient < check_fast_path(spec) <= FAST_PATH_CAP
