@@ -14,9 +14,11 @@ P = iso iso^T that way, a density crosses to the full space as a factor
 each tensor axis instead of forming u^(x total).
 
 Every decision about the numeric occupation basis is made here.  A basis
-is the pair of ints (d, total); nothing wraps it.  There is one cached
-count table per (d, total) (:func:`occupation_counts`, built by
-np.repeat passes) and one of sum_j log(m_j!) (:func:`log_factorial_sums`),
+is the pair of ints (d, total); nothing wraps it.  There is one fill
+loop for a count table (np.repeat passes), cached by
+:func:`occupation_counts` only for a basis read on every call, the input
+basis, and one cached vector of sum_j log(m_j!) per (d, total)
+(:func:`log_factorial_sums`),
 one rank formula (``_canonical_index``, vectorised in the split index
 and the embedding), one split index of where |a>|k> sits in |a+k>
 (:func:`split_index`, which the machines' weights gather through), one
@@ -37,7 +39,8 @@ argument).  The first step is d flat scatter-adds of the block's
 D_in * w entries into level M-1; each later step is one gather of the
 d parent rows of a chunk of rows and one batched real product, written
 over the level it reads in increasing row order.  Every level is a
-prefix of level M-1, so all steps read one ladder table.  It costs
+prefix of level M-1, so all steps read one ladder table, which holds
+every level's coefficients once, level M's by the row they reach.  It costs
 d * sum_t D_t per column and part for D_t = sym_dim(d, t), and a block
 holds one level-(M-1) block plus one gathered row chunk, kept within
 CHUNK_BYTES where one row allows it.  :func:`sweep_budget` counts
@@ -80,11 +83,19 @@ def occupation_counts(d: int, total: int) -> np.ndarray:
 
     Row i is the occupation vector at index i (:func:`_occupation_columns`),
     and ``_canonical_index`` ranks a vector by formula, not by lookup.
+    Read for the input basis, which every call reads again; the one-time
+    builds of the split index and the ladder table use :func:`_fill_counts`.
     """
+    counts = _fill_counts(d, total)
+    counts.setflags(write=False)
+    return counts
+
+
+def _fill_counts(d: int, total: int) -> np.ndarray:
+    """A fresh, uncached (d, total) count table, filled one column a slot."""
     counts = np.empty((sym_dim(d, total), d), dtype=np.intp)
     for j, column in enumerate(_occupation_columns(d, total)):
         counts[:, j] = column
-    counts.setflags(write=False)
     return counts
 
 
@@ -131,10 +142,11 @@ def split_index(d: int, total: int, kept: int) -> np.ndarray:
     (d, total - kept) basis k, and ``idx[a, k]`` is the (d, total) basis
     index of a+k, ranked one slot at a time (:func:`_canonical_index`).
     Read by :attr:`SymDensity.joint`, the sweep's first step and each
-    machine's own weight table (:mod:`uqcm.machines`).
+    machine's own weight table (:mod:`uqcm.machines`).  The ancilla
+    basis's count table is built for this alone and released after it.
     """
     a = occupation_counts(d, kept)
-    k = occupation_counts(d, total - kept)
+    k = _fill_counts(d, total - kept)
     idx = _canonical_index(total, a[:, None, :], k[None, :, :])
     idx.setflags(write=False)
     return idx
@@ -333,24 +345,26 @@ def sweep_budget(d: int, total: int, kept: int) -> tuple[int, int, int]:
 
     * held, alive from the machine to the last block: the D_in x r
       table V, the input-independent tables cached for the problem (its
-      split index, the three machines' weight tables, the count tables
-      and log-factorial sums of both bases and the sums of level total),
-      the ladder table, every level's coefficients and the count table
-      of level total-1, one step's real coefficients and the D_in row
-      phases, the d x D_total first-step index and coefficient rows and
-      those rows scaled by |x_j|, one later step's gathered row chunk at
-      its CHUNK_BYTES cap, and numpy's ufunc buffers;
+      split index, the three machines' weight tables, the input basis's
+      count table, the log-factorial sums of both bases and the sums of
+      level total), the ladder table, every level's coefficients, one
+      step's real coefficients and the D_in row phases, the d x D_total
+      first-step index rows, level total's d x (D_{total-1} + 1)
+      coefficients and those scaled by |x_j|, one later step's gathered
+      row chunk at its CHUNK_BYTES cap, and numpy's ufunc buffers;
     * transient, before the first block: the largest of what builds one
       cached table.  A split index or ladder table on rows x cols is
       ranked one slot at a time: one slot's index and term beside the
       sum (rows x cols), and the suffix sums of both bases ((rows +
       cols) d / 2); D_in x r for the split index (the weights are
       gathered through it) and D_{total-1} x d for the ladder table.
-      A count table or log-factorial sum takes at most 3 entries a row;
+      Each also holds the count table that only it reads, the ancilla
+      basis's or level total-1's, d / 2 entries a row.  A count table or
+      log-factorial sum takes at most 3 entries a row;
     * per_column, for each column of a block: one column of level
       total-1, plus the first step's transients (the phase-rotated
       complex block, its real or imaginary part, one direction's flat
-      target index and product, and the gather inside its ``+=``:
+      target index and scaled entries, and the gather inside its ``+=``:
       3 D_in, counted as 4 D_in).  A later step's chunk is past
       CHUNK_BYTES only when one row's gather is, and then it is that
       one row, d / 2 entries a column: so max(4 D_in, d).
@@ -364,18 +378,20 @@ def sweep_budget(d: int, total: int, kept: int) -> tuple[int, int, int]:
     """
     d_in, r = sym_dim(d, kept), sym_dim(d, total - kept)
     upper = sym_dim(d, total - 1) if total >= 1 else 0
-    # The split index and the three weight tables, 8 bytes each; count
-    # tables, 8 bytes a slot, and log-factorial sums, 8 bytes a row.
-    tables = 2 * d_in * r + ((d + 1) * (d_in + r) + sym_dim(d, total)) // 2
-    # The count table of level total-1, the ladder table and one step's
-    # real coefficients, 8 bytes over at most D_{total-1} x d each; every
-    # level's coefficients, 8 bytes over D_{t-1} x d for t < total,
-    # sym_dim(d+1, T) being sum_{t<=T} D_t; and the D_in row phases.
+    # The split index and the three weight tables, 8 bytes each; the
+    # input basis's count table, 8 bytes a slot, and log-factorial sums,
+    # 8 bytes a row.
+    tables = 2 * d_in * r + (d * d_in + d_in + r + sym_dim(d, total)) // 2
+    # The ladder table and one step's real coefficients, 8 bytes over at
+    # most D_{total-1} x d each; every level's coefficients, 8 bytes over
+    # D_{t-1} x d for t < total, sym_dim(d+1, T) being sum_{t<=T} D_t;
+    # and the D_in row phases.
     below = sym_dim(d + 1, total - 2) if total >= 2 else 0
-    ladder = d * (3 * upper + below) // 2 + d_in
-    # The first step's cached index and coefficient rows, one entry a
-    # slot, and the rows scaled by |x_j|, half an entry a slot.
-    down = 3 * d * sym_dim(d, total) // 2
+    ladder = d * (2 * upper + below) // 2 + d_in
+    # The first step's index rows, half an entry a slot of level total;
+    # level total's coefficients by target row, spare row included, and
+    # their |x_j|-scaled copy, half an entry each.
+    down = d * sym_dim(d, total) // 2 + d * (upper + 1)
     # Array headers and cache entries of the per-level steps, about 1 kB
     # a level; the first step's column offsets, below one column; numpy's
     # ufunc buffers, and a row chunk's gather, at most CHUNK_BYTES and one
@@ -386,7 +402,10 @@ def sweep_budget(d: int, total: int, kept: int) -> tuple[int, int, int]:
     def build(rows: int, cols: int) -> int:
         return rows * cols + (rows + cols) * d // 2
 
-    transient = max(build(d_in, r), build(upper, d), 3 * sym_dim(d, total))
+    # Each build also holds the count table that only it reads: the
+    # ancilla basis's for the split index, level total-1's for the ladder.
+    split, steps = build(d_in, r) + d * r // 2, build(upper, d) + d * upper // 2
+    transient = max(split, steps, 3 * sym_dim(d, total))
     per_column = upper + 1 + max(4 * d_in, d)
     return held, transient, per_column
 
@@ -485,14 +504,14 @@ def _sweep(
     columns = rho.factor.shape[1]
     # Every table is built before the first block, so no block is alive
     # while one is being built.
-    up, steps, down, down_coeff = _ladder_table(d, total)
+    up, steps, down, top = _ladder_table(d, total)
     # Steps t = total-1 down to total-upto+1.
     ladder = steps[total - upto : total - 1][::-1]
     # Rows of a chunk whose gather is no larger than a level-(M-2) block.
     smaller = max(1, ((sym_dim(d, total - 2) if total >= 2 else 0) + 1) // (d + 1))
     width = sweep_width(d, total, rho.kept)
     rows = split_index(d, total, rho.kept)
-    down_scale = magnitudes[:, None] * down_coeff
+    top_scale = magnitudes[:, None] * top
     # np.angle(0) = 0: a zero amplitude has phase 1.
     phases = np.exp(-1j * (occupation_counts(d, rho.kept) @ np.angle(phi.amplitudes)))
     values = np.zeros(upto)
@@ -502,7 +521,7 @@ def _sweep(
         rotated = rho.factor[:, block] * phases[:, None]
         imag += sum_squares(rotated.imag)
         level = _first_step(
-            np.ascontiguousarray(part(rotated)), rows[:, block], down, down_scale, len(up)
+            np.ascontiguousarray(part(rotated)), rows[:, block], down, top_scale, len(up)
         )
         del rotated
         values[0] += sum_squares(level)
@@ -532,34 +551,37 @@ def _ladder_table(
     total-1 plus e_j; step t reads ``steps[t-1]``, ``up[:D_{t-1}]`` and
     sqrt((a_j+1)/t) over the rows a of level t-1.  ``down`` inverts ``up``
     for the first step, one row per direction j: ``down[j, i]`` is the
-    (d, total-1) index of m_i - e_j, or D_{total-1} where m_j = 0, and
-    ``down_coeff[j, i]`` is sqrt(m_j / total).
+    (d, total-1) index of m_i - e_j, or D_{total-1} where m_j = 0.  The
+    first step's coefficients are held once, by target row: ``top[j, a]``
+    is sqrt((a_j+1)/total), and the spare column D_{total-1} is 0.  The
+    level total-1 count table is built for this alone and released.
     """
-    counts = occupation_counts(d, total - 1)
+    counts = _fill_counts(d, total - 1)
     up = _canonical_index(total, counts[:, None, :], np.eye(d, dtype=np.intp))
     # One allocation a level, kept: freed temporaries left glibc's heap
     # holding 255 MB of peak RSS at (3,300,301) unified, against 152 MB.
     coeffs = []
-    for t in range(1, total + 1):
+    for t in range(1, total):
         raised = counts[: sym_dim(d, t - 1)] + 1.0
         raised[:, 0] -= total - t
         raised /= t
         coeffs.append(np.sqrt(raised, out=raised))
+    top = np.zeros((d, counts.shape[0] + 1))
+    np.add(counts.T, 1.0, out=top[:, :-1])
+    top /= total
+    np.sqrt(top, out=top)
     down = np.full((d, sym_dim(d, total)), counts.shape[0])
-    down_coeff = np.zeros((d, sym_dim(d, total)))
-    slots = np.arange(d)
-    down[slots, up] = np.arange(counts.shape[0])[:, None]
-    down_coeff[slots, up] = coeffs.pop()
-    for table in (up, down, down_coeff, *coeffs):
+    down[np.arange(d), up] = np.arange(counts.shape[0])[:, None]
+    for table in (up, down, top, *coeffs):
         table.setflags(write=False)
-    return up, tuple((up[: len(c)], c) for c in coeffs), down, down_coeff
+    return up, tuple((up[: len(c)], c) for c in coeffs), down, top
 
 
 def _first_step(
     table: np.ndarray,
     rows: np.ndarray,
     down: np.ndarray,
-    down_scale: np.ndarray,
+    top_scale: np.ndarray,
     size: int,
 ) -> np.ndarray:
     """Level M-1, a float64 array, for the columns of one part of a rotated block.
@@ -570,15 +592,20 @@ def _first_step(
     each direction j the targets a+k-e_j are distinct within a column,
     so a plain ``+=`` on the flattened level adds every entry; entries
     with no qudit in level j land in a spare last row, which is cut off.
+    Each entry's scale is gathered from ``top_scale[j]`` by its target
+    row, whose spare column is 0.
     """
     width = table.shape[1]
     level = np.zeros((size + 1, width))
     flat = level.reshape(-1)
     where = np.arange(width)
     for j in range(down.shape[0]):
-        target = down[j][rows] * width
+        target = down[j][rows]
+        scaled = top_scale[j][target]
+        scaled *= table
+        target *= width
         target += where
-        flat[target] += table * down_scale[j][rows]
+        flat[target] += scaled
     return level[:size]
 
 

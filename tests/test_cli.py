@@ -71,6 +71,20 @@ class TestTable:
         assert _run(capsys, argv)[0] == 0
         assert sorted(built) == [(5, 2), (5, 6), (5, 8)]
 
+    @pytest.mark.parametrize("machine", machines.MACHINES)
+    def test_a_cold_run_pins_only_the_input_count_table(self, capsys, machine):
+        # The input (5,2), ancilla (5,6) and level M-1 (5,7) bases all
+        # differ here.  The split index and the ladder table each build
+        # the count table that only they read and release it, so the
+        # cache is left with the input basis's, which every call reads.
+        clear_caches()
+        argv = ["table", "--d", "5", "--n", "2", "--m", "8", "--machine", machine]
+        assert _run(capsys, argv)[0] == 0
+        assert symmetric.occupation_counts.cache_info().currsize == 1
+        hits = symmetric.occupation_counts.cache_info().hits
+        symmetric.occupation_counts(5, 2)
+        assert symmetric.occupation_counts.cache_info().hits == hits + 1
+
     def test_csv_header_stable(self, capsys):
         status, out = _run(
             capsys, ["table", "--d", "2", "--n", "1", "--m", "2", "--format", "csv"]
@@ -871,6 +885,14 @@ class TestAsymSweep:
             cli.main(["asym-sweep", "--d", "2", "--alpha", "0.5"])
         assert exc.value.code == 2
 
+    def test_a_single_sweep_point_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["asym-sweep", "--d", "2", "--sweep-points", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: uqcm asym-sweep ")
+        assert "--sweep-points must be >= 2, got 1" in err
+
     @pytest.mark.parametrize("flag", ["--alpha", "--beta"])
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_weight_exits_2(self, capsys, flag, bad):
@@ -1033,6 +1055,14 @@ class TestIdentityCheck:
         err = capsys.readouterr().err
         assert err.startswith("usage: uqcm identity-check ")
         assert message in err
+
+    def test_half_specified_point_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["identity-check", "--d", "2", "--n", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: uqcm identity-check ")
+        assert "single-point mode needs all of --d, --n and --m" in err
 
     def test_mixed_point_and_grid_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -37,6 +37,10 @@ class TestSymDim:
         with pytest.raises(ValueError):
             sym_dim(1, 2)
 
+    def test_negative_particle_number_raises(self):
+        with pytest.raises(ValueError, match="particle number must be >= 0, got -1"):
+            sym_dim(2, -1)
+
 
 class TestEnumerateOccupations:
     def test_count_matches_dimension(self):

@@ -195,6 +195,18 @@ class TestSpecializations:
         assert fidelity_L_closed_N1(2, 3, 2) == Fraction(11, 18)
         assert fidelity_L_closed_N1(2, 2, 1) == Fraction(5, 6)
 
+    @pytest.mark.parametrize(
+        "d, m, L, match",
+        [
+            (1, 3, 1, "qudit dimension must be >= 2, got 1"),
+            (2, 3, 0, "need 1 <= L <= 3, got L=0"),
+            (2, 3, 4, "need 1 <= L <= 3, got L=4"),
+        ],
+    )
+    def test_simplified_form_rejects_arguments_out_of_range(self, d, m, L, match):
+        with pytest.raises(ValueError, match=match):
+            fidelity_L_closed_N1(d, m, L)
+
 
 class TestNumericAgreement:
     @pytest.mark.parametrize("d,n,m", GRID)
@@ -473,9 +485,10 @@ class TestLadderSweep:
     def test_sweep_builds_no_table_below_the_top_level(self, d, n, m, machine, monkeypatch):
         # Every level reads a prefix of the one ladder table of level M-1,
         # so a sweep builds no split, count or log-factorial table below
-        # that.  It reads the problem's tables: the input basis (d, N), and
-        # the (d, M, N) split index of the first step, which the machine
-        # built, as its weights are gathered through it.
+        # that, and the ladder table releases the level M-1 count table it
+        # is built from.  It reads the problem's tables: the input basis
+        # (d, N), and the (d, M, N) split index of the first step, which
+        # the machine built, as its weights are gathered through it.
         spec = CloneSpec(d, n, m)
         phi = random_pure_state(d, 96)
         clear_caches()
@@ -493,14 +506,10 @@ class TestLadderSweep:
             monkeypatch.setattr(symmetric, name, spy)
         values = fidelities_numeric(rho, phi)
         assert calls
-        assert set(calls) <= {
-            ("split_index", (d, m, n)),
-            ("occupation_counts", (d, m - 1)),
-            ("occupation_counts", (d, n)),
-        }
-        # Of those, only the level M-1 count table is new.
+        assert set(calls) <= {("split_index", (d, m, n)), ("occupation_counts", (d, n))}
+        # Both were built with the machine: the sweep adds no count table.
         monkeypatch.undo()
-        assert symmetric.occupation_counts.cache_info().currsize == built + 1
+        assert symmetric.occupation_counts.cache_info().currsize == built
         assert symmetric.split_index.cache_info().currsize == splits
         closed = fidelities_closed(spec)
         assert max(abs(v - float(c)) for v, c in zip(values, closed)) <= TOL
@@ -528,9 +537,9 @@ def _count_parts(monkeypatch):
     step = symmetric._first_step
     calls = []
 
-    def counting(table, rows, down, down_scale, size):
+    def counting(table, rows, down, top_scale, size):
         calls.append(table.shape[1])
-        return step(table, rows, down, down_scale, size)
+        return step(table, rows, down, top_scale, size)
 
     monkeypatch.setattr(symmetric, "_first_step", counting)
     return calls

@@ -80,6 +80,15 @@ class TestPureState:
         with pytest.raises(ValueError):
             PureState(np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("amps", [[1.0], []])
+    def test_fewer_than_two_amplitudes_raise(self, amps):
+        with pytest.raises(ValueError, match="qudit dimension must be >= 2"):
+            PureState(np.array(amps))
+
+    def test_normalizing_the_zero_vector_raises(self):
+        with pytest.raises(ValueError, match="zero vector"):
+            PureState.normalized(np.zeros(3))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("make", [PureState, PureState.normalized])
     def test_non_finite_amplitudes_raise(self, make, bad):
@@ -149,6 +158,13 @@ class TestPartialTrace:
             expected = np.einsum(shaped, [0, 1, 2] + cols, out).reshape(dim, dim)
             reduced = partial_trace(_pure(amps, 3, 3), keep)
             assert np.allclose(dense_matrix(reduced), expected, atol=TOL)
+
+    @pytest.mark.parametrize(
+        "keep, match", [(set(), "nonempty"), ({-1}, "outside 0..1"), ({0, 2}, "outside 0..1")]
+    )
+    def test_keep_set_outside_the_factors_raises(self, keep, match):
+        with pytest.raises(ValueError, match=match):
+            partial_trace(_pure(_random_full(2, 2, 17), 2, 2), keep)
 
     def test_keep_all_is_identity(self):
         psi = _random_full(2, 2, 17)
@@ -385,6 +401,10 @@ class TestMaximallyEntangled:
             assert np.linalg.norm(pair) == pytest.approx(1.0, abs=TOL)
             rho = partial_trace(_pure(pair, 2, d), {0})
             assert np.allclose(dense_matrix(rho), np.eye(d) / d, atol=TOL)
+
+    def test_dimension_below_2_raises(self):
+        with pytest.raises(ValueError, match="qudit dimension must be >= 2, got 1"):
+            maximally_entangled(1)
 
 
 class TestRandomness:

@@ -265,10 +265,34 @@ class TestFastPathCap:
             assert counted <= FAST_PATH_CAP
         assert check_fast_path(CloneSpec(8, 2, 8), tables=3) < 6435 * 1716
         spec = CloneSpec(10, 2, 10)
-        assert check_fast_path(spec, tables=3) == check_fast_path(spec) == 33_543_220
+        assert check_fast_path(spec, tables=3) == check_fast_path(spec) == 33_522_456
         check_fast_path(CloneSpec(10, 3, 11))
         with pytest.raises(FastPathCapError, match=r"3 machines \(220 x 24310 each\)"):
             check_fast_path(CloneSpec(10, 3, 11), tables=3)
+
+    @pytest.mark.parametrize(
+        "d,n,m,tables,counted",
+        [
+            (11, 2, 11, 1, 33_455_964),
+            (12, 2, 10, 1, 33_443_748),
+            (10, 2, 10, 1, 33_522_456),
+            (10, 3, 10, 1, 33_519_985),
+            (3, 400, 401, 1, 19_105_719),
+            (4, 100, 101, 3, 17_231_561),
+        ],
+    )
+    def test_the_frontier_is_admitted(self, d, n, m, tables, counted):
+        # Level M's coefficients are held once, by target row, and the
+        # ancilla and level M-1 count tables only while the split index
+        # and the ladder table are built, so these fit beside their block.
+        assert check_fast_path(CloneSpec(d, n, m), tables=tables) == counted
+
+    @pytest.mark.parametrize(
+        "d,n,m,tables,counted", [(10, 3, 11, 3, 35_730_715), (3, 500, 501, 1, 34_923_511)]
+    )
+    def test_the_frontier_is_refused(self, d, n, m, tables, counted):
+        with pytest.raises(FastPathCapError, match=f"needs {counted} entries"):
+            check_fast_path(CloneSpec(d, n, m), tables=tables)
 
     def test_table_rule_admits_what_the_slot_loop_builds(self):
         # (10,3,10)'s 220 x 11440 tables used to be built beside a

@@ -172,6 +172,10 @@ class TestExpandPower:
         sym = expand_power(phi, 4)
         assert np.linalg.norm(sym) == pytest.approx(1.0, abs=TOL)
 
+    def test_no_copies_raises(self):
+        with pytest.raises(ValueError, match="need at least one copy, got 0"):
+            expand_power(random_pure_state(3, 41), 0)
+
 
 class TestSymUnitary:
     def test_is_unitary(self):
@@ -436,16 +440,19 @@ class TestLadderTables:
         # Level t-1 is the first D_{t-1} rows of level total-1, slot 0
         # lowered by total-t: its index rows are the (t, t-1) split index,
         # its coefficients the (t, t-1) splitting coefficients, and the
-        # first step's table is the (total, total-1) split inverted.
+        # first step's table is the (total, total-1) split inverted.  The
+        # first step gathers level total's coefficients through it, and a
+        # source row with no qudit in level j reads the spare 0.
         slots = np.arange(d)
         for total in range(1, 9):
-            up, steps, down, down_coeff = _ladder_table(d, total)
+            up, steps, down, first = _ladder_table(d, total)
+            assert first.shape == (d, up.shape[0] + 1)
             assert len(steps) == total - 1
             top = occupation_counts(d, total - 1)
             for t in range(1, total + 1):
                 idx = split_index(d, t, t - 1)
                 coeff = reference_weights(d, t - 1, t)["unified"]
-                rows, ours = steps[t - 1] if t < total else (up, down_coeff[slots, up])
+                rows, ours = steps[t - 1] if t < total else (up, first[:, :-1].T)
                 assert np.array_equal(rows, idx) and np.array_equal(rows, up[: len(idx)])
                 shifted = top[: len(idx)].copy()
                 shifted[:, 0] -= total - t
@@ -455,4 +462,7 @@ class TestLadderTables:
             missing = np.ones(down.shape, dtype=bool)
             missing[slots, up] = False
             assert (down[missing] == up.shape[0]).all()
-            assert (down_coeff[missing] == 0).all()
+            assert (first[:, -1] == 0).all()
+            gathered = first[slots[:, None], down]
+            assert (gathered[slots, up] == first[:, :-1].T).all()
+            assert (gathered[missing] == 0).all()
