@@ -10,7 +10,6 @@ full-tensor-space constructions.
 from .combinatorics import (
     IdentityReport,
     sym_dim,
-    verify_identity,
     verify_identity_family,
 )
 from .hilbert import (
@@ -51,7 +50,6 @@ from .machines import (
 from .fidelity import (
     fidelities_closed,
     fidelities_numeric,
-    fidelity_L_closed,
     fidelity_L_closed_N1,
     fidelity_global_closed,
     fidelity_single_closed,
@@ -76,7 +74,6 @@ __all__ = [
     "fan_output",
     "fidelities_closed",
     "fidelities_numeric",
-    "fidelity_L_closed",
     "fidelity_L_closed_N1",
     "fidelity_global_closed",
     "fidelity_pure",
@@ -94,7 +91,6 @@ __all__ = [
     "sym_unitary",
     "unified_output",
     "unified_output_oracle",
-    "verify_identity",
     "verify_identity_family",
     "weighted_clone",
     "werner_output",

@@ -60,7 +60,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .combinatorics import verify_identity, verify_identity_family
+from .combinatorics import verify_identity_family
 from .fidelity import fidelities_closed, fidelities_numeric, fidelity_single_closed
 from .hilbert import (
     FAST_PATH_CAP,
@@ -405,7 +405,7 @@ def _cmd_identity_check(
             parser.error("single-point mode needs all of --d, --n and --m")
         if any(v is not None for v in (args.d_max, args.n_max, args.m_max)):
             parser.error("give either a single point or grid bounds, not both")
-        reports = [_checked(parser, verify_identity, args.n, args.m, args.d)]
+        reports = _checked(parser, verify_identity_family, args.n, args.m, args.d)[-1:]
         config = {"d": args.d, "n_in": args.n, "m_out": args.m}
     else:
         d_max = 3 if args.d_max is None else args.d_max

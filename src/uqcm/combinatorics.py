@@ -19,7 +19,6 @@ The summation identity behind the single-copy fidelity is checked one
 sums S(M) of every M = N..m_max off d-1 prefix summations of one list,
 decides each equality by cross-multiplying integers, and builds a second
 ``Fraction`` only for a left side that differs from the right.
-:func:`verify_identity` is the last report of its family.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from typing import NamedTuple
 
 def sym_dim(d: int, n: int) -> int:
     """Dimension C(d+n-1, n) of the symmetric subspace of n qudits."""
-    _check_d(d)
+    check_d(d)
     if n < 0:
         raise ValueError(f"particle number must be >= 0, got {n}")
     return math.comb(d + n - 1, n)
@@ -65,8 +64,8 @@ RECONSTRUCTED_DENOMINATOR = "M * m! * (N+m-1)! * (M-N-m)! * (d-2)!"
 IDENTITY_NOTE = f"left side evaluated with denominator {RECONSTRUCTED_DENOMINATOR}"
 
 
-def verify_identity(n_in: int, m_out: int, d: int) -> IdentityReport:
-    """Check the reconstructed summation identity behind the F_1 closed form.
+def verify_identity_family(n_in: int, m_max: int, d: int) -> list[IdentityReport]:
+    """Check the summation identity behind the F_1 closed form, M = N..m_max.
 
     Left side (reconstruction; see :data:`RECONSTRUCTED_DENOMINATOR`):
 
@@ -81,18 +80,11 @@ def verify_identity(n_in: int, m_out: int, d: int) -> IdentityReport:
 
     Right side:  (N(d+M) + M - N) / ((d+N) M).
 
-    Both sides are exact rationals; ``equal`` reports their equality.
+    One report per M at fixed (d, N), the last for M = m_max.  Both sides
+    are exact rationals; ``equal`` reports their equality.
     ``printed_summand_evaluable`` records whether the literally typeset
     summand (denominator term "Mm") can be evaluated over the full range
     of m; it cannot, because the m = 0 term divides by zero.
-
-    This is the last report of :func:`verify_identity_family`.
-    """
-    return verify_identity_family(n_in, m_out, d)[-1]
-
-
-def verify_identity_family(n_in: int, m_max: int, d: int) -> list[IdentityReport]:
-    """The reports of :func:`verify_identity` for M = N..m_max at fixed (d, N).
 
     Every S(M) of the family comes from one set of prefix sums
     (:func:`_identity_sums`).  Equality is decided by cross-multiplying
@@ -101,7 +93,7 @@ def verify_identity_family(n_in: int, m_max: int, d: int) -> list[IdentityReport
     report is one tuple, and every report shares :data:`IDENTITY_NOTE`.
     """
     n = n_in
-    _check_d(d)
+    check_d(d)
     if not 1 <= n <= m_max:
         raise ValueError(f"need 1 <= N <= M, got N={n}, M={m_max}")
 
@@ -130,7 +122,7 @@ def verify_identity_family(n_in: int, m_max: int, d: int) -> list[IdentityReport
 
 
 def _identity_sums(n: int, m_max: int, d: int) -> list[int]:
-    """S(N), ..., S(m_max) of :func:`verify_identity`, exactly.
+    """S(N), ..., S(m_max) of :func:`verify_identity_family`, exactly.
 
     S(M) = sum_j a(j) b(M-j) with a(j) = j C(j, N) and b(k) = C(k+d-2, d-2).
     b has the generating function 1/(1-x)^(d-1), so convolving with it is
@@ -142,6 +134,7 @@ def _identity_sums(n: int, m_max: int, d: int) -> list[int]:
     return sums
 
 
-def _check_d(d: int) -> None:
+def check_d(d: int) -> None:
+    """Raise ValueError unless d is a qudit dimension, d >= 2."""
     if d < 2:
         raise ValueError(f"qudit dimension must be >= 2, got {d}")

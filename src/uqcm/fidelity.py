@@ -1,28 +1,9 @@
 """Arbitrary-copy cloning fidelities, numeric and in closed form.
 
-The numeric route reads every F_L off the factor J of the machine output
-rho = J J^dagger in one ladder sweep (:func:`uqcm.symmetric.ladder_fidelities`).
-Contracting one output qudit with <phi| maps the factor J_t of t qudits
-to J_{t-1}, d gathers of J_t's rows with weights conj(x_j) sqrt((a_j+1)/t),
-every level's rows a prefix of one ladder table; starting from J_M = J,
-
-    F_L = ||J_{M-L}||_F^2,
-
-so the sweep from t = M down to M - L + 1 yields F_1..F_L together.  It
-costs d * r * sum_t D_t for r columns of J and D_t = sym_dim(d, t), and
-never forms rho, a reduction, or J itself: a
-:class:`~uqcm.symmetric.SymDensity` holds, beside (d, M, N), only the
-D_in x r amplitude table V that J is scattered from.  The sweep
-multiplies V's rows once by unit-modulus phases, which leaves every norm
-as it is and makes every weight the real |x_j| sqrt((a_j+1)/t); it then
-sweeps the real part of the rotated V, and the imaginary part only when
-that could change a digit (the argument is in
-:func:`uqcm.symmetric.ladder_fidelities`).  The first step scatters the
-part straight into level M-1, and each later step is one gather and one
-batched real product per chunk of rows.  It runs over column blocks,
-holding one level-(M-1) block plus one gathered row chunk.  The blocks
-are as wide as :data:`~uqcm.hilbert.FAST_PATH_CAP` leaves room for
-after the tables the sweep holds (:func:`uqcm.symmetric.sweep_width`).
+The numeric route reads every F_L = ||J_{M-L}||_F^2, where J_t is the
+factor J of the machine output rho = J J^dagger with M - t qudits
+contracted with <phi|, off one ladder sweep, whose steps and cost
+:func:`uqcm.symmetric.ladder_fidelities` describes.
 
 The closed-form route evaluates the general F_L expression
 
@@ -44,10 +25,10 @@ bound P(B+1) holds every A_L as one base-B digit, with no carry
 Q(B+1), one product with the digits C(N, k) gives (B+1)^N Q(B+1), and
 one ``to_bytes`` yields the digits; everything is kept modulo
 B^(last+1), so a list stopped at L = last costs in proportion to last.
-:func:`fidelities_closed` and :func:`fidelity_L_closed` both run this
-code, so the formula has one implementation, and nothing is kept from
-one call to the next.  The specializations F_1, F_M and the N=1
-simplification are implemented separately and checked to agree exactly.
+:func:`fidelities_closed` is the one implementation of the formula, and
+nothing is kept from one call to the next.  The specializations F_1,
+F_M and the N=1 simplification are implemented separately and checked
+to agree exactly.
 """
 
 from __future__ import annotations
@@ -55,8 +36,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .combinatorics import sym_dim
-from .hilbert import PureState, checked_fidelities
+from .combinatorics import check_d, sym_dim
+from .hilbert import PureState, check_state_dim, checked_fidelities
 from .machines import CloneSpec
 from .symmetric import SymDensity, ladder_fidelities
 
@@ -68,36 +49,23 @@ def fidelities_numeric(
     m_total = rho.total
     if upto is None:
         upto = m_total
-    if not 1 <= upto <= m_total:
-        raise ValueError(f"need 1 <= L <= {m_total}, got L={upto}")
-    if phi.dim != rho.d:
-        raise ValueError(f"state dimension {phi.dim} does not match basis d={rho.d}")
+    _check_L(upto, m_total)
+    check_state_dim(phi, rho.d, "state", "basis")
     return checked_fidelities(ladder_fidelities(rho, phi, upto))
 
 
 def fidelities_closed(spec: CloneSpec, upto: int | None = None) -> tuple[Fraction, ...]:
-    """Closed-form F_1..F_upto as exact rationals (all L by default)."""
-    if upto is None:
-        upto = spec.m_out
-    return _closed_form(spec, range(1, upto + 1), upto)
-
-
-def fidelity_L_closed(spec: CloneSpec, L: int) -> Fraction:
-    """Closed-form F_L as an exact rational, read off digits 0..L only."""
-    return _closed_form(spec, (L,), L)[0]
-
-
-def _closed_form(spec: CloneSpec, levels, last: int) -> tuple[Fraction, ...]:
-    """F_L for each L of ``levels``, the highest of which is ``last``.
+    """Closed-form F_1..F_upto as exact rationals (all L by default).
 
     F_L = A_L / (C(d+M-1, M-N) C(M, L)), and every numerator
     A_L = sum_m1 w[m1] C(m1, L) is one base-2^bits digit of one big integer,
     the polynomial sum_m1 w[m1] y^m1 at y = 2^bits + 1, kept modulo
-    2^(bits (last+1)).
+    2^(bits (last+1)) for last = upto: F_L alone is
+    ``fidelities_closed(spec, L)[-1]``, at a cost that grows with L only.
     """
     d, n, m_total = spec.d, spec.n_in, spec.m_out
-    if not 1 <= last <= m_total:
-        raise ValueError(f"need 1 <= L <= {m_total}, got L={last}")
+    last = m_total if upto is None else upto
+    _check_L(last, m_total)
     # 1/K = (d+M-1)! / ((d+N-1)! (M-N)!).
     inverse_k = math.comb(d + m_total - 1, m_total - n)
     # w[m1] = C(M-m1+d-2, d-2) C(m1, N), with C(m1, N) stepped up in m1.
@@ -127,7 +95,7 @@ def _closed_form(spec: CloneSpec, levels, last: int) -> tuple[Fraction, ...]:
             int.from_bytes(raw[L * width : (L + 1) * width], "little"),
             inverse_k * math.comb(m_total, L),
         )
-        for L in levels
+        for L in range(1, last + 1)
     )
 
 
@@ -144,11 +112,14 @@ def fidelity_global_closed(spec: CloneSpec) -> Fraction:
 
 def fidelity_L_closed_N1(d: int, M: int, L: int) -> Fraction:
     """F_L for a single input copy: L! d! (L(d+M)+M-L) / ((d+L)! M)."""
-    if d < 2:
-        raise ValueError(f"qudit dimension must be >= 2, got {d}")
-    if not 1 <= L <= M:
-        raise ValueError(f"need 1 <= L <= {M}, got L={L}")
+    check_d(d)
+    _check_L(L, M)
     return Fraction(
         math.factorial(L) * math.factorial(d) * (L * (d + M) + M - L),
         math.factorial(d + L) * M,
     )
+
+
+def _check_L(L: int, m_total: int) -> None:
+    if not 1 <= L <= m_total:
+        raise ValueError(f"need 1 <= L <= {m_total}, got L={L}")

@@ -38,6 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .combinatorics import check_d
+
 #: Largest full-space state (in amplitudes) the oracle will build.
 ORACLE_CAP = 4096
 
@@ -77,8 +79,7 @@ class PureState:
 
     def __post_init__(self) -> None:
         amps = np.asarray(self.amplitudes, dtype=np.complex128).ravel()
-        if amps.size < 2:
-            raise ValueError("qudit dimension must be >= 2")
+        check_d(amps.size)
         if not abs(np.linalg.norm(amps) - 1.0) <= NORM_TOL:
             raise ValueError("pure state amplitudes are not normalized")
         amps.setflags(write=False)
@@ -102,6 +103,12 @@ class PureState:
         amps = np.zeros(d, dtype=np.complex128)
         amps[level] = 1.0
         return cls(amps)
+
+
+def check_state_dim(phi: PureState, d: int, state: str, basis: str) -> None:
+    """Raise ValueError unless ``phi`` is a state of one d-level qudit."""
+    if phi.dim != d:
+        raise ValueError(f"{state} dimension {phi.dim} does not match {basis} d={d}")
 
 
 @dataclass(frozen=True)
@@ -154,8 +161,7 @@ def sum_squares(x: np.ndarray) -> float:
 
 def maximally_entangled(d: int) -> np.ndarray:
     """The d^2 amplitudes of the two-qudit state with 1/sqrt(d) on every |jj>."""
-    if d < 2:
-        raise ValueError(f"qudit dimension must be >= 2, got {d}")
+    check_d(d)
     amps = np.zeros(d * d, dtype=np.complex128)
     amps[np.arange(d) * d + np.arange(d)] = 1.0 / math.sqrt(d)
     return amps

@@ -52,7 +52,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .combinatorics import sym_dim
+from .combinatorics import check_d, sym_dim
 from .hilbert import (
     FAST_PATH_CAP,
     NORM_TOL,
@@ -60,6 +60,7 @@ from .hilbert import (
     FullDensity,
     PureState,
     check_cap,
+    check_state_dim,
     checked_fidelities,
     maximally_entangled,
     fidelity_pure,
@@ -88,8 +89,7 @@ class CloneSpec:
     m_out: int
 
     def __post_init__(self) -> None:
-        if self.d < 2:
-            raise ValueError(f"qudit dimension must be >= 2, got {self.d}")
+        check_d(self.d)
         if not 1 <= self.n_in <= self.m_out:
             raise ValueError(
                 f"need 1 <= n_in <= m_out, got n_in={self.n_in}, m_out={self.m_out}"
@@ -513,7 +513,4 @@ def _power(phi: PureState, copies: int) -> np.ndarray:
 
 
 def _check_phi(spec: CloneSpec, phi: PureState) -> None:
-    if phi.dim != spec.d:
-        raise ValueError(
-            f"input state dimension {phi.dim} does not match spec d={spec.d}"
-        )
+    check_state_dim(phi, spec.d, "input state", "spec")

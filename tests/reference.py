@@ -30,7 +30,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from uqcm import machines, symmetric
-from uqcm.combinatorics import _check_d, sym_dim
+from uqcm.combinatorics import check_d, sym_dim
 from uqcm.hilbert import (
     NORM_TOL,
     FullDensity,
@@ -56,7 +56,7 @@ def occupation_tuples(d: int, total: int) -> Iterator[tuple[int, ...]]:
     the numeric table :func:`uqcm.symmetric.occupation_counts` is tested
     against.
     """
-    _check_d(d)
+    check_d(d)
     if total < 0:
         raise ValueError(f"particle number must be >= 0, got {total}")
     return _tuples(d, total)

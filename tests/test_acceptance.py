@@ -13,10 +13,10 @@ from itertools import combinations
 
 import numpy as np
 
-from uqcm.combinatorics import verify_identity
+from uqcm.combinatorics import verify_identity_family
 from uqcm.fidelity import (
+    fidelities_closed,
     fidelities_numeric,
-    fidelity_L_closed,
     fidelity_L_closed_N1,
     fidelity_global_closed,
     fidelity_single_closed,
@@ -90,8 +90,9 @@ def test_02_closed_form_fidelity_agreement():
         spec = CloneSpec(d, n, m)
         phi = random_pure_state(d, 17)
         rho = run_machine(spec, phi, "werner")
-        for L, numeric in enumerate(fidelities_numeric(rho, phi), start=1):
-            worst = max(worst, abs(numeric - float(fidelity_L_closed(spec, L))))
+        closed_forms = fidelities_closed(spec)
+        for numeric, closed in zip(fidelities_numeric(rho, phi), closed_forms):
+            worst = max(worst, abs(numeric - float(closed)))
     numeric_ok = worst < DIST_TOL
 
     exact_cases = 0
@@ -100,14 +101,13 @@ def test_02_closed_form_fidelity_agreement():
         for n in range(1, 7):
             for m in range(n, 7):
                 spec = CloneSpec(d, n, m)
-                exact_ok &= fidelity_L_closed(spec, 1) == fidelity_single_closed(spec)
-                exact_ok &= fidelity_L_closed(spec, m) == fidelity_global_closed(spec)
+                closed = fidelities_closed(spec)
+                exact_ok &= closed[0] == fidelity_single_closed(spec)
+                exact_ok &= closed[-1] == fidelity_global_closed(spec)
                 exact_cases += 2
                 if n == 1:
                     for L in range(1, m + 1):
-                        exact_ok &= fidelity_L_closed(spec, L) == fidelity_L_closed_N1(
-                            d, m, L
-                        )
+                        exact_ok &= closed[L - 1] == fidelity_L_closed_N1(d, m, L)
                         exact_cases += 1
 
     ok = numeric_ok and exact_ok
@@ -128,7 +128,7 @@ def test_03_spot_values():
         (CloneSpec(2, 1, 2), 2, Fraction(2, 3)),
         (CloneSpec(2, 1, 3), 2, Fraction(11, 18)),
     ]
-    exact_ok = all(fidelity_L_closed(spec, L) == value for spec, L, value in spots)
+    exact_ok = all(fidelities_closed(spec, L)[-1] == value for spec, L, value in spots)
 
     worst = 0.0
     for spec, L, value in spots:
@@ -258,8 +258,7 @@ def test_07_summation_identity():
     documented = True
     for d in range(2, 5):
         for n in range(1, 6):
-            for m in range(n, 6):
-                report = verify_identity(n, m, d)
+            for report in verify_identity_family(n, 5, d):
                 all_equal &= report.equal
                 documented &= not report.printed_summand_evaluable
                 documented &= "denominator" in report.note

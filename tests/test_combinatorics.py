@@ -13,7 +13,6 @@ from uqcm.combinatorics import (
     RECONSTRUCTED_DENOMINATOR,
     IdentityReport,
     sym_dim,
-    verify_identity,
     verify_identity_family,
 )
 from uqcm.machines import _unified_weights
@@ -240,7 +239,9 @@ class TestIdentityFamily:
         for n in range(1, 17):
             expected = [_fraction_report(n, m, d) for m in range(n, M_MAX + 1)]
             assert verify_identity_family(n, M_MAX, d) == expected
-            assert [verify_identity(n, m, d) for m in range(n, M_MAX + 1)] == expected
+            # A family's last report does not depend on where it stops.
+            last = [verify_identity_family(n, m, d)[-1] for m in range(n, M_MAX + 1)]
+            assert last == expected
             assert all(report.equal for report in expected)
 
     def test_reports_are_immutable_records(self):
@@ -289,40 +290,38 @@ class TestVerifyIdentity:
         assert RECONSTRUCTED_DENOMINATOR == "M * m! * (N+m-1)! * (M-N-m)! * (d-2)!"
         for d in range(2, 7):
             for n in range(1, 17):
-                for m in range(n, 25):
-                    report = verify_identity(n, m, d)
+                for m, report in zip(range(n, 25), verify_identity_family(n, 24, d)):
                     literal = _literal_identity_lhs(n, m, d)
                     assert report.lhs == literal
                     assert report.rhs == Fraction(n * (d + m) + m - n, (d + n) * m)
                     assert report.equal == (literal == report.rhs)
 
     def test_single_input_two_outputs(self):
-        report = verify_identity(1, 2, 2)
+        report = verify_identity_family(1, 2, 2)[-1]
         assert report.lhs == Fraction(5, 6)
         assert report.rhs == Fraction(5, 6)
         assert report.equal
 
     def test_more_spot_checks(self):
-        assert verify_identity(1, 3, 2).rhs == Fraction(7, 9)
-        assert verify_identity(2, 3, 2).rhs == Fraction(11, 12)
-        assert verify_identity(2, 2, 3).rhs == 1
+        assert verify_identity_family(1, 3, 2)[-1].rhs == Fraction(7, 9)
+        assert verify_identity_family(2, 3, 2)[-1].rhs == Fraction(11, 12)
+        assert verify_identity_family(2, 2, 3)[-1].rhs == 1
 
     def test_holds_on_grid(self):
         for d in (2, 3, 4):
             for n in range(1, 6):
-                for m in range(n, 6):
-                    assert verify_identity(n, m, d).equal
+                assert all(report.equal for report in verify_identity_family(n, 5, d))
 
     def test_printed_summand_never_evaluable(self):
         # The literally typeset denominator vanishes at the first summand.
-        report = verify_identity(2, 4, 3)
+        report = verify_identity_family(2, 4, 3)[-1]
         assert report.printed_summand_evaluable is False
         assert "denominator" in report.note
 
     def test_invalid_arguments_raise(self):
         with pytest.raises(ValueError):
-            verify_identity(0, 2, 2)
+            verify_identity_family(0, 2, 2)
         with pytest.raises(ValueError):
-            verify_identity(3, 2, 2)
+            verify_identity_family(3, 2, 2)
         with pytest.raises(ValueError):
-            verify_identity(1, 2, 1)
+            verify_identity_family(1, 2, 1)

@@ -15,7 +15,6 @@ from uqcm.combinatorics import sym_dim
 from uqcm.fidelity import (
     fidelities_closed,
     fidelities_numeric,
-    fidelity_L_closed,
     fidelity_L_closed_N1,
     fidelity_global_closed,
     fidelity_single_closed,
@@ -72,37 +71,43 @@ class TestClosedForm:
                 for m in range(n, 17):
                     spec = CloneSpec(d, n, m)
                     for L in range(1, m + 1):
-                        assert fidelity_L_closed(spec, L) == _literal_fidelity_L(spec, L)
+                        exact = _literal_fidelity_L(spec, L)
+                        assert fidelities_closed(spec, L)[-1] == exact
 
     def test_spot_values(self):
-        assert fidelity_L_closed(CloneSpec(2, 1, 2), 1) == Fraction(5, 6)
-        assert fidelity_L_closed(CloneSpec(2, 1, 2), 2) == Fraction(2, 3)
-        assert fidelity_L_closed(CloneSpec(2, 1, 3), 2) == Fraction(11, 18)
+        assert fidelities_closed(CloneSpec(2, 1, 2)) == (Fraction(5, 6), Fraction(2, 3))
+        assert fidelities_closed(CloneSpec(2, 1, 3), 2)[-1] == Fraction(11, 18)
 
     def test_perfect_when_no_extra_copies(self):
         for d in (2, 3, 4):
             spec = CloneSpec(d, 2, 2)
-            for L in (1, 2):
-                assert fidelity_L_closed(spec, L) == 1
+            assert fidelities_closed(spec) == (1, 1)
 
     def test_values_in_unit_interval(self):
         for d, n, m in GRID:
             spec = CloneSpec(d, n, m)
-            for L in range(1, m + 1):
-                value = fidelity_L_closed(spec, L)
+            for value in fidelities_closed(spec):
                 assert 0 < value <= 1
 
     def test_non_increasing_in_copies_kept(self):
         for d, n, m in GRID:
             spec = CloneSpec(d, n, m)
-            values = [fidelity_L_closed(spec, L) for L in range(1, m + 1)]
+            values = fidelities_closed(spec)
             assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_invalid_L_raises(self):
-        with pytest.raises(ValueError):
-            fidelity_L_closed(CloneSpec(2, 1, 2), 0)
-        with pytest.raises(ValueError):
-            fidelity_L_closed(CloneSpec(2, 1, 2), 3)
+        # Every entry point that takes an L reports it in the same words.
+        spec = CloneSpec(2, 1, 2)
+        phi = random_pure_state(2, 0)
+        rho = run_machine(spec, phi, "fan")
+        for L in (0, 3):
+            for call in (
+                lambda: fidelities_closed(spec, L),
+                lambda: fidelities_numeric(rho, phi, L),
+                lambda: fidelity_L_closed_N1(2, 2, L),
+            ):
+                with pytest.raises(ValueError, match=f"need 1 <= L <= 2, got L={L}"):
+                    call()
 
 
 def _per_L_sum(spec, L):
@@ -151,7 +156,6 @@ class TestFidelitiesClosed:
             full = fidelities_closed(spec)
             for upto in range(1, spec.m_out + 1):
                 assert fidelities_closed(spec, upto) == full[:upto]
-                assert fidelity_L_closed(spec, upto) == full[upto - 1]
 
     @pytest.mark.parametrize("upto", [0, -1, 4])
     def test_out_of_range_stop_raises(self, upto):
@@ -175,21 +179,22 @@ class TestSpecializations:
             for n in range(1, 7):
                 for m in range(n, 7):
                     spec = CloneSpec(d, n, m)
-                    assert fidelity_L_closed(spec, 1) == fidelity_single_closed(spec)
+                    assert fidelities_closed(spec, 1) == (fidelity_single_closed(spec),)
 
     def test_global_agrees_exactly(self):
         for d in range(2, 5):
             for n in range(1, 7):
                 for m in range(n, 7):
                     spec = CloneSpec(d, n, m)
-                    assert fidelity_L_closed(spec, m) == fidelity_global_closed(spec)
+                    assert fidelities_closed(spec)[-1] == fidelity_global_closed(spec)
 
     def test_single_input_simplification_agrees_exactly(self):
         for d in range(2, 5):
             for m in range(1, 7):
                 spec = CloneSpec(d, 1, m)
-                for L in range(1, m + 1):
-                    assert fidelity_L_closed(spec, L) == fidelity_L_closed_N1(d, m, L)
+                assert fidelities_closed(spec) == tuple(
+                    fidelity_L_closed_N1(d, m, L) for L in range(1, m + 1)
+                )
 
     def test_simplified_spot_value(self):
         assert fidelity_L_closed_N1(2, 3, 2) == Fraction(11, 18)
@@ -216,8 +221,8 @@ class TestNumericAgreement:
         rho = run_machine(spec, phi, "werner")
         numerics = fidelities_numeric(rho, phi)
         assert len(numerics) == m
-        for L, numeric in enumerate(numerics, start=1):
-            assert abs(numeric - float(fidelity_L_closed(spec, L))) < TOL
+        for numeric, closed in zip(numerics, fidelities_closed(spec), strict=True):
+            assert abs(numeric - float(closed)) < TOL
 
     def test_machine_choice_does_not_matter(self):
         spec = CloneSpec(2, 1, 3)
@@ -277,8 +282,9 @@ class TestFactoredFidelity:
         spec = CloneSpec(6, 2, 10)
         phi = random_pure_state(6, 92)
         rho = run_machine(spec, phi, "werner")
-        for L, numeric in enumerate(fidelities_numeric(rho, phi), start=1):
-            assert abs(numeric - float(fidelity_L_closed(spec, L))) <= TOL
+        closed = fidelities_closed(spec)
+        for numeric, exact in zip(fidelities_numeric(rho, phi), closed, strict=True):
+            assert abs(numeric - float(exact)) <= TOL
         assert not hasattr(rho, "matrix")
         assert "joint" not in rho.__dict__
 
@@ -290,8 +296,9 @@ class TestFactoredFidelity:
         rho = run_machine(spec, phi, machine)
         assert rho.kept == spec.n_in
         assert rho.factor.shape == (spec.dim_in, spec.dim_anc)
-        for L, numeric in enumerate(fidelities_numeric(rho, phi), start=1):
-            assert abs(numeric - float(fidelity_L_closed(spec, L))) <= TOL
+        closed = fidelities_closed(spec)
+        for numeric, exact in zip(fidelities_numeric(rho, phi), closed, strict=True):
+            assert abs(numeric - float(exact)) <= TOL
         assert "joint" not in rho.__dict__
         assert not hasattr(rho, "matrix")
 
@@ -327,9 +334,9 @@ class TestLadderSweep:
         for rho in outs:
             ladder = fidelities_numeric(rho, phi)
             assert len(ladder) == spec.m_out
-            for L, value in enumerate(ladder, start=1):
+            for L, (value, exact) in enumerate(zip(ladder, fidelities_closed(spec)), 1):
                 split = reduced_expectation(rho, expand_power(phi, L), L)
-                closed = float(fidelity_L_closed(spec, L))
+                closed = float(exact)
                 assert value == pytest.approx(split, abs=1e-12)
                 assert value == pytest.approx(closed, abs=TOL)
                 assert split == pytest.approx(closed, abs=TOL)
@@ -598,7 +605,7 @@ class TestRealSweep:
             _assert_sweep_is_the_split_reference(rho, phi)
         for name in MACHINES:
             values = fidelities_numeric(run_machine(spec, phi, name), phi)
-            closed = [float(fidelity_L_closed(spec, L)) for L in range(1, 5)]
+            closed = [float(value) for value in fidelities_closed(spec)]
             assert np.abs(np.subtract(values, closed)).max() <= TOL
 
     def test_inputs_that_differ_only_in_level_phases(self):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import uqcm
 from uqcm import combinatorics, machines, symmetric
-from uqcm.fidelity import fidelities_numeric, fidelity_L_closed
+from uqcm.fidelity import fidelities_closed, fidelities_numeric
 from uqcm.hilbert import (
     FAST_PATH_CAP,
     ORACLE_CAP,
@@ -125,9 +125,8 @@ class TestThreeMachineEquivalence:
                 assert trace_distance_matrices(a, b) < TOL
             numerics = fidelities_numeric(run_machine(spec, phi, "fan"), phi)
             assert len(numerics) == spec.m_out
-            for L, numeric in enumerate(numerics, start=1):
-                closed = float(fidelity_L_closed(spec, L))
-                assert numeric == pytest.approx(closed, abs=TOL)
+            for numeric, closed in zip(numerics, fidelities_closed(spec)):
+                assert numeric == pytest.approx(float(closed), abs=TOL)
 
     def test_identity_when_no_extra_copies(self):
         # N = M: every machine returns the pure input power.
@@ -338,8 +337,8 @@ class TestLargeCopyNumbers:
         rho = run_machine(spec, phi, machine)
         numerics = fidelities_numeric(rho, phi)
         assert len(numerics) == m
-        for L, numeric in enumerate(numerics, start=1):
-            assert abs(numeric - float(fidelity_L_closed(spec, L))) <= TOL
+        for numeric, closed in zip(numerics, fidelities_closed(spec)):
+            assert abs(numeric - float(closed)) <= TOL
 
     @pytest.mark.parametrize("n,m", [(600, 1200), (1030, 2060)])
     def test_fan_eta_stays_in_the_exponent(self, n, m):
@@ -350,8 +349,8 @@ class TestLargeCopyNumbers:
         spec = CloneSpec(2, n, m)
         phi = random_pure_state(2, 73)
         numerics = fidelities_numeric(fan_output(spec, phi), phi, 2)
-        for L, numeric in enumerate(numerics, start=1):
-            assert abs(numeric - float(fidelity_L_closed(spec, L))) <= 1e-10
+        for numeric, closed in zip(numerics, fidelities_closed(spec, 2), strict=True):
+            assert abs(numeric - float(closed)) <= 1e-10
 
 
 class TestOracles:
@@ -639,6 +638,18 @@ class TestWeightedClone:
         with pytest.raises(ValueError):
             weighted_clone(spec, phi, AsymmetryWeights({(0,): 1.0}))
 
+    def test_vanishing_combination_raises(self, monkeypatch):
+        # Every overlap of two permuted pair arrangements is positive, so no
+        # valid weights cancel them; a zero arrangement reaches the check.
+        monkeypatch.setattr(
+            machines,
+            "_pair_arrangement",
+            lambda phi, copies, blanks: np.zeros(phi.dim ** (copies + 2 * blanks)),
+        )
+        phi = random_pure_state(2, 65)
+        with pytest.raises(ValueError, match="weighted combination vanished"):
+            weighted_clone(CloneSpec(2, 1, 2), phi, AsymmetryWeights.pair(0.8, 0.6))
+
 
 class TestRunMachine:
     def test_unknown_machine_raises(self):
@@ -675,6 +686,5 @@ class TestRunMachine:
             rho = run_machine(spec, phi, machine)
             numerics = fidelities_numeric(rho, phi)
             assert len(numerics) == spec.m_out
-            for L, numeric in enumerate(numerics, start=1):
-                closed = float(fidelity_L_closed(spec, L))
-                assert numeric == pytest.approx(closed, abs=TOL)
+            for numeric, closed in zip(numerics, fidelities_closed(spec)):
+                assert numeric == pytest.approx(float(closed), abs=TOL)

@@ -176,6 +176,14 @@ class TestExpandPower:
         with pytest.raises(ValueError, match="need at least one copy, got 0"):
             expand_power(random_pure_state(3, 41), 0)
 
+    def test_power_of_a_state_at_the_edge_of_its_norm_check_raises(self):
+        # ||x|| = 1 + 9e-13 passes PureState's 1e-12 check; ||x||^10 misses
+        # 1 by 9e-12, which expand_power's check of the same width refuses.
+        phi = PureState(np.array([0.6, 0.8]) * (1 + 9e-13))
+        assert np.linalg.norm(expand_power(phi, 1)) == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(ValueError, match="amplitudes are not normalized"):
+            expand_power(phi, 10)
+
 
 class TestSymUnitary:
     def test_is_unitary(self):
