@@ -28,13 +28,16 @@ The JSON report is the text of ``json.dumps(payload, indent=2,
 allow_nan=False)``, byte for byte, but written by the C encoder: any
 ``indent`` selects :mod:`json`'s pure-Python encoder, so :func:`main`
 renders each container of scalars with one C-encoder call whose item
-separator carries the newline and the indent, and a list of such dicts
-(``rows``, ``checks``) with one call and one ``str.replace`` between
-rows.  The bytes cannot change, because with ``ensure_ascii`` no encoded
-string holds a raw newline: every newline is a separator placed there.
+separator carries the newline and the indent.  A list of dicts of
+scalars that share one key list, in one order (``rows``, ``checks``),
+takes one call for all their values, one a line, and the key texts and
+indents, built once per key, are spliced between the lines.  The bytes
+cannot change, because with ``ensure_ascii`` no encoded string holds a
+raw newline: every newline is a separator placed there.
 
-Exit codes: 0 pass, 1 verification or numeric failure (a ValueError
-inside a subcommand, one ``uqcm: error:`` line on stderr), 2 usage error
+Exit codes: 0 pass, 1 verification failure, numeric failure (a
+ValueError inside a subcommand) or an ``--output`` that cannot be
+written, the last two with one ``uqcm: error:`` line on stderr, 2 usage error
 (a problem above the fast-path cap, an ``asym-sweep`` dimension above
 the oracle cap, or a negative seed, counts as one).  Identical configurations
 (including seed) produce byte-identical output.
@@ -110,7 +113,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         text = _csv_text(rows)
     else:
         text = _json_text(payload) + "\n"
-    _write_output(text, args.output)
+    try:
+        _write_output(text, args.output)
+    except OSError as exc:
+        where = args.output or "stdout"
+        print(f"uqcm: error: cannot write report to {where}: {exc.strerror}", file=sys.stderr)
+        return 1
     return status
 
 
@@ -426,18 +434,18 @@ def _cmd_identity_check(
         config = {"d_max": d_max, "n_max": n_max, "m_max": m_max}
 
     rows = []
-    for report in reports:
-        rhs = _rational_str(report.rhs)
+    for n_in, m_out, d, lhs, rhs, equal, evaluable, _ in reports:
+        rhs_text = _rational_str(rhs)
         rows.append(
             {
-                "d": report.d,
-                "n_in": report.n_in,
-                "m_out": report.m_out,
+                "d": d,
+                "n_in": n_in,
+                "m_out": m_out,
                 # An equal left side is the right side's own Fraction.
-                "lhs": rhs if report.lhs is report.rhs else _rational_str(report.lhs),
-                "rhs": rhs,
-                "equal": report.equal,
-                "printed_summand_evaluable": report.printed_summand_evaluable,
+                "lhs": rhs_text if lhs is rhs else _rational_str(lhs),
+                "rhs": rhs_text,
+                "equal": equal,
+                "printed_summand_evaluable": evaluable,
             }
         )
     all_equal = all(r["equal"] for r in rows)
@@ -491,9 +499,9 @@ def _rational_str(q: Fraction) -> str:
 def _json_text(value, pad: str = "") -> str:
     """``json.dumps(value, indent=2, allow_nan=False)``, from the C encoder.
 
-    ``pad`` is the indent of the line ``value`` starts on.  Containers of
-    scalars and lists of non-empty dicts of scalars take one encoder call
-    each (see the module docstring); everything else recurses.
+    ``pad`` is the indent of the line ``value`` starts on.  A container of
+    scalars, or a list of dicts of scalars sharing one key list, takes one
+    encoder call (see the module docstring); everything else recurses.
     """
     if isinstance(value, dict):
         members, brackets = value.values(), "{}"
@@ -504,26 +512,36 @@ def _json_text(value, pad: str = "") -> str:
     if not members:
         return brackets
     inner = pad + "  "
+    keys = list(value[0]) if brackets == "[]" and type(value[0]) is dict else None
     if _SCALARS.issuperset(map(type, members)):
         body = json.dumps(value, separators=(",\n" + inner, ": "), allow_nan=False)[1:-1]
-    elif brackets == "[]" and all(
-        type(m) is dict and m and _SCALARS.issuperset(map(type, m.values()))
-        for m in members
+    elif (
+        keys
+        and all(type(m) is dict and list(m) == keys for m in value)
+        and _SCALARS.issuperset(map(type, flat := [v for m in value for v in m.values()]))
     ):
         row = inner + "  "
-        text = json.dumps(value, separators=(",\n" + row, ": "), allow_nan=False)
-        # Only the boundary of two rows reads "},\n" + row + "{".
-        rows = text[2:-2].replace("},\n" + row + "{", f"\n{inner}}},\n{inner}{{\n{row}")
-        body = f"{{\n{row}{rows}\n{inner}}}"
+        first = f"{{\n{row}{_key_text(keys[0])}: "
+        heads = [f",\n{row}{_key_text(k)}: " for k in keys]
+        heads[0] = f"\n{inner}}},\n{inner}{first}"
+        parts = [None] * (2 * len(flat))
+        parts[::2] = heads * len(value)
+        parts[0] = first
+        # No encoded value holds a raw newline: each "\n" ends one value.
+        parts[1::2] = json.dumps(flat, separators=("\n", ": "), allow_nan=False)[1:-1].split("\n")
+        body = "".join(parts) + f"\n{inner}}}"
     elif brackets == "{}":
-        # json writes an int, float, bool or None key as the string of its JSON text.
-        keys = (k if isinstance(k, str) else _json_text(k) for k in value)
         body = (",\n" + inner).join(
-            f"{_json_text(k)}: {_json_text(v, inner)}" for k, v in zip(keys, members)
+            f"{_key_text(k)}: {_json_text(v, inner)}" for k, v in value.items()
         )
     else:
         body = (",\n" + inner).join(_json_text(v, inner) for v in value)
     return f"{brackets[0]}\n{inner}{body}\n{pad}{brackets[1]}"
+
+
+def _key_text(key) -> str:
+    """A dict key as json writes it; a non-str key's text is cut from ``{key: 0}``'s."""
+    return json.dumps(key) if isinstance(key, str) else json.dumps({key: 0}, allow_nan=False)[1:-4]
 
 
 def _csv_text(rows: list[dict]) -> str:

@@ -41,7 +41,7 @@ class IdentityReport(NamedTuple):
     """Outcome of checking the single-copy summation identity exactly.
 
     An immutable record: a ``NamedTuple``, so assigning to a field raises
-    ``AttributeError`` and building one costs one tuple.
+    ``AttributeError``.  Each report is one tuple, built positionally.
     """
 
     n_in: int
@@ -90,7 +90,7 @@ def verify_identity_family(n_in: int, m_max: int, d: int) -> list[IdentityReport
     (:func:`_identity_sums`).  Equality is decided by cross-multiplying
     integers; an equal left side *is* the reduced right side (``lhs is
     rhs``), so only an unequal one builds a second ``Fraction``.  Each
-    report is one tuple, and every report shares :data:`IDENTITY_NOTE`.
+    report is one tuple, built positionally, sharing :data:`IDENTITY_NOTE`.
     """
     n = n_in
     check_d(d)
@@ -104,20 +104,10 @@ def verify_identity_family(n_in: int, m_max: int, d: int) -> list[IdentityReport
         rhs_den = (d + n) * m_total
         rhs = Fraction(rhs_num, rhs_den)
         equal = acc * rhs_den == rhs_num * lhs_den
-        reports.append(
-            IdentityReport(
-                n_in=n,
-                m_out=m_total,
-                d=d,
-                lhs=rhs if equal else Fraction(acc, lhs_den),
-                rhs=rhs,
-                equal=equal,
-                # The typeset denominator contains a bare factor m, and
-                # every sum starts at m = 0: a division by zero.
-                printed_summand_evaluable=False,
-                note=IDENTITY_NOTE,
-            )
-        )
+        lhs = rhs if equal else Fraction(acc, lhs_den)
+        # printed_summand_evaluable is False: the typeset denominator holds
+        # a bare factor m, and every sum starts at m = 0.
+        reports.append(IdentityReport(n, m_total, d, lhs, rhs, equal, False, IDENTITY_NOTE))
     return reports
 
 

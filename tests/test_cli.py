@@ -1227,6 +1227,18 @@ class TestOutputHandling:
         assert status == 0
         assert (fresh / "t.json").exists()
 
+    def test_unwritable_output_is_one_error_line(self, capsys, tmp_path):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        target = blocker / "x.json"
+        status = cli.main(["table", "--d", "2", "--n", "1", "--m", "2", "--output", str(target)])
+        assert status == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"uqcm: error: cannot write report to {target}: File exists"
+        ]
+
 
 # Strings that would break a renderer splicing text: raw newlines, the
 # separator between two rows, braces, quotes, backslashes, non-ASCII.
@@ -1257,6 +1269,18 @@ _TREE = st.recursive(
     max_leaves=16,
 )
 
+# Lists of dicts that share one key list: the renderer's splice path.
+_ROW_SCALAR = _SCALAR | st.sampled_from(
+    ["\n", "},\n", '"', "\\", "é日本\u2028", -0.0, 5e-324, 2**64 + 1, -(2**70), 10**40]
+)
+_SAME_KEYED_ROWS = st.lists(_KEY, min_size=1, max_size=4, unique=True).flatmap(
+    lambda keys: st.lists(
+        st.tuples(*[_ROW_SCALAR] * len(keys)).map(lambda vals: dict(zip(keys, vals))),
+        min_size=1,
+        max_size=6,
+    )
+)
+
 
 class TestJsonRenderer:
     """``_json_text`` writes exactly the bytes of ``json.dumps(indent=2)``."""
@@ -1264,6 +1288,11 @@ class TestJsonRenderer:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(_TREE)
     def test_equals_indented_json_dumps(self, value):
+        assert cli._json_text(value) == json.dumps(value, indent=2, allow_nan=False)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_SAME_KEYED_ROWS | _SAME_KEYED_ROWS.map(lambda rows: {"rows": rows, "n": 1}))
+    def test_same_keyed_rows_equal_indented_json_dumps(self, value):
         assert cli._json_text(value) == json.dumps(value, indent=2, allow_nan=False)
 
     @pytest.mark.parametrize(
@@ -1277,6 +1306,15 @@ class TestJsonRenderer:
             [{"a": 1}, 3, {"b": {"c": "\n"}}],
             {1: [True], None: {"x": []}, 1.5: "日本"},
             10**200,
+            [{"a": 1, "b": 2}, {"b": 3, "a": 4}],
+            [{"a": 1, "b": 2}, {"a": 3, "c": 4}],
+            [{1: "x", 1.5: -0.0, None: 5e-324, "s": 2**65}, {1: "},\n", 1.5: 2, None: 3, "s": 4}],
+            [{True: 1, False: "\n"}, {True: 2, False: '"\\'}],
+            [{"a": "},\n    {", "b": None}],
+            ({"a": 1}, {"a": 2}),
+            [{"a": 1}, {"a": [1, 2]}],
+            [{"a": 1}, {"a": {"b": "\n"}}],
+            {"rows": [{"a": 1, "b": [{"c": 2}, {"c": 3}]}, {"a": 2, "b": []}]},
         ],
     )
     def test_edge_cases(self, value):
@@ -1290,6 +1328,7 @@ class TestJsonRenderer:
             lambda v: [1, v],
             lambda v: {"a": v},
             lambda v: [{"a": 1}, {"a": v}],
+            lambda v: [{"a": 1, "b": 2.5}, {"a": 3, "b": 4.5}, {"a": 5, "b": v}],
             lambda v: {"a": [1, {"b": [v]}]},
         ],
     )
@@ -1298,6 +1337,40 @@ class TestJsonRenderer:
             json.dumps(wrap(bad), indent=2, allow_nan=False)
         with pytest.raises(ValueError):
             cli._json_text(wrap(bad))
+
+    @pytest.mark.parametrize(
+        "value",
+        [{(1, 2): 3}, {(1, 2): [1, {}]}, [{(1, 2): 1}, {(1, 2): 2}], [{"a": 1}, {b"a": 2}]],
+    )
+    def test_unsupported_keys_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2, allow_nan=False)
+        with pytest.raises(TypeError):
+            cli._json_text(value)
+
+    def test_rows_take_a_fixed_number_of_encoder_calls(self, monkeypatch):
+        # One call per container and per key, none per row: rendering 1000
+        # rows of the identity grid calls json.dumps as often as 10 rows.
+        argv = ["identity-check", "--d-max", "6", "--n-max", "16", "--m-max", "24"]
+        args = cli._build_parser().parse_args(argv)
+        _, payload, rows = args.run(args)
+        assert len(rows) >= 1000
+        dumps = json.dumps
+        calls = []
+
+        def counted(*a, **kw):
+            calls.append(1)
+            return dumps(*a, **kw)
+
+        monkeypatch.setattr(cli.json, "dumps", counted)
+        counts = []
+        for n_rows in (10, 1000):
+            value = {**payload, "rows": rows[:n_rows]}
+            calls.clear()
+            text = cli._json_text(value)
+            counts.append(len(calls))
+            assert text == dumps(value, indent=2, allow_nan=False)
+        assert counts[0] == counts[1]
 
 
 class TestGoldenOutput:
