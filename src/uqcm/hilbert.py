@@ -210,13 +210,16 @@ def checked_fidelities(values) -> tuple[float, ...]:
 
     Rounding carries a fidelity a few ulps past 0 or 1; a value within
     TRACE_TOL of the interval is clipped onto it, and one further out (or
-    not finite) raises ValueError.
+    not finite) raises ValueError naming the first such value.  One range
+    check and one np.clip over the array, which leaves a -0.0 as it is.
     """
-    values = tuple(values)
-    for value in values:
-        if not -TRACE_TOL <= value <= 1.0 + TRACE_TOL:
-            raise ValueError(f"fidelity {value} outside [0, 1]")
-    return tuple(float(min(max(value, 0.0), 1.0)) for value in values)
+    values = np.asarray(values if isinstance(values, np.ndarray) else list(values), dtype=float)
+    low, high = -TRACE_TOL, 1.0 + TRACE_TOL
+    # A NaN fails both comparisons, and the minimum of an array holding one is NaN.
+    if not (values.min(initial=0.0) >= low and values.max(initial=1.0) <= high):
+        inside = (values >= low) & (values <= high)
+        raise ValueError(f"fidelity {values[inside.argmin()]} outside [0, 1]")
+    return tuple(np.clip(values, 0.0, 1.0).tolist())
 
 
 def trace_distance_factors(x: np.ndarray, y: np.ndarray) -> float:

@@ -38,19 +38,23 @@ that could change a digit (:func:`ladder_fidelities` gives the
 argument).  The first step is d flat scatter-adds of the block's
 D_in * w entries into level M-1; each later step is one gather of the
 d parent rows of a chunk of rows and one batched real product, written
-over the level it reads in increasing row order.  Every level is a
-prefix of level M-1, so all steps read one ladder table, which holds
-every level's coefficients once, level M's by the row they reach.  It costs
-d * sum_t D_t per column and part for D_t = sym_dim(d, t), and a block
-holds one level-(M-1) block plus one gathered row chunk, kept within
-CHUNK_BYTES where one row allows it.  :func:`sweep_budget` counts
-everything a machine and the sweep allocate, in 16-byte entries, and
-:func:`sweep_width` makes the blocks as wide as FAST_PATH_CAP leaves
-room for.
+after the level it reads while the block has room, so that small levels
+lie side by side and are summed a group at a time, and over it in
+increasing row order otherwise.  Every level is a prefix of level M-1,
+so all steps read one ladder table, which holds every level's
+coefficients once, in one array, level M's by the row they reach.  It
+costs d * sum_t D_t per column and part for D_t = sym_dim(d, t), and a
+block holds level M-1, room for small levels below HEAP_BYTES, and one
+gathered row chunk, kept within CHUNK_BYTES where one row allows it.
+:func:`sweep_budget` counts everything a machine and the sweep
+allocate, in 16-byte entries, and :func:`sweep_width` makes the blocks
+as wide as FAST_PATH_CAP leaves room for.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
@@ -75,6 +79,13 @@ from .hilbert import (
 # Xeon VM (2 MB of L2 a core) one (10,8) -> (10,7) step over 384 columns
 # took 79 ms with 0.5 MB chunks, 117 ms with 2 MB and 273 ms with 64 MB.
 CHUNK_BYTES = 2**19
+# Bytes of a sweep block below which it may grow past its level to hold
+# the smaller levels: glibc serves an allocation under its 128 KiB mmap
+# threshold from the heap.  A larger block is mapped fresh, and freeing
+# it raises the threshold for the rest of the process: in the benchmark's
+# many-copies loop, a 400 kB array allocated and freed once at start-up
+# made the identity-check op about 5% slower (median of 3 runs).
+HEAP_BYTES = 2**17 - 2**12
 
 
 @lru_cache(maxsize=None)
@@ -370,8 +381,11 @@ def sweep_budget(d: int, total: int, kept: int) -> tuple[int, int, int]:
       one row, d / 2 entries a column: so max(4 D_in, d).
 
     per_column counts a level column as 16-byte entries, while the
-    sweep's level holds one float64 part, 8 bytes a row: for the level
-    the count is an upper bound about twice what is held.  The sweep's
+    sweep's level holds one float64 part, 8 bytes a row.  A block of
+    level total-1 under HEAP_BYTES spends that second half, with the
+    CHUNK_BYTES, on rows for the small levels, their scaled
+    coefficients and their row sums (:func:`_block_rows`), so it adds
+    nothing to these counts.  The sweep's
     blocks are as wide as FAST_PATH_CAP leaves room for
     (:func:`sweep_width`); :func:`uqcm.machines.check_fast_path` counts
     held + max(transient, per_column * width).
@@ -434,7 +448,9 @@ def ladder_fidelities(rho: SymDensity, phi: PureState, upto: int) -> np.ndarray:
         J_{t-1}[a, :] = sum_j conj(x_j) sqrt((a_j+1)/t) J_t[a+e_j, :]
 
     reads where a+e_j sits off the first D_{t-1} rows of one ladder
-    table (``_ladder_table``), and F_s = ||J_{M-s}||_F^2.
+    table (``_ladder_table``), and F_s = ||J_{M-s}||_F^2.  Small levels
+    are kept side by side, so their norms are summed a group at a time
+    (:func:`_sweep`).
 
     The sweep runs in real arithmetic.  With u_j = conj(x_j) / |x_j|
     (u_j = 1 where x_j = 0) and the unit-modulus row phases
@@ -482,31 +498,28 @@ def _sweep(
         K_{M-1}[a+k-e_j, k] += |x_j| sqrt((a+k)_j / M) part(psi_a V[a, k]).
 
     Columns being independent, the sweep runs over blocks of
-    :func:`sweep_width` columns and sums F_s over them.  Every later
-    step is one gather of the d parent rows of a chunk of the next
-    level's rows, read off the ladder table (:func:`_ladder_table`), and
-    one batched real product, written over the rows of the level it
-    reads in increasing order (:func:`_ladder_step`).  A
-    chunk is at most half of the next level; at most CHUNK_BYTES of
-    gather, which :func:`sweep_budget` counts as held; and at most
-    D_{M-2} + 1 rows over d + 1, so that its gather is no larger than a
-    level-(M-2) block.  The last bound changes no count, but it keeps
-    small sweeps fast: on a 2-vCPU Xeon VM with glibc's allocator, at
-    (9,2,5), the first step took 1.0-1.2 ms without it instead of
-    0.5-0.6 ms, as each block's level came back as fresh pages.  A chunk
-    is at least the rows whose gather fills one numpy ufunc buffer, so a
-    level that small is done in one piece.  A block holds one
-    level-(M-1) block and one gathered row chunk; the sweep costs
-    d * sum_t D_t per column, for D_t = sym_dim(d, t).
+    :func:`sweep_width` columns and sums F_s over them.  A block holds
+    level M-1 and, under HEAP_BYTES, room for smaller levels
+    (:func:`_block_rows`), which :func:`_sweep_block` fills.  Every later
+    step is one gather of the d parent rows of a chunk of rows, read off
+    the ladder table (:func:`_ladder_table`), and one batched real
+    product (:func:`_ladder_step`).  A chunk is at most CHUNK_BYTES of
+    gather, which :func:`sweep_budget` counts as held; at most
+    D_{M-2} + 1 rows over d + 1; and in place, at most half of the next
+    level.  The second bound changes no count, but it keeps small sweeps
+    fast: on a 2-vCPU Xeon VM with glibc's allocator, at (9,2,5), the
+    first step took 1.0-1.2 ms without it instead of 0.5-0.6 ms, as each
+    block's level came back as fresh pages, and whole-level gathers made
+    the (5,2,8) fan and (6,2,7) unified sweeps 1.5-1.7x slower.  A chunk
+    is at least the rows whose gather fills one numpy ufunc buffer.  The
+    sweep costs d * sum_t D_t per column, for D_t = sym_dim(d, t).
     """
     d, total = rho.d, rho.total
     magnitudes = np.abs(phi.amplitudes)
     columns = rho.factor.shape[1]
     # Every table is built before the first block, so no block is alive
     # while one is being built.
-    up, steps, down, top = _ladder_table(d, total)
-    # Steps t = total-1 down to total-upto+1.
-    ladder = steps[total - upto : total - 1][::-1]
+    up, coeffs, offsets, down, top = _ladder_table(d, total)
     # Rows of a chunk whose gather is no larger than a level-(M-2) block.
     smaller = max(1, ((sym_dim(d, total - 2) if total >= 2 else 0) + 1) // (d + 1))
     width = sweep_width(d, total, rho.kept)
@@ -520,36 +533,117 @@ def _sweep(
         block = slice(start, start + width)
         rotated = rho.factor[:, block] * phases[:, None]
         imag += sum_squares(rotated.imag)
-        level = _first_step(
-            np.ascontiguousarray(part(rotated)), rows[:, block], down, top_scale, len(up)
+        # Bytes of one row's gather: d parent rows of w float64 entries.
+        gathered = d * rotated.shape[1] * 8
+        least = -(-np.getbufsize() * 8 // gathered)
+        most = min(smaller, CHUNK_BYTES // gathered)
+        height = _block_rows(rotated.shape[1], d, len(up), max(least, most))
+        buffer = _first_step(
+            np.ascontiguousarray(part(rotated)), rows[:, block], down, top_scale, height
         )
         del rotated
-        values[0] += sum_squares(level)
-        # Bytes of one row's gather: d parent rows of w float64 entries.
-        gathered = d * level.shape[1] * level.itemsize
-        least = -(-np.getbufsize() * level.itemsize // gathered)
-        most = min(smaller, CHUNK_BYTES // gathered)
-        for s, (idx, coeff) in enumerate(ladder, start=1):
-            chunk = max(least, min(-(-idx.shape[0] // 2), most))
-            level = _ladder_step(level, idx, magnitudes * coeff, chunk)
-            values[s] += sum_squares(level)
+        values += _sweep_block(buffer, up, coeffs, offsets[:upto], magnitudes, least, most)
         # Released before the next block is allocated, so only one is alive.
-        del level
+        del buffer
     return values, imag
+
+
+def _block_rows(width: int, d: int, upper: int, chunk: int) -> int:
+    """Rows of a sweep block of ``width`` columns: level M-1, its spare row, and room.
+
+    A block grows past level M-1 while it stays under HEAP_BYTES, by
+    what :func:`sweep_budget` counts for it and leaves idle: the
+    level's 16 bytes a row, where it holds 8, and the CHUNK_BYTES of a
+    gathered chunk.  In 8-byte entries, that pays for each row of the
+    block, d scaled coefficients and one row sum for it
+    (:func:`_sweep_block`), beside a gathered chunk of ``chunk`` rows, d
+    entries a column each; a step in place scales its coefficients
+    within the count of one step's.
+    """
+    level = upper + 1
+    room = 2 * width * level + CHUNK_BYTES // 8 - d * width * chunk
+    return max(level, min(room // (width + d + 1), HEAP_BYTES // (8 * width)))
+
+
+def _sweep_block(
+    buffer: np.ndarray,
+    up: np.ndarray,
+    coeffs: np.ndarray,
+    offsets: tuple[int, ...],
+    magnitudes: np.ndarray,
+    least: int,
+    most: int,
+) -> np.ndarray:
+    """F_1..F_{len(offsets)} of one block, level M-1 in its first D_{M-1} rows.
+
+    Step i of ``_ladder_table``'s order reads ``up`` and the coefficient
+    rows ``offsets[i]:offsets[i+1]``; ``offsets`` is cut after the
+    sweep's last step.
+
+    Each step writes its level into the block's rows after the level it
+    reads while they hold it; the steps that fit there take their |x_j|
+    scaling in one product, off consecutive rows of the one coefficient
+    array (``_ladder_table``).  Where a level does not fit, the levels
+    written so far, all from row 0, are summed, and it goes to row 0:
+    over the level it reads (:func:`_ladder_step`) if that starts there,
+    else before it, since a level that starts further on was written
+    after a larger one.  Every F_s is a BLAS-free sum a row and a sum
+    over the level's rows, so its bits do not depend on where the level
+    sits.
+    """
+    height, later = buffer.shape[0], len(offsets) - 1
+    values = np.empty(later + 1)
+    start, end = 0, len(up)
+    # The levels not yet summed: F index ``first`` on, each from a row of ``starts``.
+    first, starts = 0, [0]
+    i = 0
+    while i < later:
+        after = bisect.bisect_right(offsets, offsets[i] + height - end, i) - 1
+        if after > i:
+            scaled = magnitudes * coeffs[offsets[i] : offsets[after]]
+            base = offsets[i]
+            for k in range(i, after):
+                size = offsets[k + 1] - offsets[k]
+                starts.append(end)
+                scale = scaled[offsets[k] - base : offsets[k + 1] - base]
+                out = buffer[end : end + size]
+                _ladder_step(buffer[start:end], up[:size], scale, max(least, most), out)
+                start, end = end, end + size
+            del scaled
+            i = after
+            continue
+        values[first : i + 1] = _level_sums(buffer[:end], starts)
+        size = offsets[i + 1] - offsets[i]
+        scale = magnitudes * coeffs[offsets[i] : offsets[i + 1]]
+        chunk = max(least, min(-(-size // 2), most))
+        _ladder_step(buffer[start:end], up[:size], scale, chunk, buffer[:size])
+        first, starts = i + 1, [0]
+        start, end = 0, size
+        i += 1
+    values[first:] = _level_sums(buffer[:end], starts)
+    return values
+
+
+def _level_sums(levels: np.ndarray, starts: list[int]) -> np.ndarray:
+    """||level||_F^2 of each level of consecutive rows, the level starting at each of ``starts``."""
+    return np.add.reduceat(np.einsum("ij,ij->i", levels, levels), starts)
 
 
 @lru_cache(maxsize=None)
 def _ladder_table(
     d: int, total: int
-) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...], np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, tuple[int, ...], np.ndarray, np.ndarray]:
     """Every step's tables for a sweep down from ``total`` qudits, read-only.
 
     In the canonical order m -> m + e_0 maps the (d, t-1) basis onto the
     first D_{t-1} rows of the (d, t) basis, in order: every level below
     ``total`` is a prefix of level total-1, slot 0 lowered by the
     difference.  ``up[i, j]`` is the (d, total) index of row i of level
-    total-1 plus e_j; step t reads ``steps[t-1]``, ``up[:D_{t-1}]`` and
-    sqrt((a_j+1)/t) over the rows a of level t-1.  ``down`` inverts ``up``
+    total-1 plus e_j.  The steps run down from step total-1: step t, the
+    (total-1-t)-th, reads ``up[:D_{t-1}]`` and sqrt((a_j+1)/t) over the
+    rows a of level t-1, which are rows ``offsets[total-1-t]`` on of one
+    array, ``coeffs``, so the steps from any level down read one slice
+    of it.  ``down`` inverts ``up``
     for the first step, one row per direction j: ``down[j, i]`` is the
     (d, total-1) index of m_i - e_j, or D_{total-1} where m_j = 0.  The
     first step's coefficients are held once, by target row: ``top[j, a]``
@@ -558,23 +652,27 @@ def _ladder_table(
     """
     counts = _fill_counts(d, total - 1)
     up = _canonical_index(total, counts[:, None, :], np.eye(d, dtype=np.intp))
-    # One allocation a level, kept: freed temporaries left glibc's heap
-    # holding 255 MB of peak RSS at (3,300,301) unified, against 152 MB.
-    coeffs = []
-    for t in range(1, total):
-        raised = counts[: sym_dim(d, t - 1)] + 1.0
+    sizes = [sym_dim(d, t - 1) for t in range(total - 1, 0, -1)]
+    offsets = tuple(itertools.accumulate(sizes, initial=0))
+    # Each level is written in place into its rows: freed temporaries left
+    # glibc's heap holding 255 MB of peak RSS at (3,300,301) unified,
+    # against 152 MB.
+    coeffs = np.empty((offsets[-1], d))
+    for t, start, size in zip(range(total - 1, 0, -1), offsets, sizes):
+        raised = coeffs[start : start + size]
+        np.add(counts[:size], 1.0, out=raised)
         raised[:, 0] -= total - t
         raised /= t
-        coeffs.append(np.sqrt(raised, out=raised))
+        np.sqrt(raised, out=raised)
     top = np.zeros((d, counts.shape[0] + 1))
     np.add(counts.T, 1.0, out=top[:, :-1])
     top /= total
     np.sqrt(top, out=top)
     down = np.full((d, sym_dim(d, total)), counts.shape[0])
     down[np.arange(d), up] = np.arange(counts.shape[0])[:, None]
-    for table in (up, down, top, *coeffs):
+    for table in (up, coeffs, down, top):
         table.setflags(write=False)
-    return up, tuple((up[: len(c)], c) for c in coeffs), down, top
+    return up, coeffs, offsets, down, top
 
 
 def _first_step(
@@ -582,21 +680,24 @@ def _first_step(
     rows: np.ndarray,
     down: np.ndarray,
     top_scale: np.ndarray,
-    size: int,
+    height: int,
 ) -> np.ndarray:
-    """Level M-1, a float64 array, for the columns of one part of a rotated block.
+    """A block of ``height`` rows, level M-1 of one part of a rotated block first.
 
     ``table`` is the real or the imaginary part of the phase-rotated
     block (:func:`ladder_fidelities` says when the imaginary part is
     swept).  ``rows[a, k]`` is the level-M row a+k that table[a, k] sits on.  In
     each direction j the targets a+k-e_j are distinct within a column,
     so a plain ``+=`` on the flattened level adds every entry; entries
-    with no qudit in level j land in a spare last row, which is cut off.
+    with no qudit in level j land in the spare row after level M-1.
     Each entry's scale is gathered from ``top_scale[j]`` by its target
-    row, whose spare column is 0.
+    row, whose spare column is 0.  Only level M-1 and the spare row are
+    zeroed; the rows after them are for later levels (:func:`_sweep_block`).
     """
     width = table.shape[1]
-    level = np.zeros((size + 1, width))
+    size = top_scale.shape[1] - 1
+    level = np.empty((height, width))
+    level[: size + 1] = 0.0
     flat = level.reshape(-1)
     where = np.arange(width)
     for j in range(down.shape[0]):
@@ -606,24 +707,25 @@ def _first_step(
         target *= width
         target += where
         flat[target] += scaled
-    return level[:size]
+    return level
 
 
 def _ladder_step(
-    level: np.ndarray, idx: np.ndarray, scale: np.ndarray, chunk: int
-) -> np.ndarray:
-    """The next level, sum_j scale[:, j] level[idx[:, j]], written over ``level``.
+    level: np.ndarray, idx: np.ndarray, scale: np.ndarray, chunk: int, out: np.ndarray
+) -> None:
+    """The next level, sum_j scale[:, j] level[idx[:, j]], written into ``out``.
 
     ``level`` is one part of the rotated table swept so far, real or
     imaginary (see :func:`ladder_fidelities`), one float64 column per
-    column of V, and ``scale`` is real.  Row a of the next level reads rows
-    idx[a, j] >= a of this one (a+e_j is never ranked before a), so the
-    rows are written ``chunk`` at a time in increasing order, and each
-    chunk is gathered in full, d parent rows a row, before one batched
-    (1 x d) @ (d x w) product writes it.
+    column of V, and ``scale`` is real.  Rows are written ``chunk`` at a
+    time in increasing order, and each chunk is gathered in full, d
+    parent rows a row, before one batched (1 x d) @ (d x w) product
+    writes it.  So ``out`` may be ``level`` itself: row a of the next
+    level reads rows idx[a, j] >= a of this one (a+e_j is never ranked
+    before a), none of them overwritten yet.  Otherwise it is rows of the
+    block apart from ``level`` (:func:`_sweep_block`).
     """
     size = idx.shape[0]
     for start in range(0, size, chunk):
         part = slice(start, min(start + chunk, size))
-        np.matmul(scale[part, None, :], level[idx[part]], out=level[part, None, :])
-    return level[:size]
+        np.matmul(scale[part, None, :], level.take(idx[part], axis=0), out=out[part, None, :])

@@ -15,6 +15,7 @@ has an independent, literal counterpart to be compared against:
   occupation basis;
 * the one-split partial trace and expectation in the occupation basis;
 * the closed-form symmetric 1 -> 2 cloner;
+* the ladder sweep with every level written over the one it reads;
 
 and two helpers: :func:`dense_matrix`, the dense density of a state or
 a factor-held density, and :func:`clear_caches`, which empties every
@@ -38,6 +39,7 @@ from uqcm.hilbert import (
     _check_hermitian,
     check_cap,
     check_factor,
+    sum_squares,
 )
 from uqcm.symmetric import (
     SymDensity,
@@ -302,6 +304,36 @@ def explicit_1to2(d: int, phi: PureState) -> np.ndarray:
     if abs(norm - 1.0) > NORM_TOL:
         raise AssertionError(f"1->2 output has norm {norm}")
     return amps
+
+
+def in_place_sweep(rho: SymDensity, phi: PureState, upto: int) -> np.ndarray:
+    """F_1..F_upto by the ladder sweep that writes every level over the one it reads.
+
+    One block of all columns, both parts of the phase-rotated table, and
+    one sum of squares a level, through the package's first step and
+    step; :func:`uqcm.symmetric.ladder_fidelities` places small levels
+    side by side and sums them a group at a time, which moves only the
+    order of each sum.
+    """
+    d, total = rho.d, rho.total
+    magnitudes = np.abs(phi.amplitudes)
+    up, coeffs, offsets, down, top = symmetric._ladder_table(d, total)
+    rows = symmetric.split_index(d, total, rho.kept)
+    angles = symmetric.occupation_counts(d, rho.kept) @ np.angle(phi.amplitudes)
+    rotated = rho.factor * np.exp(-1j * angles)[:, None]
+    values = np.zeros(upto)
+    for part in (rotated.real, rotated.imag):
+        table = np.ascontiguousarray(part)
+        level = symmetric._first_step(table, rows, down, magnitudes[:, None] * top, len(up) + 1)
+        level = level[: len(up)]
+        values[0] += sum_squares(level)
+        for s in range(1, upto):
+            size = offsets[s] - offsets[s - 1]
+            scale = magnitudes * coeffs[offsets[s - 1] : offsets[s]]
+            symmetric._ladder_step(level, up[:size], scale, size, level)
+            level = level[:size]
+            values[s] += sum_squares(level)
+    return values
 
 
 def dense_matrix(state: SymDensity | FullDensity | PureState) -> np.ndarray:

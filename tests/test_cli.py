@@ -1436,36 +1436,42 @@ class TestGoldenOutput:
 
     # SHA-256 of the stdout of the benchmark's `table` ops at seed 0, of
     # two ops whose long sums of squares a threaded BLAS would split:
-    # (7,2,8) unified and a fast-path-only `verify` at (8,2,8), and of two
-    # full-mode `verify` reports.  Every sum of squares is BLAS-free, so
-    # the bytes are the same at one thread and at two.
+    # (7,2,8) unified and a fast-path-only `verify` at (8,2,8), of two
+    # sweeps that write their first levels in place and the rest side by
+    # side, (3,60,61) unified and (4,2,10) unified, and of two full-mode
+    # `verify` reports.  Every sum of squares is BLAS-free, so the bytes
+    # are the same at one thread and at two.
     DIGESTS = [
         (["table", "--d", "2", "--n", "1", "--m", "40", "--machine", "werner"],
-         "5106b121f8a78bd7d0092a287debc8eb71fa19e0c26ca8932711fdb4931a35c6"),
+         "194cfff9856eb8af80f84be808e38231f796f7f92019e86a325e382c9e0945af"),
         (["table", "--d", "2", "--n", "1", "--m", "40", "--machine", "fan"],
-         "4b716ae018979df52c7af3eec272b76b51ad9761097222d2c2c7db652916da51"),
+         "d4c01050b99ba928949cc06215ec1a7367222c8f40b8689845dae67346fe8e2b"),
         (["table", "--d", "2", "--n", "1", "--m", "40", "--machine", "unified"],
-         "a8305795a0964e7b590d5937fa2bb36fb13a52139713de0da7743da2e895a9c0"),
+         "8f1f944b74cbe02d95cec7856d6970415914cc7de0fbcf5ac4de49d0d2565332"),
         (["table", "--d", "2", "--n", "8", "--m", "48", "--machine", "werner"],
-         "5479b126ce113591f16bfd77cd0fff0bd026794f024f61eeed5808d67fa9586a"),
+         "f807c472d1eaacd1dbc73c0f4bfb18cce339681448341d8f5bbded144f44aec5"),
         (["table", "--d", "2", "--n", "8", "--m", "48", "--machine", "fan"],
-         "708f96e73a692d8f6a18299fbffd0ac78d5b2f04f5d34e130212aab326fccaae"),
+         "be4c77189d0c40ba342d41b3a518328477c0eadb8aed480b01d812edbe07b79b"),
         (["table", "--d", "2", "--n", "8", "--m", "48", "--machine", "unified"],
-         "3a098aa3e8858792b9d3ed63008f82a2e73383f7469c300745f3e1297c49caa9"),
+         "7f5c4a2dfd842898a97924157a6066d351f07a40dc7de1aae4a0342077e3903a"),
         (["table", "--d", "3", "--n", "2", "--m", "12", "--machine", "fan"],
-         "f2755271f82f56482b83f614e2828939fbf85b02e0df42f5c796b1f5ead3537e"),
+         "202fbeedcdb8e5703181e3d365860937d33b2c33f190f2c40baff2f1fe20c5dd"),
         (["table", "--d", "3", "--n", "2", "--m", "12", "--machine", "unified"],
-         "7b5ec2975203089e94c85285cade037bd37155e88b8a321ebcf55eef459dcf7f"),
+         "bf9b7996a4d89658ed6249d98db1ace24a18152dadf49b33245a70d2cf751996"),
         (["table", "--d", "5", "--n", "2", "--m", "8", "--machine", "fan"],
-         "eca904f31cc72f276a6ce5080ca3e51915ac70479659f09ddb5c2726c9ff53f0"),
+         "890c183ff1ace0b1f981202d7cf42aa452440be3a25592b4028a68e18853f5ba"),
         (["table", "--d", "6", "--n", "2", "--m", "7", "--machine", "unified"],
-         "88af035f6898a25fa8f4585fe272f8cf3cad17815daf05effd0c1ea1f2dee455"),
+         "4237375e94fa905478f8d8f856431ca4f905cd33b8b1bdedbe20a096a242bde6"),
         (["table", "--d", "9", "--n", "2", "--m", "5", "--machine", "fan"],
-         "78e986c2960f37618a401abe11eadf547c433808db4859257794f7d79b5274a0"),
+         "37e2b41f77c6914cd2ce7e026f1ad439901aa6c08c521ca45c431ea259958bfd"),
         (["table", "--d", "7", "--n", "2", "--m", "8", "--machine", "unified"],
-         "313e6f738166ba13f164ad0a275f9a8a4c16dc84c05573ddf9097c2a90be8d57"),
+         "f2551bea7c8066891bb85a8917539d80695441858984fca8315f6414c7ddaaef"),
+        (["table", "--d", "3", "--n", "60", "--m", "61", "--machine", "unified"],
+         "044d3fe369563eb17188248d3a23f859cd00a53de829490bd5eee6005bbc1446"),
+        (["table", "--d", "4", "--n", "2", "--m", "10", "--machine", "unified"],
+         "890d097fed32671f0f8c55667f4c857a2999d4acd7f5051b7bf502eb7f62161b"),
         (["verify", "--d", "8", "--n", "2", "--m", "8", "--trials", "2"],
-         "6e906b306b0bf31d501a7c65e4d25a2529a7b21a104bd9c4000316119806f1be"),
+         "ef88c6c10d57b5ac42342c1ab0864378a84f300668545d7e47a74a5a823126a2"),
         (["verify", "--d", "3", "--n", "1", "--m", "3", "--trials", "2"],
          "70252a34efe1d6573aae59e971b5410fe008f77f320455e7f78687cc7ccb9a00"),
         (["verify", "--d", "2", "--n", "2", "--m", "5", "--trials", "2"],

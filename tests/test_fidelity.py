@@ -33,6 +33,7 @@ from uqcm.symmetric import (
 from reference import (
     clear_caches,
     dense_matrix,
+    in_place_sweep,
     reduce_symmetric,
     reduced_expectation,
     trace_distance_matrices,
@@ -416,6 +417,8 @@ class TestLadderSweep:
             (6, 2, 7, "unified", None),
             (8, 2, 8, "fan", None),
             (8, 2, 8, "fan", 2),
+            (2, 8, 48, "fan", None),
+            (4, 2, 11, "unified", None),
         ],
     )
     def test_budget_counts_what_machine_and_sweep_allocate(
@@ -423,7 +426,10 @@ class TestLadderSweep:
     ):
         # A cap with room for a quarter of the columns puts the problem
         # right at it; every table is then built inside the traced span.
-        # A sweep stopped early ends each block on a large level.
+        # A sweep stopped early ends each block on a large level.  At
+        # (2,8,48) no level is written over the one it reads, and the
+        # block holds several levels side by side; at (4,2,11) the first
+        # two are written in place.
         spec = CloneSpec(d, n, m)
         held, transient, per_column = sweep_budget(d, m, n)
         cap = held + max(transient, per_column * (spec.dim_anc // 4))
@@ -544,9 +550,9 @@ def _count_parts(monkeypatch):
     step = symmetric._first_step
     calls = []
 
-    def counting(table, rows, down, top_scale, size):
+    def counting(table, rows, down, top_scale, height):
         calls.append(table.shape[1])
-        return step(table, rows, down, top_scale, size)
+        return step(table, rows, down, top_scale, height)
 
     monkeypatch.setattr(symmetric, "_first_step", counting)
     return calls
@@ -633,12 +639,12 @@ class TestRealSweep:
         step = symmetric._ladder_step
         pieces = []
 
-        def counting(level, idx, scale, chunk):
+        def counting(level, idx, scale, chunk, out):
             pieces.append(-(-idx.shape[0] // chunk))
-            return step(level, idx, scale, chunk)
+            return step(level, idx, scale, chunk, out)
 
-        def one_piece(level, idx, scale, chunk):
-            return step(level, idx, scale, idx.shape[0])
+        def one_piece(level, idx, scale, chunk, out):
+            return step(level, idx, scale, idx.shape[0], out)
 
         monkeypatch.setattr(symmetric, "_ladder_step", counting)
         chunked = ladder_fidelities(rho, phi, spec.m_out)
@@ -728,3 +734,137 @@ class TestRealSweep:
             own = ladder_fidelities(rho, phi, spec.m_out)
             assert np.abs(values - own).max() <= 1e-15
             _assert_sweep_is_the_split_reference(turned, phi, values)
+
+
+def _force_block_rows(monkeypatch, extra):
+    """Give every sweep block ``extra`` rows past level M-1 and its spare row."""
+    monkeypatch.setattr(symmetric, "_block_rows", lambda width, d, upper, chunk: upper + 1 + extra)
+
+
+def _placements(monkeypatch):
+    """Wrap the sweep's step; the list grows by whether each level went over the one it read."""
+    step = symmetric._ladder_step
+    placements = []
+
+    def recording(level, idx, scale, chunk, out):
+        placements.append("in place" if np.may_share_memory(level, out) else "apart")
+        return step(level, idx, scale, chunk, out)
+
+    monkeypatch.setattr(symmetric, "_ladder_step", recording)
+    return placements
+
+
+def _block_shapes(monkeypatch):
+    """Wrap the sweep's first step; the list grows by the (rows, columns) of each block."""
+    step = symmetric._first_step
+    shapes = []
+
+    def recording(table, rows, down, top_scale, height):
+        shapes.append((height, table.shape[1]))
+        return step(table, rows, down, top_scale, height)
+
+    monkeypatch.setattr(symmetric, "_first_step", recording)
+    return shapes
+
+
+def _extra_rows(d, m, upto):
+    """Block rows past level M-1 at which the grouping of a sweep's levels changes."""
+    sizes = [sym_dim(d, t) for t in range(m - upto, m - 1)]
+    ends = {sum(sizes[:k]) for k in range(len(sizes) + 1)}
+    return sorted(ends | {end - 1 for end in ends if end})
+
+
+class TestBlockPlacement:
+    # Each step writes its level into the block's rows after the one it
+    # reads while they hold it; otherwise the levels so far are summed and
+    # it goes to the block's first rows, or over the level it reads.  The
+    # placement changes no product and no level's sum, so the bits of F_s
+    # do not depend on it: at every block height they are the same, and
+    # within 1e-15 of the sweep that writes every level in place.
+
+    @pytest.mark.parametrize(
+        "d,n,m,machine,upto",
+        [
+            (2, 8, 48, "fan", None),
+            (2, 1, 40, "werner", None),
+            (3, 2, 12, "werner", None),
+            (4, 2, 10, "unified", None),
+            (4, 2, 10, "fan", 4),
+            (6, 2, 7, "unified", None),
+        ],
+    )
+    def test_every_block_height_gives_the_same_bits(
+        self, d, n, m, machine, upto, monkeypatch
+    ):
+        spec = CloneSpec(d, n, m)
+        phi = random_pure_state(d, 120)
+        rho = run_machine(spec, phi, machine)
+        upto = upto or m
+        closed = np.array([float(value) for value in fidelities_closed(spec)[:upto]])
+        in_place = in_place_sweep(rho, phi, upto)
+        assert np.abs(in_place - closed).max() <= TOL
+        values = ladder_fidelities(rho, phi, upto)
+        assert np.abs(values - in_place).max() <= 1e-15
+        assert np.abs(values - closed).max() <= 1e-12
+        for extra in _extra_rows(d, m, upto):
+            _force_block_rows(monkeypatch, extra)
+            assert (ladder_fidelities(rho, phi, upto) == values).all(), extra
+
+    def test_every_block_height_in_narrow_blocks_of_both_parts(self, monkeypatch):
+        rho = _random_table(np.random.default_rng(121), 3, 7, 2)
+        phi = random_pure_state(3, 121)
+        held, _, per_column = sweep_budget(3, 7, 2)
+        monkeypatch.setattr(symmetric, "FAST_PATH_CAP", held + per_column * 4)
+        assert _blocks(rho) >= 3
+        calls = _count_parts(monkeypatch)
+        values = ladder_fidelities(rho, phi, 7)
+        assert len(calls) == 2 * _blocks(rho)
+        assert np.abs(values - in_place_sweep(rho, phi, 7)).max() <= 1e-15
+        _assert_sweep_is_the_split_reference(rho, phi, values)
+        for extra in _extra_rows(3, 7, 7):
+            _force_block_rows(monkeypatch, extra)
+            assert (ladder_fidelities(rho, phi, 7) == values).all(), extra
+
+    @pytest.mark.parametrize(
+        "d,n,m,in_place",
+        [(2, 1, 40, 0), (2, 8, 48, 0), (3, 2, 12, 0), (5, 2, 8, 2), (6, 2, 7, 1), (9, 2, 5, 1)],
+    )
+    def test_large_levels_go_in_place_and_small_ones_side_by_side(
+        self, d, n, m, in_place, monkeypatch
+    ):
+        # The many-copies points write no level over the one it reads; at
+        # the qudit-dense points only the first, large levels are, and the
+        # block is the size of level M-1.
+        phi = random_pure_state(d, 122)
+        rho = run_machine(CloneSpec(d, n, m), phi, "unified")
+        placements = _placements(monkeypatch)
+        ladder_fidelities(rho, phi, m)
+        assert placements == ["in place"] * in_place + ["apart"] * (m - 1 - in_place)
+
+    @pytest.mark.parametrize("d,n,m", [(2, 1, 40), (2, 8, 48), (3, 2, 12), (5, 2, 8), (6, 2, 7)])
+    def test_a_block_grows_only_under_the_heap_threshold(self, d, n, m, monkeypatch):
+        phi = random_pure_state(d, 123)
+        rho = run_machine(CloneSpec(d, n, m), phi, "fan")
+        shapes = _block_shapes(monkeypatch)
+        ladder_fidelities(rho, phi, m)
+        (height, width), = shapes
+        level = sym_dim(d, m - 1) + 1
+        if 8 * width * level > symmetric.HEAP_BYTES:
+            assert height == level
+        else:
+            assert level < height and 8 * width * height <= symmetric.HEAP_BYTES
+
+    def test_less_chunk_room_gives_smaller_blocks(self, monkeypatch):
+        spec = CloneSpec(2, 8, 48)
+        phi = random_pure_state(2, 124)
+        rho = run_machine(spec, phi, "fan")
+        values = ladder_fidelities(rho, phi, 48)
+        heights = []
+        for chunk in (2**19, 2**16, 2**15, 2**14, 0):
+            monkeypatch.setattr(symmetric, "CHUNK_BYTES", chunk)
+            shapes = _block_shapes(monkeypatch)
+            assert (ladder_fidelities(rho, phi, 48) == values).all(), chunk
+            monkeypatch.undo()
+            heights += [height for height, _ in shapes]
+        assert heights == sorted(heights, reverse=True)
+        assert heights[0] > heights[-1] == sym_dim(2, 47) + 1

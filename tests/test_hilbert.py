@@ -314,6 +314,24 @@ class TestMetrics:
         with pytest.raises(ValueError, match="outside"):
             checked_fidelities([0.5, bad])
 
+    def test_checked_fidelities_keep_every_bit_inside(self):
+        # A signed zero stays signed, as min(max(value, 0.0), 1.0) keeps it,
+        # and an array comes back as Python floats.
+        values = np.array([-0.0, 0.0, 0.1 + 0.2, 1.0 - 2**-53, 5e-324, 1.0])
+        checked = checked_fidelities(values)
+        assert all(type(value) is float for value in checked)
+        assert [math.copysign(1.0, value) for value in checked[:2]] == [-1.0, 1.0]
+        assert np.array_equal(np.array(checked).view(np.int64), values.view(np.int64))
+        assert checked_fidelities([]) == ()
+
+    @pytest.mark.parametrize(
+        "values,first",
+        [([0.5, 2.0, np.nan], "2.0"), ([np.nan, 2.0], "nan"), ([1.0, -np.inf, 0.5], "-inf")],
+    )
+    def test_checked_fidelities_name_the_first_value_outside(self, values, first):
+        with pytest.raises(ValueError, match=rf"^fidelity {first} outside \[0, 1\]$"):
+            checked_fidelities(values)
+
 
 class TestTraceDistanceFactors:
     @staticmethod

@@ -450,17 +450,24 @@ class TestLadderTables:
         # its coefficients the (t, t-1) splitting coefficients, and the
         # first step's table is the (total, total-1) split inverted.  The
         # first step gathers level total's coefficients through it, and a
-        # source row with no qudit in level j reads the spare 0.
+        # source row with no qudit in level j reads the spare 0.  The
+        # steps run down from total-1, their coefficients consecutive rows
+        # of one array.
         slots = np.arange(d)
         for total in range(1, 9):
-            up, steps, down, first = _ladder_table(d, total)
+            up, coeffs, offsets, down, first = _ladder_table(d, total)
             assert first.shape == (d, up.shape[0] + 1)
-            assert len(steps) == total - 1
+            assert len(offsets) == total and offsets[0] == 0 and offsets[-1] == len(coeffs)
             top = occupation_counts(d, total - 1)
             for t in range(1, total + 1):
                 idx = split_index(d, t, t - 1)
                 coeff = reference_weights(d, t - 1, t)["unified"]
-                rows, ours = steps[t - 1] if t < total else (up, first[:, :-1].T)
+                if t < total:
+                    i = total - 1 - t
+                    ours = coeffs[offsets[i] : offsets[i + 1]]
+                    rows = up[: len(ours)]
+                else:
+                    rows, ours = up, first[:, :-1].T
                 assert np.array_equal(rows, idx) and np.array_equal(rows, up[: len(idx)])
                 shifted = top[: len(idx)].copy()
                 shifted[:, 0] -= total - t
