@@ -14,10 +14,13 @@ headed by the rows' keys:
                        cap) adds ``covariance-bound``, the largest
                        ||J(u phi) - u_out J(phi) u_anc^dagger||_F, and the
                        three oracle checks, exact trace distances between
-                       factors; fast-path-only mode every F_L against its
-                       closed form.  u_out J u_anc^dagger is a factor of
-                       u_out rho u_out^dagger, so neither bound is ever
-                       below the exact distance or passes falsely; a
+                       factors, each oracle factor's bitwise-equal columns
+                       merged first (:func:`~uqcm.hilbert.merge_equal_columns`:
+                       the same density on D_(m_out-n_in) columns in place
+                       of d^(m_out-n_in)); fast-path-only mode every F_L
+                       against its closed form.  u_out J u_anc^dagger is a
+                       factor of u_out rho u_out^dagger, so neither bound is
+                       ever below the exact distance or passes falsely; a
                        table in another gauge fails them loudly.
 * ``asym-sweep``     — 1 -> 2 asymmetric fidelity trade-off curve of
                        ``weighted_clone``, Cerf's optimal cloner.
@@ -71,6 +74,7 @@ from .hilbert import (
     OracleCapError,
     PureState,
     check_cap,
+    merge_equal_columns,
     random_pure_state,
     random_unitary,
     trace_distance_factors,
@@ -294,8 +298,10 @@ def _cmd_verify(
         values["covariance-bound"] = max(float(np.linalg.norm(gap)) for gap in gaps)
         # Each oracle check is the exact trace distance between two
         # factors of at most d^(2*m_out-n_in) entries; no d^m_out x
-        # d^m_out array is formed.
-        oracle_w = werner_output_oracle(spec, phi).factor
+        # d^m_out array is formed.  An oracle's blank strings of one
+        # occupation give equal columns; those equal to the bit are merged
+        # before any check reads them: the same density on fewer columns.
+        oracle_w = merge_equal_columns(werner_output_oracle(spec, phi).factor)
         values["symmetric-support"] = trace_distance_factors(
             project_symmetric(oracle_w, d, m), oracle_w
         )
@@ -304,7 +310,7 @@ def _cmd_verify(
         )
         values["unified-vs-oracle"] = trace_distance_factors(
             sym_to_full_density(outs["unified"]).factor,
-            unified_output_oracle(spec, phi).factor,
+            merge_equal_columns(unified_output_oracle(spec, phi).factor),
         )
         return values
 

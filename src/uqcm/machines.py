@@ -472,7 +472,12 @@ def full_mode_entries(spec: CloneSpec) -> int:
     products u_out J u_anc^dagger and their difference.  The
     oracle checks add factors of at most d^(2 m_out - n_in) entries
     each: the oracle, its projection and their stack, and the arrays the
-    projection passes through.  No d^m_out x d^m_out array is formed.
+    projection passes through.  The same term bounds the merged factors
+    the checks read (:func:`~uqcm.hilbert.merge_equal_columns`): a merge
+    holds the oracle, its transpose, its columns' bytes and a merged
+    factor no wider than the oracle, and the projection and the stacks
+    are then built from the merged factor.  No d^m_out x d^m_out array
+    is formed.
     ``uqcm verify`` runs full mode only when this fits under
     FAST_PATH_CAP.
     """

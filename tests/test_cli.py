@@ -437,9 +437,11 @@ class TestVerify:
         # trial, with the uqcm tables built inside the traced span, stays
         # within it; one entry less and the same trial falls back.  (2,9,9)
         # has one ancilla column, (4,2,4) ten, so u_anc and the covariance
-        # products are counted at a width that shows.  Each count is taken
-        # at the real cap, before any cap is lowered to it.
-        points = [(2, 9, 9), (4, 2, 4)]
+        # products are counted at a width that shows; at (2,2,7) each
+        # oracle factor's 32 columns merge to 6, and the merge's transients
+        # are traced with the rest.  Each count is taken at the real cap,
+        # before any cap is lowered to it.
+        points = [(2, 9, 9), (4, 2, 4), (2, 2, 7)]
         counts = [machines.full_mode_entries(machines.CloneSpec(*p)) for p in points]
         argvs = [["verify", "--d", str(d), "--n", str(n), "--m", str(m), "--trials", "1"]
                  for d, n, m in points]
@@ -556,6 +558,83 @@ class TestOracleChecksHaveTeeth:
         status, checks = self._distances(capsys)
         assert status == 1
         assert checks[f"{which}-vs-oracle"] > cli.DISTANCE_TOL
+
+    def _merged_widths(self, monkeypatch):
+        # The width of every factor the merge returns, in call order.
+        real = cli.merge_equal_columns
+        widths = []
+
+        def spy(factor):
+            merged = real(factor)
+            widths.append(merged.shape[1])
+            return merged
+
+        monkeypatch.setattr(cli, "merge_equal_columns", spy)
+        return widths
+
+    def test_unmutated_oracles_merge_to_one_column_per_blank_occupation(
+        self, capsys, monkeypatch
+    ):
+        # d^(M-N) = 4 blank strings, D_(M-N) = 3 occupations: 01 and 10 merge.
+        widths = self._merged_widths(monkeypatch)
+        status, _ = self._distances(capsys)
+        assert status == 0
+        assert widths == [3, 3]
+
+    def test_werner_oracle_without_its_projection(self, capsys, monkeypatch):
+        # sqrt(d^-(M-N)) |phi>^N x I, normalized but never projected: its
+        # d^(M-N) columns all differ, so it is compared at full width.
+        def unprojected(spec, phi):
+            d, n, m = spec.d, spec.n_in, spec.m_out
+            blank = d ** (m - n)
+            padded = machines._power(phi, n)[:, None, None] * np.eye(blank)
+            return FullDensity(padded.reshape(-1, blank) / math.sqrt(blank), m, d)
+
+        monkeypatch.setattr(cli, "werner_output_oracle", unprojected)
+        widths = self._merged_widths(monkeypatch)
+        status, checks = self._distances(capsys)
+        assert status == 1
+        assert checks["symmetric-support"] > cli.DISTANCE_TOL
+        assert checks["werner-vs-oracle"] > cli.DISTANCE_TOL
+        assert checks["unified-vs-oracle"] < cli.DISTANCE_TOL
+        assert widths == [4, 3]
+
+    @pytest.mark.parametrize("which", ["werner", "unified"])
+    def test_a_phase_on_one_oracle_column_changes_nothing(self, capsys, monkeypatch, which):
+        # e^(i theta) f f^dagger e^(-i theta) = f f^dagger: the density and
+        # every check stay as they are, but the column for the blank string
+        # 01 no longer equals the one for 10, and the merge keeps it apart.
+        name = f"{which}_output_oracle"
+        real = getattr(cli, name)
+
+        def phased(spec, phi):
+            density = real(spec, phi)
+            factor = density.factor.copy()
+            factor[:, 1] *= np.exp(0.7j)
+            assert not np.array_equal(factor[:, 1], factor[:, 2])
+            return FullDensity(factor, density.factors, density.local_dim)
+
+        monkeypatch.setattr(cli, name, phased)
+        widths = self._merged_widths(monkeypatch)
+        status, checks = self._distances(capsys)
+        assert status == 0
+        assert max(checks.values()) < cli.DISTANCE_TOL
+        assert widths == ([4, 3] if which == "werner" else [3, 4])
+
+    def test_unified_oracle_with_its_pair_halves_unsorted(self, capsys, monkeypatch):
+        # The pairs left interleaved as (half, ancilla): the copy slots then
+        # hold an ancilla half, and the ancilla holds a copy half.
+        def unsorted(phi, copies, blanks):
+            state, pair = machines._power(phi, copies), machines.maximally_entangled(phi.dim)
+            for _ in range(blanks):
+                state = np.multiply.outer(state, pair).ravel()
+            return state
+
+        monkeypatch.setattr(machines, "_pair_arrangement", unsorted)
+        status, checks = self._distances(capsys)
+        assert status == 1
+        assert checks["unified-vs-oracle"] > cli.DISTANCE_TOL
+        assert checks["werner-vs-oracle"] < cli.DISTANCE_TOL
 
     def test_projection_without_its_compress_step(self, capsys, monkeypatch):
         # P x = iso @ (iso^T @ x); dropping iso^T gathers rows of x as if
@@ -1438,9 +1517,10 @@ class TestGoldenOutput:
     # two ops whose long sums of squares a threaded BLAS would split:
     # (7,2,8) unified and a fast-path-only `verify` at (8,2,8), of two
     # sweeps that write their first levels in place and the rest side by
-    # side, (3,60,61) unified and (4,2,10) unified, and of two full-mode
-    # `verify` reports.  Every sum of squares is BLAS-free, so the bytes
-    # are the same at one thread and at two.
+    # side, (3,60,61) unified and (4,2,10) unified, and of three full-mode
+    # `verify` reports, whose oracle factors have their equal columns
+    # merged.  Every sum of squares is BLAS-free, so the bytes are the same
+    # at one thread and at two.
     DIGESTS = [
         (["table", "--d", "2", "--n", "1", "--m", "40", "--machine", "werner"],
          "194cfff9856eb8af80f84be808e38231f796f7f92019e86a325e382c9e0945af"),
@@ -1473,9 +1553,12 @@ class TestGoldenOutput:
         (["verify", "--d", "8", "--n", "2", "--m", "8", "--trials", "2"],
          "ef88c6c10d57b5ac42342c1ab0864378a84f300668545d7e47a74a5a823126a2"),
         (["verify", "--d", "3", "--n", "1", "--m", "3", "--trials", "2"],
-         "70252a34efe1d6573aae59e971b5410fe008f77f320455e7f78687cc7ccb9a00"),
+         "447d4798e6a2ee9cf529c700a88595a73eb1b3589bd0df7ba5c0583e31af692c"),
         (["verify", "--d", "2", "--n", "2", "--m", "5", "--trials", "2"],
-         "81ab9126463f83ac3cb6a7028d31a685051a094ee0a5a18482b50bd485e5c434"),
+         "48a02b5b517445d769f0acc021afbb764b344b9fa8cc0648b76a5dc2ce6121ec"),
+        # Each oracle factor's 32 columns merge to 6.
+        (["verify", "--d", "2", "--n", "2", "--m", "7", "--trials", "1"],
+         "60e9f55b307e5cfa12b513d6bc85d4f6d119535f4b452bbc2db939c0bdb4c2df"),
     ]
 
     def test_benchmark_table_bytes_are_pinned(self):

@@ -21,6 +21,7 @@ from uqcm.hilbert import (
     PureState,
     fidelity_pure,
     maximally_entangled,
+    merge_equal_columns,
     partial_trace,
     permute_factors,
     random_pure_state,
@@ -434,6 +435,22 @@ class TestOracles:
         werner = werner_output_oracle(spec, phi).factor
         unified = unified_output_oracle(spec, phi).factor
         assert trace_distance_factors(werner, unified) < 1e-12
+
+    @pytest.mark.parametrize("d,n,m", [(2, 1, 6), (2, 2, 7), (3, 1, 4), (4, 2, 4), (5, 1, 3)])
+    def test_oracle_columns_merge_to_one_per_blank_occupation(self, d, n, m):
+        # After P, the d^(M-N) blank strings of one occupation give bitwise-
+        # equal columns, so each oracle factor merges to D_(M-N) columns: a
+        # tested identity of the arithmetic at these points, not an
+        # assumption of the merge.  The merged factor holds the same density.
+        spec = CloneSpec(d, n, m)
+        for seed in range(20):
+            phi = random_pure_state(d, seed)
+            for oracle in (werner_output_oracle, unified_output_oracle):
+                factor = oracle(spec, phi).factor
+                merged = merge_equal_columns(factor)
+                assert factor.shape == (d**m, d ** (m - n))
+                assert merged.shape == (d**m, spec.dim_anc), (oracle.__name__, seed)
+                assert trace_distance_factors(merged, factor) < 1e-14
 
     def test_oracle_output_in_symmetric_subspace(self):
         spec = CloneSpec(2, 1, 3)
