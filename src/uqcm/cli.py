@@ -582,7 +582,3 @@ def _write_output(text: str, output: str | None) -> None:
         os.makedirs(parent, exist_ok=True)
     with open(path, "w", newline="") as handle:
         handle.write(text)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -39,12 +39,12 @@ argument).  The first step is d flat scatter-adds of the block's
 D_in * w entries into level M-1; each later step is one gather of the
 d parent rows of a chunk of rows and one batched real product, written
 after the level it reads while the block has room, so that small levels
-lie side by side and are summed a group at a time, and over it in
-increasing row order otherwise.  Every level is a prefix of level M-1,
-so all steps read one ladder table, which holds every level's
-coefficients once, in one array, level M's by the row they reach.  It
-costs d * sum_t D_t per column and part for D_t = sym_dim(d, t), and a
-block holds level M-1, room for small levels below HEAP_BYTES, and one
+lie side by side and are summed a group at a time, and from the
+block's first row otherwise.  Every level is a prefix of level M-1, so
+all steps read one ladder table, which holds every level's coefficients
+in one array, level M's first, each by the row it reaches.  It costs
+d * sum_t D_t per column and part for D_t = sym_dim(d, t), and a block
+holds level M-1, room for small levels below HEAP_BYTES, and one
 gathered row chunk, kept within CHUNK_BYTES where one row allows it.
 :func:`sweep_budget` counts everything a machine and the sweep
 allocate, in 16-byte entries, and :func:`sweep_width` makes the blocks
@@ -53,7 +53,6 @@ as wide as FAST_PATH_CAP leaves room for.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from collections.abc import Callable, Iterator
@@ -358,11 +357,12 @@ def sweep_budget(d: int, total: int, kept: int) -> tuple[int, int, int]:
       table V, the input-independent tables cached for the problem (its
       split index, the three machines' weight tables, the input basis's
       count table, the log-factorial sums of both bases and the sums of
-      level total), the ladder table, every level's coefficients, one
+      level total), the ladder table, every level's coefficients (level
+      total's first, D_{total-1} + 1 rows of d with the spare), one
       step's real coefficients and the D_in row phases, the d x D_total
-      first-step index rows, level total's d x (D_{total-1} + 1)
-      coefficients and those scaled by |x_j|, one later step's gathered
-      row chunk at its CHUNK_BYTES cap, and numpy's ufunc buffers;
+      first-step index rows, level total's coefficients scaled by
+      |x_j|, one later step's gathered row chunk at its CHUNK_BYTES cap,
+      and numpy's ufunc buffers;
     * transient, before the first block: the largest of what builds one
       cached table.  A split index or ladder table on rows x cols is
       ranked one slot at a time: one slot's index and term beside the
@@ -397,14 +397,14 @@ def sweep_budget(d: int, total: int, kept: int) -> tuple[int, int, int]:
     # 8 bytes a row.
     tables = 2 * d_in * r + (d * d_in + d_in + r + sym_dim(d, total)) // 2
     # The ladder table and one step's real coefficients, 8 bytes over at
-    # most D_{total-1} x d each; every level's coefficients, 8 bytes over
-    # D_{t-1} x d for t < total, sym_dim(d+1, T) being sum_{t<=T} D_t;
-    # and the D_in row phases.
+    # most D_{total-1} x d each; the coefficients of every level below
+    # total, 8 bytes over D_{t-1} x d for t < total, sym_dim(d+1, T)
+    # being sum_{t<=T} D_t; and the D_in row phases.
     below = sym_dim(d + 1, total - 2) if total >= 2 else 0
     ladder = d * (2 * upper + below) // 2 + d_in
     # The first step's index rows, half an entry a slot of level total;
-    # level total's coefficients by target row, spare row included, and
-    # their |x_j|-scaled copy, half an entry each.
+    # level total's coefficients, at the head of the ladder table's with
+    # their spare row, and their |x_j|-scaled copy, half an entry each.
     down = d * sym_dim(d, total) // 2 + d * (upper + 1)
     # Array headers and cache entries of the per-level steps, about 1 kB
     # a level; the first step's column offsets, below one column; numpy's
@@ -504,27 +504,25 @@ def _sweep(
     step is one gather of the d parent rows of a chunk of rows, read off
     the ladder table (:func:`_ladder_table`), and one batched real
     product (:func:`_ladder_step`).  A chunk is at most CHUNK_BYTES of
-    gather, which :func:`sweep_budget` counts as held; at most
-    D_{M-2} + 1 rows over d + 1; and in place, at most half of the next
-    level.  The second bound changes no count, but it keeps small sweeps
-    fast: on a 2-vCPU Xeon VM with glibc's allocator, at (9,2,5), the
-    first step took 1.0-1.2 ms without it instead of 0.5-0.6 ms, as each
-    block's level came back as fresh pages, and whole-level gathers made
-    the (5,2,8) fan and (6,2,7) unified sweeps 1.5-1.7x slower.  A chunk
-    is at least the rows whose gather fills one numpy ufunc buffer.  The
-    sweep costs d * sum_t D_t per column, for D_t = sym_dim(d, t).
+    gather, which :func:`sweep_budget` counts as held, and at most
+    D_{M-2} + 1 rows over d + 1: whole-level gathers made the (2,1,40)
+    werner, (2,8,48) fan and (5,2,8) fan sweeps 1.17-1.19x slower on a
+    2-vCPU Xeon VM.  A chunk is at least the rows whose gather fills one
+    numpy ufunc buffer.  The sweep costs d * sum_t D_t per column, for
+    D_t = sym_dim(d, t).
     """
     d, total = rho.d, rho.total
     magnitudes = np.abs(phi.amplitudes)
     columns = rho.factor.shape[1]
     # Every table is built before the first block, so no block is alive
     # while one is being built.
-    up, coeffs, offsets, down, top = _ladder_table(d, total)
+    up, coeffs, offsets, down = _ladder_table(d, total)
     # Rows of a chunk whose gather is no larger than a level-(M-2) block.
     smaller = max(1, ((sym_dim(d, total - 2) if total >= 2 else 0) + 1) // (d + 1))
     width = sweep_width(d, total, rho.kept)
     rows = split_index(d, total, rho.kept)
-    top_scale = magnitudes[:, None] * top
+    # Level M's scaled coefficients a direction a row, each gathered by target row.
+    first_scale = np.ascontiguousarray((magnitudes * coeffs[: offsets[0]]).T)
     # np.angle(0) = 0: a zero amplitude has phase 1.
     phases = np.exp(-1j * (occupation_counts(d, rho.kept) @ np.angle(phi.amplitudes)))
     values = np.zeros(upto)
@@ -536,13 +534,13 @@ def _sweep(
         # Bytes of one row's gather: d parent rows of w float64 entries.
         gathered = d * rotated.shape[1] * 8
         least = -(-np.getbufsize() * 8 // gathered)
-        most = min(smaller, CHUNK_BYTES // gathered)
-        height = _block_rows(rotated.shape[1], d, len(up), max(least, most))
+        chunk = max(least, min(smaller, CHUNK_BYTES // gathered))
+        height = _block_rows(rotated.shape[1], d, len(up), chunk)
         buffer = _first_step(
-            np.ascontiguousarray(part(rotated)), rows[:, block], down, top_scale, height
+            np.ascontiguousarray(part(rotated)), rows[:, block], down, first_scale, height
         )
         del rotated
-        values += _sweep_block(buffer, up, coeffs, offsets[:upto], magnitudes, least, most)
+        values += _sweep_block(buffer, up, coeffs, offsets[:upto], magnitudes, chunk)
         # Released before the next block is allocated, so only one is alive.
         del buffer
     return values, imag
@@ -557,8 +555,7 @@ def _block_rows(width: int, d: int, upper: int, chunk: int) -> int:
     gathered chunk.  In 8-byte entries, that pays for each row of the
     block, d scaled coefficients and one row sum for it
     (:func:`_sweep_block`), beside a gathered chunk of ``chunk`` rows, d
-    entries a column each; a step in place scales its coefficients
-    within the count of one step's.
+    entries a column each.
     """
     level = upper + 1
     room = 2 * width * level + CHUNK_BYTES // 8 - d * width * chunk
@@ -571,8 +568,7 @@ def _sweep_block(
     coeffs: np.ndarray,
     offsets: tuple[int, ...],
     magnitudes: np.ndarray,
-    least: int,
-    most: int,
+    chunk: int,
 ) -> np.ndarray:
     """F_1..F_{len(offsets)} of one block, level M-1 in its first D_{M-1} rows.
 
@@ -581,45 +577,37 @@ def _sweep_block(
     sweep's last step.
 
     Each step writes its level into the block's rows after the level it
-    reads while they hold it; the steps that fit there take their |x_j|
-    scaling in one product, off consecutive rows of the one coefficient
-    array (``_ladder_table``).  Where a level does not fit, the levels
-    written so far, all from row 0, are summed, and it goes to row 0:
-    over the level it reads (:func:`_ladder_step`) if that starts there,
-    else before it, since a level that starts further on was written
-    after a larger one.  Every F_s is a BLAS-free sum a row and a sum
-    over the level's rows, so its bits do not depend on where the level
-    sits.
+    reads while they hold it.  Where it does not fit, the levels written
+    so far, all from row 0, are summed, and it goes to row 0: over the
+    level it reads (:func:`_ladder_step`) if that starts there, else
+    before it, since a level that starts further on was written after a
+    larger one.  Levels written one after another read consecutive rows
+    of the one coefficient array (``_ladder_table``), so a run of them,
+    in place or not at its start, takes its |x_j| scaling in one product
+    of as many rows as the block has from the run's first row.  Every
+    F_s is a BLAS-free sum a row and a sum over the level's rows, so its
+    bits do not depend on where the level sits.
     """
-    height, later = buffer.shape[0], len(offsets) - 1
-    values = np.empty(later + 1)
+    height = buffer.shape[0]
+    values = np.empty(len(offsets))
     start, end = 0, len(up)
     # The levels not yet summed: F index ``first`` on, each from a row of ``starts``.
     first, starts = 0, [0]
-    i = 0
-    while i < later:
-        after = bisect.bisect_right(offsets, offsets[i] + height - end, i) - 1
-        if after > i:
-            scaled = magnitudes * coeffs[offsets[i] : offsets[after]]
-            base = offsets[i]
-            for k in range(i, after):
-                size = offsets[k + 1] - offsets[k]
-                starts.append(end)
-                scale = scaled[offsets[k] - base : offsets[k + 1] - base]
-                out = buffer[end : end + size]
-                _ladder_step(buffer[start:end], up[:size], scale, max(least, most), out)
-                start, end = end, end + size
-            del scaled
-            i = after
-            continue
-        values[first : i + 1] = _level_sums(buffer[:end], starts)
-        size = offsets[i + 1] - offsets[i]
-        scale = magnitudes * coeffs[offsets[i] : offsets[i + 1]]
-        chunk = max(least, min(-(-size // 2), most))
-        _ladder_step(buffer[start:end], up[:size], scale, chunk, buffer[:size])
-        first, starts = i + 1, [0]
-        start, end = 0, size
-        i += 1
+    # The coefficient rows from ``base`` to ``scaled_end``, scaled by |x_j|.
+    base = scaled_end = 0
+    for i, (low, high) in enumerate(itertools.pairwise(offsets)):
+        size = high - low
+        at = end if end + size <= height else 0
+        if not at:
+            values[first : i + 1] = _level_sums(buffer[:end], starts)
+            first, starts = i + 1, []
+        starts.append(at)
+        if high > scaled_end:
+            base, scaled_end = low, min(offsets[-1], low + height - at)
+            scaled = magnitudes * coeffs[base:scaled_end]
+        scale = scaled[low - base : high - base]
+        _ladder_step(buffer[start:end], up[:size], scale, chunk, buffer[at : at + size])
+        start, end = at, at + size
     values[first:] = _level_sums(buffer[:end], starts)
     return values
 
@@ -632,54 +620,51 @@ def _level_sums(levels: np.ndarray, starts: list[int]) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _ladder_table(
     d: int, total: int
-) -> tuple[np.ndarray, np.ndarray, tuple[int, ...], np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, tuple[int, ...], np.ndarray]:
     """Every step's tables for a sweep down from ``total`` qudits, read-only.
 
     In the canonical order m -> m + e_0 maps the (d, t-1) basis onto the
     first D_{t-1} rows of the (d, t) basis, in order: every level below
     ``total`` is a prefix of level total-1, slot 0 lowered by the
     difference.  ``up[i, j]`` is the (d, total) index of row i of level
-    total-1 plus e_j.  The steps run down from step total-1: step t, the
-    (total-1-t)-th, reads ``up[:D_{t-1}]`` and sqrt((a_j+1)/t) over the
-    rows a of level t-1, which are rows ``offsets[total-1-t]`` on of one
-    array, ``coeffs``, so the steps from any level down read one slice
-    of it.  ``down`` inverts ``up``
-    for the first step, one row per direction j: ``down[j, i]`` is the
-    (d, total-1) index of m_i - e_j, or D_{total-1} where m_j = 0.  The
-    first step's coefficients are held once, by target row: ``top[j, a]``
-    is sqrt((a_j+1)/total), and the spare column D_{total-1} is 0.  The
-    level total-1 count table is built for this alone and released.
+    total-1 plus e_j.  Step t reads sqrt((a_j+1)/t) over the rows a of
+    level t-1, all steps in one array, ``coeffs``, from step total down.
+    Step total's rows come first, with a spare row of 0 after them, and
+    end at ``offsets[0]``; step t < total, the (total-1-t)-th later
+    step, reads ``up[:D_{t-1}]`` and the coefficient rows from
+    ``offsets[total-1-t]``, so the steps from any level down read one
+    slice.  ``down`` inverts ``up`` for the first step, one row per
+    direction j: ``down[j, i]`` is the (d, total-1) index of m_i - e_j,
+    or D_{total-1}, the spare row, where m_j = 0.  The level total-1
+    count table is built for this alone and released.
     """
     counts = _fill_counts(d, total - 1)
     up = _canonical_index(total, counts[:, None, :], np.eye(d, dtype=np.intp))
-    sizes = [sym_dim(d, t - 1) for t in range(total - 1, 0, -1)]
-    offsets = tuple(itertools.accumulate(sizes, initial=0))
+    sizes = [sym_dim(d, t - 1) for t in range(total, 0, -1)]
+    offsets = tuple(itertools.accumulate(sizes[1:], initial=sizes[0] + 1))
     # Each level is written in place into its rows: freed temporaries left
     # glibc's heap holding 255 MB of peak RSS at (3,300,301) unified,
     # against 152 MB.
     coeffs = np.empty((offsets[-1], d))
-    for t, start, size in zip(range(total - 1, 0, -1), offsets, sizes):
+    coeffs[sizes[0]] = 0.0
+    for t, start, size in zip(range(total, 0, -1), (0, *offsets), sizes):
         raised = coeffs[start : start + size]
         np.add(counts[:size], 1.0, out=raised)
         raised[:, 0] -= total - t
         raised /= t
         np.sqrt(raised, out=raised)
-    top = np.zeros((d, counts.shape[0] + 1))
-    np.add(counts.T, 1.0, out=top[:, :-1])
-    top /= total
-    np.sqrt(top, out=top)
     down = np.full((d, sym_dim(d, total)), counts.shape[0])
     down[np.arange(d), up] = np.arange(counts.shape[0])[:, None]
-    for table in (up, coeffs, down, top):
+    for table in (up, coeffs, down):
         table.setflags(write=False)
-    return up, coeffs, offsets, down, top
+    return up, coeffs, offsets, down
 
 
 def _first_step(
     table: np.ndarray,
     rows: np.ndarray,
     down: np.ndarray,
-    top_scale: np.ndarray,
+    scale: np.ndarray,
     height: int,
 ) -> np.ndarray:
     """A block of ``height`` rows, level M-1 of one part of a rotated block first.
@@ -690,19 +675,20 @@ def _first_step(
     each direction j the targets a+k-e_j are distinct within a column,
     so a plain ``+=`` on the flattened level adds every entry; entries
     with no qudit in level j land in the spare row after level M-1.
-    Each entry's scale is gathered from ``top_scale[j]`` by its target
-    row, whose spare column is 0.  Only level M-1 and the spare row are
-    zeroed; the rows after them are for later levels (:func:`_sweep_block`).
+    Each entry's scale is gathered from ``scale[j]``, step M's
+    |x_j|-scaled coefficients in direction j, by its target row, whose
+    spare column is 0.  Only level M-1 and the spare row are zeroed; the
+    rows after them are for later levels (:func:`_sweep_block`).
     """
     width = table.shape[1]
-    size = top_scale.shape[1] - 1
+    size = scale.shape[1] - 1
     level = np.empty((height, width))
     level[: size + 1] = 0.0
     flat = level.reshape(-1)
     where = np.arange(width)
     for j in range(down.shape[0]):
         target = down[j][rows]
-        scaled = top_scale[j][target]
+        scaled = scale[j][target]
         scaled *= table
         target *= width
         target += where

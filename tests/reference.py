@@ -317,14 +317,15 @@ def in_place_sweep(rho: SymDensity, phi: PureState, upto: int) -> np.ndarray:
     """
     d, total = rho.d, rho.total
     magnitudes = np.abs(phi.amplitudes)
-    up, coeffs, offsets, down, top = symmetric._ladder_table(d, total)
+    up, coeffs, offsets, down = symmetric._ladder_table(d, total)
     rows = symmetric.split_index(d, total, rho.kept)
     angles = symmetric.occupation_counts(d, rho.kept) @ np.angle(phi.amplitudes)
     rotated = rho.factor * np.exp(-1j * angles)[:, None]
     values = np.zeros(upto)
     for part in (rotated.real, rotated.imag):
         table = np.ascontiguousarray(part)
-        level = symmetric._first_step(table, rows, down, magnitudes[:, None] * top, len(up) + 1)
+        scale = (magnitudes * coeffs[: offsets[0]]).T.copy()
+        level = symmetric._first_step(table, rows, down, scale, len(up) + 1)
         level = level[: len(up)]
         values[0] += sum_squares(level)
         for s in range(1, upto):

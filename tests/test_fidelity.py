@@ -841,6 +841,27 @@ class TestBlockPlacement:
         ladder_fidelities(rho, phi, m)
         assert placements == ["in place"] * in_place + ["apart"] * (m - 1 - in_place)
 
+    @pytest.mark.parametrize("d,n,m,products", [(9, 2, 5, 1), (5, 2, 8, 2)])
+    def test_a_run_of_levels_takes_one_scaling_product(self, d, n, m, products, monkeypatch):
+        # A run that starts in place takes its later levels' scaling from
+        # the same product: at (9,2,5) the in-place step and the three
+        # side-by-side steps after it read one.  Scaling each step on its
+        # own ran the (2,1,40) and (2,8,48) sweeps 1.15-1.16x slower.
+        phi = random_pure_state(d, 125)
+        rho = run_machine(CloneSpec(d, n, m), phi, "fan")
+        step = symmetric._ladder_step
+        # Held, not only counted by id, so that no id is reused.
+        scales = []
+
+        def recording(level, idx, scale, chunk, out):
+            scales.append(scale if scale.base is None else scale.base)
+            return step(level, idx, scale, chunk, out)
+
+        monkeypatch.setattr(symmetric, "_ladder_step", recording)
+        ladder_fidelities(rho, phi, m)
+        assert len(scales) == m - 1
+        assert len({id(scale) for scale in scales}) == products
+
     @pytest.mark.parametrize("d,n,m", [(2, 1, 40), (2, 8, 48), (3, 2, 12), (5, 2, 8), (6, 2, 7)])
     def test_a_block_grows_only_under_the_heap_threshold(self, d, n, m, monkeypatch):
         phi = random_pure_state(d, 123)

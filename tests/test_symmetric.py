@@ -449,15 +449,16 @@ class TestLadderTables:
         # lowered by total-t: its index rows are the (t, t-1) split index,
         # its coefficients the (t, t-1) splitting coefficients, and the
         # first step's table is the (total, total-1) split inverted.  The
-        # first step gathers level total's coefficients through it, and a
-        # source row with no qudit in level j reads the spare 0.  The
-        # steps run down from total-1, their coefficients consecutive rows
-        # of one array.
+        # steps run down from total, their coefficients consecutive rows
+        # of one array: level total's first, then a spare row of 0, which
+        # a source row with no qudit in level j reads through ``down``.
         slots = np.arange(d)
         for total in range(1, 9):
-            up, coeffs, offsets, down, first = _ladder_table(d, total)
-            assert first.shape == (d, up.shape[0] + 1)
-            assert len(offsets) == total and offsets[0] == 0 and offsets[-1] == len(coeffs)
+            up, coeffs, offsets, down = _ladder_table(d, total)
+            assert len(offsets) == total and offsets[-1] == len(coeffs)
+            assert offsets[0] == up.shape[0] + 1
+            head = coeffs[: offsets[0]]
+            assert (head[-1] == 0).all()
             top = occupation_counts(d, total - 1)
             for t in range(1, total + 1):
                 idx = split_index(d, t, t - 1)
@@ -467,7 +468,7 @@ class TestLadderTables:
                     ours = coeffs[offsets[i] : offsets[i + 1]]
                     rows = up[: len(ours)]
                 else:
-                    rows, ours = up, first[:, :-1].T
+                    rows, ours = up, head[:-1]
                 assert np.array_equal(rows, idx) and np.array_equal(rows, up[: len(idx)])
                 shifted = top[: len(idx)].copy()
                 shifted[:, 0] -= total - t
@@ -477,7 +478,7 @@ class TestLadderTables:
             missing = np.ones(down.shape, dtype=bool)
             missing[slots, up] = False
             assert (down[missing] == up.shape[0]).all()
-            assert (first[:, -1] == 0).all()
-            gathered = first[slots[:, None], down]
-            assert (gathered[slots, up] == first[:, :-1].T).all()
+            # The first step gathers direction j's scale by target row off head[:, j].
+            gathered = head.T[slots[:, None], down]
+            assert (gathered[slots, up] == head[:-1]).all()
             assert (gathered[missing] == 0).all()
