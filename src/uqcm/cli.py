@@ -27,6 +27,15 @@ headed by the rows' keys:
 * ``identity-check`` — exact rational check of the summation identity
                        behind the single-copy fidelity.
 
+The exact values a report prints, ``table``'s closed forms, fast-path-only
+``verify``'s closed values and ``identity-check``'s two sides, come from
+the integer cores :func:`~uqcm.fidelity.closed_form_pairs` and
+:func:`~uqcm.combinatorics.identity_rows` as reduced ``(numerator,
+denominator)`` pairs: each is printed as ``f"{num}/{den}"``, and its float
+is ``num / den``, the correctly rounded quotient that
+``float(Fraction(num, den))`` also gives.  No ``Fraction`` is built on
+those paths; ``asym-sweep``'s one symmetric reference is a ``Fraction``.
+
 The JSON report is the text of ``json.dumps(payload, indent=2,
 allow_nan=False)``, byte for byte, but written by the C encoder: any
 ``indent`` selects :mod:`json`'s pure-Python encoder, so :func:`main`
@@ -60,14 +69,13 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
-from .combinatorics import verify_identity_family
-from .fidelity import fidelities_closed, fidelities_numeric, fidelity_single_closed
+from .combinatorics import IDENTITY_NOTE, PRINTED_SUMMAND_EVALUABLE, identity_rows
+from .fidelity import closed_form_pairs, fidelities_numeric, fidelity_single_closed
 from .hilbert import (
     FAST_PATH_CAP,
     ORACLE_CAP,
@@ -205,17 +213,17 @@ def _cmd_table(
     rho = run_machine(spec, phi, args.machine)
     # One sweep stopped at the last level wanted gives every F_L up to it.
     numerics = fidelities_numeric(rho, phi, upto)
-    exact = fidelities_closed(spec, upto)
+    exact = closed_form_pairs(spec, upto)
     levels = range(1, upto + 1) if args.l is None else [args.l]
 
     def row(L: int) -> dict:
         numeric = numerics[L - 1]
-        closed = exact[L - 1]
-        closed_float = float(closed)
+        num, den = exact[L - 1]
+        closed_float = num / den
         return {
             "L": L,
             "numeric": numeric,
-            "closed_rational": _rational_str(closed),
+            "closed_rational": f"{num}/{den}",
             "closed_float": closed_float,
             "abs_diff": abs(numeric - closed_float),
         }
@@ -260,7 +268,7 @@ def _cmd_verify(
             f"warning: {reason}; skipping the covariance and oracle checks, "
             "running the closed-form check\n"
         )
-        closed = [float(value) for value in fidelities_closed(spec)]
+        closed = [num / den for num, den in closed_form_pairs(spec)]
 
     def trial(t: int) -> dict[str, float]:
         phi = random_pure_state(d, args.seed + t)
@@ -403,7 +411,7 @@ def _cmd_asym_sweep(
         },
         "rows": json_rows,
         "symmetric_reference": {
-            "closed_rational": _rational_str(symmetric),
+            "closed_rational": f"{symmetric.numerator}/{symmetric.denominator}",
             "closed_float": float(symmetric),
         },
     }
@@ -419,7 +427,9 @@ def _cmd_identity_check(
             parser.error("single-point mode needs all of --d, --n and --m")
         if any(v is not None for v in (args.d_max, args.n_max, args.m_max)):
             parser.error("give either a single point or grid bounds, not both")
-        reports = _checked(parser, verify_identity_family, args.n, args.m, args.d)[-1:]
+        # The point is the last row of its family.
+        last = _checked(parser, identity_rows, args.n, args.m, args.d)[-1:]
+        families = [(args.d, args.n, last)]
         config = {"d": args.d, "n_in": args.n, "m_out": args.m}
     else:
         d_max = 3 if args.d_max is None else args.d_max
@@ -431,36 +441,36 @@ def _cmd_identity_check(
                 f"got d_max={d_max}, n_max={n_max}, m_max={m_max}"
             )
         # One (d, N) family at a time, M = N..m_max within each.
-        reports = [
-            report
+        families = [
+            (d, n, identity_rows(n, m_max, d))
             for d in range(2, d_max + 1)
             for n in range(1, min(n_max, m_max) + 1)
-            for report in verify_identity_family(n, m_max, d)
         ]
         config = {"d_max": d_max, "n_max": n_max, "m_max": m_max}
 
     rows = []
-    for n_in, m_out, d, lhs, rhs, equal, evaluable, _ in reports:
-        rhs_text = _rational_str(rhs)
-        rows.append(
-            {
-                "d": d,
-                "n_in": n_in,
-                "m_out": m_out,
-                # An equal left side is the right side's own Fraction.
-                "lhs": rhs_text if lhs is rhs else _rational_str(lhs),
-                "rhs": rhs_text,
-                "equal": equal,
-                "printed_summand_evaluable": evaluable,
-            }
-        )
+    for d, n_in, family in families:
+        for m_out, lhs, rhs, equal in family:
+            rhs_text = f"{rhs[0]}/{rhs[1]}"
+            rows.append(
+                {
+                    "d": d,
+                    "n_in": n_in,
+                    "m_out": m_out,
+                    # An equal left side is the right side's own pair.
+                    "lhs": rhs_text if lhs is rhs else f"{lhs[0]}/{lhs[1]}",
+                    "rhs": rhs_text,
+                    "equal": equal,
+                    "printed_summand_evaluable": PRINTED_SUMMAND_EVALUABLE,
+                }
+            )
     all_equal = all(r["equal"] for r in rows)
     payload = {
         "command": "identity-check",
         "config": config,
         "rows": rows,
         "all_equal": all_equal,
-        "note": reports[0].note,
+        "note": IDENTITY_NOTE,
     }
     return (0 if all_equal else 1), payload, rows
 
@@ -496,10 +506,6 @@ def _checked(parser: argparse.ArgumentParser, call, *args):
     except ValueError as exc:
         parser.error(str(exc))
         raise AssertionError("unreachable")
-
-
-def _rational_str(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
 
 
 def _json_text(value, pad: str = "") -> str:

@@ -25,10 +25,13 @@ bound P(B+1) holds every A_L as one base-B digit, with no carry
 Q(B+1), one product with the digits C(N, k) gives (B+1)^N Q(B+1), and
 one ``to_bytes`` yields the digits; everything is kept modulo
 B^(last+1), so a list stopped at L = last costs in proportion to last.
-:func:`fidelities_closed` is the one implementation of the formula, and
-nothing is kept from one call to the next.  The specializations F_1,
-F_M and the N=1 simplification are implemented separately and checked
-to agree exactly.
+:func:`closed_form_pairs` is the one implementation of the formula: it
+returns each F_L as a reduced integer pair ``(numerator, denominator)``,
+which the command line prints as it is, and nothing is kept from one
+call to the next.  :func:`fidelities_closed` builds the ``Fraction``
+objects from those pairs.  The specializations F_1, F_M and the N=1
+simplification are implemented separately, as ``Fraction`` values, and
+checked to agree exactly.
 """
 
 from __future__ import annotations
@@ -54,14 +57,18 @@ def fidelities_numeric(
     return checked_fidelities(ladder_fidelities(rho, phi, upto))
 
 
-def fidelities_closed(spec: CloneSpec, upto: int | None = None) -> tuple[Fraction, ...]:
-    """Closed-form F_1..F_upto as exact rationals (all L by default).
+def closed_form_pairs(
+    spec: CloneSpec, upto: int | None = None
+) -> tuple[tuple[int, int], ...]:
+    """Closed-form F_1..F_upto as reduced integer pairs (all L by default).
 
     F_L = A_L / (C(d+M-1, M-N) C(M, L)), and every numerator
     A_L = sum_m1 w[m1] C(m1, L) is one base-2^bits digit of one big integer,
     the polynomial sum_m1 w[m1] y^m1 at y = 2^bits + 1, kept modulo
     2^(bits (last+1)) for last = upto: F_L alone is
-    ``fidelities_closed(spec, L)[-1]``, at a cost that grows with L only.
+    ``closed_form_pairs(spec, L)[-1]``, at a cost that grows with L only.
+    Each F_L is ``(numerator, denominator)`` in lowest terms, reduced by
+    ``math.gcd``, with a positive denominator.
     """
     d, n, m_total = spec.d, spec.n_in, spec.m_out
     last = m_total if upto is None else upto
@@ -90,13 +97,22 @@ def fidelities_closed(spec: CloneSpec, upto: int | None = None) -> tuple[Fractio
         binomial = binomial * (n - k) // (k + 1)
     packed = packed * int.from_bytes(b"".join(digits), "little") & mask
     raw = packed.to_bytes(width * (last + 1), "little")
-    return tuple(
-        Fraction(
-            int.from_bytes(raw[L * width : (L + 1) * width], "little"),
-            inverse_k * math.comb(m_total, L),
-        )
-        for L in range(1, last + 1)
-    )
+    pairs = []
+    for L in range(1, last + 1):
+        numerator = int.from_bytes(raw[L * width : (L + 1) * width], "little")
+        denominator = inverse_k * math.comb(m_total, L)
+        common = math.gcd(numerator, denominator)
+        pairs.append((numerator // common, denominator // common))
+    return tuple(pairs)
+
+
+def fidelities_closed(spec: CloneSpec, upto: int | None = None) -> tuple[Fraction, ...]:
+    """Closed-form F_1..F_upto as exact ``Fraction`` values (all L by default).
+
+    The pairs of :func:`closed_form_pairs`, each made a ``Fraction``: F_L
+    alone is ``fidelities_closed(spec, L)[-1]``.
+    """
+    return tuple(Fraction(*pair) for pair in closed_form_pairs(spec, upto))
 
 
 def fidelity_single_closed(spec: CloneSpec) -> Fraction:

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import fractions
 import functools
 import hashlib
 import io
@@ -1172,6 +1173,51 @@ class TestIdentityCheck:
         row = json.loads(out)["rows"][0]
         # S(2) = 5 becomes 6 over C(3, 1) * 2 = 6.
         assert (status, row["lhs"], row["rhs"], row["equal"]) == (1, "1/1", "5/6", False)
+
+        # In grid mode every row is unequal, and each prints its own left side.
+        status, out = _run(capsys, ["identity-check", "--d-max", "4", "--n-max", "3"])
+        rows = json.loads(out)["rows"]
+        assert status == 1 and len(rows) == 3 * (5 + 4 + 3)
+        for row in rows:
+            d, n, m = row["d"], row["n_in"], row["m_out"]
+            rhs = fractions.Fraction(n * (d + m) + m - n, (d + n) * m)
+            lhs = rhs + fractions.Fraction(1, math.comb(m + d - 1, m - n) * m)
+            assert row["lhs"] == f"{lhs.numerator}/{lhs.denominator}"
+            assert row["rhs"] == f"{rhs.numerator}/{rhs.denominator}"
+            assert row["equal"] is False
+
+
+class TestExactPathsBuildNoFraction:
+    """``table``, fast-path-only ``verify`` and ``identity-check`` print integer pairs."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table", "--d", "2", "--n", "3", "--m", "9", "--machine", "werner"],
+            ["table", "--d", "3", "--n", "2", "--m", "5", "--machine", "fan", "--l", "4"],
+            ["table", "--d", "2", "--n", "1", "--m", "6", "--machine", "unified", "--format", "csv"],
+            # d^(2m-n) = 6561 is above the oracle cap: fast-path-only mode.
+            ["verify", "--d", "3", "--n", "2", "--m", "5", "--trials", "2"],
+            ["identity-check"],
+            ["identity-check", "--d", "4", "--n", "3", "--m", "9", "--format", "csv"],
+        ],
+        ids=["table", "table-l", "table-csv", "verify-fast-path-only",
+             "identity-check-grid", "identity-check-point-csv"],
+    )
+    def test_no_fraction_is_built(self, capsys, monkeypatch, argv):
+        expected = _run(capsys, argv)
+        if argv[0] == "verify":
+            assert json.loads(expected[1])["mode"] == "fast-path-only"
+        # Cold caches, so every table is rebuilt under the patch.
+        clear_caches()
+
+        def refuse(cls, *args, **kwargs):
+            raise AssertionError("a Fraction was built")
+
+        monkeypatch.setattr(fractions.Fraction, "__new__", refuse)
+        with pytest.raises(AssertionError, match="a Fraction was built"):
+            fractions.Fraction(1, 2)
+        assert _run(capsys, argv) == expected
 
 
 class TestCsvMatchesJson:

@@ -11,7 +11,9 @@ from uqcm import combinatorics
 from uqcm.combinatorics import (
     IDENTITY_NOTE,
     RECONSTRUCTED_DENOMINATOR,
+    PRINTED_SUMMAND_EVALUABLE,
     IdentityReport,
+    identity_rows,
     sym_dim,
     verify_identity_family,
 )
@@ -282,6 +284,38 @@ class TestIdentityFamily:
             # Fractions compare by their reduced numerator and denominator.
             assert report.lhs == lhs and report.lhs != report.rhs
             assert report.rhs == truth.rhs
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(d=st.integers(2, 6), copies=st.tuples(st.integers(1, 30), st.integers(1, 30)))
+    def test_integer_rows_are_the_reports_field_by_field(self, d, copies):
+        n, m_max = sorted(copies)
+        exact = combinatorics._identity_sums
+        # Unperturbed every row is equal; one more in every S(M) makes each unequal.
+        for shift in (0, 1):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(
+                    combinatorics,
+                    "_identity_sums",
+                    lambda *args: [value + shift for value in exact(*args)],
+                )
+                rows = identity_rows(n, m_max, d)
+                reports = verify_identity_family(n, m_max, d)
+            assert len(rows) == len(reports) == m_max - n + 1
+            for m, row, report in zip(range(n, m_max + 1), rows, reports, strict=True):
+                m_out, lhs, rhs, equal = row
+                assert (report.n_in, report.m_out, report.d) == (n, m_out, d)
+                assert m_out == m
+                for pair, value in ((lhs, report.lhs), (rhs, report.rhs)):
+                    num, den = pair
+                    assert type(num) is int and type(den) is int
+                    assert den > 0 and math.gcd(num, den) == 1
+                    assert type(value) is Fraction
+                    assert (value.numerator, value.denominator) == pair
+                assert report.equal is equal is (shift == 0)
+                # An equal left side is the right side's own pair and own Fraction.
+                assert (lhs is rhs) is equal is (report.lhs is report.rhs)
+                assert report.printed_summand_evaluable is PRINTED_SUMMAND_EVALUABLE
+                assert report.note is IDENTITY_NOTE
 
 
 class TestVerifyIdentity:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from uqcm import machines, symmetric
 from uqcm.combinatorics import sym_dim
 from uqcm.fidelity import (
+    closed_form_pairs,
     fidelities_closed,
     fidelities_numeric,
     fidelity_L_closed_N1,
@@ -150,6 +151,27 @@ class TestFidelitiesClosed:
         # Large M - N, d and N: every digit of the one big integer is checked.
         spec = CloneSpec(d, n, m)
         assert fidelities_closed(spec) == tuple(_per_L_sum(spec, L) for L in range(1, m + 1))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(d=st.integers(2, 6), copies=st.tuples(st.integers(1, 30), st.integers(1, 30)))
+    def test_integer_pairs_are_reduced_and_are_the_fractions(self, d, copies):
+        n, m = sorted(copies)
+        spec = CloneSpec(d, n, m)
+        full = closed_form_pairs(spec)
+        assert full == tuple(
+            (value.numerator, value.denominator)
+            for value in (_per_L_sum(spec, L) for L in range(1, m + 1))
+        )
+        for upto in range(1, m + 1):
+            pairs = closed_form_pairs(spec, upto)
+            values = fidelities_closed(spec, upto)
+            assert pairs == full[:upto]
+            assert len(values) == upto
+            for (num, den), value in zip(pairs, values, strict=True):
+                assert type(num) is int and type(den) is int
+                assert den > 0 and math.gcd(num, den) == 1
+                assert type(value) is Fraction
+                assert (value.numerator, value.denominator) == (num, den)
 
     def test_stopped_list_is_a_prefix_holding_each_single_L(self):
         # A stop truncates the one big integer to its low L+1 digits.
