@@ -234,8 +234,8 @@ def trace_distance_factors(x: np.ndarray, y: np.ndarray) -> float:
     of its eigenvalues.  One QR of the D x (r_x + r_y) stack and one
     eigensolve of a matrix at most (r_x + r_y) x (r_x + r_y): O(D (r_x +
     r_y)^2), and no D x D array.  The cost grows with the columns as
-    given, so a factor with repeated columns is passed through
-    :func:`merge_equal_columns` first: the same density, fewer columns.
+    given, so the oracles build their factors on as few columns as hold
+    the density (:func:`~uqcm.machines.werner_output_oracle`).
     """
     if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
         raise ValueError(
@@ -246,27 +246,6 @@ def trace_distance_factors(x: np.ndarray, y: np.ndarray) -> float:
     small = r_x @ r_x.conj().T - r_y @ r_y.conj().T
     _check_hermitian(small, "difference of the factors' Gram matrices")
     return 0.5 * float(np.abs(np.linalg.eigvalsh(small)).sum())
-
-
-def merge_equal_columns(factor: np.ndarray) -> np.ndarray:
-    """A complex factor with its bitwise-equal columns merged: k copies of f become sqrt(k) f.
-
-    Exact, because F F^dagger = sum_j f_j f_j^dagger.  Columns are keyed
-    on their bytes, so two that differ in any bit (a -0.0, one ulp) stay
-    apart; the merged columns keep their first-seen order.  The scaling
-    is applied to the float64 parts, so a column seen once keeps every
-    bit (a complex product would turn a -0.0 into 0.0).  A factor with no
-    two equal columns is returned as it is.
-    """
-    groups: dict[bytes, list[int]] = {}
-    for j, column in enumerate(np.ascontiguousarray(factor.T)):
-        groups.setdefault(column.tobytes(), []).append(j)
-    if len(groups) == factor.shape[1]:
-        return factor
-    merged = factor.take([group[0] for group in groups.values()], axis=1)
-    sizes = np.array([len(group) for group in groups.values()], dtype=np.float64)
-    merged.view(np.float64)[...] *= np.repeat(np.sqrt(sizes), 2)
-    return merged
 
 
 def _check_hermitian(mat: np.ndarray, what: str) -> None:

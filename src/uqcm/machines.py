@@ -29,9 +29,11 @@ and output bases, the output's gathered through the split index, and no
 machine reads another's table.
 ``*_oracle`` variants rebuild the same object in the full tensor space
 (subject to the oracle cap) for verification: the same projector-form
-and entangled-pair constructions, held as factors of at most
-d^(2 m_out - n_in) entries, with the symmetric projector applied through
-the embedding isometry instead of formed as a d^m_out x d^m_out matrix.
+and entangled-pair constructions, each held as a factor of
+d^m_out x D_(m_out - n_in) entries (:func:`werner_output_oracle` says
+why the blank columns may be compressed to their occupations), with
+the symmetric projector applied through the embedding isometry instead
+of formed as a d^m_out x d^m_out matrix.
 Full-space pure states (the pair arrangement, the asymmetric joint
 state) are plain arrays of amplitudes, copy slots leading.
 
@@ -70,6 +72,7 @@ from .hilbert import (
 )
 from .symmetric import (
     SymDensity,
+    compress_columns,
     expand_power,
     log_factorial_sums,
     occupation_counts,
@@ -175,8 +178,18 @@ def werner_output_oracle(spec: CloneSpec, phi: PureState) -> FullDensity:
     (D_N / D_M) P (rho_in x I) P for the pure input rho_in =
     (|phi><phi|)^(x n_in), with P the symmetric projector on m_out qudits
     and D_t = sym_dim(d, t), held as its factor
-    sqrt(D_N / D_M) P (|phi>^(x n_in) x I_(d^(m_out - n_in))), which has
-    d^(2 m_out - n_in) entries.
+    F = sqrt(D_N / D_M) P (|phi>^(x n_in) x I_(d^(m_out - n_in))).
+
+    F is built on D_(m_out - n_in) columns, not d^(m_out - n_in), and
+    holds the same density.  P absorbs any permutation W_s of the blank
+    slots, P (I x W_s) = P, so F W_s = F for every s; averaged over all
+    s that is F P' = F, with P' = iso' iso'^T the symmetric projector on
+    the m_out - n_in blanks, and F F^dagger = (F iso') (F iso')^dagger.
+    iso' is applied to the literal block before P
+    (:func:`~uqcm.symmetric.compress_columns`): the block's columns have
+    disjoint row supports, so each of its sums adds exact zeros to one
+    nonzero term.  The factor has d^m_out * D_(m_out - n_in) entries; the
+    cap is still checked on the d^(2 m_out - n_in) entries of the block.
     """
     _check_phi(spec, phi)
     d, n, m_total = spec.d, spec.n_in, spec.m_out
@@ -184,7 +197,8 @@ def werner_output_oracle(spec: CloneSpec, phi: PureState) -> FullDensity:
     blank = d ** (m_total - n)
     padded = (_power(phi, n)[:, None, None] * np.eye(blank)).reshape(-1, blank)
     scale = math.sqrt(sym_dim(d, n) / sym_dim(d, m_total))
-    factor = scale * project_symmetric(padded, d, m_total)
+    block = compress_columns(padded, d, m_total - n)
+    factor = scale * project_symmetric(block, d, m_total)
     return FullDensity(factor, factors=m_total, local_dim=d)
 
 
@@ -284,7 +298,12 @@ def unified_output_oracle(spec: CloneSpec, phi: PureState) -> FullDensity:
 
     Factor layout of the joint state: the m_out copy slots first, then
     the m_out - n_in ancilla halves of the entangled pairs; the factor,
-    read row-major, is the joint state.
+    read row-major, is the joint state.  Its ancilla columns are taken
+    onto their D_(m_out - n_in) symmetric occupations before the
+    projection, as :func:`werner_output_oracle`'s blank columns are and
+    for the same reason: permuting whole pairs moves both halves together
+    and leaves the arrangement as it is, so permuting the ancilla halves
+    equals permuting the copy slots' halves back, which P absorbs.
     """
     _check_phi(spec, phi)
     d, n_total, m_total = spec.d, spec.n_in, spec.m_out
@@ -292,7 +311,7 @@ def unified_output_oracle(spec: CloneSpec, phi: PureState) -> FullDensity:
     check_cap(d, m_total + blanks)
 
     block = _pair_arrangement(phi, n_total, blanks).reshape(d**m_total, d**blanks)
-    projected = project_symmetric(block, d, m_total)
+    projected = project_symmetric(compress_columns(block, d, blanks), d, m_total)
     projected *= 1.0 / float(np.linalg.norm(projected))
     # The copy slots lead, so the joint state's block with the ancilla
     # still open is the factor of their reduced state.
@@ -470,14 +489,14 @@ def full_mode_entries(spec: CloneSpec) -> int:
     bound itself, which holds the ancilla space's dim_anc x dim_anc
     u_anc and its adjoint, one rotated machine's table and its J, the two
     products u_out J u_anc^dagger and their difference.  The
-    oracle checks add factors of at most d^(2 m_out - n_in) entries
-    each: the oracle, its projection and their stack, and the arrays the
-    projection passes through.  The same term bounds the merged factors
-    the checks read (:func:`~uqcm.hilbert.merge_equal_columns`): a merge
-    holds the oracle, its transpose, its columns' bytes and a merged
-    factor no wider than the oracle, and the projection and the stacks
-    are then built from the merged factor.  No d^m_out x d^m_out array
-    is formed.
+    oracle checks add at most six arrays of d^(2 m_out - n_in) entries:
+    an oracle's literal block and its column gather, then the oracle
+    factor, its projection, their stack and the arrays the projection
+    passes through.  The oracles compress their blank columns
+    (:func:`werner_output_oracle`), so all but the first two hold
+    d^m_out x D_(m_out - n_in) entries, and above m_out - n_in = 1 the
+    term is a looser upper bound than the arrays need.  No
+    d^m_out x d^m_out array is formed.
     ``uqcm verify`` runs full mode only when this fits under
     FAST_PATH_CAP.
     """

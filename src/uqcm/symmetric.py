@@ -9,7 +9,8 @@ oracle.  The bridge forms no d^total x d^total matrix: the embedding
 isometry has one nonzero per row, cached as those nonzeros alone
 (``_embed_columns``), so iso @ y is a row gather and iso^T @ x a sum
 over each occupation's strings.  :func:`project_symmetric` applies
-P = iso iso^T that way, a density crosses to the full space as a factor
+P = iso iso^T that way, :func:`compress_columns` applies iso^T to a
+factor's column index, a density crosses to the full space as a factor
 (:func:`sym_to_full_density`), and :func:`sym_unitary` contracts u into
 each tensor axis instead of forming u^(x total).
 
@@ -273,6 +274,18 @@ def project_symmetric(x: np.ndarray, d: int, total: int) -> np.ndarray:
     """
     check_cap(d, total)
     return _expand(_compress(x, d, total), d, total)
+
+
+def compress_columns(x: np.ndarray, d: int, total: int) -> np.ndarray:
+    """x @ iso for the embedding isometry on ``total`` qudits: iso^T on x's column index.
+
+    Column m of the result is the sum of x's columns over the strings of
+    occupation m, over the square root of their count.  The oracles apply
+    it to their blank slots (:func:`~uqcm.machines.werner_output_oracle`
+    says why that keeps the density).
+    """
+    check_cap(d, total)
+    return _compress(x.T, d, total).T
 
 
 def sym_to_full_density(rho: SymDensity) -> FullDensity:

@@ -438,11 +438,12 @@ class TestVerify:
         # trial, with the uqcm tables built inside the traced span, stays
         # within it; one entry less and the same trial falls back.  (2,9,9)
         # has one ancilla column, (4,2,4) ten, so u_anc and the covariance
-        # products are counted at a width that shows; at (2,2,7) each
-        # oracle factor's 32 columns merge to 6, and the merge's transients
-        # are traced with the rest.  Each count is taken at the real cap,
-        # before any cap is lowered to it.
-        points = [(2, 9, 9), (4, 2, 4), (2, 2, 7)]
+        # products are counted at a width that shows; at (2,2,7) and (2,4,8)
+        # each oracle's 32 or 16 blank strings are summed to 6 or 5 columns,
+        # and the literal block and its column gather are traced with the
+        # rest.  Each count is taken at the real cap, before any cap is
+        # lowered to it.
+        points = [(2, 9, 9), (4, 2, 4), (2, 2, 7), (2, 4, 8)]
         counts = [machines.full_mode_entries(machines.CloneSpec(*p)) for p in points]
         argvs = [["verify", "--d", str(d), "--n", str(n), "--m", str(m), "--trials", "1"]
                  for d, n, m in points]
@@ -560,31 +561,31 @@ class TestOracleChecksHaveTeeth:
         assert status == 1
         assert checks[f"{which}-vs-oracle"] > cli.DISTANCE_TOL
 
-    def _merged_widths(self, monkeypatch):
-        # The width of every factor the merge returns, in call order.
-        real = cli.merge_equal_columns
+    def _oracle_widths(self, monkeypatch):
+        # The width of every oracle factor the checks read, in call order.
         widths = []
+        for name in ("werner_output_oracle", "unified_output_oracle"):
+            def spy(spec, phi, real=getattr(cli, name)):
+                density = real(spec, phi)
+                widths.append(density.factor.shape[1])
+                return density
 
-        def spy(factor):
-            merged = real(factor)
-            widths.append(merged.shape[1])
-            return merged
-
-        monkeypatch.setattr(cli, "merge_equal_columns", spy)
+            monkeypatch.setattr(cli, name, spy)
         return widths
 
     def test_unmutated_oracles_merge_to_one_column_per_blank_occupation(
         self, capsys, monkeypatch
     ):
-        # d^(M-N) = 4 blank strings, D_(M-N) = 3 occupations: 01 and 10 merge.
-        widths = self._merged_widths(monkeypatch)
+        # d^(M-N) = 4 blank strings, D_(M-N) = 3 occupations: 01 and 10 are
+        # one column of each oracle.
+        widths = self._oracle_widths(monkeypatch)
         status, _ = self._distances(capsys)
         assert status == 0
         assert widths == [3, 3]
 
     def test_werner_oracle_without_its_projection(self, capsys, monkeypatch):
-        # sqrt(d^-(M-N)) |phi>^N x I, normalized but never projected: its
-        # d^(M-N) columns all differ, so it is compared at full width.
+        # sqrt(d^-(M-N)) |phi>^N x I, normalized but never projected, on
+        # its d^(M-N) columns.
         def unprojected(spec, phi):
             d, n, m = spec.d, spec.n_in, spec.m_out
             blank = d ** (m - n)
@@ -592,7 +593,7 @@ class TestOracleChecksHaveTeeth:
             return FullDensity(padded.reshape(-1, blank) / math.sqrt(blank), m, d)
 
         monkeypatch.setattr(cli, "werner_output_oracle", unprojected)
-        widths = self._merged_widths(monkeypatch)
+        widths = self._oracle_widths(monkeypatch)
         status, checks = self._distances(capsys)
         assert status == 1
         assert checks["symmetric-support"] > cli.DISTANCE_TOL
@@ -603,8 +604,7 @@ class TestOracleChecksHaveTeeth:
     @pytest.mark.parametrize("which", ["werner", "unified"])
     def test_a_phase_on_one_oracle_column_changes_nothing(self, capsys, monkeypatch, which):
         # e^(i theta) f f^dagger e^(-i theta) = f f^dagger: the density and
-        # every check stay as they are, but the column for the blank string
-        # 01 no longer equals the one for 10, and the merge keeps it apart.
+        # every check stay as they are.
         name = f"{which}_output_oracle"
         real = getattr(cli, name)
 
@@ -612,15 +612,14 @@ class TestOracleChecksHaveTeeth:
             density = real(spec, phi)
             factor = density.factor.copy()
             factor[:, 1] *= np.exp(0.7j)
-            assert not np.array_equal(factor[:, 1], factor[:, 2])
             return FullDensity(factor, density.factors, density.local_dim)
 
         monkeypatch.setattr(cli, name, phased)
-        widths = self._merged_widths(monkeypatch)
+        widths = self._oracle_widths(monkeypatch)
         status, checks = self._distances(capsys)
         assert status == 0
         assert max(checks.values()) < cli.DISTANCE_TOL
-        assert widths == ([4, 3] if which == "werner" else [3, 4])
+        assert widths == [3, 3]
 
     def test_unified_oracle_with_its_pair_halves_unsorted(self, capsys, monkeypatch):
         # The pairs left interleaved as (half, ancilla): the copy slots then
@@ -1564,9 +1563,9 @@ class TestGoldenOutput:
     # (7,2,8) unified and a fast-path-only `verify` at (8,2,8), of two
     # sweeps that write their first levels in place and the rest side by
     # side, (3,60,61) unified and (4,2,10) unified, and of three full-mode
-    # `verify` reports, whose oracle factors have their equal columns
-    # merged.  Every sum of squares is BLAS-free, so the bytes are the same
-    # at one thread and at two.
+    # `verify` reports, whose oracle factors sum each blank occupation's
+    # strings into one column.  Every sum of squares is BLAS-free, so the
+    # bytes are the same at one thread and at two.
     DIGESTS = [
         (["table", "--d", "2", "--n", "1", "--m", "40", "--machine", "werner"],
          "194cfff9856eb8af80f84be808e38231f796f7f92019e86a325e382c9e0945af"),
@@ -1599,12 +1598,12 @@ class TestGoldenOutput:
         (["verify", "--d", "8", "--n", "2", "--m", "8", "--trials", "2"],
          "ef88c6c10d57b5ac42342c1ab0864378a84f300668545d7e47a74a5a823126a2"),
         (["verify", "--d", "3", "--n", "1", "--m", "3", "--trials", "2"],
-         "447d4798e6a2ee9cf529c700a88595a73eb1b3589bd0df7ba5c0583e31af692c"),
+         "7a145a9920a5ca2a3afbd566fd5eafb73662ad36810e41fb615f6d590fc82937"),
         (["verify", "--d", "2", "--n", "2", "--m", "5", "--trials", "2"],
-         "48a02b5b517445d769f0acc021afbb764b344b9fa8cc0648b76a5dc2ce6121ec"),
-        # Each oracle factor's 32 columns merge to 6.
+         "89374c5ae3abfa6dedcb111160512afd81720460e36e2835c045ee73375940f9"),
+        # Each oracle sums its 32 blank strings into 6 columns.
         (["verify", "--d", "2", "--n", "2", "--m", "7", "--trials", "1"],
-         "60e9f55b307e5cfa12b513d6bc85d4f6d119535f4b452bbc2db939c0bdb4c2df"),
+         "bf7a25d0342af463bb63c371847ce7bbc29b9719eb78f1f660292af28dc4c7b2"),
     ]
 
     def test_benchmark_table_bytes_are_pinned(self):

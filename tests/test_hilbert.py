@@ -19,7 +19,6 @@ from uqcm.hilbert import (
     checked_fidelities,
     fidelity_pure,
     maximally_entangled,
-    merge_equal_columns,
     partial_trace,
     permute_factors,
     random_pure_state,
@@ -387,61 +386,6 @@ class TestTraceDistanceFactors:
     def test_different_row_counts_raise(self):
         with pytest.raises(ValueError, match="rows"):
             trace_distance_factors(np.ones((4, 1)) / 2, np.ones((2, 1)) / np.sqrt(2))
-
-
-class TestMergeEqualColumns:
-    """k bitwise-equal columns f become one column sqrt(k) f; nothing else merges."""
-
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(
-        st.integers(1, 40),
-        st.lists(st.integers(1, 5), min_size=1, max_size=8),
-        st.integers(0, 2**16),
-    )
-    def test_planted_duplicates_merge_to_the_same_density(self, dim, repeats, seed):
-        rng = np.random.default_rng(seed)
-        distinct = rng.normal(size=(dim, len(repeats))) + 1j * rng.normal(
-            size=(dim, len(repeats))
-        )
-        # Every copy of column i is the same array slice, shuffled among the others.
-        order = rng.permutation(np.repeat(np.arange(len(repeats)), repeats))
-        factor = distinct[:, order] / np.linalg.norm(distinct[:, order])
-        merged = merge_equal_columns(factor)
-        firsts = sorted(set(order.tolist()), key=order.tolist().index)
-        assert merged.shape == (dim, len(repeats))
-        for column, i in zip(merged.T, firsts):
-            seen = np.flatnonzero(order == i)
-            assert np.array_equal(column, factor[:, seen[0]] * math.sqrt(seen.size))
-        literal = factor @ factor.conj().T
-        assert np.allclose(merged @ merged.conj().T, literal, rtol=0, atol=1e-15)
-        assert trace_distance_factors(merged, factor) < 1e-14
-
-    def test_no_duplicates_returns_the_same_object(self):
-        rng = np.random.default_rng(4)
-        factor = rng.normal(size=(9, 5)) + 1j * rng.normal(size=(9, 5))
-        assert merge_equal_columns(factor) is factor
-
-    @pytest.mark.parametrize(
-        "entry, value",
-        [
-            (0, complex(-0.0, 0.0)),
-            (0, complex(0.0, -0.0)),
-            (1, complex(np.nextafter(0.5, 1.0), 0.25)),
-            (1, complex(0.5, np.nextafter(0.25, 0.0))),
-        ],
-        ids=["real -0.0", "imag -0.0", "real +1 ulp", "imag -1 ulp"],
-    )
-    def test_a_column_one_bit_away_stays_separate(self, entry, value):
-        # Columns 0 and 2 are equal and merge; column 1 differs from them in
-        # one entry by the sign of a zero or by one ulp, and is kept as it is.
-        column = np.array([0.0, 0.5 + 0.25j, 0.5j, 0.25])
-        twin = column.copy()
-        twin[entry] = value
-        assert twin.tobytes() != column.tobytes()
-        merged = merge_equal_columns(np.stack([column, twin, column], axis=1))
-        assert merged.shape == (4, 2)
-        assert np.array_equal(merged[:, 0], math.sqrt(2) * column)
-        assert merged[:, 1].tobytes() == twin.tobytes()
 
 
 class TestStackedTraceDistance:

@@ -21,7 +21,6 @@ from uqcm.hilbert import (
     PureState,
     fidelity_pure,
     maximally_entangled,
-    merge_equal_columns,
     partial_trace,
     permute_factors,
     random_pure_state,
@@ -42,6 +41,7 @@ from uqcm.machines import (
     werner_output_oracle,
 )
 from uqcm.symmetric import (
+    compress_columns,
     expand_power,
     occupation_counts,
     project_symmetric,
@@ -400,31 +400,20 @@ class TestOracles:
         proj = projector_full(d, m)
         dense = spec.dim_in / spec.dim_out * (proj @ block @ proj)
         oracle = werner_output_oracle(spec, phi)
-        assert oracle.factor.shape == (d**m, d ** (m - n))
+        assert oracle.factor.shape == (d**m, spec.dim_anc)
         assert np.allclose(dense_matrix(oracle), dense, atol=TOL)
 
     @pytest.mark.parametrize("d,n,m", [(2, 1, 2), (2, 1, 3), (2, 2, 5), (3, 1, 2),
                                        (3, 2, 4), (4, 1, 3)])
     def test_oracle_factors_equal_the_kron_reference(self, d, n, m):
         # The oracles build their tensor products as outer products; the
-        # same products through np.kron give the same bits.
+        # same products through np.kron, with the same column step, give
+        # the same bits.
         spec = CloneSpec(d, n, m)
         phi = random_pure_state(d, 16)
-        inputs = np.ones(1, dtype=np.complex128)
-        for _ in range(n):
-            inputs = np.kron(inputs, phi.amplitudes)
-        padded = np.kron(inputs[:, None], np.eye(d ** (m - n)))
-        werner = math.sqrt(spec.dim_in / spec.dim_out) * project_symmetric(padded, d, m)
+        werner, unified = _kron_oracle_factors(spec, phi, compress=True)
         assert np.array_equal(werner_output_oracle(spec, phi).factor, werner)
-
-        pairs = inputs
-        for _ in range(m - n):
-            pairs = np.kron(pairs, maximally_entangled(d))
-        perm = [*range(n), *range(n, 2 * m - n, 2), *range(n + 1, 2 * m - n, 2)]
-        state = permute_factors(pairs, d, perm)
-        projected = project_symmetric(state.reshape(d**m, -1), d, m)
-        projected *= 1.0 / float(np.linalg.norm(projected))
-        assert np.array_equal(unified_output_oracle(spec, phi).factor, projected)
+        assert np.array_equal(unified_output_oracle(spec, phi).factor, unified)
 
     @pytest.mark.parametrize("d,n,m", ORACLE_GRID)
     def test_the_two_literal_oracles_give_the_same_state(self, d, n, m):
@@ -436,21 +425,21 @@ class TestOracles:
         unified = unified_output_oracle(spec, phi).factor
         assert trace_distance_factors(werner, unified) < 1e-12
 
-    @pytest.mark.parametrize("d,n,m", [(2, 1, 6), (2, 2, 7), (3, 1, 4), (4, 2, 4), (5, 1, 3)])
+    @pytest.mark.parametrize("d,n,m", [(2, 1, 6), (2, 2, 7), (2, 3, 5), (2, 3, 7),
+                                       (2, 4, 8), (3, 1, 4), (4, 2, 4), (5, 1, 3)])
     def test_oracle_columns_merge_to_one_per_blank_occupation(self, d, n, m):
-        # After P, the d^(M-N) blank strings of one occupation give bitwise-
-        # equal columns, so each oracle factor merges to D_(M-N) columns: a
-        # tested identity of the arithmetic at these points, not an
-        # assumption of the merge.  The merged factor holds the same density.
+        # Each oracle sums the d^(M-N) blank strings of one occupation into
+        # one column before P, so it has D_(M-N) columns at every seed, N >= 3
+        # included, and holds the density of the literal factor on d^(M-N).
         spec = CloneSpec(d, n, m)
         for seed in range(20):
             phi = random_pure_state(d, seed)
-            for oracle in (werner_output_oracle, unified_output_oracle):
+            literal = _kron_oracle_factors(spec, phi, compress=False)
+            for oracle, eye_form in zip((werner_output_oracle, unified_output_oracle), literal):
                 factor = oracle(spec, phi).factor
-                merged = merge_equal_columns(factor)
-                assert factor.shape == (d**m, d ** (m - n))
-                assert merged.shape == (d**m, spec.dim_anc), (oracle.__name__, seed)
-                assert trace_distance_factors(merged, factor) < 1e-14
+                assert eye_form.shape == (d**m, d ** (m - n))
+                assert factor.shape == (d**m, spec.dim_anc), (oracle.__name__, seed)
+                assert trace_distance_factors(factor, eye_form) < 1e-14
 
     def test_oracle_output_in_symmetric_subspace(self):
         spec = CloneSpec(2, 1, 3)
@@ -459,6 +448,27 @@ class TestOracles:
         proj = projector_full(2, 3)
         mat = dense_matrix(rho)
         assert trace_distance_matrices(proj @ mat @ proj, mat) < TOL
+
+
+def _kron_oracle_factors(spec, phi, compress):
+    """Both oracle factors from np.kron products; the blank columns
+    compressed to their occupations or left as d^(M-N) strings."""
+    d, n, m = spec.d, spec.n_in, spec.m_out
+    step = compress_columns if compress else (lambda x, d, total: x)
+    inputs = np.ones(1, dtype=np.complex128)
+    for _ in range(n):
+        inputs = np.kron(inputs, phi.amplitudes)
+    padded = step(np.kron(inputs[:, None], np.eye(d ** (m - n))), d, m - n)
+    werner = math.sqrt(spec.dim_in / spec.dim_out) * project_symmetric(padded, d, m)
+
+    pairs = inputs
+    for _ in range(m - n):
+        pairs = np.kron(pairs, maximally_entangled(d))
+    perm = [*range(n), *range(n, 2 * m - n, 2), *range(n + 1, 2 * m - n, 2)]
+    state = permute_factors(pairs, d, perm)
+    unified = project_symmetric(step(state.reshape(d**m, -1), d, m - n), d, m)
+    unified *= 1.0 / float(np.linalg.norm(unified))
+    return werner, unified
 
 
 def _check_joint_factor(spec, phi, out):
